@@ -296,14 +296,6 @@ def result_access(stmt: Statement) -> Access:
     raise IrError("statement has no assignment")
 
 
-def contains_where(stmt: Statement) -> bool:
-    if isinstance(stmt, Where):
-        return True
-    if isinstance(stmt, Forall):
-        return contains_where(stmt.body)
-    return False
-
-
 def from_einsum(result: Access, rhs: Expr, loop_order: Sequence[IndexVar | str]) -> Statement:
     """Wrap an assignment in foralls; accumulate when a reduction variable exists."""
     order = [_as_var(v) for v in loop_order]

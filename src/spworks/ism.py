@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import enum
 import math
-import queue
-import threading
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+import operator
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -73,6 +73,14 @@ def hash_default_l(nnz: int) -> int:
     return 1 << (nnz - 1).bit_length()
 
 
+def row_major_strides(extents: Sequence[int]) -> tuple[int, ...]:
+    """Strides that linearize coordinates row-major, the last one fastest."""
+    strides = [1] * len(extents)
+    for d in range(len(extents) - 1, 0, -1):
+        strides[d - 1] = strides[d] * extents[d]
+    return tuple(strides)
+
+
 def grow_capacity(capacity: int) -> int:
     """Next capacity on growth: x2 while small, x1.5 mid-range, x1.25 large."""
     if capacity < 2 ** 16:
@@ -108,26 +116,18 @@ class Counters:
 
     def merge(self, other: "Counters") -> None:
         """Fold another counter set into this one; peaks take the maximum."""
-        self.inserts += other.inserts
-        self.drains += other.drains
-        self.merges += other.merges
-        self.insert_comparisons += other.insert_comparisons
-        self.sort_comparisons += other.sort_comparisons
-        self.merge_comparisons += other.merge_comparisons
-        self.insert_dedups += other.insert_dedups
-        self.drain_dedups += other.drain_dedups
-        self.merge_dedups += other.merge_dedups
-        self.peak_bytes = max(self.peak_bytes, other.peak_bytes)
+        for f in fields(self):
+            combine = max if f.name == "peak_bytes" else operator.add
+            setattr(self, f.name, combine(getattr(self, f.name), getattr(other, f.name)))
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "inserts": self.inserts,
-            "drains": self.drains,
-            "merges": self.merges,
-            "comparisons": self.comparisons,
-            "dedups": self.dedups,
-            "peak_bytes": self.peak_bytes,
-        }
+        """Report totals: the per-stage comparisons and dedups are summed."""
+        out: dict[str, int] = {}
+        for f in fields(self):
+            total = f.name.partition("_")[2]
+            key = total if total in ("comparisons", "dedups") else f.name
+            out[key] = out.get(key, 0) + getattr(self, f.name)
+        return out
 
 
 class AccArray:
@@ -289,17 +289,20 @@ class AllArray:
         return total
 
 
-_STOP = object()
-
-
 class IsmEngine:
     """Drives insert, drain-on-full, merge and final compression for one
-    workspace run.
+    workspace.
 
-    In pipelined mode two accumulate arrays alternate: the producer thread
-    streams inserts into one while a single worker thread drains and merges
-    the other, preserving drain order (merges stay in submission order, so
-    results are bit-identical to the sequential mode).
+    An executor builds one engine per workspace per execution and calls
+    reset() before every later run of that workspace (each prefix row of a
+    hoisted workspace); counters accumulate across runs.
+
+    In pipelined mode two accumulate arrays alternate: the producer streams
+    inserts into one while a single worker thread, started at the first
+    drain, drains and merges the other. At most one drain is in flight, so
+    merges stay in submission order and results are bit-identical to the
+    sequential mode. The engine is a context manager; leaving it joins the
+    worker.
     """
 
     def __init__(
@@ -316,33 +319,48 @@ class IsmEngine:
         self.extents = tuple(int(e) for e in extents)
         if not self.extents:
             raise IsmError("a workspace needs at least one dimension")
-        total = math.prod(self.extents)
-        if total >= 2 ** 64:
+        if math.prod(self.extents) >= 2 ** 64:
             raise IsmError("workspace key space exceeds 64-bit linearization")
-        strides = []
-        acc = 1
-        for e in reversed(self.extents):
-            strides.append(acc)
-            acc *= e
-        self.strides = tuple(reversed(strides))
-        self.policy = policy
-        self.counters = Counters()
-        self.allow_growth = allow_growth
-        self.pipeline = pipeline
         if policy is Policy.HASH and hash_l is None:
             raise IsmError("hash policy needs hash_l resolved before execution")
-        self._make_acc = lambda: AccArray(capacity, policy, self.strides[0],
-                                          hash_l, self.counters)
-        self.acc = self._make_acc()
-        self.all = AllArray(self.counters, double_buffer=double_buffer)
+        self.strides = row_major_strides(self.extents)
+        self.policy = policy
+        self.capacity = capacity
+        self.hash_l = hash_l
+        self.double_buffer = double_buffer
+        self.pipeline = pipeline
+        self.allow_growth = allow_growth
+        self.counters = Counters()
+        self._pool: ThreadPoolExecutor | None = None
+        self._pending: Future | None = None
+        self.reset()
+
+    def reset(self) -> None:
+        """Start the next run: empty accumulate arrays at the configured
+        capacity and an empty all array. Counters keep accumulating."""
+        self._wait()
+        self.acc = self._new_acc()
+        self._spare = self._new_acc() if self.pipeline else None
+        self.all = AllArray(self.counters, double_buffer=self.double_buffer)
         self._finalized = False
-        if pipeline:
-            self._work: queue.Queue = queue.Queue(maxsize=1)
-            self._free: queue.Queue = queue.Queue()
-            self._free.put(self._make_acc())
-            self._exc: BaseException | None = None
-            self._worker = threading.Thread(target=self._run_worker, daemon=True)
-            self._worker.start()
+
+    def _new_acc(self) -> AccArray:
+        return AccArray(self.capacity, self.policy, self.strides[0], self.hash_l,
+                        self.counters)
+
+    def close(self) -> None:
+        """Join the pipeline worker, if one was started. After finalize()
+        nothing is in flight; otherwise an error is already propagating, and
+        the error of a drain still in flight is dropped in its favour."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def __enter__(self) -> "IsmEngine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- producer side -----------------------------------------------------
 
@@ -360,42 +378,37 @@ class IsmEngine:
         try:
             self.acc.insert(key, val)
         except AccFullError:
-            self._rotate()
+            if self.allow_growth:
+                self.acc.grow(grow_capacity(self.acc.capacity))
+            else:
+                self._flush()
             self.acc.insert(key, val)
 
-    def _rotate(self) -> None:
-        """Drain path taken when an insert finds the accumulate array full."""
-        if self.allow_growth:
-            self.acc.grow(grow_capacity(self.acc.capacity))
-            return
+    def _flush(self) -> None:
+        """Drain the accumulate array into the all array: in place, or on the
+        worker while inserts continue into the spare array."""
         self.counters.drains += 1
-        if self.pipeline:
-            if self._exc is not None:
-                raise self._exc
-            self._work.put(self.acc)
-            self.acc = self._free.get()
-            if self._exc is not None:
-                raise self._exc
-        else:
-            keys, vals = self.acc.drain()
-            self.all.merge(keys, vals)
-            self.acc.clear()
-            self._note_peak()
+        if not self.pipeline:
+            self._drain(self.acc)
+            return
+        self._wait()
+        full = self.acc
+        self.acc, self._spare = self._spare, full
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(max_workers=1)
+        self._pending = self._pool.submit(self._drain, full)
 
-    def _run_worker(self) -> None:
-        while True:
-            item = self._work.get()
-            if item is _STOP:
-                return
-            try:
-                keys, vals = item.drain()
-                self.all.merge(keys, vals)
-                item.clear()
-                self._note_peak()
-            except BaseException as exc:  # propagate to the producer thread
-                self._exc = exc
-                item.clear()
-            self._free.put(item)
+    def _wait(self) -> None:
+        """Wait for the drain in flight; its error, if any, is raised here."""
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            pending.result()
+
+    def _drain(self, acc: AccArray) -> None:
+        keys, vals = acc.drain()
+        self.all.merge(keys, vals)
+        acc.clear()
+        self._note_peak()
 
     def _note_peak(self) -> None:
         live = self.all.nbytes + self._acc_bytes
@@ -410,23 +423,12 @@ class IsmEngine:
     # -- finalization --------------------------------------------------------
 
     def finalize(self) -> None:
-        """Drain whatever is left and, in pipelined mode, stop the worker."""
+        """Drain whatever is left and wait until it is merged."""
         if self._finalized:
             return
-        if self.pipeline:
-            if self.acc.size:
-                self.counters.drains += 1
-                self._work.put(self.acc)
-                self.acc = self._free.get()
-            self._work.put(_STOP)
-            self._worker.join()
-            if self._exc is not None:
-                raise self._exc
-        elif self.acc.size:
-            self.counters.drains += 1
-            keys, vals = self.acc.drain()
-            self.all.merge(keys, vals)
-            self.acc.clear()
+        if self.acc.size:
+            self._flush()
+        self._wait()
         self._note_peak()
         self._finalized = True
 

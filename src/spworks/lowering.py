@@ -17,6 +17,7 @@ result collector (append paths), a dense scatter array, or an IsmEngine.
 from __future__ import annotations
 
 import bisect
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +44,7 @@ from .ir import (
     nest_assign,
     nest_vars,
 )
-from .ism import Counters, IsmEngine, Policy, hash_default_l
+from .ism import Counters, IsmEngine, Policy, hash_default_l, row_major_strides
 from .tensor import (
     Format,
     LevelFormat,
@@ -710,29 +711,29 @@ class _Execution:
             for aid, (name, _) in plan.sites.items()
         }
         self.reg = [0.0]
+        # one engine per sparse workspace, built at its first AllocWs and
+        # closed by the stack when run() ends
         self.engines: dict[str, IsmEngine] = {}
-        self.buffers: dict[str, list[float]] = {}
-        self.ws_extents: dict[str, list[int]] = {}
-        self.ws_hash_l: dict[str, int] = {}
+        self.stack = contextlib.ExitStack()
+        self.buffers = {meta.name: [0.0] * self.extents[meta.slot_vars[0]]
+                        for meta in plan.workspaces if meta.dense}
         self.override: Tensor | None = None
         if not plan.result_format.all_dense():
             self.collector = _Collector(plan.result_format.order)
         else:
             shape = tuple(self.extents[v] for v in plan.result.vars)
             self.dense_out = np.zeros(shape, dtype=np.float64)
-        for meta in plan.workspaces:
-            exts = [self.extents[v] for v in meta.slot_vars]
-            self.ws_extents[meta.name] = exts
-            if not meta.dense and meta.descriptor.policy is Policy.HASH:
-                if meta.descriptor.hash_l is not None:
-                    self.ws_hash_l[meta.name] = meta.descriptor.hash_l
-                else:
-                    est = sum(t.nnz for name, t in tensors.items()
-                              if name in plan.operands
-                              and not t.format.all_dense())
-                    self.ws_hash_l[meta.name] = hash_default_l(max(est, 1))
-            if meta.dense:
-                self.buffers[meta.name] = [0.0] * exts[0]
+
+    def _hash_l(self, meta: WsMeta) -> int | None:
+        """The hash table width: the descriptor's, else one sized from the
+        operand nonzeros."""
+        if meta.descriptor.policy is not Policy.HASH:
+            return None
+        if meta.descriptor.hash_l is not None:
+            return meta.descriptor.hash_l
+        est = sum(t.nnz for name, t in self.tensors.items()
+                  if name in self.plan.operands and not t.format.all_dense())
+        return hash_default_l(max(est, 1))
 
     def _validate_and_bind(self) -> None:
         plan = self.plan
@@ -744,54 +745,19 @@ class _Execution:
                 raise LoweringError(
                     f"tensor {name} is stored as {actual} but the plan was "
                     f"lowered for {fmt}")
-        self.extents: dict[IndexVar, int] = {}
-        for aid, (name, acc) in plan.sites.items():
-            t = self.tensors[name]
-            for m, v in enumerate(acc.vars):
-                e = t.dims[m]
-                prev = self.extents.setdefault(v, e)
-                if prev != e:
-                    raise LoweringError(
-                        f"dimension mismatch for {v.name}: {prev} vs {e} "
-                        f"(from {name})")
-        def bind_subplan(sub: Plan) -> None:
-            # a nested consumer plan can be the only binding site for a
-            # result dimension; its workspace operand is not a tensor yet
-            for name, acc in sub.sites.values():
-                if name not in self.tensors:
-                    continue
-                t = self.tensors[name]
-                for m, v in enumerate(acc.vars):
-                    e = t.dims[m]
-                    prev = self.extents.setdefault(v, e)
-                    if prev != e:
-                        raise LoweringError(
-                            f"dimension mismatch for {v.name}: {prev} vs {e} "
-                            f"(from {name})")
-            for sub_meta in sub.workspaces:
-                if sub_meta.subplan is not None:
-                    bind_subplan(sub_meta.subplan)
-
-        for meta in plan.workspaces:
-            # consumer-side renamings range over the producer's dimensions
-            for m, v in enumerate(meta.consumer_vars):
-                if meta.i_vars[m] in self.extents:
-                    self.extents.setdefault(v, self.extents[meta.i_vars[m]])
-            if meta.subplan is not None:
-                bind_subplan(meta.subplan)
+        self._bind_extents()
         for v in plan.result.vars:
             if v not in self.extents:
                 raise LoweringError(
                     f"cannot size result dimension {v.name}; no operand binds it")
+        # one cell per loop variable, in preorder of the loop tree
         cells: dict[IndexVar, int] = {}
-
-        def walk(nodes: list) -> None:
-            for node in nodes:
-                if isinstance(node, LoopNode):
-                    cells.setdefault(node.var, len(cells))
-                    walk(node.body)
-
-        walk(plan.body)
+        pending = list(reversed(plan.body))
+        while pending:
+            node = pending.pop()
+            if isinstance(node, LoopNode):
+                cells.setdefault(node.var, len(cells))
+                pending.extend(reversed(node.body))
         for v in plan.result.vars:
             cells.setdefault(v, len(cells))
         self.cells = cells
@@ -808,6 +774,35 @@ class _Execution:
                     lv.append(("c", level.pos.tolist(), level.crd.tolist()))
             self._levels[name] = lv
             self._tvals[name] = t.vals.tolist()
+
+    def _bind_extents(self) -> None:
+        """Size each index variable from the tensors at the plan's sites, then
+        from those of the nested consumer plans, in preorder. A nested plan
+        can be the only binding site for a result dimension; its workspace
+        operand is not a tensor yet and binds nothing."""
+        self.extents: dict[IndexVar, int] = {}
+        pending = [self.plan]
+        while pending:
+            plan = pending.pop()
+            for name, acc in plan.sites.values():
+                t = self.tensors.get(name)
+                if t is None:
+                    continue
+                for m, v in enumerate(acc.vars):
+                    e = t.dims[m]
+                    prev = self.extents.setdefault(v, e)
+                    if prev != e:
+                        raise LoweringError(
+                            f"dimension mismatch for {v.name}: {prev} vs {e} "
+                            f"(from {name})")
+            if plan is self.plan:
+                # consumer-side renamings range over the producer's dimensions
+                for meta in plan.workspaces:
+                    for m, v in enumerate(meta.consumer_vars):
+                        if meta.i_vars[m] in self.extents:
+                            self.extents.setdefault(v, self.extents[meta.i_vars[m]])
+            pending.extend(meta.subplan for meta in reversed(plan.workspaces)
+                           if meta.subplan is not None)
 
     # -- closure compilation -------------------------------------------------
 
@@ -968,13 +963,7 @@ class _Execution:
 
             return emit
         if isinstance(node, ScatterDense):
-            shape = self.dense_out.shape
-            strides = []
-            acc = 1
-            for e in reversed(shape):
-                strides.append(acc)
-                acc *= e
-            strides.reverse()
+            strides = row_major_strides(self.dense_out.shape)
             cs = list(zip((self.cells[v] for v in node.mode_vars), strides))
             out = self.dense_out.reshape(-1)
             f = self._compile_expr(node.expr, node.amap)
@@ -987,13 +976,7 @@ class _Execution:
 
             return scatter
         if isinstance(node, IsmInsert):
-            exts = self.ws_extents[node.ws]
-            strides = []
-            acc = 1
-            for e in reversed(exts):
-                strides.append(acc)
-                acc *= e
-            strides.reverse()
+            strides = row_major_strides([self.extents[v] for v in node.slot_vars])
             cs = list(zip((self.cells[v] for v in node.slot_vars), strides))
             f = self._compile_expr(node.expr, node.amap)
             engines = self.engines
@@ -1008,13 +991,18 @@ class _Execution:
             return insert
         if isinstance(node, AllocWs):
             meta = _meta_for(self.plan, node.ws)
-            exts = self.ws_extents[node.ws]
+            exts = [self.extents[v] for v in meta.slot_vars]
+            hash_l = self._hash_l(meta)
             opts = self.options
             engines = self.engines
-            hash_l = self.ws_hash_l.get(node.ws)
+            enter = self.stack.enter_context
 
             def alloc() -> None:
-                engines[node.ws] = IsmEngine(
+                engine = engines.get(node.ws)
+                if engine is not None:
+                    engine.reset()
+                    return
+                engines[node.ws] = enter(IsmEngine(
                     exts,
                     meta.descriptor.policy,
                     meta.descriptor.capacity,
@@ -1022,7 +1010,7 @@ class _Execution:
                     double_buffer=opts.double_buffer,
                     pipeline=opts.pipeline,
                     allow_growth=opts.allow_growth,
-                )
+                ))
 
             return alloc
         if isinstance(node, FinalDrain):
@@ -1036,12 +1024,9 @@ class _Execution:
             engines = self.engines
             cs = [self.cells[v] for v in node.prefix_vars]
             collector = self.collector
-            counters = self.counters
 
             def gather() -> None:
-                engine = engines[node.ws]
-                coords, wvals = engine.result()
-                counters.merge(engine.counters)
+                coords, wvals = engines[node.ws].result()
                 n = len(wvals)
                 prefix = [np.full(n, vals[c], dtype=np.int64) for c in cs]
                 collector.extend(prefix + coords, wvals)
@@ -1089,9 +1074,7 @@ class _Execution:
         inv = {s: m for m, s in enumerate(meta.descriptor.ow_order)}
 
         def materialize() -> None:
-            engine = engines[node.ws]
-            slot_coords, wvals = engine.result()
-            self.counters.merge(engine.counters)
+            slot_coords, wvals = engines[node.ws].result()
             order = len(i_vars)
             mode_coords: list[np.ndarray] = [None] * order  # type: ignore[list-item]
             for s in range(order):
@@ -1106,8 +1089,11 @@ class _Execution:
         return materialize
 
     def run(self) -> ExecutionResult:
-        fn = self._compile_seq(self.plan.body) if self.plan.body else (lambda: None)
-        fn()
+        with self.stack:
+            if self.plan.body:
+                self._compile_seq(self.plan.body)()
+        for engine in self.engines.values():
+            self.counters.merge(engine.counters)
         if self.override is not None:
             return ExecutionResult(self.override, self.counters)
         fmt = self.plan.result_format

@@ -8,6 +8,8 @@ stays in the low milliseconds.
 
 from __future__ import annotations
 
+import threading
+import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable
@@ -204,6 +206,21 @@ def prepare(kernel: Kernel, policy: sw.Policy = sw.Policy.BUCKET,
 def small_corpus() -> list[Instance]:
     """A handful of instances per kernel for unit-level execution tests."""
     return [k.instance(i) for k in KERNELS for i in range(6)]
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves threads running, after giving them a few
+    seconds to finish."""
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + 5.0
+    extra = [t for t in threading.enumerate() if t not in before]
+    for t in extra:
+        t.join(max(0.0, deadline - time.monotonic()))
+    leaked = [t.name for t in extra if t.is_alive()]
+    if leaked:
+        pytest.fail(f"test left {len(leaked)} live thread(s): {', '.join(leaked)}")
 
 
 # One line per end-to-end criterion, echoed after the run so the verdicts

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -329,13 +331,31 @@ def _stream(seed: int, n: int, universe: int) -> list[tuple[int, float]]:
     return list(zip(keys.tolist(), vals.tolist()))
 
 
-def _run(policy: Policy, capacity: int, stream, **kw) -> tuple[IsmEngine, list, list]:
-    eng = IsmEngine((64,), policy, capacity,
-                    hash_l=8 if policy is Policy.HASH else None, **kw)
+# the counters that sum over a run; peak_bytes takes a maximum instead
+_RUN_COUNTS = ("inserts", "drains", "merges", "insert_comparisons", "sort_comparisons",
+               "merge_comparisons", "insert_dedups", "drain_dedups", "merge_dedups")
+
+
+def _engine(policy: Policy, capacity: int, **kw) -> IsmEngine:
+    return IsmEngine((64,), policy, capacity,
+                     hash_l=8 if policy is Policy.HASH else None, **kw)
+
+
+def _feed(eng: IsmEngine, stream) -> tuple[int, list, list]:
+    """Insert the stream and finalize; returns the accumulate capacity the
+    inserts reached (a pipelined final drain swaps in the spare array), the
+    keys and the values."""
     for k, v in stream:
         eng.insert_key(k, v)
+    capacity = eng.acc.capacity
     coords, vals = eng.result()
-    return eng, coords[0].tolist(), vals.tolist()
+    return capacity, coords[0].tolist(), vals.tolist()
+
+
+def _run(policy: Policy, capacity: int, stream, **kw) -> tuple[IsmEngine, list, list]:
+    with _engine(policy, capacity, **kw) as eng:
+        _, keys, vals = _feed(eng, stream)
+    return eng, keys, vals
 
 
 @settings(max_examples=25, deadline=None)
@@ -361,10 +381,8 @@ def test_pipelined_mode_is_bit_identical(policy):
     piped_eng, piped_keys, piped_vals = _run(policy, 16, stream, pipeline=True)
     assert piped_keys == plain_keys
     assert piped_vals == plain_vals
-    for field in ("inserts", "drains", "merges", "insert_comparisons",
-                  "sort_comparisons", "merge_comparisons", "insert_dedups",
-                  "drain_dedups", "merge_dedups"):
-        assert getattr(piped_eng.counters, field) == getattr(plain_eng.counters, field)
+    for name in _RUN_COUNTS:
+        assert getattr(piped_eng.counters, name) == getattr(plain_eng.counters, name)
 
 
 def test_double_buffer_mode_matches_plain_results():
@@ -376,14 +394,34 @@ def test_double_buffer_mode_matches_plain_results():
 
 
 def test_pipeline_worker_errors_reach_the_caller():
-    eng = IsmEngine((8,), Policy.COORD, 1, pipeline=True)
-
     class Boom:
         def merge(self, keys, vals):
             raise IsmError("boom")
 
-    eng.all = Boom()  # type: ignore[assignment]
-    eng.insert_key(1, 1.0)
-    eng.insert_key(2, 1.0)
-    with pytest.raises(IsmError, match="boom"):
-        eng.finalize()
+    with IsmEngine((8,), Policy.COORD, 1, pipeline=True) as eng:
+        eng.all = Boom()  # type: ignore[assignment]
+        eng.insert_key(1, 1.0)
+        eng.insert_key(2, 1.0)
+        with pytest.raises(IsmError, match="boom"):
+            eng.finalize()
+
+
+@pytest.mark.parametrize("pipeline", [False, True])
+@pytest.mark.parametrize("policy", list(Policy))
+def test_reset_engine_matches_a_fresh_one(policy, pipeline):
+    # the first run grows the array past anything the second run needs
+    first = _stream(seed=3, n=200, universe=64)
+    second = _stream(seed=4, n=100, universe=16)
+    with _engine(policy, 2, allow_growth=True, pipeline=pipeline) as reused:
+        grown, _, _ = _feed(reused, first)
+        before = copy.copy(reused.counters)
+        reused.reset()
+        assert reused.acc.capacity == 2 and reused.all.size == 0
+        got = _feed(reused, second)
+    with _engine(policy, 2, allow_growth=True, pipeline=pipeline) as fresh:
+        want = _feed(fresh, second)
+    assert got == want  # capacity reached, keys and values
+    assert grown > want[0]
+    for name in _RUN_COUNTS:
+        delta = getattr(reused.counters, name) - getattr(before, name)
+        assert delta == getattr(fresh.counters, name), name

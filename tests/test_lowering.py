@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import itertools
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -176,15 +179,27 @@ def test_conversion_consumer_is_a_straight_copy():
     assert any(isinstance(n, CompressWs) for n in plan.body)
 
 
-def test_arithmetic_consumer_materializes_and_replans():
+def _materializing_plan() -> sw.Plan:
+    """B(i,k) precomputed into a workspace that a row-wise product consumes."""
     stmt = sw.statement_from_text("forall i, k, j: " + MATMUL)
     rhs_b = sw.Access("B", (var("i"), var("k")))
     desc = sw.WorkspaceDescriptor(order=2, dims=("I", "K"), policy=sw.Policy.COORD,
                                   capacity=64, ow_order=(0, 1))
     rewritten = sw.precompute(stmt, rhs_b, ("i", "k"), None, desc,
                               consumer_order=("i", "k", "j"))
-    formats = {"A": sw.csr(), "B": sw.csr(), "C": sw.csr()}
-    plan = sw.lower(rewritten, formats)
+    return sw.lower(rewritten, {"A": sw.csr(), "B": sw.csr(), "C": sw.csr()})
+
+
+def _matmul_operands(seed: int) -> tuple[np.ndarray, np.ndarray, dict[str, sw.Tensor]]:
+    rng = np.random.default_rng(seed)
+    b = (rng.random((6, 5)) < 0.5) * rng.integers(1, 10, (6, 5))
+    c = (rng.random((5, 7)) < 0.5) * rng.integers(1, 10, (5, 7))
+    return b, c, {"B": sw.from_dense(b.astype(float), sw.csr()),
+                  "C": sw.from_dense(c.astype(float), sw.csr())}
+
+
+def test_arithmetic_consumer_materializes_and_replans():
+    plan = _materializing_plan()
     (meta,) = plan.workspaces
     materialize = [n for n in plan.body if isinstance(n, MaterializeWs)]
     assert materialize
@@ -194,11 +209,8 @@ def test_arithmetic_consumer_materializes_and_replans():
     text = sw.print_plan(plan)
     assert "materialize All -> W" in text
     assert "consume:" in text
-    rng = np.random.default_rng(3)
-    b = (rng.random((6, 5)) < 0.5) * rng.integers(1, 10, (6, 5))
-    c = (rng.random((5, 7)) < 0.5) * rng.integers(1, 10, (5, 7))
-    out = sw.execute(plan, {"B": sw.from_dense(b.astype(float), sw.csr()),
-                            "C": sw.from_dense(c.astype(float), sw.csr())})
+    b, c, tensors = _matmul_operands(3)
+    out = sw.execute(plan, tensors)
     assert np.array_equal(out.tensor.to_dense(), b @ c)
 
 
@@ -314,6 +326,87 @@ def test_counters_surface_in_execution_results():
     assert c.merges == c.drains
     assert c.peak_bytes > 0
     assert c.as_dict()["comparisons"] == c.comparisons
+
+
+# -- engine lifetime ---------------------------------------------------------------------
+
+
+def test_hoisted_execution_builds_one_engine_and_at_most_one_worker(monkeypatch):
+    kernel = KERNELS_BY_NAME["spgemm-rowwise-hoist"]
+    _, plan, _ = prepare(kernel)
+    inst = kernel.instance(1)
+    engines: list[sw.IsmEngine] = []
+    threads: list[threading.Thread] = []
+    init, start = sw.IsmEngine.__init__, threading.Thread.start
+
+    def counting_init(self, *args, **kwargs):
+        engines.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_start(self):
+        threads.append(self)
+        start(self)
+
+    monkeypatch.setattr(sw.IsmEngine, "__init__", counting_init)
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    for pipeline in (False, True):
+        engines.clear()
+        threads.clear()
+        out = sw.execute(plan, inst.tensors, sw.ExecutionOptions(pipeline=pipeline))
+        assert out.counters.drains > 1  # one drain per nonempty row
+        assert len(engines) == 1
+        assert len(threads) <= int(pipeline)
+
+
+def test_raising_pipelined_execution_joins_its_worker(monkeypatch):
+    kernel = KERNELS_BY_NAME["spgemm-rowwise-hoist"]
+    _, plan, _ = prepare(kernel, capacity=2)
+    inst = kernel.instance(1)
+    options = sw.ExecutionOptions(pipeline=True)
+    total = sw.execute(plan, inst.tensors, options).counters.inserts
+    count = threading.active_count()
+    before = set(threading.enumerate())
+    started: list[threading.Thread] = []
+    insert_key = sw.IsmEngine.insert_key
+    calls = itertools.count(1)
+
+    def failing_insert_key(self, key, val):
+        if next(calls) > total // 2:
+            started.extend(t for t in threading.enumerate() if t not in before)
+            raise RuntimeError("insert failed")
+        insert_key(self, key, val)
+
+    monkeypatch.setattr(sw.IsmEngine, "insert_key", failing_insert_key)
+    with pytest.raises(RuntimeError, match="insert failed"):
+        sw.execute(plan, inst.tensors, options)
+    assert started  # a worker was running when the loop body raised
+    for t in started:
+        t.join(timeout=5)
+        assert not t.is_alive()
+    assert threading.active_count() == count
+
+
+def test_execute_leaves_no_cyclic_garbage():
+    runs = []
+    for name, pipeline in (("spgemm-inner", False),          # plain, dense result
+                           ("elementwise", False),           # plain, sparse append
+                           ("spgemm-outer", False),          # FULL workspace
+                           ("spgemm-rowwise-hoist", False),  # hoisted workspace
+                           ("spgemm-rowwise-hoist", True),
+                           ("spmv", False),                  # conversion workspace
+                           ("spgemm-rowwise", False)):       # dense workspace
+        kernel = KERNELS_BY_NAME[name]
+        _, plan, _ = prepare(kernel)
+        runs.append((name, plan, kernel.instance(1).tensors, pipeline))
+    runs.append(("materialize", _materializing_plan(), _matmul_operands(3)[2], False))
+    gc.collect()
+    gc.disable()
+    try:
+        for name, plan, tensors, pipeline in runs:
+            sw.execute(plan, tensors, sw.ExecutionOptions(pipeline=pipeline))
+            assert gc.collect() == 0, (name, pipeline)
+    finally:
+        gc.enable()
 
 
 # -- error paths -------------------------------------------------------------------------
