@@ -18,14 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .tensor import (
-    Component,
-    Format,
-    Tensor,
-    coo,
-    from_unsorted,
-    reformat,
-)
+from .tensor import Format, Tensor, coo, from_arrays, reformat
 
 
 class IoError(Exception):
@@ -86,7 +79,8 @@ def read_matrix_market(path: str | Path, fmt: Format | None = None) -> Tensor:
             raise _fail(path, lineno, "size fields must be positive")
 
         want = 2 if pattern else 3
-        comps: list[Component] = []
+        crds: list[int] = []  # row, column of each entry, one after the other
+        vals: list[float] = []
         seen = 0
         for line in fh:
             lineno += 1
@@ -104,14 +98,17 @@ def read_matrix_market(path: str | Path, fmt: Format | None = None) -> Tensor:
                 raise _fail(path, lineno, f"bad entry {stripped!r}") from None
             if not (1 <= i <= nrows and 1 <= j <= ncols):
                 raise _fail(path, lineno, f"coordinate ({i}, {j}) out of range")
-            comps.append(Component((i - 1, j - 1), v))
+            crds += (i - 1, j - 1)
+            vals.append(v)
             if symmetric and i != j:
-                comps.append(Component((j - 1, i - 1), v))
+                crds += (j - 1, i - 1)
+                vals.append(v)
             seen += 1
         if seen != nnz:
             raise _fail(path, lineno, f"expected {nnz} entries, found {seen}")
 
-    out = from_unsorted(comps, coo(2), (nrows, ncols), sum_duplicates=True)
+    entries = np.array(crds, dtype=np.int64).reshape(-1, 2)
+    out = from_arrays(entries.T, vals, coo(2), (nrows, ncols), sum_duplicates=True)
     return out if fmt is None else reformat(out, fmt)
 
 
@@ -119,12 +116,11 @@ def write_matrix_market(path: str | Path, tensor: Tensor) -> None:
     """Write a matrix as ``coordinate real general`` with 1-based indices."""
     if tensor.order != 2:
         raise IoError(f"MatrixMarket output needs a matrix, got order {tensor.order}")
-    rows, cols = tensor.mode_coordinates()
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
         fh.write(f"{tensor.dims[0]} {tensor.dims[1]} {tensor.nnz}\n")
-        for i, j, v in zip(rows, cols, tensor.vals):
-            fh.write(f"{int(i) + 1} {int(j) + 1} {v:.17g}\n")
+        for (i, j), v in tensor.components():
+            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
 
 
 # FROSTT .tns files
@@ -142,7 +138,8 @@ def read_frostt(
     """
     path = Path(path)
     order: int | None = None
-    comps: list[Component] = []
+    crds: list[int] = []  # row-major: one row of ``order`` coordinates per entry
+    vals: list[float] = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -158,39 +155,41 @@ def read_frostt(
                     path, lineno, f"entry needs {order + 1} fields, got {len(words)}"
                 )
             try:
-                crds = tuple(int(w) for w in words[:-1])
+                entry = tuple(int(w) for w in words[:-1])
                 val = float(words[-1])
             except ValueError:
                 raise _fail(path, lineno, f"bad entry {stripped!r}") from None
-            if any(c < 1 for c in crds):
-                raise _fail(path, lineno, f"coordinate {crds} is not 1-based")
-            comps.append(Component(tuple(c - 1 for c in crds), val))
+            if any(c < 1 for c in entry):
+                raise _fail(path, lineno, f"coordinate {entry} is not 1-based")
+            crds.extend(entry)
+            vals.append(val)
     if order is None:
         raise _fail(path, 1, "file holds no entries")
 
+    try:
+        entries = np.array(crds, dtype=np.int64).reshape(-1, order) - 1
+    except OverflowError:
+        raise IoError(f"{path}: a coordinate exceeds the 2^32 extent limit") from None
     if dims is None:
-        shape = tuple(
-            max(c.crds[m] for c in comps) + 1 for m in range(order)
-        )
+        shape = tuple(int(x) + 1 for x in entries.max(axis=0))
     else:
         shape = tuple(int(d) for d in dims)
         if len(shape) != order:
             raise IoError(f"{len(shape)} dims for an order-{order} file")
-        for c in comps:
-            if any(x >= d for x, d in zip(c.crds, shape)):
-                raise IoError(f"{path}: entry {c.crds} exceeds dims {shape}")
+        bad = (entries >= shape).any(axis=1)
+        if bad.any():
+            entry = tuple(entries[bad.argmax()].tolist())
+            raise IoError(f"{path}: entry {entry} exceeds dims {shape}")
 
-    out = from_unsorted(comps, coo(order), shape, sum_duplicates=True)
+    out = from_arrays(entries.T, vals, coo(order), shape, sum_duplicates=True)
     return out if fmt is None else reformat(out, fmt)
 
 
 def write_frostt(path: str | Path, tensor: Tensor) -> None:
     """Write a tensor as FROSTT ``.tns`` entry lines with 1-based indices."""
-    by_mode = tensor.mode_coordinates()
     with open(path, "w", encoding="ascii") as fh:
-        for k in range(tensor.nnz):
-            crds = " ".join(str(int(c[k]) + 1) for c in by_mode)
-            fh.write(f"{crds} {tensor.vals[k]:.17g}\n")
+        for crds, val in tensor.components():
+            fh.write(" ".join(str(c + 1) for c in crds) + f" {val:.17g}\n")
 
 
 # Synthetic inputs
@@ -226,14 +225,12 @@ def synthetic_matrix(
     rng = _generator(seed)
     ncols = min(cols, max(1, round(density * cols)))
     chosen = np.sort(rng.choice(cols, size=ncols, replace=False))
-    comps: list[Component] = []
-    for j in chosen:
-        rows_j = rng.choice(rows, size=fill, replace=False)
-        vals_j = rng.integers(1, 10, size=fill)
-        comps.extend(
-            Component((int(i), int(j)), float(v)) for i, v in zip(rows_j, vals_j)
-        )
-    return from_unsorted(comps, coo(2), (rows, cols))
+    # one draw of rows, then one of values, per column: the order fixes
+    # every instance, so it must not change
+    draws = [(rng.choice(rows, size=fill, replace=False), rng.integers(1, 10, size=fill))
+             for _ in chosen]
+    row_crds, vals = (np.concatenate(d) for d in zip(*draws))
+    return from_arrays([row_crds, np.repeat(chosen, fill)], vals, coo(2), (rows, cols))
 
 
 def synthetic_pair(
@@ -250,12 +247,8 @@ def synthetic_pair(
     two operands stay distinct.
     """
     b = synthetic_matrix(rows, cols, density, nnz_per_col, seed)
-    rows_b, cols_b = b.mode_coordinates()
-    comps = [
-        Component((int(j), (int(i) + 1) % rows), float(v))
-        for i, j, v in zip(rows_b, cols_b, b.vals)
-    ]
-    c = from_unsorted(comps, coo(2), (cols, rows))
+    rows_b, cols_b = (c.astype(np.int64) for c in b.mode_coordinates())
+    c = from_arrays([cols_b, (rows_b + 1) % rows], b.vals, coo(2), (cols, rows))
     return b, c
 
 

@@ -8,7 +8,8 @@ and CSC share one level layout. COO is a separate storage variant holding
 one coordinate array per level plus the value array.
 
 Values are float64. Coordinates are 32-bit unsigned, matching the 4-byte
-accounting used by the memory estimator.
+accounting used by the memory estimator, so no extent may exceed 2^32.
+Every constructor builds coordinate arrays and ends in ``compress_arrays``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 CRD_DTYPE = np.uint32
 VAL_DTYPE = np.float64
+MAX_EXTENT = 2**32  # every coordinate below it fits in CRD_DTYPE
 
 _T = TypeVar("_T")
 
@@ -219,19 +221,13 @@ class Tensor:
     def mode_coordinates(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays in mode order (inverse of the level permutation)."""
         by_level = self.level_coordinates()
-        out: list[np.ndarray] = [None] * self.order  # type: ignore[list-item]
-        for l, m in enumerate(self.format.mode_ordering):
-            out[m] = by_level[l]
-        return tuple(out)
+        return tuple(by_level[self.format.mode_ordering.index(m)] for m in range(self.order))
 
     def components(self) -> list[Component]:
         """All stored entries in storage order, explicit zeros included."""
-        by_mode = self.mode_coordinates()
-        vals = self.vals
-        return [
-            Component(tuple(int(by_mode[m][i]) for m in range(self.order)), float(vals[i]))
-            for i in range(len(vals))
-        ]
+        columns = [c.tolist() for c in self.mode_coordinates()]
+        crds = zip(*columns) if columns else [()] * self.nnz
+        return [Component(c, v) for c, v in zip(crds, self.vals.tolist())]
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.dims, dtype=VAL_DTYPE)
@@ -286,11 +282,8 @@ def compress_coo(
     Components must be unique and sorted lexicographically by their
     level-order (access-order) coordinates. Explicit zeros are stored.
     """
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != fmt.order:
-        raise TensorError(f"{len(dims)} dims for an order-{fmt.order} format")
     by_mode, vals = _as_arrays(components, fmt.order)
-    return compress_arrays(by_mode, vals, fmt, dims, validate=validate)
+    return compress_arrays(by_mode, vals, fmt, tuple(int(d) for d in dims), validate=validate)
 
 
 def compress_arrays(
@@ -301,8 +294,13 @@ def compress_arrays(
     *,
     validate: bool = True,
 ) -> Tensor:
-    """Array-based fast path of compress_coo. Coordinates are per mode."""
+    """Pack per-mode coordinate arrays, sorted by the target's access order,
+    into a tensor. Entries must be unique; explicit zeros are stored."""
     n = len(vals)
+    if len(dims) != fmt.order:
+        raise TensorError(f"{len(dims)} dims for an order-{fmt.order} format")
+    if any(d > MAX_EXTENT for d in dims):
+        raise TensorError(f"dims {dims} exceed the coordinate limit of 2^32 per mode")
     level_coords = [np.asarray(mode_coords[m], dtype=np.int64) for m in fmt.mode_ordering]
     extents = [dims[m] for m in fmt.mode_ordering]
     if validate:
@@ -358,6 +356,34 @@ def compress_arrays(
     return Tensor(dims=dims, format=fmt, levels=tuple(levels), coo_coords=None, vals=out_vals)
 
 
+def from_arrays(
+    mode_coords: Sequence[Sequence[int]],
+    vals: Sequence[float],
+    fmt: Format,
+    dims: Sequence[int],
+    *,
+    sum_duplicates: bool = False,
+) -> Tensor:
+    """Stably sort per-mode coordinates by the target's access order,
+    optionally sum duplicates in input order, then compress."""
+    dims = tuple(int(d) for d in dims)
+    by_mode = [np.asarray(c, dtype=np.int64) for c in mode_coords]
+    vals = np.asarray(vals, dtype=VAL_DTYPE)
+    if len(vals):
+        order = np.lexsort([by_mode[m] for m in reversed(fmt.mode_ordering)])
+        by_mode = [c[order] for c in by_mode]
+        vals = vals[order]
+        if sum_duplicates:
+            changed = np.zeros(len(vals), dtype=bool)
+            changed[0] = True
+            for c in by_mode:
+                changed[1:] |= c[1:] != c[:-1]
+            starts = np.flatnonzero(changed)
+            vals = np.add.reduceat(vals, starts)
+            by_mode = [c[starts] for c in by_mode]
+    return compress_arrays(by_mode, vals, fmt, dims)
+
+
 def from_unsorted(
     components: Iterable[Component],
     fmt: Format,
@@ -366,37 +392,25 @@ def from_unsorted(
     sum_duplicates: bool = False,
 ) -> Tensor:
     """Sort (and optionally reduce) arbitrary components, then compress."""
-    dims = tuple(int(d) for d in dims)
     by_mode, vals = _as_arrays(components, fmt.order)
-    level_coords = [by_mode[m] for m in fmt.mode_ordering]
-    if len(vals):
-        order = np.lexsort(tuple(reversed(level_coords)))
-        by_mode = [c[order] for c in by_mode]
-        vals = vals[order]
-        if sum_duplicates:
-            level_sorted = [by_mode[m] for m in fmt.mode_ordering]
-            changed = np.zeros(len(vals), dtype=bool)
-            changed[0] = True
-            for c in level_sorted:
-                changed[1:] |= c[1:] != c[:-1]
-            starts = np.flatnonzero(changed)
-            vals = np.add.reduceat(vals, starts)
-            by_mode = [c[starts] for c in by_mode]
-    return compress_arrays(by_mode, vals, fmt, dims)
+    return from_arrays(by_mode, vals, fmt, dims, sum_duplicates=sum_duplicates)
 
 
 def from_dense(array: np.ndarray, fmt: Format | None = None) -> Tensor:
-    """Build a tensor from a dense array; defaults to an all-dense format."""
+    """Build a tensor from a dense array; defaults to an all-dense format.
+    Sparse formats store every nonzero cell, NaN included and -0.0 not."""
     arr = np.asarray(array, dtype=VAL_DTYPE)
     fmt = fmt or dense(arr.ndim)
+    by_level = np.transpose(arr, access_map(range(arr.ndim), fmt))
     if fmt.all_dense():
-        levels = tuple(DenseLevel(e) for e in access_map(arr.shape, fmt))
-        vals = np.transpose(arr, fmt.mode_ordering).reshape(-1).copy()
+        levels = tuple(DenseLevel(e) for e in by_level.shape)
+        vals = by_level.reshape(-1).copy()
         return Tensor(dims=arr.shape, format=fmt, levels=levels, coo_coords=None, vals=vals)
-    idx = np.nonzero(arr)
-    comps = [Component(tuple(int(i[k]) for i in idx), float(arr[tuple(i[k] for i in idx)]))
-             for k in range(len(idx[0]))]
-    return from_unsorted(comps, fmt, arr.shape)
+    # nonzero walks the level-order view in C order, so its output is
+    # already sorted by the target's access order
+    idx = np.nonzero(by_level)
+    mode_coords = [idx[fmt.mode_ordering.index(m)] for m in range(fmt.order)]
+    return compress_arrays(mode_coords, by_level[idx], fmt, arr.shape)
 
 
 def reformat(tensor: Tensor, fmt: Format) -> Tensor:
@@ -405,21 +419,14 @@ def reformat(tensor: Tensor, fmt: Format) -> Tensor:
         raise TensorError(
             f"cannot reformat an order-{tensor.order} tensor as order-{fmt.order}"
         )
-    by_mode = [c.astype(np.int64) for c in tensor.mode_coordinates()]
-    vals = tensor.vals
-    if len(vals):
-        level_coords = [by_mode[m] for m in fmt.mode_ordering]
-        order = np.lexsort(tuple(reversed(level_coords)))
-        by_mode = [c[order] for c in by_mode]
-        vals = vals[order]
-    return compress_arrays(by_mode, vals, fmt, tensor.dims)
+    return from_arrays(tensor.mode_coordinates(), tensor.vals, fmt, tensor.dims)
 
 
 def tensors_equal(a: Tensor, b: Tensor) -> bool:
-    """Structural equality: format, dims, and every storage array."""
+    """Structural equality: format, dims and every storage array; NaN equals NaN."""
     if a.format != b.format or a.dims != b.dims:
         return False
-    if not np.array_equal(a.vals, b.vals):
+    if not np.array_equal(a.vals, b.vals, equal_nan=True):
         return False
     if a.format.coo:
         return all(np.array_equal(x, y) for x, y in zip(a.coo_coords, b.coo_coords))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -278,8 +279,18 @@ def test_frostt_dims_order_mismatch(tmp_path):
 
 
 def test_frostt_entry_exceeds_dims(tmp_path):
-    path = write_lines(tmp_path / "t.tns", ["1 5 2.0"])
-    with pytest.raises(IoError, match="exceeds dims"):
+    path = write_lines(tmp_path / "t.tns", ["2 4 1.0", "1 5 2.0", "3 1 4.0"])
+    with pytest.raises(IoError) as err:
+        sw.read_frostt(path, dims=(2, 4))
+    assert str(err.value) == f"{path}: entry (0, 4) exceeds dims (2, 4)"
+
+
+def test_frostt_extents_above_two_to_the_32_are_rejected(tmp_path):
+    path = write_lines(tmp_path / "t.tns", [f"{2**32 + 6} 1 2.0"])
+    with pytest.raises(sw.TensorError, match=r"2\^32"):
+        sw.read_frostt(path)
+    path = write_lines(tmp_path / "t.tns", [f"{2**64} 1 2.0"])
+    with pytest.raises(IoError, match=r"coordinate exceeds the 2\^32 extent limit"):
         sw.read_frostt(path, dims=(2, 4))
 
 
@@ -380,6 +391,21 @@ def test_synthetic_pair_structure():
     assert c.dims == (cols, rows)
     expected = {((j, (i + 1) % rows), v) for (i, j), v in entry_set(b)}
     assert entry_set(c) == expected
+
+
+# sha256 of the coordinate and value bytes of B then C, as first generated;
+# a change in the Philox draw order would change every benchmark input
+@pytest.mark.parametrize("args, digest", [
+    ((40, 30, 0.5, 3, 1), "30db6ba8438133628bffc60dfcf93596bfee96e379d687ab0dbac9aff5b08389"),
+    ((25, 60, 0.2, 4, 7), "04e9a5a0c2c19f555f2f111046a886df2cc36a72cf587930e34722a62924da47"),
+])
+def test_synthetic_pair_golden_bytes(args, digest):
+    h = hashlib.sha256()
+    for t in sw.synthetic_pair(*args):
+        for c in t.mode_coordinates():
+            h.update(c.tobytes())
+        h.update(t.vals.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_synthetic_pair_product_never_empty():

@@ -141,12 +141,57 @@ def test_matrix_round_trip(fmt_name):
     assert np.array_equal(t.to_dense(), arr)
 
 
-@pytest.mark.parametrize("fmt_name", ["csf", "coo", "dense"])
-def test_order3_round_trip(fmt_name):
+@pytest.mark.parametrize("fmt", [
+    sw.csf(3), sw.coo(3), sw.dense(3), sw.Format((DENSE, COMPRESSED, COMPRESSED), (2, 0, 1)),
+], ids=["csf", "coo", "dense", "dense-compressed-compressed-201"])
+def test_order3_round_trip(fmt):
     rng = np.random.default_rng(6)
     arr = _random_dense(rng, (4, 5, 3))
-    t = sw.from_dense(arr, sw.format_from_name(fmt_name, 3))
+    t = sw.from_dense(arr, fmt)
     assert np.array_equal(t.to_dense(), arr)
+    assert sw.tensors_equal(sw.reformat(sw.from_dense(arr, sw.coo(3)), fmt), t)
+
+
+NAMED_FORMATS = [(1, "sv"), (1, "dv"), (1, "coo"), (1, "dense"),
+                 (2, "csr"), (2, "csc"), (2, "dcsr"), (2, "dcsc"), (2, "coo"), (2, "dense"),
+                 (3, "csf"), (3, "coo"), (3, "dense")]
+
+
+@pytest.mark.parametrize("order, fmt_name", NAMED_FORMATS)
+def test_from_dense_matches_from_unsorted(order, fmt_name):
+    rng = np.random.default_rng(order)
+    arr = _random_dense(rng, (5, 4, 3)[:order])
+    flat = arr.reshape(-1)
+    flat[[0, 3]] = -0.0
+    flat[4] = np.nan
+    nonzero = [Component(tuple(int(i) for i in idx), float(arr[idx]))
+               for idx in zip(*np.nonzero(arr))]
+    fmt = sw.format_from_name(fmt_name, order)
+    t = sw.from_dense(arr, fmt)
+    assert sw.tensors_equal(t, sw.from_unsorted(nonzero, fmt, arr.shape))
+    # sparse formats store NaN cells and drop -0.0 cells like any other zero
+    stored = arr.size if fmt.all_dense() else len(nonzero)
+    assert t.nnz == stored
+    assert np.isnan(t.vals).sum() == 1
+    assert np.signbit(t.vals).sum() == (2 if fmt.all_dense() else 0)
+
+
+def test_orders_and_dims_must_match_the_format():
+    with pytest.raises(sw.TensorError, match="does not match an order-3 format"):
+        sw.from_dense(np.ones((2, 2)), sw.csf(3))
+    with pytest.raises(sw.TensorError, match="does not match an order-2 format"):
+        sw.from_dense(np.ones((2, 2, 2)), sw.csr())
+    with pytest.raises(sw.TensorError, match="3 dims for an order-2 format"):
+        sw.from_unsorted([Component((0, 0), 1.0)], sw.csr(), (2, 2, 2))
+
+
+@pytest.mark.parametrize("fmt", [sw.coo(2), sw.dcsr()], ids=str)
+def test_extents_above_two_to_the_32_are_rejected(fmt):
+    # coordinates are stored as uint32: 2^32 + 5 would wrap to 5
+    with pytest.raises(sw.TensorError, match=r"2\^32"):
+        compress_arrays([[2**32 + 5], [0]], [1.0], fmt, (2**33, 1))
+    t = compress_arrays([[2**32 - 1], [0]], [1.0], fmt, (2**32, 1))
+    assert t.mode_coordinates()[0].tolist() == [2**32 - 1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -205,7 +250,11 @@ def test_iterate_level_rejects_coo():
 def test_components_report_mode_order_coordinates():
     arr = np.array([[0.0, 4.0], [6.0, 0.0]])
     t = sw.from_dense(arr, sw.csc())
-    assert t.components() == [Component((1, 0), 6.0), Component((0, 1), 4.0)]
+    comps = t.components()
+    assert comps == [Component((1, 0), 6.0), Component((0, 1), 4.0)]
+    assert all(type(x) is int for c in comps for x in c.crds)
+    assert all(type(c.val) is float for c in comps)
+    assert sw.from_dense(np.array(5.0)).components() == [Component((), 5.0)]
 
 
 def test_level_extent_follows_mode_ordering():
@@ -227,6 +276,8 @@ def test_tensors_equal_structural():
     arr2 = arr.copy()
     arr2[0, 0] += 1.0
     assert not sw.tensors_equal(a, sw.from_dense(arr2, sw.csr()))
+    arr2[0, 0] = np.nan
+    assert sw.tensors_equal(sw.from_dense(arr2, sw.csr()), sw.from_dense(arr2, sw.csr()))
 
 
 def test_explicit_zeros_are_stored_distinctly():
