@@ -266,9 +266,8 @@ def _resolve_tensors(
 
 
 def _prepare(stmt: Statement, formats: dict[str, Format], policy: Policy,
-             capacity: int, **insert_kw):
-    rewritten, decision = insert_sparse_workspace(
-        stmt, formats, policy, capacity, **insert_kw)
+             capacity: int):
+    rewritten, decision = insert_sparse_workspace(stmt, formats, policy, capacity)
     plan = lower(rewritten, formats)
     return plan, decision
 

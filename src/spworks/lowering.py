@@ -9,9 +9,10 @@ innermost loop, a conditional drain when the accumulate array fills, a final
 drain after the loops, and a compression of the sorted result into the
 output format.
 
-Execution compiles the plan into nested Python closures over flat state
-cells, binds tensor storage once, and streams values through either the
-result collector (append paths), a dense scatter array, or an IsmEngine.
+Each node kind prints its own plan lines and compiles its own closure.
+Execution binds tensor storage once, compiles the plan into nested Python
+closures over flat state cells, and streams values through either the result
+collector (append paths), a dense scatter array, or an IsmEngine.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from .analysis import (
     InsertionAction,
+    _format_of,
     insert_sparse_workspace,
     plan_insertion,
     reconstruct_input_order,
@@ -50,6 +52,7 @@ from .tensor import (
     LevelFormat,
     LevelKind,
     Tensor,
+    access_map,
     compress_arrays,
     from_dense,
 )
@@ -60,11 +63,30 @@ class LoweringError(ValueError):
 
 
 # -- plan nodes -----------------------------------------------------------------
+#
+# Every node kind prints and compiles itself. A statement node's ``lines``
+# returns its plan text, unindented, and its ``compile`` returns a closure
+# over the execution's state cells. Drivers print through ``str`` and compile
+# around their loop's body; probes compile around the rest of the chain.
 
 
 @dataclass
 class DenseRange:
     var: IndexVar
+
+    def __str__(self) -> str:
+        return f"range({self.var.name.upper()})"
+
+    def compile(self, ex: _Execution, cell: int, body):
+        ext = ex.extents[self.var]
+        vals = ex.vals
+
+        def run_range() -> None:
+            for c in range(ext):
+                vals[cell] = c
+                body()
+
+        return run_range
 
 
 @dataclass
@@ -73,11 +95,62 @@ class LevelIter:
     tensor: str
     level: int
 
+    def __str__(self) -> str:
+        return f"{self.tensor}.level({self.level})"
+
+    def compile(self, ex: _Execution, cell: int, body):
+        _, pos, crd = ex._levels[self.tensor][self.level]
+        cur = ex.cur[self.aid]
+        lvl = self.level
+        vals = ex.vals
+
+        def run_level() -> None:
+            p = cur[lvl]
+            for at in range(pos[p], pos[p + 1]):
+                vals[cell] = crd[at]
+                cur[lvl + 1] = at
+                body()
+
+        return run_level
+
 
 @dataclass
 class Intersect:
     first: LevelIter
     second: LevelIter
+
+    def __str__(self) -> str:
+        return f"{self.first} & {self.second}"
+
+    def compile(self, ex: _Execution, cell: int, body):
+        a, b = self.first, self.second
+        _, pos_a, crd_a = ex._levels[a.tensor][a.level]
+        _, pos_b, crd_b = ex._levels[b.tensor][b.level]
+        cur_a, cur_b = ex.cur[a.aid], ex.cur[b.aid]
+        la, lb = a.level, b.level
+        vals = ex.vals
+
+        def run_intersect() -> None:
+            pa = cur_a[la]
+            pb = cur_b[lb]
+            ia, ea = pos_a[pa], pos_a[pa + 1]
+            ib, eb = pos_b[pb], pos_b[pb + 1]
+            while ia < ea and ib < eb:
+                ca = crd_a[ia]
+                cb = crd_b[ib]
+                if ca < cb:
+                    ia += 1
+                elif cb < ca:
+                    ib += 1
+                else:
+                    vals[cell] = ca
+                    cur_a[la + 1] = ia
+                    cur_b[lb + 1] = ib
+                    body()
+                    ia += 1
+                    ib += 1
+
+        return run_intersect
 
 
 @dataclass
@@ -87,6 +160,22 @@ class DenseStep:
     level: int
     var: IndexVar
 
+    def lines(self, plan: Plan) -> list[str]:
+        return []
+
+    def compile(self, ex: _Execution, nxt):
+        cur = ex.cur[self.aid]
+        lvl = self.level
+        cell = ex.cells[self.var]
+        vals = ex.vals
+        ext = ex._levels[self.tensor][lvl][1]
+
+        def dense_step() -> None:
+            cur[lvl + 1] = cur[lvl] * ext + vals[cell]
+            nxt()
+
+        return dense_step
+
 
 @dataclass
 class Locate:
@@ -95,24 +184,79 @@ class Locate:
     level: int
     var: IndexVar
 
+    def lines(self, plan: Plan) -> list[str]:
+        return [f"locate {self.var.name} in {self.tensor}.level({self.level})"]
+
+    def compile(self, ex: _Execution, nxt):
+        cur = ex.cur[self.aid]
+        lvl = self.level
+        cell = ex.cells[self.var]
+        vals = ex.vals
+        _, pos, crd = ex._levels[self.tensor][lvl]
+        bl = bisect.bisect_left
+
+        def locate() -> None:
+            p = cur[lvl]
+            lo, hi = pos[p], pos[p + 1]
+            t = vals[cell]
+            at = bl(crd, t, lo, hi)
+            if at < hi and crd[at] == t:
+                cur[lvl + 1] = at
+                nxt()
+
+        return locate
+
 
 @dataclass
 class LoopNode:
     var: IndexVar
-    driver: object
+    driver: DenseRange | LevelIter | Intersect
     probes: list = field(default_factory=list)
     body: list = field(default_factory=list)
+
+    def lines(self, plan: Plan) -> list[str]:
+        out = [f"forall {self.var.name} in {self.driver}:"]
+        for node in [*self.probes, *self.body]:
+            out += ["  " + line for line in node.lines(plan)]
+        return out
+
+    def compile(self, ex: _Execution):
+        body = ex._compile_seq(self.body)
+        for probe in reversed(self.probes):
+            body = probe.compile(ex, body)
+        return self.driver.compile(ex, ex.cells[self.var], body)
 
 
 @dataclass
 class SetReg:
-    pass
+    def lines(self, plan: Plan) -> list[str]:
+        return ["val = 0"]
+
+    def compile(self, ex: _Execution):
+        reg = ex.reg
+
+        def set_reg() -> None:
+            reg[0] = 0.0
+
+        return set_reg
 
 
 @dataclass
 class AccumReg:
     expr: Expr
     amap: dict
+
+    def lines(self, plan: Plan) -> list[str]:
+        return [f"val += {format_expr(self.expr)}"]
+
+    def compile(self, ex: _Execution):
+        f = ex._compile_expr(self.expr, self.amap)
+        reg = ex.reg
+
+        def accum() -> None:
+            reg[0] += f()
+
+        return accum
 
 
 @dataclass
@@ -121,6 +265,21 @@ class AppendRow:
 
     level_vars: tuple[IndexVar, ...]
 
+    def lines(self, plan: Plan) -> list[str]:
+        coords = ", ".join(v.name for v in self.level_vars)
+        return [f"append ({coords}) -> {plan.result.tensor}"]
+
+    def compile(self, ex: _Execution):
+        cs = [ex.cells[v] for v in self.level_vars]
+        vals = ex.vals
+        reg = ex.reg
+        append = ex.collector.append
+
+        def emit_row() -> None:
+            append(tuple(vals[c] for c in cs), reg[0])
+
+        return emit_row
+
 
 @dataclass
 class AppendCompute:
@@ -128,12 +287,52 @@ class AppendCompute:
     expr: Expr
     amap: dict
 
+    def lines(self, plan: Plan) -> list[str]:
+        coords = ", ".join(v.name for v in self.level_vars)
+        return [f"append ({coords}) = {format_expr(self.expr)} "
+                f"-> {plan.result.tensor}"]
+
+    def compile(self, ex: _Execution):
+        cs = [ex.cells[v] for v in self.level_vars]
+        vals = ex.vals
+        f = ex._compile_expr(self.expr, self.amap)
+        append = ex.collector.append
+
+        def emit() -> None:
+            append(tuple(vals[c] for c in cs), f())
+
+        return emit
+
 
 @dataclass
 class ScatterDense:
     mode_vars: tuple[IndexVar, ...]
     expr: Expr
     amap: dict
+
+    def lines(self, plan: Plan) -> list[str]:
+        coords = ", ".join(v.name for v in self.mode_vars)
+        return [f"{plan.result.tensor}[{coords}] += {format_expr(self.expr)}"]
+
+    def compile(self, ex: _Execution):
+        strides = row_major_strides(ex.dense_out.shape)
+        cs = list(zip((ex.cells[v] for v in self.mode_vars), strides))
+        vals = ex.vals
+        out = ex.dense_out.reshape(-1)
+        f = ex._compile_expr(self.expr, self.amap)
+
+        def scatter() -> None:
+            at = 0
+            for c, s in cs:
+                at += vals[c] * s
+            out[at] += f()
+
+        return scatter
+
+
+# a drain: IsmInsert runs one when Acc is full, and CompressWs and
+# MaterializeWs run the final one through IsmEngine.result()
+_DRAIN_LINES = ["sort Acc", "merge Acc -> All"]
 
 
 @dataclass
@@ -143,30 +342,126 @@ class IsmInsert:
     expr: Expr
     amap: dict
 
+    def lines(self, plan: Plan) -> list[str]:
+        coords = ", ".join(v.name for v in self.slot_vars)
+        insert = f"insert ({coords}) -> Acc"
+        return [f"val = {format_expr(self.expr)}", insert, "if Acc.full:",
+                *("  " + line for line in [*_DRAIN_LINES, insert])]
+
+    def compile(self, ex: _Execution):
+        strides = row_major_strides([ex.extents[v] for v in self.slot_vars])
+        cs = list(zip((ex.cells[v] for v in self.slot_vars), strides))
+        vals = ex.vals
+        f = ex._compile_expr(self.expr, self.amap)
+        engines = ex.engines
+        ws = self.ws
+
+        def insert() -> None:
+            at = 0
+            for c, s in cs:
+                at += vals[c] * s
+            engines[ws].insert_key(at, f())
+
+        return insert
+
 
 @dataclass
 class AllocWs:
-    ws: str
+    meta: WsMeta
 
+    def lines(self, plan: Plan) -> list[str]:
+        return [f"workspace {self.meta.name}: {self.meta.descriptor}"]
 
-@dataclass
-class FinalDrain:
-    ws: str
+    def compile(self, ex: _Execution):
+        meta = self.meta
+        ws = meta.name
+        exts = [ex.extents[v] for v in meta.slot_vars]
+        hash_l = ex._hash_l(meta)
+        opts = ex.options
+        engines = ex.engines
+        enter = ex.stack.enter_context
+
+        def alloc() -> None:
+            engine = engines.get(ws)
+            if engine is not None:
+                engine.reset()
+                return
+            engines[ws] = enter(IsmEngine(
+                exts,
+                meta.descriptor.policy,
+                meta.descriptor.capacity,
+                hash_l=hash_l,
+                double_buffer=opts.double_buffer,
+                pipeline=opts.pipeline,
+                allow_growth=opts.allow_growth,
+            ))
+
+        return alloc
 
 
 @dataclass
 class CompressWs:
-    """Feed the sorted-unique workspace contents into the result collector,
-    prefixed by the coordinates of any enclosing loops."""
+    """Drain the workspace and feed its sorted-unique contents into the result
+    collector, prefixed by the coordinates of any enclosing loops."""
 
     ws: str
     prefix_vars: tuple[IndexVar, ...]
 
+    def lines(self, plan: Plan) -> list[str]:
+        if self.prefix_vars:
+            coords = ", ".join(v.name for v in self.prefix_vars)
+            return [*_DRAIN_LINES,
+                    f"append segment ({coords}, :) <- All -> {plan.result.tensor}"]
+        return [*_DRAIN_LINES, f"compress All -> {plan.result.tensor}"]
+
+    def compile(self, ex: _Execution):
+        engines = ex.engines
+        cs = [ex.cells[v] for v in self.prefix_vars]
+        vals = ex.vals
+        collector = ex.collector
+        ws = self.ws
+
+        def gather() -> None:
+            coords, wvals = engines[ws].result()
+            n = len(wvals)
+            prefix = [np.full(n, vals[c], dtype=np.int64) for c in cs]
+            collector.extend(prefix + coords, wvals)
+
+        return gather
+
 
 @dataclass
 class MaterializeWs:
-    ws: str
-    subplan: "Plan"
+    """Drain the workspace into a tensor in its workspace format and run the
+    consumer's plan over it."""
+
+    meta: WsMeta
+
+    def lines(self, plan: Plan) -> list[str]:
+        sub = print_plan(self.meta.subplan).splitlines()
+        return [*_DRAIN_LINES, f"materialize All -> {self.meta.name}", "consume:",
+                *("  " + line for line in sub)]
+
+    def compile(self, ex: _Execution):
+        meta = self.meta
+        engines = ex.engines
+        i_vars = meta.i_vars
+        inv = {s: m for m, s in enumerate(meta.descriptor.ow_order)}
+
+        def materialize() -> None:
+            slot_coords, wvals = engines[meta.name].result()
+            order = len(i_vars)
+            mode_coords: list[np.ndarray] = [None] * order  # type: ignore[list-item]
+            for s in range(order):
+                mode_coords[inv[s]] = slot_coords[s]
+            dims = tuple(ex.extents[v] for v in i_vars)
+            ws_tensor = compress_arrays(mode_coords, wvals, meta.ws_format, dims)
+            sub = execute(meta.subplan, {**ex.tensors, meta.name: ws_tensor},
+                          ex.options)
+            ex.counters.merge(sub.counters)
+            ex.override = sub.tensor
+
+        return materialize
 
 
 @dataclass
@@ -176,17 +471,52 @@ class DenseWsScatter:
     expr: Expr
     amap: dict
 
+    def lines(self, plan: Plan) -> list[str]:
+        return [f"{self.ws}[{self.var.name}] += {format_expr(self.expr)}"]
+
+    def compile(self, ex: _Execution):
+        buf = ex.buffers[self.ws]
+        cell = ex.cells[self.var]
+        vals = ex.vals
+        f = ex._compile_expr(self.expr, self.amap)
+        counters = ex.counters
+
+        def ws_scatter() -> None:
+            buf[vals[cell]] += f()
+            counters.inserts += 1
+
+        return ws_scatter
+
 
 @dataclass
 class DenseWsGather:
+    """Append the nonzeros of a dense workspace, then zero it."""
+
     ws: str
     prefix_vars: tuple[IndexVar, ...]
-    var: IndexVar
 
+    def lines(self, plan: Plan) -> list[str]:
+        target = plan.result.tensor
+        if self.prefix_vars:
+            coords = ", ".join(v.name for v in self.prefix_vars)
+            target += f"({coords}, :)"
+        return [f"gather nonzeros {self.ws} -> {target}", f"clear {self.ws}"]
 
-@dataclass
-class DenseWsClear:
-    ws: str
+    def compile(self, ex: _Execution):
+        buf = ex.buffers[self.ws]
+        zeros = [0.0] * len(buf)
+        cs = [ex.cells[v] for v in self.prefix_vars]
+        vals = ex.vals
+        append = ex.collector.append
+
+        def ws_gather() -> None:
+            head = tuple(vals[c] for c in cs)
+            for c, v in enumerate(buf):
+                if v != 0.0:
+                    append(head + (c,), v)
+            buf[:] = zeros
+
+        return ws_gather
 
 
 @dataclass
@@ -221,13 +551,6 @@ def _flatten_terms(expr: Expr) -> list[Expr]:
     return [expr]
 
 
-def _format_of(acc: Access, formats: dict[str, Format]) -> Format:
-    try:
-        return formats[acc.tensor]
-    except KeyError:
-        raise LoweringError(f"no format known for tensor {acc.tensor}") from None
-
-
 def _check_term(term: Expr, formats: dict[str, Format]) -> None:
     def walk(e: Expr, under_add: bool) -> None:
         if isinstance(e, Access):
@@ -250,7 +573,7 @@ class _Site:
     aid: int
     access: Access
     fmt: Format
-    level_vars: list[IndexVar]
+    level_vars: tuple[IndexVar, ...]
 
 
 class _Lowerer:
@@ -265,17 +588,12 @@ class _Lowerer:
             raise LoweringError(
                 f"operand {acc.tensor} is in coordinate form; convert it to a "
                 "level format before executing")
-        if fmt.order != len(acc.vars):
-            raise LoweringError(
-                f"access {acc} has {len(acc.vars)} variables but the format "
-                f"of {acc.tensor} has order {fmt.order}")
         if len(set(acc.vars)) != len(acc.vars):
             raise LoweringError(f"access {acc} repeats an index variable")
         aid = self._next_aid
         self._next_aid += 1
         self.sites[aid] = (acc.tensor, acc)
-        level_vars = [acc.vars[m] for m in fmt.mode_ordering]
-        return _Site(aid, acc, fmt, level_vars)
+        return _Site(aid, acc, fmt, access_map(acc.vars, fmt))
 
     def build_pass(self, order: list[IndexVar], term: Expr,
                    ) -> tuple[list[LoopNode], LoopNode, dict]:
@@ -331,9 +649,8 @@ class _Lowerer:
             outer.body.append(inner)
         return loops, loops[-1], amap
 
-
-def _storage_vars(acc: Access, fmt: Format) -> list[IndexVar]:
-    return [acc.vars[m] for m in fmt.mode_ordering]
+    def operands(self) -> dict[str, Format]:
+        return {name: self.formats[name] for name, _ in self.sites.values()}
 
 
 def _inverse(perm: tuple[int, ...]) -> list[int]:
@@ -350,9 +667,11 @@ def lower(stmt: Statement, formats: dict[str, Format]) -> Plan:
     while isinstance(cursor, Forall):
         prefix.append(cursor.var)
         cursor = cursor.body
-    if isinstance(cursor, Where):
-        return _lower_where(stmt, prefix, cursor, formats)
-    return _lower_plain(stmt, formats)
+    if not isinstance(cursor, Where):
+        return _lower_plain(stmt, formats)
+    if prefix:
+        return _lower_hoisted(stmt, prefix, cursor, formats)
+    return _lower_where(stmt, cursor, formats)
 
 
 def _lower_plain(stmt: Statement, formats: dict[str, Format]) -> Plan:
@@ -364,30 +683,23 @@ def _lower_plain(stmt: Statement, formats: dict[str, Format]) -> Plan:
             f"({decision.action.value}: {decision.reason}); "
             "apply insert_sparse_workspace first")
     result_fmt = _format_of(assign.lhs, formats)
-    order = reconstruct_input_order(stmt)
     low = _Lowerer(formats)
-    body: list = []
 
     if result_fmt.all_dense():
-        for term in _flatten_terms(assign.rhs):
-            _check_term(term, formats)
-            term_vars = set(v for a in expr_accesses(term) for v in a.vars)
-            pass_order = [v for v in order
-                          if v in term_vars or v in assign.lhs.vars]
-            chain, innermost, amap = low.build_pass(pass_order, term)
-            innermost.body.append(ScatterDense(assign.lhs.vars, term, amap))
-            body.append(chain[0])
-        return Plan(stmt, assign.lhs, result_fmt, body, _operand_formats(low, formats),
-                    low.sites, [])
+        body = _producer_passes(
+            low, stmt, assign.lhs.vars,
+            lambda term, amap: ScatterDense(assign.lhs.vars, term, amap))
+        return Plan(stmt, assign.lhs, result_fmt, body, low.operands(), low.sites, [])
 
     if isinstance(assign.rhs, Add):
         raise LoweringError(
             "additive union into a sparse result needs a workspace")
     _check_term(assign.rhs, formats)
+    order = reconstruct_input_order(stmt)
     reductions = [v for v in order if v not in assign.lhs.vars]
     r = order.index(reductions[0]) if reductions else len(order)
     chain, innermost, amap = low.build_pass(order, assign.rhs)
-    level_vars = tuple(_storage_vars(assign.lhs, result_fmt))
+    level_vars = access_map(assign.lhs.vars, result_fmt)
     if r == len(order):
         innermost.body.append(AppendCompute(level_vars, assign.rhs, amap))
     else:
@@ -397,22 +709,18 @@ def _lower_plain(stmt: Statement, formats: dict[str, Format]) -> Plan:
         innermost.body.append(AccumReg(assign.rhs, amap))
         host = chain[r - 1]
         host.body = [SetReg(), *host.body, AppendRow(level_vars)]
-    body.append(chain[0])
-    return Plan(stmt, assign.lhs, result_fmt, body, _operand_formats(low, formats),
+    return Plan(stmt, assign.lhs, result_fmt, [chain[0]], low.operands(),
                 low.sites, [])
 
 
-def _operand_formats(low: _Lowerer, formats: dict[str, Format]) -> dict[str, Format]:
-    return {name: formats[name] for name, _ in low.sites.values()}
-
-
 def _producer_passes(low: _Lowerer, producer: Statement, i_vars: tuple[IndexVar, ...],
-                     payload_for: "callable", formats: dict[str, Format]) -> list:
+                     payload_for: "callable") -> list:
+    """One loop chain per additive term, each ending in its payload node."""
     p_assign = nest_assign(producer)
     order = reconstruct_input_order(producer)
     nodes: list = []
     for term in _flatten_terms(p_assign.rhs):
-        _check_term(term, formats)
+        _check_term(term, low.formats)
         term_vars = set(v for a in expr_accesses(term) for v in a.vars)
         pass_order = [v for v in order if v in term_vars or v in i_vars]
         chain, innermost, amap = low.build_pass(pass_order, term)
@@ -421,8 +729,7 @@ def _producer_passes(low: _Lowerer, producer: Statement, i_vars: tuple[IndexVar,
     return nodes
 
 
-def _lower_where(root: Statement, prefix: list[IndexVar], where: Where,
-                 formats: dict[str, Format]) -> Plan:
+def _lower_where(root: Statement, where: Where, formats: dict[str, Format]) -> Plan:
     descriptor = where.descriptor
     ws = where.ws
     producer = where.producer
@@ -433,9 +740,6 @@ def _lower_where(root: Statement, prefix: list[IndexVar], where: Where,
     result_fmt = _format_of(c_assign.lhs, formats)
     low = _Lowerer(formats)
 
-    if prefix:
-        return _lower_hoisted(root, prefix, where, formats, low)
-
     if descriptor.dense:
         raise LoweringError("a dense workspace only applies under a loop prefix")
 
@@ -443,7 +747,7 @@ def _lower_where(root: Statement, prefix: list[IndexVar], where: Where,
     slot_vars = tuple(i_vars[m] for m in inv)
     passes = _producer_passes(
         low, producer, i_vars,
-        lambda term, amap: IsmInsert(ws, slot_vars, term, amap), formats)
+        lambda term, amap: IsmInsert(ws, slot_vars, term, amap))
     consumer_vars = nest_vars(consumer)
     o_vars = c_assign.rhs.vars if isinstance(c_assign.rhs, Access) else ()
     consumer_slots = tuple(o_vars[m] for m in inv) if o_vars else ()
@@ -452,14 +756,14 @@ def _lower_where(root: Statement, prefix: list[IndexVar], where: Where,
         and c_assign.rhs.tensor == ws
         and not c_assign.accumulate
         and tuple(consumer_vars) == consumer_slots
-        and _storage_vars(c_assign.lhs, result_fmt) == list(consumer_slots)
+        and access_map(c_assign.lhs.vars, result_fmt) == consumer_slots
     )
     ws_accesses = [a for a in expr_accesses(c_assign.rhs) if a.tensor == ws]
     renames = ws_accesses[0].vars if ws_accesses else ()
     if straight:
-        body = [AllocWs(ws), *passes, FinalDrain(ws), CompressWs(ws, ())]
         meta = WsMeta(ws, descriptor, tuple(i_vars), slot_vars, dense=False,
                       consumer_vars=renames)
+        tail: CompressWs | MaterializeWs = CompressWs(ws, ())
     else:
         ws_format = Format(
             tuple(LevelFormat(LevelKind.COMPRESSED) for _ in i_vars),
@@ -474,21 +778,22 @@ def _lower_where(root: Statement, prefix: list[IndexVar], where: Where,
             consumer, sub_formats, descriptor.policy, descriptor.capacity,
             ws_name=inner_name, hash_l=descriptor.hash_l)
         subplan = lower(rewritten, sub_formats)
-        body = [AllocWs(ws), *passes, FinalDrain(ws), MaterializeWs(ws, subplan)]
         meta = WsMeta(ws, descriptor, tuple(i_vars), slot_vars,
                       dense=False, ws_format=ws_format, subplan=subplan,
                       consumer_vars=renames)
+        tail = MaterializeWs(meta)
 
-    operands = _operand_formats(low, formats)
+    operands = low.operands()
     if meta.subplan is not None:
         for name, fmt in meta.subplan.operands.items():
             if name != ws:
                 operands.setdefault(name, fmt)
-    return Plan(root, c_assign.lhs, result_fmt, body, operands, low.sites, [meta])
+    return Plan(root, c_assign.lhs, result_fmt, [AllocWs(meta), *passes, tail],
+                operands, low.sites, [meta])
 
 
 def _lower_hoisted(root: Statement, prefix: list[IndexVar], where: Where,
-                   formats: dict[str, Format], low: _Lowerer) -> Plan:
+                   formats: dict[str, Format]) -> Plan:
     """Workspace under a loop prefix: one loop chain spans the prefix and the
     producer loops; the drain and gather run once per prefix iteration."""
     descriptor = where.descriptor
@@ -497,6 +802,7 @@ def _lower_hoisted(root: Statement, prefix: list[IndexVar], where: Where,
     c_assign = nest_assign(where.consumer)
     i_vars = p_assign.lhs.vars
     result_fmt = _format_of(c_assign.lhs, formats)
+    low = _Lowerer(formats)
     if where.relations or where.producer.relations:
         raise LoweringError("a workspace under a loop prefix cannot be scheduled")
     if not (isinstance(c_assign.rhs, Access) and c_assign.rhs.tensor == ws):
@@ -521,124 +827,30 @@ def _lower_hoisted(root: Statement, prefix: list[IndexVar], where: Where,
             raise LoweringError("a dense workspace covers exactly one dimension")
         var = i_vars[0]
         innermost.body.append(DenseWsScatter(ws, var, term, amap))
-        host.body = [inner_root,
-                     DenseWsGather(ws, tuple(prefix), var),
-                     DenseWsClear(ws)]
+        host.body = [inner_root, DenseWsGather(ws, tuple(prefix))]
         meta = WsMeta(ws, descriptor, tuple(i_vars), tuple(i_vars), dense=True)
     else:
         inv = _inverse(descriptor.ow_order)
         slot_vars = tuple(i_vars[m] for m in inv)
         innermost.body.append(IsmInsert(ws, slot_vars, term, amap))
-        host.body = [AllocWs(ws), inner_root, FinalDrain(ws),
-                     CompressWs(ws, tuple(prefix))]
         meta = WsMeta(ws, descriptor, tuple(i_vars), slot_vars, dense=False)
+        host.body = [AllocWs(meta), inner_root, CompressWs(ws, tuple(prefix))]
 
-    return Plan(root, c_assign.lhs, result_fmt, [chain[0]],
-                _operand_formats(low, formats), low.sites, [meta])
+    return Plan(root, c_assign.lhs, result_fmt, [chain[0]], low.operands(),
+                low.sites, [meta])
 
 
 # -- plan printing -----------------------------------------------------------------
 
 
-def _driver_str(driver: object) -> str:
-    if isinstance(driver, DenseRange):
-        return f"range({driver.var.name.upper()})"
-    if isinstance(driver, LevelIter):
-        return f"{driver.tensor}.level({driver.level})"
-    if isinstance(driver, Intersect):
-        return f"{_driver_str(driver.first)} & {_driver_str(driver.second)}"
-    raise LoweringError(f"unknown driver {driver!r}")
-
-
-def _emit(node: object, out: list[str], depth: int, plan: Plan) -> None:
-    pad = "  " * depth
-    if isinstance(node, LoopNode):
-        out.append(f"{pad}forall {node.var.name} in {_driver_str(node.driver)}:")
-        for probe in node.probes:
-            if isinstance(probe, Locate):
-                out.append(f"{pad}  locate {probe.var.name} in "
-                           f"{probe.tensor}.level({probe.level})")
-        for child in node.body:
-            _emit(child, out, depth + 1, plan)
-    elif isinstance(node, SetReg):
-        out.append(f"{pad}val = 0")
-    elif isinstance(node, AccumReg):
-        out.append(f"{pad}val += {format_expr(node.expr)}")
-    elif isinstance(node, AppendRow):
-        coords = ", ".join(v.name for v in node.level_vars)
-        out.append(f"{pad}append ({coords}) -> {plan.result.tensor}")
-    elif isinstance(node, AppendCompute):
-        coords = ", ".join(v.name for v in node.level_vars)
-        out.append(f"{pad}append ({coords}) = {format_expr(node.expr)} "
-                   f"-> {plan.result.tensor}")
-    elif isinstance(node, ScatterDense):
-        coords = ", ".join(v.name for v in node.mode_vars)
-        out.append(f"{pad}{plan.result.tensor}[{coords}] += {format_expr(node.expr)}")
-    elif isinstance(node, IsmInsert):
-        coords = ", ".join(v.name for v in node.slot_vars)
-        out.append(f"{pad}val = {format_expr(node.expr)}")
-        out.append(f"{pad}insert ({coords}) -> Acc")
-        out.append(f"{pad}if Acc.full:")
-        out.append(f"{pad}  sort Acc")
-        out.append(f"{pad}  merge Acc -> All")
-        out.append(f"{pad}  insert ({coords}) -> Acc")
-    elif isinstance(node, AllocWs):
-        meta = _meta_for(plan, node.ws)
-        out.append(f"{pad}workspace {node.ws}: {meta.descriptor}")
-    elif isinstance(node, FinalDrain):
-        out.append(f"{pad}sort Acc")
-        out.append(f"{pad}merge Acc -> All")
-    elif isinstance(node, CompressWs):
-        if node.prefix_vars:
-            coords = ", ".join(v.name for v in node.prefix_vars)
-            out.append(f"{pad}append segment ({coords}, :) <- All "
-                       f"-> {plan.result.tensor}")
-        else:
-            out.append(f"{pad}compress All -> {plan.result.tensor}")
-    elif isinstance(node, MaterializeWs):
-        out.append(f"{pad}materialize All -> {node.ws}")
-        out.append(f"{pad}consume:")
-        for line in print_plan(node.subplan).splitlines():
-            out.append(f"{pad}  {line}")
-    elif isinstance(node, DenseWsScatter):
-        out.append(f"{pad}{node.ws}[{node.var.name}] += {format_expr(node.expr)}")
-    elif isinstance(node, DenseWsGather):
-        if node.prefix_vars:
-            coords = ", ".join(v.name for v in node.prefix_vars)
-            out.append(f"{pad}gather nonzeros {node.ws} -> "
-                       f"{plan.result.tensor}({coords}, :)")
-        else:
-            out.append(f"{pad}gather nonzeros {node.ws} -> {plan.result.tensor}")
-    elif isinstance(node, DenseWsClear):
-        out.append(f"{pad}clear {node.ws}")
-    else:
-        raise LoweringError(f"unknown plan node {node!r}")
-
-
-def _meta_for(plan: Plan, ws: str) -> WsMeta:
-    for meta in plan.workspaces:
-        if meta.name == ws:
-            return meta
-    raise LoweringError(f"plan has no workspace named {ws}")
-
-
 def print_plan(plan: Plan) -> str:
     out: list[str] = [f"plan: {plan.stmt}"]
-    for meta in plan.workspaces:
-        if not _contains_alloc(plan.body, meta.name):
-            out.append(f"workspace {meta.name}: {meta.descriptor}")
+    # a sparse workspace is announced by its AllocWs; a dense one has none
+    out += [f"workspace {meta.name}: {meta.descriptor}"
+            for meta in plan.workspaces if meta.dense]
     for node in plan.body:
-        _emit(node, out, 0, plan)
+        out += node.lines(plan)
     return "\n".join(out)
-
-
-def _contains_alloc(nodes: list, ws: str) -> bool:
-    for node in nodes:
-        if isinstance(node, AllocWs) and node.ws == ws:
-            return True
-        if isinstance(node, LoopNode) and _contains_alloc(node.body, ws):
-            return True
-    return False
 
 
 # -- execution ----------------------------------------------------------------------
@@ -827,7 +1039,7 @@ class _Execution:
         raise LoweringError(f"unknown expression node {expr!r}")
 
     def _compile_seq(self, nodes: list):
-        fns = [self._compile_node(n) for n in nodes]
+        fns = [n.compile(self) for n in nodes]
         if len(fns) == 1:
             return fns[0]
 
@@ -836,257 +1048,6 @@ class _Execution:
                 f()
 
         return run
-
-    def _compile_probe_chain(self, probes: list, body):
-        nxt = body
-        for probe in reversed(probes):
-            nxt = self._compile_probe(probe, nxt)
-        return nxt
-
-    def _compile_probe(self, probe, nxt):
-        cur = self.cur[probe.aid]
-        lvl = probe.level
-        cell = self.cells[probe.var]
-        vals = self.vals
-        if isinstance(probe, DenseStep):
-            ext = self._levels[probe.tensor][lvl][1]
-
-            def dense_step() -> None:
-                cur[lvl + 1] = cur[lvl] * ext + vals[cell]
-                nxt()
-
-            return dense_step
-        _, pos, crd = self._levels[probe.tensor][lvl]
-        bl = bisect.bisect_left
-
-        def locate() -> None:
-            p = cur[lvl]
-            lo, hi = pos[p], pos[p + 1]
-            t = vals[cell]
-            at = bl(crd, t, lo, hi)
-            if at < hi and crd[at] == t:
-                cur[lvl + 1] = at
-                nxt()
-
-        return locate
-
-    def _compile_loop(self, node: LoopNode):
-        body = self._compile_probe_chain(node.probes, self._compile_seq(node.body))
-        cell = self.cells[node.var]
-        vals = self.vals
-        driver = node.driver
-        if isinstance(driver, DenseRange):
-            ext = self.extents[driver.var]
-
-            def run_range() -> None:
-                for c in range(ext):
-                    vals[cell] = c
-                    body()
-
-            return run_range
-        if isinstance(driver, LevelIter):
-            _, pos, crd = self._levels[driver.tensor][driver.level]
-            cur = self.cur[driver.aid]
-            lvl = driver.level
-
-            def run_level() -> None:
-                p = cur[lvl]
-                for at in range(pos[p], pos[p + 1]):
-                    vals[cell] = crd[at]
-                    cur[lvl + 1] = at
-                    body()
-
-            return run_level
-        a, b = driver.first, driver.second
-        _, pos_a, crd_a = self._levels[a.tensor][a.level]
-        _, pos_b, crd_b = self._levels[b.tensor][b.level]
-        cur_a, cur_b = self.cur[a.aid], self.cur[b.aid]
-        la, lb = a.level, b.level
-
-        def run_intersect() -> None:
-            pa = cur_a[la]
-            pb = cur_b[lb]
-            ia, ea = pos_a[pa], pos_a[pa + 1]
-            ib, eb = pos_b[pb], pos_b[pb + 1]
-            while ia < ea and ib < eb:
-                ca = crd_a[ia]
-                cb = crd_b[ib]
-                if ca < cb:
-                    ia += 1
-                elif cb < ca:
-                    ib += 1
-                else:
-                    vals[cell] = ca
-                    cur_a[la + 1] = ia
-                    cur_b[lb + 1] = ib
-                    body()
-                    ia += 1
-                    ib += 1
-
-        return run_intersect
-
-    def _compile_node(self, node):
-        vals = self.vals
-        if isinstance(node, LoopNode):
-            return self._compile_loop(node)
-        if isinstance(node, SetReg):
-            reg = self.reg
-
-            def set_reg() -> None:
-                reg[0] = 0.0
-
-            return set_reg
-        if isinstance(node, AccumReg):
-            f = self._compile_expr(node.expr, node.amap)
-            reg = self.reg
-
-            def accum() -> None:
-                reg[0] += f()
-
-            return accum
-        if isinstance(node, AppendRow):
-            cs = [self.cells[v] for v in node.level_vars]
-            reg = self.reg
-            append = self.collector.append
-
-            def emit_row() -> None:
-                append(tuple(vals[c] for c in cs), reg[0])
-
-            return emit_row
-        if isinstance(node, AppendCompute):
-            cs = [self.cells[v] for v in node.level_vars]
-            f = self._compile_expr(node.expr, node.amap)
-            append = self.collector.append
-
-            def emit() -> None:
-                append(tuple(vals[c] for c in cs), f())
-
-            return emit
-        if isinstance(node, ScatterDense):
-            strides = row_major_strides(self.dense_out.shape)
-            cs = list(zip((self.cells[v] for v in node.mode_vars), strides))
-            out = self.dense_out.reshape(-1)
-            f = self._compile_expr(node.expr, node.amap)
-
-            def scatter() -> None:
-                at = 0
-                for c, s in cs:
-                    at += vals[c] * s
-                out[at] += f()
-
-            return scatter
-        if isinstance(node, IsmInsert):
-            strides = row_major_strides([self.extents[v] for v in node.slot_vars])
-            cs = list(zip((self.cells[v] for v in node.slot_vars), strides))
-            f = self._compile_expr(node.expr, node.amap)
-            engines = self.engines
-            ws = node.ws
-
-            def insert() -> None:
-                at = 0
-                for c, s in cs:
-                    at += vals[c] * s
-                engines[ws].insert_key(at, f())
-
-            return insert
-        if isinstance(node, AllocWs):
-            meta = _meta_for(self.plan, node.ws)
-            exts = [self.extents[v] for v in meta.slot_vars]
-            hash_l = self._hash_l(meta)
-            opts = self.options
-            engines = self.engines
-            enter = self.stack.enter_context
-
-            def alloc() -> None:
-                engine = engines.get(node.ws)
-                if engine is not None:
-                    engine.reset()
-                    return
-                engines[node.ws] = enter(IsmEngine(
-                    exts,
-                    meta.descriptor.policy,
-                    meta.descriptor.capacity,
-                    hash_l=hash_l,
-                    double_buffer=opts.double_buffer,
-                    pipeline=opts.pipeline,
-                    allow_growth=opts.allow_growth,
-                ))
-
-            return alloc
-        if isinstance(node, FinalDrain):
-            engines = self.engines
-
-            def drain() -> None:
-                engines[node.ws].finalize()
-
-            return drain
-        if isinstance(node, CompressWs):
-            engines = self.engines
-            cs = [self.cells[v] for v in node.prefix_vars]
-            collector = self.collector
-
-            def gather() -> None:
-                coords, wvals = engines[node.ws].result()
-                n = len(wvals)
-                prefix = [np.full(n, vals[c], dtype=np.int64) for c in cs]
-                collector.extend(prefix + coords, wvals)
-
-            return gather
-        if isinstance(node, MaterializeWs):
-            meta = _meta_for(self.plan, node.ws)
-            return self._compile_materialize(node, meta)
-        if isinstance(node, DenseWsScatter):
-            buf = self.buffers[node.ws]
-            cell = self.cells[node.var]
-            f = self._compile_expr(node.expr, node.amap)
-            counters = self.counters
-
-            def ws_scatter() -> None:
-                buf[vals[cell]] += f()
-                counters.inserts += 1
-
-            return ws_scatter
-        if isinstance(node, DenseWsGather):
-            buf = self.buffers[node.ws]
-            cs = [self.cells[v] for v in node.prefix_vars]
-            append = self.collector.append
-
-            def ws_gather() -> None:
-                head = tuple(vals[c] for c in cs)
-                for c, v in enumerate(buf):
-                    if v != 0.0:
-                        append(head + (c,), v)
-
-            return ws_gather
-        if isinstance(node, DenseWsClear):
-            buf = self.buffers[node.ws]
-            zeros = [0.0] * len(buf)
-
-            def clear() -> None:
-                buf[:] = zeros
-
-            return clear
-        raise LoweringError(f"unknown plan node {node!r}")
-
-    def _compile_materialize(self, node: MaterializeWs, meta: WsMeta):
-        engines = self.engines
-        i_vars = meta.i_vars
-        inv = {s: m for m, s in enumerate(meta.descriptor.ow_order)}
-
-        def materialize() -> None:
-            slot_coords, wvals = engines[node.ws].result()
-            order = len(i_vars)
-            mode_coords: list[np.ndarray] = [None] * order  # type: ignore[list-item]
-            for s in range(order):
-                mode_coords[inv[s]] = slot_coords[s]
-            dims = tuple(self.extents[v] for v in i_vars)
-            ws_tensor = compress_arrays(mode_coords, wvals, meta.ws_format, dims)
-            sub = execute(node.subplan, {**self.tensors, node.ws: ws_tensor},
-                          self.options)
-            self.counters.merge(sub.counters)
-            self.override = sub.tensor
-
-        return materialize
 
     def run(self) -> ExecutionResult:
         with self.stack:

@@ -57,13 +57,12 @@ class Format:
 
     ``mode_ordering[l]`` is the tensor mode stored at level ``l``. For COO
     storage the level kinds are nominal (every level behaves like an ordered
-    coordinate list); ``unique`` records whether duplicates are permitted.
+    coordinate list).
     """
 
     levels: tuple[LevelFormat, ...]
     mode_ordering: tuple[int, ...]
     coo: bool = False
-    unique: bool = True
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -76,9 +75,6 @@ class Format:
     @property
     def order(self) -> int:
         return len(self.levels)
-
-    def level_kind(self, level: int) -> LevelKind:
-        return self.levels[level].kind
 
     def all_dense(self) -> bool:
         return not self.coo and all(lf.kind is LevelKind.DENSE for lf in self.levels)
@@ -114,8 +110,8 @@ def csf(order: int) -> Format:
     return Format((COMPRESSED,) * order, tuple(range(order)), name=f"CSF({order})")
 
 
-def coo(order: int, unique: bool = True) -> Format:
-    return Format((COMPRESSED,) * order, tuple(range(order)), coo=True, unique=unique,
+def coo(order: int) -> Format:
+    return Format((COMPRESSED,) * order, tuple(range(order)), coo=True,
                   name=f"COO({order})")
 
 
@@ -160,7 +156,9 @@ def access_map(access_vars: Sequence[_T], fmt: Format) -> tuple[_T, ...]:
             f"access with {len(access_vars)} variables does not match an "
             f"order-{fmt.order} format"
         )
-    return tuple(access_vars[m] for m in fmt.mode_ordering)
+    # tuple() over a generator allocates ten slots and shrinks the result, so
+    # each call would park one more small tuple on the interpreter's free list
+    return tuple([access_vars[m] for m in fmt.mode_ordering])
 
 
 class Component(NamedTuple):
@@ -234,7 +232,6 @@ class Tensor:
         if len(self.vals) == 0:
             return out
         by_mode = self.mode_coordinates()
-        # duplicate coordinates are only legal for non-unique COO
         np.add.at(out, tuple(c.astype(np.int64) for c in by_mode), self.vals)
         return out
 
@@ -274,8 +271,6 @@ def compress_coo(
     components: Iterable[Component],
     fmt: Format,
     dims: Sequence[int],
-    *,
-    validate: bool = True,
 ) -> Tensor:
     """Pack components, sorted by the target's access order, into a tensor.
 
@@ -283,7 +278,7 @@ def compress_coo(
     level-order (access-order) coordinates. Explicit zeros are stored.
     """
     by_mode, vals = _as_arrays(components, fmt.order)
-    return compress_arrays(by_mode, vals, fmt, tuple(int(d) for d in dims), validate=validate)
+    return compress_arrays(by_mode, vals, fmt, tuple(int(d) for d in dims))
 
 
 def compress_arrays(
@@ -291,8 +286,6 @@ def compress_arrays(
     vals: np.ndarray,
     fmt: Format,
     dims: tuple[int, ...],
-    *,
-    validate: bool = True,
 ) -> Tensor:
     """Pack per-mode coordinate arrays, sorted by the target's access order,
     into a tensor. Entries must be unique; explicit zeros are stored."""
@@ -303,22 +296,21 @@ def compress_arrays(
         raise TensorError(f"dims {dims} exceed the coordinate limit of 2^32 per mode")
     level_coords = [np.asarray(mode_coords[m], dtype=np.int64) for m in fmt.mode_ordering]
     extents = [dims[m] for m in fmt.mode_ordering]
-    if validate:
-        for l, (c, e) in enumerate(zip(level_coords, extents)):
-            if n and (c.min() < 0 or c.max() >= e):
-                raise TensorError(
-                    f"coordinate out of bounds at level {l}: extent {e}"
-                )
-        if n > 1:
-            order_ok = np.zeros(n - 1, dtype=bool)
-            tied = np.ones(n - 1, dtype=bool)
-            for c in level_coords:
-                order_ok |= tied & (c[:-1] < c[1:])
-                tied &= c[:-1] == c[1:]
-            if tied.any():
-                raise TensorError("duplicate coordinates in component list")
-            if not order_ok.all():
-                raise TensorError("components are not sorted by the target access order")
+    for l, (c, e) in enumerate(zip(level_coords, extents)):
+        if n and (c.min() < 0 or c.max() >= e):
+            raise TensorError(
+                f"coordinate out of bounds at level {l}: extent {e}"
+            )
+    if n > 1:
+        order_ok = np.zeros(n - 1, dtype=bool)
+        tied = np.ones(n - 1, dtype=bool)
+        for c in level_coords:
+            order_ok |= tied & (c[:-1] < c[1:])
+            tied &= c[:-1] == c[1:]
+        if tied.any():
+            raise TensorError("duplicate coordinates in component list")
+        if not order_ok.all():
+            raise TensorError("components are not sorted by the target access order")
 
     if fmt.coo:
         return Tensor(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
 import threading
 from dataclasses import replace
@@ -19,10 +20,8 @@ from spworks.lowering import (
     AppendRow,
     CompressWs,
     DenseRange,
-    DenseWsClear,
     DenseWsGather,
     DenseWsScatter,
-    FinalDrain,
     Intersect,
     IsmInsert,
     LevelIter,
@@ -33,9 +32,47 @@ from spworks.lowering import (
     SetReg,
 )
 
-from conftest import KERNELS_BY_NAME, prepare
+from conftest import (
+    KERNELS,
+    KERNELS_BY_NAME,
+    Kernel,
+    _dim,
+    dense_array,
+    prepare,
+    sparse_array,
+)
 
 MATMUL = "A(i, j) += B(i, k) * C(k, j)"
+
+
+def _register_arrays(rng: np.random.Generator, density: float) -> dict[str, np.ndarray]:
+    i, k = _dim(rng, density), _dim(rng, density)
+    return {"B": sparse_array(rng, (i, k), density), "c": dense_array(rng, (k,))}
+
+
+def _locate_arrays(rng: np.random.Generator, density: float) -> dict[str, np.ndarray]:
+    i, j = _dim(rng, density), _dim(rng, density)
+    return {"B": sparse_array(rng, (i, j), density),
+            "C": sparse_array(rng, (i, j), density)}
+
+
+def _three_term_arrays(rng: np.random.Generator, density: float) -> dict[str, np.ndarray]:
+    i, j = _dim(rng, density), _dim(rng, density)
+    return {"B": sparse_array(rng, (i, j), density), "C": dense_array(rng, (i, j)),
+            "D": sparse_array(rng, (i, j), density)}
+
+
+# plain plans the corpus never builds: a value register (SetReg, AccumReg,
+# AppendRow), a binary-search probe (Locate), and one dense pass per term
+REGISTER = Kernel("register", "a(i) = B(i, k) * c(k)", None,
+                  {"a": sw.sparse_vector(), "B": sw.dcsr(), "c": sw.dense_vector()},
+                  sw.InsertionAction.NONE, _register_arrays)
+LOCATE = Kernel("locate", "A(i, j) = B(i, j) * C(i, j)", None,
+                {"A": sw.dense(2), "B": sw.dcsr(), "C": sw.csc()},
+                sw.InsertionAction.NONE, _locate_arrays)
+THREE_TERMS = Kernel("three-terms", "A(i, j) = B(i, j) + C(i, j) + D(i, j)", None,
+                     {"A": sw.dense(2), "B": sw.csr(), "C": sw.dense(2), "D": sw.csr()},
+                     sw.InsertionAction.NONE, _three_term_arrays)
 
 
 def _lower(expr: str, formats: dict[str, sw.Format], schedule: str | None = None,
@@ -92,15 +129,13 @@ def test_three_compressed_operands_are_rejected():
 
 def test_secondary_compressed_access_probes_by_search():
     # B drives both loops; C is entered at its column level by binary search
-    plan = _lower("A(i, j) = B(i, j) * C(i, j)",
-                  {"A": sw.dense(2), "B": sw.dcsr(), "C": sw.csc()})
+    _, plan, _ = prepare(LOCATE)
     text = sw.print_plan(plan)
     assert "locate i in C.level(1)" in text
 
 
 def test_sparse_append_plan_keeps_a_value_register():
-    plan = _lower("a(i) = B(i, k) * c(k)",
-                  {"a": sw.sparse_vector(), "B": sw.dcsr(), "c": sw.dense_vector()})
+    _, plan, _ = prepare(REGISTER)
     outer, inner = _loops(plan)
     assert isinstance(outer.body[0], SetReg)
     assert isinstance(inner.body[0], AccumReg)
@@ -115,8 +150,7 @@ def test_fully_concordant_sparse_result_appends_computed_values():
 
 
 def test_add_lowers_to_one_pass_per_term():
-    plan = _lower("A(i, j) = B(i, j) + C(i, j) + D(i, j)",
-                  {"A": sw.dense(2), "B": sw.csr(), "C": sw.dense(2), "D": sw.csr()})
+    _, plan, _ = prepare(THREE_TERMS)
     assert len(plan.body) == 3
     assert all(isinstance(node, LoopNode) for node in plan.body)
 
@@ -131,10 +165,9 @@ def test_dense_workspace_plan_shape():
     assert meta.dense and meta.name == "W"
     host = _loops(plan)[0]
     assert host.var == var("i")
-    gather = [n for n in host.body if isinstance(n, DenseWsGather)]
-    clear = [n for n in host.body if isinstance(n, DenseWsClear)]
-    assert gather and clear
-    assert gather[0].prefix_vars == (var("i"),)
+    kinds = [type(n) for n in host.body]
+    assert kinds == [LoopNode, DenseWsGather]  # the gather also clears W
+    assert host.body[-1].prefix_vars == (var("i"),)
     scatter = [n for n in _loops(plan)[-1].body if isinstance(n, DenseWsScatter)]
     assert scatter
 
@@ -147,7 +180,7 @@ def test_hoisted_sparse_workspace_plan_shape():
     assert not meta.dense
     host = _loops(plan)[0]
     kinds = [type(n) for n in host.body]
-    assert kinds == [AllocWs, LoopNode, FinalDrain, CompressWs]
+    assert kinds == [AllocWs, LoopNode, CompressWs]  # CompressWs drains first
     compress = host.body[-1]
     assert compress.prefix_vars == (var("i"),)
 
@@ -156,7 +189,7 @@ def test_full_workspace_plan_shape():
     plan = _lower(MATMUL, {"A": sw.csr(), "B": sw.dcsc(), "C": sw.csr()},
                   schedule="reorder(k, i, j)")
     kinds = [type(n) for n in plan.body]
-    assert kinds == [AllocWs, LoopNode, FinalDrain, CompressWs]
+    assert kinds == [AllocWs, LoopNode, CompressWs]
     inserts = [n for n in _loops(plan)[-1].body if isinstance(n, IsmInsert)]
     assert inserts and inserts[0].slot_vars == (var("i"), var("j"))
 
@@ -203,7 +236,7 @@ def test_arithmetic_consumer_materializes_and_replans():
     (meta,) = plan.workspaces
     materialize = [n for n in plan.body if isinstance(n, MaterializeWs)]
     assert materialize
-    assert meta.subplan is materialize[0].subplan
+    assert materialize[0].meta is meta
     # the consumer scatters row-wise, so the replanned side owns a fresh workspace
     assert [m.name for m in meta.subplan.workspaces] == ["W'"]
     text = sw.print_plan(plan)
@@ -282,6 +315,39 @@ def test_print_plan_is_deterministic():
         assert sw.print_plan(plan) == sw.print_plan(plan)
 
 
+# first 16 hex digits of the sha256 of print_plan: each corpus kernel's plans
+# under BUCKET, HASH and COORD joined by blank lines, then the extra plans
+PLAN_DIGESTS = {
+    "spgemm-inner": "0ed472c9e320f516",
+    "spgemm-rowwise": "927ae34d89aba6d9",
+    "spgemm-rowwise-hoist": "0d9dc0872f936a7d",
+    "spgemm-outer": "008871c398dd339e",
+    "spgemm-transposed": "3f2ffd2f5cbf8a6f",
+    "spmv": "632245145087e8a9",
+    "elementwise": "edbf01b3ec249dc7",
+    "mttkrp": "400922780720a379",
+    "ttm": "55731121673416a1",
+    "register": "660fc303712fd001",
+    "locate": "8cd4182ef53f9daa",
+    "three-terms": "b9dcd78014d9698b",
+    "materialize": "072865ab2d3f280b",
+}
+
+
+def test_print_plan_golden():
+    texts = {}
+    for kernel in KERNELS:
+        texts[kernel.name] = "\n\n".join(
+            sw.print_plan(prepare(kernel, policy)[1])
+            for policy in (sw.Policy.BUCKET, sw.Policy.HASH, sw.Policy.COORD))
+    for kernel in (REGISTER, LOCATE, THREE_TERMS):
+        texts[kernel.name] = sw.print_plan(prepare(kernel)[1])
+    texts["materialize"] = sw.print_plan(_materializing_plan())
+    digests = {name: hashlib.sha256(text.encode()).hexdigest()[:16]
+               for name, text in texts.items()}
+    assert digests == PLAN_DIGESTS
+
+
 # -- execution ---------------------------------------------------------------------------
 
 
@@ -314,6 +380,17 @@ def test_execution_modes_agree(small_corpus):
             if options.allow_growth:
                 # growth defers every drain to finalization: one per engine run
                 assert other.counters.drains <= base.counters.drains
+
+
+@pytest.mark.parametrize("kernel", [REGISTER, LOCATE, THREE_TERMS], ids=lambda k: k.name)
+def test_extra_plans_match_the_dense_oracle(kernel):
+    stmt, plan, decision = prepare(kernel)
+    assert decision.action is sw.InsertionAction.NONE
+    for index in range(6):
+        inst = kernel.instance(index)
+        out = sw.execute(plan, inst.tensors)
+        expected = sw.dense_oracle(stmt, inst.arrays)
+        assert np.array_equal(out.tensor.to_dense(), expected), index
 
 
 def test_counters_surface_in_execution_results():
