@@ -48,7 +48,7 @@ from .ir import IrError, ParseError, Statement, apply_schedule, nest_assign, sta
 from .ir import expr_accesses
 from .ism import IsmError, Policy
 from .lowering import ExecutionOptions, LoweringError, execute, lower, print_plan
-from .oracle import dense_oracle, oracle_inputs
+from .oracle import OracleError, dense_oracle, oracle_inputs
 from .tensor import Format, Tensor, TensorError, format_from_name, reformat, tensors_equal
 
 _USER_ERRORS = (
@@ -59,6 +59,7 @@ _USER_ERRORS = (
     TensorError,
     IsmError,
     IoError,
+    OracleError,
     OSError,
 )
 

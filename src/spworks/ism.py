@@ -26,6 +26,8 @@ import numpy as np
 KEY_DTYPE = np.uint64
 VAL_DTYPE = np.float64
 _ELEMENT_BYTES = 16  # one uint64 key plus one float64 value
+# smallest batch slice IsmEngine.insert_batch plans at once
+_BLOCK = 4096
 
 
 class IsmError(RuntimeError):
@@ -131,7 +133,12 @@ class Counters:
 
 
 class AccArray:
-    """Bounded unsorted accumulate array with a policy-specific insert path."""
+    """Bounded unsorted accumulate array with a policy-specific insert path.
+
+    Keys and values are numpy arrays in arrival order. Under BUCKET and HASH
+    a key's chain is every key in the array with the same bucket, in arrival
+    order, and inserts deduplicate along it.
+    """
 
     def __init__(self, capacity: int, policy: Policy, lead_stride: int,
                  hash_l: int | None, counters: Counters) -> None:
@@ -147,9 +154,7 @@ class AccArray:
         else:
             self.hash_l = 0
         self.counters = counters
-        self.keys: list[int] = []
-        self.vals: list[float] = []
-        self._chains: dict[int, list[int]] = {}
+        self.clear()
 
     @property
     def size(self) -> int:
@@ -164,64 +169,152 @@ class AccArray:
             raise IsmError("grow must increase the capacity")
         self.capacity = capacity
 
+    def _bucket(self, keys):
+        if self.policy is Policy.BUCKET:
+            return keys // self.lead_stride
+        return keys % self.hash_l
+
     def insert(self, key: int, val: float) -> None:
         """Add one pair. Bucket and hash chains deduplicate in place; a full
         array rejects the insert before touching anything."""
-        keys = self.keys
-        if self.policy is Policy.COORD:
-            if len(keys) == self.capacity:
-                raise AccFullError
-            keys.append(key)
-            self.vals.append(val)
-            return
-        if self.policy is Policy.BUCKET:
-            bucket = key // self.lead_stride
-        else:
-            bucket = key % self.hash_l
-        chain = self._chains.get(bucket)
-        if chain is not None:
-            scanned = 0
-            for pos in chain:
-                scanned += 1
-                if keys[pos] == key:
-                    self.counters.insert_comparisons += scanned
-                    self.counters.insert_dedups += 1
-                    self.vals[pos] += val
-                    return
-            self.counters.insert_comparisons += scanned
-        if len(keys) == self.capacity:
+        if self.policy is not Policy.COORD:
+            chain = np.flatnonzero(self._bucket(self.keys) == self._bucket(key))
+            hit = np.flatnonzero(self.keys[chain] == key)
+            if hit.size:
+                self.counters.insert_comparisons += int(hit[0]) + 1
+                self.counters.insert_dedups += 1
+                self.vals[chain[hit[0]]] += val
+                return
+            self.counters.insert_comparisons += len(chain)
+        if self.full:
             raise AccFullError
-        if chain is None:
-            self._chains[bucket] = [len(keys)]
+        self.load(np.append(self.keys, np.array([key], KEY_DTYPE)),
+                  np.append(self.vals, val))
+
+    def load(self, keys: np.ndarray, vals: np.ndarray) -> None:
+        """Take over arrays the caller owns as the contents, in arrival order."""
+        self.keys, self.vals = keys, vals
+
+    def fill(self, keys: np.ndarray, vals: np.ndarray, grow: bool) -> tuple[list, tuple]:
+        """Plan the inserts of a batch after the current contents, charging
+        the counters of one ``insert`` per pair. Each new key that finds the
+        array full ends a full run: the contents as they are at that moment.
+        Under ``grow`` the array grows instead, and that key scans its chain
+        once more. Returns the full runs and the contents left after the
+        last one, each as (keys, values) in arrival order; the caller drains
+        the runs in order and loads the rest."""
+        n = self.size
+        # copies: the runs and the rest are slices of these, and load()
+        # takes them over
+        both = np.concatenate((self.keys, keys))
+        both_vals = np.concatenate((self.vals, vals))
+        if self.policy is Policy.COORD:
+            return self._fill_coord(both, both_vals, grow)
+        total = len(both)
+        order = np.argsort(both, kind="stable")
+        ordered = both[order]
+        same = ordered[1:] == ordered[:-1]
+        # the previous arrival of the same key, -1 at its first
+        prev = np.full(total, -1)
+        prev[order[1:][same]] = order[:-1][same]
+        # an arrival takes a slot if its key has not arrived yet in its run,
+        # and adds into the slot of the key's first arrival in the run if it has
+        if grow or total <= self.capacity:
+            starts = [0]
+            new = prev < 0
         else:
-            chain.append(len(keys))
-        keys.append(key)
-        self.vals.append(val)
+            starts = self._run_starts(prev)
+            new = prev < np.asarray(starts)[np.searchsorted(starts, np.arange(total), "right") - 1]
+        fresh = np.flatnonzero(new)
+        repeat = np.flatnonzero(~new)
+        # in key order, an arrival's latest new predecessor is its key's first
+        # arrival in its run
+        first = np.empty(total, np.int64)
+        first[order] = order[np.maximum.accumulate(np.where(new[order], np.arange(total), 0))]
+        slot = (np.cumsum(new) - 1)[first]
+        # a key's chain rank counts the earlier keys of its bucket in its run;
+        # a key that finds the array full is ranked after the whole run it ends
+        stops = np.asarray(starts[1:], np.int64)
+        runs_of = np.concatenate((np.searchsorted(stops, fresh, "right"),
+                                  np.arange(len(stops))))
+        chains = self._bucket(both[np.concatenate((fresh, stops))])
+        by_chain = np.lexsort((chains, runs_of))
+        lead = np.ones(len(by_chain), bool)
+        lead[1:] = ((chains[by_chain[1:]] != chains[by_chain[:-1]])
+                    | (runs_of[by_chain[1:]] != runs_of[by_chain[:-1]]))
+        k = np.arange(len(by_chain))
+        rank = np.empty(len(by_chain), np.int64)
+        rank[by_chain] = k - np.maximum.accumulate(np.where(lead, k, 0))
+        # a new key scans its whole chain, a repeat its chain up to its key,
+        # a key that finds the array full the whole chain there (the live
+        # contents were charged when they went in)
+        c = self.counters
+        c.insert_comparisons += (int(rank[n:].sum()) + int(rank[slot[repeat]].sum())
+                                 + len(repeat))
+        c.insert_dedups += len(repeat)
+        if grow:
+            # the key that finds the array full scans its chain, then again
+            # after the growth
+            capacity, grown = self.capacity, []
+            while capacity < len(fresh):
+                grown.append(capacity)
+                capacity = grow_capacity(capacity)
+            c.insert_comparisons += int(rank[grown].sum())
+            if capacity > self.capacity:
+                self.grow(capacity)
+        sums = both_vals[fresh]
+        np.add.at(sums, slot[repeat], both_vals[repeat])
+        bounds = [*np.searchsorted(fresh, starts).tolist(), len(fresh)]
+        runs = [(both[fresh[a:b]], sums[a:b]) for a, b in zip(bounds, bounds[1:])]
+        return runs[:-1], runs[-1]
+
+    def _run_starts(self, prev: np.ndarray) -> list[int]:
+        """Where each run starts: at the new key past the capacity, counting
+        the keys that arrived since the run's own start. Each run is searched
+        in a window that doubles, so a run costs about its own length."""
+        cap, total = self.capacity, len(prev)
+        starts = [0]
+        while True:
+            s, look = starts[-1], cap + 1
+            fresh = np.flatnonzero(prev[s:s + look] < s)
+            while len(fresh) <= cap and s + look < total:
+                look *= 2
+                fresh = np.flatnonzero(prev[s:s + look] < s)
+            if len(fresh) <= cap:
+                return starts
+            starts.append(s + int(fresh[cap]))
+
+    def _fill_coord(self, keys: np.ndarray, vals: np.ndarray, grow: bool) -> tuple[list, tuple]:
+        """Coord appends blindly: runs are slices of exactly the capacity, and
+        a full array drains (or grows) only when one more pair arrives."""
+        capacity = self.capacity
+        if grow:
+            while capacity < len(keys):
+                capacity = grow_capacity(capacity)
+            if capacity > self.capacity:
+                self.grow(capacity)
+            return [], (keys, vals)
+        cuts = list(range(0, len(keys), capacity)) or [0]
+        runs = [(keys[a:a + capacity], vals[a:a + capacity]) for a in cuts]
+        return runs[:-1], runs[-1]
 
     def drain(self) -> tuple[np.ndarray, np.ndarray]:
         """Sort the contents by key and return them; the array keeps its
         contents until clear() is called."""
-        n = len(self.keys)
+        n = self.size
         c = self.counters
-        if n == 0:
-            return np.empty(0, KEY_DTYPE), np.empty(0, VAL_DTYPE)
+        if n <= 1:
+            # nothing to compare under any policy
+            return self.keys.copy(), self.vals.copy()
+        order = np.argsort(self.keys, kind="stable")
+        ks, vs = self.keys[order], self.vals[order]
         if self.policy is Policy.BUCKET:
-            out_k: list[int] = []
-            out_v: list[float] = []
-            keys, vals = self.keys, self.vals
-            for bucket in sorted(self._chains):
-                chain = self._chains[bucket]
-                if len(chain) > 1:
-                    c.sort_comparisons += len(chain) * ceil_log2(len(chain))
-                    chain = sorted(chain, key=keys.__getitem__)
-                for pos in chain:
-                    out_k.append(keys[pos])
-                    out_v.append(vals[pos])
-            return np.array(out_k, KEY_DTYPE), np.array(out_v, VAL_DTYPE)
-        karr = np.array(self.keys, KEY_DTYPE)
-        varr = np.array(self.vals, VAL_DTYPE)
-        order = np.argsort(karr, kind="stable")
-        ks, vs = karr[order], varr[order]
+            # each chain is sorted on its own
+            lead = ks // self.lead_stride
+            bounds = np.flatnonzero(np.concatenate(([True], lead[1:] != lead[:-1], [True])))
+            sizes = bounds[1:] - bounds[:-1]
+            c.sort_comparisons += int((sizes * np.frexp(sizes - 1.0)[1]).sum())
+            return ks, vs
         c.sort_comparisons += n * ceil_log2(n)
         if self.policy is Policy.HASH:
             return ks, vs
@@ -235,9 +328,7 @@ class AccArray:
         return ks[starts], np.add.reduceat(vs, starts)
 
     def clear(self) -> None:
-        self.keys = []
-        self.vals = []
-        self._chains = {}
+        self.load(np.empty(0, KEY_DTYPE), np.empty(0, VAL_DTYPE))
 
 
 class AllArray:
@@ -267,11 +358,15 @@ class AllArray:
         old_keys, old_vals = self.keys, self.vals
         c.merges += 1
         c.merge_comparisons += len(new_keys) + len(old_keys)
+        if not old_keys.size:
+            self.keys, self.vals = new_keys.copy(), new_vals.copy()
+            if self.double_buffer:
+                self.prev_keys, self.prev_vals = old_keys, old_vals
+            return
         pos = np.searchsorted(old_keys, new_keys)
         match = np.zeros(len(new_keys), dtype=bool)
-        if old_keys.size:
-            in_range = pos < old_keys.size
-            match[in_range] = old_keys[pos[in_range]] == new_keys[in_range]
+        in_range = pos < old_keys.size
+        match[in_range] = old_keys[pos[in_range]] == new_keys[in_range]
         c.merge_dedups += int(match.sum())
         vals = old_vals.copy() if self.double_buffer else old_vals
         vals[pos[match]] += new_vals[match]
@@ -383,6 +478,23 @@ class IsmEngine:
             else:
                 self._flush()
             self.acc.insert(key, val)
+
+    def insert_batch(self, keys: np.ndarray, vals: np.ndarray) -> None:
+        """Insert pairs in order, with the same drains, growth, results and
+        counters as one insert_key call per pair."""
+        keys = np.asarray(keys, KEY_DTYPE)
+        vals = np.asarray(vals, VAL_DTYPE)
+        self.counters.inserts += len(keys)
+        done = 0
+        while done < len(keys):
+            block = max(4 * self.acc.capacity, _BLOCK)
+            runs, rest = self.acc.fill(keys[done:done + block], vals[done:done + block],
+                                       self.allow_growth)
+            for run in runs:
+                self.acc.load(*run)
+                self._flush()
+            self.acc.load(*rest)
+            done += block
 
     def _flush(self) -> None:
         """Drain the accumulate array into the all array: in place, or on the

@@ -9,15 +9,17 @@ innermost loop, a conditional drain when the accumulate array fills, a final
 drain after the loops, and a compression of the sorted result into the
 output format.
 
-Each node kind prints its own plan lines and compiles its own closure.
-Execution binds tensor storage once, compiles the plan into nested Python
-closures over flat state cells, and streams values through either the result
-collector (append paths), a dense scatter array, or an IsmEngine.
+Each node kind prints its own plan lines and runs itself. Execution works
+an array at a time and reads the operands' own storage arrays: a loop
+expands a batch of iterations into the next batch (one coordinate array per
+bound variable, one position array per access), chunk by chunk; probes
+filter or extend it; statements evaluate their expression over the whole
+batch and stream the values into the result collector (append paths), a
+dense scatter array, a dense workspace, or an IsmEngine (insert_batch).
 """
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 from dataclasses import dataclass, field
 
@@ -64,10 +66,11 @@ class LoweringError(ValueError):
 
 # -- plan nodes -----------------------------------------------------------------
 #
-# Every node kind prints and compiles itself. A statement node's ``lines``
-# returns its plan text, unindented, and its ``compile`` returns a closure
-# over the execution's state cells. Drivers print through ``str`` and compile
-# around their loop's body; probes compile around the rest of the chain.
+# Every node kind prints and runs itself. A statement node's ``lines``
+# returns its plan text, unindented, and its ``run`` executes it on a batch
+# of loop iterations (``_Rows``). Drivers print through ``str`` and expand a
+# batch into the iterations of their loop, chunk by chunk; probes resolve one
+# more level of an access on a batch and return the rows that remain.
 
 
 @dataclass
@@ -77,16 +80,12 @@ class DenseRange:
     def __str__(self) -> str:
         return f"range({self.var.name.upper()})"
 
-    def compile(self, ex: _Execution, cell: int, body):
+    def expand(self, ex: _Execution, rows: _Rows, var: IndexVar):
         ext = ex.extents[self.var]
-        vals = ex.vals
-
-        def run_range() -> None:
-            for c in range(ext):
-                vals[cell] = c
-                body()
-
-        return run_range
+        for row, off in _chunks(np.full(rows.n, ext, dtype=np.int64)):
+            child = rows.take(row)
+            child.crd[var] = off
+            yield child
 
 
 @dataclass
@@ -98,20 +97,15 @@ class LevelIter:
     def __str__(self) -> str:
         return f"{self.tensor}.level({self.level})"
 
-    def compile(self, ex: _Execution, cell: int, body):
-        _, pos, crd = ex._levels[self.tensor][self.level]
-        cur = ex.cur[self.aid]
-        lvl = self.level
-        vals = ex.vals
-
-        def run_level() -> None:
-            p = cur[lvl]
-            for at in range(pos[p], pos[p + 1]):
-                vals[cell] = crd[at]
-                cur[lvl + 1] = at
-                body()
-
-        return run_level
+    def expand(self, ex: _Execution, rows: _Rows, var: IndexVar):
+        level = ex.tensors[self.tensor].levels[self.level]
+        lo = level.pos[rows.pos[self.aid]]
+        counts = level.pos[rows.pos[self.aid] + 1] - lo
+        for row, off in _chunks(counts):
+            child = rows.take(row)
+            child.pos[self.aid] = at = lo[row] + off
+            child.crd[var] = level.crd[at].astype(np.int64)
+            yield child
 
 
 @dataclass
@@ -122,35 +116,12 @@ class Intersect:
     def __str__(self) -> str:
         return f"{self.first} & {self.second}"
 
-    def compile(self, ex: _Execution, cell: int, body):
-        a, b = self.first, self.second
-        _, pos_a, crd_a = ex._levels[a.tensor][a.level]
-        _, pos_b, crd_b = ex._levels[b.tensor][b.level]
-        cur_a, cur_b = ex.cur[a.aid], ex.cur[b.aid]
-        la, lb = a.level, b.level
-        vals = ex.vals
-
-        def run_intersect() -> None:
-            pa = cur_a[la]
-            pb = cur_b[lb]
-            ia, ea = pos_a[pa], pos_a[pa + 1]
-            ib, eb = pos_b[pb], pos_b[pb + 1]
-            while ia < ea and ib < eb:
-                ca = crd_a[ia]
-                cb = crd_b[ib]
-                if ca < cb:
-                    ia += 1
-                elif cb < ca:
-                    ib += 1
-                else:
-                    vals[cell] = ca
-                    cur_a[la + 1] = ia
-                    cur_b[lb + 1] = ib
-                    body()
-                    ia += 1
-                    ib += 1
-
-        return run_intersect
+    def expand(self, ex: _Execution, rows: _Rows, var: IndexVar):
+        # walking the first level and searching the second yields the common
+        # coordinates in the order of a two-pointer merge
+        b = self.second
+        for child in self.first.expand(ex, rows, var):
+            yield ex.locate(child, b.aid, b.tensor, b.level, child.crd[var])
 
 
 @dataclass
@@ -163,18 +134,10 @@ class DenseStep:
     def lines(self, plan: Plan) -> list[str]:
         return []
 
-    def compile(self, ex: _Execution, nxt):
-        cur = ex.cur[self.aid]
-        lvl = self.level
-        cell = ex.cells[self.var]
-        vals = ex.vals
-        ext = ex._levels[self.tensor][lvl][1]
-
-        def dense_step() -> None:
-            cur[lvl + 1] = cur[lvl] * ext + vals[cell]
-            nxt()
-
-        return dense_step
+    def run(self, ex: _Execution, rows: _Rows) -> _Rows:
+        ext = ex.tensors[self.tensor].levels[self.level].extent
+        rows.pos[self.aid] = rows.pos[self.aid] * ext + rows.crd[self.var]
+        return rows
 
 
 @dataclass
@@ -187,24 +150,8 @@ class Locate:
     def lines(self, plan: Plan) -> list[str]:
         return [f"locate {self.var.name} in {self.tensor}.level({self.level})"]
 
-    def compile(self, ex: _Execution, nxt):
-        cur = ex.cur[self.aid]
-        lvl = self.level
-        cell = ex.cells[self.var]
-        vals = ex.vals
-        _, pos, crd = ex._levels[self.tensor][lvl]
-        bl = bisect.bisect_left
-
-        def locate() -> None:
-            p = cur[lvl]
-            lo, hi = pos[p], pos[p + 1]
-            t = vals[cell]
-            at = bl(crd, t, lo, hi)
-            if at < hi and crd[at] == t:
-                cur[lvl + 1] = at
-                nxt()
-
-        return locate
+    def run(self, ex: _Execution, rows: _Rows) -> _Rows:
+        return ex.locate(rows, self.aid, self.tensor, self.level, rows.crd[self.var])
 
 
 @dataclass
@@ -220,11 +167,18 @@ class LoopNode:
             out += ["  " + line for line in node.lines(plan)]
         return out
 
-    def compile(self, ex: _Execution):
-        body = ex._compile_seq(self.body)
-        for probe in reversed(self.probes):
-            body = probe.compile(ex, body)
-        return self.driver.compile(ex, ex.cells[self.var], body)
+    def run(self, ex: _Execution, rows: _Rows) -> None:
+        # a loop that runs statements around a nested loop hosts its
+        # iterations: the value register and the workspaces those statements
+        # keep are addressed by host row
+        hosts = len(self.body) > 1 and any(isinstance(n, LoopNode) for n in self.body)
+        for child in self.driver.expand(ex, rows, self.var):
+            for probe in self.probes:
+                child = probe.run(ex, child)
+            if hosts:
+                child.owner = np.arange(child.n)
+            for node in self.body:
+                node.run(ex, child)
 
 
 @dataclass
@@ -232,13 +186,8 @@ class SetReg:
     def lines(self, plan: Plan) -> list[str]:
         return ["val = 0"]
 
-    def compile(self, ex: _Execution):
-        reg = ex.reg
-
-        def set_reg() -> None:
-            reg[0] = 0.0
-
-        return set_reg
+    def run(self, ex: _Execution, rows: _Rows) -> None:
+        ex.reg = np.zeros(rows.n, dtype=np.float64)
 
 
 @dataclass
@@ -249,14 +198,8 @@ class AccumReg:
     def lines(self, plan: Plan) -> list[str]:
         return [f"val += {format_expr(self.expr)}"]
 
-    def compile(self, ex: _Execution):
-        f = ex._compile_expr(self.expr, self.amap)
-        reg = ex.reg
-
-        def accum() -> None:
-            reg[0] += f()
-
-        return accum
+    def run(self, ex: _Execution, rows: _Rows) -> None:
+        np.add.at(ex.reg, rows.owner, _evaluate(ex, rows, self.expr, self.amap))
 
 
 @dataclass
@@ -269,16 +212,8 @@ class AppendRow:
         coords = ", ".join(v.name for v in self.level_vars)
         return [f"append ({coords}) -> {plan.result.tensor}"]
 
-    def compile(self, ex: _Execution):
-        cs = [ex.cells[v] for v in self.level_vars]
-        vals = ex.vals
-        reg = ex.reg
-        append = ex.collector.append
-
-        def emit_row() -> None:
-            append(tuple(vals[c] for c in cs), reg[0])
-
-        return emit_row
+    def run(self, ex: _Execution, rows: _Rows) -> None:
+        ex.collector.extend([rows.crd[v] for v in self.level_vars], ex.reg)
 
 
 @dataclass
@@ -292,16 +227,9 @@ class AppendCompute:
         return [f"append ({coords}) = {format_expr(self.expr)} "
                 f"-> {plan.result.tensor}"]
 
-    def compile(self, ex: _Execution):
-        cs = [ex.cells[v] for v in self.level_vars]
-        vals = ex.vals
-        f = ex._compile_expr(self.expr, self.amap)
-        append = ex.collector.append
-
-        def emit() -> None:
-            append(tuple(vals[c] for c in cs), f())
-
-        return emit
+    def run(self, ex: _Execution, rows: _Rows) -> None:
+        ex.collector.extend([rows.crd[v] for v in self.level_vars],
+                            _evaluate(ex, rows, self.expr, self.amap))
 
 
 @dataclass
@@ -314,20 +242,11 @@ class ScatterDense:
         coords = ", ".join(v.name for v in self.mode_vars)
         return [f"{plan.result.tensor}[{coords}] += {format_expr(self.expr)}"]
 
-    def compile(self, ex: _Execution):
-        strides = row_major_strides(ex.dense_out.shape)
-        cs = list(zip((ex.cells[v] for v in self.mode_vars), strides))
-        vals = ex.vals
-        out = ex.dense_out.reshape(-1)
-        f = ex._compile_expr(self.expr, self.amap)
-
-        def scatter() -> None:
-            at = 0
-            for c, s in cs:
-                at += vals[c] * s
-            out[at] += f()
-
-        return scatter
+    def run(self, ex: _Execution, rows: _Rows) -> None:
+        at = np.zeros(rows.n, dtype=np.int64)
+        for v, stride in zip(self.mode_vars, row_major_strides(ex.dense_out.shape)):
+            at += rows.crd[v] * stride
+        np.add.at(ex.dense_out.reshape(-1), at, _evaluate(ex, rows, self.expr, self.amap))
 
 
 # a drain: IsmInsert runs one when Acc is full, and CompressWs and
@@ -348,21 +267,13 @@ class IsmInsert:
         return [f"val = {format_expr(self.expr)}", insert, "if Acc.full:",
                 *("  " + line for line in [*_DRAIN_LINES, insert])]
 
-    def compile(self, ex: _Execution):
+    def run(self, ex: _Execution, rows: _Rows) -> None:
+        keys = np.zeros(rows.n, dtype=np.uint64)
         strides = row_major_strides([ex.extents[v] for v in self.slot_vars])
-        cs = list(zip((ex.cells[v] for v in self.slot_vars), strides))
-        vals = ex.vals
-        f = ex._compile_expr(self.expr, self.amap)
-        engines = ex.engines
-        ws = self.ws
-
-        def insert() -> None:
-            at = 0
-            for c, s in cs:
-                at += vals[c] * s
-            engines[ws].insert_key(at, f())
-
-        return insert
+        for v, stride in zip(self.slot_vars, strides):
+            keys += rows.crd[v].astype(np.uint64) * np.uint64(stride)
+        ex.ws_runs[self.ws].insert(ex, rows.owner, keys,
+                                   _evaluate(ex, rows, self.expr, self.amap))
 
 
 @dataclass
@@ -372,31 +283,27 @@ class AllocWs:
     def lines(self, plan: Plan) -> list[str]:
         return [f"workspace {self.meta.name}: {self.meta.descriptor}"]
 
-    def compile(self, ex: _Execution):
+    def run(self, ex: _Execution, rows: _Rows) -> None:
+        ex.ws_runs[self.meta.name] = _EngineRuns(self, ex, rows.n)
+
+    def start(self, ex: _Execution) -> IsmEngine:
+        """The engine for the next run: reset, or built at the first one."""
         meta = self.meta
-        ws = meta.name
-        exts = [ex.extents[v] for v in meta.slot_vars]
-        hash_l = ex._hash_l(meta)
+        engine = ex.engines.get(meta.name)
+        if engine is not None:
+            engine.reset()
+            return engine
         opts = ex.options
-        engines = ex.engines
-        enter = ex.stack.enter_context
-
-        def alloc() -> None:
-            engine = engines.get(ws)
-            if engine is not None:
-                engine.reset()
-                return
-            engines[ws] = enter(IsmEngine(
-                exts,
-                meta.descriptor.policy,
-                meta.descriptor.capacity,
-                hash_l=hash_l,
-                double_buffer=opts.double_buffer,
-                pipeline=opts.pipeline,
-                allow_growth=opts.allow_growth,
-            ))
-
-        return alloc
+        engine = ex.engines[meta.name] = ex.stack.enter_context(IsmEngine(
+            [ex.extents[v] for v in meta.slot_vars],
+            meta.descriptor.policy,
+            meta.descriptor.capacity,
+            hash_l=ex._hash_l(meta),
+            double_buffer=opts.double_buffer,
+            pipeline=opts.pipeline,
+            allow_growth=opts.allow_growth,
+        ))
+        return engine
 
 
 @dataclass
@@ -414,20 +321,11 @@ class CompressWs:
                     f"append segment ({coords}, :) <- All -> {plan.result.tensor}"]
         return [*_DRAIN_LINES, f"compress All -> {plan.result.tensor}"]
 
-    def compile(self, ex: _Execution):
-        engines = ex.engines
-        cs = [ex.cells[v] for v in self.prefix_vars]
-        vals = ex.vals
-        collector = ex.collector
-        ws = self.ws
-
-        def gather() -> None:
-            coords, wvals = engines[ws].result()
-            n = len(wvals)
-            prefix = [np.full(n, vals[c], dtype=np.int64) for c in cs]
-            collector.extend(prefix + coords, wvals)
-
-        return gather
+    def run(self, ex: _Execution, rows: _Rows) -> None:
+        for row, coords, wvals in ex.ws_runs.pop(self.ws).finish(ex):
+            prefix = [np.full(len(wvals), rows.crd[v][row], dtype=np.int64)
+                      for v in self.prefix_vars]
+            ex.collector.extend(prefix + coords, wvals)
 
 
 @dataclass
@@ -442,26 +340,17 @@ class MaterializeWs:
         return [*_DRAIN_LINES, f"materialize All -> {self.meta.name}", "consume:",
                 *("  " + line for line in sub)]
 
-    def compile(self, ex: _Execution):
+    def run(self, ex: _Execution, rows: _Rows) -> None:
         meta = self.meta
-        engines = ex.engines
-        i_vars = meta.i_vars
-        inv = {s: m for m, s in enumerate(meta.descriptor.ow_order)}
-
-        def materialize() -> None:
-            slot_coords, wvals = engines[meta.name].result()
-            order = len(i_vars)
-            mode_coords: list[np.ndarray] = [None] * order  # type: ignore[list-item]
-            for s in range(order):
-                mode_coords[inv[s]] = slot_coords[s]
-            dims = tuple(ex.extents[v] for v in i_vars)
-            ws_tensor = compress_arrays(mode_coords, wvals, meta.ws_format, dims)
-            sub = execute(meta.subplan, {**ex.tensors, meta.name: ws_tensor},
-                          ex.options)
-            ex.counters.merge(sub.counters)
-            ex.override = sub.tensor
-
-        return materialize
+        ((_, slot_coords, wvals),) = ex.ws_runs.pop(meta.name).finish(ex)
+        mode_coords: list[np.ndarray] = [None] * len(meta.i_vars)  # type: ignore[list-item]
+        for s, m in enumerate(_inverse(meta.descriptor.ow_order)):
+            mode_coords[m] = slot_coords[s]
+        dims = tuple(ex.extents[v] for v in meta.i_vars)
+        ws_tensor = compress_arrays(mode_coords, wvals, meta.ws_format, dims)
+        sub = execute(meta.subplan, {**ex.tensors, meta.name: ws_tensor}, ex.options)
+        ex.counters.merge(sub.counters)
+        ex.override = sub.tensor
 
 
 @dataclass
@@ -474,18 +363,10 @@ class DenseWsScatter:
     def lines(self, plan: Plan) -> list[str]:
         return [f"{self.ws}[{self.var.name}] += {format_expr(self.expr)}"]
 
-    def compile(self, ex: _Execution):
-        buf = ex.buffers[self.ws]
-        cell = ex.cells[self.var]
-        vals = ex.vals
-        f = ex._compile_expr(self.expr, self.amap)
-        counters = ex.counters
-
-        def ws_scatter() -> None:
-            buf[vals[cell]] += f()
-            counters.inserts += 1
-
-        return ws_scatter
+    def run(self, ex: _Execution, rows: _Rows) -> None:
+        ex.dense_ws[self.ws].add(rows.owner, rows.crd[self.var],
+                                 _evaluate(ex, rows, self.expr, self.amap))
+        ex.counters.inserts += rows.n
 
 
 @dataclass
@@ -502,21 +383,9 @@ class DenseWsGather:
             target += f"({coords}, :)"
         return [f"gather nonzeros {self.ws} -> {target}", f"clear {self.ws}"]
 
-    def compile(self, ex: _Execution):
-        buf = ex.buffers[self.ws]
-        zeros = [0.0] * len(buf)
-        cs = [ex.cells[v] for v in self.prefix_vars]
-        vals = ex.vals
-        append = ex.collector.append
-
-        def ws_gather() -> None:
-            head = tuple(vals[c] for c in cs)
-            for c, v in enumerate(buf):
-                if v != 0.0:
-                    append(head + (c,), v)
-            buf[:] = zeros
-
-        return ws_gather
+    def run(self, ex: _Execution, rows: _Rows) -> None:
+        row, crd, vals = ex.dense_ws[self.ws].take_nonzeros()
+        ex.collector.extend([rows.crd[v][row] for v in self.prefix_vars] + [crd], vals)
 
 
 @dataclass
@@ -552,20 +421,17 @@ def _flatten_terms(expr: Expr) -> list[Expr]:
 
 
 def _check_term(term: Expr, formats: dict[str, Format]) -> None:
-    def walk(e: Expr, under_add: bool) -> None:
+    pending = [(term, False)]
+    while pending:
+        e, under_add = pending.pop()
         if isinstance(e, Access):
             if under_add and not _format_of(e, formats).all_dense():
                 raise LoweringError(
                     f"sparse operand {e} appears inside an addition under a "
                     "product; distribute the product or precompute the sum")
-        elif isinstance(e, Add):
-            walk(e.lhs, True)
-            walk(e.rhs, True)
-        elif isinstance(e, Mul):
-            walk(e.lhs, under_add)
-            walk(e.rhs, under_add)
-
-    walk(term, False)
+        elif isinstance(e, (Add, Mul)):
+            inner = under_add or isinstance(e, Add)
+            pending += [(e.rhs, inner), (e.lhs, inner)]
 
 
 @dataclass
@@ -869,40 +735,151 @@ class ExecutionResult:
     counters: Counters
 
 
+# iterations a driver expands at a time: bounds the transient arrays
+_CHUNK = 1 << 14
+
+
+class _Rows:
+    """A batch of loop iterations in execution order: the coordinate of every
+    bound index variable, the position of every access at its deepest
+    resolved level, and each iteration's row in the batch of its host loop."""
+
+    __slots__ = ("n", "crd", "pos", "owner")
+
+    def __init__(self, n: int, crd: dict, pos: dict, owner: np.ndarray) -> None:
+        self.n = n
+        self.crd = crd
+        self.pos = pos
+        self.owner = owner
+
+    def take(self, rows: np.ndarray) -> _Rows:
+        return _Rows(len(rows), {v: c[rows] for v, c in self.crd.items()},
+                     {a: p[rows] for a, p in self.pos.items()}, self.owner[rows])
+
+
+def _chunks(counts: np.ndarray):
+    """Split the iterations of a batch, ``counts[r]`` of them for row r in
+    row order, into chunks of at most _CHUNK; yield each chunk's rows and its
+    iterations' offsets within their row."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, _CHUNK):
+        at = np.arange(lo, min(lo + _CHUNK, total))
+        row = np.searchsorted(ends, at, side="right")
+        yield row, at - (ends[row] - counts[row])
+
+
+def _values(ex: _Execution, rows: _Rows, expr: Expr, amap: dict):
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Access):
+        return ex.tensors[expr.tensor].vals[rows.pos[amap[expr]]]
+    if isinstance(expr, Add):
+        return _values(ex, rows, expr.lhs, amap) + _values(ex, rows, expr.rhs, amap)
+    if isinstance(expr, Mul):
+        return _values(ex, rows, expr.lhs, amap) * _values(ex, rows, expr.rhs, amap)
+    raise LoweringError(f"unknown expression node {expr!r}")
+
+
+def _evaluate(ex: _Execution, rows: _Rows, expr: Expr, amap: dict) -> np.ndarray:
+    """The expression's value at every row, operand by operand in the order
+    the expression gives."""
+    return np.broadcast_to(np.asarray(_values(ex, rows, expr, amap), dtype=np.float64),
+                           (rows.n,))
+
+
+class _EngineRuns:
+    """One run of a sparse workspace's engine per row of its host batch, in
+    row order: a run starts at the engine's construction or reset() and ends
+    at result(), also for a row that inserts nothing."""
+
+    def __init__(self, alloc: AllocWs, ex: _Execution, n: int) -> None:
+        self.alloc = alloc
+        self.n = n
+        self.row = -1
+        self.engine: IsmEngine | None = None
+        self.results: list = []
+        self._advance(ex, 0)
+
+    def _advance(self, ex: _Execution, row: int) -> None:
+        while self.row < min(row, self.n - 1):
+            if self.row >= 0:
+                self.results.append((self.row, *self.engine.result()))
+            self.row += 1
+            self.engine = self.alloc.start(ex)
+
+    def insert(self, ex: _Execution, owner: np.ndarray, keys: np.ndarray,
+               vals: np.ndarray) -> None:
+        cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), len(owner)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            if hi > lo:
+                self._advance(ex, int(owner[lo]))
+                self.engine.insert_batch(keys[lo:hi], vals[lo:hi])
+
+    def finish(self, ex: _Execution) -> list:
+        """(row, coordinates, values) of every row's run."""
+        self._advance(ex, self.n - 1)
+        if self.row >= 0:
+            self.results.append((self.row, *self.engine.result()))
+        return self.results
+
+
+class _DenseWs:
+    """A dense workspace for every row of a host batch. Each (row, coordinate)
+    keeps a running sum that starts at 0.0 and adds values in arrival order,
+    as ``W[c] += v`` would; once a later row arrives, a row's sums are final
+    and leave the merge."""
+
+    def __init__(self, extent: int) -> None:
+        self.extent = extent
+        self._clear()
+
+    def _clear(self) -> None:
+        self.done: list[tuple[np.ndarray, np.ndarray]] = []
+        self.keys = np.empty(0, dtype=np.int64)
+        self.sums = np.empty(0, dtype=np.float64)
+
+    def add(self, row: np.ndarray, crd: np.ndarray, vals: np.ndarray) -> None:
+        if not len(row):
+            return
+        keys = row * self.extent + crd
+        union = np.sort(np.concatenate((self.keys, keys)))
+        union = union[np.concatenate(([True], union[1:] != union[:-1]))]
+        sums = np.zeros(len(union), dtype=np.float64)
+        sums[np.searchsorted(union, self.keys)] = self.sums
+        np.add.at(sums, np.searchsorted(union, keys), vals)
+        final = int(np.searchsorted(union, row[-1] * self.extent))
+        self.done.append((union[:final], sums[:final]))
+        self.keys, self.sums = union[final:], sums[final:]
+
+    def take_nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row, coordinate and value of every nonzero sum, in order; the
+        workspace is left empty."""
+        keys = np.concatenate([k for k, _ in self.done] + [self.keys])
+        sums = np.concatenate([v for _, v in self.done] + [self.sums])
+        self._clear()
+        nz = np.flatnonzero(sums != 0.0)
+        return keys[nz] // self.extent, keys[nz] % self.extent, sums[nz]
+
+
 class _Collector:
     """Ordered sink for result rows in storage-level order."""
 
     def __init__(self, levels: int) -> None:
         self.levels = levels
-        self._buf: list[list[int]] = [[] for _ in range(levels)]
-        self._buf_vals: list[float] = []
         self._chunks: list[tuple[list[np.ndarray], np.ndarray]] = []
 
-    def append(self, coords: tuple[int, ...], val: float) -> None:
-        for buf, c in zip(self._buf, coords):
-            buf.append(c)
-        self._buf_vals.append(val)
-
-    def _flush(self) -> None:
-        if self._buf_vals:
-            self._chunks.append((
-                [np.asarray(b, dtype=np.int64) for b in self._buf],
-                np.asarray(self._buf_vals, dtype=np.float64),
-            ))
-            self._buf = [[] for _ in range(self.levels)]
-            self._buf_vals = []
-
     def extend(self, coords: list[np.ndarray], vals: np.ndarray) -> None:
-        self._flush()
         if len(vals):
             self._chunks.append(([np.asarray(c, dtype=np.int64) for c in coords],
                                  np.asarray(vals, dtype=np.float64)))
 
     def finalize(self) -> tuple[list[np.ndarray], np.ndarray]:
-        self._flush()
         if not self._chunks:
             empty = [np.empty(0, dtype=np.int64) for _ in range(self.levels)]
             return empty, np.empty(0, dtype=np.float64)
+        if len(self._chunks) == 1:
+            return self._chunks[0]
         coords = [np.concatenate([chunk[0][l] for chunk in self._chunks])
                   for l in range(self.levels)]
         vals = np.concatenate([chunk[1] for chunk in self._chunks])
@@ -916,20 +893,18 @@ class _Execution:
         self.tensors = tensors
         self.options = options
         self.counters = Counters()
-        self._validate_and_bind()
-        self.vals: list[int] = [0] * len(self.cells)
-        self.cur: dict[int, list[int]] = {
-            aid: [0] * (self.tensors[name].order + 1)
-            for aid, (name, _) in plan.sites.items()
-        }
-        self.reg = [0.0]
-        # one engine per sparse workspace, built at its first AllocWs and
-        # closed by the stack when run() ends
+        self._validate()
+        # one engine per sparse workspace, built at its first run and closed
+        # by the stack when run() ends
         self.engines: dict[str, IsmEngine] = {}
+        self.ws_runs: dict[str, _EngineRuns] = {}
         self.stack = contextlib.ExitStack()
-        self.buffers = {meta.name: [0.0] * self.extents[meta.slot_vars[0]]
-                        for meta in plan.workspaces if meta.dense}
+        self.dense_ws = {meta.name: _DenseWs(self.extents[meta.slot_vars[0]])
+                         for meta in plan.workspaces if meta.dense}
+        self.reg: np.ndarray | None = None
         self.override: Tensor | None = None
+        # (parent position, coordinate) keys of the levels that locate searches
+        self._level_keys: dict[tuple[str, int], np.ndarray] = {}
         if not plan.result_format.all_dense():
             self.collector = _Collector(plan.result_format.order)
         else:
@@ -947,7 +922,7 @@ class _Execution:
                   if name in self.plan.operands and not t.format.all_dense())
         return hash_default_l(max(est, 1))
 
-    def _validate_and_bind(self) -> None:
+    def _validate(self) -> None:
         plan = self.plan
         for name, fmt in plan.operands.items():
             if name not in self.tensors:
@@ -962,30 +937,6 @@ class _Execution:
             if v not in self.extents:
                 raise LoweringError(
                     f"cannot size result dimension {v.name}; no operand binds it")
-        # one cell per loop variable, in preorder of the loop tree
-        cells: dict[IndexVar, int] = {}
-        pending = list(reversed(plan.body))
-        while pending:
-            node = pending.pop()
-            if isinstance(node, LoopNode):
-                cells.setdefault(node.var, len(cells))
-                pending.extend(reversed(node.body))
-        for v in plan.result.vars:
-            cells.setdefault(v, len(cells))
-        self.cells = cells
-        self._levels: dict[str, list] = {}
-        self._tvals: dict[str, list[float]] = {}
-        for name in plan.operands:
-            t = self.tensors[name]
-            lv = []
-            for l in range(t.order):
-                level = t.levels[l]
-                if t.format.levels[l].kind is LevelKind.DENSE:
-                    lv.append(("d", level.extent))
-                else:
-                    lv.append(("c", level.pos.tolist(), level.crd.tolist()))
-            self._levels[name] = lv
-            self._tvals[name] = t.vals.tolist()
 
     def _bind_extents(self) -> None:
         """Size each index variable from the tensors at the plan's sites, then
@@ -1016,43 +967,32 @@ class _Execution:
             pending.extend(meta.subplan for meta in reversed(plan.workspaces)
                            if meta.subplan is not None)
 
-    # -- closure compilation -------------------------------------------------
-
-    def _compile_expr(self, expr: Expr, amap: dict):
-        if isinstance(expr, Const):
-            c = expr.value
-            return lambda: c
-        if isinstance(expr, Access):
-            aid = amap[expr]
-            vals = self._tvals[expr.tensor]
-            cur = self.cur[aid]
-            last = len(expr.vars)
-            return lambda: vals[cur[last]]
-        if isinstance(expr, Add):
-            f = self._compile_expr(expr.lhs, amap)
-            g = self._compile_expr(expr.rhs, amap)
-            return lambda: f() + g()
-        if isinstance(expr, Mul):
-            f = self._compile_expr(expr.lhs, amap)
-            g = self._compile_expr(expr.rhs, amap)
-            return lambda: f() * g()
-        raise LoweringError(f"unknown expression node {expr!r}")
-
-    def _compile_seq(self, nodes: list):
-        fns = [n.compile(self) for n in nodes]
-        if len(fns) == 1:
-            return fns[0]
-
-        def run() -> None:
-            for f in fns:
-                f()
-
-        return run
+    def locate(self, rows: _Rows, aid: int, tensor: str, level: int,
+               crd: np.ndarray) -> _Rows:
+        """Find each row's coordinate among the children of its position at a
+        compressed level; rows where it is absent drop out."""
+        t = self.tensors[tensor]
+        extent = t.level_extent(level)
+        keys = self._level_keys.get((tensor, level))
+        if keys is None:
+            lvl = t.levels[level]
+            parent = np.repeat(np.arange(len(lvl.pos) - 1), np.diff(lvl.pos))
+            keys = self._level_keys[tensor, level] = parent * extent + lvl.crd
+        want = rows.pos[aid] * extent + crd
+        at = np.searchsorted(keys, want)
+        found = at < len(keys)
+        found[found] = keys[at[found]] == want[found]
+        hit = np.flatnonzero(found)
+        out = rows.take(hit)
+        out.pos[aid] = at[hit]
+        return out
 
     def run(self) -> ExecutionResult:
+        root = _Rows(1, {}, {aid: np.zeros(1, dtype=np.int64) for aid in self.plan.sites},
+                     np.zeros(1, dtype=np.int64))
         with self.stack:
-            if self.plan.body:
-                self._compile_seq(self.plan.body)()
+            for node in self.plan.body:
+                node.run(self, root)
         for engine in self.engines.values():
             self.counters.merge(engine.counters)
         if self.override is not None:

@@ -230,6 +230,8 @@ def test_ablation_warns_when_no_workspace(capsys):
     (["run", "--expr", MATMUL, "B=x.csv", "C=y.csv"], "use .mtx or .tns"),
     (["run", "--expr", MATMUL, "BadSpec"], "inputs need T=PATH"),
     (["run", "--expr", MATMUL, "Z=x.mtx"], "unknown tensor"),
+    (["run", "--expr", MATMUL, "--synthetic", "300x300:0.1:4", "--verify"],
+     "exceeds the oracle guard"),
 ])
 def test_user_errors_exit_two(argv, fragment, capsys):
     code, _, err = run_main(argv, capsys)

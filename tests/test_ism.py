@@ -425,3 +425,83 @@ def test_reset_engine_matches_a_fresh_one(policy, pipeline):
     for name in _RUN_COUNTS:
         delta = getattr(reused.counters, name) - getattr(before, name)
         assert delta == getattr(fresh.counters, name), name
+
+
+# -- batch inserts -------------------------------------------------------------------
+
+
+def _real_stream(seed: int, n: int, universe: int) -> tuple[np.ndarray, np.ndarray]:
+    """Repeating keys with real values, a few of them -0.0, so that any
+    change in summation order or in the first stored value shows."""
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, universe, n).astype(np.uint64)
+    vals = rng.standard_normal(n)
+    vals[rng.random(n) < 0.05] = -0.0
+    return keys, vals
+
+
+@pytest.mark.parametrize("double_buffer", [False, True])
+@pytest.mark.parametrize("pipeline", [False, True])
+@pytest.mark.parametrize("allow_growth", [False, True])
+@pytest.mark.parametrize("capacity", [1, 3, 64])
+@pytest.mark.parametrize("policy", list(Policy))
+def test_insert_batch_matches_insert_key(policy, capacity, allow_growth, pipeline,
+                                         double_buffer):
+    def engine() -> IsmEngine:
+        # two dimensions, so that bucket chains hold several keys
+        return IsmEngine((8, 16), policy, capacity, hash_l=8, allow_growth=allow_growth,
+                         pipeline=pipeline, double_buffer=double_buffer)
+
+    for seed in range(3):
+        streams = [_real_stream(seed * 2 + run, 300, universe=8 * 16 if run else 40)
+                   for run in range(2)]
+        with engine() as scalar:
+            want = []
+            for keys, vals in streams:
+                scalar.reset()
+                for k, v in zip(keys.tolist(), vals.tolist()):
+                    scalar.insert_key(k, v)
+                want.append(scalar.result())
+        rng = np.random.default_rng(seed)
+        with engine() as batched:
+            got = []
+            for keys, vals in streams:
+                batched.reset()
+                cuts = np.sort(rng.choice(np.arange(1, len(keys)), 12, replace=False))
+                for part, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, len(keys)])):
+                    if part % 4 == 3:  # every fourth piece goes in one pair at a time
+                        for k, v in zip(keys[lo:hi].tolist(), vals[lo:hi].tolist()):
+                            batched.insert_key(k, v)
+                    else:
+                        batched.insert_batch(keys[lo:hi], vals[lo:hi])
+                got.append(batched.result())
+        assert batched.counters == scalar.counters, seed
+        for (want_coords, want_vals), (got_coords, got_vals) in zip(want, got):
+            assert all(np.array_equal(w, g) for w, g in zip(want_coords, got_coords))
+            assert want_vals.tobytes() == got_vals.tobytes()
+
+
+def test_insert_batch_keeps_the_sign_of_a_lone_negative_zero():
+    for policy in Policy:
+        with IsmEngine((4,), policy, 4, hash_l=2) as eng:
+            eng.insert_batch(np.array([1, 2, 2], np.uint64), np.array([-0.0, -0.0, 1.0]))
+            _, vals = eng.result()
+        assert np.signbit(vals).tolist() == [True, False], policy
+
+
+@pytest.mark.parametrize("allow_growth", [False, True])
+@pytest.mark.parametrize("capacity", [1, 64])
+@pytest.mark.parametrize("policy", list(Policy))
+def test_insert_batch_spanning_several_blocks(policy, capacity, allow_growth):
+    # one batch longer than the slice insert_batch plans at once
+    keys, vals = _real_stream(5, 10_000, universe=8 * 16)
+    engines = [IsmEngine((8, 16), policy, capacity, hash_l=8, allow_growth=allow_growth)
+               for _ in range(2)]
+    with engines[0] as scalar, engines[1] as batched:
+        for k, v in zip(keys.tolist(), vals.tolist()):
+            scalar.insert_key(k, v)
+        batched.insert_batch(keys, vals)
+        (want_coords, want_vals), (got_coords, got_vals) = scalar.result(), batched.result()
+    assert batched.counters == scalar.counters
+    assert all(np.array_equal(w, g) for w, g in zip(want_coords, got_coords))
+    assert want_vals.tobytes() == got_vals.tobytes()

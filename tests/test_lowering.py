@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import itertools
+import json
 import threading
 from dataclasses import replace
 
@@ -393,6 +393,51 @@ def test_extra_plans_match_the_dense_oracle(kernel):
         assert np.array_equal(out.tensor.to_dense(), expected), index
 
 
+# first 16 hex digits of the sha256 of the counters (Counters.as_dict(),
+# peak_bytes included) of sequential executions, one JSON object a line: each
+# corpus kernel under BUCKET, HASH and COORD at capacities 1, 7 and 64 on
+# instances 0-2, the extra plans on instances 0-2, and the materializing plan
+# on operand seeds 0-2
+COUNTER_DIGESTS = {
+    "spgemm-inner": "898d6b30fa1b5611",
+    "spgemm-rowwise": "d9fdac65f4774616",
+    "spgemm-rowwise-hoist": "4084f8191f24af74",
+    "spgemm-outer": "660663533951cddf",
+    "spgemm-transposed": "537eb0742fb693c6",
+    "spmv": "8766d63ebd1d47b5",
+    "elementwise": "898d6b30fa1b5611",
+    "mttkrp": "428f8f043fac8091",
+    "ttm": "c1b9d6efed2949cb",
+    "register": "34d3231ba083d9d6",
+    "locate": "34d3231ba083d9d6",
+    "three-terms": "34d3231ba083d9d6",
+    "materialize": "28806f7d5054108c",
+}
+
+
+def test_counters_golden():
+    runs: dict[str, list[dict[str, int]]] = {}
+    for kernel in KERNELS:
+        instances = [kernel.instance(index) for index in range(3)]
+        runs[kernel.name] = [
+            sw.execute(prepare(kernel, policy, capacity)[1], inst.tensors).counters.as_dict()
+            for policy in (sw.Policy.BUCKET, sw.Policy.HASH, sw.Policy.COORD)
+            for capacity in (1, 7, 64)
+            for inst in instances]
+    for kernel in (REGISTER, LOCATE, THREE_TERMS):
+        plan = prepare(kernel)[1]
+        runs[kernel.name] = [sw.execute(plan, kernel.instance(index).tensors)
+                             .counters.as_dict() for index in range(3)]
+    plan = _materializing_plan()
+    runs["materialize"] = [sw.execute(plan, _matmul_operands(seed)[2]).counters.as_dict()
+                           for seed in range(3)]
+    digests = {
+        name: hashlib.sha256("\n".join(json.dumps(c, sort_keys=True)
+                                       for c in counters).encode()).hexdigest()[:16]
+        for name, counters in runs.items()}
+    assert digests == COUNTER_DIGESTS
+
+
 def test_counters_surface_in_execution_results():
     _, plan, _ = prepare(KERNELS_BY_NAME["spgemm-outer"], capacity=8)
     inst = KERNELS_BY_NAME["spgemm-outer"].instance(4)
@@ -444,16 +489,17 @@ def test_raising_pipelined_execution_joins_its_worker(monkeypatch):
     count = threading.active_count()
     before = set(threading.enumerate())
     started: list[threading.Thread] = []
-    insert_key = sw.IsmEngine.insert_key
-    calls = itertools.count(1)
+    insert_batch = sw.IsmEngine.insert_batch
+    inserted = [0]
 
-    def failing_insert_key(self, key, val):
-        if next(calls) > total // 2:
+    def failing_insert_batch(self, keys, vals):
+        inserted[0] += len(keys)
+        if inserted[0] > total // 2:
             started.extend(t for t in threading.enumerate() if t not in before)
             raise RuntimeError("insert failed")
-        insert_key(self, key, val)
+        insert_batch(self, keys, vals)
 
-    monkeypatch.setattr(sw.IsmEngine, "insert_key", failing_insert_key)
+    monkeypatch.setattr(sw.IsmEngine, "insert_batch", failing_insert_batch)
     with pytest.raises(RuntimeError, match="insert failed"):
         sw.execute(plan, inst.tensors, options)
     assert started  # a worker was running when the loop body raised
@@ -476,9 +522,16 @@ def test_execute_leaves_no_cyclic_garbage():
         _, plan, _ = prepare(kernel)
         runs.append((name, plan, kernel.instance(1).tensors, pipeline))
     runs.append(("materialize", _materializing_plan(), _matmul_operands(3)[2], False))
+    # lowering and printing each corpus kernel must leave none either
+    rewritten = [(kernel, sw.insert_sparse_workspace(kernel.statement(), kernel.formats,
+                                                     **kernel.insert_kw)[0])
+                 for kernel in KERNELS]
     gc.collect()
     gc.disable()
     try:
+        for kernel, stmt in rewritten:
+            sw.print_plan(sw.lower(stmt, kernel.formats))
+            assert gc.collect() == 0, kernel.name
         for name, plan, tensors, pipeline in runs:
             sw.execute(plan, tensors, sw.ExecutionOptions(pipeline=pipeline))
             assert gc.collect() == 0, (name, pipeline)
