@@ -83,15 +83,6 @@ def row_major_strides(extents: Sequence[int]) -> tuple[int, ...]:
     return tuple(strides)
 
 
-def grow_capacity(capacity: int) -> int:
-    """Next capacity on growth: x2 while small, x1.5 mid-range, x1.25 large."""
-    if capacity < 2 ** 16:
-        return max(1, capacity * 2)
-    if capacity < 2 ** 22:
-        return capacity * 3 // 2
-    return capacity * 5 // 4
-
-
 @dataclass
 class Counters:
     """Cost model counters; producer-side and worker-side fields are disjoint
@@ -164,11 +155,6 @@ class AccArray:
     def full(self) -> bool:
         return len(self.keys) == self.capacity
 
-    def grow(self, capacity: int) -> None:
-        if capacity <= self.capacity:
-            raise IsmError("grow must increase the capacity")
-        self.capacity = capacity
-
     def _bucket(self, keys):
         if self.policy is Policy.BUCKET:
             return keys // self.lead_stride
@@ -195,21 +181,20 @@ class AccArray:
         """Take over arrays the caller owns as the contents, in arrival order."""
         self.keys, self.vals = keys, vals
 
-    def fill(self, keys: np.ndarray, vals: np.ndarray, grow: bool) -> tuple[list, tuple]:
+    def fill(self, keys: np.ndarray, vals: np.ndarray) -> tuple[list, tuple]:
         """Plan the inserts of a batch after the current contents, charging
         the counters of one ``insert`` per pair. Each new key that finds the
         array full ends a full run: the contents as they are at that moment.
-        Under ``grow`` the array grows instead, and that key scans its chain
-        once more. Returns the full runs and the contents left after the
-        last one, each as (keys, values) in arrival order; the caller drains
-        the runs in order and loads the rest."""
+        Returns the full runs and the contents left after the last one, each
+        as (keys, values) in arrival order; the caller drains the runs in
+        order and loads the rest."""
         n = self.size
         # copies: the runs and the rest are slices of these, and load()
         # takes them over
         both = np.concatenate((self.keys, keys))
         both_vals = np.concatenate((self.vals, vals))
         if self.policy is Policy.COORD:
-            return self._fill_coord(both, both_vals, grow)
+            return self._fill_coord(both, both_vals)
         total = len(both)
         order = np.argsort(both, kind="stable")
         ordered = both[order]
@@ -219,7 +204,7 @@ class AccArray:
         prev[order[1:][same]] = order[:-1][same]
         # an arrival takes a slot if its key has not arrived yet in its run,
         # and adds into the slot of the key's first arrival in the run if it has
-        if grow or total <= self.capacity:
+        if total <= self.capacity:
             starts = [0]
             new = prev < 0
         else:
@@ -252,16 +237,6 @@ class AccArray:
         c.insert_comparisons += (int(rank[n:].sum()) + int(rank[slot[repeat]].sum())
                                  + len(repeat))
         c.insert_dedups += len(repeat)
-        if grow:
-            # the key that finds the array full scans its chain, then again
-            # after the growth
-            capacity, grown = self.capacity, []
-            while capacity < len(fresh):
-                grown.append(capacity)
-                capacity = grow_capacity(capacity)
-            c.insert_comparisons += int(rank[grown].sum())
-            if capacity > self.capacity:
-                self.grow(capacity)
         sums = both_vals[fresh]
         np.add.at(sums, slot[repeat], both_vals[repeat])
         bounds = [*np.searchsorted(fresh, starts).tolist(), len(fresh)]
@@ -284,16 +259,10 @@ class AccArray:
                 return starts
             starts.append(s + int(fresh[cap]))
 
-    def _fill_coord(self, keys: np.ndarray, vals: np.ndarray, grow: bool) -> tuple[list, tuple]:
+    def _fill_coord(self, keys: np.ndarray, vals: np.ndarray) -> tuple[list, tuple]:
         """Coord appends blindly: runs are slices of exactly the capacity, and
-        a full array drains (or grows) only when one more pair arrives."""
+        a full array drains only when one more pair arrives."""
         capacity = self.capacity
-        if grow:
-            while capacity < len(keys):
-                capacity = grow_capacity(capacity)
-            if capacity > self.capacity:
-                self.grow(capacity)
-            return [], (keys, vals)
         cuts = list(range(0, len(keys), capacity)) or [0]
         runs = [(keys[a:a + capacity], vals[a:a + capacity]) for a in cuts]
         return runs[:-1], runs[-1]
@@ -409,12 +378,12 @@ class IsmEngine:
         hash_l: int | None = None,
         double_buffer: bool = False,
         pipeline: bool = False,
-        allow_growth: bool = False,
     ) -> None:
         self.extents = tuple(int(e) for e in extents)
         if not self.extents:
             raise IsmError("a workspace needs at least one dimension")
-        if math.prod(self.extents) >= 2 ** 64:
+        self.key_count = math.prod(self.extents)
+        if self.key_count >= 2 ** 64:
             raise IsmError("workspace key space exceeds 64-bit linearization")
         if policy is Policy.HASH and hash_l is None:
             raise IsmError("hash policy needs hash_l resolved before execution")
@@ -424,15 +393,14 @@ class IsmEngine:
         self.hash_l = hash_l
         self.double_buffer = double_buffer
         self.pipeline = pipeline
-        self.allow_growth = allow_growth
         self.counters = Counters()
         self._pool: ThreadPoolExecutor | None = None
         self._pending: Future | None = None
         self.reset()
 
     def reset(self) -> None:
-        """Start the next run: empty accumulate arrays at the configured
-        capacity and an empty all array. Counters keep accumulating."""
+        """Start the next run: empty accumulate arrays and an empty all
+        array. Counters keep accumulating."""
         self._wait()
         self.acc = self._new_acc()
         self._spare = self._new_acc() if self.pipeline else None
@@ -459,37 +427,31 @@ class IsmEngine:
 
     # -- producer side -----------------------------------------------------
 
-    def linearize(self, coords: Sequence[int]) -> int:
-        key = 0
-        for c, s in zip(coords, self.strides):
-            key += c * s
-        return key
-
-    def insert(self, coords: Sequence[int], val: float) -> None:
-        self.insert_key(self.linearize(coords), val)
-
     def insert_key(self, key: int, val: float) -> None:
+        """Insert one pair under its row-major key."""
+        if not 0 <= key < self.key_count:
+            raise IsmError(f"key {key} is outside the workspace's {self.key_count} keys")
         self.counters.inserts += 1
         try:
             self.acc.insert(key, val)
         except AccFullError:
-            if self.allow_growth:
-                self.acc.grow(grow_capacity(self.acc.capacity))
-            else:
-                self._flush()
+            self._flush()
             self.acc.insert(key, val)
 
     def insert_batch(self, keys: np.ndarray, vals: np.ndarray) -> None:
-        """Insert pairs in order, with the same drains, growth, results and
-        counters as one insert_key call per pair."""
-        keys = np.asarray(keys, KEY_DTYPE)
+        """Insert pairs in order, with the same drains, results and counters
+        as one insert_key call per pair."""
+        # a negative key wraps to a large one here
+        keys = np.asarray(keys).astype(KEY_DTYPE, copy=False)
         vals = np.asarray(vals, VAL_DTYPE)
+        if keys.size and int(keys.max()) >= self.key_count:
+            raise IsmError(f"key {int(keys.max())} is outside the workspace's "
+                           f"{self.key_count} keys")
         self.counters.inserts += len(keys)
         done = 0
+        block = max(4 * self.capacity, _BLOCK)
         while done < len(keys):
-            block = max(4 * self.acc.capacity, _BLOCK)
-            runs, rest = self.acc.fill(keys[done:done + block], vals[done:done + block],
-                                       self.allow_growth)
+            runs, rest = self.acc.fill(keys[done:done + block], vals[done:done + block])
             for run in runs:
                 self.acc.load(*run)
                 self._flush()
@@ -530,7 +492,7 @@ class IsmEngine:
     @property
     def _acc_bytes(self) -> int:
         n = 2 if self.pipeline else 1
-        return n * self.acc.capacity * _ELEMENT_BYTES
+        return n * self.capacity * _ELEMENT_BYTES
 
     # -- finalization --------------------------------------------------------
 

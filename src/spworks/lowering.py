@@ -301,7 +301,6 @@ class AllocWs:
             hash_l=ex._hash_l(meta),
             double_buffer=opts.double_buffer,
             pipeline=opts.pipeline,
-            allow_growth=opts.allow_growth,
         ))
         return engine
 
@@ -726,7 +725,6 @@ def print_plan(plan: Plan) -> str:
 class ExecutionOptions:
     pipeline: bool = False
     double_buffer: bool = False
-    allow_growth: bool = False
 
 
 @dataclass

@@ -18,8 +18,8 @@ from spworks.ism import (
     IsmError,
     Policy,
     ceil_log2,
-    grow_capacity,
     hash_default_l,
+    row_major_strides,
 )
 
 
@@ -47,20 +47,6 @@ def test_ceil_log2_is_the_smallest_sufficient_exponent(n):
 )
 def test_hash_default_bucket_count(nnz, expected):
     assert hash_default_l(nnz) == expected
-
-
-def test_grow_capacity_stages():
-    assert grow_capacity(1) == 2
-    assert grow_capacity(1024) == 2048
-    assert grow_capacity(2**16 - 1) == (2**16 - 1) * 2
-    assert grow_capacity(2**16) == 2**16 * 3 // 2
-    assert grow_capacity(2**22 - 1) == (2**22 - 1) * 3 // 2
-    assert grow_capacity(2**22) == 2**22 * 5 // 4
-
-
-@given(st.integers(1, 2**30))
-def test_grow_capacity_strictly_increases(n):
-    assert grow_capacity(n) > n
 
 
 def test_policy_names_and_labels():
@@ -190,14 +176,6 @@ def test_drain_keeps_contents_until_clear():
     assert acc.size == 0 and not acc.full
 
 
-def test_grow_must_increase():
-    acc = _acc(Policy.COORD, capacity=4)
-    acc.grow(8)
-    assert acc.capacity == 8
-    with pytest.raises(IsmError, match="increase"):
-        acc.grow(8)
-
-
 def test_empty_drain_is_free():
     acc = _acc(Policy.BUCKET)
     keys, vals = acc.drain()
@@ -236,20 +214,28 @@ def test_all_array_double_buffer_keeps_the_previous_generation():
 # -- engine --------------------------------------------------------------------------
 
 
+def _key(strides: tuple[int, ...], coords: tuple[int, ...]) -> int:
+    return sum(c * s for c, s in zip(coords, strides))
+
+
 def test_linearize_is_row_major():
+    assert row_major_strides((4, 5)) == (5, 1)
+    assert row_major_strides((3, 4, 5)) == (20, 5, 1)
     eng = IsmEngine((4, 5), Policy.COORD, 16)
-    assert eng.strides == (5, 1)
-    assert eng.linearize((2, 3)) == 13
+    assert eng.strides == row_major_strides((4, 5))
+    eng.insert_key(_key(eng.strides, (2, 3)), 1.0)
+    coords, _ = eng.result()
+    assert [c.tolist() for c in coords] == [[2], [3]]
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_key_order_equals_lexicographic_coordinate_order(data):
     extents = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
-    eng = IsmEngine(extents, Policy.COORD, 4)
+    strides = row_major_strides(extents)
     coord = st.tuples(*[st.integers(0, e - 1) for e in extents])
     a, b = data.draw(coord), data.draw(coord)
-    assert (a < b) == (eng.linearize(a) < eng.linearize(b))
+    assert (a < b) == (_key(strides, a) < _key(strides, b))
 
 
 def test_rotation_protocol_counts_one_insert_per_pair():
@@ -279,8 +265,8 @@ def test_duplicates_across_drains_merge_once():
 
 def test_result_decodes_multi_dimensional_coordinates():
     eng = IsmEngine((3, 4), Policy.BUCKET, 8)
-    eng.insert((2, 1), 7.0)
-    eng.insert((0, 3), 1.0)
+    eng.insert_key(_key(eng.strides, (2, 1)), 7.0)
+    eng.insert_key(_key(eng.strides, (0, 3)), 1.0)
     coords, vals = eng.result()
     assert coords[0].tolist() == [0, 2]
     assert coords[1].tolist() == [3, 1]
@@ -296,15 +282,22 @@ def test_engine_validates_configuration():
         IsmEngine((8,), Policy.HASH, 4)
 
 
-def test_growth_avoids_drains_until_finalization():
-    eng = IsmEngine((64,), Policy.COORD, 1, allow_growth=True)
-    for k in range(5):
-        eng.insert_key(k, 1.0)
-    assert eng.counters.drains == 0
-    assert eng.acc.capacity == 8  # 1 -> 2 -> 4 -> 8
-    coords, vals = eng.result()
-    assert coords[0].tolist() == [0, 1, 2, 3, 4]
-    assert eng.counters.drains == 1
+@pytest.mark.parametrize("key", [8, 100, -1])
+def test_insert_key_rejects_a_key_outside_the_workspace(key):
+    eng = IsmEngine((8,), Policy.COORD, 4)
+    with pytest.raises(IsmError, match="outside"):
+        eng.insert_key(key, 1.0)
+    assert eng.counters.inserts == 0
+
+
+# a negative key would wrap to a large unsigned one
+@pytest.mark.parametrize("keys", [np.array([3, 9, 1]), np.array([3, 7, -1]), [3, 7, -1]],
+                         ids=["past-the-end", "negative", "negative-list"])
+def test_insert_batch_rejects_keys_outside_the_workspace(keys):
+    eng = IsmEngine((8,), Policy.COORD, 4)
+    with pytest.raises(IsmError, match="outside"):
+        eng.insert_batch(keys, np.ones(3))
+    assert eng.counters.inserts == 0 and eng.acc.size == 0
 
 
 def test_finalize_is_idempotent():
@@ -337,24 +330,21 @@ _RUN_COUNTS = ("inserts", "drains", "merges", "insert_comparisons", "sort_compar
 
 
 def _engine(policy: Policy, capacity: int, **kw) -> IsmEngine:
-    return IsmEngine((64,), policy, capacity,
+    return IsmEngine((128,), policy, capacity,
                      hash_l=8 if policy is Policy.HASH else None, **kw)
 
 
-def _feed(eng: IsmEngine, stream) -> tuple[int, list, list]:
-    """Insert the stream and finalize; returns the accumulate capacity the
-    inserts reached (a pipelined final drain swaps in the spare array), the
-    keys and the values."""
+def _feed(eng: IsmEngine, stream) -> tuple[list, list]:
+    """Insert the stream and finalize; returns the keys and the values."""
     for k, v in stream:
         eng.insert_key(k, v)
-    capacity = eng.acc.capacity
     coords, vals = eng.result()
-    return capacity, coords[0].tolist(), vals.tolist()
+    return coords[0].tolist(), vals.tolist()
 
 
 def _run(policy: Policy, capacity: int, stream, **kw) -> tuple[IsmEngine, list, list]:
     with _engine(policy, capacity, **kw) as eng:
-        _, keys, vals = _feed(eng, stream)
+        keys, vals = _feed(eng, stream)
     return eng, keys, vals
 
 
@@ -409,19 +399,18 @@ def test_pipeline_worker_errors_reach_the_caller():
 @pytest.mark.parametrize("pipeline", [False, True])
 @pytest.mark.parametrize("policy", list(Policy))
 def test_reset_engine_matches_a_fresh_one(policy, pipeline):
-    # the first run grows the array past anything the second run needs
+    # the first run's all array holds more keys than the second run's
     first = _stream(seed=3, n=200, universe=64)
     second = _stream(seed=4, n=100, universe=16)
-    with _engine(policy, 2, allow_growth=True, pipeline=pipeline) as reused:
-        grown, _, _ = _feed(reused, first)
+    with _engine(policy, 2, pipeline=pipeline) as reused:
+        _feed(reused, first)
         before = copy.copy(reused.counters)
         reused.reset()
-        assert reused.acc.capacity == 2 and reused.all.size == 0
+        assert reused.acc.size == 0 and reused.all.size == 0
         got = _feed(reused, second)
-    with _engine(policy, 2, allow_growth=True, pipeline=pipeline) as fresh:
+    with _engine(policy, 2, pipeline=pipeline) as fresh:
         want = _feed(fresh, second)
-    assert got == want  # capacity reached, keys and values
-    assert grown > want[0]
+    assert got == want
     for name in _RUN_COUNTS:
         delta = getattr(reused.counters, name) - getattr(before, name)
         assert delta == getattr(fresh.counters, name), name
@@ -442,18 +431,23 @@ def _real_stream(seed: int, n: int, universe: int) -> tuple[np.ndarray, np.ndarr
 
 @pytest.mark.parametrize("double_buffer", [False, True])
 @pytest.mark.parametrize("pipeline", [False, True])
-@pytest.mark.parametrize("allow_growth", [False, True])
+@pytest.mark.parametrize("sort_once", [False, True])
 @pytest.mark.parametrize("capacity", [1, 3, 64])
 @pytest.mark.parametrize("policy", list(Policy))
-def test_insert_batch_matches_insert_key(policy, capacity, allow_growth, pipeline,
+def test_insert_batch_matches_insert_key(policy, capacity, sort_once, pipeline,
                                          double_buffer):
+    n = 300
+    if sort_once:
+        # at or above a run's insert count: each run drains once, at the end
+        capacity *= n
+
     def engine() -> IsmEngine:
         # two dimensions, so that bucket chains hold several keys
-        return IsmEngine((8, 16), policy, capacity, hash_l=8, allow_growth=allow_growth,
-                         pipeline=pipeline, double_buffer=double_buffer)
+        return IsmEngine((8, 16), policy, capacity, hash_l=8, pipeline=pipeline,
+                         double_buffer=double_buffer)
 
     for seed in range(3):
-        streams = [_real_stream(seed * 2 + run, 300, universe=8 * 16 if run else 40)
+        streams = [_real_stream(seed * 2 + run, n, universe=8 * 16 if run else 40)
                    for run in range(2)]
         with engine() as scalar:
             want = []
@@ -489,14 +483,16 @@ def test_insert_batch_keeps_the_sign_of_a_lone_negative_zero():
         assert np.signbit(vals).tolist() == [True, False], policy
 
 
-@pytest.mark.parametrize("allow_growth", [False, True])
+@pytest.mark.parametrize("sort_once", [False, True])
 @pytest.mark.parametrize("capacity", [1, 64])
 @pytest.mark.parametrize("policy", list(Policy))
-def test_insert_batch_spanning_several_blocks(policy, capacity, allow_growth):
-    # one batch longer than the slice insert_batch plans at once
+def test_insert_batch_spanning_several_blocks(policy, capacity, sort_once):
+    # one batch longer than the slice insert_batch plans at once; at a
+    # sort-once capacity the slice covers the whole batch instead
     keys, vals = _real_stream(5, 10_000, universe=8 * 16)
-    engines = [IsmEngine((8, 16), policy, capacity, hash_l=8, allow_growth=allow_growth)
-               for _ in range(2)]
+    if sort_once:
+        capacity *= len(keys)
+    engines = [IsmEngine((8, 16), policy, capacity, hash_l=8) for _ in range(2)]
     with engines[0] as scalar, engines[1] as batched:
         for k, v in zip(keys.tolist(), vals.tolist()):
             scalar.insert_key(k, v)

@@ -363,7 +363,17 @@ def test_every_kernel_matches_the_dense_oracle(small_corpus):
         assert out.tensor.format == inst.kernel.formats[result_name]
 
 
-def test_execution_modes_agree(small_corpus):
+def test_execution_modes_agree(small_corpus, monkeypatch):
+    # the size of every engine run's result, in run order
+    runs: list[int] = []
+    result = sw.IsmEngine.result
+
+    def counting_result(engine):
+        coords, vals = result(engine)
+        runs.append(len(vals))
+        return coords, vals
+
+    monkeypatch.setattr(sw.IsmEngine, "result", counting_result)
     chosen = [inst for inst in small_corpus
               if inst.kernel.name in ("spgemm-outer", "mttkrp") and inst.index < 2]
     assert chosen
@@ -372,14 +382,18 @@ def test_execution_modes_agree(small_corpus):
         base = sw.execute(plan, inst.tensors)
         for options in (sw.ExecutionOptions(pipeline=True),
                         sw.ExecutionOptions(double_buffer=True),
-                        sw.ExecutionOptions(pipeline=True, double_buffer=True),
-                        sw.ExecutionOptions(allow_growth=True)):
+                        sw.ExecutionOptions(pipeline=True, double_buffer=True)):
             other = sw.execute(plan, inst.tensors, options)
             assert sw.tensors_equal(base.tensor, other.tensor), options
             assert other.counters.inserts == base.counters.inserts
-            if options.allow_growth:
-                # growth defers every drain to finalization: one per engine run
-                assert other.counters.drains <= base.counters.drains
+        # capacity N, the sort-once extreme: every engine run that inserts
+        # anything drains once, at its end
+        _, sort_once, _ = prepare(inst.kernel, capacity=base.counters.inserts)
+        runs.clear()
+        once = sw.execute(sort_once, inst.tensors)
+        assert sw.tensors_equal(base.tensor, once.tensor)
+        assert once.counters.inserts == base.counters.inserts
+        assert once.counters.drains == sum(1 for n in runs if n) > 0
 
 
 @pytest.mark.parametrize("kernel", [REGISTER, LOCATE, THREE_TERMS], ids=lambda k: k.name)
