@@ -286,7 +286,6 @@ def plan_insertion(
     formats: dict[str, Format],
     *,
     enable_dense: bool = True,
-    enable_hoist: bool = True,
 ) -> InsertionDecision:
     """Decide whether the statement needs a workspace and which kind."""
     assign = nest_assign(stmt)
@@ -351,7 +350,7 @@ def plan_insertion(
             if lv != ov:
                 break
             prefix += 1
-        if enable_hoist and prefix >= 1:
+        if prefix >= 1:
             ok = all(
                 _ABILITY[_result_kind(v, assign.lhs, out_fmt)]
                 >= _ABILITY[_iteration_kind(v, accesses, formats)]
@@ -405,12 +404,10 @@ def insert_sparse_workspace(
     ws_name: str = "W",
     hash_l: int | None = None,
     enable_dense: bool = True,
-    enable_hoist: bool = True,
 ) -> tuple[Statement, InsertionDecision]:
     """Plan and apply workspace insertion; returns the rewritten statement
     (unchanged for NONE) together with the decision."""
-    decision = plan_insertion(stmt, formats,
-                              enable_dense=enable_dense, enable_hoist=enable_hoist)
+    decision = plan_insertion(stmt, formats, enable_dense=enable_dense)
     if decision.action is InsertionAction.NONE:
         return stmt, decision
 

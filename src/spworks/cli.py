@@ -17,8 +17,8 @@ Five subcommands cover the lifecycle of a kernel:
     sweeps, written as CSV.
 ``ablation``
     A capacity sweep from the sort-every-insert extreme to the
-    sort-once-at-the-end extreme, plus pipelining and double-buffering
-    toggles, written as CSV with a trailing label column.
+    sort-once-at-the-end extreme, plus a pipelined run, written as CSV
+    with a trailing label column.
 
 Exit codes: 0 on success, 1 when --verify finds a mismatch (or an ablation
 row disagrees), 2 for parse, format, or input errors.
@@ -104,8 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--pipeline", action="store_true",
                            help="drain and merge on a background worker")
-            p.add_argument("--double-buffer", action="store_true",
-                           help="merge into a copy of the all array")
             p.add_argument("--verify", action="store_true",
                            help="check the result against the dense reference")
             p.add_argument("--csv", default=None, metavar="PATH",
@@ -352,7 +350,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
     cap = _parse_caps(ns.cap, allow_many=False)[0]
     tensors = _resolve_tensors(ns, stmt, formats)
     plan, decision = _prepare(stmt, formats, policy, cap)
-    options = ExecutionOptions(pipeline=ns.pipeline, double_buffer=ns.double_buffer)
+    options = ExecutionOptions(pipeline=ns.pipeline)
 
     start = time.perf_counter_ns()
     result = execute(plan, tensors, options)
@@ -380,7 +378,7 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     policies = _parse_policies(ns.policy, allow_many=True)
     caps = _parse_caps(ns.cap, allow_many=True)
     tensors = _resolve_tensors(ns, stmt, formats)
-    options = ExecutionOptions(pipeline=ns.pipeline, double_buffer=ns.double_buffer)
+    options = ExecutionOptions(pipeline=ns.pipeline)
 
     rows = []
     failed = False
@@ -426,7 +424,6 @@ def cmd_ablation(ns: argparse.Namespace) -> int:
         for cap, label in _ablation_capacities(stream_length)
     ]
     variants.append((base_cap, "pipeline", ExecutionOptions(pipeline=True)))
-    variants.append((base_cap, "double-buffer", ExecutionOptions(double_buffer=True)))
 
     rows = []
     outputs = []

@@ -217,6 +217,8 @@ def synthetic_matrix(
     """
     if rows <= 0 or cols <= 0:
         raise IoError("synthetic matrix dims must be positive")
+    if seed < 0:
+        raise IoError(f"seed {seed} is negative")
     if not 0.0 < density <= 1.0:
         raise IoError(f"density {density} outside (0, 1]")
     fill = min(nnz_per_col, rows)
@@ -258,13 +260,12 @@ DENSE_CELL_BYTES = 13
 SPARSE_ENTRY_BYTES = 12
 
 
-def estimate_memory(kind: str, count: int, double_buffer: bool = False) -> int:
+def estimate_memory(kind: str, count: int) -> int:
     """Workspace byte cost: dense counts cells, sparse counts entries.
 
     A dense workspace pays 13 bytes per addressable cell (value, validity
     bit, and amortized coordinate bookkeeping); a sparse workspace pays 12
-    bytes per stored entry (8-byte value plus packed coordinates). Double
-    buffering keeps two generations live and doubles either figure.
+    bytes per stored entry (8-byte value plus packed coordinates).
     """
     if count < 0:
         raise IoError(f"negative size {count}")
@@ -274,8 +275,7 @@ def estimate_memory(kind: str, count: int, double_buffer: bool = False) -> int:
         per = SPARSE_ENTRY_BYTES
     else:
         raise IoError(f"unknown workspace kind {kind!r}")
-    total = count * per
-    return 2 * total if double_buffer else total
+    return count * per
 
 
 # Measurement output

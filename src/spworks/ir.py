@@ -11,6 +11,7 @@ iteration order reconstructible later.
 from __future__ import annotations
 
 import enum
+import numbers
 import re
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
@@ -185,8 +186,11 @@ class WorkspaceDescriptor:
             raise IrError("descriptor dims/ow_order must match the workspace order")
         if sorted(self.ow_order) != list(range(self.order)):
             raise IrError(f"ow_order {self.ow_order} is not a permutation")
-        if self.capacity < 1:
-            raise IrError("workspace capacity must be at least 1")
+        if not isinstance(self.capacity, numbers.Integral) or self.capacity < 1:
+            raise IrError(f"workspace capacity {self.capacity!r} is not an integer >= 1")
+        if self.hash_l is not None and (not isinstance(self.hash_l, numbers.Integral)
+                                        or self.hash_l < 1):
+            raise IrError(f"hash bucket count {self.hash_l!r} is not an integer >= 1")
 
     def __str__(self) -> str:
         dims = "{" + ",".join(str(d) for d in self.dims) + "}"

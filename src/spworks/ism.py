@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -133,8 +134,9 @@ class AccArray:
 
     def __init__(self, capacity: int, policy: Policy, lead_stride: int,
                  hash_l: int | None, counters: Counters) -> None:
-        if capacity < 1:
-            raise IsmError("accumulate array capacity must be at least 1")
+        if not isinstance(capacity, numbers.Integral) or capacity < 1:
+            raise IsmError(f"accumulate array capacity {capacity!r} is not an integer "
+                           "of at least 1")
         self.capacity = capacity
         self.policy = policy
         self.lead_stride = lead_stride
@@ -301,20 +303,12 @@ class AccArray:
 
 
 class AllArray:
-    """Sorted-unique accumulator the drains merge into.
+    """Sorted-unique accumulator the drains merge into."""
 
-    With double buffering the pre-merge arrays survive each merge (the merge
-    writes fresh arrays and keeps a reference to the old generation), so a
-    reader may hold the previous snapshot while the next merge runs.
-    """
-
-    def __init__(self, counters: Counters, double_buffer: bool = False) -> None:
+    def __init__(self, counters: Counters) -> None:
         self.counters = counters
-        self.double_buffer = double_buffer
         self.keys = np.empty(0, KEY_DTYPE)
         self.vals = np.empty(0, VAL_DTYPE)
-        self.prev_keys: np.ndarray | None = None
-        self.prev_vals: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -329,28 +323,20 @@ class AllArray:
         c.merge_comparisons += len(new_keys) + len(old_keys)
         if not old_keys.size:
             self.keys, self.vals = new_keys.copy(), new_vals.copy()
-            if self.double_buffer:
-                self.prev_keys, self.prev_vals = old_keys, old_vals
             return
         pos = np.searchsorted(old_keys, new_keys)
         match = np.zeros(len(new_keys), dtype=bool)
         in_range = pos < old_keys.size
         match[in_range] = old_keys[pos[in_range]] == new_keys[in_range]
         c.merge_dedups += int(match.sum())
-        vals = old_vals.copy() if self.double_buffer else old_vals
-        vals[pos[match]] += new_vals[match]
+        old_vals[pos[match]] += new_vals[match]
         fresh = ~match
         self.keys = np.insert(old_keys, pos[fresh], new_keys[fresh])
-        self.vals = np.insert(vals, pos[fresh], new_vals[fresh])
-        if self.double_buffer:
-            self.prev_keys, self.prev_vals = old_keys, old_vals
+        self.vals = np.insert(old_vals, pos[fresh], new_vals[fresh])
 
     @property
     def nbytes(self) -> int:
-        total = self.keys.nbytes + self.vals.nbytes
-        if self.prev_keys is not None:
-            total += self.prev_keys.nbytes + self.prev_vals.nbytes  # type: ignore[union-attr]
-        return total
+        return self.keys.nbytes + self.vals.nbytes
 
 
 class IsmEngine:
@@ -376,7 +362,6 @@ class IsmEngine:
         capacity: int,
         *,
         hash_l: int | None = None,
-        double_buffer: bool = False,
         pipeline: bool = False,
     ) -> None:
         self.extents = tuple(int(e) for e in extents)
@@ -391,7 +376,6 @@ class IsmEngine:
         self.policy = policy
         self.capacity = capacity
         self.hash_l = hash_l
-        self.double_buffer = double_buffer
         self.pipeline = pipeline
         self.counters = Counters()
         self._pool: ThreadPoolExecutor | None = None
@@ -404,7 +388,7 @@ class IsmEngine:
         self._wait()
         self.acc = self._new_acc()
         self._spare = self._new_acc() if self.pipeline else None
-        self.all = AllArray(self.counters, double_buffer=self.double_buffer)
+        self.all = AllArray(self.counters)
         self._finalized = False
 
     def _new_acc(self) -> AccArray:
@@ -429,6 +413,10 @@ class IsmEngine:
 
     def insert_key(self, key: int, val: float) -> None:
         """Insert one pair under its row-major key."""
+        try:
+            key = operator.index(key)
+        except TypeError:
+            raise IsmError(f"key {key!r} is not an integer") from None
         if not 0 <= key < self.key_count:
             raise IsmError(f"key {key} is outside the workspace's {self.key_count} keys")
         self.counters.inserts += 1
@@ -441,9 +429,15 @@ class IsmEngine:
     def insert_batch(self, keys: np.ndarray, vals: np.ndarray) -> None:
         """Insert pairs in order, with the same drains, results and counters
         as one insert_key call per pair."""
-        # a negative key wraps to a large one here
-        keys = np.asarray(keys).astype(KEY_DTYPE, copy=False)
+        keys = np.asarray(keys)
         vals = np.asarray(vals, VAL_DTYPE)
+        if keys.ndim != 1 or vals.shape != keys.shape:
+            raise IsmError(f"keys of shape {keys.shape} and values of shape "
+                           f"{vals.shape} are not two 1-D arrays of one length")
+        if keys.size and not np.issubdtype(keys.dtype, np.integer):
+            raise IsmError(f"keys of dtype {keys.dtype} are not integers")
+        # a negative key wraps to a large one here
+        keys = keys.astype(KEY_DTYPE, copy=False)
         if keys.size and int(keys.max()) >= self.key_count:
             raise IsmError(f"key {int(keys.max())} is outside the workspace's "
                            f"{self.key_count} keys")

@@ -293,14 +293,12 @@ class AllocWs:
         if engine is not None:
             engine.reset()
             return engine
-        opts = ex.options
         engine = ex.engines[meta.name] = ex.stack.enter_context(IsmEngine(
             [ex.extents[v] for v in meta.slot_vars],
             meta.descriptor.policy,
             meta.descriptor.capacity,
             hash_l=ex._hash_l(meta),
-            double_buffer=opts.double_buffer,
-            pipeline=opts.pipeline,
+            pipeline=ex.options.pipeline,
         ))
         return engine
 
@@ -724,7 +722,6 @@ def print_plan(plan: Plan) -> str:
 @dataclass(frozen=True)
 class ExecutionOptions:
     pipeline: bool = False
-    double_buffer: bool = False
 
 
 @dataclass

@@ -227,15 +227,6 @@ def test_rowwise_product_can_hoist_a_sparse_workspace_instead():
     assert d.hoist_depth == 1
 
 
-def test_rowwise_product_falls_back_to_a_full_workspace():
-    d = _plan("forall i, k, j: " + MATMUL,
-              {"A": sw.csr(), "B": sw.csr(), "C": sw.csr()},
-              enable_dense=False, enable_hoist=False)
-    assert d.action is sw.InsertionAction.FULL
-    assert d.i_vars == (var("i"), var("j"))
-    assert d.ow_order == (0, 1)
-
-
 def test_outer_product_takes_a_full_workspace():
     d = _plan(MATMUL, {"A": sw.csr(), "B": sw.dcsc(), "C": sw.csr()},
               schedule="reorder(k, i, j)")
@@ -324,6 +315,14 @@ def test_insert_none_returns_the_statement_unchanged():
     )
     assert rewritten is stmt
     assert decision.action is sw.InsertionAction.NONE
+
+
+@pytest.mark.parametrize("policy", list(sw.Policy))
+def test_insert_rejects_a_non_integer_capacity(policy):
+    stmt = sw.apply_schedule(sw.statement_from_text(MATMUL), "reorder(k, i, j)")
+    with pytest.raises(sw.IrError, match="capacity 2.5 is not an integer"):
+        sw.insert_sparse_workspace(
+            stmt, {"A": sw.csr(), "B": sw.dcsc(), "C": sw.csr()}, policy, 2.5)
 
 
 def test_insert_dense_workspace_shares_the_row_loop():

@@ -135,12 +135,13 @@ def test_run_verify_failure_exits_one(monkeypatch, capsys):
 
 
 def test_run_execution_modes(capsys):
-    base = ["run", *ROWWISE, *SMALL, "--verify"]
-    for extra in (["--pipeline"], ["--double-buffer"],
-                  ["--pipeline", "--double-buffer"]):
-        code, out, _ = run_main(base + extra, capsys)
-        assert code == 0
-        assert "verify: OK" in out
+    code, out, _ = run_main(["run", *ROWWISE, *SMALL, "--verify", "--pipeline"], capsys)
+    assert code == 0
+    assert "verify: OK" in out
+    with pytest.raises(SystemExit) as exc:
+        run_main(["run", *ROWWISE, *SMALL, "--double-buffer"], capsys)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --double-buffer" in capsys.readouterr().err
 
 
 # bench
@@ -195,8 +196,8 @@ def test_ablation_sweep_and_labels(tmp_path, capsys):
     labels = [r["label"] for r in rows]
     assert labels[0] == "map-extreme"
     assert "vector-extreme" in labels
-    assert labels[-2:] == ["pipeline", "double-buffer"]
-    assert all(label == "sweep" for label in labels[1:-3])
+    assert labels[-2:] == ["vector-extreme", "pipeline"]
+    assert all(label == "sweep" for label in labels[1:-2])
     caps = [int(r["capacity"]) for r in rows]
     assert caps[0] == 1
     assert all(c >= 1 for c in caps)
@@ -232,6 +233,8 @@ def test_ablation_warns_when_no_workspace(capsys):
     (["run", "--expr", MATMUL, "Z=x.mtx"], "unknown tensor"),
     (["run", "--expr", MATMUL, "--synthetic", "300x300:0.1:4", "--verify"],
      "exceeds the oracle guard"),
+    (["run", "--expr", MATMUL, "--synthetic", "64x64:0.1:4", "--seed", "-1"],
+     "seed -1 is negative"),
 ])
 def test_user_errors_exit_two(argv, fragment, capsys):
     code, _, err = run_main(argv, capsys)

@@ -290,6 +290,21 @@ def test_descriptor_validation():
         mk(capacity=0)
 
 
+@pytest.mark.parametrize("capacity", [2.5, 64.0, "64", None])
+def test_descriptor_rejects_a_non_integer_capacity(capacity):
+    with pytest.raises(sw.IrError, match=f"capacity {capacity!r} is not an integer"):
+        sw.WorkspaceDescriptor(order=1, dims=("I",), policy=sw.Policy.BUCKET,
+                               capacity=capacity, ow_order=(0,))
+
+
+@pytest.mark.parametrize("policy", list(sw.Policy))
+@pytest.mark.parametrize("hash_l", [0, -2, 2.5])
+def test_descriptor_rejects_a_bucket_count_below_one(policy, hash_l):
+    with pytest.raises(sw.IrError, match=f"bucket count {hash_l!r} is not an integer"):
+        sw.WorkspaceDescriptor(order=1, dims=("I",), policy=policy, capacity=4,
+                               ow_order=(0,), hash_l=hash_l)
+
+
 def test_descriptor_strings():
     sparse = sw.WorkspaceDescriptor(
         order=2, dims=("I", "J"), policy=sw.Policy.COORD, capacity=1024,

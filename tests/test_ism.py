@@ -166,6 +166,12 @@ def test_capacity_must_be_positive():
         _acc(Policy.COORD, capacity=0)
 
 
+@pytest.mark.parametrize("capacity", [2.5, 4.0, "4"])
+def test_capacity_must_be_an_integer(capacity):
+    with pytest.raises(IsmError, match="not an integer"):
+        _acc(Policy.COORD, capacity=capacity)
+
+
 def test_drain_keeps_contents_until_clear():
     acc = _acc(Policy.COORD, capacity=4)
     acc.insert(2, 1.0)
@@ -196,19 +202,6 @@ def test_all_array_merges_sorted_unique_batches():
     assert c.merges == 2
     assert c.merge_comparisons == (2 + 0) + (3 + 2)
     assert c.merge_dedups == 1
-
-
-def test_all_array_double_buffer_keeps_the_previous_generation():
-    c = Counters()
-    alla = AllArray(c, double_buffer=True)
-    alla.merge(np.array([1, 3], np.uint64), np.array([1.0, 2.0]))
-    gen1_keys, gen1_vals = alla.keys, alla.vals
-    alla.merge(np.array([3], np.uint64), np.array([10.0]))
-    assert alla.prev_keys is gen1_keys
-    assert gen1_vals.tolist() == [1.0, 2.0]  # snapshot survives the merge
-    assert alla.vals.tolist() == [1.0, 12.0]
-    assert alla.nbytes == alla.keys.nbytes + alla.vals.nbytes \
-        + gen1_keys.nbytes + gen1_vals.nbytes
 
 
 # -- engine --------------------------------------------------------------------------
@@ -300,6 +293,46 @@ def test_insert_batch_rejects_keys_outside_the_workspace(keys):
     assert eng.counters.inserts == 0 and eng.acc.size == 0
 
 
+@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("keys, vals", [
+    (np.array([1, 2]), np.array([1.0, 2.0, 5.0])),
+    (np.array([1, 2, 3]), np.array([1.0, 2.0])),
+    (np.array([[1, 2]]), np.array([[1.0, 2.0]])),
+    (np.array(1), np.array(1.0)),
+    (np.array([], np.int64), np.array([1.0])),
+], ids=["more-values", "fewer-values", "2-d", "0-d", "empty-keys"])
+def test_insert_batch_rejects_mismatched_arrays(policy, keys, vals):
+    eng = IsmEngine((8,), policy, 4, hash_l=4)
+    with pytest.raises(IsmError, match="1-D arrays of one length"):
+        eng.insert_batch(keys, vals)
+    assert eng.counters.inserts == 0 and eng.acc.size == 0
+
+
+def test_insert_batch_accepts_an_empty_batch():
+    eng = IsmEngine((8,), Policy.BUCKET, 4)
+    eng.insert_batch([], [])
+    eng.insert_batch(np.array([], np.uint64), np.array([]))
+    assert eng.counters.inserts == 0 and eng.result()[1].size == 0
+
+
+@pytest.mark.parametrize("keys", [np.array([2.7, 7.9]), np.array([2.0, np.nan]),
+                                  np.array([True, False]), [2.5, 3.0]],
+                         ids=["fractional", "nan", "bool", "float-list"])
+def test_insert_batch_rejects_non_integer_keys(keys):
+    eng = IsmEngine((8,), Policy.COORD, 4)
+    with pytest.raises(IsmError, match="not integers"):
+        eng.insert_batch(keys, np.ones(2))
+    assert eng.counters.inserts == 0 and eng.acc.size == 0
+
+
+@pytest.mark.parametrize("key", [2.5, 2.0, float("nan"), "2", None])
+def test_insert_key_rejects_a_non_integer_key(key):
+    eng = IsmEngine((8,), Policy.BUCKET, 4)
+    with pytest.raises(IsmError, match="not an integer"):
+        eng.insert_key(key, 1.0)
+    assert eng.counters.inserts == 0
+
+
 def test_finalize_is_idempotent():
     eng = IsmEngine((8,), Policy.COORD, 4)
     eng.insert_key(2, 1.0)
@@ -375,14 +408,6 @@ def test_pipelined_mode_is_bit_identical(policy):
         assert getattr(piped_eng.counters, name) == getattr(plain_eng.counters, name)
 
 
-def test_double_buffer_mode_matches_plain_results():
-    stream = _stream(seed=11, n=200, universe=64)
-    _, plain_keys, plain_vals = _run(Policy.COORD, 8, stream)
-    eng, keys, vals = _run(Policy.COORD, 8, stream, double_buffer=True)
-    assert keys == plain_keys and vals == plain_vals
-    assert eng.all.prev_keys is not None
-
-
 def test_pipeline_worker_errors_reach_the_caller():
     class Boom:
         def merge(self, keys, vals):
@@ -429,31 +454,34 @@ def _real_stream(seed: int, n: int, universe: int) -> tuple[np.ndarray, np.ndarr
     return keys, vals
 
 
-@pytest.mark.parametrize("double_buffer", [False, True])
+@pytest.mark.parametrize("signed_keys", [False, True])
 @pytest.mark.parametrize("pipeline", [False, True])
 @pytest.mark.parametrize("sort_once", [False, True])
 @pytest.mark.parametrize("capacity", [1, 3, 64])
 @pytest.mark.parametrize("policy", list(Policy))
 def test_insert_batch_matches_insert_key(policy, capacity, sort_once, pipeline,
-                                         double_buffer):
+                                         signed_keys):
     n = 300
     if sort_once:
         # at or above a run's insert count: each run drains once, at the end
         capacity *= n
+    # signed: int64 key arrays, and numpy integer scalars for one-pair inserts
+    scalars = list if signed_keys else np.ndarray.tolist
 
     def engine() -> IsmEngine:
         # two dimensions, so that bucket chains hold several keys
-        return IsmEngine((8, 16), policy, capacity, hash_l=8, pipeline=pipeline,
-                         double_buffer=double_buffer)
+        return IsmEngine((8, 16), policy, capacity, hash_l=8, pipeline=pipeline)
 
     for seed in range(3):
         streams = [_real_stream(seed * 2 + run, n, universe=8 * 16 if run else 40)
                    for run in range(2)]
+        if signed_keys:
+            streams = [(keys.astype(np.int64), vals) for keys, vals in streams]
         with engine() as scalar:
             want = []
             for keys, vals in streams:
                 scalar.reset()
-                for k, v in zip(keys.tolist(), vals.tolist()):
+                for k, v in zip(scalars(keys), vals.tolist()):
                     scalar.insert_key(k, v)
                 want.append(scalar.result())
         rng = np.random.default_rng(seed)
@@ -464,7 +492,7 @@ def test_insert_batch_matches_insert_key(policy, capacity, sort_once, pipeline,
                 cuts = np.sort(rng.choice(np.arange(1, len(keys)), 12, replace=False))
                 for part, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, len(keys)])):
                     if part % 4 == 3:  # every fourth piece goes in one pair at a time
-                        for k, v in zip(keys[lo:hi].tolist(), vals[lo:hi].tolist()):
+                        for k, v in zip(scalars(keys[lo:hi]), vals[lo:hi].tolist()):
                             batched.insert_key(k, v)
                     else:
                         batched.insert_batch(keys[lo:hi], vals[lo:hi])

@@ -380,12 +380,9 @@ def test_execution_modes_agree(small_corpus, monkeypatch):
     for inst in chosen:
         _, plan, _ = prepare(inst.kernel, capacity=64)
         base = sw.execute(plan, inst.tensors)
-        for options in (sw.ExecutionOptions(pipeline=True),
-                        sw.ExecutionOptions(double_buffer=True),
-                        sw.ExecutionOptions(pipeline=True, double_buffer=True)):
-            other = sw.execute(plan, inst.tensors, options)
-            assert sw.tensors_equal(base.tensor, other.tensor), options
-            assert other.counters.inserts == base.counters.inserts
+        piped = sw.execute(plan, inst.tensors, sw.ExecutionOptions(pipeline=True))
+        assert sw.tensors_equal(base.tensor, piped.tensor)
+        assert piped.counters.inserts == base.counters.inserts
         # capacity N, the sort-once extreme: every engine run that inserts
         # anything drains once, at its end
         _, sort_once, _ = prepare(inst.kernel, capacity=base.counters.inserts)
