@@ -26,9 +26,7 @@ from dataclasses import dataclass
 from .ir import (
     Access,
     Add,
-    Assign,
     Expr,
-    Forall,
     Fuse,
     IndexVar,
     Mul,
@@ -38,7 +36,6 @@ from .ir import (
     Statement,
     VarKind,
     WorkspaceDescriptor,
-    Where,
     build_nest,
     expr_accesses,
     expr_vars,
@@ -422,37 +419,21 @@ def insert_sparse_workspace(
         dense=decision.action is InsertionAction.DENSE,
     )
 
-    if decision.action in (InsertionAction.FULL, InsertionAction.CONVERSION):
-        rewritten = precompute(
-            stmt,
-            assign.rhs,
-            decision.i_vars,
-            None,
-            descriptor,
-            ws_name,
-            consumer_order=decision.consumer_order,
-        )
-        return rewritten, decision
-
-    # Hoisted forms (including the dense array) split the nest at a depth:
-    # the prefix loops stay shared, the workspace lives inside them.
+    # a hoisted workspace (the dense array too) is the same precompute, made
+    # on the loops below the shared prefix
     vars_ = nest_vars(stmt)
     depth = decision.hoist_depth
-    inner_vars = vars_[depth:]
-    ws_access = Access(ws_name, decision.i_vars)
-    producer = build_nest(
-        inner_vars,
-        Assign(ws_access, assign.rhs,
-               any(v not in decision.i_vars for v in expr_vars(assign.rhs))),
+    inner = build_nest(vars_[depth:], assign) if depth else stmt
+    rewritten = precompute(
+        inner,
+        assign.rhs,
+        decision.i_vars,
+        None,
+        descriptor,
+        ws_name,
+        consumer_order=decision.consumer_order,
     )
-    consumer = build_nest(
-        decision.consumer_order,
-        Assign(assign.lhs, ws_access, False),
-    )
-    inner: Statement = Where(consumer, producer, ws_name, descriptor)
-    for v in reversed(vars_[:depth]):
-        inner = Forall(v, inner)
-    return inner, decision
+    return build_nest(vars_[:depth], rewritten), decision
 
 
 # -- reporting ----------------------------------------------------------------------

@@ -291,15 +291,6 @@ def build_nest(vars_: Sequence[IndexVar], core: Statement,
     return stmt
 
 
-def result_access(stmt: Statement) -> Access:
-    core = nest_core(stmt)
-    if isinstance(core, Where):
-        return result_access(core.consumer)
-    if isinstance(core, Assign):
-        return core.lhs
-    raise IrError("statement has no assignment")
-
-
 def from_einsum(result: Access, rhs: Expr, loop_order: Sequence[IndexVar | str]) -> Statement:
     """Wrap an assignment in foralls; accumulate when a reduction variable exists."""
     order = [_as_var(v) for v in loop_order]
@@ -365,6 +356,8 @@ def reorder(stmt: Statement, order: Sequence[IndexVar | str]) -> Statement:
 
 
 def split(stmt: Statement, v: IndexVar | str, outer: str, inner: str, step: int) -> Statement:
+    if not isinstance(step, numbers.Integral):
+        raise IrError(f"split step {step!r} is not an integer")
     if step < 1:
         raise IrError("split step must be positive")
     target = _resolve(stmt, v)

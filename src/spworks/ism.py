@@ -344,8 +344,8 @@ class IsmEngine:
     workspace.
 
     An executor builds one engine per workspace per execution and calls
-    reset() before every later run of that workspace (each prefix row of a
-    hoisted workspace); counters accumulate across runs.
+    reset() at the start of every run of that workspace (each prefix row of
+    a hoisted workspace); counters accumulate across runs.
 
     In pipelined mode two accumulate arrays alternate: the producer streams
     inserts into one while a single worker thread, started at the first

@@ -37,7 +37,6 @@ from .ir import (
     Add,
     Const,
     Expr,
-    Forall,
     IndexVar,
     Mul,
     Statement,
@@ -46,6 +45,7 @@ from .ir import (
     expr_accesses,
     format_expr,
     nest_assign,
+    nest_core,
     nest_vars,
 )
 from .ism import Counters, IsmEngine, Policy, hash_default_l, row_major_strides
@@ -272,7 +272,7 @@ class IsmInsert:
         strides = row_major_strides([ex.extents[v] for v in self.slot_vars])
         for v, stride in zip(self.slot_vars, strides):
             keys += rows.crd[v].astype(np.uint64) * np.uint64(stride)
-        ex.ws_runs[self.ws].insert(ex, rows.owner, keys,
+        ex.ws_runs[self.ws].insert(rows.owner, keys,
                                    _evaluate(ex, rows, self.expr, self.amap))
 
 
@@ -284,23 +284,17 @@ class AllocWs:
         return [f"workspace {self.meta.name}: {self.meta.descriptor}"]
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
-        ex.ws_runs[self.meta.name] = _EngineRuns(self, ex, rows.n)
-
-    def start(self, ex: _Execution) -> IsmEngine:
-        """The engine for the next run: reset, or built at the first one."""
         meta = self.meta
         engine = ex.engines.get(meta.name)
-        if engine is not None:
-            engine.reset()
-            return engine
-        engine = ex.engines[meta.name] = ex.stack.enter_context(IsmEngine(
-            [ex.extents[v] for v in meta.slot_vars],
-            meta.descriptor.policy,
-            meta.descriptor.capacity,
-            hash_l=ex._hash_l(meta),
-            pipeline=ex.options.pipeline,
-        ))
-        return engine
+        if engine is None:
+            engine = ex.engines[meta.name] = ex.stack.enter_context(IsmEngine(
+                [ex.extents[v] for v in meta.slot_vars],
+                meta.descriptor.policy,
+                meta.descriptor.capacity,
+                hash_l=ex._hash_l(meta),
+                pipeline=ex.options.pipeline,
+            ))
+        ex.ws_runs[meta.name] = _EngineRuns(engine, rows.n)
 
 
 @dataclass
@@ -319,7 +313,7 @@ class CompressWs:
         return [*_DRAIN_LINES, f"compress All -> {plan.result.tensor}"]
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
-        for row, coords, wvals in ex.ws_runs.pop(self.ws).finish(ex):
+        for row, coords, wvals in ex.ws_runs.pop(self.ws).finish():
             prefix = [np.full(len(wvals), rows.crd[v][row], dtype=np.int64)
                       for v in self.prefix_vars]
             ex.collector.extend(prefix + coords, wvals)
@@ -339,7 +333,7 @@ class MaterializeWs:
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
         meta = self.meta
-        ((_, slot_coords, wvals),) = ex.ws_runs.pop(meta.name).finish(ex)
+        ((_, slot_coords, wvals),) = ex.ws_runs.pop(meta.name).finish()
         mode_coords: list[np.ndarray] = [None] * len(meta.i_vars)  # type: ignore[list-item]
         for s, m in enumerate(_inverse(meta.descriptor.ow_order)):
             mode_coords[m] = slot_coords[s]
@@ -368,7 +362,8 @@ class DenseWsScatter:
 
 @dataclass
 class DenseWsGather:
-    """Append the nonzeros of a dense workspace, then zero it."""
+    """Append every cell of a dense workspace that received a value, then
+    zero it."""
 
     ws: str
     prefix_vars: tuple[IndexVar, ...]
@@ -391,7 +386,6 @@ class WsMeta:
     descriptor: WorkspaceDescriptor
     i_vars: tuple[IndexVar, ...]
     slot_vars: tuple[IndexVar, ...]
-    dense: bool
     ws_format: Format | None = None
     subplan: "Plan | None" = None
     consumer_vars: tuple[IndexVar, ...] = ()
@@ -525,16 +519,10 @@ def _inverse(perm: tuple[int, ...]) -> list[int]:
 
 def lower(stmt: Statement, formats: dict[str, Format]) -> Plan:
     """Lower a statement (plain, or rewritten with a workspace) to a plan."""
-    prefix: list[IndexVar] = []
-    cursor = stmt
-    while isinstance(cursor, Forall):
-        prefix.append(cursor.var)
-        cursor = cursor.body
-    if not isinstance(cursor, Where):
+    core = nest_core(stmt)
+    if not isinstance(core, Where):
         return _lower_plain(stmt, formats)
-    if prefix:
-        return _lower_hoisted(stmt, prefix, cursor, formats)
-    return _lower_where(stmt, cursor, formats)
+    return _lower_workspace(stmt, tuple(nest_vars(stmt)), core, formats)
 
 
 def _lower_plain(stmt: Statement, formats: dict[str, Format]) -> Plan:
@@ -549,10 +537,11 @@ def _lower_plain(stmt: Statement, formats: dict[str, Format]) -> Plan:
     low = _Lowerer(formats)
 
     if result_fmt.all_dense():
-        body = _producer_passes(
+        chains = _producer_passes(
             low, stmt, assign.lhs.vars,
             lambda term, amap: ScatterDense(assign.lhs.vars, term, amap))
-        return Plan(stmt, assign.lhs, result_fmt, body, low.operands(), low.sites, [])
+        return Plan(stmt, assign.lhs, result_fmt, [chain[0] for chain in chains],
+                    low.operands(), low.sites, [])
 
     if isinstance(assign.rhs, Add):
         raise LoweringError(
@@ -577,41 +566,73 @@ def _lower_plain(stmt: Statement, formats: dict[str, Format]) -> Plan:
 
 
 def _producer_passes(low: _Lowerer, producer: Statement, i_vars: tuple[IndexVar, ...],
-                     payload_for: "callable") -> list:
-    """One loop chain per additive term, each ending in its payload node."""
+                     payload_for: "callable", prefix: tuple[IndexVar, ...] = ()) -> list:
+    """One loop chain per additive term, led by the prefix loops and ending
+    in its payload node."""
     p_assign = nest_assign(producer)
-    order = reconstruct_input_order(producer)
-    nodes: list = []
+    order = [*prefix, *reconstruct_input_order(producer)]
+    chains: list = []
     for term in _flatten_terms(p_assign.rhs):
         _check_term(term, low.formats)
         term_vars = set(v for a in expr_accesses(term) for v in a.vars)
-        pass_order = [v for v in order if v in term_vars or v in i_vars]
+        pass_order = [v for v in order if v in prefix or v in term_vars or v in i_vars]
         chain, innermost, amap = low.build_pass(pass_order, term)
         innermost.body.append(payload_for(term, amap))
-        nodes.append(chain[0])
-    return nodes
+        chains.append(chain)
+    return chains
 
 
-def _lower_where(root: Statement, where: Where, formats: dict[str, Format]) -> Plan:
+def _lower_workspace(root: Statement, prefix: tuple[IndexVar, ...], where: Where,
+                     formats: dict[str, Format]) -> Plan:
+    """Producer passes that fill the workspace, then its drain into the result.
+    Under a loop prefix one loop chain spans the prefix and the producer
+    loops, and the drain runs once per prefix iteration."""
     descriptor = where.descriptor
     ws = where.ws
-    producer = where.producer
-    consumer = where.consumer
-    p_assign = nest_assign(producer)
-    c_assign = nest_assign(consumer)
+    p_assign = nest_assign(where.producer)
+    c_assign = nest_assign(where.consumer)
     i_vars = p_assign.lhs.vars
     result_fmt = _format_of(c_assign.lhs, formats)
-    low = _Lowerer(formats)
-
-    if descriptor.dense:
+    if descriptor.dense and not prefix:
         raise LoweringError("a dense workspace only applies under a loop prefix")
+    if descriptor.dense and descriptor.order != 1:
+        raise LoweringError("a dense workspace covers exactly one dimension")
+    if prefix:
+        if where.relations or where.producer.relations:
+            raise LoweringError("a workspace under a loop prefix cannot be scheduled")
+        if not (isinstance(c_assign.rhs, Access) and c_assign.rhs.tensor == ws):
+            raise LoweringError(
+                "a workspace nested under loops must be consumed by a direct copy "
+                "into the result")
+        if isinstance(p_assign.rhs, Add):
+            raise LoweringError("a hoisted workspace covers a single product term")
 
     inv = _inverse(descriptor.ow_order)
     slot_vars = tuple(i_vars[m] for m in inv)
-    passes = _producer_passes(
-        low, producer, i_vars,
-        lambda term, amap: IsmInsert(ws, slot_vars, term, amap))
-    consumer_vars = nest_vars(consumer)
+    ws_accesses = [a for a in expr_accesses(c_assign.rhs) if a.tensor == ws]
+    renames = ws_accesses[0].vars if ws_accesses else ()
+    meta = WsMeta(ws, descriptor, tuple(i_vars), slot_vars, consumer_vars=renames)
+
+    def payload(term: Expr, amap: dict) -> DenseWsScatter | IsmInsert:
+        if descriptor.dense:
+            return DenseWsScatter(ws, i_vars[0], term, amap)
+        return IsmInsert(ws, slot_vars, term, amap)
+
+    low = _Lowerer(formats)
+    chains = _producer_passes(low, where.producer, i_vars, payload, prefix)
+
+    if prefix:
+        (chain,) = chains
+        host = chain[len(prefix) - 1]
+        inner_root = chain[len(prefix)]
+        if descriptor.dense:
+            host.body = [inner_root, DenseWsGather(ws, prefix)]
+        else:
+            host.body = [AllocWs(meta), inner_root, CompressWs(ws, prefix)]
+        return Plan(root, c_assign.lhs, result_fmt, [chain[0]], low.operands(),
+                    low.sites, [meta])
+
+    consumer_vars = nest_vars(where.consumer)
     o_vars = c_assign.rhs.vars if isinstance(c_assign.rhs, Access) else ()
     consumer_slots = tuple(o_vars[m] for m in inv) if o_vars else ()
     straight = (
@@ -621,86 +642,30 @@ def _lower_where(root: Statement, where: Where, formats: dict[str, Format]) -> P
         and tuple(consumer_vars) == consumer_slots
         and access_map(c_assign.lhs.vars, result_fmt) == consumer_slots
     )
-    ws_accesses = [a for a in expr_accesses(c_assign.rhs) if a.tensor == ws]
-    renames = ws_accesses[0].vars if ws_accesses else ()
+    operands = low.operands()
     if straight:
-        meta = WsMeta(ws, descriptor, tuple(i_vars), slot_vars, dense=False,
-                      consumer_vars=renames)
         tail: CompressWs | MaterializeWs = CompressWs(ws, ())
     else:
-        ws_format = Format(
+        meta.ws_format = Format(
             tuple(LevelFormat(LevelKind.COMPRESSED) for _ in i_vars),
             tuple(inv),
             name=f"ws-{descriptor.policy.label.lower()}",
         )
-        sub_formats = {**formats, ws: ws_format}
+        sub_formats = {**formats, ws: meta.ws_format}
         inner_name = ws
         while inner_name in sub_formats:
             inner_name += "'"
         rewritten, _ = insert_sparse_workspace(
-            consumer, sub_formats, descriptor.policy, descriptor.capacity,
+            where.consumer, sub_formats, descriptor.policy, descriptor.capacity,
             ws_name=inner_name, hash_l=descriptor.hash_l)
-        subplan = lower(rewritten, sub_formats)
-        meta = WsMeta(ws, descriptor, tuple(i_vars), slot_vars,
-                      dense=False, ws_format=ws_format, subplan=subplan,
-                      consumer_vars=renames)
-        tail = MaterializeWs(meta)
-
-    operands = low.operands()
-    if meta.subplan is not None:
+        meta.subplan = lower(rewritten, sub_formats)
         for name, fmt in meta.subplan.operands.items():
             if name != ws:
                 operands.setdefault(name, fmt)
-    return Plan(root, c_assign.lhs, result_fmt, [AllocWs(meta), *passes, tail],
+        tail = MaterializeWs(meta)
+    return Plan(root, c_assign.lhs, result_fmt,
+                [AllocWs(meta), *(chain[0] for chain in chains), tail],
                 operands, low.sites, [meta])
-
-
-def _lower_hoisted(root: Statement, prefix: list[IndexVar], where: Where,
-                   formats: dict[str, Format]) -> Plan:
-    """Workspace under a loop prefix: one loop chain spans the prefix and the
-    producer loops; the drain and gather run once per prefix iteration."""
-    descriptor = where.descriptor
-    ws = where.ws
-    p_assign = nest_assign(where.producer)
-    c_assign = nest_assign(where.consumer)
-    i_vars = p_assign.lhs.vars
-    result_fmt = _format_of(c_assign.lhs, formats)
-    low = _Lowerer(formats)
-    if where.relations or where.producer.relations:
-        raise LoweringError("a workspace under a loop prefix cannot be scheduled")
-    if not (isinstance(c_assign.rhs, Access) and c_assign.rhs.tensor == ws):
-        raise LoweringError(
-            "a workspace nested under loops must be consumed by a direct copy "
-            "into the result")
-    term = p_assign.rhs
-    if isinstance(term, Add):
-        raise LoweringError("a hoisted workspace covers a single product term")
-    _check_term(term, formats)
-    term_vars = set(v for a in expr_accesses(term) for v in a.vars)
-    full_order = list(prefix) + nest_vars(where.producer)
-    pass_order = [v for v in full_order
-                  if v in prefix or v in term_vars or v in i_vars]
-    chain, innermost, amap = low.build_pass(pass_order, term)
-    depth = len(prefix)
-    host = chain[depth - 1]
-    inner_root = chain[depth]
-
-    if descriptor.dense:
-        if descriptor.order != 1:
-            raise LoweringError("a dense workspace covers exactly one dimension")
-        var = i_vars[0]
-        innermost.body.append(DenseWsScatter(ws, var, term, amap))
-        host.body = [inner_root, DenseWsGather(ws, tuple(prefix))]
-        meta = WsMeta(ws, descriptor, tuple(i_vars), tuple(i_vars), dense=True)
-    else:
-        inv = _inverse(descriptor.ow_order)
-        slot_vars = tuple(i_vars[m] for m in inv)
-        innermost.body.append(IsmInsert(ws, slot_vars, term, amap))
-        meta = WsMeta(ws, descriptor, tuple(i_vars), slot_vars, dense=False)
-        host.body = [AllocWs(meta), inner_root, CompressWs(ws, tuple(prefix))]
-
-    return Plan(root, c_assign.lhs, result_fmt, [chain[0]], low.operands(),
-                low.sites, [meta])
 
 
 # -- plan printing -----------------------------------------------------------------
@@ -710,7 +675,7 @@ def print_plan(plan: Plan) -> str:
     out: list[str] = [f"plan: {plan.stmt}"]
     # a sparse workspace is announced by its AllocWs; a dense one has none
     out += [f"workspace {meta.name}: {meta.descriptor}"
-            for meta in plan.workspaces if meta.dense]
+            for meta in plan.workspaces if meta.descriptor.dense]
     for node in plan.body:
         out += node.lines(plan)
     return "\n".join(out)
@@ -785,35 +750,33 @@ def _evaluate(ex: _Execution, rows: _Rows, expr: Expr, amap: dict) -> np.ndarray
 
 class _EngineRuns:
     """One run of a sparse workspace's engine per row of its host batch, in
-    row order: a run starts at the engine's construction or reset() and ends
-    at result(), also for a row that inserts nothing."""
+    row order: a run starts at reset() and ends at result(), also for a row
+    that inserts nothing."""
 
-    def __init__(self, alloc: AllocWs, ex: _Execution, n: int) -> None:
-        self.alloc = alloc
+    def __init__(self, engine: IsmEngine, n: int) -> None:
+        self.engine = engine
         self.n = n
         self.row = -1
-        self.engine: IsmEngine | None = None
         self.results: list = []
-        self._advance(ex, 0)
+        self._advance(0)
 
-    def _advance(self, ex: _Execution, row: int) -> None:
+    def _advance(self, row: int) -> None:
         while self.row < min(row, self.n - 1):
             if self.row >= 0:
                 self.results.append((self.row, *self.engine.result()))
             self.row += 1
-            self.engine = self.alloc.start(ex)
+            self.engine.reset()
 
-    def insert(self, ex: _Execution, owner: np.ndarray, keys: np.ndarray,
-               vals: np.ndarray) -> None:
+    def insert(self, owner: np.ndarray, keys: np.ndarray, vals: np.ndarray) -> None:
         cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), len(owner)]
         for lo, hi in zip(cuts, cuts[1:]):
             if hi > lo:
-                self._advance(ex, int(owner[lo]))
+                self._advance(int(owner[lo]))
                 self.engine.insert_batch(keys[lo:hi], vals[lo:hi])
 
-    def finish(self, ex: _Execution) -> list:
+    def finish(self) -> list:
         """(row, coordinates, values) of every row's run."""
-        self._advance(ex, self.n - 1)
+        self._advance(self.n - 1)
         if self.row >= 0:
             self.results.append((self.row, *self.engine.result()))
         return self.results
@@ -848,13 +811,13 @@ class _DenseWs:
         self.keys, self.sums = union[final:], sums[final:]
 
     def take_nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row, coordinate and value of every nonzero sum, in order; the
-        workspace is left empty."""
+        """Row, coordinate and value of every cell a value was added to, in
+        order, a sum that cancels to 0.0 included, as a sparse workspace
+        keeps it; the workspace is left empty."""
         keys = np.concatenate([k for k, _ in self.done] + [self.keys])
         sums = np.concatenate([v for _, v in self.done] + [self.sums])
         self._clear()
-        nz = np.flatnonzero(sums != 0.0)
-        return keys[nz] // self.extent, keys[nz] % self.extent, sums[nz]
+        return keys // self.extent, keys % self.extent, sums
 
 
 class _Collector:
@@ -895,7 +858,7 @@ class _Execution:
         self.ws_runs: dict[str, _EngineRuns] = {}
         self.stack = contextlib.ExitStack()
         self.dense_ws = {meta.name: _DenseWs(self.extents[meta.slot_vars[0]])
-                         for meta in plan.workspaces if meta.dense}
+                         for meta in plan.workspaces if meta.descriptor.dense}
         self.reg: np.ndarray | None = None
         self.override: Tensor | None = None
         # (parent position, coordinate) keys of the levels that locate searches

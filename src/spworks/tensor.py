@@ -15,6 +15,8 @@ Every constructor builds coordinate arrays and ends in ``compress_arrays``.
 from __future__ import annotations
 
 import enum
+import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -278,20 +280,23 @@ def compress_coo(
     level-order (access-order) coordinates. Explicit zeros are stored.
     """
     by_mode, vals = _as_arrays(components, fmt.order)
-    return compress_arrays(by_mode, vals, fmt, tuple(int(d) for d in dims))
+    return compress_arrays(by_mode, vals, fmt, dims)
 
 
 def compress_arrays(
     mode_coords: Sequence[np.ndarray],
     vals: np.ndarray,
     fmt: Format,
-    dims: tuple[int, ...],
+    dims: Sequence[int],
 ) -> Tensor:
     """Pack per-mode coordinate arrays, sorted by the target's access order,
     into a tensor. Entries must be unique; explicit zeros are stored."""
     n = len(vals)
     if len(dims) != fmt.order:
         raise TensorError(f"{len(dims)} dims for an order-{fmt.order} format")
+    if not all(isinstance(d, numbers.Integral) and d >= 0 for d in dims):
+        raise TensorError(f"dims {tuple(dims)} are not integers of at least 0")
+    dims = tuple(operator.index(d) for d in dims)
     if any(d > MAX_EXTENT for d in dims):
         raise TensorError(f"dims {dims} exceed the coordinate limit of 2^32 per mode")
     level_coords = [np.asarray(mode_coords[m], dtype=np.int64) for m in fmt.mode_ordering]
@@ -358,7 +363,6 @@ def from_arrays(
 ) -> Tensor:
     """Stably sort per-mode coordinates by the target's access order,
     optionally sum duplicates in input order, then compress."""
-    dims = tuple(int(d) for d in dims)
     by_mode = [np.asarray(c, dtype=np.int64) for c in mode_coords]
     vals = np.asarray(vals, dtype=VAL_DTYPE)
     if len(vals):

@@ -344,6 +344,17 @@ def test_insert_dense_workspace_shares_the_row_loop():
     assert not consumer.accumulate
 
 
+@pytest.mark.parametrize("enable_dense", [True, False])
+def test_insert_rejects_a_result_variable_missing_from_the_expression(enable_dense):
+    # j indexes only the result, so no workspace over it can be filled
+    stmt = sw.statement_from_text("forall i, k, j: A(i,j) += B(i,k) * c(k)")
+    formats = {"A": sw.csr(), "B": sw.csr(), "c": sw.dense_vector()}
+    action = sw.plan_insertion(stmt, formats, enable_dense=enable_dense).action
+    assert action is (sw.InsertionAction.DENSE if enable_dense else sw.InsertionAction.HOIST)
+    with pytest.raises(sw.IrError, match=r"insertion variables \[j\] do not occur"):
+        sw.insert_sparse_workspace(stmt, formats, enable_dense=enable_dense)
+
+
 def test_insert_full_workspace_records_the_reordering():
     stmt = sw.apply_schedule(sw.statement_from_text(MATMUL), "reorder(k, i, j)")
     rewritten, decision = sw.insert_sparse_workspace(

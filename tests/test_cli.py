@@ -242,6 +242,14 @@ def test_user_errors_exit_two(argv, fragment, capsys):
     assert fragment in err
 
 
+def test_result_variable_missing_from_the_expression_exits_two(capsys):
+    # j indexes only the result; insertion rejects the workspace over it
+    code, _, err = run_main(
+        ["run", "--expr", "forall i, k, j: A(i,j) += B(i,k) * C(i,k)", *SMALL], capsys)
+    assert code == 2
+    assert "insertion variables [j] do not occur in the expression" in err
+
+
 def test_input_order_mismatch_exits_two(tmp_path, capsys):
     t = sw.from_unsorted([sw.Component((0, 0, 0), 1.0)], sw.coo(3), (2, 2, 2))
     path = tmp_path / "cube.tns"

@@ -162,7 +162,7 @@ def test_dense_workspace_plan_shape():
     plan = _lower("forall i, k, j: " + MATMUL,
                   {"A": sw.csr(), "B": sw.csr(), "C": sw.csr()})
     (meta,) = plan.workspaces
-    assert meta.dense and meta.name == "W"
+    assert meta.descriptor.dense and meta.name == "W"
     host = _loops(plan)[0]
     assert host.var == var("i")
     kinds = [type(n) for n in host.body]
@@ -177,7 +177,7 @@ def test_hoisted_sparse_workspace_plan_shape():
                   {"A": sw.csr(), "B": sw.csr(), "C": sw.csr()},
                   enable_dense=False)
     (meta,) = plan.workspaces
-    assert not meta.dense
+    assert not meta.descriptor.dense
     host = _loops(plan)[0]
     kinds = [type(n) for n in host.body]
     assert kinds == [AllocWs, LoopNode, CompressWs]  # CompressWs drains first
@@ -402,6 +402,29 @@ def test_extra_plans_match_the_dense_oracle(kernel):
         out = sw.execute(plan, inst.tensors)
         expected = sw.dense_oracle(stmt, inst.arrays)
         assert np.array_equal(out.tensor.to_dense(), expected), index
+
+
+def test_dense_and_sparse_workspaces_store_the_same_entries():
+    # a sum that cancels to 0.0 stays an explicit entry in every workspace
+    pairs = [(np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 0.0], [-1.0, 0.0]]))]
+    rng = np.random.default_rng(3)
+    pairs += [(rng.integers(-3, 4, (6, 5)).astype(np.float64),
+               rng.integers(-3, 4, (5, 7)).astype(np.float64)) for _ in range(20)]
+    kernels = [KERNELS_BY_NAME[name] for name in
+               ("spgemm-rowwise", "spgemm-rowwise-hoist", "spgemm-outer")]
+    assert [k.action for k in kernels] == [sw.InsertionAction.DENSE,
+                                           sw.InsertionAction.HOIST,
+                                           sw.InsertionAction.FULL]
+    plans = [prepare(k)[1] for k in kernels]
+    for index, (b, c) in enumerate(pairs):
+        dense, *sparse = [
+            sw.execute(plan, {"B": sw.from_dense(b, k.formats["B"]),
+                              "C": sw.from_dense(c, k.formats["C"])}).tensor
+            for k, plan in zip(kernels, plans)]
+        assert np.array_equal(dense.to_dense(), b @ c), index
+        assert all(sw.tensors_equal(dense, t) for t in sparse), index
+        if index == 0:
+            assert dense.nnz == 1 and dense.vals.tolist() == [0.0]
 
 
 # first 16 hex digits of the sha256 of the counters (Counters.as_dict(),

@@ -15,6 +15,7 @@ from spworks.tensor import (
     CompressedLevel,
     DenseLevel,
     compress_arrays,
+    from_arrays,
 )
 
 
@@ -183,6 +184,18 @@ def test_orders_and_dims_must_match_the_format():
         sw.from_dense(np.ones((2, 2, 2)), sw.csr())
     with pytest.raises(sw.TensorError, match="3 dims for an order-2 format"):
         sw.from_unsorted([Component((0, 0), 1.0)], sw.csr(), (2, 2, 2))
+
+
+@pytest.mark.parametrize("fmt", [sw.coo(2), sw.csr(), sw.dcsr()], ids=str)
+def test_extents_must_be_integers_of_at_least_zero(fmt):
+    for dims in ((-1, 3), (2.9, 3.7), (2, "3")):
+        with pytest.raises(sw.TensorError, match="not integers of at least 0"):
+            sw.compress_coo([], fmt, dims)
+        with pytest.raises(sw.TensorError, match="not integers of at least 0"):
+            sw.from_unsorted([Component((0, 0), 1.0)], fmt, dims)
+    assert sw.compress_coo([], fmt, (0, 3)).dims == (0, 3)
+    t = from_arrays([[1], [2]], [1.0], fmt, (np.int64(2), np.uint32(3)))
+    assert t.dims == (2, 3) and all(type(d) is int for d in t.dims)
 
 
 @pytest.mark.parametrize("fmt", [sw.coo(2), sw.dcsr()], ids=str)
