@@ -331,7 +331,10 @@ def plan_insertion(
         reductions = list(cls.reduction_vars)
         first = loop_order.index(reductions[0])
         trailing = loop_order[first + 1:]
-        if enable_dense and len(trailing) == 1 and trailing[0] in output_order:
+        # a dense workspace lives under its loop prefix; with the reduction
+        # outermost there is none, and the statement takes FULL below
+        if (enable_dense and first >= 1 and len(trailing) == 1
+                and trailing[0] in output_order):
             return InsertionDecision(
                 InsertionAction.DENSE,
                 f"only {trailing[0].name} is scattered under the reduction; "

@@ -24,8 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .tensor import CRD_DTYPE, MAX_EXTENT, VAL_DTYPE
+
 KEY_DTYPE = np.uint64
-VAL_DTYPE = np.float64
 _ELEMENT_BYTES = 16  # one uint64 key plus one float64 value
 # smallest batch slice IsmEngine.insert_batch plans at once
 _BLOCK = 4096
@@ -367,6 +368,9 @@ class IsmEngine:
         self.extents = tuple(int(e) for e in extents)
         if not self.extents:
             raise IsmError("a workspace needs at least one dimension")
+        if any(e > MAX_EXTENT for e in self.extents):
+            raise IsmError(f"workspace extents {self.extents} exceed the coordinate "
+                           f"limit of 2^32 per slot")
         self.key_count = math.prod(self.extents)
         if self.key_count >= 2 ** 64:
             raise IsmError("workspace key space exceeds 64-bit linearization")
@@ -501,9 +505,22 @@ class IsmEngine:
         self._finalized = True
 
     def result(self) -> tuple[list[np.ndarray], np.ndarray]:
-        """Finalize and decode keys back into per-slot coordinate arrays."""
+        """Finalize and decode keys back into per-slot coordinate arrays of
+        CRD_DTYPE, the tensor's coordinate width, in key order.
+
+        The values are the all array's own, not a copy: reset() replaces
+        the all array, so they stay the caller's once the next run starts.
+        Inserting again without reset() would add into them."""
         self.finalize()
         keys = self.all.keys
-        coords = [((keys // s) % e).astype(np.int64)
-                  for s, e in zip(self.strides, self.extents)]
-        return coords, self.all.vals.copy()
+        coords = []
+        for slot, (s, e) in enumerate(zip(self.strides, self.extents)):
+            crd = np.empty(len(keys), CRD_DTYPE)
+            # slot 0's quotient is already below its extent and the last
+            # slot's stride is 1; only a middle slot needs a 64-bit quotient
+            if slot == 0:
+                np.floor_divide(keys, s, out=crd, casting="unsafe")
+            else:
+                np.remainder(keys if s == 1 else keys // s, e, out=crd, casting="unsafe")
+            coords.append(crd)
+        return coords, self.all.vals

@@ -50,6 +50,7 @@ from .ir import (
 )
 from .ism import Counters, IsmEngine, Policy, hash_default_l, row_major_strides
 from .tensor import (
+    CRD_DTYPE,
     Format,
     LevelFormat,
     LevelKind,
@@ -314,7 +315,7 @@ class CompressWs:
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
         for row, coords, wvals in ex.ws_runs.pop(self.ws).finish():
-            prefix = [np.full(len(wvals), rows.crd[v][row], dtype=np.int64)
+            prefix = [np.full(len(wvals), rows.crd[v][row], dtype=CRD_DTYPE)
                       for v in self.prefix_vars]
             ex.collector.extend(prefix + coords, wvals)
 
@@ -377,7 +378,8 @@ class DenseWsGather:
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
         row, crd, vals = ex.dense_ws[self.ws].take_nonzeros()
-        ex.collector.extend([rows.crd[v][row] for v in self.prefix_vars] + [crd], vals)
+        prefix = [rows.crd[v].astype(CRD_DTYPE)[row] for v in self.prefix_vars]
+        ex.collector.extend(prefix + [crd], vals)
 
 
 @dataclass
@@ -811,17 +813,21 @@ class _DenseWs:
         self.keys, self.sums = union[final:], sums[final:]
 
     def take_nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row, coordinate and value of every cell a value was added to, in
-        order, a sum that cancels to 0.0 included, as a sparse workspace
-        keeps it; the workspace is left empty."""
+        """Row, coordinate (CRD_DTYPE) and value of every cell a value was
+        added to, in order, a sum that cancels to 0.0 included, as a sparse
+        workspace keeps it; the workspace is left empty."""
         keys = np.concatenate([k for k, _ in self.done] + [self.keys])
         sums = np.concatenate([v for _, v in self.done] + [self.sums])
         self._clear()
-        return keys // self.extent, keys % self.extent, sums
+        crd = np.empty(len(keys), CRD_DTYPE)
+        np.remainder(keys, self.extent, out=crd, casting="unsafe")
+        keys //= self.extent
+        return keys, crd, sums
 
 
 class _Collector:
-    """Ordered sink for result rows in storage-level order."""
+    """Ordered sink for result rows in storage-level order; it keeps the
+    coordinates in CRD_DTYPE."""
 
     def __init__(self, levels: int) -> None:
         self.levels = levels
@@ -829,12 +835,12 @@ class _Collector:
 
     def extend(self, coords: list[np.ndarray], vals: np.ndarray) -> None:
         if len(vals):
-            self._chunks.append(([np.asarray(c, dtype=np.int64) for c in coords],
+            self._chunks.append(([np.asarray(c, dtype=CRD_DTYPE) for c in coords],
                                  np.asarray(vals, dtype=np.float64)))
 
     def finalize(self) -> tuple[list[np.ndarray], np.ndarray]:
         if not self._chunks:
-            empty = [np.empty(0, dtype=np.int64) for _ in range(self.levels)]
+            empty = [np.empty(0, dtype=CRD_DTYPE) for _ in range(self.levels)]
             return empty, np.empty(0, dtype=np.float64)
         if len(self._chunks) == 1:
             return self._chunks[0]

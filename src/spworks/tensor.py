@@ -25,6 +25,7 @@ import numpy as np
 CRD_DTYPE = np.uint32
 VAL_DTYPE = np.float64
 MAX_EXTENT = 2**32  # every coordinate below it fits in CRD_DTYPE
+_POS_BLOCK = 2**14  # parents one searchsorted call places while building pos
 
 _T = TypeVar("_T")
 
@@ -263,10 +264,39 @@ def iterate_level(tensor: Tensor, level: int, parent_position: int) -> Iterator[
 def _as_arrays(components: Iterable[Component], order: int) -> tuple[list[np.ndarray], np.ndarray]:
     comps = list(components)
     vals = np.array([c.val for c in comps], dtype=VAL_DTYPE)
-    by_mode = [
-        np.array([c.crds[m] for c in comps], dtype=np.int64) for m in range(order)
-    ]
+    by_mode = [np.array([c.crds[m] for c in comps]) for m in range(order)]
     return by_mode, vals
+
+
+def _checked_arrays(
+    mode_coords: Sequence[np.ndarray],
+    vals: np.ndarray,
+    order: int,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Coordinate and value arrays as given, once each coordinate list is
+    known to be 1-D, integer and as long as the 1-D value array. Empty lists
+    of any dtype become CRD_DTYPE, and uint64 becomes int64 so that level
+    arithmetic stays integer (a value past 2^63 turns negative and fails the
+    bounds check)."""
+    vals = np.asarray(vals)
+    if vals.ndim != 1:
+        raise TensorError(f"values of shape {vals.shape} are not a 1-D array")
+    if len(mode_coords) != order:
+        raise TensorError(f"{len(mode_coords)} coordinate lists for an order-{order} format")
+    coords = []
+    for m, c in enumerate(mode_coords):
+        c = np.asarray(c)
+        if c.shape != vals.shape:
+            raise TensorError(f"coordinates of mode {m} have shape {c.shape}, "
+                              f"values have shape {vals.shape}")
+        if not c.size:
+            c = c.astype(CRD_DTYPE)
+        elif not np.issubdtype(c.dtype, np.integer):
+            raise TensorError(f"coordinates of mode {m} have non-integer dtype {c.dtype}")
+        elif not np.can_cast(c.dtype, np.int64):
+            c = c.astype(np.int64)
+        coords.append(c)
+    return coords, vals
 
 
 def compress_coo(
@@ -290,8 +320,13 @@ def compress_arrays(
     dims: Sequence[int],
 ) -> Tensor:
     """Pack per-mode coordinate arrays, sorted by the target's access order,
-    into a tensor. Entries must be unique; explicit zeros are stored."""
-    n = len(vals)
+    into a tensor. Entries must be unique; explicit zeros are stored.
+
+    Coordinates of any integer dtype are checked in that dtype and never
+    widened, except in a dense level's position product
+    ``parent * extent + c`` (int64); compressed levels narrow them to
+    CRD_DTYPE. The tensor owns its arrays: ``crd`` in CRD_DTYPE, ``pos`` in
+    int64 and one copy of the values."""
     if len(dims) != fmt.order:
         raise TensorError(f"{len(dims)} dims for an order-{fmt.order} format")
     if not all(isinstance(d, numbers.Integral) and d >= 0 for d in dims):
@@ -299,7 +334,9 @@ def compress_arrays(
     dims = tuple(operator.index(d) for d in dims)
     if any(d > MAX_EXTENT for d in dims):
         raise TensorError(f"dims {dims} exceed the coordinate limit of 2^32 per mode")
-    level_coords = [np.asarray(mode_coords[m], dtype=np.int64) for m in fmt.mode_ordering]
+    mode_coords, vals = _checked_arrays(mode_coords, vals, fmt.order)
+    n = len(vals)
+    level_coords = [mode_coords[m] for m in fmt.mode_ordering]
     extents = [dims[m] for m in fmt.mode_ordering]
     for l, (c, e) in enumerate(zip(level_coords, extents)):
         if n and (c.min() < 0 or c.max() >= e):
@@ -309,13 +346,18 @@ def compress_arrays(
     if n > 1:
         order_ok = np.zeros(n - 1, dtype=bool)
         tied = np.ones(n - 1, dtype=bool)
+        step = np.empty(n - 1, dtype=bool)
         for c in level_coords:
-            order_ok |= tied & (c[:-1] < c[1:])
-            tied &= c[:-1] == c[1:]
+            np.less(c[:-1], c[1:], out=step)
+            step &= tied
+            order_ok |= step
+            np.equal(c[:-1], c[1:], out=step)
+            tied &= step
         if tied.any():
             raise TensorError("duplicate coordinates in component list")
         if not order_ok.all():
             raise TensorError("components are not sorted by the target access order")
+        del order_ok, tied, step
 
     if fmt.coo:
         return Tensor(
@@ -323,34 +365,78 @@ def compress_arrays(
             format=fmt,
             levels=None,
             coo_coords=tuple(c.astype(CRD_DTYPE) for c in level_coords),
-            vals=np.asarray(vals, dtype=VAL_DTYPE).copy(),
+            vals=vals.astype(VAL_DTYPE),
         )
 
-    parent = np.zeros(n, dtype=np.int64)
+    # each entry's position at the level above, or None while every entry
+    # sits under the root; ``owned`` marks an array this call may overwrite
+    parent: np.ndarray | None = None
+    owned = False
     parent_count = 1
+    last = fmt.order - 1
     levels: list[DenseLevel | CompressedLevel] = []
-    for lf, c, extent in zip(fmt.levels, level_coords, extents):
+    for l, (lf, c, extent) in enumerate(zip(fmt.levels, level_coords, extents)):
         if lf.kind is LevelKind.DENSE:
-            parent = parent * extent + c
+            if parent is None:
+                parent = c
+            else:
+                parent = parent.astype(np.int64, copy=not owned)
+                parent *= extent
+                parent += c
+                owned = True
             parent_count *= extent
             levels.append(DenseLevel(extent))
+        elif l == last:
+            # entries are unique, so each one is a child of its own and
+            # there are no segment starts to find
+            levels.append(CompressedLevel(pos=_segment_pos(parent, parent_count, n),
+                                          crd=c.astype(CRD_DTYPE)))
+            parent = None
         else:
-            changed = np.ones(n, dtype=bool)
+            c = c.astype(CRD_DTYPE, copy=False)
+            changed = np.empty(n, dtype=bool)
             if n:
-                changed[1:] = (parent[1:] != parent[:-1]) | (c[1:] != c[:-1])
-            starts = np.flatnonzero(changed)
-            crd = c[starts].astype(CRD_DTYPE)
-            counts = np.bincount(parent[starts], minlength=parent_count)
-            pos = np.zeros(parent_count + 1, dtype=np.int64)
-            np.cumsum(counts, out=pos[1:])
+                changed[0] = True
+                np.not_equal(c[1:], c[:-1], out=changed[1:])
+                if parent is not None:
+                    changed[1:] |= parent[1:] != parent[:-1]
+            crd = c[changed]
+            del c
+            pos = _segment_pos(None if parent is None else parent[changed],
+                               parent_count, len(crd))
             levels.append(CompressedLevel(pos=pos, crd=crd))
-            parent = np.cumsum(changed) - 1
+            if not owned:
+                parent = np.empty(n, dtype=CRD_DTYPE if n <= MAX_EXTENT else np.int64)
+                owned = True
+            np.cumsum(changed, dtype=parent.dtype, out=parent)
+            parent -= 1
             parent_count = len(crd)
 
-    out_vals = np.zeros(parent_count, dtype=VAL_DTYPE)
-    if n:
-        out_vals[parent] = vals
+    if levels and isinstance(levels[-1], CompressedLevel):
+        out_vals = vals.astype(VAL_DTYPE)
+    else:
+        out_vals = np.zeros(parent_count, dtype=VAL_DTYPE)
+        out_vals[slice(n) if parent is None else parent] = vals
     return Tensor(dims=dims, format=fmt, levels=tuple(levels), coo_coords=None, vals=out_vals)
+
+
+def _segment_pos(parent: np.ndarray | None, parent_count: int, n: int) -> np.ndarray:
+    """The ``pos`` array of a compressed level: where each parent's segment
+    starts among ``n`` children, given every child's parent in ascending
+    order (None: every child sits under the root)."""
+    pos = np.full(parent_count + 1, n, dtype=np.int64)
+    if parent is None:
+        pos[0] = 0
+    elif n:
+        # parents past the last child's own end with empty segments at n;
+        # the others are searched a block at a time, so that no temporary
+        # grows with the parent count
+        k = int(parent[-1]) + 1
+        parent = np.ascontiguousarray(parent)  # searchsorted would copy it per call
+        for lo in range(0, k, _POS_BLOCK):
+            hi = min(lo + _POS_BLOCK, k)
+            pos[lo:hi] = np.searchsorted(parent, np.arange(lo, hi, dtype=parent.dtype))
+    return pos
 
 
 def from_arrays(
@@ -363,8 +449,8 @@ def from_arrays(
 ) -> Tensor:
     """Stably sort per-mode coordinates by the target's access order,
     optionally sum duplicates in input order, then compress."""
-    by_mode = [np.asarray(c, dtype=np.int64) for c in mode_coords]
-    vals = np.asarray(vals, dtype=VAL_DTYPE)
+    by_mode, vals = _checked_arrays(mode_coords, vals, fmt.order)
+    vals = vals.astype(VAL_DTYPE, copy=False)
     if len(vals):
         order = np.lexsort([by_mode[m] for m in reversed(fmt.mode_ordering)])
         by_mode = [c[order] for c in by_mode]

@@ -111,6 +111,16 @@ def test_run_frostt_input(tmp_path, capsys):
     assert "verify: OK" in out2
 
 
+def test_run_reduction_outermost(tmp_path, capsys):
+    path = tmp_path / "b.mtx"
+    sw.write_matrix_market(path, sw.synthetic_matrix(8, 8, 0.5, 2, seed=2))
+    code, out, err = run_main(
+        ["run", "--expr", "forall k, j: a(j) += B(k,j)", f"B={path}", "--verify"], capsys)
+    assert code == 0, err
+    assert "insertion: reordering-workspace" in out
+    assert "verify: OK" in out
+
+
 def test_run_writes_csv(tmp_path, capsys):
     path = tmp_path / "row.csv"
     code, _, _ = run_main(

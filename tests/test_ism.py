@@ -21,6 +21,7 @@ from spworks.ism import (
     hash_default_l,
     row_major_strides,
 )
+from spworks.tensor import CRD_DTYPE
 
 
 # -- small helpers -------------------------------------------------------------------
@@ -266,9 +267,28 @@ def test_result_decodes_multi_dimensional_coordinates():
     assert vals.tolist() == [1.0, 7.0]
 
 
+def test_result_decodes_into_the_coordinate_dtype():
+    extents = (2**32, 3, 2**20)  # every slot, middle included, at its widest
+    eng = IsmEngine(extents, Policy.COORD, 4)
+    want = [(0, 1, 5), (2**32 - 1, 2, 2**20 - 1)]
+    for crds in want:
+        eng.insert_key(_key(eng.strides, crds), 1.0)
+    coords, vals = eng.result()
+    assert all(c.dtype == CRD_DTYPE for c in coords)
+    assert list(zip(*(c.tolist() for c in coords))) == want
+    # the values are the all array's own; the next run gets a new one
+    assert vals is eng.all.vals
+    eng.reset()
+    eng.insert_key(_key(eng.strides, want[0]), 2.0)
+    eng.result()
+    assert vals.tolist() == [1.0, 1.0]
+
+
 def test_engine_validates_configuration():
     with pytest.raises(IsmError, match="at least one dimension"):
         IsmEngine((), Policy.COORD, 4)
+    with pytest.raises(IsmError, match=r"limit of 2\^32"):
+        IsmEngine((2, 2**32 + 1), Policy.COORD, 4)
     with pytest.raises(IsmError, match="64-bit"):
         IsmEngine((2**32, 2**32), Policy.COORD, 4)
     with pytest.raises(IsmError, match="hash_l resolved"):

@@ -666,3 +666,18 @@ def test_hoisted_workspace_rejects_schedules():
     with pytest.raises(LoweringError, match="cannot be scheduled"):
         sw.lower(sw.Forall(var("i"), scheduled),
                  {"A": sw.csr(), "B": sw.csr(), "C": sw.csr()})
+
+
+def test_reduction_outermost_takes_a_full_workspace():
+    # with k outermost no loop prefix can host a dense workspace over j
+    stmt = sw.statement_from_text("forall k, j: a(j) += B(k,j)")
+    formats = {"a": sw.sparse_vector(), "B": sw.csr()}
+    rewritten, decision = sw.insert_sparse_workspace(stmt, formats)
+    assert decision.action is sw.InsertionAction.FULL
+    plan = sw.lower(rewritten, formats)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        b = ((rng.random((6, 9)) < 0.4) * rng.integers(-3, 4, (6, 9))).astype(np.float64)
+        out = sw.execute(plan, {"B": sw.from_dense(b, sw.csr())})
+        assert out.tensor.format == sw.sparse_vector()
+        assert np.array_equal(out.tensor.to_dense(), sw.dense_oracle(stmt, {"B": b}))

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +116,78 @@ def test_compress_arrays_empty():
     assert np.array_equal(t.to_dense(), np.zeros((4, 5)))
 
 
+def test_coordinates_must_be_integers():
+    # truncating would store (0.9, 2.2) silently as (0, 2)
+    with pytest.raises(sw.TensorError, match="non-integer dtype float64"):
+        from_arrays([[0.9, 1.7], [2.2, 0.5]], [1.0, 2.0], sw.csr(), (3, 3))
+    with pytest.raises(sw.TensorError, match="non-integer dtype float64"):
+        compress_arrays([[0.0, 1.0], [2.0, 0.0]], [1.0, 2.0], sw.csr(), (3, 3))
+    with pytest.raises(sw.TensorError, match="non-integer dtype bool"):
+        compress_arrays([np.array([False, True]), [0, 0]], [1.0, 2.0], sw.coo(2), (3, 3))
+    with pytest.raises(sw.TensorError, match="non-integer"):
+        sw.from_unsorted([Component((0.5, 1), 1.0)], sw.dcsr(), (3, 3))
+
+
+@pytest.mark.parametrize("fmt", [sw.coo(2), sw.csr(), sw.dcsr()], ids=str)
+def test_coordinates_must_be_one_dimensional_and_as_long_as_the_values(fmt):
+    with pytest.raises(sw.TensorError, match=r"mode 0 have shape \(2,\)"):
+        from_arrays([[0, 1], [1, 2]], [1.0, 2.0, 3.0], fmt, (3, 3))
+    with pytest.raises(sw.TensorError, match=r"mode 0 have shape \(2,\)"):
+        compress_arrays([[0, 1], [1, 2]], [1.0, 2.0, 3.0], fmt, (3, 3))
+    with pytest.raises(sw.TensorError, match=r"mode 1 have shape \(2, 1\)"):
+        compress_arrays([[0, 1], [[1], [2]]], [1.0, 2.0], fmt, (3, 3))
+    with pytest.raises(sw.TensorError, match="not a 1-D array"):
+        compress_arrays([[0, 1], [1, 2]], [[1.0], [2.0]], fmt, (3, 3))
+    with pytest.raises(sw.TensorError, match="1 coordinate lists for an order-2"):
+        compress_arrays([[0, 1]], [1.0, 2.0], fmt, (3, 3))
+
+
+@pytest.mark.parametrize("fmt", [sw.coo(2), sw.csr(), sw.dcsr(), sw.dense(2)], ids=str)
+def test_empty_coordinate_lists_are_valid(fmt):
+    for t in (from_arrays([[], []], [], fmt, (3, 3)),
+              compress_arrays([[], []], [], fmt, (3, 3)),
+              sw.from_unsorted([], fmt, (3, 3))):
+        assert t.nnz == (9 if fmt.all_dense() else 0)
+        assert np.array_equal(t.to_dense(), np.zeros((3, 3)))
+        crds = t.coo_coords or [lvl.crd for lvl in t.levels
+                                if isinstance(lvl, CompressedLevel)]
+        assert all(c.dtype == np.uint32 for c in crds)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint32], ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("fmt, shape", [
+    (sw.csr(), (2000, 2000)), (sw.dcsr(), (2000, 2000)), (sw.csf(3), (100, 100, 100)),
+    (sw.coo(2), (2000, 2000)), (sw.sparse_vector(), (10**6,)),
+    (sw.csr(), (10**6, 100)),  # five rows per entry: pos outgrows the entries
+], ids=lambda x: str(x) if isinstance(x, sw.Format) else "x".join(map(str, x)))
+def test_compress_arrays_scratch_per_entry(fmt, shape, dtype):
+    # what compress_arrays holds at its peak beyond the tensor it returns:
+    # room for a few bool and 32-bit arrays of one slot per entry, not for
+    # an int64 copy of each level's coordinates
+    n = 200_000
+    rng = np.random.default_rng(0)
+    flat = np.sort(rng.choice(math.prod(shape), n, replace=False))
+    coords = [c.astype(dtype) for c in np.unravel_index(flat, shape)]
+    vals = rng.random(n)
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        t = compress_arrays(coords, vals, fmt, shape)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    arrays = [t.vals, *(t.coo_coords or ())]
+    arrays += [a for lvl in t.levels or () if isinstance(lvl, CompressedLevel)
+               for a in (lvl.pos, lvl.crd)]
+    assert (peak - sum(a.nbytes for a in arrays)) / n <= 12
+    assert np.array_equal(t.mode_coordinates()[0], coords[0])
+
+
 def test_from_unsorted_sorts_by_target_order():
     comps = [Component((2, 1), 3.0), Component((0, 2), 2.0), Component((0, 0), 1.0)]
     t = sw.from_unsorted(comps, sw.csr(), (3, 3))
@@ -175,6 +251,17 @@ def test_from_dense_matches_from_unsorted(order, fmt_name):
     assert t.nnz == stored
     assert np.isnan(t.vals).sum() == 1
     assert np.signbit(t.vals).sum() == (2 if fmt.all_dense() else 0)
+    # compress_arrays builds the same tensor from coordinates of any integer
+    # dtype, and still rejects one at or past the extent, or below 0
+    m = fmt.mode_ordering[-1]
+    for dtype in (np.int64, np.int32, np.uint32):
+        coords = [c.astype(dtype) for c in t.mode_coordinates()]
+        assert sw.tensors_equal(compress_arrays(coords, t.vals, fmt, arr.shape), t)
+        for bad in (arr.shape[m], 2**32 - 1 if dtype is np.uint32 else -1):
+            wrong = [c.copy() for c in coords]
+            wrong[m][-1] = bad
+            with pytest.raises(sw.TensorError, match="coordinate out of bounds"):
+                compress_arrays(wrong, t.vals, fmt, arr.shape)
 
 
 def test_orders_and_dims_must_match_the_format():
