@@ -2,9 +2,11 @@
 
 A workspace run streams (coordinate, value) pairs into a bounded accumulate
 array. When the array fills up, its contents are sorted by coordinate and
-merged into a growing sorted-unique all array; at the end the all array holds
-the deduplicated result in coordinate order, ready to compress into any
-sorted output format.
+merged into a sorted-unique all array; at the end the all array holds the
+deduplicated result in coordinate order, ready to compress into any sorted
+output format. The all array is a log: a merge appends the drained run, and
+the log is merged once, when the result is read or when it has outgrown the
+last merged size, with the sums and counters of one two-way merge per drain.
 
 Coordinates are linearized row-major into unsigned 64-bit keys, which makes
 key order identical to lexicographic coordinate order. Counters track the
@@ -30,6 +32,12 @@ KEY_DTYPE = np.uint64
 _ELEMENT_BYTES = 16  # one uint64 key plus one float64 value
 # smallest batch slice IsmEngine.insert_batch plans at once
 _BLOCK = 4096
+# runs the all array's log holds before merge() considers compacting it
+_LOG_RUNS = 64
+# the object headers of one logged run (two arrays and a tuple), in entries
+_RUN_ENTRIES = 18
+# sorted log positions one compaction step gathers and adds at once
+_CHUNK = 2**14
 
 
 class IsmError(RuntimeError):
@@ -88,7 +96,9 @@ def row_major_strides(extents: Sequence[int]) -> tuple[int, ...]:
 @dataclass
 class Counters:
     """Cost model counters; producer-side and worker-side fields are disjoint
-    so the pipelined mode needs no locking."""
+    so the pipelined mode needs no locking. The merge counters are charged
+    when the all array's log is compacted, and that happens on the worker
+    or after the producer has waited for it."""
 
     inserts: int = 0
     drains: int = 0
@@ -304,36 +314,109 @@ class AccArray:
 
 
 class AllArray:
-    """Sorted-unique accumulator the drains merge into."""
+    """Sorted-unique accumulator the drains merge into, kept as a log.
+
+    merge() appends each drained run, sorted and unique, to a log. Reading
+    keys, vals, size or nbytes compacts the log into one sorted-unique
+    array: a stable sort by key puts each key's arrivals in drain order,
+    the first arrival is the key's start value and later ones add to it in
+    that order, so every sum is bit for bit the ``old + new`` of a two-way
+    merge per drain. merge() also compacts once the log holds _LOG_RUNS
+    runs and at least as many entries, counting each run's object headers,
+    as the last compaction left, so the log stays within about the distinct
+    keys plus _LOG_RUNS runs.
+
+    The merge counters are charged at compaction, from the distinct keys
+    after each run: a run costs its length plus the distinct keys before it
+    in comparisons, and each key it repeats is a dedup. Compaction runs
+    where merge() runs or, at a read, after the engine has waited for it,
+    so the merge counters stay worker-side.
+    """
 
     def __init__(self, counters: Counters) -> None:
         self.counters = counters
-        self.keys = np.empty(0, KEY_DTYPE)
-        self.vals = np.empty(0, VAL_DTYPE)
+        self.merges = 0
+        self._keys = np.empty(0, KEY_DTYPE)
+        self._vals = np.empty(0, VAL_DTYPE)
+        self._runs: list[tuple[np.ndarray, np.ndarray]] = []
+        self._logged = 0
+
+    def merge(self, new_keys: np.ndarray, new_vals: np.ndarray) -> None:
+        """Log a sorted-unique run, taking over its arrays; its values add
+        after those of every earlier run."""
+        self.counters.merges += 1
+        self.merges += 1
+        self._runs.append((new_keys, new_vals))
+        self._logged += len(new_keys)
+        runs = len(self._runs)
+        if runs >= _LOG_RUNS and self._logged + _RUN_ENTRIES * runs >= len(self._keys):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Merge the log into the last compacted array and charge its merges."""
+        runs, self._runs, self._logged = self._runs, [], 0
+        base = len(self._keys)
+        if not base and len(runs) == 1:
+            # nothing to merge the run with: it is the all array
+            (self._keys, self._vals), = runs
+            self.counters.merge_comparisons += len(self._keys)
+            return
+        lengths = np.array([len(k) for k, _ in runs], np.int64)
+        if base:
+            # the last compacted array is the first run: its values came first
+            runs.insert(0, (self._keys, self._vals))
+        self._keys = self._vals = None
+        ends = np.cumsum([len(k) for k, _ in runs])
+        total = int(ends[-1])
+        # one copy of the log at a time: the values, then the keys
+        vals = np.concatenate([v for _, v in runs])
+        runs = [k for k, _ in runs]
+        keys = np.concatenate(runs)
+        del runs
+        order = np.argsort(keys, kind="stable")
+        keys.sort()
+        first = np.empty(total, bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        self._keys = keys[first]
+        del keys
+        self._vals = out = np.empty(len(self._keys), VAL_DTYPE)
+        # the distinct keys each run brought, in chunks of sorted positions
+        new = np.zeros(len(ends), np.int64)
+        done = 0
+        for a in range(0, total, _CHUNK):
+            f = first[a:a + _CHUNK]
+            at = order[a:a + _CHUNK]
+            v = vals[at]
+            group = np.cumsum(f) + (done - 1)
+            out[group[f]] = v[f]
+            repeat = ~f
+            np.add.at(out, group[repeat], v[repeat])
+            new += np.bincount(np.searchsorted(ends, at[f], "right"), minlength=len(ends))
+            done = int(group[-1]) + 1
+        # each logged run met the distinct keys of the base and of the runs
+        # before it, and repeated those it did not bring
+        new = new[-len(lengths):]
+        before = base + np.cumsum(new) - new
+        c = self.counters
+        c.merge_comparisons += int(lengths.sum() + before.sum())
+        c.merge_dedups += int((lengths - new).sum())
+
+    @property
+    def keys(self) -> np.ndarray:
+        if self._runs:
+            self._compact()
+        return self._keys
+
+    @property
+    def vals(self) -> np.ndarray:
+        if self._runs:
+            self._compact()
+        return self._vals
 
     @property
     def size(self) -> int:
         return len(self.keys)
-
-    def merge(self, new_keys: np.ndarray, new_vals: np.ndarray) -> None:
-        """Two-way merge of a sorted-unique batch; equal keys add their values
-        (existing value first, so summation order is deterministic)."""
-        c = self.counters
-        old_keys, old_vals = self.keys, self.vals
-        c.merges += 1
-        c.merge_comparisons += len(new_keys) + len(old_keys)
-        if not old_keys.size:
-            self.keys, self.vals = new_keys.copy(), new_vals.copy()
-            return
-        pos = np.searchsorted(old_keys, new_keys)
-        match = np.zeros(len(new_keys), dtype=bool)
-        in_range = pos < old_keys.size
-        match[in_range] = old_keys[pos[in_range]] == new_keys[in_range]
-        c.merge_dedups += int(match.sum())
-        old_vals[pos[match]] += new_vals[match]
-        fresh = ~match
-        self.keys = np.insert(old_keys, pos[fresh], new_keys[fresh])
-        self.vals = np.insert(old_vals, pos[fresh], new_vals[fresh])
 
     @property
     def nbytes(self) -> int:
@@ -384,12 +467,16 @@ class IsmEngine:
         self.counters = Counters()
         self._pool: ThreadPoolExecutor | None = None
         self._pending: Future | None = None
+        self.all = AllArray(self.counters)
         self.reset()
 
     def reset(self) -> None:
         """Start the next run: empty accumulate arrays and an empty all
         array. Counters keep accumulating."""
         self._wait()
+        if self.all.merges:
+            # a run left without result() still owes its merge counters
+            self._note_peak()
         self.acc = self._new_acc()
         self._spare = self._new_acc() if self.pipeline else None
         self.all = AllArray(self.counters)
@@ -447,11 +534,13 @@ class IsmEngine:
                            f"{self.key_count} keys")
         self.counters.inserts += len(keys)
         done = 0
-        block = max(4 * self.capacity, _BLOCK)
+        block = max(self.capacity, _BLOCK)
         while done < len(keys):
             runs, rest = self.acc.fill(keys[done:done + block], vals[done:done + block])
-            for run in runs:
-                self.acc.load(*run)
+            # each run leaves the list as it drains: none outlives its drain
+            runs.reverse()
+            while runs:
+                self.acc.load(*runs.pop())
                 self._flush()
             self.acc.load(*rest)
             done += block
@@ -480,9 +569,10 @@ class IsmEngine:
         keys, vals = acc.drain()
         self.all.merge(keys, vals)
         acc.clear()
-        self._note_peak()
 
     def _note_peak(self) -> None:
+        """The all array only grows within a run, so its peak is the size
+        it ends with, read once the log is compacted."""
         live = self.all.nbytes + self._acc_bytes
         if live > self.counters.peak_bytes:
             self.counters.peak_bytes = live

@@ -957,8 +957,12 @@ class _Execution:
         with self.stack:
             for node in self.plan.body:
                 node.run(self, root)
-        for engine in self.engines.values():
-            self.counters.merge(engine.counters)
+        # fold each engine's counters and drop the engines and their runs:
+        # the results hold decoded coordinates, and an all array would keep
+        # its keys live through compression
+        while self.engines:
+            self.counters.merge(self.engines.popitem()[1].counters)
+        self.ws_runs.clear()
         if self.override is not None:
             return ExecutionResult(self.override, self.counters)
         fmt = self.plan.result_format

@@ -25,7 +25,9 @@ import numpy as np
 CRD_DTYPE = np.uint32
 VAL_DTYPE = np.float64
 MAX_EXTENT = 2**32  # every coordinate below it fits in CRD_DTYPE
-_POS_BLOCK = 2**14  # parents one searchsorted call places while building pos
+# parents one searchsorted call places while building pos, and values
+# level_coordinates walks up the levels at once
+_POS_BLOCK = 2**14
 
 _T = TypeVar("_T")
 
@@ -203,20 +205,26 @@ class Tensor:
         return self.dims[self.format.mode_ordering[level]]
 
     def level_coordinates(self) -> tuple[np.ndarray, ...]:
-        """Coordinate of every stored value at every storage level."""
+        """Coordinate of every stored value at every storage level, in
+        CRD_DTYPE. The walk up the levels goes a block of values at a time,
+        so beyond its output it holds a few arrays of one block."""
         if self.format.coo:
             return self.coo_coords  # type: ignore[return-value]
         n = len(self.vals)
-        coords: list[np.ndarray] = [None] * self.order  # type: ignore[list-item]
-        child = np.arange(n, dtype=np.int64)
-        for l in range(self.order - 1, -1, -1):
-            lvl = self.levels[l]  # type: ignore[index]
-            if isinstance(lvl, DenseLevel):
-                coords[l] = (child % lvl.extent).astype(CRD_DTYPE)
-                child = child // lvl.extent
-            else:
-                coords[l] = lvl.crd[child].astype(CRD_DTYPE)
-                child = np.searchsorted(lvl.pos, child, side="right") - 1
+        coords = [np.empty(n, CRD_DTYPE) for _ in range(self.order)]
+        for lo in range(0, n, _POS_BLOCK):
+            # each value's position at the level below the current one
+            child = np.arange(lo, min(lo + _POS_BLOCK, n))
+            for l in range(self.order - 1, -1, -1):
+                lvl = self.levels[l]  # type: ignore[index]
+                out = coords[l][lo:lo + len(child)]
+                if isinstance(lvl, DenseLevel):
+                    np.remainder(child, lvl.extent, out=out, casting="unsafe")
+                    child //= lvl.extent
+                else:
+                    np.take(lvl.crd, child, out=out)
+                    if l:
+                        child = np.searchsorted(lvl.pos, child, side="right") - 1
         return tuple(coords)
 
     def mode_coordinates(self) -> tuple[np.ndarray, ...]:

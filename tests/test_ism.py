@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import copy
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spworks import ism
 from spworks.ism import (
     AccArray,
     AccFullError,
@@ -203,6 +206,21 @@ def test_all_array_merges_sorted_unique_batches():
     assert c.merges == 2
     assert c.merge_comparisons == (2 + 0) + (3 + 2)
     assert c.merge_dedups == 1
+
+
+def test_all_array_charges_its_merges_when_read():
+    c = Counters()
+    alla = AllArray(c)
+    alla.merge(np.array([2, 5], np.uint64), np.array([1.0, 2.0]))
+    alla.merge(np.array([5], np.uint64), np.array([4.0]))
+    assert c.merges == 2 and c.merge_comparisons == 0
+    assert alla.size == 2
+    assert c.merge_comparisons == (2 + 0) + (1 + 2) and c.merge_dedups == 1
+    # a one-run log is the all array as it is
+    keys, vals = np.array([3], np.uint64), np.array([1.5])
+    single = AllArray(Counters())
+    single.merge(keys, vals)
+    assert single.keys is keys and single.vals is vals
 
 
 # -- engine --------------------------------------------------------------------------
@@ -523,6 +541,39 @@ def test_insert_batch_matches_insert_key(policy, capacity, sort_once, pipeline,
             assert want_vals.tobytes() == got_vals.tobytes()
 
 
+def _insert_batch_scratch(policy: Policy, capacity: int, n: int, universe: int) -> int:
+    """Bytes insert_batch held at its peak beyond what it left behind: the
+    accumulate array's contents and the log."""
+    keys, vals = _real_stream(1, n, universe)
+    eng = IsmEngine((universe,), policy, capacity, hash_l=64)
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        eng.insert_batch(keys, vals)
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return peak - left
+
+
+@pytest.mark.parametrize("capacity, universe", [(1, 64), (4096, 10**7), (3 * ism._BLOCK, 10**7)])
+@pytest.mark.parametrize("policy", list(Policy))
+def test_insert_batch_scratch_is_one_block(policy, capacity, universe):
+    # a batch is planned max(capacity, _BLOCK) pairs at a time, after the
+    # contents, so from two blocks on, four times the batch holds about the
+    # same scratch; at capacity 1 each pair of a block may end a run of its
+    # own, a few small arrays each
+    block = max(capacity, ism._BLOCK)
+    short, long = (_insert_batch_scratch(policy, capacity, k * block, universe)
+                   for k in (2, 8))
+    assert long <= 1.15 * short
+    assert long <= (768 if capacity == 1 else 256) * block
+
+
 def test_insert_batch_keeps_the_sign_of_a_lone_negative_zero():
     for policy in Policy:
         with IsmEngine((4,), policy, 4, hash_l=2) as eng:
@@ -549,3 +600,121 @@ def test_insert_batch_spanning_several_blocks(policy, capacity, sort_once):
     assert batched.counters == scalar.counters
     assert all(np.array_equal(w, g) for w, g in zip(want_coords, got_coords))
     assert want_vals.tobytes() == got_vals.tobytes()
+
+
+# -- the log against a two-way merge per drain -----------------------------------
+
+
+class _TwoWayMerge:
+    """The all array as a two-way merge per drain, which rebuilds the array
+    each time: the reference the log reproduces."""
+
+    def __init__(self, counters: Counters) -> None:
+        self.counters = counters
+        self.merges = 0
+        self.keys = np.empty(0, np.uint64)
+        self.vals = np.empty(0, np.float64)
+
+    @property
+    def size(self) -> int:
+        return len(self.keys)
+
+    @property
+    def nbytes(self) -> int:
+        return self.keys.nbytes + self.vals.nbytes
+
+    def merge(self, new_keys: np.ndarray, new_vals: np.ndarray) -> None:
+        # equal keys add their values, the existing value first
+        c = self.counters
+        old_keys, old_vals = self.keys, self.vals
+        self.merges += 1
+        c.merges += 1
+        c.merge_comparisons += len(new_keys) + len(old_keys)
+        if not old_keys.size:
+            self.keys, self.vals = new_keys.copy(), new_vals.copy()
+            return
+        pos = np.searchsorted(old_keys, new_keys)
+        match = np.zeros(len(new_keys), dtype=bool)
+        in_range = pos < old_keys.size
+        match[in_range] = old_keys[pos[in_range]] == new_keys[in_range]
+        c.merge_dedups += int(match.sum())
+        old_vals[pos[match]] += new_vals[match]
+        fresh = ~match
+        self.keys = np.insert(old_keys, pos[fresh], new_keys[fresh])
+        self.vals = np.insert(old_vals, pos[fresh], new_vals[fresh])
+
+
+class _ReferenceEngine(IsmEngine):
+    """An engine whose all array merges at every drain and whose peak is
+    noted after every drain."""
+
+    def reset(self) -> None:
+        super().reset()
+        self.all = _TwoWayMerge(self.counters)  # type: ignore[assignment]
+
+    def _drain(self, acc: AccArray) -> None:
+        super()._drain(acc)
+        self._note_peak()
+
+
+def _log_bound_checked(eng: IsmEngine, bounds: list) -> None:
+    """Record, after each merge, how far the log's entries and run headers
+    exceed the last compacted size, in units of capacity plus headers."""
+    alla = eng.all
+    merge = alla.merge
+
+    def checked(keys, vals):
+        merge(keys, vals)
+        over = alla._logged + ism._RUN_ENTRIES * len(alla._runs) - len(alla._keys)
+        bounds.append(over / (eng.capacity + ism._RUN_ENTRIES))
+
+    alla.merge = checked
+
+
+def _check_against_reference(policy: Policy, capacity: int, streams: list,
+                             extents: tuple[int, ...], pipeline: bool = False) -> None:
+    """Run the streams through a reference engine and an engine with the
+    log, each run from a reset, the second run left without result(); the
+    results, every counter, peak_bytes included, and the log's bound hold."""
+    engines = [cls(extents, policy, capacity, hash_l=64, pipeline=pipeline)
+               for cls in (_ReferenceEngine, IsmEngine)]
+    results = []
+    bounds: list[float] = []
+    for eng in engines:
+        with eng:
+            out = []
+            for run, (keys, vals) in enumerate(streams):
+                eng.reset()
+                if isinstance(eng.all, AllArray):
+                    _log_bound_checked(eng, bounds)
+                eng.insert_batch(keys, vals)
+                if run != 1:
+                    coords, got = eng.result()
+                    out.append(([c.copy() for c in coords], got.tobytes()))
+            eng.reset()
+        results.append(out)
+    reference, log = engines
+    assert log.counters == reference.counters
+    for (want_coords, want_vals), (got_coords, got_vals) in zip(*results):
+        assert all(np.array_equal(w, g) for w, g in zip(want_coords, got_coords))
+        assert want_vals == got_vals
+    assert max(bounds) < ism._LOG_RUNS
+
+
+@pytest.mark.parametrize("pipeline", [False, True])
+@pytest.mark.parametrize("capacity", [1, 7, 64, 4096])
+@pytest.mark.parametrize("policy", list(Policy))
+def test_log_matches_a_two_way_merge_per_drain(policy, capacity, pipeline):
+    # standard-normal values, so that any change in summation order shows;
+    # below capacity 4096 the log compacts while the first run goes on
+    streams = [_real_stream(seed, n, universe=8 * 512)
+               for seed, n in [(11, 6000), (12, 900), (13, 1500)]]
+    _check_against_reference(policy, capacity, streams, (8, 512), pipeline)
+
+
+def test_log_stays_bounded_under_heavy_dedup():
+    # coord at capacity 1 drains at every insert: 10^5 one-entry runs over
+    # 64 keys, which the log compacts every _LOG_RUNS runs
+    streams = [_real_stream(seed, n, universe=64)
+               for seed, n in [(5, 100_000), (6, 500), (7, 500)]]
+    _check_against_reference(Policy.COORD, 1, streams, (64,))

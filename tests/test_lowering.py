@@ -6,12 +6,14 @@ import gc
 import hashlib
 import json
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import spworks as sw
+import spworks.lowering as lowering
 from spworks.ir import build_nest, var
 from spworks.lowering import (
     AccumReg,
@@ -512,6 +514,30 @@ def test_hoisted_execution_builds_one_engine_and_at_most_one_worker(monkeypatch)
         assert out.counters.drains > 1  # one drain per nonempty row
         assert len(engines) == 1
         assert len(threads) <= int(pipeline)
+
+
+@pytest.mark.parametrize("name", ["spgemm-outer", "spgemm-rowwise-hoist"])
+def test_engines_are_released_before_the_result_is_compressed(name, monkeypatch):
+    # their all arrays' keys would stay live through compression
+    kernel = KERNELS_BY_NAME[name]
+    _, plan, _ = prepare(kernel)
+    engines: list[weakref.ref] = []
+    live_at_compression: list[int] = []
+    init, compress = sw.IsmEngine.__init__, lowering.compress_arrays
+
+    def tracked_init(self, *args, **kwargs):
+        engines.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    def checked_compress(*args, **kwargs):
+        live_at_compression.append(sum(ref() is not None for ref in engines))
+        return compress(*args, **kwargs)
+
+    monkeypatch.setattr(sw.IsmEngine, "__init__", tracked_init)
+    monkeypatch.setattr(lowering, "compress_arrays", checked_compress)
+    out = sw.execute(plan, kernel.instance(1).tensors)
+    assert engines and live_at_compression == [0]
+    assert out.counters.merges > 0
 
 
 def test_raising_pipelined_execution_joins_its_worker(monkeypatch):

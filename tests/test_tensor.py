@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import spworks as sw
 from spworks.tensor import (
     COMPRESSED,
+    CRD_DTYPE,
     DENSE,
     Component,
     CompressedLevel,
@@ -186,6 +187,35 @@ def test_compress_arrays_scratch_per_entry(fmt, shape, dtype):
                for a in (lvl.pos, lvl.crd)]
     assert (peak - sum(a.nbytes for a in arrays)) / n <= 12
     assert np.array_equal(t.mode_coordinates()[0], coords[0])
+
+
+@pytest.mark.parametrize("fmt, shape", [
+    (sw.csr(), (2000, 2000)), (sw.dcsr(), (2000, 2000)), (sw.csf(3), (100, 100, 100)),
+    (sw.sparse_vector(), (10**6,)), (sw.csr(), (10**6, 100)), (sw.dense(2), (500, 400)),
+], ids=lambda x: str(x) if isinstance(x, sw.Format) else "x".join(map(str, x)))
+def test_level_coordinates_scratch_per_entry(fmt, shape):
+    # beyond the CRD_DTYPE arrays it returns, the walk up the levels holds a
+    # few 64-bit arrays of one block of entries, not one per entry per level
+    n = 200_000
+    rng = np.random.default_rng(0)
+    flat = np.sort(rng.choice(math.prod(shape), n, replace=False))
+    coords = np.unravel_index(flat, shape)
+    t = compress_arrays(list(coords), rng.random(n), fmt, shape)
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        got = t.level_coordinates()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert (peak - sum(c.nbytes for c in got)) / t.nnz <= 3
+    assert all(c.dtype == CRD_DTYPE for c in got)
+    assert all(np.array_equal(g, c) for g, c in zip(got, coords))
 
 
 def test_from_unsorted_sorts_by_target_order():
