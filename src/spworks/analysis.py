@@ -419,7 +419,7 @@ def insert_sparse_workspace(
         capacity=capacity,
         ow_order=decision.ow_order,
         hash_l=hash_l,
-        dense=decision.action is InsertionAction.DENSE,
+        kind="dense" if decision.action is InsertionAction.DENSE else "sparse",
     )
 
     # a hoisted workspace (the dense array too) is the same precompute, made

@@ -164,10 +164,12 @@ class Pos(SchedulingRelation):
 
 @dataclass(frozen=True)
 class WorkspaceDescriptor:
-    """Shape, sorting policy and capacity of an inserted workspace.
+    """Kind, shape, sorting policy and capacity of an inserted workspace.
 
-    ``dims`` entries are either fixed extents or dimension symbols (upper-case
-    variable names) resolved when tensors are bound. ``ow_order`` maps each
+    ``kind`` names the implementation in ``lowering.WORKSPACE_KINDS``,
+    ``"sparse"`` (insert-sort-merge) or ``"dense"``. ``dims`` entries are
+    either fixed extents or dimension symbols (upper-case variable names)
+    resolved when tensors are bound. ``ow_order`` maps each
     producer-side insertion variable to its position in the consumer's access
     order. ``hash_l`` is the bucket count for the hash policy; left unset it
     defaults from the input nonzero count at execution time.
@@ -179,7 +181,7 @@ class WorkspaceDescriptor:
     capacity: int
     ow_order: tuple[int, ...]
     hash_l: int | None = None
-    dense: bool = False
+    kind: str = "sparse"
 
     def __post_init__(self) -> None:
         if len(self.dims) != self.order or len(self.ow_order) != self.order:
@@ -195,7 +197,7 @@ class WorkspaceDescriptor:
     def __str__(self) -> str:
         dims = "{" + ",".join(str(d) for d in self.dims) + "}"
         ow = "[" + ",".join(str(o) for o in self.ow_order) + "]"
-        if self.dense:
+        if self.kind == "dense":
             return f"DenseWs(order={self.order}), dims={dims}"
         return (
             f"SpFormat(order={self.order}, policy={self.policy.label}), "

@@ -4,10 +4,10 @@ A plan is a tree of loop nodes. Each loop is driven either by a dense range,
 by one compressed tensor level, or by the two-pointer intersection of two
 compressed levels; further operands resolve inside the loop through probes
 (positional arithmetic for dense levels, binary search for compressed ones).
-Workspace statements add the insert-sort-merge skeleton: inserts at the
-innermost loop, a conditional drain when the accumulate array fills, a final
-drain after the loops, and a compression of the sorted result into the
-output format.
+A workspace statement adds an allocation, an insert at the innermost loop
+and a drain after the loops; their plan lines and their execution come from
+the implementation its descriptor's kind names in WORKSPACE_KINDS, the
+insert-sort-merge engine or the dense workspace.
 
 Each node kind prints its own plan lines and runs itself. Execution works
 an array at a time and reads the operands' own storage arrays: a loop
@@ -15,7 +15,7 @@ expands a batch of iterations into the next batch (one coordinate array per
 bound variable, one position array per access), chunk by chunk; probes
 filter or extend it; statements evaluate their expression over the whole
 batch and stream the values into the result collector (append paths), a
-dense scatter array, a dense workspace, or an IsmEngine (insert_batch).
+dense result array, or a workspace.
 """
 
 from __future__ import annotations
@@ -250,74 +250,63 @@ class ScatterDense:
         np.add.at(ex.dense_out.reshape(-1), at, _evaluate(ex, rows, self.expr, self.amap))
 
 
-# a drain: IsmInsert runs one when Acc is full, and CompressWs and
-# MaterializeWs run the final one through IsmEngine.result()
-_DRAIN_LINES = ["sort Acc", "merge Acc -> All"]
-
-
 @dataclass
-class IsmInsert:
-    ws: str
-    slot_vars: tuple[IndexVar, ...]
+class InsertWs:
+    """Insert the expression's values into a workspace under row-major keys
+    over its slot extents."""
+
+    meta: WsMeta
     expr: Expr
     amap: dict
 
     def lines(self, plan: Plan) -> list[str]:
-        coords = ", ".join(v.name for v in self.slot_vars)
-        insert = f"insert ({coords}) -> Acc"
-        return [f"val = {format_expr(self.expr)}", insert, "if Acc.full:",
-                *("  " + line for line in [*_DRAIN_LINES, insert])]
+        return self.meta.impl.insert_lines(self.meta, self.expr)
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
+        slots = self.meta.slot_vars
         keys = np.zeros(rows.n, dtype=np.uint64)
-        strides = row_major_strides([ex.extents[v] for v in self.slot_vars])
-        for v, stride in zip(self.slot_vars, strides):
+        for v, stride in zip(slots, row_major_strides([ex.extents[v] for v in slots])):
             keys += rows.crd[v].astype(np.uint64) * np.uint64(stride)
-        ex.ws_runs[self.ws].insert(rows.owner, keys,
-                                   _evaluate(ex, rows, self.expr, self.amap))
+        ex.workspaces[self.meta.name].insert(rows.owner, keys,
+                                             _evaluate(ex, rows, self.expr, self.amap))
 
 
 @dataclass
 class AllocWs:
+    """Build the workspace's implementation at its first allocation, and
+    start a batch of the host loop's rows."""
+
     meta: WsMeta
 
     def lines(self, plan: Plan) -> list[str]:
-        return [f"workspace {self.meta.name}: {self.meta.descriptor}"]
+        return self.meta.impl.alloc_lines(self.meta, head=False)
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
         meta = self.meta
-        engine = ex.engines.get(meta.name)
-        if engine is None:
-            engine = ex.engines[meta.name] = ex.stack.enter_context(IsmEngine(
-                [ex.extents[v] for v in meta.slot_vars],
-                meta.descriptor.policy,
-                meta.descriptor.capacity,
-                hash_l=ex._hash_l(meta),
-                pipeline=ex.options.pipeline,
-            ))
-        ex.ws_runs[meta.name] = _EngineRuns(engine, rows.n)
+        if meta.name not in ex.workspaces:
+            ex.workspaces[meta.name] = meta.impl(ex, meta)
+        ex.workspaces[meta.name].start(rows.n)
 
 
 @dataclass
-class CompressWs:
-    """Drain the workspace and feed its sorted-unique contents into the result
-    collector, prefixed by the coordinates of any enclosing loops."""
+class DrainWs:
+    """Drain the workspace and feed its contents, sorted within each host
+    row, into the result collector, prefixed by the coordinates of any
+    enclosing loops."""
 
-    ws: str
+    meta: WsMeta
     prefix_vars: tuple[IndexVar, ...]
 
     def lines(self, plan: Plan) -> list[str]:
-        if self.prefix_vars:
-            coords = ", ".join(v.name for v in self.prefix_vars)
-            return [*_DRAIN_LINES,
-                    f"append segment ({coords}, :) <- All -> {plan.result.tensor}"]
-        return [*_DRAIN_LINES, f"compress All -> {plan.result.tensor}"]
+        return self.meta.impl.drain_lines(self.meta, self.prefix_vars, plan.result.tensor)
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
-        for row, coords, wvals in ex.ws_runs.pop(self.ws).finish():
-            prefix = [np.full(len(wvals), rows.crd[v][row], dtype=CRD_DTYPE)
-                      for v in self.prefix_vars]
-            ex.collector.extend(prefix + coords, wvals)
+        prefix = [rows.crd[v].astype(CRD_DTYPE) for v in self.prefix_vars]
+        for row, coords, wvals in ex.workspaces[self.meta.name].finish():
+            # a row array gives each entry its host row, one row all of them
+            lead = ([p[row] for p in prefix] if isinstance(row, np.ndarray) else
+                    [np.full(len(wvals), p[row], dtype=CRD_DTYPE) for p in prefix])
+            ex.collector.extend(lead + coords, wvals)
 
 
 @dataclass
@@ -329,15 +318,13 @@ class MaterializeWs:
 
     def lines(self, plan: Plan) -> list[str]:
         sub = print_plan(self.meta.subplan).splitlines()
-        return [*_DRAIN_LINES, f"materialize All -> {self.meta.name}", "consume:",
+        return [*self.meta.impl.drain_lines(self.meta, (), None), "consume:",
                 *("  " + line for line in sub)]
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
         meta = self.meta
-        ((_, slot_coords, wvals),) = ex.ws_runs.pop(meta.name).finish()
-        mode_coords: list[np.ndarray] = [None] * len(meta.i_vars)  # type: ignore[list-item]
-        for s, m in enumerate(_inverse(meta.descriptor.ow_order)):
-            mode_coords[m] = slot_coords[s]
+        ((_, slot_coords, wvals),) = ex.workspaces[meta.name].finish()
+        mode_coords = [slot_coords[s] for s in meta.descriptor.ow_order]
         dims = tuple(ex.extents[v] for v in meta.i_vars)
         ws_tensor = compress_arrays(mode_coords, wvals, meta.ws_format, dims)
         sub = execute(meta.subplan, {**ex.tensors, meta.name: ws_tensor}, ex.options)
@@ -346,46 +333,10 @@ class MaterializeWs:
 
 
 @dataclass
-class DenseWsScatter:
-    ws: str
-    var: IndexVar
-    expr: Expr
-    amap: dict
-
-    def lines(self, plan: Plan) -> list[str]:
-        return [f"{self.ws}[{self.var.name}] += {format_expr(self.expr)}"]
-
-    def run(self, ex: _Execution, rows: _Rows) -> None:
-        ex.dense_ws[self.ws].add(rows.owner, rows.crd[self.var],
-                                 _evaluate(ex, rows, self.expr, self.amap))
-        ex.counters.inserts += rows.n
-
-
-@dataclass
-class DenseWsGather:
-    """Append every cell of a dense workspace that received a value, then
-    zero it."""
-
-    ws: str
-    prefix_vars: tuple[IndexVar, ...]
-
-    def lines(self, plan: Plan) -> list[str]:
-        target = plan.result.tensor
-        if self.prefix_vars:
-            coords = ", ".join(v.name for v in self.prefix_vars)
-            target += f"({coords}, :)"
-        return [f"gather nonzeros {self.ws} -> {target}", f"clear {self.ws}"]
-
-    def run(self, ex: _Execution, rows: _Rows) -> None:
-        row, crd, vals = ex.dense_ws[self.ws].take_nonzeros()
-        prefix = [rows.crd[v].astype(CRD_DTYPE)[row] for v in self.prefix_vars]
-        ex.collector.extend(prefix + [crd], vals)
-
-
-@dataclass
 class WsMeta:
     name: str
     descriptor: WorkspaceDescriptor
+    impl: type[Workspace]
     i_vars: tuple[IndexVar, ...]
     slot_vars: tuple[IndexVar, ...]
     ws_format: Format | None = None
@@ -595,10 +546,10 @@ def _lower_workspace(root: Statement, prefix: tuple[IndexVar, ...], where: Where
     c_assign = nest_assign(where.consumer)
     i_vars = p_assign.lhs.vars
     result_fmt = _format_of(c_assign.lhs, formats)
-    if descriptor.dense and not prefix:
-        raise LoweringError("a dense workspace only applies under a loop prefix")
-    if descriptor.dense and descriptor.order != 1:
-        raise LoweringError("a dense workspace covers exactly one dimension")
+    if descriptor.kind not in WORKSPACE_KINDS:
+        raise LoweringError(f"unknown workspace kind {descriptor.kind!r}")
+    impl = WORKSPACE_KINDS[descriptor.kind]
+    impl.check(descriptor, prefix)
     if prefix:
         if where.relations or where.producer.relations:
             raise LoweringError("a workspace under a loop prefix cannot be scheduled")
@@ -613,24 +564,16 @@ def _lower_workspace(root: Statement, prefix: tuple[IndexVar, ...], where: Where
     slot_vars = tuple(i_vars[m] for m in inv)
     ws_accesses = [a for a in expr_accesses(c_assign.rhs) if a.tensor == ws]
     renames = ws_accesses[0].vars if ws_accesses else ()
-    meta = WsMeta(ws, descriptor, tuple(i_vars), slot_vars, consumer_vars=renames)
-
-    def payload(term: Expr, amap: dict) -> DenseWsScatter | IsmInsert:
-        if descriptor.dense:
-            return DenseWsScatter(ws, i_vars[0], term, amap)
-        return IsmInsert(ws, slot_vars, term, amap)
-
+    meta = WsMeta(ws, descriptor, impl, i_vars, slot_vars, consumer_vars=renames)
     low = _Lowerer(formats)
-    chains = _producer_passes(low, where.producer, i_vars, payload, prefix)
+    chains = _producer_passes(low, where.producer, i_vars,
+                              lambda term, amap: InsertWs(meta, term, amap), prefix)
 
     if prefix:
+        # the last prefix loop hosts the workspace
         (chain,) = chains
-        host = chain[len(prefix) - 1]
-        inner_root = chain[len(prefix)]
-        if descriptor.dense:
-            host.body = [inner_root, DenseWsGather(ws, prefix)]
-        else:
-            host.body = [AllocWs(meta), inner_root, CompressWs(ws, prefix)]
+        chain[len(prefix) - 1].body = [AllocWs(meta), chain[len(prefix)],
+                                       DrainWs(meta, prefix)]
         return Plan(root, c_assign.lhs, result_fmt, [chain[0]], low.operands(),
                     low.sites, [meta])
 
@@ -646,7 +589,7 @@ def _lower_workspace(root: Statement, prefix: tuple[IndexVar, ...], where: Where
     )
     operands = low.operands()
     if straight:
-        tail: CompressWs | MaterializeWs = CompressWs(ws, ())
+        tail: DrainWs | MaterializeWs = DrainWs(meta, ())
     else:
         meta.ws_format = Format(
             tuple(LevelFormat(LevelKind.COMPRESSED) for _ in i_vars),
@@ -675,9 +618,8 @@ def _lower_workspace(root: Statement, prefix: tuple[IndexVar, ...], where: Where
 
 def print_plan(plan: Plan) -> str:
     out: list[str] = [f"plan: {plan.stmt}"]
-    # a sparse workspace is announced by its AllocWs; a dense one has none
-    out += [f"workspace {meta.name}: {meta.descriptor}"
-            for meta in plan.workspaces if meta.descriptor.dense]
+    for meta in plan.workspaces:
+        out += meta.impl.alloc_lines(meta, head=True)
     for node in plan.body:
         out += node.lines(plan)
     return "\n".join(out)
@@ -701,18 +643,16 @@ class ExecutionResult:
 _CHUNK = 1 << 14
 
 
+@dataclass(slots=True)
 class _Rows:
     """A batch of loop iterations in execution order: the coordinate of every
     bound index variable, the position of every access at its deepest
     resolved level, and each iteration's row in the batch of its host loop."""
 
-    __slots__ = ("n", "crd", "pos", "owner")
-
-    def __init__(self, n: int, crd: dict, pos: dict, owner: np.ndarray) -> None:
-        self.n = n
-        self.crd = crd
-        self.pos = pos
-        self.owner = owner
+    n: int
+    crd: dict
+    pos: dict
+    owner: np.ndarray
 
     def take(self, rows: np.ndarray) -> _Rows:
         return _Rows(len(rows), {v: c[rows] for v, c in self.crd.items()},
@@ -750,79 +690,163 @@ def _evaluate(ex: _Execution, rows: _Rows, expr: Expr, amap: dict) -> np.ndarray
                            (rows.n,))
 
 
-class _EngineRuns:
-    """One run of a sparse workspace's engine per row of its host batch, in
-    row order: a run starts at reset() and ends at result(), also for a row
+# -- workspace implementations -------------------------------------------------------
+
+
+class Workspace:
+    """The protocol of a workspace implementation; WORKSPACE_KINDS maps a
+    descriptor's kind to one. An execution builds ``impl(ex, meta)`` at the
+    workspace's first allocation. For each host batch it then calls
+    ``start(n)`` with the batch's ``n`` host rows (one at top level),
+    ``insert(owner, keys, vals)`` with row-major uint64 keys over the slot
+    extents and each pair's host row, rows in order, and ``finish()``, which
+    returns ``(row, coordinates, values)`` triples: coordinates in CRD_DTYPE,
+    sorted within a host row, and ``row`` one host row or an array with each
+    entry's. ``counters`` join the execution's when it ends. The class
+    methods refuse placements at lowering and give the plan lines: at the
+    plan's head or at allocation, at an insert, and at a drain into the
+    tensor ``into`` (None materializes the workspace)."""
+
+    counters: Counters
+
+    @classmethod
+    def check(cls, descriptor: WorkspaceDescriptor, prefix: tuple[IndexVar, ...]) -> None:
+        pass
+
+
+# a drain: an insert runs one when Acc is full, and finish() the final one
+_DRAIN_LINES = ["sort Acc", "merge Acc -> All"]
+
+
+class IsmWorkspace(Workspace):
+    """A sparse workspace: one IsmEngine per execution, on its exit stack, run
+    once per host row in row order, from reset() to result(), also for a row
     that inserts nothing."""
 
-    def __init__(self, engine: IsmEngine, n: int) -> None:
-        self.engine = engine
-        self.n = n
-        self.row = -1
-        self.results: list = []
-        self._advance(0)
+    def __init__(self, ex: _Execution, meta: WsMeta) -> None:
+        d = meta.descriptor
+        hash_l = d.hash_l
+        if d.policy is Policy.HASH and hash_l is None:  # sized from the operands
+            hash_l = hash_default_l(max(1, sum(
+                t.nnz for name, t in ex.tensors.items()
+                if name in ex.plan.operands and not t.format.all_dense())))
+        self.engine = ex.stack.enter_context(IsmEngine(
+            [ex.extents[v] for v in meta.slot_vars], d.policy, d.capacity,
+            hash_l=hash_l, pipeline=ex.options.pipeline))
+        self.counters = self.engine.counters
+
+    @classmethod
+    def alloc_lines(cls, meta: WsMeta, head: bool) -> list[str]:
+        return [] if head else [f"workspace {meta.name}: {meta.descriptor}"]
+
+    @classmethod
+    def insert_lines(cls, meta: WsMeta, expr: Expr) -> list[str]:
+        coords = ", ".join(v.name for v in meta.slot_vars)
+        insert = f"insert ({coords}) -> Acc"
+        return [f"val = {format_expr(expr)}", insert, "if Acc.full:",
+                *("  " + line for line in [*_DRAIN_LINES, insert])]
+
+    @classmethod
+    def drain_lines(cls, meta: WsMeta, prefix_vars: tuple[IndexVar, ...],
+                    into: str | None) -> list[str]:
+        if into is None:
+            return [*_DRAIN_LINES, f"materialize All -> {meta.name}"]
+        if prefix_vars:
+            coords = ", ".join(v.name for v in prefix_vars)
+            return [*_DRAIN_LINES, f"append segment ({coords}, :) <- All -> {into}"]
+        return [*_DRAIN_LINES, f"compress All -> {into}"]
+
+    def start(self, n: int) -> None:
+        # a host batch is never empty: a loop expands into nonempty chunks only
+        self.n, self.row, self.results = n, 0, []
+        self.engine.reset()
 
     def _advance(self, row: int) -> None:
-        while self.row < min(row, self.n - 1):
-            if self.row >= 0:
-                self.results.append((self.row, *self.engine.result()))
+        while self.row < row:
+            self.results.append((self.row, *self.engine.result()))
             self.row += 1
             self.engine.reset()
 
     def insert(self, owner: np.ndarray, keys: np.ndarray, vals: np.ndarray) -> None:
-        cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), len(owner)]
-        for lo, hi in zip(cuts, cuts[1:]):
-            if hi > lo:
-                self._advance(int(owner[lo]))
-                self.engine.insert_batch(keys[lo:hi], vals[lo:hi])
+        starts = np.flatnonzero(np.diff(owner, prepend=-1)).tolist()
+        for lo, hi in zip(starts, [*starts[1:], len(owner)]):
+            self._advance(int(owner[lo]))
+            self.engine.insert_batch(keys[lo:hi], vals[lo:hi])
 
     def finish(self) -> list:
-        """(row, coordinates, values) of every row's run."""
         self._advance(self.n - 1)
-        if self.row >= 0:
-            self.results.append((self.row, *self.engine.result()))
+        self.results.append((self.row, *self.engine.result()))
         return self.results
 
 
-class _DenseWs:
-    """A dense workspace for every row of a host batch. Each (row, coordinate)
-    keeps a running sum that starts at 0.0 and adds values in arrival order,
-    as ``W[c] += v`` would; once a later row arrives, a row's sums are final
-    and leave the merge."""
+class DenseWorkspace(Workspace):
+    """A dense workspace over one dimension for every row of a host batch.
+    Each (row, coordinate) keeps a running sum that starts at 0.0 and adds
+    values in arrival order, as ``W[c] += v`` would; once a later row
+    arrives, a row's sums are final and leave the merge. It keeps only the
+    sorted union of the cells it touched, never an array over the extent."""
 
-    def __init__(self, extent: int) -> None:
-        self.extent = extent
-        self._clear()
+    def __init__(self, ex: _Execution, meta: WsMeta) -> None:
+        self.extent = ex.extents[meta.slot_vars[0]]
+        self.counters = Counters()
 
-    def _clear(self) -> None:
+    @classmethod
+    def check(cls, descriptor: WorkspaceDescriptor, prefix: tuple[IndexVar, ...]) -> None:
+        if not prefix:
+            raise LoweringError("a dense workspace only applies under a loop prefix")
+        if descriptor.order != 1:
+            raise LoweringError("a dense workspace covers exactly one dimension")
+
+    @classmethod
+    def alloc_lines(cls, meta: WsMeta, head: bool) -> list[str]:
+        return [f"workspace {meta.name}: {meta.descriptor}"] if head else []
+
+    @classmethod
+    def insert_lines(cls, meta: WsMeta, expr: Expr) -> list[str]:
+        return [f"{meta.name}[{meta.slot_vars[0].name}] += {format_expr(expr)}"]
+
+    @classmethod
+    def drain_lines(cls, meta: WsMeta, prefix_vars: tuple[IndexVar, ...],
+                    into: str | None) -> list[str]:
+        coords = ", ".join(v.name for v in prefix_vars)
+        return [f"gather nonzeros {meta.name} -> {into}({coords}, :)", f"clear {meta.name}"]
+
+    def start(self, n: int) -> None:
         self.done: list[tuple[np.ndarray, np.ndarray]] = []
         self.keys = np.empty(0, dtype=np.int64)
         self.sums = np.empty(0, dtype=np.float64)
 
-    def add(self, row: np.ndarray, crd: np.ndarray, vals: np.ndarray) -> None:
-        if not len(row):
+    def insert(self, owner: np.ndarray, keys: np.ndarray, vals: np.ndarray) -> None:
+        self.counters.inserts += len(keys)
+        if not len(keys):
             return
-        keys = row * self.extent + crd
+        # the keys are the coordinates; int64 keeps the row arithmetic integral
+        keys = owner * self.extent + keys.view(np.int64)
         union = np.sort(np.concatenate((self.keys, keys)))
         union = union[np.concatenate(([True], union[1:] != union[:-1]))]
         sums = np.zeros(len(union), dtype=np.float64)
         sums[np.searchsorted(union, self.keys)] = self.sums
         np.add.at(sums, np.searchsorted(union, keys), vals)
-        final = int(np.searchsorted(union, row[-1] * self.extent))
+        final = int(np.searchsorted(union, owner[-1] * self.extent))
         self.done.append((union[:final], sums[:final]))
         self.keys, self.sums = union[final:], sums[final:]
 
-    def take_nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row, coordinate (CRD_DTYPE) and value of every cell a value was
-        added to, in order, a sum that cancels to 0.0 included, as a sparse
-        workspace keeps it; the workspace is left empty."""
+    def finish(self) -> list:
+        """Every cell a value was added to, in order, a sum that cancels to
+        0.0 included, as a sparse workspace keeps it; then empties."""
         keys = np.concatenate([k for k, _ in self.done] + [self.keys])
         sums = np.concatenate([v for _, v in self.done] + [self.sums])
-        self._clear()
+        self.start(0)
         crd = np.empty(len(keys), CRD_DTYPE)
         np.remainder(keys, self.extent, out=crd, casting="unsafe")
         keys //= self.extent
-        return keys, crd, sums
+        return [(keys, [crd], sums)]
+
+
+WORKSPACE_KINDS: dict[str, type[Workspace]] = {
+    "sparse": IsmWorkspace,
+    "dense": DenseWorkspace,
+}
 
 
 class _Collector:
@@ -839,15 +863,12 @@ class _Collector:
                                  np.asarray(vals, dtype=np.float64)))
 
     def finalize(self) -> tuple[list[np.ndarray], np.ndarray]:
-        if not self._chunks:
-            empty = [np.empty(0, dtype=CRD_DTYPE) for _ in range(self.levels)]
-            return empty, np.empty(0, dtype=np.float64)
-        if len(self._chunks) == 1:
-            return self._chunks[0]
-        coords = [np.concatenate([chunk[0][l] for chunk in self._chunks])
-                  for l in range(self.levels)]
-        vals = np.concatenate([chunk[1] for chunk in self._chunks])
-        return coords, vals
+        chunks = self._chunks or [([np.empty(0, dtype=CRD_DTYPE) for _ in range(self.levels)],
+                                   np.empty(0, dtype=np.float64))]
+        if len(chunks) == 1:
+            return chunks[0]
+        return ([np.concatenate([c[l] for c, _ in chunks]) for l in range(self.levels)],
+                np.concatenate([v for _, v in chunks]))
 
 
 class _Execution:
@@ -858,13 +879,10 @@ class _Execution:
         self.options = options
         self.counters = Counters()
         self._validate()
-        # one engine per sparse workspace, built at its first run and closed
-        # by the stack when run() ends
-        self.engines: dict[str, IsmEngine] = {}
-        self.ws_runs: dict[str, _EngineRuns] = {}
+        # one implementation per workspace, built at its first allocation;
+        # the stack closes what they enter on it when run() ends
+        self.workspaces: dict[str, Workspace] = {}
         self.stack = contextlib.ExitStack()
-        self.dense_ws = {meta.name: _DenseWs(self.extents[meta.slot_vars[0]])
-                         for meta in plan.workspaces if meta.descriptor.dense}
         self.reg: np.ndarray | None = None
         self.override: Tensor | None = None
         # (parent position, coordinate) keys of the levels that locate searches
@@ -874,17 +892,6 @@ class _Execution:
         else:
             shape = tuple(self.extents[v] for v in plan.result.vars)
             self.dense_out = np.zeros(shape, dtype=np.float64)
-
-    def _hash_l(self, meta: WsMeta) -> int | None:
-        """The hash table width: the descriptor's, else one sized from the
-        operand nonzeros."""
-        if meta.descriptor.policy is not Policy.HASH:
-            return None
-        if meta.descriptor.hash_l is not None:
-            return meta.descriptor.hash_l
-        est = sum(t.nnz for name, t in self.tensors.items()
-                  if name in self.plan.operands and not t.format.all_dense())
-        return hash_default_l(max(est, 1))
 
     def _validate(self) -> None:
         plan = self.plan
@@ -957,12 +964,10 @@ class _Execution:
         with self.stack:
             for node in self.plan.body:
                 node.run(self, root)
-        # fold each engine's counters and drop the engines and their runs:
-        # the results hold decoded coordinates, and an all array would keep
-        # its keys live through compression
-        while self.engines:
-            self.counters.merge(self.engines.popitem()[1].counters)
-        self.ws_runs.clear()
+        # fold each workspace's counters and drop the workspaces: an engine's
+        # all array would keep its keys live through compression
+        while self.workspaces:
+            self.counters.merge(self.workspaces.popitem()[1].counters)
         if self.override is not None:
             return ExecutionResult(self.override, self.counters)
         fmt = self.plan.result_format
@@ -971,9 +976,7 @@ class _Execution:
             tensor = from_dense(self.dense_out, fmt)
         else:
             level_coords, out_vals = self.collector.finalize()
-            mode_coords: list[np.ndarray] = [None] * fmt.order  # type: ignore[list-item]
-            for l, m in enumerate(fmt.mode_ordering):
-                mode_coords[m] = level_coords[l]
+            mode_coords = [level_coords[l] for l in _inverse(fmt.mode_ordering)]
             tensor = compress_arrays(mode_coords, out_vals, fmt, dims)
         return ExecutionResult(tensor, self.counters)
 

@@ -334,7 +334,7 @@ def test_insert_dense_workspace_shares_the_row_loop():
     assert isinstance(rewritten, sw.Forall) and rewritten.var == var("i")
     where = rewritten.body
     assert isinstance(where, sw.Where)
-    assert where.descriptor.dense
+    assert where.descriptor.kind == "dense"
     assert where.descriptor.dims == ("J",)
     producer = nest_assign(where.producer)
     assert producer.lhs == sw.Access("W", (var("j"),))
@@ -368,7 +368,7 @@ def test_insert_full_workspace_records_the_reordering():
     assert desc.capacity == 128
     assert desc.hash_l == 32
     assert desc.dims == ("I", "J")
-    assert not desc.dense
+    assert desc.kind == "sparse"
 
 
 def test_report_mentions_the_decision():

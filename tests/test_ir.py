@@ -321,7 +321,7 @@ def test_descriptor_strings():
     )
     dense_ws = sw.WorkspaceDescriptor(
         order=1, dims=("J",), policy=sw.Policy.BUCKET, capacity=1,
-        ow_order=(0,), dense=True,
+        ow_order=(0,), kind="dense",
     )
     assert str(dense_ws) == "DenseWs(order=1), dims={J}"
 

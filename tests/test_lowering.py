@@ -14,18 +14,16 @@ import pytest
 
 import spworks as sw
 import spworks.lowering as lowering
-from spworks.ir import build_nest, var
+from spworks.ir import build_nest, format_expr, var
 from spworks.lowering import (
     AccumReg,
     AllocWs,
     AppendCompute,
     AppendRow,
-    CompressWs,
     DenseRange,
-    DenseWsGather,
-    DenseWsScatter,
+    DrainWs,
+    InsertWs,
     Intersect,
-    IsmInsert,
     LevelIter,
     LoopNode,
     LoweringError,
@@ -33,6 +31,7 @@ from spworks.lowering import (
     ScatterDense,
     SetReg,
 )
+from spworks.tensor import CRD_DTYPE
 
 from conftest import (
     KERNELS,
@@ -164,14 +163,15 @@ def test_dense_workspace_plan_shape():
     plan = _lower("forall i, k, j: " + MATMUL,
                   {"A": sw.csr(), "B": sw.csr(), "C": sw.csr()})
     (meta,) = plan.workspaces
-    assert meta.descriptor.dense and meta.name == "W"
+    assert meta.descriptor.kind == "dense" and meta.name == "W"
+    assert meta.impl is lowering.DenseWorkspace
     host = _loops(plan)[0]
     assert host.var == var("i")
     kinds = [type(n) for n in host.body]
-    assert kinds == [LoopNode, DenseWsGather]  # the gather also clears W
+    assert kinds == [AllocWs, LoopNode, DrainWs]  # the gather also clears W
     assert host.body[-1].prefix_vars == (var("i"),)
-    scatter = [n for n in _loops(plan)[-1].body if isinstance(n, DenseWsScatter)]
-    assert scatter
+    scatter = [n for n in _loops(plan)[-1].body if isinstance(n, InsertWs)]
+    assert scatter and scatter[0].meta is meta
 
 
 def test_hoisted_sparse_workspace_plan_shape():
@@ -179,10 +179,11 @@ def test_hoisted_sparse_workspace_plan_shape():
                   {"A": sw.csr(), "B": sw.csr(), "C": sw.csr()},
                   enable_dense=False)
     (meta,) = plan.workspaces
-    assert not meta.descriptor.dense
+    assert meta.descriptor.kind == "sparse"
+    assert meta.impl is lowering.IsmWorkspace
     host = _loops(plan)[0]
     kinds = [type(n) for n in host.body]
-    assert kinds == [AllocWs, LoopNode, CompressWs]  # CompressWs drains first
+    assert kinds == [AllocWs, LoopNode, DrainWs]  # DrainWs drains first
     compress = host.body[-1]
     assert compress.prefix_vars == (var("i"),)
 
@@ -191,9 +192,9 @@ def test_full_workspace_plan_shape():
     plan = _lower(MATMUL, {"A": sw.csr(), "B": sw.dcsc(), "C": sw.csr()},
                   schedule="reorder(k, i, j)")
     kinds = [type(n) for n in plan.body]
-    assert kinds == [AllocWs, LoopNode, CompressWs]
-    inserts = [n for n in _loops(plan)[-1].body if isinstance(n, IsmInsert)]
-    assert inserts and inserts[0].slot_vars == (var("i"), var("j"))
+    assert kinds == [AllocWs, LoopNode, DrainWs]
+    inserts = [n for n in _loops(plan)[-1].body if isinstance(n, InsertWs)]
+    assert inserts and inserts[0].meta.slot_vars == (var("i"), var("j"))
 
 
 def test_transposed_workspace_slots_follow_consumption_order():
@@ -211,7 +212,7 @@ def test_conversion_consumer_is_a_straight_copy():
                   {"a": sw.sparse_vector(), "B": sw.csr(), "c": sw.dense_vector()})
     (meta,) = plan.workspaces
     assert meta.subplan is None
-    assert any(isinstance(n, CompressWs) for n in plan.body)
+    assert any(isinstance(n, DrainWs) for n in plan.body)
 
 
 def _materializing_plan() -> sw.Plan:
@@ -516,28 +517,104 @@ def test_hoisted_execution_builds_one_engine_and_at_most_one_worker(monkeypatch)
         assert len(threads) <= int(pipeline)
 
 
-@pytest.mark.parametrize("name", ["spgemm-outer", "spgemm-rowwise-hoist"])
+@pytest.mark.parametrize("name", ["spgemm-outer", "spgemm-rowwise-hoist", "spgemm-rowwise"])
 def test_engines_are_released_before_the_result_is_compressed(name, monkeypatch):
-    # their all arrays' keys would stay live through compression
+    # their all arrays' keys, or a dense workspace's sums, would stay live
+    # through compression
     kernel = KERNELS_BY_NAME[name]
     _, plan, _ = prepare(kernel)
-    engines: list[weakref.ref] = []
+    (meta,) = plan.workspaces
+    built: list[tuple[type, weakref.ref]] = []
     live_at_compression: list[int] = []
-    init, compress = sw.IsmEngine.__init__, lowering.compress_arrays
+    compress = lowering.compress_arrays
 
-    def tracked_init(self, *args, **kwargs):
-        engines.append(weakref.ref(self))
-        init(self, *args, **kwargs)
+    def track(cls: type) -> None:
+        init = cls.__init__
+
+        def tracked_init(self, *args, **kwargs):
+            built.append((cls, weakref.ref(self)))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", tracked_init)
 
     def checked_compress(*args, **kwargs):
-        live_at_compression.append(sum(ref() is not None for ref in engines))
+        live_at_compression.append(sum(ref() is not None for _, ref in built))
         return compress(*args, **kwargs)
 
-    monkeypatch.setattr(sw.IsmEngine, "__init__", tracked_init)
+    for cls in (sw.IsmEngine, *lowering.WORKSPACE_KINDS.values()):
+        track(cls)
     monkeypatch.setattr(lowering, "compress_arrays", checked_compress)
     out = sw.execute(plan, kernel.instance(1).tensors)
-    assert engines and live_at_compression == [0]
-    assert out.counters.merges > 0
+    assert meta.impl in {cls for cls, _ in built}
+    assert live_at_compression == [0]
+    assert out.counters.inserts > 0
+    assert (out.counters.merges > 0) == (meta.impl is lowering.IsmWorkspace)
+
+
+class DictWorkspace(lowering.Workspace):
+    """A third implementation: a dict from (host row, key) to a running sum
+    that starts at 0.0, sorted when the batch finishes."""
+
+    def __init__(self, ex, meta) -> None:
+        self.extents = [ex.extents[v] for v in meta.slot_vars]
+        self.counters = sw.Counters()
+
+    @classmethod
+    def alloc_lines(cls, meta, head):
+        return [] if head else [f"dict {meta.name}"]
+
+    @classmethod
+    def insert_lines(cls, meta, expr):
+        return [f"{meta.name}[key] += {format_expr(expr)}"]
+
+    @classmethod
+    def drain_lines(cls, meta, prefix_vars, into):
+        return [f"sorted items {meta.name} -> {into}"]
+
+    def start(self, n):
+        self.sums: dict[tuple[int, int], float] = {}
+
+    def insert(self, owner, keys, vals):
+        self.counters.inserts += len(keys)
+        for cell, val in zip(zip(owner.tolist(), keys.tolist()), vals.tolist()):
+            self.sums[cell] = self.sums.get(cell, 0.0) + val
+
+    def finish(self):
+        cells = sorted(self.sums)
+        rows = np.array([row for row, _ in cells], dtype=np.int64)
+        keys = np.array([key for _, key in cells], dtype=np.int64)
+        vals = np.array([self.sums[cell] for cell in cells], dtype=np.float64)
+        self.sums = {}
+        coords = np.unravel_index(keys, self.extents)
+        return [(rows, [c.astype(CRD_DTYPE) for c in coords], vals)]
+
+
+def _with_kind(stmt: sw.Statement, kind: str) -> sw.Statement:
+    if isinstance(stmt, sw.Where):
+        return replace(stmt, descriptor=replace(stmt.descriptor, kind=kind))
+    return replace(stmt, body=_with_kind(stmt.body, kind))
+
+
+@pytest.mark.parametrize("name", ["spgemm-rowwise-hoist", "spgemm-outer"])
+def test_a_registered_workspace_kind_runs_without_lowering_edits(name, small_corpus,
+                                                                 monkeypatch):
+    monkeypatch.setitem(lowering.WORKSPACE_KINDS, "dict", DictWorkspace)
+    kernel = KERNELS_BY_NAME[name]
+    stmt = kernel.statement()
+    rewritten, _ = sw.insert_sparse_workspace(stmt, kernel.formats, **kernel.insert_kw)
+    plan = sw.lower(_with_kind(rewritten, "dict"), kernel.formats)
+    assert [meta.impl for meta in plan.workspaces] == [DictWorkspace]
+    text = sw.print_plan(plan)
+    assert "dict W" in text and "sorted items W -> A" in text
+    assert "Acc" not in text
+    chosen = [inst for inst in small_corpus if inst.kernel is kernel]
+    assert chosen
+    for inst in chosen:
+        out = sw.execute(plan, inst.tensors)
+        assert np.array_equal(out.tensor.to_dense(), sw.dense_oracle(stmt, inst.arrays))
+        assert out.tensor.format == kernel.formats["A"]
+        assert out.counters.inserts == sw.execute(prepare(kernel)[1],
+                                                  inst.tensors).counters.inserts
 
 
 def test_raising_pipelined_execution_joins_its_worker(monkeypatch):
@@ -649,22 +726,40 @@ def test_top_level_dense_workspace_is_rejected():
     stmt = sw.statement_from_text(MATMUL)
     rhs = sw.nest_assign(stmt).rhs
     desc = sw.WorkspaceDescriptor(order=2, dims=("I", "J"), policy=sw.Policy.COORD,
-                                  capacity=16, ow_order=(0, 1), dense=True)
+                                  capacity=16, ow_order=(0, 1), kind="dense")
     rewritten = sw.precompute(stmt, rhs, ("i", "j"), None, desc)
     with pytest.raises(LoweringError, match="only applies under a loop prefix"):
         sw.lower(rewritten, {"A": sw.csr(), "B": sw.csr(), "C": sw.csr()})
 
 
 def _hoisted_where(consumer_rhs: sw.Expr, producer_rhs: sw.Expr,
-                   dense: bool = False) -> sw.Statement:
+                   kind: str = "sparse") -> sw.Statement:
     desc = sw.WorkspaceDescriptor(order=1, dims=("J",), policy=sw.Policy.COORD,
-                                  capacity=16, ow_order=(0,), dense=dense)
+                                  capacity=16, ow_order=(0,), kind=kind)
     producer = build_nest([var("k"), var("j")],
                           sw.Assign(sw.Access("W", (var("j"),)), producer_rhs, True))
     consumer = build_nest([var("j")],
                           sw.Assign(sw.Access("A", (var("i"), var("j"))),
                                     consumer_rhs, False))
     return sw.Forall(var("i"), sw.Where(consumer, producer, "W", desc))
+
+
+def test_unknown_workspace_kind_is_rejected():
+    product = sw.Mul(sw.Access("B", (var("i"), var("k"))),
+                     sw.Access("C", (var("k"), var("j"))))
+    stmt = _hoisted_where(sw.Access("W", (var("j"),)), product, kind="bitmap")
+    with pytest.raises(LoweringError, match="unknown workspace kind 'bitmap'"):
+        sw.lower(stmt, {"A": sw.csr(), "B": sw.csr(), "C": sw.csr()})
+
+
+def test_dense_workspace_covers_one_dimension():
+    product = sw.Mul(sw.Access("B", (var("i"), var("k"))),
+                     sw.Access("C", (var("k"), var("j"))))
+    stmt = _hoisted_where(sw.Access("W", (var("j"),)), product, kind="dense")
+    wide = replace(stmt.body.descriptor, order=2, dims=("J", "K"), ow_order=(0, 1))
+    stmt = replace(stmt, body=replace(stmt.body, descriptor=wide))
+    with pytest.raises(LoweringError, match="covers exactly one dimension"):
+        sw.lower(stmt, {"A": sw.csr(), "B": sw.csr(), "C": sw.csr()})
 
 
 def test_hoisted_workspace_must_copy_straight_into_the_result():
