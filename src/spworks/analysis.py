@@ -24,6 +24,8 @@ import enum
 from dataclasses import dataclass
 
 from .ir import (
+    DENSE_WS,
+    SPARSE_WS,
     Access,
     Add,
     Expr,
@@ -419,7 +421,7 @@ def insert_sparse_workspace(
         capacity=capacity,
         ow_order=decision.ow_order,
         hash_l=hash_l,
-        kind="dense" if decision.action is InsertionAction.DENSE else "sparse",
+        kind=DENSE_WS if decision.action is InsertionAction.DENSE else SPARSE_WS,
     )
 
     # a hoisted workspace (the dense array too) is the same precompute, made

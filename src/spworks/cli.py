@@ -264,14 +264,6 @@ def _resolve_tensors(
 # -- shared run machinery ------------------------------------------------------------
 
 
-def _single_config(ns: argparse.Namespace) -> tuple[Statement, dict[str, Format], Policy, int]:
-    """Statement, formats, policy and capacity of a one-configuration command."""
-    stmt = _parse_statement(ns)
-    formats = _resolve_formats(ns, stmt)
-    policy = _parse_policies(ns.policy, allow_many=False)[0]
-    return stmt, formats, policy, _parse_caps(ns.cap, allow_many=False)[0]
-
-
 def _prepare(stmt: Statement, formats: dict[str, Format], policy: Policy,
              capacity: int):
     rewritten, decision = insert_sparse_workspace(stmt, formats, policy, capacity)
@@ -330,14 +322,20 @@ def _emit_rows(ns: argparse.Namespace, rows: list[dict[str, object]],
 
 
 def cmd_classify(ns: argparse.Namespace) -> int:
-    stmt, formats, policy, cap = _single_config(ns)
+    stmt = _parse_statement(ns)
+    formats = _resolve_formats(ns, stmt)
+    policy = _parse_policies(ns.policy, allow_many=False)[0]
+    cap = _parse_caps(ns.cap, allow_many=False)[0]
     _, decision = insert_sparse_workspace(stmt, formats, policy, cap)
     print(classification_report(stmt, formats, decision))
     return 0
 
 
 def cmd_explain(ns: argparse.Namespace) -> int:
-    stmt, formats, policy, cap = _single_config(ns)
+    stmt = _parse_statement(ns)
+    formats = _resolve_formats(ns, stmt)
+    policy = _parse_policies(ns.policy, allow_many=False)[0]
+    cap = _parse_caps(ns.cap, allow_many=False)[0]
     rewritten, decision = insert_sparse_workspace(stmt, formats, policy, cap)
     print(classification_report(stmt, formats, decision))
     print()
@@ -346,7 +344,10 @@ def cmd_explain(ns: argparse.Namespace) -> int:
 
 
 def cmd_run(ns: argparse.Namespace) -> int:
-    stmt, formats, policy, cap = _single_config(ns)
+    stmt = _parse_statement(ns)
+    formats = _resolve_formats(ns, stmt)
+    policy = _parse_policies(ns.policy, allow_many=False)[0]
+    cap = _parse_caps(ns.cap, allow_many=False)[0]
     tensors = _resolve_tensors(ns, stmt, formats)
     plan, decision = _prepare(stmt, formats, policy, cap)
     options = ExecutionOptions(pipeline=ns.pipeline)
@@ -405,7 +406,10 @@ def _ablation_capacities(stream_length: int) -> list[tuple[int, str]]:
 
 
 def cmd_ablation(ns: argparse.Namespace) -> int:
-    stmt, formats, policy, base_cap = _single_config(ns)
+    stmt = _parse_statement(ns)
+    formats = _resolve_formats(ns, stmt)
+    policy = _parse_policies(ns.policy, allow_many=False)[0]
+    base_cap = _parse_caps(ns.cap, allow_many=False)[0]
     tensors = _resolve_tensors(ns, stmt, formats)
 
     plan, decision = _prepare(stmt, formats, policy, base_cap)
@@ -456,7 +460,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         return _COMMANDS[ns.command](ns)
-    except (CliError, *_USER_ERRORS) as exc:
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -161,13 +161,17 @@ class Pos(SchedulingRelation):
 
 # -- workspace descriptor -----------------------------------------------------
 
+# the built-in workspace kinds, implemented in lowering.WORKSPACE_KINDS
+SPARSE_WS = "sparse"
+DENSE_WS = "dense"
+
 
 @dataclass(frozen=True)
 class WorkspaceDescriptor:
     """Kind, shape, sorting policy and capacity of an inserted workspace.
 
     ``kind`` names the implementation in ``lowering.WORKSPACE_KINDS``,
-    ``"sparse"`` (insert-sort-merge) or ``"dense"``. ``dims`` entries are
+    SPARSE_WS (insert-sort-merge) or DENSE_WS. ``dims`` entries are
     either fixed extents or dimension symbols (upper-case variable names)
     resolved when tensors are bound. ``ow_order`` maps each
     producer-side insertion variable to its position in the consumer's access
@@ -181,7 +185,7 @@ class WorkspaceDescriptor:
     capacity: int
     ow_order: tuple[int, ...]
     hash_l: int | None = None
-    kind: str = "sparse"
+    kind: str = SPARSE_WS
 
     def __post_init__(self) -> None:
         if len(self.dims) != self.order or len(self.ow_order) != self.order:
@@ -197,7 +201,7 @@ class WorkspaceDescriptor:
     def __str__(self) -> str:
         dims = "{" + ",".join(str(d) for d in self.dims) + "}"
         ow = "[" + ",".join(str(o) for o in self.ow_order) + "]"
-        if self.kind == "dense":
+        if self.kind == DENSE_WS:
             return f"DenseWs(order={self.order}), dims={dims}"
         return (
             f"SpFormat(order={self.order}, policy={self.policy.label}), "

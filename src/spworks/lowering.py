@@ -21,6 +21,7 @@ dense result array, or a workspace.
 from __future__ import annotations
 
 import contextlib
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,8 @@ from .analysis import (
     reconstruct_input_order,
 )
 from .ir import (
+    DENSE_WS,
+    SPARSE_WS,
     Access,
     Add,
     Const,
@@ -176,6 +179,8 @@ class LoopNode:
         for child in self.driver.expand(ex, rows, self.var):
             for probe in self.probes:
                 child = probe.run(ex, child)
+            if not child.n:  # filtered out: no statement, and no workspace, sees it
+                continue
             if hosts:
                 child.owner = np.arange(child.n)
             for node in self.body:
@@ -279,7 +284,9 @@ class AllocWs:
     meta: WsMeta
 
     def lines(self, plan: Plan) -> list[str]:
-        return self.meta.impl.alloc_lines(self.meta, head=False)
+        if self.meta.impl.announced_at_head:
+            return []
+        return [f"workspace {self.meta.name}: {self.meta.descriptor}"]
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
         meta = self.meta
@@ -301,12 +308,10 @@ class DrainWs:
         return self.meta.impl.drain_lines(self.meta, self.prefix_vars, plan.result.tensor)
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
+        # one cast per host batch; each entry then takes its host row's
         prefix = [rows.crd[v].astype(CRD_DTYPE) for v in self.prefix_vars]
-        for row, coords, wvals in ex.workspaces[self.meta.name].finish():
-            # a row array gives each entry its host row, one row all of them
-            lead = ([p[row] for p in prefix] if isinstance(row, np.ndarray) else
-                    [np.full(len(wvals), p[row], dtype=CRD_DTYPE) for p in prefix])
-            ex.collector.extend(lead + coords, wvals)
+        for host, coords, wvals in ex.workspaces[self.meta.name].finish():
+            ex.collector.extend([p[host] for p in prefix] + coords, wvals)
 
 
 @dataclass
@@ -324,7 +329,9 @@ class MaterializeWs:
     def run(self, ex: _Execution, rows: _Rows) -> None:
         meta = self.meta
         ((_, slot_coords, wvals),) = ex.workspaces[meta.name].finish()
-        mode_coords = [slot_coords[s] for s in meta.descriptor.ow_order]
+        mode_coords: list[np.ndarray] = [None] * len(meta.i_vars)  # type: ignore[list-item]
+        for s, m in enumerate(_inverse(meta.descriptor.ow_order)):
+            mode_coords[m] = slot_coords[s]
         dims = tuple(ex.extents[v] for v in meta.i_vars)
         ws_tensor = compress_arrays(mode_coords, wvals, meta.ws_format, dims)
         sub = execute(meta.subplan, {**ex.tensors, meta.name: ws_tensor}, ex.options)
@@ -618,8 +625,8 @@ def _lower_workspace(root: Statement, prefix: tuple[IndexVar, ...], where: Where
 
 def print_plan(plan: Plan) -> str:
     out: list[str] = [f"plan: {plan.stmt}"]
-    for meta in plan.workspaces:
-        out += meta.impl.alloc_lines(meta, head=True)
+    out += [f"workspace {meta.name}: {meta.descriptor}"
+            for meta in plan.workspaces if meta.impl.announced_at_head]
     for node in plan.body:
         out += node.lines(plan)
     return "\n".join(out)
@@ -643,16 +650,18 @@ class ExecutionResult:
 _CHUNK = 1 << 14
 
 
-@dataclass(slots=True)
 class _Rows:
     """A batch of loop iterations in execution order: the coordinate of every
     bound index variable, the position of every access at its deepest
     resolved level, and each iteration's row in the batch of its host loop."""
 
-    n: int
-    crd: dict
-    pos: dict
-    owner: np.ndarray
+    __slots__ = ("n", "crd", "pos", "owner")
+
+    def __init__(self, n: int, crd: dict, pos: dict, owner: np.ndarray) -> None:
+        self.n = n
+        self.crd = crd
+        self.pos = pos
+        self.owner = owner
 
     def take(self, rows: np.ndarray) -> _Rows:
         return _Rows(len(rows), {v: c[rows] for v, c in self.crd.items()},
@@ -697,17 +706,20 @@ class Workspace:
     """The protocol of a workspace implementation; WORKSPACE_KINDS maps a
     descriptor's kind to one. An execution builds ``impl(ex, meta)`` at the
     workspace's first allocation. For each host batch it then calls
-    ``start(n)`` with the batch's ``n`` host rows (one at top level),
+    ``start(n)`` with the batch's ``n >= 1`` host rows (one at top level),
     ``insert(owner, keys, vals)`` with row-major uint64 keys over the slot
     extents and each pair's host row, rows in order, and ``finish()``, which
-    returns ``(row, coordinates, values)`` triples: coordinates in CRD_DTYPE,
-    sorted within a host row, and ``row`` one host row or an array with each
-    entry's. ``counters`` join the execution's when it ends. The class
-    methods refuse placements at lowering and give the plan lines: at the
-    plan's head or at allocation, at an insert, and at a drain into the
-    tensor ``into`` (None materializes the workspace)."""
+    returns an iterable of ``(rows, coordinates, values)``: each entry's
+    host row (a zero-stride np.broadcast_to view serves a run of one row),
+    and coordinates in CRD_DTYPE, sorted within a host row. ``counters``
+    join the execution's when it ends. The plan announces the workspace at its
+    head if ``announced_at_head``, else at the allocation; the class
+    methods refuse placements at lowering and give the plan lines at an
+    insert and at a drain into the tensor ``into`` (None materializes the
+    workspace)."""
 
     counters: Counters
+    announced_at_head = False
 
     @classmethod
     def check(cls, descriptor: WorkspaceDescriptor, prefix: tuple[IndexVar, ...]) -> None:
@@ -736,10 +748,6 @@ class IsmWorkspace(Workspace):
         self.counters = self.engine.counters
 
     @classmethod
-    def alloc_lines(cls, meta: WsMeta, head: bool) -> list[str]:
-        return [] if head else [f"workspace {meta.name}: {meta.descriptor}"]
-
-    @classmethod
     def insert_lines(cls, meta: WsMeta, expr: Expr) -> list[str]:
         coords = ", ".join(v.name for v in meta.slot_vars)
         insert = f"insert ({coords}) -> Acc"
@@ -757,7 +765,6 @@ class IsmWorkspace(Workspace):
         return [*_DRAIN_LINES, f"compress All -> {into}"]
 
     def start(self, n: int) -> None:
-        # a host batch is never empty: a loop expands into nonempty chunks only
         self.n, self.row, self.results = n, 0, []
         self.engine.reset()
 
@@ -773,10 +780,12 @@ class IsmWorkspace(Workspace):
             self._advance(int(owner[lo]))
             self.engine.insert_batch(keys[lo:hi], vals[lo:hi])
 
-    def finish(self) -> list:
+    def finish(self) -> Iterator:
         self._advance(self.n - 1)
         self.results.append((self.row, *self.engine.result()))
-        return self.results
+        # a run's row for each of its entries, one view at a time
+        return ((np.broadcast_to(row, len(vals)), coords, vals)
+                for row, coords, vals in self.results)
 
 
 class DenseWorkspace(Workspace):
@@ -785,6 +794,8 @@ class DenseWorkspace(Workspace):
     values in arrival order, as ``W[c] += v`` would; once a later row
     arrives, a row's sums are final and leave the merge. It keeps only the
     sorted union of the cells it touched, never an array over the extent."""
+
+    announced_at_head = True
 
     def __init__(self, ex: _Execution, meta: WsMeta) -> None:
         self.extent = ex.extents[meta.slot_vars[0]]
@@ -796,10 +807,6 @@ class DenseWorkspace(Workspace):
             raise LoweringError("a dense workspace only applies under a loop prefix")
         if descriptor.order != 1:
             raise LoweringError("a dense workspace covers exactly one dimension")
-
-    @classmethod
-    def alloc_lines(cls, meta: WsMeta, head: bool) -> list[str]:
-        return [f"workspace {meta.name}: {meta.descriptor}"] if head else []
 
     @classmethod
     def insert_lines(cls, meta: WsMeta, expr: Expr) -> list[str]:
@@ -844,8 +851,8 @@ class DenseWorkspace(Workspace):
 
 
 WORKSPACE_KINDS: dict[str, type[Workspace]] = {
-    "sparse": IsmWorkspace,
-    "dense": DenseWorkspace,
+    SPARSE_WS: IsmWorkspace,
+    DENSE_WS: DenseWorkspace,
 }
 
 
@@ -863,12 +870,15 @@ class _Collector:
                                  np.asarray(vals, dtype=np.float64)))
 
     def finalize(self) -> tuple[list[np.ndarray], np.ndarray]:
-        chunks = self._chunks or [([np.empty(0, dtype=CRD_DTYPE) for _ in range(self.levels)],
-                                   np.empty(0, dtype=np.float64))]
-        if len(chunks) == 1:
-            return chunks[0]
-        return ([np.concatenate([c[l] for c, _ in chunks]) for l in range(self.levels)],
-                np.concatenate([v for _, v in chunks]))
+        if not self._chunks:
+            empty = [np.empty(0, dtype=CRD_DTYPE) for _ in range(self.levels)]
+            return empty, np.empty(0, dtype=np.float64)
+        if len(self._chunks) == 1:
+            return self._chunks[0]
+        coords = [np.concatenate([chunk[0][l] for chunk in self._chunks])
+                  for l in range(self.levels)]
+        vals = np.concatenate([chunk[1] for chunk in self._chunks])
+        return coords, vals
 
 
 class _Execution:
@@ -976,7 +986,9 @@ class _Execution:
             tensor = from_dense(self.dense_out, fmt)
         else:
             level_coords, out_vals = self.collector.finalize()
-            mode_coords = [level_coords[l] for l in _inverse(fmt.mode_ordering)]
+            mode_coords: list[np.ndarray] = [None] * fmt.order  # type: ignore[list-item]
+            for l, m in enumerate(fmt.mode_ordering):
+                mode_coords[m] = level_coords[l]
             tensor = compress_arrays(mode_coords, out_vals, fmt, dims)
         return ExecutionResult(tensor, self.counters)
 

@@ -430,6 +430,39 @@ def test_dense_and_sparse_workspaces_store_the_same_entries():
             assert dense.nnz == 1 and dense.vals.tolist() == [0.0]
 
 
+@pytest.mark.parametrize("enable_dense", [False, True])
+def test_host_batches_the_intersection_empties_store_nothing(enable_dense, monkeypatch):
+    # the host loop intersects d and B, so a chunk of B's rows that d misses
+    # leaves no host row, and the workspace starts no batch for it
+    stmt = sw.statement_from_text("forall i, k, j: A(i, j) = d(i) * B(i, k) * C(k, j)")
+    formats = {"A": sw.csr(), "d": sw.sparse_vector(), "B": sw.dcsr(), "C": sw.csr()}
+    rewritten, decision = sw.insert_sparse_workspace(stmt, formats, enable_dense=enable_dense)
+    assert decision.action is (sw.InsertionAction.DENSE if enable_dense
+                               else sw.InsertionAction.HOIST)
+    plan = sw.lower(rewritten, formats)
+    assert isinstance(_loops(plan)[0].driver, Intersect)
+    batches: list[int] = []
+    alloc = AllocWs.run
+
+    def recording_alloc(self, ex, rows):
+        batches.append(rows.n)
+        alloc(self, ex, rows)
+
+    monkeypatch.setattr(AllocWs, "run", recording_alloc)
+    rng = np.random.default_rng(5)
+    b = np.zeros((6, 4))
+    b[[1, 3, 4]] = rng.integers(1, 4, (3, 4))
+    c = rng.integers(-3, 4, (4, 5)).astype(np.float64)
+    for rows in ([0, 2, 5], [], [0, 3], [1, 3, 4]):
+        d = np.zeros(6)
+        d[rows] = 2.0
+        arrays = {"d": d, "B": b, "C": c}
+        out = sw.execute(plan, {n: sw.from_dense(a, formats[n]) for n, a in arrays.items()})
+        assert out.tensor.format == formats["A"]
+        assert np.array_equal(out.tensor.to_dense(), sw.dense_oracle(stmt, arrays)), rows
+    assert batches == [1, 3]
+
+
 # first 16 hex digits of the sha256 of the counters (Counters.as_dict(),
 # peak_bytes included) of sequential executions, one JSON object a line: each
 # corpus kernel under BUCKET, HASH and COORD at capacities 1, 7 and 64 on
@@ -560,10 +593,6 @@ class DictWorkspace(lowering.Workspace):
         self.counters = sw.Counters()
 
     @classmethod
-    def alloc_lines(cls, meta, head):
-        return [] if head else [f"dict {meta.name}"]
-
-    @classmethod
     def insert_lines(cls, meta, expr):
         return [f"{meta.name}[key] += {format_expr(expr)}"]
 
@@ -605,7 +634,7 @@ def test_a_registered_workspace_kind_runs_without_lowering_edits(name, small_cor
     plan = sw.lower(_with_kind(rewritten, "dict"), kernel.formats)
     assert [meta.impl for meta in plan.workspaces] == [DictWorkspace]
     text = sw.print_plan(plan)
-    assert "dict W" in text and "sorted items W -> A" in text
+    assert "workspace W: " in text and "sorted items W -> A" in text
     assert "Acc" not in text
     chosen = [inst for inst in small_corpus if inst.kernel is kernel]
     assert chosen
