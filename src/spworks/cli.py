@@ -264,6 +264,16 @@ def _resolve_tensors(
 # -- shared run machinery ------------------------------------------------------------
 
 
+def _setup(ns: argparse.Namespace, *, many: bool = False,
+           ) -> tuple[Statement, dict[str, Format], list[Policy], list[int]]:
+    """The statement, formats, policies and capacities of a command; one
+    policy and one capacity unless ``many``."""
+    stmt = _parse_statement(ns)
+    formats = _resolve_formats(ns, stmt)
+    return (stmt, formats, _parse_policies(ns.policy, allow_many=many),
+            _parse_caps(ns.cap, allow_many=many))
+
+
 def _prepare(stmt: Statement, formats: dict[str, Format], policy: Policy,
              capacity: int):
     rewritten, decision = insert_sparse_workspace(stmt, formats, policy, capacity)
@@ -322,20 +332,14 @@ def _emit_rows(ns: argparse.Namespace, rows: list[dict[str, object]],
 
 
 def cmd_classify(ns: argparse.Namespace) -> int:
-    stmt = _parse_statement(ns)
-    formats = _resolve_formats(ns, stmt)
-    policy = _parse_policies(ns.policy, allow_many=False)[0]
-    cap = _parse_caps(ns.cap, allow_many=False)[0]
+    stmt, formats, (policy,), (cap,) = _setup(ns)
     _, decision = insert_sparse_workspace(stmt, formats, policy, cap)
     print(classification_report(stmt, formats, decision))
     return 0
 
 
 def cmd_explain(ns: argparse.Namespace) -> int:
-    stmt = _parse_statement(ns)
-    formats = _resolve_formats(ns, stmt)
-    policy = _parse_policies(ns.policy, allow_many=False)[0]
-    cap = _parse_caps(ns.cap, allow_many=False)[0]
+    stmt, formats, (policy,), (cap,) = _setup(ns)
     rewritten, decision = insert_sparse_workspace(stmt, formats, policy, cap)
     print(classification_report(stmt, formats, decision))
     print()
@@ -344,10 +348,7 @@ def cmd_explain(ns: argparse.Namespace) -> int:
 
 
 def cmd_run(ns: argparse.Namespace) -> int:
-    stmt = _parse_statement(ns)
-    formats = _resolve_formats(ns, stmt)
-    policy = _parse_policies(ns.policy, allow_many=False)[0]
-    cap = _parse_caps(ns.cap, allow_many=False)[0]
+    stmt, formats, (policy,), (cap,) = _setup(ns)
     tensors = _resolve_tensors(ns, stmt, formats)
     plan, decision = _prepare(stmt, formats, policy, cap)
     options = ExecutionOptions(pipeline=ns.pipeline)
@@ -373,10 +374,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
 
 
 def cmd_bench(ns: argparse.Namespace) -> int:
-    stmt = _parse_statement(ns)
-    formats = _resolve_formats(ns, stmt)
-    policies = _parse_policies(ns.policy, allow_many=True)
-    caps = _parse_caps(ns.cap, allow_many=True)
+    stmt, formats, policies, caps = _setup(ns, many=True)
     tensors = _resolve_tensors(ns, stmt, formats)
     options = ExecutionOptions(pipeline=ns.pipeline)
 
@@ -406,10 +404,7 @@ def _ablation_capacities(stream_length: int) -> list[tuple[int, str]]:
 
 
 def cmd_ablation(ns: argparse.Namespace) -> int:
-    stmt = _parse_statement(ns)
-    formats = _resolve_formats(ns, stmt)
-    policy = _parse_policies(ns.policy, allow_many=False)[0]
-    base_cap = _parse_caps(ns.cap, allow_many=False)[0]
+    stmt, formats, (policy,), (base_cap,) = _setup(ns)
     tensors = _resolve_tensors(ns, stmt, formats)
 
     plan, decision = _prepare(stmt, formats, policy, base_cap)
@@ -460,10 +455,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         return _COMMANDS[ns.command](ns)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _USER_ERRORS as exc:
+    except (CliError, *_USER_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

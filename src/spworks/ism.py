@@ -37,7 +37,7 @@ _LOG_RUNS = 64
 # the object headers of one logged run (two arrays and a tuple), in entries
 _RUN_ENTRIES = 18
 # sorted log positions one compaction step gathers and adds at once
-_CHUNK = 2**14
+_CHUNK = 2**12
 
 
 class IsmError(RuntimeError):
@@ -378,22 +378,36 @@ class AllArray:
         first = np.empty(total, bool)
         first[0] = True
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        self._keys = keys[first]
-        del keys
-        self._vals = out = np.empty(len(self._keys), VAL_DTYPE)
-        # the distinct keys each run brought, in chunks of sorted positions
+        # both results are written in place, a chunk of sorted positions at a
+        # time; a chunk writes only at or before its own positions, after it
+        # has read them. First the distinct keys, to the front of the keys
+        done = 0
+        for a in range(0, total, _CHUNK):
+            distinct = keys[a:a + _CHUNK][first[a:a + _CHUNK]]
+            keys[done:done + len(distinct)] = distinct
+            done += len(distinct)
+        # nothing else refers to the buffer, so it shrinks in place
+        keys.resize(done, refcheck=False)
+        self._keys = keys
+        # then the merged values, into the buffer of the sort order, and the
+        # distinct keys each run brought
+        out = order.view(VAL_DTYPE)
         new = np.zeros(len(ends), np.int64)
         done = 0
         for a in range(0, total, _CHUNK):
             f = first[a:a + _CHUNK]
             at = order[a:a + _CHUNK]
             v = vals[at]
-            group = np.cumsum(f) + (done - 1)
+            new += np.bincount(np.searchsorted(ends, at[f], "right"), minlength=len(ends))
+            group = np.cumsum(f)
+            group += done - 1
             out[group[f]] = v[f]
             repeat = ~f
             np.add.at(out, group[repeat], v[repeat])
-            new += np.bincount(np.searchsorted(ends, at[f], "right"), minlength=len(ends))
             done = int(group[-1]) + 1
+        del vals, first, f, at, out
+        order.resize(done, refcheck=False)
+        self._vals = order.view(VAL_DTYPE)
         # each logged run met the distinct keys of the base and of the runs
         # before it, and repeated those it did not bring
         new = new[-len(lengths):]

@@ -74,7 +74,10 @@ class LoweringError(ValueError):
 # returns its plan text, unindented, and its ``run`` executes it on a batch
 # of loop iterations (``_Rows``). Drivers print through ``str`` and expand a
 # batch into the iterations of their loop, chunk by chunk; probes resolve one
-# more level of an access on a batch and return the rows that remain.
+# more level of an access on a batch and return the rows that remain. Each
+# node's ``needs`` maps the columns a batch must carry after it to those it
+# must carry before it; a driver or a locate also records, under its id in
+# ``keep``, what the batches it builds carry.
 
 
 @dataclass
@@ -84,11 +87,19 @@ class DenseRange:
     def __str__(self) -> str:
         return f"range({self.var.name.upper()})"
 
+    def needs(self, live: set, var: IndexVar, keep: dict) -> set:
+        keep[id(self)] = _Keep.of(live, {_crd(var)})
+        return live - {_crd(var)}
+
     def expand(self, ex: _Execution, rows: _Rows, var: IndexVar):
+        keep = ex.keep[id(self)]
         ext = ex.extents[self.var]
-        for row, off in _chunks(np.full(rows.n, ext, dtype=np.int64)):
-            child = rows.take(row)
-            child.crd[var] = off
+        total = rows.n * ext
+        for lo in range(0, total, _CHUNK):
+            at = np.arange(lo, min(lo + _CHUNK, total))
+            child = rows.take(at // ext, keep)
+            if _crd(var) in keep.sets:
+                child.crd[var] = np.remainder(at, ext, out=at)
             yield child
 
 
@@ -101,14 +112,24 @@ class LevelIter:
     def __str__(self) -> str:
         return f"{self.tensor}.level({self.level})"
 
+    def needs(self, live: set, var: IndexVar, keep: dict) -> set:
+        sets = {_pos(self.aid), _crd(var)}
+        keep[id(self)] = _Keep.of(live, sets)
+        return (live - sets) | {_pos(self.aid)}
+
     def expand(self, ex: _Execution, rows: _Rows, var: IndexVar):
+        keep = ex.keep[id(self)]
         level = ex.tensors[self.tensor].levels[self.level]
         lo = level.pos[rows.pos[self.aid]]
-        counts = level.pos[rows.pos[self.aid] + 1] - lo
-        for row, off in _chunks(counts):
-            child = rows.take(row)
-            child.pos[self.aid] = at = lo[row] + off
-            child.crd[var] = level.crd[at].astype(np.int64)
+        counts = level.pos[rows.pos[self.aid] + 1]
+        counts -= lo
+        for row, at in _chunks(counts):
+            child = rows.take(row, keep)
+            at += lo[row]
+            if _pos(self.aid) in keep.sets:
+                child.pos[self.aid] = at
+            if _crd(var) in keep.sets:
+                child.crd[var] = level.crd[at].astype(np.int64)
             yield child
 
 
@@ -120,12 +141,18 @@ class Intersect:
     def __str__(self) -> str:
         return f"{self.first} & {self.second}"
 
+    def needs(self, live: set, var: IndexVar, keep: dict) -> set:
+        b = self.second.aid
+        keep[id(self)] = _Keep.of(live, {_pos(b)})
+        return self.first.needs(live | {_pos(b), _crd(var)}, var, keep)
+
     def expand(self, ex: _Execution, rows: _Rows, var: IndexVar):
         # walking the first level and searching the second yields the common
         # coordinates in the order of a two-pointer merge
         b = self.second
+        keep = ex.keep[id(self)]
         for child in self.first.expand(ex, rows, var):
-            yield ex.locate(child, b.aid, b.tensor, b.level, child.crd[var])
+            yield ex.locate(child, b.aid, b.tensor, b.level, child.crd[var], keep)
 
 
 @dataclass
@@ -138,9 +165,14 @@ class DenseStep:
     def lines(self, plan: Plan) -> list[str]:
         return []
 
+    def needs(self, live: set, keep: dict) -> set:
+        return live | {_pos(self.aid), _crd(self.var)}
+
     def run(self, ex: _Execution, rows: _Rows) -> _Rows:
-        ext = ex.tensors[self.tensor].levels[self.level].extent
-        rows.pos[self.aid] = rows.pos[self.aid] * ext + rows.crd[self.var]
+        # in place: every batch holds its own position arrays
+        pos = rows.pos[self.aid]
+        pos *= ex.tensors[self.tensor].levels[self.level].extent
+        pos += rows.crd[self.var]
         return rows
 
 
@@ -154,8 +186,13 @@ class Locate:
     def lines(self, plan: Plan) -> list[str]:
         return [f"locate {self.var.name} in {self.tensor}.level({self.level})"]
 
+    def needs(self, live: set, keep: dict) -> set:
+        keep[id(self)] = _Keep.of(live, {_pos(self.aid)})
+        return live | {_pos(self.aid), _crd(self.var)}
+
     def run(self, ex: _Execution, rows: _Rows) -> _Rows:
-        return ex.locate(rows, self.aid, self.tensor, self.level, rows.crd[self.var])
+        return ex.locate(rows, self.aid, self.tensor, self.level, rows.crd[self.var],
+                         ex.keep[id(self)])
 
 
 @dataclass
@@ -171,11 +208,22 @@ class LoopNode:
             out += ["  " + line for line in node.lines(plan)]
         return out
 
+    @property
+    def hosts(self) -> bool:
+        """Whether the loop runs statements around a nested loop: then it
+        hosts its iterations, and the value register and the workspaces
+        those statements keep are addressed by host row."""
+        return len(self.body) > 1 and any(isinstance(n, LoopNode) for n in self.body)
+
+    def needs(self, live: set, keep: dict) -> set:
+        inner = _needs(self.body, set(), keep)
+        if self.hosts:
+            inner.discard(_OWNER)
+        inner = _needs(self.probes, inner, keep)
+        return live | self.driver.needs(inner, self.var, keep)
+
     def run(self, ex: _Execution, rows: _Rows) -> None:
-        # a loop that runs statements around a nested loop hosts its
-        # iterations: the value register and the workspaces those statements
-        # keep are addressed by host row
-        hosts = len(self.body) > 1 and any(isinstance(n, LoopNode) for n in self.body)
+        hosts = self.hosts
         for child in self.driver.expand(ex, rows, self.var):
             for probe in self.probes:
                 child = probe.run(ex, child)
@@ -192,6 +240,9 @@ class SetReg:
     def lines(self, plan: Plan) -> list[str]:
         return ["val = 0"]
 
+    def needs(self, live: set, keep: dict) -> set:
+        return live
+
     def run(self, ex: _Execution, rows: _Rows) -> None:
         ex.reg = np.zeros(rows.n, dtype=np.float64)
 
@@ -203,6 +254,9 @@ class AccumReg:
 
     def lines(self, plan: Plan) -> list[str]:
         return [f"val += {format_expr(self.expr)}"]
+
+    def needs(self, live: set, keep: dict) -> set:
+        return live | _operands(self.expr, self.amap) | {_OWNER}
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
         np.add.at(ex.reg, rows.owner, _evaluate(ex, rows, self.expr, self.amap))
@@ -217,6 +271,9 @@ class AppendRow:
     def lines(self, plan: Plan) -> list[str]:
         coords = ", ".join(v.name for v in self.level_vars)
         return [f"append ({coords}) -> {plan.result.tensor}"]
+
+    def needs(self, live: set, keep: dict) -> set:
+        return live | {_crd(v) for v in self.level_vars}
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
         ex.collector.extend([rows.crd[v] for v in self.level_vars], ex.reg)
@@ -233,6 +290,9 @@ class AppendCompute:
         return [f"append ({coords}) = {format_expr(self.expr)} "
                 f"-> {plan.result.tensor}"]
 
+    def needs(self, live: set, keep: dict) -> set:
+        return live | {_crd(v) for v in self.level_vars} | _operands(self.expr, self.amap)
+
     def run(self, ex: _Execution, rows: _Rows) -> None:
         ex.collector.extend([rows.crd[v] for v in self.level_vars],
                             _evaluate(ex, rows, self.expr, self.amap))
@@ -247,6 +307,9 @@ class ScatterDense:
     def lines(self, plan: Plan) -> list[str]:
         coords = ", ".join(v.name for v in self.mode_vars)
         return [f"{plan.result.tensor}[{coords}] += {format_expr(self.expr)}"]
+
+    def needs(self, live: set, keep: dict) -> set:
+        return live | {_crd(v) for v in self.mode_vars} | _operands(self.expr, self.amap)
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
         at = np.zeros(rows.n, dtype=np.int64)
@@ -266,6 +329,10 @@ class InsertWs:
 
     def lines(self, plan: Plan) -> list[str]:
         return self.meta.impl.insert_lines(self.meta, self.expr)
+
+    def needs(self, live: set, keep: dict) -> set:
+        return (live | {_crd(v) for v in self.meta.slot_vars}
+                | _operands(self.expr, self.amap) | {_OWNER})
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
         slots = self.meta.slot_vars
@@ -288,6 +355,9 @@ class AllocWs:
             return []
         return [f"workspace {self.meta.name}: {self.meta.descriptor}"]
 
+    def needs(self, live: set, keep: dict) -> set:
+        return live
+
     def run(self, ex: _Execution, rows: _Rows) -> None:
         meta = self.meta
         if meta.name not in ex.workspaces:
@@ -307,6 +377,9 @@ class DrainWs:
     def lines(self, plan: Plan) -> list[str]:
         return self.meta.impl.drain_lines(self.meta, self.prefix_vars, plan.result.tensor)
 
+    def needs(self, live: set, keep: dict) -> set:
+        return live | {_crd(v) for v in self.prefix_vars}
+
     def run(self, ex: _Execution, rows: _Rows) -> None:
         # one cast per host batch; each entry then takes its host row's
         prefix = [rows.crd[v].astype(CRD_DTYPE) for v in self.prefix_vars]
@@ -325,6 +398,9 @@ class MaterializeWs:
         sub = print_plan(self.meta.subplan).splitlines()
         return [*self.meta.impl.drain_lines(self.meta, (), None), "consume:",
                 *("  " + line for line in sub)]
+
+    def needs(self, live: set, keep: dict) -> set:
+        return live
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
         meta = self.meta
@@ -651,33 +727,83 @@ _CHUNK = 1 << 14
 
 
 class _Rows:
-    """A batch of loop iterations in execution order: the coordinate of every
-    bound index variable, the position of every access at its deepest
-    resolved level, and each iteration's row in the batch of its host loop."""
+    """A batch of loop iterations in execution order: the coordinate of
+    bound index variables, the position of accesses at their deepest
+    resolved level, and each iteration's row in the batch of its host loop
+    (``owner``), each only where the nodes below still read it."""
 
     __slots__ = ("n", "crd", "pos", "owner")
 
-    def __init__(self, n: int, crd: dict, pos: dict, owner: np.ndarray) -> None:
+    def __init__(self, n: int, crd: dict, pos: dict, owner: np.ndarray | None) -> None:
         self.n = n
         self.crd = crd
         self.pos = pos
         self.owner = owner
 
-    def take(self, rows: np.ndarray) -> _Rows:
-        return _Rows(len(rows), {v: c[rows] for v, c in self.crd.items()},
-                     {a: p[rows] for a, p in self.pos.items()}, self.owner[rows])
+    def take(self, rows: np.ndarray, keep: _Keep) -> _Rows:
+        """The given rows, as fresh arrays of the columns ``keep`` gathers."""
+        return _Rows(len(rows), {v: self.crd[v][rows] for v in keep.crd},
+                     {a: self.pos[a][rows] for a in keep.pos},
+                     self.owner[rows] if keep.owner else None)
+
+
+# the columns of a batch: a variable's coordinates, an access's positions,
+# and the host rows
+def _crd(v: IndexVar) -> tuple:
+    return ("crd", v)
+
+
+def _pos(aid: int) -> tuple:
+    return ("pos", aid)
+
+
+_OWNER = ("owner", None)
+
+
+def _operands(expr: Expr, amap: dict) -> set:
+    return {_pos(amap[a]) for a in expr_accesses(expr)}
+
+
+def _needs(nodes: list, live: set, keep: dict) -> set:
+    """The columns a batch must carry for ``nodes`` to run on it in turn and
+    leave ``live`` behind."""
+    for node in reversed(nodes):
+        live = node.needs(live, keep)
+    return live
+
+
+@dataclass(frozen=True)
+class _Keep:
+    """What a batch that a driver or a locate builds carries: the columns it
+    gathers from its source batch, and ``sets``, those it computes itself."""
+
+    crd: tuple
+    pos: tuple
+    owner: bool
+    sets: frozenset
+
+    @classmethod
+    def of(cls, live: set, own: set) -> _Keep:
+        """The batch carries ``live``; its builder can compute ``own``."""
+        gather = live - own
+        return cls(tuple(v for kind, v in gather if kind == "crd"),
+                   tuple(a for kind, a in gather if kind == "pos"),
+                   _OWNER in gather, frozenset(live & own))
 
 
 def _chunks(counts: np.ndarray):
     """Split the iterations of a batch, ``counts[r]`` of them for row r in
     row order, into chunks of at most _CHUNK; yield each chunk's rows and its
-    iterations' offsets within their row."""
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
+    iterations' offsets within their row, both fresh arrays."""
+    starts = np.cumsum(counts)
+    total = int(starts[-1]) if len(starts) else 0
+    starts -= counts
     for lo in range(0, total, _CHUNK):
         at = np.arange(lo, min(lo + _CHUNK, total))
-        row = np.searchsorted(ends, at, side="right")
-        yield row, at - (ends[row] - counts[row])
+        row = np.searchsorted(starts, at, side="right")
+        row -= 1
+        at -= starts[row]
+        yield row, at
 
 
 def _values(ex: _Execution, rows: _Rows, expr: Expr, amap: dict):
@@ -861,24 +987,26 @@ class _Collector:
     coordinates in CRD_DTYPE."""
 
     def __init__(self, levels: int) -> None:
-        self.levels = levels
-        self._chunks: list[tuple[list[np.ndarray], np.ndarray]] = []
+        # the chunks of each level's coordinates, then those of the values
+        self._columns: list[list[np.ndarray]] = [[] for _ in range(levels + 1)]
+        self._dtypes = [CRD_DTYPE] * levels + [np.float64]
 
     def extend(self, coords: list[np.ndarray], vals: np.ndarray) -> None:
         if len(vals):
-            self._chunks.append(([np.asarray(c, dtype=CRD_DTYPE) for c in coords],
-                                 np.asarray(vals, dtype=np.float64)))
+            for chunks, col, dtype in zip(self._columns, [*coords, vals], self._dtypes):
+                chunks.append(np.asarray(col, dtype=dtype))
 
     def finalize(self) -> tuple[list[np.ndarray], np.ndarray]:
-        if not self._chunks:
-            empty = [np.empty(0, dtype=CRD_DTYPE) for _ in range(self.levels)]
-            return empty, np.empty(0, dtype=np.float64)
-        if len(self._chunks) == 1:
-            return self._chunks[0]
-        coords = [np.concatenate([chunk[0][l] for chunk in self._chunks])
-                  for l in range(self.levels)]
-        vals = np.concatenate([chunk[1] for chunk in self._chunks])
-        return coords, vals
+        """Join each column and drop its chunks before joining the next, so
+        the chunks and the joined columns are never all live at once."""
+        out = []
+        for chunks, dtype in zip(self._columns, self._dtypes):
+            if len(chunks) == 1:
+                out.append(chunks[0])
+            else:
+                out.append(np.concatenate(chunks) if chunks else np.empty(0, dtype))
+            chunks.clear()
+        return out[:-1], out[-1]
 
 
 class _Execution:
@@ -889,6 +1017,9 @@ class _Execution:
         self.options = options
         self.counters = Counters()
         self._validate()
+        # what each batch carries, by the id of the node that builds it
+        self.keep: dict[int, _Keep] = {}
+        self._root = _needs(plan.body, set(), self.keep)
         # one implementation per workspace, built at its first allocation;
         # the stack closes what they enter on it when run() ends
         self.workspaces: dict[str, Workspace] = {}
@@ -949,7 +1080,7 @@ class _Execution:
                            if meta.subplan is not None)
 
     def locate(self, rows: _Rows, aid: int, tensor: str, level: int,
-               crd: np.ndarray) -> _Rows:
+               crd: np.ndarray, keep: _Keep) -> _Rows:
         """Find each row's coordinate among the children of its position at a
         compressed level; rows where it is absent drop out."""
         t = self.tensors[tensor]
@@ -959,18 +1090,22 @@ class _Execution:
             lvl = t.levels[level]
             parent = np.repeat(np.arange(len(lvl.pos) - 1), np.diff(lvl.pos))
             keys = self._level_keys[tensor, level] = parent * extent + lvl.crd
-        want = rows.pos[aid] * extent + crd
+        want = rows.pos[aid] * extent
+        want += crd
         at = np.searchsorted(keys, want)
         found = at < len(keys)
         found[found] = keys[at[found]] == want[found]
         hit = np.flatnonzero(found)
-        out = rows.take(hit)
-        out.pos[aid] = at[hit]
+        out = rows.take(hit, keep)
+        if _pos(aid) in keep.sets:
+            out.pos[aid] = at[hit]
         return out
 
     def run(self) -> ExecutionResult:
-        root = _Rows(1, {}, {aid: np.zeros(1, dtype=np.int64) for aid in self.plan.sites},
-                     np.zeros(1, dtype=np.int64))
+        # one iteration, every access at its root position
+        root = _Rows(1, {}, {a: np.zeros(1, dtype=np.int64)
+                             for kind, a in self._root if kind == "pos"},
+                     np.zeros(1, dtype=np.int64) if _OWNER in self._root else None)
         with self.stack:
             for node in self.plan.body:
                 node.run(self, root)

@@ -718,3 +718,40 @@ def test_log_stays_bounded_under_heavy_dedup():
     streams = [_real_stream(seed, n, universe=64)
                for seed, n in [(5, 100_000), (6, 500), (7, 500)]]
     _check_against_reference(Policy.COORD, 1, streams, (64,))
+
+
+@pytest.mark.parametrize("universe", [10**7, 10**5, 1000])
+def test_compaction_scratch_per_entry(universe):
+    # 63 logged runs, one short of a compaction at merge(); what compacting
+    # them allocates beyond the log, which the test keeps alive: the
+    # concatenated keys and values, the sort order and a mask, about 25
+    # bytes per entry, then about 16 bytes per distinct key left behind
+    rng = np.random.default_rng(universe)
+    runs = []
+    for _ in range(ism._LOG_RUNS - 1):
+        keys = np.unique(rng.integers(0, universe, 4000).astype(np.uint64))
+        runs.append((keys, rng.standard_normal(len(keys))))
+    alla, reference = AllArray(Counters()), _TwoWayMerge(Counters())
+    for keys, vals in runs:
+        alla.merge(keys, vals)
+        reference.merge(keys, vals.copy())
+    logged = sum(len(k) for k, _ in runs)
+    assert len(alla._runs) == len(runs)
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        keys, vals = alla.keys, alla.vals
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert (peak - base) / logged <= 27
+    # the two results own buffers of their own length, not of the log's
+    assert left - base <= 16 * len(keys) + 32 * 1024
+    assert np.array_equal(keys, reference.keys)
+    assert vals.tobytes() == reference.vals.tobytes()
+    assert alla.counters == reference.counters

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import json
 import threading
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -584,6 +585,38 @@ def test_engines_are_released_before_the_result_is_compressed(name, monkeypatch)
     assert (out.counters.merges > 0) == (meta.impl is lowering.IsmWorkspace)
 
 
+@pytest.mark.parametrize("name", ["spgemm-rowwise-hoist", "mttkrp"])
+def test_collector_chunks_are_released_before_the_result_is_compressed(name, monkeypatch):
+    # each host row's drain adds a chunk per column; the collector joins a
+    # column and drops its chunks before the next, so compression sees only
+    # the joined columns
+    kernel = KERNELS_BY_NAME[name]
+    _, plan, _ = prepare(kernel)
+    chunks: list[weakref.ref] = []
+    live_at_compression: list[int] = []
+    extend, compress = lowering._Collector.extend, lowering.compress_arrays
+
+    def tracked_extend(self, coords, vals):
+        extend(self, coords, vals)
+        if len(vals):
+            chunks.extend(weakref.ref(column[-1]) for column in self._columns)
+
+    def checked_compress(mode_coords, vals, *args, **kwargs):
+        joined = [*mode_coords, vals]
+        live_at_compression.append(sum(
+            ref() is not None and not any(ref() is a for a in joined) for ref in chunks))
+        return compress(mode_coords, vals, *args, **kwargs)
+
+    monkeypatch.setattr(lowering._Collector, "extend", tracked_extend)
+    monkeypatch.setattr(lowering, "compress_arrays", checked_compress)
+    inst = kernel.instance(1)
+    stmt = kernel.statement()
+    out = sw.execute(plan, inst.tensors)
+    assert np.array_equal(out.tensor.to_dense(), sw.dense_oracle(stmt, inst.arrays))
+    assert len(chunks) > 3 * (out.tensor.order + 1)
+    assert live_at_compression == [0]
+
+
 class DictWorkspace(lowering.Workspace):
     """A third implementation: a dict from (host row, key) to a running sum
     that starts at 0.0, sorted when the batch finishes."""
@@ -703,6 +736,113 @@ def test_execute_leaves_no_cyclic_garbage():
             assert gc.collect() == 0, (name, pipeline)
     finally:
         gc.enable()
+
+
+# -- batch columns and scratch -------------------------------------------------------------
+
+
+class _ReadLog(dict):
+    """The columns of one kind in a batch, noting each one read."""
+
+    def __init__(self, columns: dict) -> None:
+        super().__init__(columns)
+        self.read: set = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+class _TrackedRows(lowering._Rows):
+    """A batch that notes which of its columns are read."""
+
+    __slots__ = ("_owner", "owner_read")
+
+    def __init__(self, rows: lowering._Rows) -> None:
+        self.owner_read = False
+        super().__init__(rows.n, _ReadLog(rows.crd), _ReadLog(rows.pos), rows.owner)
+
+    @property
+    def owner(self):
+        self.owner_read = True
+        return self._owner
+
+    @owner.setter
+    def owner(self, value) -> None:
+        self._owner = value
+
+    def unread(self) -> list[str]:
+        names = [v.name for v in self.crd if v not in self.crd.read]
+        names += [f"pos {aid}" for aid in self.pos if aid not in self.pos.read]
+        if self._owner is not None and not self.owner_read:
+            names.append("owner")
+        return names
+
+
+@pytest.mark.parametrize("kernel", [*KERNELS, REGISTER, LOCATE, THREE_TERMS],
+                         ids=lambda k: k.name)
+def test_batches_carry_only_columns_read_below_them(kernel, monkeypatch):
+    # every batch a driver or a locate builds: each coordinate, position and
+    # host-row column it carries, gathered or set, is read by a node below
+    batches: list[_TrackedRows] = []
+    take = lowering._Rows.take
+
+    def tracked_take(self, rows, keep):
+        batch = _TrackedRows(take(self, rows, keep))
+        batches.append(batch)
+        return batch
+
+    monkeypatch.setattr(lowering._Rows, "take", tracked_take)
+    stmt, plan, _ = prepare(kernel)
+    for index in range(3):
+        inst = kernel.instance(index)
+        out = sw.execute(plan, inst.tensors)
+        assert np.array_equal(out.tensor.to_dense(), sw.dense_oracle(stmt, inst.arrays))
+    checked = [b for b in batches if b.n]
+    assert checked
+    assert [b.unread() for b in checked if b.unread()] == []
+
+
+def _scaled_operands(name: str, scale: int) -> dict[str, sw.Tensor]:
+    """Operands under which every loop but a two-row outer one expands to
+    2 * _CHUNK * scale iterations or more, while the result stays 2 x 2 (2
+    for the register plan); every value is 1."""
+    kernel = REGISTER if name == "register" else KERNELS_BY_NAME[name]
+    n = (2 if name == "spgemm-outer" else 1) * lowering._CHUNK * scale
+    arrays = {"B": np.ones((2, n))}
+    arrays.update({"c": np.ones(n)} if name == "register" else {"C": np.ones((n, 2))})
+    return {t: sw.from_dense(a, kernel.formats[t]) for t, a in arrays.items()}
+
+
+def _execute_scratch(plan: sw.Plan, tensors: dict[str, sw.Tensor]) -> tuple[int, sw.Tensor]:
+    """Bytes an execution held at its peak beyond what it left behind (its
+    result), and the result."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = sw.execute(plan, tensors)
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return peak - left, out.tensor
+
+
+@pytest.mark.parametrize("name", ["register", "spgemm-rowwise", "spgemm-rowwise-hoist",
+                                  "spgemm-outer"])
+def test_producer_scratch_is_bounded_by_the_chunk(name):
+    # drivers expand _CHUNK iterations at a time and every batch they build
+    # is a chunk or part of one, so from two chunks on, four times the
+    # iterations hold about the same scratch
+    kernel = REGISTER if name == "register" else KERNELS_BY_NAME[name]
+    _, plan, _ = prepare(kernel)
+    (short, small), (long, large) = (_execute_scratch(plan, _scaled_operands(name, scale))
+                                     for scale in (1, 4))
+    assert long <= 1.15 * short
+    assert np.array_equal(large.to_dense(), 4 * small.to_dense())
 
 
 # -- error paths -------------------------------------------------------------------------
