@@ -51,9 +51,10 @@ from .ir import (
     nest_core,
     nest_vars,
 )
-from .ism import Counters, IsmEngine, Policy, hash_default_l, row_major_strides
+from .ism import Counters, IsmEngine, Policy, hash_default_l
 from .tensor import (
     CRD_DTYPE,
+    DenseLevel,
     Format,
     LevelFormat,
     LevelKind,
@@ -91,16 +92,20 @@ class DenseRange:
         keep[id(self)] = _Keep.of(live, {_crd(var)})
         return live - {_crd(var)}
 
-    def expand(self, ex: _Execution, rows: _Rows, var: IndexVar):
+    def expand(self, ex: _Execution, rows: _Rows, var: IndexVar, chunk: int):
         keep = ex.keep[id(self)]
         ext = ex.extents[self.var]
-        total = rows.n * ext
-        for lo in range(0, total, _CHUNK):
-            at = np.arange(lo, min(lo + _CHUNK, total))
+
+        def batch(lo: int, hi: int) -> _Rows:
+            at = np.arange(lo, hi)
             child = rows.take(at // ext, keep)
             if _crd(var) in keep.sets:
-                child.crd[var] = np.remainder(at, ext, out=at)
-            yield child
+                child.crd[var] = np.remainder(at, ext, out=np.empty(len(at), CRD_DTYPE),
+                                              casting="unsafe")
+            return child
+
+        total = rows.n * ext
+        return (batch(lo, min(lo + chunk, total)) for lo in range(0, total, chunk))
 
 
 @dataclass
@@ -117,20 +122,29 @@ class LevelIter:
         keep[id(self)] = _Keep.of(live, sets)
         return (live - sets) | {_pos(self.aid)}
 
-    def expand(self, ex: _Execution, rows: _Rows, var: IndexVar):
+    def expand(self, ex: _Execution, rows: _Rows, var: IndexVar, chunk: int):
         keep = ex.keep[id(self)]
         level = ex.tensors[self.tensor].levels[self.level]
-        lo = level.pos[rows.pos[self.aid]]
-        counts = level.pos[rows.pos[self.aid] + 1]
-        counts -= lo
-        for row, at in _chunks(counts):
+        # where each row's iterations end in the expanded batch, and what
+        # turns an iteration's index there into its position on the level
+        shift = level.pos[rows.pos[self.aid] + 1]
+        ends = shift - level.pos[rows.pos[self.aid]]
+        np.cumsum(ends, out=ends)
+        shift -= ends
+
+        def batch(lo: int, hi: int) -> _Rows:
+            at = np.arange(lo, hi)
+            row = np.searchsorted(ends, at, side="right")
             child = rows.take(row, keep)
-            at += lo[row]
+            at += shift[row]
             if _pos(self.aid) in keep.sets:
                 child.pos[self.aid] = at
             if _crd(var) in keep.sets:
-                child.crd[var] = level.crd[at].astype(np.int64)
-            yield child
+                child.crd[var] = level.crd[at]
+            return child
+
+        total = int(ends[-1])
+        return (batch(lo, min(lo + chunk, total)) for lo in range(0, total, chunk))
 
 
 @dataclass
@@ -146,13 +160,17 @@ class Intersect:
         keep[id(self)] = _Keep.of(live, {_pos(b)})
         return self.first.needs(live | {_pos(b), _crd(var)}, var, keep)
 
-    def expand(self, ex: _Execution, rows: _Rows, var: IndexVar):
+    def expand(self, ex: _Execution, rows: _Rows, var: IndexVar, chunk: int):
         # walking the first level and searching the second yields the common
         # coordinates in the order of a two-pointer merge
         b = self.second
         keep = ex.keep[id(self)]
-        for child in self.first.expand(ex, rows, var):
-            yield ex.locate(child, b.aid, b.tensor, b.level, child.crd[var], keep)
+
+        def located(child: _Rows) -> _Rows:
+            return ex.locate(child, b.aid, b.tensor, b.level, child.crd[var], keep)
+
+        # map keeps no walked batch while the located one runs
+        return map(located, self.first.expand(ex, rows, var, chunk))
 
 
 @dataclass
@@ -209,11 +227,16 @@ class LoopNode:
         return out
 
     @property
+    def nests(self) -> bool:
+        """Whether a loop nests in this one's body."""
+        return any(isinstance(n, LoopNode) for n in self.body)
+
+    @property
     def hosts(self) -> bool:
         """Whether the loop runs statements around a nested loop: then it
         hosts its iterations, and the value register and the workspaces
         those statements keep are addressed by host row."""
-        return len(self.body) > 1 and any(isinstance(n, LoopNode) for n in self.body)
+        return len(self.body) > 1 and self.nests
 
     def needs(self, live: set, keep: dict) -> set:
         inner = _needs(self.body, set(), keep)
@@ -224,15 +247,19 @@ class LoopNode:
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
         hosts = self.hosts
-        for child in self.driver.expand(ex, rows, self.var):
+        # a loop's batch stays live while the loops nested in it run
+        chunk = _OUTER_CHUNK if self.nests else _CHUNK
+        for child in self.driver.expand(ex, rows, self.var, chunk):
             for probe in self.probes:
                 child = probe.run(ex, child)
-            if not child.n:  # filtered out: no statement, and no workspace, sees it
-                continue
-            if hosts:
-                child.owner = np.arange(child.n)
-            for node in self.body:
-                node.run(ex, child)
+            # a batch the probes filtered out: no statement, and no
+            # workspace, sees it
+            if child.n:
+                if hosts:
+                    child.owner = np.arange(child.n)
+                for node in self.body:
+                    node.run(ex, child)
+            del child  # the next batch is built without this one
 
 
 @dataclass
@@ -312,9 +339,11 @@ class ScatterDense:
         return live | {_crd(v) for v in self.mode_vars} | _operands(self.expr, self.amap)
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
+        # row-major positions in the result, in int64
         at = np.zeros(rows.n, dtype=np.int64)
-        for v, stride in zip(self.mode_vars, row_major_strides(ex.dense_out.shape)):
-            at += rows.crd[v] * stride
+        for v, e in zip(self.mode_vars, ex.dense_out.shape):
+            at *= e
+            at += rows.crd[v]
         np.add.at(ex.dense_out.reshape(-1), at, _evaluate(ex, rows, self.expr, self.amap))
 
 
@@ -335,10 +364,10 @@ class InsertWs:
                 | _operands(self.expr, self.amap) | {_OWNER})
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
-        slots = self.meta.slot_vars
         keys = np.zeros(rows.n, dtype=np.uint64)
-        for v, stride in zip(slots, row_major_strides([ex.extents[v] for v in slots])):
-            keys += rows.crd[v].astype(np.uint64) * np.uint64(stride)
+        for v in self.meta.slot_vars:
+            keys *= np.uint64(ex.extents[v])
+            keys += rows.crd[v]
         ex.workspaces[self.meta.name].insert(rows.owner, keys,
                                              _evaluate(ex, rows, self.expr, self.amap))
 
@@ -381,8 +410,8 @@ class DrainWs:
         return live | {_crd(v) for v in self.prefix_vars}
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
-        # one cast per host batch; each entry then takes its host row's
-        prefix = [rows.crd[v].astype(CRD_DTYPE) for v in self.prefix_vars]
+        # each entry takes its host row's prefix coordinates
+        prefix = [rows.crd[v] for v in self.prefix_vars]
         for host, coords, wvals in ex.workspaces[self.meta.name].finish():
             ex.collector.extend([p[host] for p in prefix] + coords, wvals)
 
@@ -722,15 +751,18 @@ class ExecutionResult:
     counters: Counters
 
 
-# iterations a driver expands at a time: bounds the transient arrays
+# iterations a loop expands at a time: bounds the transient arrays. A
+# loop that nests others expands fewer, since its batch stays live under
+# theirs, so a loop nest holds about one chunk at any depth
 _CHUNK = 1 << 14
+_OUTER_CHUNK = _CHUNK >> 3
 
 
 class _Rows:
     """A batch of loop iterations in execution order: the coordinate of
-    bound index variables, the position of accesses at their deepest
-    resolved level, and each iteration's row in the batch of its host loop
-    (``owner``), each only where the nodes below still read it."""
+    bound index variables (CRD_DTYPE), the position of accesses at their
+    deepest resolved level, and each iteration's row in the batch of its
+    host loop (``owner``), each only where the nodes below still read it."""
 
     __slots__ = ("n", "crd", "pos", "owner")
 
@@ -791,21 +823,6 @@ class _Keep:
                    _OWNER in gather, frozenset(live & own))
 
 
-def _chunks(counts: np.ndarray):
-    """Split the iterations of a batch, ``counts[r]`` of them for row r in
-    row order, into chunks of at most _CHUNK; yield each chunk's rows and its
-    iterations' offsets within their row, both fresh arrays."""
-    starts = np.cumsum(counts)
-    total = int(starts[-1]) if len(starts) else 0
-    starts -= counts
-    for lo in range(0, total, _CHUNK):
-        at = np.arange(lo, min(lo + _CHUNK, total))
-        row = np.searchsorted(starts, at, side="right")
-        row -= 1
-        at -= starts[row]
-        yield row, at
-
-
 def _values(ex: _Execution, rows: _Rows, expr: Expr, amap: dict):
     if isinstance(expr, Const):
         return expr.value
@@ -821,8 +838,9 @@ def _values(ex: _Execution, rows: _Rows, expr: Expr, amap: dict):
 def _evaluate(ex: _Execution, rows: _Rows, expr: Expr, amap: dict) -> np.ndarray:
     """The expression's value at every row, operand by operand in the order
     the expression gives."""
-    return np.broadcast_to(np.asarray(_values(ex, rows, expr, amap), dtype=np.float64),
-                           (rows.n,))
+    vals = np.asarray(_values(ex, rows, expr, amap), dtype=np.float64)
+    # a constant's one value serves every row as a read-only view
+    return vals if vals.shape == (rows.n,) else np.broadcast_to(vals, (rows.n,))
 
 
 # -- workspace implementations -------------------------------------------------------
@@ -964,16 +982,20 @@ class DenseWorkspace(Workspace):
         self.done.append((union[:final], sums[:final]))
         self.keys, self.sums = union[final:], sums[final:]
 
-    def finish(self) -> list:
+    def finish(self) -> Iterator:
         """Every cell a value was added to, in order, a sum that cancels to
-        0.0 included, as a sparse workspace keeps it; then empties."""
-        keys = np.concatenate([k for k, _ in self.done] + [self.keys])
-        sums = np.concatenate([v for _, v in self.done] + [self.sums])
+        0.0 included, as a sparse workspace keeps it, one finished segment
+        at a time, each dropped once decoded; then empties."""
+        segments = [*self.done, (self.keys, self.sums)]
         self.start(0)
+        segments.reverse()
+        return (self._decode(*segments.pop()) for _ in range(len(segments)))
+
+    def _decode(self, keys: np.ndarray, sums: np.ndarray) -> tuple:
         crd = np.empty(len(keys), CRD_DTYPE)
         np.remainder(keys, self.extent, out=crd, casting="unsafe")
         keys //= self.extent
-        return [(keys, [crd], sums)]
+        return keys, [crd], sums
 
 
 WORKSPACE_KINDS: dict[str, type[Workspace]] = {
@@ -1118,12 +1140,20 @@ class _Execution:
         fmt = self.plan.result_format
         dims = tuple(self.extents[v] for v in self.plan.result.vars)
         if fmt.all_dense():
-            tensor = from_dense(self.dense_out, fmt)
+            by_level = np.transpose(self.dense_out, access_map(range(fmt.order), fmt))
+            if by_level.flags.c_contiguous:  # the tensor takes the array over
+                levels = tuple(DenseLevel(e) for e in by_level.shape)
+                tensor = Tensor(dims, fmt, levels, None, by_level.reshape(-1))
+            else:  # one copy, into level order
+                tensor = from_dense(self.dense_out, fmt)
         else:
             level_coords, out_vals = self.collector.finalize()
             mode_coords: list[np.ndarray] = [None] * fmt.order  # type: ignore[list-item]
             for l, m in enumerate(fmt.mode_ordering):
                 mode_coords[m] = level_coords[l]
+            # compression takes over each column it can keep, and copies
+            # the others while the caller still holds them
+            del level_coords
             tensor = compress_arrays(mode_coords, out_vals, fmt, dims)
         return ExecutionResult(tensor, self.counters)
 

@@ -333,8 +333,11 @@ def compress_arrays(
     Coordinates of any integer dtype are checked in that dtype and never
     widened, except in a dense level's position product
     ``parent * extent + c`` (int64); compressed levels narrow them to
-    CRD_DTYPE. The tensor owns its arrays: ``crd`` in CRD_DTYPE, ``pos`` in
-    int64 and one copy of the values."""
+    CRD_DTYPE. The tensor holds ``crd`` in CRD_DTYPE, ``pos`` in int64 and
+    the values in VAL_DTYPE. It takes over a coordinate or value array it
+    stores unchanged when that array already has the dtype, owns its data
+    and is C-contiguous and writable, and copies any other; a caller that
+    keeps using such an array passes a copy."""
     if len(dims) != fmt.order:
         raise TensorError(f"{len(dims)} dims for an order-{fmt.order} format")
     if not all(isinstance(d, numbers.Integral) and d >= 0 for d in dims):
@@ -372,8 +375,8 @@ def compress_arrays(
             dims=dims,
             format=fmt,
             levels=None,
-            coo_coords=tuple(c.astype(CRD_DTYPE) for c in level_coords),
-            vals=vals.astype(VAL_DTYPE),
+            coo_coords=tuple(_taken(c, CRD_DTYPE) for c in level_coords),
+            vals=_taken(vals, VAL_DTYPE),
         )
 
     # each entry's position at the level above, or None while every entry
@@ -398,7 +401,7 @@ def compress_arrays(
             # entries are unique, so each one is a child of its own and
             # there are no segment starts to find
             levels.append(CompressedLevel(pos=_segment_pos(parent, parent_count, n),
-                                          crd=c.astype(CRD_DTYPE)))
+                                          crd=_taken(c, CRD_DTYPE)))
             parent = None
         else:
             c = c.astype(CRD_DTYPE, copy=False)
@@ -421,11 +424,20 @@ def compress_arrays(
             parent_count = len(crd)
 
     if levels and isinstance(levels[-1], CompressedLevel):
-        out_vals = vals.astype(VAL_DTYPE)
+        out_vals = _taken(vals, VAL_DTYPE)
     else:
         out_vals = np.zeros(parent_count, dtype=VAL_DTYPE)
         out_vals[slice(n) if parent is None else parent] = vals
     return Tensor(dims=dims, format=fmt, levels=tuple(levels), coo_coords=None, vals=out_vals)
+
+
+def _taken(a: np.ndarray, dtype: type) -> np.ndarray:
+    """``a`` itself when a tensor can keep it: it has ``dtype``, owns its
+    data and is C-contiguous and writable; else a copy in ``dtype``."""
+    f = a.flags
+    if a.dtype == dtype and f.owndata and f.c_contiguous and f.writeable:
+        return a
+    return a.astype(dtype)
 
 
 def _segment_pos(parent: np.ndarray | None, parent_count: int, n: int) -> np.ndarray:

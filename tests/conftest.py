@@ -8,10 +8,14 @@ stays in the low milliseconds.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import threading
 import time
+import tracemalloc
 import zlib
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -200,6 +204,28 @@ def prepare(kernel: Kernel, policy: sw.Policy = sw.Policy.BUCKET,
         stmt, kernel.formats, policy, capacity, **kernel.insert_kw)
     plan = sw.lower(rewritten, kernel.formats)
     return stmt, plan, decision
+
+
+@contextlib.contextmanager
+def peak_above():
+    """Trace the allocations of the block, after a full collection. Once the
+    block ends, the yielded record holds, in bytes above the traced memory
+    at its start, its peak (``peak``) and what it left allocated
+    (``left``)."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    span = SimpleNamespace(peak=0, left=0)
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        yield span
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    span.peak, span.left = peak - base, left - base
 
 
 @pytest.fixture(scope="session")

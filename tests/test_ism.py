@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import copy
-import gc
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +23,8 @@ from spworks.ism import (
     row_major_strides,
 )
 from spworks.tensor import CRD_DTYPE
+
+from conftest import peak_above
 
 
 # -- small helpers -------------------------------------------------------------------
@@ -546,18 +546,9 @@ def _insert_batch_scratch(policy: Policy, capacity: int, n: int, universe: int) 
     accumulate array's contents and the log."""
     keys, vals = _real_stream(1, n, universe)
     eng = IsmEngine((universe,), policy, capacity, hash_l=64)
-    gc.collect()
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
+    with peak_above() as span:
         eng.insert_batch(keys, vals)
-        left, peak = tracemalloc.get_traced_memory()
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    return peak - left
+    return span.peak - span.left
 
 
 @pytest.mark.parametrize("capacity, universe", [(1, 64), (4096, 10**7), (3 * ism._BLOCK, 10**7)])
@@ -737,21 +728,11 @@ def test_compaction_scratch_per_entry(universe):
         reference.merge(keys, vals.copy())
     logged = sum(len(k) for k, _ in runs)
     assert len(alla._runs) == len(runs)
-    gc.collect()
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
+    with peak_above() as span:
         keys, vals = alla.keys, alla.vals
-        left, peak = tracemalloc.get_traced_memory()
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert (peak - base) / logged <= 27
+    assert span.peak / logged <= 27
     # the two results own buffers of their own length, not of the log's
-    assert left - base <= 16 * len(keys) + 32 * 1024
+    assert span.left <= 16 * len(keys) + 32 * 1024
     assert np.array_equal(keys, reference.keys)
     assert vals.tobytes() == reference.vals.tobytes()
     assert alla.counters == reference.counters

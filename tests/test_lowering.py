@@ -6,7 +6,6 @@ import gc
 import hashlib
 import json
 import threading
-import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -32,7 +31,7 @@ from spworks.lowering import (
     ScatterDense,
     SetReg,
 )
-from spworks.tensor import CRD_DTYPE
+from spworks.tensor import CRD_DTYPE, DENSE
 
 from conftest import (
     KERNELS,
@@ -40,6 +39,7 @@ from conftest import (
     Kernel,
     _dim,
     dense_array,
+    peak_above,
     prepare,
     sparse_array,
 )
@@ -817,18 +817,9 @@ def _scaled_operands(name: str, scale: int) -> dict[str, sw.Tensor]:
 def _execute_scratch(plan: sw.Plan, tensors: dict[str, sw.Tensor]) -> tuple[int, sw.Tensor]:
     """Bytes an execution held at its peak beyond what it left behind (its
     result), and the result."""
-    gc.collect()
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
+    with peak_above() as span:
         out = sw.execute(plan, tensors)
-        left, peak = tracemalloc.get_traced_memory()
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    return peak - left, out.tensor
+    return span.peak - span.left, out.tensor
 
 
 @pytest.mark.parametrize("name", ["register", "spgemm-rowwise", "spgemm-rowwise-hoist",
@@ -843,6 +834,47 @@ def test_producer_scratch_is_bounded_by_the_chunk(name):
                                      for scale in (1, 4))
     assert long <= 1.15 * short
     assert np.array_equal(large.to_dense(), 4 * small.to_dense())
+
+
+@pytest.mark.parametrize("name", ["register", "spgemm-rowwise", "spgemm-rowwise-hoist",
+                                  "spgemm-outer"])
+def test_producer_scratch_is_within_64_bytes_per_chunk_iteration(name):
+    # only a leaf loop expands _CHUNK iterations at a time; a loop that nests
+    # others expands an eighth of that, and no loop keeps a batch or its
+    # index arrays while the next one is built, so a whole loop nest holds
+    # about one leaf chunk
+    kernel = REGISTER if name == "register" else KERNELS_BY_NAME[name]
+    _, plan, _ = prepare(kernel)
+    scratch, _ = _execute_scratch(plan, _scaled_operands(name, 4))
+    assert scratch <= 64 * lowering._CHUNK
+
+
+@pytest.mark.parametrize("result", [sw.csr(), sw.dense(2)], ids=str)
+def test_a_constant_valued_plan_returns_a_writable_result(result):
+    # the constant's values enter as a read-only broadcast column; the
+    # result owns writable storage all the same
+    formats = {"A": result, "B": sw.csr()}
+    stmt = sw.statement_from_text("A(i,j) = B(i,j) + 2")
+    plan = sw.lower(sw.insert_sparse_workspace(stmt, formats)[0], formats)
+    b = np.arange(12.0).reshape(3, 4)
+    out = sw.execute(plan, {"B": sw.from_dense(b, sw.csr())}).tensor
+    assert out.vals.flags.writeable
+    assert np.array_equal(out.to_dense(), b + 2)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["row-major", "column-major"])
+def test_dense_results_are_stored_in_level_order(order):
+    # a row-major result array becomes the tensor's values; one stored
+    # column-major is copied once into level order
+    fmt = sw.Format((DENSE, DENSE), order)
+    kernel = replace(KERNELS_BY_NAME["spgemm-inner"],
+                     formats={**KERNELS_BY_NAME["spgemm-inner"].formats, "A": fmt})
+    stmt, plan, _ = prepare(kernel)
+    inst = kernel.instance(1)
+    out = sw.execute(plan, inst.tensors).tensor
+    want = sw.dense_oracle(stmt, inst.arrays)
+    assert sw.tensors_equal(out, sw.from_dense(want, fmt))
+    assert out.vals.flags.writeable and out.vals.flags.c_contiguous
 
 
 # -- error paths -------------------------------------------------------------------------

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import gc
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,9 +21,18 @@ from spworks.tensor import (
     from_arrays,
 )
 
+from conftest import peak_above
+
 
 def _random_dense(rng: np.random.Generator, shape, density=0.4) -> np.ndarray:
     return ((rng.random(shape) < density) * rng.integers(1, 10, shape)).astype(float)
+
+
+def _storage(t: sw.Tensor) -> list[np.ndarray]:
+    """Every array a tensor stores."""
+    out = [t.vals, *(t.coo_coords or ())]
+    return out + [a for lvl in t.levels or () if isinstance(lvl, CompressedLevel)
+                  for a in (lvl.pos, lvl.crd)]
 
 
 # -- formats -------------------------------------------------------------------------
@@ -170,22 +177,9 @@ def test_compress_arrays_scratch_per_entry(fmt, shape, dtype):
     flat = np.sort(rng.choice(math.prod(shape), n, replace=False))
     coords = [c.astype(dtype) for c in np.unravel_index(flat, shape)]
     vals = rng.random(n)
-    gc.collect()
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
+    with peak_above() as span:
         t = compress_arrays(coords, vals, fmt, shape)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    arrays = [t.vals, *(t.coo_coords or ())]
-    arrays += [a for lvl in t.levels or () if isinstance(lvl, CompressedLevel)
-               for a in (lvl.pos, lvl.crd)]
-    assert (peak - sum(a.nbytes for a in arrays)) / n <= 12
+    assert (span.peak - sum(a.nbytes for a in _storage(t))) / n <= 12
     assert np.array_equal(t.mode_coordinates()[0], coords[0])
 
 
@@ -201,19 +195,9 @@ def test_level_coordinates_scratch_per_entry(fmt, shape):
     flat = np.sort(rng.choice(math.prod(shape), n, replace=False))
     coords = np.unravel_index(flat, shape)
     t = compress_arrays(list(coords), rng.random(n), fmt, shape)
-    gc.collect()
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
+    with peak_above() as span:
         got = t.level_coordinates()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert (peak - sum(c.nbytes for c in got)) / t.nnz <= 3
+    assert (span.peak - sum(c.nbytes for c in got)) / t.nnz <= 3
     assert all(c.dtype == CRD_DTYPE for c in got)
     assert all(np.array_equal(g, c) for g, c in zip(got, coords))
 
@@ -339,6 +323,50 @@ def test_reformat_preserves_values(seed, rows, cols, src, dst):
     u = sw.reformat(t, sw.format_from_name(dst, 2))
     assert u.dims == t.dims
     assert np.array_equal(u.to_dense(), arr)
+
+
+def _shares_memory(t: sw.Tensor, inputs: list[np.ndarray]) -> bool:
+    return any(np.shares_memory(a, b) for a in _storage(t) for b in inputs)
+
+
+FORMATS2 = ["csr", "csc", "dcsr", "dcsc", "coo", "dense"]
+
+
+def test_public_constructors_share_no_memory_with_their_inputs():
+    # compress_arrays takes over the arrays it is handed; the public
+    # constructors hand it their own copies, never the caller's arrays
+    rng = np.random.default_rng(5)
+    arr = _random_dense(rng, (30, 40))
+    idx = np.nonzero(arr)
+    coords = [c.astype(CRD_DTYPE) for c in idx]  # owned, contiguous, writable
+    vals = arr[idx]
+    for name in FORMATS2:
+        fmt = sw.format_from_name(name, 2)
+        for array in (arr, np.asfortranarray(arr)):
+            assert not _shares_memory(sw.from_dense(array, fmt), [array]), name
+        for sum_duplicates in (False, True):
+            t = from_arrays(coords, vals, fmt, arr.shape, sum_duplicates=sum_duplicates)
+            assert not _shares_memory(t, [*coords, vals]), name
+        src = sw.from_dense(arr, fmt)
+        assert not _shares_memory(sw.compress_coo(src.components(), fmt, arr.shape),
+                                  _storage(src)), name
+        for dst in FORMATS2:
+            u = sw.reformat(src, sw.format_from_name(dst, 2))
+            assert not _shares_memory(u, _storage(src)), (name, dst)
+            assert np.array_equal(u.to_dense(), arr)
+
+
+def test_compress_arrays_copies_what_it_cannot_take_over():
+    # a broadcast value column is read-only and owns nothing; a coordinate
+    # column of another dtype is narrowed
+    crd = np.arange(5, dtype=np.int64)
+    t = compress_arrays([crd], np.broadcast_to(2.0, (5,)), sw.sparse_vector(), (5,))
+    assert t.vals.flags.writeable and t.vals.flags.owndata
+    assert t.levels[0].crd.dtype == CRD_DTYPE
+    kept_crd = np.arange(5, dtype=CRD_DTYPE)
+    kept_vals = np.ones(5)
+    t = compress_arrays([kept_crd], kept_vals, sw.sparse_vector(), (5,))
+    assert t.levels[0].crd is kept_crd and t.vals is kept_vals
 
 
 def test_reformat_rejects_order_change():
