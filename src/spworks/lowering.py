@@ -104,8 +104,7 @@ class DenseRange:
                                               casting="unsafe")
             return child
 
-        total = rows.n * ext
-        return (batch(lo, min(lo + chunk, total)) for lo in range(0, total, chunk))
+        return _batches(batch, rows.n * ext, chunk)
 
 
 @dataclass
@@ -143,8 +142,7 @@ class LevelIter:
                 child.crd[var] = level.crd[at]
             return child
 
-        total = int(ends[-1])
-        return (batch(lo, min(lo + chunk, total)) for lo in range(0, total, chunk))
+        return _batches(batch, int(ends[-1]), chunk)
 
 
 @dataclass
@@ -792,6 +790,12 @@ def _pos(aid: int) -> tuple:
 _OWNER = ("owner", None)
 
 
+def _batches(batch, total: int, chunk: int):
+    """``batch(lo, hi)`` over ``total`` iterations, ``chunk`` at a time,
+    built one by one; the generator keeps none of them."""
+    return (batch(lo, min(lo + chunk, total)) for lo in range(0, total, chunk))
+
+
 def _operands(expr: Expr, amap: dict) -> set:
     return {_pos(amap[a]) for a in expr_accesses(expr)}
 
@@ -1151,9 +1155,6 @@ class _Execution:
             mode_coords: list[np.ndarray] = [None] * fmt.order  # type: ignore[list-item]
             for l, m in enumerate(fmt.mode_ordering):
                 mode_coords[m] = level_coords[l]
-            # compression takes over each column it can keep, and copies
-            # the others while the caller still holds them
-            del level_coords
             tensor = compress_arrays(mode_coords, out_vals, fmt, dims)
         return ExecutionResult(tensor, self.counters)
 

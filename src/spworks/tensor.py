@@ -506,7 +506,7 @@ def from_dense(array: np.ndarray, fmt: Format | None = None) -> Tensor:
     by_level = np.transpose(arr, access_map(range(arr.ndim), fmt))
     if fmt.all_dense():
         levels = tuple(DenseLevel(e) for e in by_level.shape)
-        vals = by_level.reshape(-1).copy()
+        vals = np.array(by_level, order="C").reshape(-1)  # one copy
         return Tensor(dims=arr.shape, format=fmt, levels=levels, coo_coords=None, vals=vals)
     # nonzero walks the level-order view in C order, so its output is
     # already sorted by the target's access order
