@@ -8,8 +8,9 @@ output format. The all array is a log: a merge appends the drained run, and
 the log is merged once, when the result is read or when it has outgrown the
 last merged size, with the sums and counters of one two-way merge per drain.
 
-Coordinates are linearized row-major into unsigned 64-bit keys, which makes
-key order identical to lexicographic coordinate order. Counters track the
+Coordinates are linearized row-major into unsigned keys, which makes key
+order identical to lexicographic coordinate order: 32-bit keys where the key
+space fits, 64-bit ones otherwise. Counters track the
 abstract cost of each stage: comparison sorts are charged n*ceil(log2 n),
 merges n+m, chain scans and dedup sweeps their actual lengths.
 """
@@ -28,8 +29,8 @@ import numpy as np
 
 from .tensor import CRD_DTYPE, MAX_EXTENT, VAL_DTYPE
 
-KEY_DTYPE = np.uint64
-_ELEMENT_BYTES = 16  # one uint64 key plus one float64 value
+KEY_DTYPE = np.uint64  # the widest key; an engine narrows it where it can
+_ELEMENT_BYTES = 16  # modelled per element: a uint64 key and a float64 value
 # smallest batch slice IsmEngine.insert_batch plans at once
 _BLOCK = 4096
 # runs the all array's log holds before merge() considers compacting it
@@ -138,13 +139,13 @@ class Counters:
 class AccArray:
     """Bounded unsorted accumulate array with a policy-specific insert path.
 
-    Keys and values are numpy arrays in arrival order. Under BUCKET and HASH
-    a key's chain is every key in the array with the same bucket, in arrival
-    order, and inserts deduplicate along it.
+    Keys (in ``key_dtype``) and values are numpy arrays in arrival order.
+    Under BUCKET and HASH a key's chain is every key in the array with the
+    same bucket, in arrival order, and inserts deduplicate along it.
     """
 
     def __init__(self, capacity: int, policy: Policy, lead_stride: int,
-                 hash_l: int | None, counters: Counters) -> None:
+                 hash_l: int | None, counters: Counters, key_dtype=KEY_DTYPE) -> None:
         if not isinstance(capacity, numbers.Integral) or capacity < 1:
             raise IsmError(f"accumulate array capacity {capacity!r} is not an integer "
                            "of at least 1")
@@ -158,6 +159,7 @@ class AccArray:
         else:
             self.hash_l = 0
         self.counters = counters
+        self.key_dtype = key_dtype
         self.clear()
 
     @property
@@ -187,23 +189,24 @@ class AccArray:
             self.counters.insert_comparisons += len(chain)
         if self.full:
             raise AccFullError
-        self.load(np.append(self.keys, np.array([key], KEY_DTYPE)),
+        self.load(np.append(self.keys, np.array([key], self.key_dtype)),
                   np.append(self.vals, val))
 
     def load(self, keys: np.ndarray, vals: np.ndarray) -> None:
         """Take over arrays the caller owns as the contents, in arrival order."""
         self.keys, self.vals = keys, vals
 
-    def fill(self, keys: np.ndarray, vals: np.ndarray) -> tuple[list, tuple]:
+    def fill(self, keys: np.ndarray, vals: np.ndarray) -> tuple:
         """Plan the inserts of a batch after the current contents, charging
         the counters of one ``insert`` per pair. Each new key that finds the
         array full ends a full run: the contents as they are at that moment.
-        Returns the full runs and the contents left after the last one, each
-        as (keys, values) in arrival order; the caller drains the runs in
-        order and loads the rest."""
+        Returns the plan as arrays: the keys each run keeps and their sums,
+        run after run in arrival order, and where each run starts among
+        them. Every run but the last ends where the next starts, and the
+        caller drains them in order; the last, the rest, runs to the end
+        and the caller loads it."""
         n = self.size
-        # copies: the runs and the rest are slices of these, and load()
-        # takes them over
+        # copies of the contents and the batch, which the plan indexes
         both = np.concatenate((self.keys, keys))
         both_vals = np.concatenate((self.vals, vals))
         if self.policy is Policy.COORD:
@@ -252,9 +255,9 @@ class AccArray:
         c.insert_dedups += len(repeat)
         sums = both_vals[fresh]
         np.add.at(sums, slot[repeat], both_vals[repeat])
-        bounds = [*np.searchsorted(fresh, starts).tolist(), len(fresh)]
-        runs = [(both[fresh[a:b]], sums[a:b]) for a, b in zip(bounds, bounds[1:])]
-        return runs[:-1], runs[-1]
+        # where each run starts among the kept keys; a lone run at the first
+        cuts = np.searchsorted(fresh, starts) if len(starts) > 1 else (0,)
+        return both[fresh], sums, cuts
 
     def _run_starts(self, prev: np.ndarray) -> list[int]:
         """Where each run starts: at the new key past the capacity, counting
@@ -272,13 +275,10 @@ class AccArray:
                 return starts
             starts.append(s + int(fresh[cap]))
 
-    def _fill_coord(self, keys: np.ndarray, vals: np.ndarray) -> tuple[list, tuple]:
+    def _fill_coord(self, keys: np.ndarray, vals: np.ndarray) -> tuple:
         """Coord appends blindly: runs are slices of exactly the capacity, and
         a full array drains only when one more pair arrives."""
-        capacity = self.capacity
-        cuts = list(range(0, len(keys), capacity)) or [0]
-        runs = [(keys[a:a + capacity], vals[a:a + capacity]) for a in cuts]
-        return runs[:-1], runs[-1]
+        return keys, vals, range(0, max(len(keys), 1), self.capacity)
 
     def drain(self) -> tuple[np.ndarray, np.ndarray]:
         """Sort the contents by key and return them; the array keeps its
@@ -310,14 +310,14 @@ class AccArray:
         return ks[starts], np.add.reduceat(vs, starts)
 
     def clear(self) -> None:
-        self.load(np.empty(0, KEY_DTYPE), np.empty(0, VAL_DTYPE))
+        self.load(np.empty(0, self.key_dtype), np.empty(0, VAL_DTYPE))
 
 
 class AllArray:
     """Sorted-unique accumulator the drains merge into, kept as a log.
 
     merge() appends each drained run, sorted and unique, to a log. Reading
-    keys, vals, size or nbytes compacts the log into one sorted-unique
+    keys, vals or size compacts the log into one sorted-unique
     array: a stable sort by key puts each key's arrivals in drain order,
     the first arrival is the key's start value and later ones add to it in
     that order, so every sum is bit for bit the ``old + new`` of a two-way
@@ -432,10 +432,6 @@ class AllArray:
     def size(self) -> int:
         return len(self.keys)
 
-    @property
-    def nbytes(self) -> int:
-        return self.keys.nbytes + self.vals.nbytes
-
 
 class IsmEngine:
     """Drives insert, drain-on-full, merge and final compression for one
@@ -474,6 +470,10 @@ class IsmEngine:
         if policy is Policy.HASH and hash_l is None:
             raise IsmError("hash policy needs hash_l resolved before execution")
         self.strides = row_major_strides(self.extents)
+        # 32-bit keys where every key, and every stride, extent and bucket
+        # count that keys are divided by, fits them
+        narrow = max(self.key_count, *self.strides, *self.extents, hash_l or 0) < 2**32
+        self.key_dtype = np.dtype(np.uint32 if narrow else KEY_DTYPE)
         self.policy = policy
         self.capacity = capacity
         self.hash_l = hash_l
@@ -498,7 +498,7 @@ class IsmEngine:
 
     def _new_acc(self) -> AccArray:
         return AccArray(self.capacity, self.policy, self.strides[0], self.hash_l,
-                        self.counters)
+                        self.counters, self.key_dtype)
 
     def close(self) -> None:
         """Join the pipeline worker, if one was started. After finalize()
@@ -539,24 +539,30 @@ class IsmEngine:
         if keys.ndim != 1 or vals.shape != keys.shape:
             raise IsmError(f"keys of shape {keys.shape} and values of shape "
                            f"{vals.shape} are not two 1-D arrays of one length")
-        if keys.size and not np.issubdtype(keys.dtype, np.integer):
-            raise IsmError(f"keys of dtype {keys.dtype} are not integers")
-        # a negative key wraps to a large one here
-        keys = keys.astype(KEY_DTYPE, copy=False)
-        if keys.size and int(keys.max()) >= self.key_count:
-            raise IsmError(f"key {int(keys.max())} is outside the workspace's "
-                           f"{self.key_count} keys")
+        if keys.size:
+            if not np.issubdtype(keys.dtype, np.integer):
+                raise IsmError(f"keys of dtype {keys.dtype} are not integers")
+            # checked in the caller's dtype, before any key is narrowed
+            low = int(keys.min()) if keys.dtype.kind == "i" else 0
+            high = int(keys.max())
+            if low < 0 or high >= self.key_count:
+                raise IsmError(f"key {low if low < 0 else high} is outside the "
+                               f"workspace's {self.key_count} keys")
         self.counters.inserts += len(keys)
         done = 0
         block = max(self.capacity, _BLOCK)
         while done < len(keys):
-            runs, rest = self.acc.fill(keys[done:done + block], vals[done:done + block])
-            # each run leaves the list as it drains: none outlives its drain
-            runs.reverse()
-            while runs:
-                self.acc.load(*runs.pop())
+            kept, sums, cuts = self.acc.fill(
+                keys[done:done + block].astype(self.key_dtype, copy=False),
+                vals[done:done + block])
+            # a full run is sliced from the plan only as it drains
+            for a, b in zip(cuts, cuts[1:]):
+                self.acc.load(kept[a:b], sums[a:b])
                 self._flush()
-            self.acc.load(*rest)
+            # the rest stays loaded: a copy, unless it is the whole plan
+            last = cuts[-1]
+            self.acc.load(*(kept, sums) if last == 0 else
+                          (kept[last:].copy(), sums[last:].copy()))
             done += block
 
     def _flush(self) -> None:
@@ -587,7 +593,7 @@ class IsmEngine:
     def _note_peak(self) -> None:
         """The all array only grows within a run, so its peak is the size
         it ends with, read once the log is compacted."""
-        live = self.all.nbytes + self._acc_bytes
+        live = self.all.size * _ELEMENT_BYTES + self._acc_bytes
         if live > self.counters.peak_bytes:
             self.counters.peak_bytes = live
 
@@ -621,7 +627,7 @@ class IsmEngine:
         for slot, (s, e) in enumerate(zip(self.strides, self.extents)):
             crd = np.empty(len(keys), CRD_DTYPE)
             # slot 0's quotient is already below its extent and the last
-            # slot's stride is 1; only a middle slot needs a 64-bit quotient
+            # slot's stride is 1; only a middle slot needs a quotient array
             if slot == 0:
                 np.floor_divide(keys, s, out=crd, casting="unsafe")
             else:

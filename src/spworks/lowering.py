@@ -358,16 +358,23 @@ class InsertWs:
         return self.meta.impl.insert_lines(self.meta, self.expr)
 
     def needs(self, live: set, keep: dict) -> set:
+        # what the nodes after this one read: the rest is dropped before
+        # the workspace takes the pairs
+        keep[id(self)] = _Keep.of(live, set())
         return (live | {_crd(v) for v in self.meta.slot_vars}
                 | _operands(self.expr, self.amap) | {_OWNER})
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
-        keys = np.zeros(rows.n, dtype=np.uint64)
-        for v in self.meta.slot_vars:
-            keys *= np.uint64(ex.extents[v])
+        ws = ex.workspaces[self.meta.name]
+        first, *rest = self.meta.slot_vars
+        keys = rows.crd[first].astype(ws.key_dtype)
+        for v in rest:
+            keys *= ex.extents[v]
             keys += rows.crd[v]
-        ex.workspaces[self.meta.name].insert(rows.owner, keys,
-                                             _evaluate(ex, rows, self.expr, self.amap))
+        vals = _evaluate(ex, rows, self.expr, self.amap)
+        owner = rows.owner
+        rows.drop(ex.keep[id(self)])
+        ws.insert(owner, keys, vals)
 
 
 @dataclass
@@ -776,6 +783,14 @@ class _Rows:
                      {a: self.pos[a][rows] for a in keep.pos},
                      self.owner[rows] if keep.owner else None)
 
+    def drop(self, keep: _Keep) -> None:
+        """Release every column ``keep`` does not gather."""
+        for columns, kept in ((self.crd, keep.crd), (self.pos, keep.pos)):
+            for c in [c for c in columns if c not in kept]:
+                del columns[c]
+        if not keep.owner:
+            self.owner = None
+
 
 # the columns of a batch: a variable's coordinates, an access's positions,
 # and the host rows
@@ -855,8 +870,9 @@ class Workspace:
     descriptor's kind to one. An execution builds ``impl(ex, meta)`` at the
     workspace's first allocation. For each host batch it then calls
     ``start(n)`` with the batch's ``n >= 1`` host rows (one at top level),
-    ``insert(owner, keys, vals)`` with row-major uint64 keys over the slot
-    extents and each pair's host row, rows in order, and ``finish()``, which
+    ``insert(owner, keys, vals)`` with row-major keys over the slot extents,
+    in the workspace's ``key_dtype``, and each pair's host row, rows in
+    order, and ``finish()``, which
     returns an iterable of ``(rows, coordinates, values)``: each entry's
     host row (a zero-stride np.broadcast_to view serves a run of one row),
     and coordinates in CRD_DTYPE, sorted within a host row. ``counters``
@@ -867,6 +883,7 @@ class Workspace:
     workspace)."""
 
     counters: Counters
+    key_dtype = np.dtype(np.uint64)
     announced_at_head = False
 
     @classmethod
@@ -894,6 +911,7 @@ class IsmWorkspace(Workspace):
             [ex.extents[v] for v in meta.slot_vars], d.policy, d.capacity,
             hash_l=hash_l, pipeline=ex.options.pipeline))
         self.counters = self.engine.counters
+        self.key_dtype = self.engine.key_dtype
 
     @classmethod
     def insert_lines(cls, meta: WsMeta, expr: Expr) -> list[str]:
@@ -944,6 +962,8 @@ class DenseWorkspace(Workspace):
     sorted union of the cells it touched, never an array over the extent."""
 
     announced_at_head = True
+    # a key is the one coordinate
+    key_dtype = np.dtype(CRD_DTYPE)
 
     def __init__(self, ex: _Execution, meta: WsMeta) -> None:
         self.extent = ex.extents[meta.slot_vars[0]]
@@ -975,8 +995,8 @@ class DenseWorkspace(Workspace):
         self.counters.inserts += len(keys)
         if not len(keys):
             return
-        # the keys are the coordinates; int64 keeps the row arithmetic integral
-        keys = owner * self.extent + keys.view(np.int64)
+        # a (row, coordinate) cell's key, in the host rows' int64
+        keys = owner * self.extent + keys
         union = np.sort(np.concatenate((self.keys, keys)))
         union = union[np.concatenate(([True], union[1:] != union[:-1]))]
         sums = np.zeros(len(union), dtype=np.float64)

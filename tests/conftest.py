@@ -228,6 +228,64 @@ def peak_above():
     span.peak, span.left = peak - base, left - base
 
 
+@contextlib.contextmanager
+def peak_spans(targets):
+    """Trace the allocations of the block, after a full collection, with
+    each of ``targets``, ``(owner, name)`` pairs naming a function of a
+    module or class, wrapped. Once the block ends, the yielded record holds
+    its peak (``peak``) and, in ``spans`` under each function's qualified
+    name, a record of its ``calls`` and of the call that peaked highest:
+    the traced bytes live at its entry (``entry``) and its peak (``peak``).
+    All are bytes above the traced memory at the block's start. A call
+    nested in another counts towards the peaks of both; the calls are
+    taken to come from one thread."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    probe = SimpleNamespace(peak=0, spans={})
+    active: list[SimpleNamespace] = []  # the calls in progress, outermost first
+
+    def fold() -> int:
+        """The peak since the last fold, charged to every call in progress."""
+        now, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for call in active:
+            call.peak = max(call.peak, peak - base)
+        probe.peak = max(probe.peak, peak - base)
+        return now - base
+
+    def wrap(fn, span):
+        def traced(*args, **kwargs):
+            entry = fold()
+            call = SimpleNamespace(entry=entry, peak=entry)
+            active.append(call)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                fold()
+                active.pop()
+                span.calls += 1
+                if span.calls == 1 or call.peak > span.peak:
+                    span.entry, span.peak = call.entry, call.peak
+        return traced
+
+    originals = [(owner, name, vars(owner)[name]) for owner, name in targets]
+    try:
+        for owner, name, fn in originals:
+            span = probe.spans[fn.__qualname__] = SimpleNamespace(calls=0, entry=0, peak=0)
+            setattr(owner, name, wrap(fn, span))
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        yield probe
+        fold()
+    finally:
+        for owner, name, fn in originals:
+            setattr(owner, name, fn)
+        if not tracing:
+            tracemalloc.stop()
+
+
 @pytest.fixture(scope="session")
 def small_corpus() -> list[Instance]:
     """A handful of instances per kernel for unit-level execution tests."""

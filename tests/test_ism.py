@@ -385,7 +385,8 @@ def test_peak_bytes_counts_both_arrays():
     for k in range(8):
         eng.insert_key(k, 1.0)
     eng.finalize()
-    assert eng.counters.peak_bytes >= eng.all.nbytes + 4 * 16
+    # modelled at 16 bytes per element, whatever the key dtype
+    assert eng.counters.peak_bytes >= 16 * (eng.all.size + 4)
 
 
 def _stream(seed: int, n: int, universe: int) -> list[tuple[int, float]]:
@@ -557,12 +558,12 @@ def test_insert_batch_scratch_is_one_block(policy, capacity, universe):
     # a batch is planned max(capacity, _BLOCK) pairs at a time, after the
     # contents, so from two blocks on, four times the batch holds about the
     # same scratch; at capacity 1 each pair of a block may end a run of its
-    # own, a few small arrays each
+    # own, which is sliced from the plan only as it drains
     block = max(capacity, ism._BLOCK)
     short, long = (_insert_batch_scratch(policy, capacity, k * block, universe)
                    for k in (2, 8))
     assert long <= 1.15 * short
-    assert long <= (768 if capacity == 1 else 256) * block
+    assert long <= 256 * block
 
 
 def test_insert_batch_keeps_the_sign_of_a_lone_negative_zero():
@@ -593,6 +594,79 @@ def test_insert_batch_spanning_several_blocks(policy, capacity, sort_once):
     assert want_vals.tobytes() == got_vals.tobytes()
 
 
+# -- key width ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("capacity", [1, 7, 4096])
+@pytest.mark.parametrize("policy", list(Policy))
+def test_narrow_and_wide_keys_agree(policy, capacity):
+    # both key spaces have the same strides, so the same stream has the same
+    # keys and chains in both; only the first fits 32-bit keys
+    narrow, wide = (IsmEngine(extents, policy, capacity, hash_l=64)
+                    for extents in [(65535, 65537), (65536, 65537)])
+    assert narrow.strides == wide.strides
+    assert (narrow.key_dtype, wide.key_dtype) == (np.uint32, np.uint64)
+    rng = np.random.default_rng(capacity)
+    pool = rng.integers(0, narrow.key_count, 500)
+    keys = pool[rng.integers(0, len(pool), 6000)]
+    vals = rng.standard_normal(len(keys))
+    got = []
+    for eng in (narrow, wide):
+        with eng:
+            for part in np.array_split(np.arange(len(keys)), 5):
+                eng.insert_batch(keys[part], vals[part])
+            eng.insert_key(int(keys[0]), 1.5)
+            coords, out = eng.result()
+        assert eng.all.keys.dtype == eng.key_dtype
+        got.append((coords, out.tobytes(), eng.counters))
+    (want_coords, want_vals, want_counters), (got_coords, got_vals, got_counters) = got
+    assert all(np.array_equal(w, g) for w, g in zip(want_coords, got_coords))
+    assert want_vals == got_vals
+    assert want_counters == got_counters
+
+
+@pytest.mark.parametrize("extents, narrow", [
+    ((1, 2**32), False), ((0, 2**32), False), ((2**32,), False),
+    # no keys, but a middle slot's stride of 2^32 that result() divides by
+    ((3, 0, 2**16, 2**16), False),
+    ((2**16, 2**16 - 1), True),
+], ids=str)
+@pytest.mark.parametrize("policy", list(Policy))
+def test_keys_at_the_width_limit(policy, extents, narrow):
+    eng = IsmEngine(extents, policy, 3, hash_l=4)
+    assert eng.key_dtype == (np.uint32 if narrow else np.uint64)
+    want = sorted({0, eng.key_count // 3, eng.key_count - 1}) if eng.key_count else []
+    with eng:
+        eng.insert_batch(np.array(want[::-1], np.int64), np.ones(len(want)))
+        coords, vals = eng.result()
+    keys = sum(c.astype(object) * s for c, s in zip(coords, eng.strides))
+    assert list(keys) == want and vals.tolist() == [1.0] * len(want)
+
+
+def test_a_bucket_count_past_32_bits_widens_the_keys():
+    eng = IsmEngine((8,), Policy.HASH, 4, hash_l=2**32)
+    assert eng.key_dtype == np.uint64
+    with eng:
+        eng.insert_batch(np.array([5, 3, 5]), np.ones(3))
+        coords, vals = eng.result()
+    assert coords[0].tolist() == [3, 5] and vals.tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("keys", [
+    np.array([3, -1], np.int64), np.array([3, 2**32 + 5], np.uint64),
+    [3, -1], [3, 2**32 + 5],
+], ids=["negative", "past-32-bits", "negative-list", "past-32-bits-list"])
+def test_keys_outside_a_narrow_workspace_never_wrap(keys):
+    # 2^32 + 5 would wrap to the valid key 5 in 32 bits, and -1 to 2^32 - 1
+    eng = IsmEngine((8,), Policy.BUCKET, 4)
+    assert eng.key_dtype == np.uint32
+    with pytest.raises(IsmError, match="outside"):
+        eng.insert_batch(keys, np.ones(2))
+    with pytest.raises(IsmError, match="outside"):
+        eng.insert_key(keys[1], 1.0)
+    assert eng.counters.inserts == 0 and eng.acc.size == 0
+
+
 # -- the log against a two-way merge per drain -----------------------------------
 
 
@@ -609,10 +683,6 @@ class _TwoWayMerge:
     @property
     def size(self) -> int:
         return len(self.keys)
-
-    @property
-    def nbytes(self) -> int:
-        return self.keys.nbytes + self.vals.nbytes
 
     def merge(self, new_keys: np.ndarray, new_vals: np.ndarray) -> None:
         # equal keys add their values, the existing value first
@@ -711,16 +781,13 @@ def test_log_stays_bounded_under_heavy_dedup():
     _check_against_reference(Policy.COORD, 1, streams, (64,))
 
 
-@pytest.mark.parametrize("universe", [10**7, 10**5, 1000])
-def test_compaction_scratch_per_entry(universe):
-    # 63 logged runs, one short of a compaction at merge(); what compacting
-    # them allocates beyond the log, which the test keeps alive: the
-    # concatenated keys and values, the sort order and a mask, about 25
-    # bytes per entry, then about 16 bytes per distinct key left behind
+def _compaction_scratch(universe: int, key_dtype) -> float:
+    """Bytes per logged entry compacting 63 logged runs allocates beyond
+    the log, which stays alive: one short of a compaction at merge()."""
     rng = np.random.default_rng(universe)
     runs = []
     for _ in range(ism._LOG_RUNS - 1):
-        keys = np.unique(rng.integers(0, universe, 4000).astype(np.uint64))
+        keys = np.unique(rng.integers(0, universe, 4000).astype(key_dtype))
         runs.append((keys, rng.standard_normal(len(keys))))
     alla, reference = AllArray(Counters()), _TwoWayMerge(Counters())
     for keys, vals in runs:
@@ -730,9 +797,22 @@ def test_compaction_scratch_per_entry(universe):
     assert len(alla._runs) == len(runs)
     with peak_above() as span:
         keys, vals = alla.keys, alla.vals
-    assert span.peak / logged <= 27
     # the two results own buffers of their own length, not of the log's
     assert span.left <= 16 * len(keys) + 32 * 1024
-    assert np.array_equal(keys, reference.keys)
+    assert keys.dtype == key_dtype and np.array_equal(keys, reference.keys)
     assert vals.tobytes() == reference.vals.tobytes()
     assert alla.counters == reference.counters
+    return span.peak / logged
+
+
+@pytest.mark.parametrize("universe", [10**7, 10**5, 1000])
+def test_compaction_scratch_per_entry(universe):
+    # the concatenated keys and values, the sort order and a mask, about 25
+    # bytes per entry, then about 16 bytes per distinct key left behind
+    assert _compaction_scratch(universe, np.uint64) <= 27
+
+
+@pytest.mark.parametrize("universe", [10**7, 10**5, 1000])
+def test_compaction_scratch_per_entry_with_32_bit_keys(universe):
+    # four bytes fewer per entry, in the concatenated keys
+    assert _compaction_scratch(universe, np.uint32) <= 23

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import spworks as sw
+import spworks.ism as ism
 import spworks.lowering as lowering
 from spworks.ir import build_nest, format_expr, var
 from spworks.lowering import (
@@ -40,6 +41,7 @@ from conftest import (
     _dim,
     dense_array,
     peak_above,
+    peak_spans,
     prepare,
     sparse_array,
 )
@@ -847,6 +849,70 @@ def test_producer_scratch_is_within_64_bytes_per_chunk_iteration(name):
     _, plan, _ = prepare(kernel)
     scratch, _ = _execute_scratch(plan, _scaled_operands(name, 4))
     assert scratch <= 64 * lowering._CHUNK
+
+
+@pytest.mark.parametrize("name", ["spgemm-rowwise-hoist", "spgemm-outer"])
+def test_sparse_workspace_inserts_are_within_40_bytes_per_chunk_iteration(name):
+    # an insert releases the columns of its batch that no later node reads
+    # before the workspace takes the pairs, and its keys are 32-bit where
+    # the key space fits
+    _, plan, _ = prepare(KERNELS_BY_NAME[name])
+    scratch, _ = _execute_scratch(plan, _scaled_operands(name, 4))
+    assert scratch <= 40 * lowering._CHUNK
+
+
+class _Nest:
+    def outer(self) -> float:
+        held = np.ones(100_000)  # 0.8 MB, live while inner() runs
+        return self.inner() + held.sum()
+
+    def inner(self) -> float:
+        return np.ones(200_000).sum()
+
+
+def test_peak_spans_charge_a_nested_peak_to_both_spans():
+    methods = dict(vars(_Nest))
+    with peak_spans([(_Nest, "outer"), (_Nest, "inner")]) as probe:
+        _Nest().outer()
+        _Nest().inner()
+    outer, inner = probe.spans["_Nest.outer"], probe.spans["_Nest.inner"]
+    assert (outer.calls, inner.calls) == (1, 2)
+    mb = 1 << 20
+    assert abs(outer.entry) < mb // 8 and abs(inner.entry - 800_000) < mb // 8
+    assert abs(inner.peak - 2_400_000) < mb // 8
+    assert outer.peak == inner.peak == probe.peak
+    assert dict(vars(_Nest)) == methods
+
+
+# a mid-size outer product: 64 000 inserts into 57 580 entries
+_SPANS = [(ism.AccArray, "fill"), (ism.AllArray, "_compact"), (lowering, "compress_arrays")]
+
+
+@pytest.mark.parametrize("policy", list(sw.Policy))
+def test_the_peak_of_a_mid_size_outer_product(policy):
+    # bounds in bytes, from measurement. Under bucket and hash, planning a
+    # block of inserts after the contents (two blocks at most) sets the
+    # peak; coord's plan is little more than the two blocks, and its peak is
+    # set elsewhere. The compaction's scratch is the sort order and a mask
+    # over the log, compression's a copy of the values
+    kernel = KERNELS_BY_NAME["spgemm-outer"]
+    b, c = sw.synthetic_pair(2000, 2000, 0.5, 8, seed=1)
+    tensors = {"B": sw.reformat(b, kernel.formats["B"]),
+               "C": sw.reformat(c, kernel.formats["C"])}
+    _, plan, _ = prepare(kernel, policy, 4096)
+    with peak_spans(_SPANS) as probe:
+        nnz = sw.execute(plan, tensors).tensor.nnz
+    fill, compact, compress = probe.spans.values()
+    planned = 2 * ism._BLOCK
+    if policy is sw.Policy.COORD:
+        assert fill.peak - fill.entry <= 10.5 * planned
+        assert probe.peak > max(span.peak for span in probe.spans.values())
+        assert probe.peak <= 29 * nnz
+    else:
+        assert fill.peak - fill.entry <= 104 * planned
+        assert probe.peak == fill.peak <= 36 * nnz
+    assert compact.calls == 1 and compact.peak - compact.entry <= 12.5 * nnz
+    assert compress.calls == 1 and compress.peak - compress.entry <= 8.5 * nnz
 
 
 @pytest.mark.parametrize("result", [sw.csr(), sw.dense(2)], ids=str)
