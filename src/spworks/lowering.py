@@ -21,7 +21,6 @@ dense result array, or a workspace.
 from __future__ import annotations
 
 import contextlib
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,8 +58,10 @@ from .tensor import (
     LevelFormat,
     LevelKind,
     Tensor,
+    VAL_DTYPE,
     access_map,
     compress_arrays,
+    compress_segments,
     from_dense,
 )
 
@@ -301,7 +302,7 @@ class AppendRow:
         return live | {_crd(v) for v in self.level_vars}
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
-        ex.collector.extend([rows.crd[v] for v in self.level_vars], ex.reg)
+        ex.collector.extend([rows.crd[v] for v in self.level_vars], None, [], ex.reg)
 
 
 @dataclass
@@ -319,7 +320,7 @@ class AppendCompute:
         return live | {_crd(v) for v in self.level_vars} | _operands(self.expr, self.amap)
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
-        ex.collector.extend([rows.crd[v] for v in self.level_vars],
+        ex.collector.extend([rows.crd[v] for v in self.level_vars], None, [],
                             _evaluate(ex, rows, self.expr, self.amap))
 
 
@@ -401,9 +402,9 @@ class AllocWs:
 
 @dataclass
 class DrainWs:
-    """Drain the workspace and feed its contents, sorted within each host
-    row, into the result collector, prefixed by the coordinates of any
-    enclosing loops."""
+    """Drain the workspace and append its contents to the result collector:
+    one segment per host row, which the coordinates of any enclosing loops
+    prefix, sorted within it."""
 
     meta: WsMeta
     prefix_vars: tuple[IndexVar, ...]
@@ -415,10 +416,8 @@ class DrainWs:
         return live | {_crd(v) for v in self.prefix_vars}
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
-        # each entry takes its host row's prefix coordinates
-        prefix = [rows.crd[v] for v in self.prefix_vars]
-        for host, coords, wvals in ex.workspaces[self.meta.name].finish():
-            ex.collector.extend([p[host] for p in prefix] + coords, wvals)
+        counts, coords, wvals = ex.workspaces[self.meta.name].finish()
+        ex.collector.extend([rows.crd[v] for v in self.prefix_vars], counts, coords, wvals)
 
 
 @dataclass
@@ -438,7 +437,7 @@ class MaterializeWs:
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
         meta = self.meta
-        ((_, slot_coords, wvals),) = ex.workspaces[meta.name].finish()
+        _, slot_coords, wvals = ex.workspaces[meta.name].finish()
         mode_coords: list[np.ndarray] = [None] * len(meta.i_vars)  # type: ignore[list-item]
         for s, m in enumerate(_inverse(meta.descriptor.ow_order)):
             mode_coords[m] = slot_coords[s]
@@ -872,15 +871,15 @@ class Workspace:
     ``start(n)`` with the batch's ``n >= 1`` host rows (one at top level),
     ``insert(owner, keys, vals)`` with row-major keys over the slot extents,
     in the workspace's ``key_dtype``, and each pair's host row, rows in
-    order, and ``finish()``, which
-    returns an iterable of ``(rows, coordinates, values)``: each entry's
-    host row (a zero-stride np.broadcast_to view serves a run of one row),
-    and coordinates in CRD_DTYPE, sorted within a host row. ``counters``
-    join the execution's when it ends. The plan announces the workspace at its
-    head if ``announced_at_head``, else at the allocation; the class
-    methods refuse placements at lowering and give the plan lines at an
-    insert and at a drain into the tensor ``into`` (None materializes the
-    workspace)."""
+    order, and ``finish()``, which returns the batch as one block
+    ``(counts, coordinates, values)``: each host row's entry count (int64),
+    then every entry's slot coordinates (CRD_DTYPE) and value, row after
+    row and sorted within a row. The caller owns all of these arrays.
+    ``counters`` join the execution's when it ends. The plan announces the
+    workspace at its head if ``announced_at_head``, else at the allocation;
+    the class methods refuse placements at lowering and give the plan lines
+    at an insert and at a drain into the tensor ``into`` (None materializes
+    the workspace)."""
 
     counters: Counters
     key_dtype = np.dtype(np.uint64)
@@ -891,6 +890,35 @@ class Workspace:
         pass
 
 
+class _Block:
+    """A host batch's entries as a workspace finishes them: each row's
+    count, and the coordinates and values appended row after row into
+    buffers that grow in place by a quarter."""
+
+    def __init__(self, n: int, slots: int) -> None:
+        self.counts = np.zeros(n, dtype=np.int64)
+        self.columns = [np.empty(0, CRD_DTYPE) for _ in range(slots)]
+        self.columns.append(np.empty(0, VAL_DTYPE))
+        self.size = 0
+
+    def grow(self, m: int) -> list[np.ndarray]:
+        """Views of ``m`` more entries in each buffer, coordinates first,
+        for the caller to fill before it grows the block again."""
+        start, self.size = self.size, self.size + m
+        if self.size > len(self.columns[-1]):
+            grown = max(self.size, len(self.columns[-1]) * 5 // 4)
+            for col in self.columns:
+                # nothing else refers to a buffer while it is resized
+                col.resize(grown, refcheck=False)
+        return [col[start:self.size] for col in self.columns]
+
+    def take(self) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+        """The block, its buffers cut to their entries in place."""
+        for col in self.columns:
+            col.resize(self.size, refcheck=False)
+        return self.counts, self.columns[:-1], self.columns[-1]
+
+
 # a drain: an insert runs one when Acc is full, and finish() the final one
 _DRAIN_LINES = ["sort Acc", "merge Acc -> All"]
 
@@ -898,7 +926,8 @@ _DRAIN_LINES = ["sort Acc", "merge Acc -> All"]
 class IsmWorkspace(Workspace):
     """A sparse workspace: one IsmEngine per execution, on its exit stack, run
     once per host row in row order, from reset() to result(), also for a row
-    that inserts nothing."""
+    that inserts nothing. A row's result is copied into the batch's block
+    as the row ends; a batch of one row hands the engine's arrays over."""
 
     def __init__(self, ex: _Execution, meta: WsMeta) -> None:
         d = meta.descriptor
@@ -931,14 +960,20 @@ class IsmWorkspace(Workspace):
         return [*_DRAIN_LINES, f"compress All -> {into}"]
 
     def start(self, n: int) -> None:
-        self.n, self.row, self.results = n, 0, []
+        self.n, self.row = n, 0
+        self.block = _Block(n, len(self.engine.extents))
         self.engine.reset()
 
     def _advance(self, row: int) -> None:
         while self.row < row:
-            self.results.append((self.row, *self.engine.result()))
+            self._keep(*self.engine.result())
             self.row += 1
             self.engine.reset()
+
+    def _keep(self, coords: list[np.ndarray], vals: np.ndarray) -> None:
+        self.block.counts[self.row] = len(vals)
+        for part, src in zip(self.block.grow(len(vals)), [*coords, vals]):
+            part[:] = src
 
     def insert(self, owner: np.ndarray, keys: np.ndarray, vals: np.ndarray) -> None:
         starts = np.flatnonzero(np.diff(owner, prepend=-1)).tolist()
@@ -946,20 +981,24 @@ class IsmWorkspace(Workspace):
             self._advance(int(owner[lo]))
             self.engine.insert_batch(keys[lo:hi], vals[lo:hi])
 
-    def finish(self) -> Iterator:
+    def finish(self) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
         self._advance(self.n - 1)
-        self.results.append((self.row, *self.engine.result()))
-        # a run's row for each of its entries, one view at a time
-        return ((np.broadcast_to(row, len(vals)), coords, vals)
-                for row, coords, vals in self.results)
+        coords, vals = self.engine.result()
+        if self.block.size:
+            self._keep(coords, vals)
+            return self.block.take()
+        # no earlier row has entries: the last row's arrays are the block's
+        self.block.counts[-1] = len(vals)
+        return self.block.counts, coords, vals
 
 
 class DenseWorkspace(Workspace):
     """A dense workspace over one dimension for every row of a host batch.
     Each (row, coordinate) keeps a running sum that starts at 0.0 and adds
     values in arrival order, as ``W[c] += v`` would; once a later row
-    arrives, a row's sums are final and leave the merge. It keeps only the
-    sorted union of the cells it touched, never an array over the extent."""
+    arrives, a row's sums are final and move to the batch's block. It keeps
+    only the sorted union of the cells it touched, never an array over the
+    extent."""
 
     announced_at_head = True
     # a key is the one coordinate
@@ -987,7 +1026,8 @@ class DenseWorkspace(Workspace):
         return [f"gather nonzeros {meta.name} -> {into}({coords}, :)", f"clear {meta.name}"]
 
     def start(self, n: int) -> None:
-        self.done: list[tuple[np.ndarray, np.ndarray]] = []
+        self.block = _Block(n, 1)
+        # the open cells, keyed (row, coordinate) in the host rows' int64
         self.keys = np.empty(0, dtype=np.int64)
         self.sums = np.empty(0, dtype=np.float64)
 
@@ -995,31 +1035,32 @@ class DenseWorkspace(Workspace):
         self.counters.inserts += len(keys)
         if not len(keys):
             return
-        # a (row, coordinate) cell's key, in the host rows' int64
         keys = owner * self.extent + keys
         union = np.sort(np.concatenate((self.keys, keys)))
         union = union[np.concatenate(([True], union[1:] != union[:-1]))]
         sums = np.zeros(len(union), dtype=np.float64)
         sums[np.searchsorted(union, self.keys)] = self.sums
         np.add.at(sums, np.searchsorted(union, keys), vals)
+        del keys
         final = int(np.searchsorted(union, owner[-1] * self.extent))
-        self.done.append((union[:final], sums[:final]))
-        self.keys, self.sums = union[final:], sums[final:]
+        # the last row's cells stay open, in arrays of their own
+        self.keys, self.sums = union[final:].copy(), sums[final:].copy()
+        self._close(union[:final], sums[:final])
 
-    def finish(self) -> Iterator:
-        """Every cell a value was added to, in order, a sum that cancels to
-        0.0 included, as a sparse workspace keeps it, one finished segment
-        at a time, each dropped once decoded; then empties."""
-        segments = [*self.done, (self.keys, self.sums)]
-        self.start(0)
-        segments.reverse()
-        return (self._decode(*segments.pop()) for _ in range(len(segments)))
-
-    def _decode(self, keys: np.ndarray, sums: np.ndarray) -> tuple:
-        crd = np.empty(len(keys), CRD_DTYPE)
+    def _close(self, keys: np.ndarray, sums: np.ndarray) -> None:
+        """Move final cells, in order, to the block."""
+        block = self.block
+        rows = np.searchsorted(keys, np.arange(len(block.counts) + 1) * self.extent)
+        block.counts += np.diff(rows)
+        crd, vals = block.grow(len(keys))
         np.remainder(keys, self.extent, out=crd, casting="unsafe")
-        keys //= self.extent
-        return keys, [crd], sums
+        vals[:] = sums
+
+    def finish(self) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+        """Every cell a value was added to, in order, a sum that cancels to
+        0.0 included, as a sparse workspace keeps it."""
+        self._close(self.keys, self.sums)
+        return self.block.take()
 
 
 WORKSPACE_KINDS: dict[str, type[Workspace]] = {
@@ -1029,30 +1070,39 @@ WORKSPACE_KINDS: dict[str, type[Workspace]] = {
 
 
 class _Collector:
-    """Ordered sink for result rows in storage-level order; it keeps the
-    coordinates in CRD_DTYPE."""
+    """Ordered sink for the result's entries in storage-level order, as
+    segments: the first levels' coordinates once per segment, with its entry
+    count (None: one entry each), and the other levels' coordinates and the
+    values once per entry."""
 
     def __init__(self, levels: int) -> None:
-        # the chunks of each level's coordinates, then those of the values
-        self._columns: list[list[np.ndarray]] = [[] for _ in range(levels + 1)]
-        self._dtypes = [CRD_DTYPE] * levels + [np.float64]
+        self.levels = levels
+        self.prefix = 0
+        # the chunks of each level's coordinates, of the values and of the counts
+        self._columns: list[list] = []
 
-    def extend(self, coords: list[np.ndarray], vals: np.ndarray) -> None:
-        if len(vals):
-            for chunks, col, dtype in zip(self._columns, [*coords, vals], self._dtypes):
-                chunks.append(np.asarray(col, dtype=dtype))
+    def extend(self, prefix: list[np.ndarray], counts: np.ndarray | None,
+               tail: list[np.ndarray], vals: np.ndarray) -> None:
+        if not len(vals):
+            return
+        if not self._columns:
+            self.prefix = len(prefix)
+            self._columns = [[] for _ in range(self.levels + 2)]
+        for chunks, col in zip(self._columns, [*prefix, *tail, vals, counts]):
+            chunks.append(col)
 
-    def finalize(self) -> tuple[list[np.ndarray], np.ndarray]:
+    def finalize(self) -> tuple[list, np.ndarray | None, list, np.ndarray]:
         """Join each column and drop its chunks before joining the next, so
         the chunks and the joined columns are never all live at once."""
+        if not self._columns:
+            return [np.empty(0, CRD_DTYPE)] * self.levels, None, [], np.empty(0, VAL_DTYPE)
         out = []
-        for chunks, dtype in zip(self._columns, self._dtypes):
-            if len(chunks) == 1:
-                out.append(chunks[0])
-            else:
-                out.append(np.concatenate(chunks) if chunks else np.empty(0, dtype))
+        for chunks in self._columns:
+            out.append(chunks[0] if len(chunks) == 1 or chunks[0] is None
+                       else np.concatenate(chunks))
             chunks.clear()
-        return out[:-1], out[-1]
+        *coords, vals, counts = out
+        return coords[:self.prefix], counts, coords[self.prefix:], vals
 
 
 class _Execution:
@@ -1171,11 +1221,8 @@ class _Execution:
             else:  # one copy, into level order
                 tensor = from_dense(self.dense_out, fmt)
         else:
-            level_coords, out_vals = self.collector.finalize()
-            mode_coords: list[np.ndarray] = [None] * fmt.order  # type: ignore[list-item]
-            for l, m in enumerate(fmt.mode_ordering):
-                mode_coords[m] = level_coords[l]
-            tensor = compress_arrays(mode_coords, out_vals, fmt, dims)
+            prefix, counts, tail, out_vals = self.collector.finalize()
+            tensor = compress_segments(prefix, counts, tail, out_vals, fmt, dims)
         return ExecutionResult(tensor, self.counters)
 
 

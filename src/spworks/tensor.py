@@ -282,29 +282,51 @@ def _checked_arrays(
     order: int,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Coordinate and value arrays as given, once each coordinate list is
-    known to be 1-D, integer and as long as the 1-D value array. Empty lists
-    of any dtype become CRD_DTYPE, and uint64 becomes int64 so that level
-    arithmetic stays integer (a value past 2^63 turns negative and fails the
-    bounds check)."""
+    known to be 1-D, integer and as long as the 1-D value array."""
+    vals = _checked_vals(vals)
+    if len(mode_coords) != order:
+        raise TensorError(f"{len(mode_coords)} coordinate lists for an order-{order} format")
+    return _checked_coords(mode_coords, vals.shape, "mode", "values"), vals
+
+
+def _checked_vals(vals: np.ndarray) -> np.ndarray:
     vals = np.asarray(vals)
     if vals.ndim != 1:
         raise TensorError(f"values of shape {vals.shape} are not a 1-D array")
-    if len(mode_coords) != order:
-        raise TensorError(f"{len(mode_coords)} coordinate lists for an order-{order} format")
-    coords = []
-    for m, c in enumerate(mode_coords):
+    return vals
+
+
+def _checked_coords(coords: Sequence[np.ndarray], shape: tuple, what: str,
+                    against: str, first: int = 0) -> list[np.ndarray]:
+    """Each coordinate list as given, once it is known to be integer and of
+    ``shape``, the shape of ``against``. Empty lists of any dtype become
+    CRD_DTYPE, and uint64 becomes int64 so that level arithmetic stays
+    integer (a value past 2^63 turns negative and fails the bounds check)."""
+    out = []
+    for m, c in enumerate(coords, first):
         c = np.asarray(c)
-        if c.shape != vals.shape:
-            raise TensorError(f"coordinates of mode {m} have shape {c.shape}, "
-                              f"values have shape {vals.shape}")
+        if c.shape != shape:
+            raise TensorError(f"coordinates of {what} {m} have shape {c.shape}, "
+                              f"{against} have shape {shape}")
         if not c.size:
             c = c.astype(CRD_DTYPE)
         elif not np.issubdtype(c.dtype, np.integer):
-            raise TensorError(f"coordinates of mode {m} have non-integer dtype {c.dtype}")
+            raise TensorError(f"coordinates of {what} {m} have non-integer dtype {c.dtype}")
         elif not np.can_cast(c.dtype, np.int64):
             c = c.astype(np.int64)
-        coords.append(c)
-    return coords, vals
+        out.append(c)
+    return out
+
+
+def _checked_dims(fmt: Format, dims: Sequence[int]) -> tuple[int, ...]:
+    if len(dims) != fmt.order:
+        raise TensorError(f"{len(dims)} dims for an order-{fmt.order} format")
+    if not all(isinstance(d, numbers.Integral) and d >= 0 for d in dims):
+        raise TensorError(f"dims {tuple(dims)} are not integers of at least 0")
+    dims = tuple(operator.index(d) for d in dims)
+    if any(d > MAX_EXTENT for d in dims):
+        raise TensorError(f"dims {dims} exceed the coordinate limit of 2^32 per mode")
+    return dims
 
 
 def compress_coo(
@@ -328,65 +350,113 @@ def compress_arrays(
     dims: Sequence[int],
 ) -> Tensor:
     """Pack per-mode coordinate arrays, sorted by the target's access order,
-    into a tensor. Entries must be unique; explicit zeros are stored.
+    into a tensor. Entries must be unique; explicit zeros are stored. This
+    is ``compress_segments`` with every level given per entry.
 
     Coordinates of any integer dtype are checked in that dtype and never
     widened, except in a dense level's position product
     ``parent * extent + c`` (int64); compressed levels narrow them to
     CRD_DTYPE. The tensor holds ``crd`` in CRD_DTYPE, ``pos`` in int64 and
     the values in VAL_DTYPE. It takes over a coordinate or value array it
-    stores unchanged when that array already has the dtype, owns its data
-    and is C-contiguous and writable, and copies any other; a caller that
-    keeps using such an array passes a copy."""
-    if len(dims) != fmt.order:
-        raise TensorError(f"{len(dims)} dims for an order-{fmt.order} format")
-    if not all(isinstance(d, numbers.Integral) and d >= 0 for d in dims):
-        raise TensorError(f"dims {tuple(dims)} are not integers of at least 0")
-    dims = tuple(operator.index(d) for d in dims)
-    if any(d > MAX_EXTENT for d in dims):
-        raise TensorError(f"dims {dims} exceed the coordinate limit of 2^32 per mode")
+    stores unchanged when ``_taken`` allows, and copies any other; a caller
+    that keeps using such an array passes a copy."""
+    dims = _checked_dims(fmt, dims)
     mode_coords, vals = _checked_arrays(mode_coords, vals, fmt.order)
-    n = len(vals)
-    level_coords = [mode_coords[m] for m in fmt.mode_ordering]
+    return _compress(fmt, dims, [mode_coords[m] for m in fmt.mode_ordering], None, [], vals)
+
+
+def compress_segments(
+    prefix: Sequence[np.ndarray],
+    counts: np.ndarray | None,
+    tail: Sequence[np.ndarray],
+    vals: np.ndarray,
+    fmt: Format,
+    dims: Sequence[int],
+) -> Tensor:
+    """Pack entries given as segments into a tensor, in level order: segment
+    ``s`` holds ``counts[s]`` entries (one each where ``counts`` is None),
+    and ``prefix`` gives the coordinates of the first levels once per
+    segment. ``tail`` gives those of the other levels, and ``vals`` the
+    values, once per entry, segment after segment.
+
+    The entries the segments stand for must be unique and sorted by the
+    target's access order; a segment without entries stands for nothing.
+    The tensor equals ``compress_arrays`` over the expanded coordinates, and
+    takes over arrays as it does."""
+    dims = _checked_dims(fmt, dims)
+    vals = _checked_vals(vals)
+    if len(prefix) + len(tail) != fmt.order:
+        raise TensorError(f"{len(prefix) + len(tail)} coordinate lists for an "
+                          f"order-{fmt.order} format")
+    if counts is None:
+        segments, against = vals.shape, "values"
+    else:
+        counts = np.asarray(counts)
+        if (counts.ndim != 1 or counts.size and counts.dtype.kind not in "iu"
+                or counts.min(initial=0) < 0 or counts.sum() != len(vals)):
+            raise TensorError(f"segment counts are not a 1-D list of integers of at "
+                              f"least 0 that sum to the {len(vals)} values")
+        counts = counts.astype(np.int64, copy=False)
+        segments, against = counts.shape, "segment counts"
+    prefix = _checked_coords(prefix, segments, "level", against)
+    tail = _checked_coords(tail, vals.shape, "level", "values", len(prefix))
+    return _compress(fmt, dims, prefix, counts, tail, vals)
+
+
+def _compress(fmt: Format, dims: tuple[int, ...], prefix: list[np.ndarray],
+              counts: np.ndarray | None, tail: list[np.ndarray], vals: np.ndarray) -> Tensor:
+    """The level loop of both constructors, on checked arrays: the prefix
+    levels once per segment (per entry where ``counts`` is None), then the
+    tail levels once per entry."""
     extents = [dims[m] for m in fmt.mode_ordering]
-    for l, (c, e) in enumerate(zip(level_coords, extents)):
-        if n and (c.min() < 0 or c.max() >= e):
+    if counts is not None and not counts.all():
+        has = counts > 0
+        prefix = [c[has] for c in prefix]
+        counts = counts[has]
+    n = len(vals)
+    for l, (c, e) in enumerate(zip([*prefix, *tail], extents)):
+        if len(c) and (c.min() < 0 or c.max() >= e):
             raise TensorError(
                 f"coordinate out of bounds at level {l}: extent {e}"
             )
-    if n > 1:
-        order_ok = np.zeros(n - 1, dtype=bool)
-        tied = np.ones(n - 1, dtype=bool)
-        step = np.empty(n - 1, dtype=bool)
-        for c in level_coords:
-            np.less(c[:-1], c[1:], out=step)
-            step &= tied
-            order_ok |= step
-            np.equal(c[:-1], c[1:], out=step)
-            tied &= step
-        if tied.any():
-            raise TensorError("duplicate coordinates in component list")
-        if not order_ok.all():
-            raise TensorError("components are not sorted by the target access order")
-        del order_ok, tied, step
+    _check_order(prefix, counts, tail, n)
 
     if fmt.coo:
+        if counts is not None:
+            prefix = [np.repeat(c, counts) for c in prefix]
         return Tensor(
             dims=dims,
             format=fmt,
             levels=None,
-            coo_coords=tuple(_taken(c, CRD_DTYPE) for c in level_coords),
+            coo_coords=tuple(_taken(c, CRD_DTYPE) for c in [*prefix, *tail]),
             vals=_taken(vals, VAL_DTYPE),
         )
 
-    # each entry's position at the level above, or None while every entry
-    # sits under the root; ``owned`` marks an array this call may overwrite
+    # each segment's, and past the prefix each entry's, position at the level
+    # above, or None while all sit under the root; ``owned`` marks an array
+    # this call may overwrite
     parent: np.ndarray | None = None
     owned = False
     parent_count = 1
+    size = n if counts is None else len(counts)
     last = fmt.order - 1
     levels: list[DenseLevel | CompressedLevel] = []
-    for l, (lf, c, extent) in enumerate(zip(fmt.levels, level_coords, extents)):
+    for l, (lf, c, extent) in enumerate(zip(fmt.levels, [*prefix, *tail], extents)):
+        if l == len(prefix) and counts is not None:
+            # from segments to entries
+            if lf.kind is LevelKind.COMPRESSED and l == last:
+                # each entry is a child of its own, so a parent's children
+                # start where its first segment's entries do
+                ends = np.zeros(size + 1, np.int64)
+                np.cumsum(counts, out=ends[1:])
+                pos = ends[_segment_pos(parent, parent_count, size)]
+                levels.append(CompressedLevel(pos=pos, crd=_taken(c, CRD_DTYPE)))
+                parent = None
+                break
+            if parent is not None:
+                parent = np.repeat(parent, counts)
+                owned = True
+            size = n
         if lf.kind is LevelKind.DENSE:
             if parent is None:
                 parent = c
@@ -400,13 +470,13 @@ def compress_arrays(
         elif l == last:
             # entries are unique, so each one is a child of its own and
             # there are no segment starts to find
-            levels.append(CompressedLevel(pos=_segment_pos(parent, parent_count, n),
+            levels.append(CompressedLevel(pos=_segment_pos(parent, parent_count, size),
                                           crd=_taken(c, CRD_DTYPE)))
             parent = None
         else:
             c = c.astype(CRD_DTYPE, copy=False)
-            changed = np.empty(n, dtype=bool)
-            if n:
+            changed = np.empty(size, dtype=bool)
+            if size:
                 changed[0] = True
                 np.not_equal(c[1:], c[:-1], out=changed[1:])
                 if parent is not None:
@@ -417,7 +487,7 @@ def compress_arrays(
                                parent_count, len(crd))
             levels.append(CompressedLevel(pos=pos, crd=crd))
             if not owned:
-                parent = np.empty(n, dtype=CRD_DTYPE if n <= MAX_EXTENT else np.int64)
+                parent = np.empty(size, dtype=CRD_DTYPE if size <= MAX_EXTENT else np.int64)
                 owned = True
             np.cumsum(changed, dtype=parent.dtype, out=parent)
             parent -= 1
@@ -431,12 +501,54 @@ def compress_arrays(
     return Tensor(dims=dims, format=fmt, levels=tuple(levels), coo_coords=None, vals=out_vals)
 
 
+def _check_order(prefix: list[np.ndarray], counts: np.ndarray | None,
+                 tail: list[np.ndarray], n: int) -> None:
+    """Raise unless the ``n`` entries the segments stand for are unique and
+    ascend lexicographically: adjacent segments compare on the prefix, and
+    within a segment, or across two tied on the prefix, entries compare on
+    the tail."""
+    pairs = max((n if counts is None else len(counts)) - 1, 0)
+    ordered, tied = _ascending(prefix, np.zeros(pairs, bool), np.ones(pairs, bool))
+    if counts is not None and n > 1:
+        # a pair of adjacent entries that spans two segments starts from the
+        # segments' comparison, any other from a tie
+        across = np.cumsum(counts[:-1]) - 1
+        entries = np.zeros(n - 1, bool), np.ones(n - 1, bool)
+        entries[0][across], entries[1][across] = ordered, tied
+        ordered, tied = _ascending(tail, *entries)
+    if tied.any():
+        raise TensorError("duplicate coordinates in component list")
+    if not ordered.all():
+        raise TensorError("components are not sorted by the target access order")
+
+
+def _ascending(columns: list[np.ndarray], ordered: np.ndarray,
+               tied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fold ``columns``, level after level, into the pairs of adjacent
+    items, in place: ``ordered`` marks a pair that ascends at a level folded
+    so far, ``tied`` one equal at every such level."""
+    step = np.empty(len(ordered), dtype=bool)
+    for c in columns:
+        np.less(c[:-1], c[1:], out=step)
+        step &= tied
+        ordered |= step
+        np.equal(c[:-1], c[1:], out=step)
+        tied &= step
+    return ordered, tied
+
+
 def _taken(a: np.ndarray, dtype: type) -> np.ndarray:
-    """``a`` itself when a tensor can keep it: it has ``dtype``, owns its
-    data and is C-contiguous and writable; else a copy in ``dtype``."""
+    """``a`` itself when a tensor can keep it: it has ``dtype``, is
+    C-contiguous and writable, and owns its data or views the whole buffer
+    of a base that does (as a reinterpreting view of a buffer that was
+    resized in place does); else a copy in ``dtype``."""
     f = a.flags
-    if a.dtype == dtype and f.owndata and f.c_contiguous and f.writeable:
-        return a
+    if a.dtype == dtype and f.c_contiguous and f.writeable:
+        base = a.base
+        if f.owndata or (isinstance(base, np.ndarray) and base.flags.owndata
+                         and base.nbytes == a.nbytes
+                         and base.ctypes.data == a.ctypes.data):
+            return a
     return a.astype(dtype)
 
 

@@ -562,7 +562,7 @@ def test_engines_are_released_before_the_result_is_compressed(name, monkeypatch)
     (meta,) = plan.workspaces
     built: list[tuple[type, weakref.ref]] = []
     live_at_compression: list[int] = []
-    compress = lowering.compress_arrays
+    compress = lowering.compress_segments
 
     def track(cls: type) -> None:
         init = cls.__init__
@@ -579,7 +579,7 @@ def test_engines_are_released_before_the_result_is_compressed(name, monkeypatch)
 
     for cls in (sw.IsmEngine, *lowering.WORKSPACE_KINDS.values()):
         track(cls)
-    monkeypatch.setattr(lowering, "compress_arrays", checked_compress)
+    monkeypatch.setattr(lowering, "compress_segments", checked_compress)
     out = sw.execute(plan, kernel.instance(1).tensors)
     assert meta.impl in {cls for cls, _ in built}
     assert live_at_compression == [0]
@@ -587,36 +587,66 @@ def test_engines_are_released_before_the_result_is_compressed(name, monkeypatch)
     assert (out.counters.merges > 0) == (meta.impl is lowering.IsmWorkspace)
 
 
-@pytest.mark.parametrize("name", ["spgemm-rowwise-hoist", "mttkrp"])
-def test_collector_chunks_are_released_before_the_result_is_compressed(name, monkeypatch):
-    # each host row's drain adds a chunk per column; the collector joins a
-    # column and drops its chunks before the next, so compression sees only
-    # the joined columns
+@pytest.mark.parametrize("name", ["spgemm-rowwise-hoist", "mttkrp", "spgemm-rowwise", "ttm"])
+def test_a_hoisted_workspace_hands_over_one_block_per_host_batch(name, monkeypatch):
+    # host batches of two rows: each batch's drain appends one block to
+    # the collector, a prefix coordinate and an entry count per host row and
+    # only the workspace's own coordinates and the values per entry, and
+    # compression gets the prefix levels once per host row
+    monkeypatch.setattr(lowering, "_OUTER_CHUNK", 2)
     kernel = KERNELS_BY_NAME[name]
-    _, plan, _ = prepare(kernel)
-    chunks: list[weakref.ref] = []
-    live_at_compression: list[int] = []
-    extend, compress = lowering._Collector.extend, lowering.compress_arrays
+    stmt, plan, _ = prepare(kernel)
+    (meta,) = plan.workspaces
+    batches: list[int] = []
+    blocks: list[tuple] = []
+    compressed: list[tuple] = []
+    start, extend = meta.impl.start, lowering._Collector.extend
+    compress = lowering.compress_segments
 
-    def tracked_extend(self, coords, vals):
-        extend(self, coords, vals)
-        if len(vals):
-            chunks.extend(weakref.ref(column[-1]) for column in self._columns)
+    def tracked_start(self, n):
+        batches.append(n)
+        start(self, n)
 
-    def checked_compress(mode_coords, vals, *args, **kwargs):
-        joined = [*mode_coords, vals]
-        live_at_compression.append(sum(
-            ref() is not None and not any(ref() is a for a in joined) for ref in chunks))
-        return compress(mode_coords, vals, *args, **kwargs)
+    def tracked_extend(self, prefix, counts, tail, vals):
+        blocks.append(([len(p) for p in prefix], len(counts), [len(c) for c in tail],
+                       len(vals), int(counts.sum())))
+        extend(self, prefix, counts, tail, vals)
 
+    def tracked_compress(prefix, counts, tail, vals, *args):
+        compressed.append(([len(p) for p in prefix], len(counts), len(vals)))
+        return compress(prefix, counts, tail, vals, *args)
+
+    monkeypatch.setattr(meta.impl, "start", tracked_start)
     monkeypatch.setattr(lowering._Collector, "extend", tracked_extend)
-    monkeypatch.setattr(lowering, "compress_arrays", checked_compress)
+    monkeypatch.setattr(lowering, "compress_segments", tracked_compress)
     inst = kernel.instance(1)
-    stmt = kernel.statement()
     out = sw.execute(plan, inst.tensors)
     assert np.array_equal(out.tensor.to_dense(), sw.dense_oracle(stmt, inst.arrays))
-    assert len(chunks) > 3 * (out.tensor.order + 1)
-    assert live_at_compression == [0]
+    levels, slots = out.tensor.order, len(meta.slot_vars)
+    assert len(batches) >= 3 and len(blocks) == len(batches)
+    for n, (prefix, segments, tail, entries, counted) in zip(batches, blocks):
+        assert prefix == [n] * (levels - slots) and segments == n
+        assert tail == [entries] * slots and counted == entries
+    # a batch without entries leaves nothing to collect
+    rows = sum(n for n, block in zip(batches, blocks) if block[3])
+    assert compressed == [([rows] * (levels - slots), rows, out.tensor.nnz)]
+    assert rows < out.tensor.nnz
+
+
+@pytest.mark.parametrize("name", ["spgemm-rowwise-hoist", "spgemm-rowwise"])
+def test_segment_compression_expands_no_prefix_column(name):
+    # a prefix coordinate expanded to one per entry would take 4 B more per
+    # entry; compression's scratch is the order check's three bools per
+    # entry and a few arrays per host row (3.8 B per entry measured)
+    kernel = KERNELS_BY_NAME[name]
+    b, c = sw.synthetic_pair(1500, 1500, 0.5, 8, seed=1)
+    tensors = {"B": sw.reformat(b, kernel.formats["B"]),
+               "C": sw.reformat(c, kernel.formats["C"])}
+    _, plan, _ = prepare(kernel)
+    with peak_spans([(lowering, "compress_segments")]) as probe:
+        nnz = sw.execute(plan, tensors).tensor.nnz
+    (compress,) = probe.spans.values()
+    assert compress.calls == 1 and compress.peak - compress.entry <= 5 * nnz
 
 
 class DictWorkspace(lowering.Workspace):
@@ -636,6 +666,7 @@ class DictWorkspace(lowering.Workspace):
         return [f"sorted items {meta.name} -> {into}"]
 
     def start(self, n):
+        self.n = n
         self.sums: dict[tuple[int, int], float] = {}
 
     def insert(self, owner, keys, vals):
@@ -650,7 +681,8 @@ class DictWorkspace(lowering.Workspace):
         vals = np.array([self.sums[cell] for cell in cells], dtype=np.float64)
         self.sums = {}
         coords = np.unravel_index(keys, self.extents)
-        return [(rows, [c.astype(CRD_DTYPE) for c in coords], vals)]
+        counts = np.bincount(rows, minlength=self.n)
+        return counts, [c.astype(CRD_DTYPE) for c in coords], vals
 
 
 def _with_kind(stmt: sw.Statement, kind: str) -> sw.Statement:
@@ -861,6 +893,31 @@ def test_sparse_workspace_inserts_are_within_40_bytes_per_chunk_iteration(name):
     assert scratch <= 40 * lowering._CHUNK
 
 
+@pytest.mark.parametrize("name, bound", [("spgemm-rowwise-hoist", 31), ("spgemm-rowwise", 21)])
+def test_scratch_beyond_the_result_on_scaled_operands(name, bound):
+    # bounds in bytes per leaf chunk iteration, from measurement (30.3 for
+    # the sparse workspace, 20.2 for the dense one): a leaf chunk's columns
+    # and the workspace's pairs; the dense workspace keeps the open row's
+    # cells in arrays of their own, not in views of its last merge
+    _, plan, _ = prepare(KERNELS_BY_NAME[name])
+    scratch, _ = _execute_scratch(plan, _scaled_operands(name, 4))
+    assert scratch <= bound * lowering._CHUNK
+
+
+@pytest.mark.parametrize("name, bound", [("spgemm-rowwise-hoist", 21), ("spgemm-rowwise", 20.5)])
+def test_scratch_beyond_a_large_result_per_entry(name, bound):
+    # bounds in bytes per result entry, from measurement (20.1 sparse, 19.7
+    # dense): the growing block and a leaf chunk; no entry carries its host
+    # row's coordinates
+    kernel = KERNELS_BY_NAME[name]
+    b, c = sw.synthetic_pair(1500, 1500, 0.5, 8, seed=1)
+    tensors = {"B": sw.reformat(b, kernel.formats["B"]),
+               "C": sw.reformat(c, kernel.formats["C"])}
+    _, plan, _ = prepare(kernel)
+    scratch, out = _execute_scratch(plan, tensors)
+    assert scratch <= bound * out.nnz
+
+
 class _Nest:
     def outer(self) -> float:
         held = np.ones(100_000)  # 0.8 MB, live while inner() runs
@@ -885,7 +942,7 @@ def test_peak_spans_charge_a_nested_peak_to_both_spans():
 
 
 # a mid-size outer product: 64 000 inserts into 57 580 entries
-_SPANS = [(ism.AccArray, "fill"), (ism.AllArray, "_compact"), (lowering, "compress_arrays")]
+_SPANS = [(ism.AccArray, "fill"), (ism.AllArray, "_compact"), (lowering, "compress_segments")]
 
 
 @pytest.mark.parametrize("policy", list(sw.Policy))
@@ -894,7 +951,8 @@ def test_the_peak_of_a_mid_size_outer_product(policy):
     # block of inserts after the contents (two blocks at most) sets the
     # peak; coord's plan is little more than the two blocks, and its peak is
     # set elsewhere. The compaction's scratch is the sort order and a mask
-    # over the log, compression's a copy of the values
+    # over the log; compression takes the compacted sums over and holds only
+    # its order check's three bools per entry (3.0 B measured)
     kernel = KERNELS_BY_NAME["spgemm-outer"]
     b, c = sw.synthetic_pair(2000, 2000, 0.5, 8, seed=1)
     tensors = {"B": sw.reformat(b, kernel.formats["B"]),
@@ -912,7 +970,7 @@ def test_the_peak_of_a_mid_size_outer_product(policy):
         assert fill.peak - fill.entry <= 104 * planned
         assert probe.peak == fill.peak <= 36 * nnz
     assert compact.calls == 1 and compact.peak - compact.entry <= 12.5 * nnz
-    assert compress.calls == 1 and compress.peak - compress.entry <= 8.5 * nnz
+    assert compress.calls == 1 and compress.peak - compress.entry <= 3.1 * nnz
 
 
 @pytest.mark.parametrize("result", [sw.csr(), sw.dense(2)], ids=str)

@@ -18,6 +18,7 @@ from spworks.tensor import (
     CompressedLevel,
     DenseLevel,
     compress_arrays,
+    compress_segments,
     from_arrays,
 )
 
@@ -369,6 +370,119 @@ def test_compress_arrays_copies_what_it_cannot_take_over():
     kept_vals = np.ones(5)
     t = compress_arrays([kept_crd], kept_vals, sw.sparse_vector(), (5,))
     assert t.levels[0].crd is kept_crd and t.vals is kept_vals
+
+
+# -- segment assembly ---------------------------------------------------------------
+
+SEGMENT_FORMATS = [(sw.csr(), (5, 6)), (sw.csc(), (5, 6)), (sw.dcsr(), (5, 6)),
+                   (sw.dcsc(), (5, 6)), (sw.csf(3), (3, 4, 5)), (sw.coo(2), (5, 6)),
+                   (sw.sparse_vector(), (9,))]
+
+
+def _random_segments(rng: np.random.Generator, fmt: sw.Format, shape: tuple) -> tuple:
+    """Sorted unique entries in level order, as segments over a random
+    number of leading levels: segments tied on their prefix, segments
+    without entries, explicit zeros and real values. Coordinates are int64."""
+    extents = [shape[m] for m in fmt.mode_ordering]
+    cells = math.prod(extents)
+    n = int(rng.integers(0, min(cells, 30) + 1))
+    levels = [c.astype(np.int64) for c in
+              np.unravel_index(np.sort(rng.choice(cells, n, replace=False)), extents)]
+    vals = rng.standard_normal(n)
+    vals[rng.random(n) < 0.2] = 0.0
+    k = int(rng.integers(0, fmt.order + 1))
+    # a segment starts where the prefix changes, and anywhere else at random
+    starts = [i for i in range(n)
+              if i == 0 or rng.random() < 0.3 or any(c[i] != c[i - 1] for c in levels[:k])]
+    bounds = [*starts, n]
+    segments = [([int(c[a]) for c in levels[:k]], b - a) for a, b in zip(bounds, bounds[1:])]
+    for _ in range(int(rng.integers(0, 4))):  # segments without entries, anywhere
+        at = int(rng.integers(0, len(segments) + 1))
+        segments.insert(at, ([int(rng.integers(0, e)) for e in extents[:k]], 0))
+    prefix = [np.array([p[l] for p, _ in segments], dtype=np.int64) for l in range(k)]
+    counts = np.array([count for _, count in segments], dtype=np.int64)
+    return prefix, counts, levels[k:], vals
+
+
+def _expanded(fmt: sw.Format, prefix, counts, tail) -> list[np.ndarray]:
+    """The segments' coordinates once per entry, in mode order."""
+    levels = [*(np.repeat(p, counts) for p in prefix), *tail]
+    return [levels[fmt.mode_ordering.index(m)] for m in range(fmt.order)]
+
+
+def _outcome(build):
+    try:
+        return build()
+    except sw.TensorError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("fmt, shape", SEGMENT_FORMATS, ids=lambda x: str(x))
+def test_segment_assembly_matches_compress_arrays(fmt, shape):
+    # valid segments build the tensor compress_arrays builds from the
+    # expanded coordinates; after a random coordinate changes to one from
+    # -1 to the extent, or two segments swap, both build it or both raise
+    # the same TensorError (out of bounds, unsorted or duplicate)
+    rng = np.random.default_rng(11)
+    raised = set()
+    for trial in range(300):
+        prefix, counts, tail, vals = _random_segments(rng, fmt, shape)
+        extents = [shape[m] for m in fmt.mode_ordering]
+        if trial % 2:
+            pick = int(rng.integers(0, 3))
+            if pick == 0 and tail and len(vals):
+                l = int(rng.integers(0, len(tail)))
+                tail[l][rng.integers(0, len(vals))] = rng.integers(-1, extents[len(prefix) + l] + 1)
+            elif pick == 1 and prefix:
+                l = int(rng.integers(0, len(prefix)))
+                prefix[l][rng.integers(0, len(counts))] = rng.integers(-1, extents[l] + 1)
+            elif len(counts) > 1:
+                a = int(rng.integers(0, len(counts) - 1))
+                spans = np.split(np.arange(len(vals)), np.cumsum(counts)[:-1])
+                order = np.concatenate([*spans[:a], spans[a + 1], spans[a], *spans[a + 2:]])
+                swap = [*range(a), a + 1, a, *range(a + 2, len(counts))]
+                prefix = [p[swap] for p in prefix]
+                counts = counts[swap]
+                tail = [c[order] for c in tail]
+                vals = vals[order]
+        want = _outcome(lambda: compress_arrays(_expanded(fmt, prefix, counts, tail),
+                                                vals.copy(), fmt, shape))
+        got = _outcome(lambda: compress_segments(prefix, counts, tail, vals.copy(), fmt, shape))
+        if isinstance(want, str):
+            raised.add(want.split(" at ")[0].split(" in ")[0])
+            assert got == want
+        else:
+            assert sw.tensors_equal(got, want)
+            assert [a.dtype for a in _storage(got)] == [a.dtype for a in _storage(want)]
+    assert {"coordinate out of bounds", "components are not sorted by the target access order",
+            "duplicate coordinates"} <= raised
+
+
+def test_segment_counts_must_split_the_values():
+    fmt = sw.csr()
+    for counts in ([1, 1], [-1, 4], [1.0, 2.0], [[1, 2]]):
+        with pytest.raises(sw.TensorError, match="that sum to the 3 values"):
+            compress_segments([[0, 1]], counts, [[0, 1, 2]], [1.0, 2.0, 3.0], fmt, (3, 3))
+    with pytest.raises(sw.TensorError, match=r"level 0 have shape \(3,\), segment counts"):
+        compress_segments([[0, 1, 2]], [1, 2], [[0, 1, 2]], [1.0, 2.0, 3.0], fmt, (3, 3))
+    with pytest.raises(sw.TensorError, match=r"level 1 have shape \(2,\), values"):
+        compress_segments([[0, 1]], [1, 2], [[0, 1]], [1.0, 2.0, 3.0], fmt, (3, 3))
+    with pytest.raises(sw.TensorError, match="1 coordinate lists for an order-2"):
+        compress_segments([], [3], [[0, 1, 2]], [1.0, 2.0, 3.0], fmt, (3, 3))
+
+
+def test_compress_arrays_takes_over_a_view_of_a_whole_owned_buffer():
+    # as the sums a compaction writes into its sort order's buffer, once
+    # that buffer is cut to them in place; a view of part of a buffer is
+    # copied
+    crd = np.arange(5, dtype=CRD_DTYPE)
+    order = np.arange(8, dtype=np.int64)
+    order.resize(5, refcheck=False)
+    sums = order.view(np.float64)
+    assert compress_arrays([crd], sums, sw.sparse_vector(), (5,)).vals is sums
+    part = np.zeros(6)[:5]
+    t = compress_arrays([crd.copy()], part, sw.sparse_vector(), (5,))
+    assert t.vals.flags.owndata and not np.shares_memory(t.vals, part)
 
 
 def test_reformat_rejects_order_change():
