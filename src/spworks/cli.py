@@ -17,8 +17,8 @@ Five subcommands cover the lifecycle of a kernel:
     sweeps, written as CSV.
 ``ablation``
     A capacity sweep from the sort-every-insert extreme to the
-    sort-once-at-the-end extreme, plus a pipelined run, written as CSV
-    with a trailing label column.
+    sort-once-at-the-end extreme, written as CSV with a trailing label
+    column.
 
 Exit codes: 0 on success, 1 when --verify finds a mismatch (or an ablation
 row disagrees), 2 for parse, format, or input errors.
@@ -47,7 +47,7 @@ from .io import (
 from .ir import IrError, ParseError, Statement, apply_schedule, nest_assign, statement_from_text
 from .ir import expr_accesses
 from .ism import IsmError, Policy
-from .lowering import ExecutionOptions, LoweringError, execute, lower, print_plan
+from .lowering import LoweringError, execute, lower, print_plan
 from .oracle import OracleError, dense_oracle, oracle_inputs
 from .tensor import Format, Tensor, TensorError, format_from_name, reformat, tensors_equal
 
@@ -102,8 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--synthetic", default=None, metavar="RxC:DENSITY:NNZPC",
                            help="generate operands B and C, e.g. 64x64:0.1:4")
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--pipeline", action="store_true",
-                           help="drain and merge on a background worker")
             p.add_argument("--verify", action="store_true",
                            help="check the result against the dense reference")
             p.add_argument("--csv", default=None, metavar="PATH",
@@ -123,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--warmups", type=int, default=5, help="untimed rounds")
 
     ablation = sub.add_parser(
-        "ablation", help="capacity-extreme and optimization-toggle sweep as CSV")
+        "ablation", help="capacity sweep between the two extremes as CSV")
     common(ablation, runs=True)
     ablation.add_argument("--reps", type=int, default=20, help="measured rounds")
     ablation.add_argument("--warmups", type=int, default=5, help="untimed rounds")
@@ -281,16 +279,16 @@ def _prepare(stmt: Statement, formats: dict[str, Format], policy: Policy,
     return plan, decision
 
 
-def _timed_runs(plan, tensors, options: ExecutionOptions, warmups: int, reps: int):
+def _timed_runs(plan, tensors, warmups: int, reps: int):
     if reps < 1 or warmups < 0:
         raise CliError("bench needs --reps >= 1 and --warmups >= 0")
     for _ in range(warmups):
-        execute(plan, tensors, options)
+        execute(plan, tensors)
     times = []
     result = None
     for _ in range(reps):
         start = time.perf_counter_ns()
-        result = execute(plan, tensors, options)
+        result = execute(plan, tensors)
         times.append(time.perf_counter_ns() - start)
     return result, int(statistics.fmean(times))
 
@@ -351,10 +349,9 @@ def cmd_run(ns: argparse.Namespace) -> int:
     stmt, formats, (policy,), (cap,) = _setup(ns)
     tensors = _resolve_tensors(ns, stmt, formats)
     plan, decision = _prepare(stmt, formats, policy, cap)
-    options = ExecutionOptions(pipeline=ns.pipeline)
 
     start = time.perf_counter_ns()
-    result = execute(plan, tensors, options)
+    result = execute(plan, tensors)
     elapsed = time.perf_counter_ns() - start
 
     out = result.tensor
@@ -376,15 +373,13 @@ def cmd_run(ns: argparse.Namespace) -> int:
 def cmd_bench(ns: argparse.Namespace) -> int:
     stmt, formats, policies, caps = _setup(ns, many=True)
     tensors = _resolve_tensors(ns, stmt, formats)
-    options = ExecutionOptions(pipeline=ns.pipeline)
 
     rows = []
     failed = False
     for policy in policies:
         for cap in caps:
             plan, _ = _prepare(stmt, formats, policy, cap)
-            result, mean_ns = _timed_runs(plan, tensors, options,
-                                          ns.warmups, ns.reps)
+            result, mean_ns = _timed_runs(plan, tensors, ns.warmups, ns.reps)
             if ns.verify and not _verify(stmt, tensors, result.tensor):
                 print(f"verify: FAIL ({policy.value}, cap {cap})", file=sys.stderr)
                 failed = True
@@ -408,23 +403,17 @@ def cmd_ablation(ns: argparse.Namespace) -> int:
     tensors = _resolve_tensors(ns, stmt, formats)
 
     plan, decision = _prepare(stmt, formats, policy, base_cap)
-    probe = execute(plan, tensors, ExecutionOptions())
+    probe = execute(plan, tensors)
     stream_length = probe.counters.inserts
     if not decision.needs_workspace:
         print("note: kernel runs without a workspace; sweep rows will "
               "show zero counters", file=sys.stderr)
 
-    variants: list[tuple[int, str, ExecutionOptions]] = [
-        (cap, label, ExecutionOptions())
-        for cap, label in _ablation_capacities(stream_length)
-    ]
-    variants.append((base_cap, "pipeline", ExecutionOptions(pipeline=True)))
-
     rows = []
     outputs = []
-    for cap, label, options in variants:
+    for cap, label in _ablation_capacities(stream_length):
         plan, _ = _prepare(stmt, formats, policy, cap)
-        result, mean_ns = _timed_runs(plan, tensors, options, ns.warmups, ns.reps)
+        result, mean_ns = _timed_runs(plan, tensors, ns.warmups, ns.reps)
         row = _row(ns, tensors, result, mean_ns, cap, policy)
         row["label"] = label
         rows.append(row)

@@ -101,6 +101,13 @@ def expr_accesses(expr: Expr) -> Iterator[Access]:
         yield from expr_accesses(expr.rhs)
 
 
+def add_terms(expr: Expr) -> list[Expr]:
+    """The top-level additive terms of an expression, left to right."""
+    if isinstance(expr, Add):
+        return add_terms(expr.lhs) + add_terms(expr.rhs)
+    return [expr]
+
+
 def expr_vars(expr: Expr) -> list[IndexVar]:
     seen: list[IndexVar] = []
     for acc in expr_accesses(expr):
@@ -309,8 +316,23 @@ def from_einsum(result: Access, rhs: Expr, loop_order: Sequence[IndexVar | str])
     unused = [v for v in order if v not in used]
     if unused:
         raise IrError(f"loop order variables {unused} are unused")
+    _check_reductions(result, rhs)
     accumulate = any(v not in result.vars for v in expr_vars(rhs))
     return build_nest(order, Assign(result, rhs, accumulate))
+
+
+def _check_reductions(result: Access, rhs: Expr) -> None:
+    """Refuse a sum whose terms, constants included, range over different
+    reduction variables. The statement would add such a term once per value
+    of a reduction variable it lacks, while lowering runs each term only
+    over its own variables, so the two would disagree."""
+    terms = add_terms(rhs)
+    reductions = [[v.name for v in expr_vars(t) if v not in result.vars] for t in terms]
+    if len({frozenset(r) for r in reductions}) > 1:
+        over = "; ".join(f"{format_expr(t)} over {{{', '.join(r)}}}"
+                         for t, r in zip(terms, reductions))
+        raise IrError(f"the terms of a sum must range over the same reduction "
+                      f"variables: {over}")
 
 
 # -- substitution ---------------------------------------------------------------

@@ -21,7 +21,6 @@ import enum
 import math
 import numbers
 import operator
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -96,10 +95,8 @@ def row_major_strides(extents: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass
 class Counters:
-    """Cost model counters; producer-side and worker-side fields are disjoint
-    so the pipelined mode needs no locking. The merge counters are charged
-    when the all array's log is compacted, and that happens on the worker
-    or after the producer has waited for it."""
+    """Cost model counters, per stage. The merge counters are charged when
+    the all array's log is compacted."""
 
     inserts: int = 0
     drains: int = 0
@@ -328,9 +325,7 @@ class AllArray:
 
     The merge counters are charged at compaction, from the distinct keys
     after each run: a run costs its length plus the distinct keys before it
-    in comparisons, and each key it repeats is a dedup. Compaction runs
-    where merge() runs or, at a read, after the engine has waited for it,
-    so the merge counters stay worker-side.
+    in comparisons, and each key it repeats is a dedup.
     """
 
     def __init__(self, counters: Counters) -> None:
@@ -440,24 +435,10 @@ class IsmEngine:
     An executor builds one engine per workspace per execution and calls
     reset() at the start of every run of that workspace (each prefix row of
     a hoisted workspace); counters accumulate across runs.
-
-    In pipelined mode two accumulate arrays alternate: the producer streams
-    inserts into one while a single worker thread, started at the first
-    drain, drains and merges the other. At most one drain is in flight, so
-    merges stay in submission order and results are bit-identical to the
-    sequential mode. The engine is a context manager; leaving it joins the
-    worker.
     """
 
-    def __init__(
-        self,
-        extents: Sequence[int],
-        policy: Policy,
-        capacity: int,
-        *,
-        hash_l: int | None = None,
-        pipeline: bool = False,
-    ) -> None:
+    def __init__(self, extents: Sequence[int], policy: Policy, capacity: int, *,
+                 hash_l: int | None = None) -> None:
         self.extents = tuple(int(e) for e in extents)
         if not self.extents:
             raise IsmError("a workspace needs at least one dimension")
@@ -477,44 +458,22 @@ class IsmEngine:
         self.policy = policy
         self.capacity = capacity
         self.hash_l = hash_l
-        self.pipeline = pipeline
         self.counters = Counters()
-        self._pool: ThreadPoolExecutor | None = None
-        self._pending: Future | None = None
         self.all = AllArray(self.counters)
         self.reset()
 
     def reset(self) -> None:
-        """Start the next run: empty accumulate arrays and an empty all
+        """Start the next run: an empty accumulate array and an empty all
         array. Counters keep accumulating."""
-        self._wait()
         if self.all.merges:
             # a run left without result() still owes its merge counters
             self._note_peak()
-        self.acc = self._new_acc()
-        self._spare = self._new_acc() if self.pipeline else None
+        self.acc = AccArray(self.capacity, self.policy, self.strides[0], self.hash_l,
+                            self.counters, self.key_dtype)
         self.all = AllArray(self.counters)
         self._finalized = False
 
-    def _new_acc(self) -> AccArray:
-        return AccArray(self.capacity, self.policy, self.strides[0], self.hash_l,
-                        self.counters, self.key_dtype)
-
-    def close(self) -> None:
-        """Join the pipeline worker, if one was started. After finalize()
-        nothing is in flight; otherwise an error is already propagating, and
-        the error of a drain still in flight is dropped in its favour."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "IsmEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- producer side -----------------------------------------------------
+    # -- inserts -------------------------------------------------------------
 
     def insert_key(self, key: int, val: float) -> None:
         """Insert one pair under its row-major key."""
@@ -566,51 +525,27 @@ class IsmEngine:
             done += block
 
     def _flush(self) -> None:
-        """Drain the accumulate array into the all array: in place, or on the
-        worker while inserts continue into the spare array."""
+        """Drain the accumulate array into the all array."""
         self.counters.drains += 1
-        if not self.pipeline:
-            self._drain(self.acc)
-            return
-        self._wait()
-        full = self.acc
-        self.acc, self._spare = self._spare, full
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=1)
-        self._pending = self._pool.submit(self._drain, full)
-
-    def _wait(self) -> None:
-        """Wait for the drain in flight; its error, if any, is raised here."""
-        pending, self._pending = self._pending, None
-        if pending is not None:
-            pending.result()
-
-    def _drain(self, acc: AccArray) -> None:
-        keys, vals = acc.drain()
+        keys, vals = self.acc.drain()
         self.all.merge(keys, vals)
-        acc.clear()
+        self.acc.clear()
 
     def _note_peak(self) -> None:
         """The all array only grows within a run, so its peak is the size
         it ends with, read once the log is compacted."""
-        live = self.all.size * _ELEMENT_BYTES + self._acc_bytes
+        live = (self.all.size + self.capacity) * _ELEMENT_BYTES
         if live > self.counters.peak_bytes:
             self.counters.peak_bytes = live
-
-    @property
-    def _acc_bytes(self) -> int:
-        n = 2 if self.pipeline else 1
-        return n * self.capacity * _ELEMENT_BYTES
 
     # -- finalization --------------------------------------------------------
 
     def finalize(self) -> None:
-        """Drain whatever is left and wait until it is merged."""
+        """Drain whatever is left into the all array."""
         if self._finalized:
             return
         if self.acc.size:
             self._flush()
-        self._wait()
         self._note_peak()
         self._finalized = True
 

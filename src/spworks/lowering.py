@@ -20,7 +20,6 @@ dense result array, or a workspace.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +43,7 @@ from .ir import (
     Statement,
     Where,
     WorkspaceDescriptor,
+    add_terms,
     expr_accesses,
     format_expr,
     nest_assign,
@@ -443,7 +443,7 @@ class MaterializeWs:
             mode_coords[m] = slot_coords[s]
         dims = tuple(ex.extents[v] for v in meta.i_vars)
         ws_tensor = compress_arrays(mode_coords, wvals, meta.ws_format, dims)
-        sub = execute(meta.subplan, {**ex.tensors, meta.name: ws_tensor}, ex.options)
+        sub = execute(meta.subplan, {**ex.tensors, meta.name: ws_tensor})
         ex.counters.merge(sub.counters)
         ex.override = sub.tensor
 
@@ -472,12 +472,6 @@ class Plan:
 
 
 # -- lowering -------------------------------------------------------------------
-
-
-def _flatten_terms(expr: Expr) -> list[Expr]:
-    if isinstance(expr, Add):
-        return _flatten_terms(expr.lhs) + _flatten_terms(expr.rhs)
-    return [expr]
 
 
 def _check_term(term: Expr, formats: dict[str, Format]) -> None:
@@ -641,7 +635,7 @@ def _producer_passes(low: _Lowerer, producer: Statement, i_vars: tuple[IndexVar,
     p_assign = nest_assign(producer)
     order = [*prefix, *reconstruct_input_order(producer)]
     chains: list = []
-    for term in _flatten_terms(p_assign.rhs):
+    for term in add_terms(p_assign.rhs):
         _check_term(term, low.formats)
         term_vars = set(v for a in expr_accesses(term) for v in a.vars)
         pass_order = [v for v in order if v in prefix or v in term_vars or v in i_vars]
@@ -746,6 +740,10 @@ def print_plan(plan: Plan) -> str:
 
 @dataclass(frozen=True)
 class ExecutionOptions:
+    """Accepted by execute() and ignored: execution has one mode. ``pipeline``
+    named the retired pipelined mode; it stays while the benchmark in
+    perfbench/ still passes it."""
+
     pipeline: bool = False
 
 
@@ -924,10 +922,10 @@ _DRAIN_LINES = ["sort Acc", "merge Acc -> All"]
 
 
 class IsmWorkspace(Workspace):
-    """A sparse workspace: one IsmEngine per execution, on its exit stack, run
-    once per host row in row order, from reset() to result(), also for a row
-    that inserts nothing. A row's result is copied into the batch's block
-    as the row ends; a batch of one row hands the engine's arrays over."""
+    """A sparse workspace: one IsmEngine per execution, run once per host row
+    in row order, from reset() to result(), also for a row that inserts
+    nothing. A row's result is copied into the batch's block as the row
+    ends; a batch of one row hands the engine's arrays over."""
 
     def __init__(self, ex: _Execution, meta: WsMeta) -> None:
         d = meta.descriptor
@@ -936,9 +934,8 @@ class IsmWorkspace(Workspace):
             hash_l = hash_default_l(max(1, sum(
                 t.nnz for name, t in ex.tensors.items()
                 if name in ex.plan.operands and not t.format.all_dense())))
-        self.engine = ex.stack.enter_context(IsmEngine(
-            [ex.extents[v] for v in meta.slot_vars], d.policy, d.capacity,
-            hash_l=hash_l, pipeline=ex.options.pipeline))
+        self.engine = IsmEngine([ex.extents[v] for v in meta.slot_vars], d.policy,
+                                d.capacity, hash_l=hash_l)
         self.counters = self.engine.counters
         self.key_dtype = self.engine.key_dtype
 
@@ -1106,20 +1103,16 @@ class _Collector:
 
 
 class _Execution:
-    def __init__(self, plan: Plan, tensors: dict[str, Tensor],
-                 options: ExecutionOptions) -> None:
+    def __init__(self, plan: Plan, tensors: dict[str, Tensor]) -> None:
         self.plan = plan
         self.tensors = tensors
-        self.options = options
         self.counters = Counters()
         self._validate()
         # what each batch carries, by the id of the node that builds it
         self.keep: dict[int, _Keep] = {}
         self._root = _needs(plan.body, set(), self.keep)
-        # one implementation per workspace, built at its first allocation;
-        # the stack closes what they enter on it when run() ends
+        # one implementation per workspace, built at its first allocation
         self.workspaces: dict[str, Workspace] = {}
-        self.stack = contextlib.ExitStack()
         self.reg: np.ndarray | None = None
         self.override: Tensor | None = None
         # (parent position, coordinate) keys of the levels that locate searches
@@ -1202,9 +1195,8 @@ class _Execution:
         root = _Rows(1, {}, {a: np.zeros(1, dtype=np.int64)
                              for kind, a in self._root if kind == "pos"},
                      np.zeros(1, dtype=np.int64) if _OWNER in self._root else None)
-        with self.stack:
-            for node in self.plan.body:
-                node.run(self, root)
+        for node in self.plan.body:
+            node.run(self, root)
         # fold each workspace's counters and drop the workspaces: an engine's
         # all array would keep its keys live through compression
         while self.workspaces:
@@ -1229,5 +1221,6 @@ class _Execution:
 def execute(plan: Plan, tensors: dict[str, Tensor],
             options: ExecutionOptions | None = None) -> ExecutionResult:
     """Bind tensors to a plan and run it, returning the result tensor and the
-    aggregated runtime counters."""
-    return _Execution(plan, tensors, options or ExecutionOptions()).run()
+    aggregated runtime counters. ``options`` is accepted and ignored (see
+    ExecutionOptions)."""
+    return _Execution(plan, tensors).run()

@@ -21,7 +21,6 @@ from spworks.ir import expr_accesses
 from conftest import KERNELS, KERNELS_BY_NAME, Instance, prepare
 
 INSTANCES_PER_KERNEL = 200
-REPEAT_RUNS = 20
 
 
 @contextmanager
@@ -245,24 +244,8 @@ def test_criterion_7_operation_count_trend():
         assert batched <= 2 * once
 
 
-def test_criterion_8_concurrency_determinism(baseline):
-    with criterion(8, "pipelined runs match sequential on every instance "
-                      f"over {REPEAT_RUNS} repeats"):
-        options = sw.ExecutionOptions(pipeline=True)
-        for kernel in KERNELS:
-            plan = baseline.plans[kernel.name]
-            for entry in baseline.entries[kernel.name]:
-                want = entry.result.tensor
-                counts = entry.result.counters.as_dict()
-                counts.pop("peak_bytes")
-                for _ in range(REPEAT_RUNS):
-                    out = sw.execute(plan, entry.instance.tensors, options)
-                    assert sw.tensors_equal(out.tensor, want)
-                    got = out.counters.as_dict()
-                    got.pop("peak_bytes")
-                    assert got == counts
-
-
+# criterion 8 checked the retired pipelined mode; the numbers that follow
+# it are kept, so that references to them stay valid
 def test_criterion_9_dense_workspace_path(baseline):
     with criterion(9, "row-wise product picks the dense workspace and agrees "
                       "with the sparse workspace and the oracle"):

@@ -145,13 +145,13 @@ def test_run_verify_failure_exits_one(monkeypatch, capsys):
 
 
 def test_run_execution_modes(capsys):
-    code, out, _ = run_main(["run", *ROWWISE, *SMALL, "--verify", "--pipeline"], capsys)
-    assert code == 0
-    assert "verify: OK" in out
-    with pytest.raises(SystemExit) as exc:
-        run_main(["run", *ROWWISE, *SMALL, "--double-buffer"], capsys)
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --double-buffer" in capsys.readouterr().err
+    # execution has one mode: neither retired mode flag is an option
+    for command, flag in [("run", "--pipeline"), ("bench", "--pipeline"),
+                          ("run", "--double-buffer")]:
+        with pytest.raises(SystemExit) as exc:
+            run_main([command, *ROWWISE, *SMALL, flag], capsys)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 # bench
@@ -205,9 +205,8 @@ def test_ablation_sweep_and_labels(tmp_path, capsys):
         rows = list(reader)
     labels = [r["label"] for r in rows]
     assert labels[0] == "map-extreme"
-    assert "vector-extreme" in labels
-    assert labels[-2:] == ["vector-extreme", "pipeline"]
-    assert all(label == "sweep" for label in labels[1:-2])
+    assert labels[-1] == "vector-extreme"
+    assert all(label == "sweep" for label in labels[1:-1])
     caps = [int(r["capacity"]) for r in rows]
     assert caps[0] == 1
     assert all(c >= 1 for c in caps)
@@ -245,6 +244,7 @@ def test_ablation_warns_when_no_workspace(capsys):
      "exceeds the oracle guard"),
     (["run", "--expr", MATMUL, "--synthetic", "64x64:0.1:4", "--seed", "-1"],
      "seed -1 is negative"),
+    (["run", "--expr", MATMUL + " + 2", *SMALL, "--verify"], "same reduction variables"),
 ])
 def test_user_errors_exit_two(argv, fragment, capsys):
     code, _, err = run_main(argv, capsys)

@@ -154,6 +154,20 @@ def test_from_einsum_rejects_unused_loop_vars():
         sw.statement_from_text(MATMUL, loop_order=["i", "j", "k", "m"])
 
 
+def test_from_einsum_rejects_sums_over_different_reduction_variables():
+    # an explicit loop order, a leading forall and a statement built from
+    # accesses all reach the same check; the message names each term's
+    # reduction variables
+    lhs, rhs = parse_einsum("A(i,j) = B(i,k) * C(k,j) + D(i,j)")
+    with pytest.raises(sw.IrError, match=r"B\(i,k\) \* C\(k,j\) over \{k\}; D\(i,j\) over \{\}"):
+        sw.from_einsum(lhs, rhs, ["i", "k", "j"])
+    with pytest.raises(sw.IrError, match="same reduction variables"):
+        sw.statement_from_text("forall i, k, l, j: A(i,j) += B(i,k) * C(k,j) + B(i,l) * C(l,j)")
+    # terms over the same reduction variables, in any order, are a sum
+    stmt = sw.statement_from_text("A(i,j) = B(i,k) * C(k,j) + C(k,j) * B(i,k) * 2")
+    assert nest_core(stmt).accumulate
+
+
 # -- scheduling transforms ---------------------------------------------------------------
 
 

@@ -1,14 +1,16 @@
-"""Insert-sort-merge runtime: policies, counters, rotation, pipelining."""
+"""Insert-sort-merge runtime: policies, counters, rotation, batch inserts, the log."""
 
 from __future__ import annotations
 
 import copy
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spworks as sw
 from spworks import ism
 from spworks.ism import (
     AccArray,
@@ -24,7 +26,7 @@ from spworks.ism import (
 )
 from spworks.tensor import CRD_DTYPE
 
-from conftest import peak_above
+from conftest import KERNELS_BY_NAME, peak_above, prepare
 
 
 # -- small helpers -------------------------------------------------------------------
@@ -401,9 +403,21 @@ _RUN_COUNTS = ("inserts", "drains", "merges", "insert_comparisons", "sort_compar
                "merge_comparisons", "insert_dedups", "drain_dedups", "merge_dedups")
 
 
-def _engine(policy: Policy, capacity: int, **kw) -> IsmEngine:
-    return IsmEngine((128,), policy, capacity,
-                     hash_l=8 if policy is Policy.HASH else None, **kw)
+def _extents(extents: tuple[int, ...], wide_keys: bool) -> tuple[int, ...]:
+    """The extents, or, for wide keys, the extents with the lead one raised
+    until the key space no longer fits 32-bit keys. The strides stay, so a
+    stream below the first key count has the same keys and chains in both."""
+    if not wide_keys:
+        return extents
+    rest = math.prod(extents[1:])
+    return (-(-2**32 // rest), *extents[1:])
+
+
+def _engine(policy: Policy, capacity: int, wide_keys: bool = False) -> IsmEngine:
+    eng = IsmEngine(_extents((128,), wide_keys), policy, capacity,
+                    hash_l=8 if policy is Policy.HASH else None)
+    assert eng.key_dtype == (np.uint64 if wide_keys else np.uint32)
+    return eng
 
 
 def _feed(eng: IsmEngine, stream) -> tuple[list, list]:
@@ -414,9 +428,9 @@ def _feed(eng: IsmEngine, stream) -> tuple[list, list]:
     return coords[0].tolist(), vals.tolist()
 
 
-def _run(policy: Policy, capacity: int, stream, **kw) -> tuple[IsmEngine, list, list]:
-    with _engine(policy, capacity, **kw) as eng:
-        keys, vals = _feed(eng, stream)
+def _run(policy: Policy, capacity: int, stream) -> tuple[IsmEngine, list, list]:
+    eng = _engine(policy, capacity)
+    keys, vals = _feed(eng, stream)
     return eng, keys, vals
 
 
@@ -438,42 +452,33 @@ def test_every_policy_agrees_with_a_dict_accumulator(seed, n, capacity):
 
 @pytest.mark.parametrize("policy", list(Policy))
 def test_pipelined_mode_is_bit_identical(policy):
-    stream = _stream(seed=7, n=300, universe=128)
-    plain_eng, plain_keys, plain_vals = _run(policy, 16, stream)
-    piped_eng, piped_keys, piped_vals = _run(policy, 16, stream, pipeline=True)
-    assert piped_keys == plain_keys
-    assert piped_vals == plain_vals
-    for name in _RUN_COUNTS:
-        assert getattr(piped_eng.counters, name) == getattr(plain_eng.counters, name)
+    # the retired pipelined mode's option is accepted and ignored: asking for
+    # it gives the sequential run's tensors and every counter
+    for name in ("spgemm-outer", "spgemm-rowwise-hoist"):
+        kernel = KERNELS_BY_NAME[name]
+        _, plan, _ = prepare(kernel, policy, 16)
+        inst = kernel.instance(1)
+        plain = sw.execute(plan, inst.tensors)
+        piped = sw.execute(plan, inst.tensors, sw.ExecutionOptions(pipeline=True))
+        assert plain.counters.drains > 1, name
+        assert sw.tensors_equal(plain.tensor, piped.tensor), name
+        assert piped.counters == plain.counters, name
 
 
-def test_pipeline_worker_errors_reach_the_caller():
-    class Boom:
-        def merge(self, keys, vals):
-            raise IsmError("boom")
-
-    with IsmEngine((8,), Policy.COORD, 1, pipeline=True) as eng:
-        eng.all = Boom()  # type: ignore[assignment]
-        eng.insert_key(1, 1.0)
-        eng.insert_key(2, 1.0)
-        with pytest.raises(IsmError, match="boom"):
-            eng.finalize()
-
-
-@pytest.mark.parametrize("pipeline", [False, True])
+@pytest.mark.parametrize("wide_keys", [False, True])
 @pytest.mark.parametrize("policy", list(Policy))
-def test_reset_engine_matches_a_fresh_one(policy, pipeline):
+def test_reset_engine_matches_a_fresh_one(policy, wide_keys):
     # the first run's all array holds more keys than the second run's
     first = _stream(seed=3, n=200, universe=64)
     second = _stream(seed=4, n=100, universe=16)
-    with _engine(policy, 2, pipeline=pipeline) as reused:
-        _feed(reused, first)
-        before = copy.copy(reused.counters)
-        reused.reset()
-        assert reused.acc.size == 0 and reused.all.size == 0
-        got = _feed(reused, second)
-    with _engine(policy, 2, pipeline=pipeline) as fresh:
-        want = _feed(fresh, second)
+    reused = _engine(policy, 2, wide_keys)
+    _feed(reused, first)
+    before = copy.copy(reused.counters)
+    reused.reset()
+    assert reused.acc.size == 0 and reused.all.size == 0
+    got = _feed(reused, second)
+    fresh = _engine(policy, 2, wide_keys)
+    want = _feed(fresh, second)
     assert got == want
     for name in _RUN_COUNTS:
         delta = getattr(reused.counters, name) - getattr(before, name)
@@ -494,11 +499,11 @@ def _real_stream(seed: int, n: int, universe: int) -> tuple[np.ndarray, np.ndarr
 
 
 @pytest.mark.parametrize("signed_keys", [False, True])
-@pytest.mark.parametrize("pipeline", [False, True])
+@pytest.mark.parametrize("wide_keys", [False, True])
 @pytest.mark.parametrize("sort_once", [False, True])
 @pytest.mark.parametrize("capacity", [1, 3, 64])
 @pytest.mark.parametrize("policy", list(Policy))
-def test_insert_batch_matches_insert_key(policy, capacity, sort_once, pipeline,
+def test_insert_batch_matches_insert_key(policy, capacity, sort_once, wide_keys,
                                          signed_keys):
     n = 300
     if sort_once:
@@ -509,33 +514,35 @@ def test_insert_batch_matches_insert_key(policy, capacity, sort_once, pipeline,
 
     def engine() -> IsmEngine:
         # two dimensions, so that bucket chains hold several keys
-        return IsmEngine((8, 16), policy, capacity, hash_l=8, pipeline=pipeline)
+        eng = IsmEngine(_extents((8, 16), wide_keys), policy, capacity, hash_l=8)
+        assert eng.key_dtype == (np.uint64 if wide_keys else np.uint32)
+        return eng
 
     for seed in range(3):
         streams = [_real_stream(seed * 2 + run, n, universe=8 * 16 if run else 40)
                    for run in range(2)]
         if signed_keys:
             streams = [(keys.astype(np.int64), vals) for keys, vals in streams]
-        with engine() as scalar:
-            want = []
-            for keys, vals in streams:
-                scalar.reset()
-                for k, v in zip(scalars(keys), vals.tolist()):
-                    scalar.insert_key(k, v)
-                want.append(scalar.result())
+        scalar = engine()
+        want = []
+        for keys, vals in streams:
+            scalar.reset()
+            for k, v in zip(scalars(keys), vals.tolist()):
+                scalar.insert_key(k, v)
+            want.append(scalar.result())
         rng = np.random.default_rng(seed)
-        with engine() as batched:
-            got = []
-            for keys, vals in streams:
-                batched.reset()
-                cuts = np.sort(rng.choice(np.arange(1, len(keys)), 12, replace=False))
-                for part, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, len(keys)])):
-                    if part % 4 == 3:  # every fourth piece goes in one pair at a time
-                        for k, v in zip(scalars(keys[lo:hi]), vals[lo:hi].tolist()):
-                            batched.insert_key(k, v)
-                    else:
-                        batched.insert_batch(keys[lo:hi], vals[lo:hi])
-                got.append(batched.result())
+        batched = engine()
+        got = []
+        for keys, vals in streams:
+            batched.reset()
+            cuts = np.sort(rng.choice(np.arange(1, len(keys)), 12, replace=False))
+            for part, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, len(keys)])):
+                if part % 4 == 3:  # every fourth piece goes in one pair at a time
+                    for k, v in zip(scalars(keys[lo:hi]), vals[lo:hi].tolist()):
+                        batched.insert_key(k, v)
+                else:
+                    batched.insert_batch(keys[lo:hi], vals[lo:hi])
+            got.append(batched.result())
         assert batched.counters == scalar.counters, seed
         for (want_coords, want_vals), (got_coords, got_vals) in zip(want, got):
             assert all(np.array_equal(w, g) for w, g in zip(want_coords, got_coords))
@@ -568,9 +575,9 @@ def test_insert_batch_scratch_is_one_block(policy, capacity, universe):
 
 def test_insert_batch_keeps_the_sign_of_a_lone_negative_zero():
     for policy in Policy:
-        with IsmEngine((4,), policy, 4, hash_l=2) as eng:
-            eng.insert_batch(np.array([1, 2, 2], np.uint64), np.array([-0.0, -0.0, 1.0]))
-            _, vals = eng.result()
+        eng = IsmEngine((4,), policy, 4, hash_l=2)
+        eng.insert_batch(np.array([1, 2, 2], np.uint64), np.array([-0.0, -0.0, 1.0]))
+        _, vals = eng.result()
         assert np.signbit(vals).tolist() == [True, False], policy
 
 
@@ -583,12 +590,11 @@ def test_insert_batch_spanning_several_blocks(policy, capacity, sort_once):
     keys, vals = _real_stream(5, 10_000, universe=8 * 16)
     if sort_once:
         capacity *= len(keys)
-    engines = [IsmEngine((8, 16), policy, capacity, hash_l=8) for _ in range(2)]
-    with engines[0] as scalar, engines[1] as batched:
-        for k, v in zip(keys.tolist(), vals.tolist()):
-            scalar.insert_key(k, v)
-        batched.insert_batch(keys, vals)
-        (want_coords, want_vals), (got_coords, got_vals) = scalar.result(), batched.result()
+    scalar, batched = (IsmEngine((8, 16), policy, capacity, hash_l=8) for _ in range(2))
+    for k, v in zip(keys.tolist(), vals.tolist()):
+        scalar.insert_key(k, v)
+    batched.insert_batch(keys, vals)
+    (want_coords, want_vals), (got_coords, got_vals) = scalar.result(), batched.result()
     assert batched.counters == scalar.counters
     assert all(np.array_equal(w, g) for w, g in zip(want_coords, got_coords))
     assert want_vals.tobytes() == got_vals.tobytes()
@@ -612,11 +618,10 @@ def test_narrow_and_wide_keys_agree(policy, capacity):
     vals = rng.standard_normal(len(keys))
     got = []
     for eng in (narrow, wide):
-        with eng:
-            for part in np.array_split(np.arange(len(keys)), 5):
-                eng.insert_batch(keys[part], vals[part])
-            eng.insert_key(int(keys[0]), 1.5)
-            coords, out = eng.result()
+        for part in np.array_split(np.arange(len(keys)), 5):
+            eng.insert_batch(keys[part], vals[part])
+        eng.insert_key(int(keys[0]), 1.5)
+        coords, out = eng.result()
         assert eng.all.keys.dtype == eng.key_dtype
         got.append((coords, out.tobytes(), eng.counters))
     (want_coords, want_vals, want_counters), (got_coords, got_vals, got_counters) = got
@@ -636,9 +641,8 @@ def test_keys_at_the_width_limit(policy, extents, narrow):
     eng = IsmEngine(extents, policy, 3, hash_l=4)
     assert eng.key_dtype == (np.uint32 if narrow else np.uint64)
     want = sorted({0, eng.key_count // 3, eng.key_count - 1}) if eng.key_count else []
-    with eng:
-        eng.insert_batch(np.array(want[::-1], np.int64), np.ones(len(want)))
-        coords, vals = eng.result()
+    eng.insert_batch(np.array(want[::-1], np.int64), np.ones(len(want)))
+    coords, vals = eng.result()
     keys = sum(c.astype(object) * s for c, s in zip(coords, eng.strides))
     assert list(keys) == want and vals.tolist() == [1.0] * len(want)
 
@@ -646,9 +650,8 @@ def test_keys_at_the_width_limit(policy, extents, narrow):
 def test_a_bucket_count_past_32_bits_widens_the_keys():
     eng = IsmEngine((8,), Policy.HASH, 4, hash_l=2**32)
     assert eng.key_dtype == np.uint64
-    with eng:
-        eng.insert_batch(np.array([5, 3, 5]), np.ones(3))
-        coords, vals = eng.result()
+    eng.insert_batch(np.array([5, 3, 5]), np.ones(3))
+    coords, vals = eng.result()
     assert coords[0].tolist() == [3, 5] and vals.tolist() == [1.0, 2.0]
 
 
@@ -713,8 +716,8 @@ class _ReferenceEngine(IsmEngine):
         super().reset()
         self.all = _TwoWayMerge(self.counters)  # type: ignore[assignment]
 
-    def _drain(self, acc: AccArray) -> None:
-        super()._drain(acc)
+    def _flush(self) -> None:
+        super()._flush()
         self._note_peak()
 
 
@@ -733,26 +736,25 @@ def _log_bound_checked(eng: IsmEngine, bounds: list) -> None:
 
 
 def _check_against_reference(policy: Policy, capacity: int, streams: list,
-                             extents: tuple[int, ...], pipeline: bool = False) -> None:
+                             extents: tuple[int, ...]) -> None:
     """Run the streams through a reference engine and an engine with the
     log, each run from a reset, the second run left without result(); the
     results, every counter, peak_bytes included, and the log's bound hold."""
-    engines = [cls(extents, policy, capacity, hash_l=64, pipeline=pipeline)
+    engines = [cls(extents, policy, capacity, hash_l=64)
                for cls in (_ReferenceEngine, IsmEngine)]
     results = []
     bounds: list[float] = []
     for eng in engines:
-        with eng:
-            out = []
-            for run, (keys, vals) in enumerate(streams):
-                eng.reset()
-                if isinstance(eng.all, AllArray):
-                    _log_bound_checked(eng, bounds)
-                eng.insert_batch(keys, vals)
-                if run != 1:
-                    coords, got = eng.result()
-                    out.append(([c.copy() for c in coords], got.tobytes()))
+        out = []
+        for run, (keys, vals) in enumerate(streams):
             eng.reset()
+            if isinstance(eng.all, AllArray):
+                _log_bound_checked(eng, bounds)
+            eng.insert_batch(keys, vals)
+            if run != 1:
+                coords, got = eng.result()
+                out.append(([c.copy() for c in coords], got.tobytes()))
+        eng.reset()
         results.append(out)
     reference, log = engines
     assert log.counters == reference.counters
@@ -762,15 +764,15 @@ def _check_against_reference(policy: Policy, capacity: int, streams: list,
     assert max(bounds) < ism._LOG_RUNS
 
 
-@pytest.mark.parametrize("pipeline", [False, True])
+@pytest.mark.parametrize("wide_keys", [False, True])
 @pytest.mark.parametrize("capacity", [1, 7, 64, 4096])
 @pytest.mark.parametrize("policy", list(Policy))
-def test_log_matches_a_two_way_merge_per_drain(policy, capacity, pipeline):
+def test_log_matches_a_two_way_merge_per_drain(policy, capacity, wide_keys):
     # standard-normal values, so that any change in summation order shows;
     # below capacity 4096 the log compacts while the first run goes on
     streams = [_real_stream(seed, n, universe=8 * 512)
                for seed, n in [(11, 6000), (12, 900), (13, 1500)]]
-    _check_against_reference(policy, capacity, streams, (8, 512), pipeline)
+    _check_against_reference(policy, capacity, streams, _extents((8, 512), wide_keys))
 
 
 def test_log_stays_bounded_under_heavy_dedup():

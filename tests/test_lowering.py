@@ -15,7 +15,7 @@ import pytest
 import spworks as sw
 import spworks.ism as ism
 import spworks.lowering as lowering
-from spworks.ir import build_nest, format_expr, var
+from spworks.ir import build_nest, expr_accesses, format_expr, nest_assign, var
 from spworks.lowering import (
     AccumReg,
     AllocWs,
@@ -386,9 +386,6 @@ def test_execution_modes_agree(small_corpus, monkeypatch):
     for inst in chosen:
         _, plan, _ = prepare(inst.kernel, capacity=64)
         base = sw.execute(plan, inst.tensors)
-        piped = sw.execute(plan, inst.tensors, sw.ExecutionOptions(pipeline=True))
-        assert sw.tensors_equal(base.tensor, piped.tensor)
-        assert piped.counters.inserts == base.counters.inserts
         # capacity N, the sort-once extreme: every engine run that inserts
         # anything drains once, at its end
         _, sort_once, _ = prepare(inst.kernel, capacity=base.counters.inserts)
@@ -544,13 +541,18 @@ def test_hoisted_execution_builds_one_engine_and_at_most_one_worker(monkeypatch)
 
     monkeypatch.setattr(sw.IsmEngine, "__init__", counting_init)
     monkeypatch.setattr(threading.Thread, "start", counting_start)
-    for pipeline in (False, True):
+    # the retired mode's option is accepted and changes nothing
+    outs = []
+    for options in (None, sw.ExecutionOptions(pipeline=True)):
         engines.clear()
-        threads.clear()
-        out = sw.execute(plan, inst.tensors, sw.ExecutionOptions(pipeline=pipeline))
+        out = sw.execute(plan, inst.tensors, options)
         assert out.counters.drains > 1  # one drain per nonempty row
         assert len(engines) == 1
-        assert len(threads) <= int(pipeline)
+        outs.append(out)
+    assert not threads
+    default, piped = outs
+    assert sw.tensors_equal(default.tensor, piped.tensor)
+    assert default.counters == piped.counters
 
 
 @pytest.mark.parametrize("name", ["spgemm-outer", "spgemm-rowwise-hoist", "spgemm-rowwise"])
@@ -713,48 +715,18 @@ def test_a_registered_workspace_kind_runs_without_lowering_edits(name, small_cor
                                                   inst.tensors).counters.inserts
 
 
-def test_raising_pipelined_execution_joins_its_worker(monkeypatch):
-    kernel = KERNELS_BY_NAME["spgemm-rowwise-hoist"]
-    _, plan, _ = prepare(kernel, capacity=2)
-    inst = kernel.instance(1)
-    options = sw.ExecutionOptions(pipeline=True)
-    total = sw.execute(plan, inst.tensors, options).counters.inserts
-    count = threading.active_count()
-    before = set(threading.enumerate())
-    started: list[threading.Thread] = []
-    insert_batch = sw.IsmEngine.insert_batch
-    inserted = [0]
-
-    def failing_insert_batch(self, keys, vals):
-        inserted[0] += len(keys)
-        if inserted[0] > total // 2:
-            started.extend(t for t in threading.enumerate() if t not in before)
-            raise RuntimeError("insert failed")
-        insert_batch(self, keys, vals)
-
-    monkeypatch.setattr(sw.IsmEngine, "insert_batch", failing_insert_batch)
-    with pytest.raises(RuntimeError, match="insert failed"):
-        sw.execute(plan, inst.tensors, options)
-    assert started  # a worker was running when the loop body raised
-    for t in started:
-        t.join(timeout=5)
-        assert not t.is_alive()
-    assert threading.active_count() == count
-
-
 def test_execute_leaves_no_cyclic_garbage():
     runs = []
-    for name, pipeline in (("spgemm-inner", False),          # plain, dense result
-                           ("elementwise", False),           # plain, sparse append
-                           ("spgemm-outer", False),          # FULL workspace
-                           ("spgemm-rowwise-hoist", False),  # hoisted workspace
-                           ("spgemm-rowwise-hoist", True),
-                           ("spmv", False),                  # conversion workspace
-                           ("spgemm-rowwise", False)):       # dense workspace
+    for name in ("spgemm-inner",          # plain, dense result
+                 "elementwise",           # plain, sparse append
+                 "spgemm-outer",          # FULL workspace
+                 "spgemm-rowwise-hoist",  # hoisted workspace
+                 "spmv",                  # conversion workspace
+                 "spgemm-rowwise"):       # dense workspace
         kernel = KERNELS_BY_NAME[name]
         _, plan, _ = prepare(kernel)
-        runs.append((name, plan, kernel.instance(1).tensors, pipeline))
-    runs.append(("materialize", _materializing_plan(), _matmul_operands(3)[2], False))
+        runs.append((name, plan, kernel.instance(1).tensors))
+    runs.append(("materialize", _materializing_plan(), _matmul_operands(3)[2]))
     # lowering and printing each corpus kernel must leave none either
     rewritten = [(kernel, sw.insert_sparse_workspace(kernel.statement(), kernel.formats,
                                                      **kernel.insert_kw)[0])
@@ -765,9 +737,9 @@ def test_execute_leaves_no_cyclic_garbage():
         for kernel, stmt in rewritten:
             sw.print_plan(sw.lower(stmt, kernel.formats))
             assert gc.collect() == 0, kernel.name
-        for name, plan, tensors, pipeline in runs:
-            sw.execute(plan, tensors, sw.ExecutionOptions(pipeline=pipeline))
-            assert gc.collect() == 0, (name, pipeline)
+        for name, plan, tensors in runs:
+            sw.execute(plan, tensors)
+            assert gc.collect() == 0, name
     finally:
         gc.enable()
 
@@ -1127,3 +1099,70 @@ def test_reduction_outermost_takes_a_full_workspace():
         out = sw.execute(plan, {"B": sw.from_dense(b, sw.csr())})
         assert out.tensor.format == sw.sparse_vector()
         assert np.array_equal(out.tensor.to_dense(), sw.dense_oracle(stmt, {"B": b}))
+
+
+# -- sums over reduction variables -------------------------------------------------------
+
+_SUM_EXTENTS = {"i": 7, "j": 6, "k": 5}
+
+
+def _sum_configs(texts, kinds):
+    """Each statement with a dense result, which needs no workspace, and with
+    row- and column-major compressed ones on each of the given workspace
+    kinds."""
+    out = []
+    for text in texts:
+        vector = text.startswith("a(")
+        for fmt in ([sw.dense_vector(), sw.sparse_vector()] if vector
+                    else [sw.dense(2), sw.csr(), sw.csc()]):
+            out += [(text, fmt, kind) for kind in ([None] if fmt.all_dense() else kinds)]
+    return out
+
+
+def _run_sum(text: str, result_fmt: sw.Format, kind: str | None, seed: int):
+    """Execute a statement on small-integer operands (CSR matrices, dense
+    and sparse vectors) on the workspace kind given; returns the result as
+    a dense array and the oracle's."""
+    stmt = sw.statement_from_text(text)
+    assign = nest_assign(stmt)
+    rng = np.random.default_rng(seed)
+    vector = iter([sw.dense_vector(), sw.sparse_vector()] * 2)
+    formats, arrays = {assign.lhs.tensor: result_fmt}, {}
+    for acc in expr_accesses(assign.rhs):
+        shape = tuple(_SUM_EXTENTS[v.name] for v in acc.vars)
+        arrays[acc.tensor] = sparse_array(rng, shape, 0.4)
+        formats[acc.tensor] = sw.csr() if len(shape) == 2 else next(vector)
+    rewritten, decision = sw.insert_sparse_workspace(stmt, formats)
+    assert (decision.action is sw.InsertionAction.NONE) == (kind is None)
+    if kind is not None:
+        rewritten = _with_kind(rewritten, kind)
+    plan = sw.lower(rewritten, formats)
+    tensors = {name: sw.from_dense(a, formats[name]) for name, a in arrays.items()}
+    out = sw.execute(plan, tensors).tensor
+    assert out.format == result_fmt
+    return out.to_dense(), sw.dense_oracle(stmt, arrays)
+
+
+@pytest.mark.parametrize("text, result_fmt, kind", _sum_configs([
+    "A(i,j) = B(i,k) * C(k,j) + D(i,j)",
+    "a(i) = B(i,k) * c(k) + d(i)",
+    "A(i,j) = B(i,j) + C(i,k)",
+    "A(i,j) = B(i,k) * C(k,j) + 2",
+], ["sparse", "dense"]), ids=lambda p: str(p).replace(" ", ""))
+def test_sums_over_different_reduction_variables_are_refused(text, result_fmt, kind):
+    # the statement adds a term once per value of a reduction variable it
+    # lacks, and lowering would add it once
+    with pytest.raises(sw.IrError, match="same reduction variables"):
+        _run_sum(text, result_fmt, kind, seed=0)
+
+
+@pytest.mark.parametrize("text, result_fmt, kind", _sum_configs([
+    "A(i,j) = B(i,k) * C(k,j) + B(i,k) * D(k,j)",
+    "A(i,j) = B(i,j) + C(i,j) + 2",
+    "a(i) = B(i,k) * c(k) + B(i,k) * d(k)",
+], ["sparse"]), ids=lambda p: str(p).replace(" ", ""))
+def test_sums_over_the_same_reduction_variables_match_the_oracle(text, result_fmt, kind):
+    # additions do not hoist, and a dense workspace needs a loop prefix
+    for seed in range(3):
+        got, want = _run_sum(text, result_fmt, kind, seed)
+        assert np.array_equal(got, want), seed
