@@ -9,6 +9,8 @@ insert-sort-merge runtime.
 
 from __future__ import annotations
 
+import types
+
 from .analysis import (
     AnalysisError,
     Classification,
@@ -114,96 +116,7 @@ from .tensor import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccArray",
-    "AccFullError",
-    "Access",
-    "Add",
-    "AllArray",
-    "AnalysisError",
-    "Assign",
-    "CSV_FIELDS",
-    "Classification",
-    "Component",
-    "Const",
-    "Counters",
-    "ExecutionOptions",
-    "ExecutionResult",
-    "Expr",
-    "Forall",
-    "Format",
-    "Fuse",
-    "IndexVar",
-    "InsertionAction",
-    "InsertionDecision",
-    "IoError",
-    "IrError",
-    "IsmEngine",
-    "IsmError",
-    "LevelKind",
-    "LoweringError",
-    "Mul",
-    "ParseError",
-    "Plan",
-    "Policy",
-    "Pos",
-    "Reorder",
-    "SYNTHETIC_RNG",
-    "Split",
-    "Statement",
-    "Tensor",
-    "TensorError",
-    "VarKind",
-    "Where",
-    "WorkspaceDescriptor",
-    "access_map",
-    "apply_schedule",
-    "ceil_log2",
-    "classification_report",
-    "classify",
-    "compare_orders",
-    "compress_coo",
-    "coo",
-    "csc",
-    "csf",
-    "csr",
-    "dcsc",
-    "dcsr",
-    "dense",
-    "dense_oracle",
-    "dense_vector",
-    "estimate_memory",
-    "execute",
-    "format_from_name",
-    "from_dense",
-    "from_einsum",
-    "from_unsorted",
-    "fuse",
-    "hash_default_l",
-    "insert_sparse_workspace",
-    "iterate_level",
-    "lower",
-    "nest_assign",
-    "nest_vars",
-    "oracle_inputs",
-    "ordering_measures",
-    "parse_einsum",
-    "plan_insertion",
-    "pos",
-    "precompute",
-    "print_plan",
-    "read_frostt",
-    "read_matrix_market",
-    "reconstruct_input_order",
-    "reformat",
-    "reorder",
-    "sparse_vector",
-    "split",
-    "statement_from_text",
-    "synthetic_matrix",
-    "synthetic_pair",
-    "tensors_equal",
-    "write_csv",
-    "write_frostt",
-    "write_matrix_market",
-]
+# every name imported above, and no submodule
+__all__ = sorted(name for name, value in globals().items()
+                 if not (name.startswith("_") or name == "annotations"
+                         or isinstance(value, types.ModuleType)))

@@ -316,18 +316,22 @@ def from_einsum(result: Access, rhs: Expr, loop_order: Sequence[IndexVar | str])
     unused = [v for v in order if v not in used]
     if unused:
         raise IrError(f"loop order variables {unused} are unused")
-    _check_reductions(result, rhs)
     accumulate = any(v not in result.vars for v in expr_vars(rhs))
-    return build_nest(order, Assign(result, rhs, accumulate))
+    assign = Assign(result, rhs, accumulate)
+    check_reductions(assign)
+    return build_nest(order, assign)
 
 
-def _check_reductions(result: Access, rhs: Expr) -> None:
+def check_reductions(assign: Assign, bound: Sequence[IndexVar] = ()) -> None:
     """Refuse a sum whose terms, constants included, range over different
-    reduction variables. The statement would add such a term once per value
-    of a reduction variable it lacks, while lowering runs each term only
-    over its own variables, so the two would disagree."""
-    terms = add_terms(rhs)
-    reductions = [[v.name for v in expr_vars(t) if v not in result.vars] for t in terms]
+    reduction variables: variables of a term that are neither the result's
+    nor ``bound`` by loops outside the statement. The statement would add
+    such a term once per value of a reduction variable it lacks, while
+    lowering runs each term only over its own variables, so the two would
+    disagree."""
+    free = {*assign.lhs.vars, *bound}
+    terms = add_terms(assign.rhs)
+    reductions = [[v.name for v in expr_vars(t) if v not in free] for t in terms]
     if len({frozenset(r) for r in reductions}) > 1:
         over = "; ".join(f"{format_expr(t)} over {{{', '.join(r)}}}"
                          for t, r in zip(terms, reductions))

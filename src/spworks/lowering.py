@@ -44,6 +44,7 @@ from .ir import (
     Where,
     WorkspaceDescriptor,
     add_terms,
+    check_reductions,
     expr_accesses,
     format_expr,
     nest_assign,
@@ -584,8 +585,12 @@ def lower(stmt: Statement, formats: dict[str, Format]) -> Plan:
     """Lower a statement (plain, or rewritten with a workspace) to a plan."""
     core = nest_core(stmt)
     if not isinstance(core, Where):
+        check_reductions(nest_assign(stmt))
         return _lower_plain(stmt, formats)
-    return _lower_workspace(stmt, tuple(nest_vars(stmt)), core, formats)
+    prefix = tuple(nest_vars(stmt))
+    for part in (core.producer, core.consumer):
+        check_reductions(nest_assign(part), prefix)
+    return _lower_workspace(stmt, prefix, core, formats)
 
 
 def _lower_plain(stmt: Statement, formats: dict[str, Format]) -> Plan:

@@ -28,6 +28,8 @@ MAX_EXTENT = 2**32  # every coordinate below it fits in CRD_DTYPE
 # parents one searchsorted call places while building pos, and values
 # level_coordinates walks up the levels at once
 _POS_BLOCK = 2**14
+# pairs of adjacent entries an order check compares at a time
+_ORDER_BLOCK = 2**12
 
 _T = TypeVar("_T")
 
@@ -506,35 +508,68 @@ def _check_order(prefix: list[np.ndarray], counts: np.ndarray | None,
     """Raise unless the ``n`` entries the segments stand for are unique and
     ascend lexicographically: adjacent segments compare on the prefix, and
     within a segment, or across two tied on the prefix, entries compare on
-    the tail."""
-    pairs = max((n if counts is None else len(counts)) - 1, 0)
-    ordered, tied = _ascending(prefix, np.zeros(pairs, bool), np.ones(pairs, bool))
-    if counts is not None and n > 1:
-        # a pair of adjacent entries that spans two segments starts from the
-        # segments' comparison, any other from a tie
-        across = np.cumsum(counts[:-1]) - 1
-        entries = np.zeros(n - 1, bool), np.ones(n - 1, bool)
-        entries[0][across], entries[1][across] = ordered, tied
-        ordered, tied = _ascending(tail, *entries)
-    if tied.any():
+    the tail. Pairs are compared a block at a time, so the scratch does not
+    grow with ``n`` or the number of segments."""
+    if counts is None:
+        tied, descending = _adjacent_pairs([*prefix, *tail], n)
+    else:
+        tied, descending = _adjacent_pairs(tail, n)
+        # a pair of adjacent entries that spans two segments compares on the
+        # prefix first: swap the tail's verdict on it for the pair's own
+        start = 0  # the first entry of segment lo
+        for lo in range(0, len(counts) - 1, _ORDER_BLOCK):
+            hi = min(lo + _ORDER_BLOCK, len(counts) - 1)
+            last = np.cumsum(counts[lo:hi])  # the last entry of each segment
+            last += start - 1
+            start = int(last[-1]) + 1
+            across = [(c[last], c[last + 1]) for c in tail]
+            by_tail = _tally(*_fold(across, hi - lo))
+            segments = [(c[lo:hi], c[lo + 1:hi + 1]) for c in prefix]
+            by_both = _tally(*_fold(across, hi - lo, *_fold(segments, hi - lo)))
+            tied += by_both[0] - by_tail[0]
+            descending += by_both[1] - by_tail[1]
+    if tied:
         raise TensorError("duplicate coordinates in component list")
-    if not ordered.all():
+    if descending:
         raise TensorError("components are not sorted by the target access order")
 
 
-def _ascending(columns: list[np.ndarray], ordered: np.ndarray,
-               tied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fold ``columns``, level after level, into the pairs of adjacent
-    items, in place: ``ordered`` marks a pair that ascends at a level folded
-    so far, ``tied`` one equal at every such level."""
-    step = np.empty(len(ordered), dtype=bool)
-    for c in columns:
-        np.less(c[:-1], c[1:], out=step)
+def _adjacent_pairs(columns: Sequence[np.ndarray], n: int) -> tuple[int, int]:
+    """How many of the pairs of adjacent items among ``n``, compared
+    column after column, are tied at every column, and how many descend."""
+    tied = descending = 0
+    for lo in range(0, n - 1, _ORDER_BLOCK):
+        hi = min(lo + _ORDER_BLOCK, n - 1)
+        t, d = _tally(*_fold([(c[lo:hi], c[lo + 1:hi + 1]) for c in columns], hi - lo))
+        tied += t
+        descending += d
+    return tied, descending
+
+
+def _fold(pairs: Iterable[tuple[np.ndarray, np.ndarray]], m: int,
+          ordered: np.ndarray | None = None,
+          tied: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Compare ``m`` pairs of items, given as one (left, right) pair of
+    arrays per column, column after column: ``ordered`` marks a pair that
+    ascends at a column compared so far, ``tied`` one equal at every such
+    column. The fold goes on from verdicts of earlier columns when given,
+    in place."""
+    if ordered is None or tied is None:
+        ordered, tied = np.zeros(m, bool), np.ones(m, bool)
+    step = np.empty(m, dtype=bool)
+    for a, b in pairs:
+        np.less(a, b, out=step)
         step &= tied
         ordered |= step
-        np.equal(c[:-1], c[1:], out=step)
+        np.equal(a, b, out=step)
         tied &= step
     return ordered, tied
+
+
+def _tally(ordered: np.ndarray, tied: np.ndarray) -> tuple[int, int]:
+    """How many pairs are tied, and how many descend."""
+    t = int(np.count_nonzero(tied))
+    return t, len(tied) - t - int(np.count_nonzero(ordered))
 
 
 def _taken(a: np.ndarray, dtype: type) -> np.ndarray:
@@ -580,21 +615,26 @@ def from_arrays(
     sum_duplicates: bool = False,
 ) -> Tensor:
     """Stably sort per-mode coordinates by the target's access order,
-    optionally sum duplicates in input order, then compress."""
+    optionally sum duplicates in input order, then compress. Coordinates
+    that already ascend in that order, ties allowed, are not sorted."""
     by_mode, vals = _checked_arrays(mode_coords, vals, fmt.order)
-    vals = vals.astype(VAL_DTYPE, copy=False)
-    if len(vals):
-        order = np.lexsort([by_mode[m] for m in reversed(fmt.mode_ordering)])
+    by_level = [by_mode[m] for m in fmt.mode_ordering]
+    if _adjacent_pairs(by_level, len(vals))[1]:
+        order = np.lexsort(by_level[::-1])
         by_mode = [c[order] for c in by_mode]
-        vals = vals[order]
-        if sum_duplicates:
-            changed = np.zeros(len(vals), dtype=bool)
-            changed[0] = True
-            for c in by_mode:
-                changed[1:] |= c[1:] != c[:-1]
-            starts = np.flatnonzero(changed)
-            vals = np.add.reduceat(vals, starts)
-            by_mode = [c[starts] for c in by_mode]
+        vals = vals[order].astype(VAL_DTYPE, copy=False)
+    else:
+        # compress_arrays would take over the caller's arrays
+        by_mode = [c.copy() if c.dtype == CRD_DTYPE else c for c in by_mode]
+        vals = vals.astype(VAL_DTYPE)
+    if sum_duplicates and len(vals):
+        changed = np.zeros(len(vals), dtype=bool)
+        changed[0] = True
+        for c in by_mode:
+            changed[1:] |= c[1:] != c[:-1]
+        starts = np.flatnonzero(changed)
+        vals = np.add.reduceat(vals, starts)
+        by_mode = [c[starts] for c in by_mode]
     return compress_arrays(by_mode, vals, fmt, dims)
 
 
@@ -620,11 +660,17 @@ def from_dense(array: np.ndarray, fmt: Format | None = None) -> Tensor:
         levels = tuple(DenseLevel(e) for e in by_level.shape)
         vals = np.array(by_level, order="C").reshape(-1)  # one copy
         return Tensor(dims=arr.shape, format=fmt, levels=levels, coo_coords=None, vals=vals)
-    # nonzero walks the level-order view in C order, so its output is
-    # already sorted by the target's access order
-    idx = np.nonzero(by_level)
+    # one scan marks the nonzero cells of the level-order view (a scalar is
+    # one cell) in a C-ordered mask, 1 B per cell, whose flat order is the
+    # target's access order, so the cells come out sorted. NaN != 0 holds
+    # and -0.0 != 0 does not. Neither the mask nor the flat indices outlive
+    # the expression, so compression runs without them
+    cells = by_level.reshape(by_level.shape or 1)
+    idx = np.unravel_index(
+        np.flatnonzero(np.not_equal(cells, 0, out=np.empty(cells.shape, dtype=bool))),
+        cells.shape)
     mode_coords = [idx[fmt.mode_ordering.index(m)] for m in range(fmt.order)]
-    return compress_arrays(mode_coords, by_level[idx], fmt, arr.shape)
+    return compress_arrays(mode_coords, cells[idx], fmt, arr.shape)
 
 
 def reformat(tensor: Tensor, fmt: Format) -> Tensor:

@@ -638,8 +638,8 @@ def test_a_hoisted_workspace_hands_over_one_block_per_host_batch(name, monkeypat
 @pytest.mark.parametrize("name", ["spgemm-rowwise-hoist", "spgemm-rowwise"])
 def test_segment_compression_expands_no_prefix_column(name):
     # a prefix coordinate expanded to one per entry would take 4 B more per
-    # entry; compression's scratch is the order check's three bools per
-    # entry and a few arrays per host row (3.8 B per entry measured)
+    # entry; compression's scratch is a few arrays per host row and the
+    # order check's blocks (1.5 B per entry measured)
     kernel = KERNELS_BY_NAME[name]
     b, c = sw.synthetic_pair(1500, 1500, 0.5, 8, seed=1)
     tensors = {"B": sw.reformat(b, kernel.formats["B"]),
@@ -924,7 +924,7 @@ def test_the_peak_of_a_mid_size_outer_product(policy):
     # peak; coord's plan is little more than the two blocks, and its peak is
     # set elsewhere. The compaction's scratch is the sort order and a mask
     # over the log; compression takes the compacted sums over and holds only
-    # its order check's three bools per entry (3.0 B measured)
+    # its order check's blocks (0.73 B per entry measured)
     kernel = KERNELS_BY_NAME["spgemm-outer"]
     b, c = sw.synthetic_pair(2000, 2000, 0.5, 8, seed=1)
     tensors = {"B": sw.reformat(b, kernel.formats["B"]),
@@ -1068,11 +1068,14 @@ def test_hoisted_workspace_must_copy_straight_into_the_result():
 
 
 def test_hoisted_workspace_covers_a_single_term():
+    # the prefix variable i is bound outside the producer, so its terms
+    # range over the same reduction variable, k, whether they read i or not
     term = sw.Mul(sw.Access("B", (var("i"), var("k"))),
                   sw.Access("C", (var("k"), var("j"))))
-    stmt = _hoisted_where(sw.Access("W", (var("j"),)), sw.Add(term, term))
-    with pytest.raises(LoweringError, match="single product term"):
-        sw.lower(stmt, {"A": sw.csr(), "B": sw.csr(), "C": sw.csr()})
+    for other in (term, sw.Access("C", (var("k"), var("j")))):
+        stmt = _hoisted_where(sw.Access("W", (var("j"),)), sw.Add(term, other))
+        with pytest.raises(LoweringError, match="single product term"):
+            sw.lower(stmt, {"A": sw.csr(), "B": sw.csr(), "C": sw.csr()})
 
 
 def test_hoisted_workspace_rejects_schedules():
@@ -1119,11 +1122,18 @@ def _sum_configs(texts, kinds):
     return out
 
 
-def _run_sum(text: str, result_fmt: sw.Format, kind: str | None, seed: int):
+def _run_sum(text: str, result_fmt: sw.Format, kind: str | None, seed: int,
+             direct: bool = False):
     """Execute a statement on small-integer operands (CSR matrices, dense
     and sparse vectors) on the workspace kind given; returns the result as
-    a dense array and the oracle's."""
-    stmt = sw.statement_from_text(text)
+    a dense array and the oracle's. A ``direct`` statement is a forall nest
+    built around an accumulating ``Assign``, without ``from_einsum``."""
+    if direct:
+        lhs, rhs = sw.parse_einsum(text)
+        order = dict.fromkeys([*lhs.vars, *(v for a in expr_accesses(rhs) for v in a.vars)])
+        stmt = build_nest(list(order), sw.Assign(lhs, rhs, True))
+    else:
+        stmt = sw.statement_from_text(text)
     assign = nest_assign(stmt)
     rng = np.random.default_rng(seed)
     vector = iter([sw.dense_vector(), sw.sparse_vector()] * 2)
@@ -1151,9 +1161,11 @@ def _run_sum(text: str, result_fmt: sw.Format, kind: str | None, seed: int):
 ], ["sparse", "dense"]), ids=lambda p: str(p).replace(" ", ""))
 def test_sums_over_different_reduction_variables_are_refused(text, result_fmt, kind):
     # the statement adds a term once per value of a reduction variable it
-    # lacks, and lowering would add it once
-    with pytest.raises(sw.IrError, match="same reduction variables"):
-        _run_sum(text, result_fmt, kind, seed=0)
+    # lacks, and lowering would add it once; from_einsum refuses the sum,
+    # and lower refuses a statement built without it
+    for direct in (False, True):
+        with pytest.raises(sw.IrError, match="same reduction variables"):
+            _run_sum(text, result_fmt, kind, seed=0, direct=direct)
 
 
 @pytest.mark.parametrize("text, result_fmt, kind", _sum_configs([

@@ -8,6 +8,29 @@ from pathlib import Path
 import spworks as sw
 
 
+# the package's exported names; adding or dropping one changes the public API
+PUBLIC_NAMES = """
+    AccArray AccFullError Access Add AllArray AnalysisError Assign CSV_FIELDS
+    Classification Component Const Counters ExecutionOptions ExecutionResult Expr
+    Forall Format Fuse IndexVar InsertionAction InsertionDecision IoError IrError
+    IsmEngine IsmError LevelKind LoweringError Mul ParseError Plan Policy Pos
+    Reorder SYNTHETIC_RNG Split Statement Tensor TensorError VarKind Where
+    WorkspaceDescriptor access_map apply_schedule ceil_log2 classification_report
+    classify compare_orders compress_coo coo csc csf csr dcsc dcsr dense
+    dense_oracle dense_vector estimate_memory execute format_from_name from_dense
+    from_einsum from_unsorted fuse hash_default_l insert_sparse_workspace
+    iterate_level lower nest_assign nest_vars oracle_inputs ordering_measures
+    parse_einsum plan_insertion pos precompute print_plan read_frostt
+    read_matrix_market reconstruct_input_order reformat reorder sparse_vector split
+    statement_from_text synthetic_matrix synthetic_pair tensors_equal write_csv
+    write_frostt write_matrix_market
+""".split()
+
+
+def test_exported_names_are_the_public_api():
+    assert sw.__all__ == sorted(PUBLIC_NAMES)
+
+
 def test_every_public_name_resolves():
     missing = [name for name in sw.__all__ if not hasattr(sw, name)]
     assert not missing

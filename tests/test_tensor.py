@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spworks as sw
+import spworks.tensor as tensor
 from spworks.tensor import (
     COMPRESSED,
     CRD_DTYPE,
@@ -22,7 +23,7 @@ from spworks.tensor import (
     from_arrays,
 )
 
-from conftest import peak_above
+from conftest import peak_above, peak_spans
 
 
 def _random_dense(rng: np.random.Generator, shape, density=0.4) -> np.ndarray:
@@ -116,6 +117,28 @@ def test_compress_coo_rejects_misordered_and_duplicate_input():
         sw.compress_coo([Component((0, 0), 1.0), Component((0, 0), 2.0)], fmt, (2, 2))
     with pytest.raises(sw.TensorError, match="out of bounds"):
         sw.compress_coo([Component((5, 0), 1.0)], fmt, (2, 2))
+
+
+def test_order_check_finds_a_fault_at_every_pair(monkeypatch):
+    # two adjacent entries swapped, or the second made equal to the first,
+    # raise at every position, on either side of a block edge and at the
+    # last pair, whether entries come one by one or as segments of a row
+    flat = np.arange(0, 40, 3)
+    rows, cols = divmod(flat, 8)
+    for block in (tensor._ORDER_BLOCK, 3):
+        monkeypatch.setattr(tensor, "_ORDER_BLOCK", block)
+        for i in range(len(flat) - 1):
+            for fault, match in (("swap", "not sorted"), ("repeat", "duplicate")):
+                r, c = rows.copy(), cols.copy()
+                pick = [i + 1, i] if fault == "swap" else [i, i]
+                r[[i, i + 1]], c[[i, i + 1]] = r[pick], c[pick]
+                with pytest.raises(sw.TensorError, match=match):
+                    compress_arrays([r, c], np.ones(len(r)), sw.csr(), (5, 8))
+                starts = np.flatnonzero(np.diff(r, prepend=-1))
+                counts = np.diff(starts, append=len(r))
+                with pytest.raises(sw.TensorError, match=match):
+                    compress_segments([r[starts]], counts, [c], np.ones(len(r)),
+                                      sw.csr(), (5, 8))
 
 
 def test_compress_arrays_empty():
@@ -222,6 +245,34 @@ def test_from_unsorted_sums_duplicates():
         sw.from_unsorted(comps, sw.csr(), (2, 2))
 
 
+def test_from_arrays_sorts_only_what_is_not_sorted(monkeypatch):
+    # coordinates that already ascend in the target's access order, ties
+    # included, build without a sort the tensor the sort builds from them
+    # shuffled; reformat from COO to CSR and from CSR to DCSR is sort-free.
+    # Integer values keep the sums of duplicates exact in any order
+    rng = np.random.default_rng(8)
+    n, shape = 400, (20, 30)
+    mode = [rng.integers(0, e, n) for e in shape]
+    vals = rng.integers(1, 10, n).astype(float)
+    for name in FORMATS2:
+        fmt = sw.format_from_name(name, 2)
+        order = np.lexsort([mode[m] for m in reversed(fmt.mode_ordering)])
+        want = from_arrays(mode, vals, fmt, shape, sum_duplicates=True)
+        with monkeypatch.context() as m:
+            m.setattr(np, "lexsort", None)
+            got = from_arrays([c[order] for c in mode], vals[order], fmt, shape,
+                              sum_duplicates=True)
+            assert sw.tensors_equal(got, want), name
+            with pytest.raises(sw.TensorError, match="duplicate"):
+                from_arrays([c[order] for c in mode], vals[order], fmt, shape)
+    coo = from_arrays(mode, vals, sw.coo(2), shape, sum_duplicates=True)
+    with monkeypatch.context() as m:
+        m.setattr(np, "lexsort", None)
+        dcsr = sw.reformat(sw.reformat(coo, sw.csr()), sw.dcsr())
+    assert sw.tensors_equal(dcsr, sw.reformat(coo, sw.dcsr()))
+    assert np.array_equal(dcsr.to_dense(), coo.to_dense())
+
+
 # -- round trips -----------------------------------------------------------------------
 
 
@@ -279,6 +330,76 @@ def test_from_dense_matches_from_unsorted(order, fmt_name):
             wrong[m][-1] = bad
             with pytest.raises(sw.TensorError, match="coordinate out of bounds"):
                 compress_arrays(wrong, t.vals, fmt, arr.shape)
+
+
+def _from_dense_model(array, fmt: sw.Format) -> sw.Tensor:
+    """``from_dense`` as an index walk: ``np.nonzero`` walks the level-order
+    view of the float array (a scalar is one cell) in C order, so its
+    output is already sorted by the target's access order."""
+    arr = np.asarray(array, dtype=float)
+    by_level = np.transpose(arr, sw.access_map(range(arr.ndim), fmt))
+    if fmt.all_dense():
+        return sw.Tensor(dims=arr.shape, format=fmt,
+                         levels=tuple(DenseLevel(e) for e in by_level.shape),
+                         coo_coords=None, vals=np.array(by_level, order="C").reshape(-1))
+    cells = by_level.reshape(by_level.shape or 1)
+    idx = np.nonzero(cells)
+    mode_coords = [idx[fmt.mode_ordering.index(m)] for m in range(fmt.order)]
+    return compress_arrays(mode_coords, cells[idx], fmt, arr.shape)
+
+
+def _dense_inputs(order: int) -> list:
+    """Arrays of every layout and dtype ``from_dense`` takes: C-ordered,
+    Fortran-ordered, transposed and strided real arrays with NaN, +-inf and
+    -0.0 cells, int and bool arrays, zero-length axes and all-zero arrays."""
+    rng = np.random.default_rng(order)
+    if not order:
+        return [np.array(v) for v in (3.5, 0.0, -0.0, np.nan, -np.inf, 7, 0, True, False)]
+    shape = (5, 4, 3)[:order]
+    reals = _random_dense(rng, shape) * rng.choice([-1.0, 1.0], shape)
+    cells = rng.permutation(reals.size)
+    reals.reshape(-1)[cells[:4]] = [np.nan, np.inf, -np.inf, -0.0]
+    reals.reshape(-1)[cells[4:8]] = 0.0
+    wide = _random_dense(rng, tuple(2 * e + 1 for e in shape))
+    return [reals, np.asfortranarray(reals), reals.T, wide[(slice(None, None, -2),) * order],
+            _random_dense(rng, shape).astype(np.int64) - 4, _random_dense(rng, shape) > 0,
+            np.zeros(shape), np.full(shape, -0.0),
+            np.zeros((0, *shape[1:])), np.ones((*shape[:-1], 0))]
+
+
+@pytest.mark.parametrize("order, fmt_name", [(0, "coo"), (0, "dense"), *NAMED_FORMATS])
+def test_from_dense_matches_the_index_walk(order, fmt_name):
+    fmt = sw.format_from_name(fmt_name, order)
+    for array in _dense_inputs(order):
+        got = sw.from_dense(array, fmt)
+        assert sw.tensors_equal(got, _from_dense_model(array, fmt)), (array.dtype, array.shape)
+        assert got.vals.dtype == np.float64
+
+
+@pytest.mark.parametrize("density", [0.0, 0.01, 0.5])
+@pytest.mark.parametrize("fmt, shape", [
+    (sw.csr(), (1000, 1000)), (sw.csc(), (1000, 1000)), (sw.dcsc(), (1000, 1000)),
+    (sw.coo(2), (1000, 1000)), (sw.csf(3), (100, 100, 100)), (sw.coo(3), (100, 100, 100)),
+    (sw.sparse_vector(), (10**6,)),
+], ids=lambda x: str(x) if isinstance(x, sw.Format) else "x".join(map(str, x)))
+def test_from_dense_scratch_per_cell_and_nonzero(fmt, shape, density):
+    # the scan holds a bool mask, 1 B per cell (and up to 64 KB of the
+    # ufunc's buffers over a view that is not C-ordered); compression starts
+    # from the int64 coordinates and the float values, 8 B per level and
+    # per nonzero, with the mask and the flat indices gone. Measured beyond
+    # the tensor it returns: 0.99-1.07 MB on 10^6 cells without nonzeros,
+    # and 8 B per nonzero more than the mask at 1%; at 50% 20.0 B per
+    # nonzero for CSR, 21.0 for DCSC, 29.8 for CSF(3) and 8.0 for SparseVec
+    rng = np.random.default_rng(0)
+    array = (rng.random(shape) < density) * rng.random(shape)
+    with peak_spans([(tensor, "from_dense"), (tensor, "compress_arrays")]) as probe:
+        t = tensor.from_dense(array, fmt)
+    convert, compress = probe.spans.values()
+    cells, nnz = array.size, t.nnz
+    assert nnz == np.count_nonzero(array)
+    assert compress.entry - convert.entry <= 8 * (fmt.order + 1) * nnz + 4096
+    scratch = convert.peak - convert.entry - sum(a.nbytes for a in _storage(t))
+    assert scratch <= cells + (8 * fmt.order + 6) * nnz + 2**17
 
 
 def test_orders_and_dims_must_match_the_format():
@@ -417,12 +538,29 @@ def _outcome(build):
         return str(exc)
 
 
+def _order_model(fmt: sw.Format, shape: tuple, levels: list[np.ndarray]) -> str | None:
+    """Why entries given by their level-order coordinates cannot be
+    compressed, or None: each entry's position in the level-order grid must
+    lie inside it and exceed the one before."""
+    extents = [shape[m] for m in fmt.mode_ordering]
+    if any(len(c) and (c.min() < 0 or c.max() >= e) for c, e in zip(levels, extents)):
+        return "coordinate out of bounds"
+    steps = np.diff(np.ravel_multi_index(levels, extents)) if levels else np.zeros(0)
+    if (steps == 0).any():
+        return "duplicate coordinates"
+    if (steps < 0).any():
+        return "components are not sorted by the target access order"
+    return None
+
+
 @pytest.mark.parametrize("fmt, shape", SEGMENT_FORMATS, ids=lambda x: str(x))
-def test_segment_assembly_matches_compress_arrays(fmt, shape):
+def test_segment_assembly_matches_compress_arrays(fmt, shape, monkeypatch):
     # valid segments build the tensor compress_arrays builds from the
     # expanded coordinates; after a random coordinate changes to one from
     # -1 to the extent, or two segments swap, both build it or both raise
-    # the same TensorError (out of bounds, unsorted or duplicate)
+    # the same TensorError (out of bounds, unsorted or duplicate), the one
+    # a model of the order finds. The order check goes a block of pairs at
+    # a time; with blocks of three pairs, faults fall on block edges too
     rng = np.random.default_rng(11)
     raised = set()
     for trial in range(300):
@@ -445,17 +583,47 @@ def test_segment_assembly_matches_compress_arrays(fmt, shape):
                 counts = counts[swap]
                 tail = [c[order] for c in tail]
                 vals = vals[order]
-        want = _outcome(lambda: compress_arrays(_expanded(fmt, prefix, counts, tail),
-                                                vals.copy(), fmt, shape))
-        got = _outcome(lambda: compress_segments(prefix, counts, tail, vals.copy(), fmt, shape))
-        if isinstance(want, str):
-            raised.add(want.split(" at ")[0].split(" in ")[0])
-            assert got == want
-        else:
-            assert sw.tensors_equal(got, want)
-            assert [a.dtype for a in _storage(got)] == [a.dtype for a in _storage(want)]
+        expanded = _expanded(fmt, prefix, counts, tail)
+        fault = _order_model(fmt, shape, [expanded[m] for m in fmt.mode_ordering])
+        for block in (tensor._ORDER_BLOCK, 3):
+            monkeypatch.setattr(tensor, "_ORDER_BLOCK", block)
+            want = _outcome(lambda: compress_arrays(expanded, vals.copy(), fmt, shape))
+            got = _outcome(lambda: compress_segments(prefix, counts, tail, vals.copy(),
+                                                     fmt, shape))
+            if isinstance(want, str):
+                raised.add(want.split(" at ")[0].split(" in ")[0])
+                assert got == want and fault is not None and want.startswith(fault)
+            else:
+                assert fault is None
+                assert sw.tensors_equal(got, want)
+                assert [a.dtype for a in _storage(got)] == [a.dtype for a in _storage(want)]
+            monkeypatch.undo()
     assert {"coordinate out of bounds", "components are not sorted by the target access order",
             "duplicate coordinates"} <= raised
+
+
+@pytest.mark.parametrize("segments", [False, True], ids=["per-entry", "segments"])
+def test_order_check_scratch_does_not_grow_with_the_entries(segments):
+    # the order check compares a block of adjacent pairs at a time, and a
+    # block of segment edges at a time: three bools per pair of a block,
+    # and per edge of a block the last entry's index, the tail coordinates
+    # on either side of it and six bools. Measured: 13.9 KB, and 134-144 KB
+    # with segments of four entries, at 10^5 to 4*10^6 entries
+    for n in (10**5, 10**6):
+        rows = n // 4
+        rng = np.random.default_rng(n)
+        cols = np.sort(rng.random((rows, 64)).argsort(axis=1)[:, :4], axis=1)
+        cols = cols.astype(CRD_DTYPE).reshape(-1)
+        row = np.arange(rows, dtype=CRD_DTYPE)
+        with peak_spans([(tensor, "_check_order")]) as probe:
+            if segments:
+                compress_segments([row], np.full(rows, 4), [cols], np.ones(n), sw.csr(),
+                                  (rows, 64))
+            else:
+                compress_arrays([np.repeat(row, 4), cols], np.ones(n), sw.csr(), (rows, 64))
+        (check,) = probe.spans.values()
+        assert check.calls == 1
+        assert check.peak - check.entry <= (40 if segments else 4) * tensor._ORDER_BLOCK
 
 
 def test_segment_counts_must_split_the_values():
