@@ -894,32 +894,54 @@ class Workspace:
 
 
 class _Block:
-    """A host batch's entries as a workspace finishes them: each row's
-    count, and the coordinates and values appended row after row into
-    buffers that grow in place by a quarter."""
+    """Entries in storage-level order, as segments: the first levels'
+    coordinates and an entry count once per segment (no count: one entry
+    each), then the other levels' coordinates and the value once per entry.
+    An empty block takes over the arrays of its first extend and never
+    writes into or resizes them; more entries are copied once into buffers
+    of its own, which grow in place by a quarter."""
 
-    def __init__(self, n: int, slots: int) -> None:
-        self.counts = np.zeros(n, dtype=np.int64)
-        self.columns = [np.empty(0, CRD_DTYPE) for _ in range(slots)]
-        self.columns.append(np.empty(0, VAL_DTYPE))
-        self.size = 0
+    def __init__(self, levels: int) -> None:
+        self.levels = levels
+        # every column, the per-segment ones first, and its length
+        self.columns: list[np.ndarray] = []
+        self.sizes: list[int] = []
+        self.owned = False
 
-    def grow(self, m: int) -> list[np.ndarray]:
-        """Views of ``m`` more entries in each buffer, coordinates first,
-        for the caller to fill before it grows the block again."""
-        start, self.size = self.size, self.size + m
-        if self.size > len(self.columns[-1]):
-            grown = max(self.size, len(self.columns[-1]) * 5 // 4)
-            for col in self.columns:
+    def extend(self, prefix: list[np.ndarray], counts: np.ndarray | None,
+               tail: list[np.ndarray], vals: np.ndarray) -> None:
+        if not len(vals):
+            return
+        new = [*prefix, *([] if counts is None else [counts]), *tail, vals]
+        if not self.columns:
+            self.prefix, self.counted = len(prefix), counts is not None
+            self.columns, self.sizes = new, [len(c) for c in new]
+            return
+        for i, src in enumerate(new):
+            col, start = self.columns[i], self.sizes[i]
+            end = self.sizes[i] = start + len(src)
+            if not self.owned:
+                own = np.empty(max(end, start * 5 // 4), col.dtype)
+                own[:start] = col
+                col = self.columns[i] = own
+            elif end > len(col):
                 # nothing else refers to a buffer while it is resized
-                col.resize(grown, refcheck=False)
-        return [col[start:self.size] for col in self.columns]
+                col.resize(max(end, len(col) * 5 // 4), refcheck=False)
+            col[start:end] = src
+        self.owned = True
 
-    def take(self) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-        """The block, its buffers cut to their entries in place."""
-        for col in self.columns:
-            col.resize(self.size, refcheck=False)
-        return self.counts, self.columns[:-1], self.columns[-1]
+    def take(self) -> tuple[list[np.ndarray], np.ndarray | None, list[np.ndarray], np.ndarray]:
+        """``(prefix, counts, tail, vals)``, the buffers of the block's own
+        cut to their entries in place."""
+        if not self.columns:
+            return [], None, [np.empty(0, CRD_DTYPE)] * self.levels, np.empty(0, VAL_DTYPE)
+        if self.owned:
+            for col, size in zip(self.columns, self.sizes):
+                col.resize(size, refcheck=False)
+        *coords, vals = self.columns
+        if self.counted:
+            return coords[:self.prefix], coords[self.prefix], coords[self.prefix + 1:], vals
+        return coords[:self.prefix], None, coords[self.prefix:], vals
 
 
 # a drain: an insert runs one when Acc is full, and finish() the final one
@@ -929,8 +951,7 @@ _DRAIN_LINES = ["sort Acc", "merge Acc -> All"]
 class IsmWorkspace(Workspace):
     """A sparse workspace: one IsmEngine per execution, run once per host row
     in row order, from reset() to result(), also for a row that inserts
-    nothing. A row's result is copied into the batch's block as the row
-    ends; a batch of one row hands the engine's arrays over."""
+    nothing. A row's result joins the batch's block as the row ends."""
 
     def __init__(self, ex: _Execution, meta: WsMeta) -> None:
         d = meta.descriptor
@@ -962,8 +983,9 @@ class IsmWorkspace(Workspace):
         return [*_DRAIN_LINES, f"compress All -> {into}"]
 
     def start(self, n: int) -> None:
-        self.n, self.row = n, 0
-        self.block = _Block(n, len(self.engine.extents))
+        self.row = 0
+        self.counts = np.zeros(n, dtype=np.int64)
+        self.block = _Block(len(self.engine.extents))
         self.engine.reset()
 
     def _advance(self, row: int) -> None:
@@ -973,9 +995,8 @@ class IsmWorkspace(Workspace):
             self.engine.reset()
 
     def _keep(self, coords: list[np.ndarray], vals: np.ndarray) -> None:
-        self.block.counts[self.row] = len(vals)
-        for part, src in zip(self.block.grow(len(vals)), [*coords, vals]):
-            part[:] = src
+        self.counts[self.row] = len(vals)
+        self.block.extend([], None, coords, vals)
 
     def insert(self, owner: np.ndarray, keys: np.ndarray, vals: np.ndarray) -> None:
         starts = np.flatnonzero(np.diff(owner, prepend=-1)).tolist()
@@ -984,14 +1005,10 @@ class IsmWorkspace(Workspace):
             self.engine.insert_batch(keys[lo:hi], vals[lo:hi])
 
     def finish(self) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-        self._advance(self.n - 1)
-        coords, vals = self.engine.result()
-        if self.block.size:
-            self._keep(coords, vals)
-            return self.block.take()
-        # no earlier row has entries: the last row's arrays are the block's
-        self.block.counts[-1] = len(vals)
-        return self.block.counts, coords, vals
+        self._advance(len(self.counts) - 1)
+        self._keep(*self.engine.result())
+        _, _, coords, vals = self.block.take()
+        return self.counts, coords, vals
 
 
 class DenseWorkspace(Workspace):
@@ -1028,7 +1045,8 @@ class DenseWorkspace(Workspace):
         return [f"gather nonzeros {meta.name} -> {into}({coords}, :)", f"clear {meta.name}"]
 
     def start(self, n: int) -> None:
-        self.block = _Block(n, 1)
+        self.counts = np.zeros(n, dtype=np.int64)
+        self.block = _Block(1)
         # the open cells, keyed (row, coordinate) in the host rows' int64
         self.keys = np.empty(0, dtype=np.int64)
         self.sums = np.empty(0, dtype=np.float64)
@@ -1051,60 +1069,24 @@ class DenseWorkspace(Workspace):
 
     def _close(self, keys: np.ndarray, sums: np.ndarray) -> None:
         """Move final cells, in order, to the block."""
-        block = self.block
-        rows = np.searchsorted(keys, np.arange(len(block.counts) + 1) * self.extent)
-        block.counts += np.diff(rows)
-        crd, vals = block.grow(len(keys))
-        np.remainder(keys, self.extent, out=crd, casting="unsafe")
-        vals[:] = sums
+        rows = np.searchsorted(keys, np.arange(len(self.counts) + 1) * self.extent)
+        self.counts += np.diff(rows)
+        crd = np.remainder(keys, self.extent, out=np.empty(len(keys), CRD_DTYPE),
+                           casting="unsafe")
+        self.block.extend([], None, [crd], sums)
 
     def finish(self) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
         """Every cell a value was added to, in order, a sum that cancels to
         0.0 included, as a sparse workspace keeps it."""
         self._close(self.keys, self.sums)
-        return self.block.take()
+        _, _, crd, vals = self.block.take()
+        return self.counts, crd, vals
 
 
 WORKSPACE_KINDS: dict[str, type[Workspace]] = {
     SPARSE_WS: IsmWorkspace,
     DENSE_WS: DenseWorkspace,
 }
-
-
-class _Collector:
-    """Ordered sink for the result's entries in storage-level order, as
-    segments: the first levels' coordinates once per segment, with its entry
-    count (None: one entry each), and the other levels' coordinates and the
-    values once per entry."""
-
-    def __init__(self, levels: int) -> None:
-        self.levels = levels
-        self.prefix = 0
-        # the chunks of each level's coordinates, of the values and of the counts
-        self._columns: list[list] = []
-
-    def extend(self, prefix: list[np.ndarray], counts: np.ndarray | None,
-               tail: list[np.ndarray], vals: np.ndarray) -> None:
-        if not len(vals):
-            return
-        if not self._columns:
-            self.prefix = len(prefix)
-            self._columns = [[] for _ in range(self.levels + 2)]
-        for chunks, col in zip(self._columns, [*prefix, *tail, vals, counts]):
-            chunks.append(col)
-
-    def finalize(self) -> tuple[list, np.ndarray | None, list, np.ndarray]:
-        """Join each column and drop its chunks before joining the next, so
-        the chunks and the joined columns are never all live at once."""
-        if not self._columns:
-            return [np.empty(0, CRD_DTYPE)] * self.levels, None, [], np.empty(0, VAL_DTYPE)
-        out = []
-        for chunks in self._columns:
-            out.append(chunks[0] if len(chunks) == 1 or chunks[0] is None
-                       else np.concatenate(chunks))
-            chunks.clear()
-        *coords, vals, counts = out
-        return coords[:self.prefix], counts, coords[self.prefix:], vals
 
 
 class _Execution:
@@ -1123,7 +1105,7 @@ class _Execution:
         # (parent position, coordinate) keys of the levels that locate searches
         self._level_keys: dict[tuple[str, int], np.ndarray] = {}
         if not plan.result_format.all_dense():
-            self.collector = _Collector(plan.result_format.order)
+            self.collector = _Block(plan.result_format.order)
         else:
             shape = tuple(self.extents[v] for v in plan.result.vars)
             self.dense_out = np.zeros(shape, dtype=np.float64)
@@ -1218,7 +1200,7 @@ class _Execution:
             else:  # one copy, into level order
                 tensor = from_dense(self.dense_out, fmt)
         else:
-            prefix, counts, tail, out_vals = self.collector.finalize()
+            prefix, counts, tail, out_vals = self.collector.take()
             tensor = compress_segments(prefix, counts, tail, out_vals, fmt, dims)
         return ExecutionResult(tensor, self.counters)
 

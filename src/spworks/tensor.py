@@ -653,12 +653,17 @@ def from_unsorted(
 def from_dense(array: np.ndarray, fmt: Format | None = None) -> Tensor:
     """Build a tensor from a dense array; defaults to an all-dense format.
     Sparse formats store every nonzero cell, NaN included and -0.0 not."""
-    arr = np.asarray(array, dtype=VAL_DTYPE)
+    arr = np.asarray(array)
+    # an array numpy casts safely to float64 (bool, an integer, float16 to
+    # float64) is scanned in its own dtype, since a value is nonzero after
+    # the cast exactly when it is before; any other is converted first
+    if not np.can_cast(arr.dtype, VAL_DTYPE):
+        arr = arr.astype(VAL_DTYPE)
     fmt = fmt or dense(arr.ndim)
     by_level = np.transpose(arr, access_map(range(arr.ndim), fmt))
     if fmt.all_dense():
         levels = tuple(DenseLevel(e) for e in by_level.shape)
-        vals = np.array(by_level, order="C").reshape(-1)  # one copy
+        vals = np.array(by_level, dtype=VAL_DTYPE, order="C").reshape(-1)  # one copy
         return Tensor(dims=arr.shape, format=fmt, levels=levels, coo_coords=None, vals=vals)
     # one scan marks the nonzero cells of the level-order view (a scalar is
     # one cell) in a C-ordered mask, 1 B per cell, whose flat order is the
@@ -670,7 +675,7 @@ def from_dense(array: np.ndarray, fmt: Format | None = None) -> Tensor:
         np.flatnonzero(np.not_equal(cells, 0, out=np.empty(cells.shape, dtype=bool))),
         cells.shape)
     mode_coords = [idx[fmt.mode_ordering.index(m)] for m in range(fmt.order)]
-    return compress_arrays(mode_coords, cells[idx], fmt, arr.shape)
+    return compress_arrays(mode_coords, cells[idx].astype(VAL_DTYPE, copy=False), fmt, arr.shape)
 
 
 def reformat(tensor: Tensor, fmt: Format) -> Tensor:

@@ -591,10 +591,10 @@ def test_engines_are_released_before_the_result_is_compressed(name, monkeypatch)
 
 @pytest.mark.parametrize("name", ["spgemm-rowwise-hoist", "mttkrp", "spgemm-rowwise", "ttm"])
 def test_a_hoisted_workspace_hands_over_one_block_per_host_batch(name, monkeypatch):
-    # host batches of two rows: each batch's drain appends one block to
-    # the collector, a prefix coordinate and an entry count per host row and
-    # only the workspace's own coordinates and the values per entry, and
-    # compression gets the prefix levels once per host row
+    # host batches of two rows: each batch's drain extends the execution's
+    # collector block once, with a prefix coordinate and an entry count per
+    # host row and only the workspace's own coordinates and the values per
+    # entry, and compression gets the prefix levels once per host row
     monkeypatch.setattr(lowering, "_OUTER_CHUNK", 2)
     kernel = KERNELS_BY_NAME[name]
     stmt, plan, _ = prepare(kernel)
@@ -602,16 +602,23 @@ def test_a_hoisted_workspace_hands_over_one_block_per_host_batch(name, monkeypat
     batches: list[int] = []
     blocks: list[tuple] = []
     compressed: list[tuple] = []
-    start, extend = meta.impl.start, lowering._Collector.extend
+    collectors: set[int] = set()
+    start, extend, drain = meta.impl.start, lowering._Block.extend, lowering.DrainWs.run
     compress = lowering.compress_segments
 
     def tracked_start(self, n):
         batches.append(n)
         start(self, n)
 
+    def tracked_drain(self, ex, rows):
+        collectors.add(id(ex.collector))
+        drain(self, ex, rows)
+
     def tracked_extend(self, prefix, counts, tail, vals):
-        blocks.append(([len(p) for p in prefix], len(counts), [len(c) for c in tail],
-                       len(vals), int(counts.sum())))
+        # a workspace's own block is extended too, as each row ends
+        if id(self) in collectors:
+            blocks.append(([len(p) for p in prefix], len(counts), [len(c) for c in tail],
+                           len(vals), int(counts.sum())))
         extend(self, prefix, counts, tail, vals)
 
     def tracked_compress(prefix, counts, tail, vals, *args):
@@ -619,12 +626,14 @@ def test_a_hoisted_workspace_hands_over_one_block_per_host_batch(name, monkeypat
         return compress(prefix, counts, tail, vals, *args)
 
     monkeypatch.setattr(meta.impl, "start", tracked_start)
-    monkeypatch.setattr(lowering._Collector, "extend", tracked_extend)
+    monkeypatch.setattr(lowering.DrainWs, "run", tracked_drain)
+    monkeypatch.setattr(lowering._Block, "extend", tracked_extend)
     monkeypatch.setattr(lowering, "compress_segments", tracked_compress)
     inst = kernel.instance(1)
     out = sw.execute(plan, inst.tensors)
     assert np.array_equal(out.tensor.to_dense(), sw.dense_oracle(stmt, inst.arrays))
     levels, slots = out.tensor.order, len(meta.slot_vars)
+    assert len(collectors) == 1
     assert len(batches) >= 3 and len(blocks) == len(batches)
     for n, (prefix, segments, tail, entries, counted) in zip(batches, blocks):
         assert prefix == [n] * (levels - slots) and segments == n
@@ -633,6 +642,56 @@ def test_a_hoisted_workspace_hands_over_one_block_per_host_batch(name, monkeypat
     rows = sum(n for n, block in zip(batches, blocks) if block[3])
     assert compressed == [([rows] * (levels - slots), rows, out.tensor.nnz)]
     assert rows < out.tensor.nnz
+
+
+def test_a_block_takes_over_its_first_arrays_and_copies_the_rest():
+    # an empty block takes over the arrays of its first extend and hands
+    # them back as they are; more entries are copied into buffers of its
+    # own, so the caller's arrays are never written into or resized
+    rng = np.random.default_rng(3)
+    parts = []
+    for _ in range(6):
+        counts = rng.integers(0, 4, 5)
+        counts[0] += 1  # an extend without entries leaves nothing
+        n = int(counts.sum())
+        parts.append(([rng.integers(0, 9, 5).astype(CRD_DTYPE)], counts,
+                      [rng.integers(0, 9, n).astype(CRD_DTYPE)], rng.random(n)))
+    saved = [[c.copy() for c in (*prefix, counts, *tail, vals)]
+             for prefix, counts, tail, vals in parts]
+    ((p,), c, (t,), v) = parts[0]
+    block = lowering._Block(2)
+    block.extend([p], c, [t], v)
+    (prefix,), counts, (tail,), vals = block.take()
+    assert prefix is p and counts is c and tail is t and vals is v
+    block = lowering._Block(2)
+    for part in parts:
+        block.extend(*part)
+    (prefix,), counts, (tail,), vals = block.take()
+    for part, kept in zip(parts, saved):
+        (p,), c, (t,), v = part
+        assert all(np.array_equal(a, b) for a, b in zip((p, c, t, v), kept))
+    for got, column in zip((prefix, counts, tail, vals), zip(*saved)):
+        assert got.dtype == column[0].dtype
+        assert np.array_equal(got, np.concatenate(column))
+
+
+@pytest.mark.parametrize("policy", list(sw.Policy))
+def test_a_top_level_workspace_result_is_not_copied(policy, monkeypatch):
+    # a FULL workspace's one block passes through the collector and into
+    # the tensor as the engine's own values
+    kernel = KERNELS_BY_NAME["spgemm-outer"]
+    _, plan, _ = prepare(kernel, policy)
+    results = []
+    result = ism.IsmEngine.result
+
+    def tracked_result(self):
+        results.append(result(self))
+        return results[-1]
+
+    monkeypatch.setattr(ism.IsmEngine, "result", tracked_result)
+    out = sw.execute(plan, kernel.instance(1).tensors)
+    ((_, vals),) = results
+    assert len(vals) == out.tensor.nnz > 0 and np.shares_memory(out.tensor.vals, vals)
 
 
 @pytest.mark.parametrize("name", ["spgemm-rowwise-hoist", "spgemm-rowwise"])
@@ -888,6 +947,24 @@ def test_scratch_beyond_a_large_result_per_entry(name, bound):
     _, plan, _ = prepare(kernel)
     scratch, out = _execute_scratch(plan, tensors)
     assert scratch <= bound * out.nnz
+
+
+def test_ttm_scratch_beyond_the_result_per_entry():
+    # the benchmark's append-dense operands for ttm at seed 1 (the arrays
+    # drawn before them are drawn and dropped): five host batches of a dense
+    # workspace whose blocks the collector appends into one buffer, with no
+    # join at the end (6.59 B per entry measured, 8.26 with a join)
+    rng = np.random.default_rng([1, 2])
+    for shape, density in [((600, 600), 0.01)] * 2 + [((1500, 1500), 0.005)] * 2:
+        sparse_array(rng, shape, density)
+    sparse_array(rng, (1000, 1000), 0.05)
+    dense_array(rng, (1000, 1000))
+    kernel = KERNELS_BY_NAME["ttm"]
+    arrays = {"X": sparse_array(rng, (100, 100, 100), 0.02), "U": dense_array(rng, (100, 16))}
+    tensors = {t: sw.from_dense(a, kernel.formats[t]) for t, a in arrays.items()}
+    _, plan, _ = prepare(kernel)
+    scratch, out = _execute_scratch(plan, tensors)
+    assert out.nnz == 139_520 and scratch <= 7 * out.nnz
 
 
 class _Nest:

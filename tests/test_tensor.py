@@ -376,22 +376,27 @@ def test_from_dense_matches_the_index_walk(order, fmt_name):
         assert got.vals.dtype == np.float64
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, np.int32, np.bool_])
 @pytest.mark.parametrize("density", [0.0, 0.01, 0.5])
 @pytest.mark.parametrize("fmt, shape", [
     (sw.csr(), (1000, 1000)), (sw.csc(), (1000, 1000)), (sw.dcsc(), (1000, 1000)),
     (sw.coo(2), (1000, 1000)), (sw.csf(3), (100, 100, 100)), (sw.coo(3), (100, 100, 100)),
     (sw.sparse_vector(), (10**6,)),
 ], ids=lambda x: str(x) if isinstance(x, sw.Format) else "x".join(map(str, x)))
-def test_from_dense_scratch_per_cell_and_nonzero(fmt, shape, density):
+def test_from_dense_scratch_per_cell_and_nonzero(fmt, shape, density, dtype):
     # the scan holds a bool mask, 1 B per cell (and up to 64 KB of the
-    # ufunc's buffers over a view that is not C-ordered); compression starts
-    # from the int64 coordinates and the float values, 8 B per level and
-    # per nonzero, with the mask and the flat indices gone. Measured beyond
-    # the tensor it returns: 0.99-1.07 MB on 10^6 cells without nonzeros,
-    # and 8 B per nonzero more than the mask at 1%; at 50% 20.0 B per
-    # nonzero for CSR, 21.0 for DCSC, 29.8 for CSF(3) and 8.0 for SparseVec
+    # ufunc's buffers over a view that is not C-ordered), whatever the
+    # array's dtype: an int or bool array is scanned in its own dtype and
+    # only its nonzero values become floats. Compression starts from the
+    # int64 coordinates and the float values, 8 B per level and per nonzero,
+    # with the mask and the flat indices gone. Measured beyond the tensor
+    # it returns: 0.99-1.07 MB on 10^6 cells without nonzeros, and 8 B per
+    # nonzero more than the mask at 1%; at 50% 20.0 B per nonzero for CSR,
+    # 21.0 for DCSC, 29.8 for CSF(3) and 8.0 for SparseVec
     rng = np.random.default_rng(0)
-    array = (rng.random(shape) < density) * rng.random(shape)
+    mask = rng.random(shape) < density
+    array = (mask * rng.random(shape) if dtype is np.float64
+             else (mask * rng.integers(1, 10, shape)).astype(dtype))
     with peak_spans([(tensor, "from_dense"), (tensor, "compress_arrays")]) as probe:
         t = tensor.from_dense(array, fmt)
     convert, compress = probe.spans.values()
