@@ -54,6 +54,8 @@ from .ir import (
 from .ism import Counters, IsmEngine, Policy, hash_default_l
 from .tensor import (
     CRD_DTYPE,
+    MAX_EXTENT,
+    CompressedLevel,
     DenseLevel,
     Format,
     LevelFormat,
@@ -97,16 +99,18 @@ class DenseRange:
     def expand(self, ex: _Execution, rows: _Rows, var: IndexVar, chunk: int):
         keep = ex.keep[id(self)]
         ext = ex.extents[self.var]
+        total = rows.n * ext
+        dtype = ex.index_dtype(total)
 
         def batch(lo: int, hi: int) -> _Rows:
-            at = np.arange(lo, hi)
+            at = np.arange(lo, hi, dtype=dtype)
             child = rows.take(at // ext, keep)
             if _crd(var) in keep.sets:
                 child.crd[var] = np.remainder(at, ext, out=np.empty(len(at), CRD_DTYPE),
                                               casting="unsafe")
             return child
 
-        return _batches(batch, rows.n * ext, chunk)
+        return _batches(batch, total, chunk)
 
 
 @dataclass
@@ -132,19 +136,24 @@ class LevelIter:
         ends = shift - level.pos[rows.pos[self.aid]]
         np.cumsum(ends, out=ends)
         shift -= ends
+        total = int(ends[-1])
+        dtype = ex.index_dtype(total)
+        # a shift can be negative: in uint32 it wraps, and so does the sum,
+        # which is a position and fits
+        ends, shift = ends.astype(dtype, copy=False), shift.astype(dtype, copy=False)
 
         def batch(lo: int, hi: int) -> _Rows:
-            at = np.arange(lo, hi)
+            at = np.arange(lo, hi, dtype=dtype)
             row = np.searchsorted(ends, at, side="right")
             child = rows.take(row, keep)
             at += shift[row]
             if _pos(self.aid) in keep.sets:
-                child.pos[self.aid] = at
+                child.pos[self.aid] = at.astype(ex.pos_dtype, copy=False)
             if _crd(var) in keep.sets:
                 child.crd[var] = level.crd[at]
             return child
 
-        return _batches(batch, int(ends[-1]), chunk)
+        return _batches(batch, total, chunk)
 
 
 @dataclass
@@ -256,7 +265,7 @@ class LoopNode:
             # workspace, sees it
             if child.n:
                 if hosts:
-                    child.owner = np.arange(child.n)
+                    child.owner = np.arange(child.n, dtype=_OWNER_DTYPE)
                 for node in self.body:
                     node.run(ex, child)
             del child  # the next batch is built without this one
@@ -768,8 +777,9 @@ _OUTER_CHUNK = _CHUNK >> 3
 class _Rows:
     """A batch of loop iterations in execution order: the coordinate of
     bound index variables (CRD_DTYPE), the position of accesses at their
-    deepest resolved level, and each iteration's row in the batch of its
-    host loop (``owner``), each only where the nodes below still read it."""
+    deepest resolved level (the execution's ``pos_dtype``), and each
+    iteration's row in the batch of its host loop (``owner``, uint32), each
+    only where the nodes below still read it."""
 
     __slots__ = ("n", "crd", "pos", "owner")
 
@@ -805,6 +815,8 @@ def _pos(aid: int) -> tuple:
 
 
 _OWNER = ("owner", None)
+# a host batch has at most _OUTER_CHUNK rows
+_OWNER_DTYPE = np.dtype(np.uint32)
 
 
 def _batches(batch, total: int, chunk: int):
@@ -848,11 +860,16 @@ def _values(ex: _Execution, rows: _Rows, expr: Expr, amap: dict):
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, Access):
+        # a gather copies: the array is the expression's own
         return ex.tensors[expr.tensor].vals[rows.pos[amap[expr]]]
-    if isinstance(expr, Add):
-        return _values(ex, rows, expr.lhs, amap) + _values(ex, rows, expr.rhs, amap)
-    if isinstance(expr, Mul):
-        return _values(ex, rows, expr.lhs, amap) * _values(ex, rows, expr.rhs, amap)
+    if isinstance(expr, (Add, Mul)):
+        add = isinstance(expr, Add)
+        lhs = _values(ex, rows, expr.lhs, amap)
+        rhs = _values(ex, rows, expr.rhs, amap)
+        if isinstance(lhs, np.ndarray) and lhs.dtype == VAL_DTYPE:
+            # an array the expression allocated takes the result in place
+            return np.add(lhs, rhs, out=lhs) if add else np.multiply(lhs, rhs, out=lhs)
+        return lhs + rhs if add else lhs * rhs
     raise LoweringError(f"unknown expression node {expr!r}")
 
 
@@ -873,8 +890,8 @@ class Workspace:
     workspace's first allocation. For each host batch it then calls
     ``start(n)`` with the batch's ``n >= 1`` host rows (one at top level),
     ``insert(owner, keys, vals)`` with row-major keys over the slot extents,
-    in the workspace's ``key_dtype``, and each pair's host row, rows in
-    order, and ``finish()``, which returns the batch as one block
+    in the workspace's ``key_dtype``, and each pair's host row (uint32),
+    rows in order, and ``finish()``, which returns the batch as one block
     ``(counts, coordinates, values)``: each host row's entry count (int64),
     then every entry's slot coordinates (CRD_DTYPE) and value, row after
     row and sorted within a row. The caller owns all of these arrays.
@@ -999,7 +1016,10 @@ class IsmWorkspace(Workspace):
         self.block.extend([], None, coords, vals)
 
     def insert(self, owner: np.ndarray, keys: np.ndarray, vals: np.ndarray) -> None:
-        starts = np.flatnonzero(np.diff(owner, prepend=-1)).tolist()
+        starts = np.empty(len(owner), dtype=bool)
+        starts[:1] = True
+        np.not_equal(owner[1:], owner[:-1], out=starts[1:])
+        starts = np.flatnonzero(starts).tolist()
         for lo, hi in zip(starts, [*starts[1:], len(owner)]):
             self._advance(int(owner[lo]))
             self.engine.insert_batch(keys[lo:hi], vals[lo:hi])
@@ -1055,14 +1075,15 @@ class DenseWorkspace(Workspace):
         self.counters.inserts += len(keys)
         if not len(keys):
             return
-        keys = owner * self.extent + keys
+        # host rows widen before they scale: a key can pass 2^32
+        keys = np.multiply(owner, self.extent, dtype=np.int64) + keys
         union = np.sort(np.concatenate((self.keys, keys)))
         union = union[np.concatenate(([True], union[1:] != union[:-1]))]
         sums = np.zeros(len(union), dtype=np.float64)
         sums[np.searchsorted(union, self.keys)] = self.sums
         np.add.at(sums, np.searchsorted(union, keys), vals)
         del keys
-        final = int(np.searchsorted(union, owner[-1] * self.extent))
+        final = int(np.searchsorted(union, int(owner[-1]) * self.extent))
         # the last row's cells stay open, in arrays of their own
         self.keys, self.sums = union[final:].copy(), sums[final:].copy()
         self._close(union[:final], sums[:final])
@@ -1089,12 +1110,24 @@ WORKSPACE_KINDS: dict[str, type[Workspace]] = {
 }
 
 
+def _position_indexed(t: Tensor) -> list[np.ndarray]:
+    """The arrays of a tensor that positions index: the values and each
+    compressed level's pos and crd."""
+    levels = [lvl for lvl in t.levels or () if isinstance(lvl, CompressedLevel)]
+    return [t.vals, *(lvl.pos for lvl in levels), *(lvl.crd for lvl in levels)]
+
+
 class _Execution:
     def __init__(self, plan: Plan, tensors: dict[str, Tensor]) -> None:
         self.plan = plan
         self.tensors = tensors
         self.counters = Counters()
         self._validate()
+        # positions in 32 bits where every operand array they index, and so
+        # every position count, fits them
+        narrow = all(len(a) < MAX_EXTENT for name in plan.operands
+                     for a in _position_indexed(tensors[name]))
+        self.pos_dtype = np.dtype(CRD_DTYPE if narrow else np.int64)
         # what each batch carries, by the id of the node that builds it
         self.keep: dict[int, _Keep] = {}
         self._root = _needs(plan.body, set(), self.keep)
@@ -1166,7 +1199,8 @@ class _Execution:
             lvl = t.levels[level]
             parent = np.repeat(np.arange(len(lvl.pos) - 1), np.diff(lvl.pos))
             keys = self._level_keys[tensor, level] = parent * extent + lvl.crd
-        want = rows.pos[aid] * extent
+        # the key space can pass 2^32 where the positions do not
+        want = np.multiply(rows.pos[aid], extent, dtype=np.int64)
         want += crd
         at = np.searchsorted(keys, want)
         found = at < len(keys)
@@ -1174,14 +1208,19 @@ class _Execution:
         hit = np.flatnonzero(found)
         out = rows.take(hit, keep)
         if _pos(aid) in keep.sets:
-            out.pos[aid] = at[hit]
+            out.pos[aid] = at[hit].astype(self.pos_dtype, copy=False)
         return out
+
+    def index_dtype(self, total: int) -> np.dtype:
+        """The dtype of the iteration index of a loop expanded to ``total``
+        iterations: the position dtype, unless the index passes it."""
+        return self.pos_dtype if total < MAX_EXTENT else np.dtype(np.int64)
 
     def run(self) -> ExecutionResult:
         # one iteration, every access at its root position
-        root = _Rows(1, {}, {a: np.zeros(1, dtype=np.int64)
+        root = _Rows(1, {}, {a: np.zeros(1, dtype=self.pos_dtype)
                              for kind, a in self._root if kind == "pos"},
-                     np.zeros(1, dtype=np.int64) if _OWNER in self._root else None)
+                     np.zeros(1, dtype=_OWNER_DTYPE) if _OWNER in self._root else None)
         for node in self.plan.body:
             node.run(self, root)
         # fold each workspace's counters and drop the workspaces: an engine's

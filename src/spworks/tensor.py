@@ -616,7 +616,15 @@ def from_arrays(
 ) -> Tensor:
     """Stably sort per-mode coordinates by the target's access order,
     optionally sum duplicates in input order, then compress. Coordinates
-    that already ascend in that order, ties allowed, are not sorted."""
+    that already ascend in that order, ties allowed, are not sorted. The
+    tensor shares no memory with the caller's arrays."""
+    return _from_arrays(mode_coords, vals, fmt, dims, sum_duplicates, handed_over=False)
+
+
+def _from_arrays(mode_coords: Sequence[Sequence[int]], vals: Sequence[float], fmt: Format,
+                 dims: Sequence[int], sum_duplicates: bool, handed_over: bool) -> Tensor:
+    """``from_arrays``; the tensor may keep coordinate arrays that are
+    ``handed_over``, which no caller uses again."""
     by_mode, vals = _checked_arrays(mode_coords, vals, fmt.order)
     by_level = [by_mode[m] for m in fmt.mode_ordering]
     if _adjacent_pairs(by_level, len(vals))[1]:
@@ -624,8 +632,9 @@ def from_arrays(
         by_mode = [c[order] for c in by_mode]
         vals = vals[order].astype(VAL_DTYPE, copy=False)
     else:
-        # compress_arrays would take over the caller's arrays
-        by_mode = [c.copy() if c.dtype == CRD_DTYPE else c for c in by_mode]
+        if not handed_over:
+            # compress_arrays would take over the caller's arrays
+            by_mode = [c.copy() if c.dtype == CRD_DTYPE else c for c in by_mode]
         vals = vals.astype(VAL_DTYPE)
     if sum_duplicates and len(vals):
         changed = np.zeros(len(vals), dtype=bool)
@@ -684,7 +693,10 @@ def reformat(tensor: Tensor, fmt: Format) -> Tensor:
         raise TensorError(
             f"cannot reformat an order-{tensor.order} tensor as order-{fmt.order}"
         )
-    return from_arrays(tensor.mode_coordinates(), tensor.vals, fmt, tensor.dims)
+    # a walk up the levels builds coordinate arrays of its own; a COO
+    # tensor's are its storage
+    return _from_arrays(tensor.mode_coordinates(), tensor.vals, fmt, tensor.dims, False,
+                        handed_over=not tensor.format.coo)
 
 
 def tensors_equal(a: Tensor, b: Tensor) -> bool:
