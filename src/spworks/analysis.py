@@ -168,7 +168,7 @@ class Classification:
 
 
 def _operand_level_kind(fmt: Format, mode: int) -> LevelKind:
-    return fmt.levels[fmt.mode_ordering.index(mode)].kind
+    return fmt.levels[fmt.mode_ordering.index(mode)]
 
 
 def _compressed_driver_count(v: IndexVar, accesses: list[Access],
@@ -251,33 +251,28 @@ class InsertionDecision:
         return self.action is not InsertionAction.NONE
 
 
-_ABILITY = {LevelKind.DENSE: 2, LevelKind.COMPRESSED: 1}
+def _undriven(v: IndexVar, out: Access, out_fmt: Format, accesses: list[Access],
+              formats: dict[str, Format]) -> bool:
+    """Whether the result stores v compressed while no compressed operand
+    level drives v, so that the loop over v visits coordinates it does not store."""
+    return (_operand_level_kind(out_fmt, out.vars.index(v)) is LevelKind.COMPRESSED
+            and not _compressed_driver_count(v, accesses, formats))
 
 
-def _iteration_kind(v: IndexVar, accesses: list[Access],
-                    formats: dict[str, Format]) -> LevelKind:
-    """How the merged loop over v iterates: compressed if any operand level
-    restricts it, dense when every driver covers the full dimension."""
-    if _compressed_driver_count(v, accesses, formats) > 0:
-        return LevelKind.COMPRESSED
-    return LevelKind.DENSE
-
-
-def _result_kind(v: IndexVar, out: Access, fmt: Format) -> LevelKind:
-    return _operand_level_kind(fmt, out.vars.index(v))
-
-
-def _has_sparse_union(expr: Expr, formats: dict[str, Format]) -> bool:
-    """True when an addition combines terms that include a sparse operand;
-    such unions cannot be appended into a sparse result stream."""
-    if isinstance(expr, Add):
-        sparse_below = any(not _format_of(a, formats).all_dense()
-                           for a in expr_accesses(expr))
-        return sparse_below or _has_sparse_union(expr.lhs, formats) \
-            or _has_sparse_union(expr.rhs, formats)
-    if isinstance(expr, Mul):
-        return _has_sparse_union(expr.lhs, formats) or _has_sparse_union(expr.rhs, formats)
-    return False
+def sparse_union_operand(expr: Expr, formats: dict[str, Format]) -> Access | None:
+    """The first sparse operand, left to right, that an addition combines
+    with other terms, or None. Such a union can be neither appended into a
+    sparse result stream nor run as one loop pass."""
+    pending = [(expr, False)]
+    while pending:
+        e, under_add = pending.pop()
+        if isinstance(e, Access):
+            if under_add and not _format_of(e, formats).all_dense():
+                return e
+        elif isinstance(e, (Add, Mul)):
+            inner = under_add or isinstance(e, Add)
+            pending += [(e.rhs, inner), (e.lhs, inner)]
+    return None
 
 
 def plan_insertion(
@@ -315,12 +310,9 @@ def plan_insertion(
             consumer_order=tuple(output_order),
         )
 
-    forced = _has_sparse_union(assign.rhs, formats)
-    mismatch = any(
-        _ABILITY[_result_kind(v, assign.lhs, out_fmt)]
-        < _ABILITY[_iteration_kind(v, accesses, formats)]
-        for v in output_order
-    )
+    forced = sparse_union_operand(assign.rhs, formats) is not None
+    mismatch = any(_undriven(v, assign.lhs, out_fmt, accesses, formats)
+                   for v in output_order)
     if cls.ordering == 0 and not forced and not mismatch:
         return InsertionDecision(
             InsertionAction.NONE,
@@ -353,11 +345,8 @@ def plan_insertion(
                 break
             prefix += 1
         if prefix >= 1:
-            ok = all(
-                _ABILITY[_result_kind(v, assign.lhs, out_fmt)]
-                >= _ABILITY[_iteration_kind(v, accesses, formats)]
-                for v in loop_order[:prefix]
-            )
+            ok = not any(_undriven(v, assign.lhs, out_fmt, accesses, formats)
+                         for v in loop_order[:prefix])
             suffix = output_order[prefix:]
             if ok and suffix:
                 return InsertionDecision(

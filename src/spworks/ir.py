@@ -178,12 +178,13 @@ class WorkspaceDescriptor:
     """Kind, shape, sorting policy and capacity of an inserted workspace.
 
     ``kind`` names the implementation in ``lowering.WORKSPACE_KINDS``,
-    SPARSE_WS (insert-sort-merge) or DENSE_WS. ``dims`` entries are
-    either fixed extents or dimension symbols (upper-case variable names)
-    resolved when tensors are bound. ``ow_order`` maps each
-    producer-side insertion variable to its position in the consumer's access
-    order. ``hash_l`` is the bucket count for the hash policy; left unset it
-    defaults from the input nonzero count at execution time.
+    SPARSE_WS (insert-sort-merge) or DENSE_WS. ``dims`` entries are fixed
+    extents, which must equal those the bound tensors give, or dimension
+    symbols (upper-case variable names), which only name one in the plan.
+    ``ow_order`` maps each producer-side insertion variable to its position
+    in the consumer's access order. ``hash_l`` is the bucket count for the
+    hash policy; left unset it defaults from the input nonzero count at
+    execution time.
     """
 
     order: int
@@ -309,7 +310,7 @@ def from_einsum(result: Access, rhs: Expr, loop_order: Sequence[IndexVar | str])
     order = [_as_var(v) for v in loop_order]
     if len(set(order)) != len(order):
         raise IrError("loop order contains a repeated variable")
-    used = list(result.vars) + [v for v in expr_vars(rhs) if v not in result.vars]
+    used = default_loop_order(result, rhs)
     missing = [v for v in used if v not in order]
     if missing:
         raise IrError(f"variables {missing} are not bound by the loop order")

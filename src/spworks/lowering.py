@@ -30,6 +30,7 @@ from .analysis import (
     insert_sparse_workspace,
     plan_insertion,
     reconstruct_input_order,
+    sparse_union_operand,
 )
 from .ir import (
     DENSE_WS,
@@ -53,13 +54,12 @@ from .ir import (
 )
 from .ism import Counters, IsmEngine, Policy, hash_default_l
 from .tensor import (
+    COMPRESSED,
     CRD_DTYPE,
     MAX_EXTENT,
     CompressedLevel,
     DenseLevel,
     Format,
-    LevelFormat,
-    LevelKind,
     Tensor,
     VAL_DTYPE,
     access_map,
@@ -299,39 +299,26 @@ class AccumReg:
 
 
 @dataclass
-class AppendRow:
-    """Append the register value at the tracked output coordinates."""
+class Append:
+    """Append the expression's values at the tracked output coordinates; with
+    no expression, the register's."""
 
     level_vars: tuple[IndexVar, ...]
+    expr: Expr | None = None
+    amap: dict = field(default_factory=dict)
 
     def lines(self, plan: Plan) -> list[str]:
         coords = ", ".join(v.name for v in self.level_vars)
-        return [f"append ({coords}) -> {plan.result.tensor}"]
+        value = "" if self.expr is None else f" = {format_expr(self.expr)}"
+        return [f"append ({coords}){value} -> {plan.result.tensor}"]
 
     def needs(self, live: set, keep: dict) -> set:
-        return live | {_crd(v) for v in self.level_vars}
+        live = live | {_crd(v) for v in self.level_vars}
+        return live if self.expr is None else live | _operands(self.expr, self.amap)
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
-        ex.collector.extend([rows.crd[v] for v in self.level_vars], None, [], ex.reg)
-
-
-@dataclass
-class AppendCompute:
-    level_vars: tuple[IndexVar, ...]
-    expr: Expr
-    amap: dict
-
-    def lines(self, plan: Plan) -> list[str]:
-        coords = ", ".join(v.name for v in self.level_vars)
-        return [f"append ({coords}) = {format_expr(self.expr)} "
-                f"-> {plan.result.tensor}"]
-
-    def needs(self, live: set, keep: dict) -> set:
-        return live | {_crd(v) for v in self.level_vars} | _operands(self.expr, self.amap)
-
-    def run(self, ex: _Execution, rows: _Rows) -> None:
-        ex.collector.extend([rows.crd[v] for v in self.level_vars], None, [],
-                            _evaluate(ex, rows, self.expr, self.amap))
+        vals = ex.reg if self.expr is None else _evaluate(ex, rows, self.expr, self.amap)
+        ex.collector.extend([rows.crd[v] for v in self.level_vars], None, [], vals)
 
 
 @dataclass
@@ -484,20 +471,6 @@ class Plan:
 # -- lowering -------------------------------------------------------------------
 
 
-def _check_term(term: Expr, formats: dict[str, Format]) -> None:
-    pending = [(term, False)]
-    while pending:
-        e, under_add = pending.pop()
-        if isinstance(e, Access):
-            if under_add and not _format_of(e, formats).all_dense():
-                raise LoweringError(
-                    f"sparse operand {e} appears inside an addition under a "
-                    "product; distribute the product or precompute the sum")
-        elif isinstance(e, (Add, Mul)):
-            inner = under_add or isinstance(e, Add)
-            pending += [(e.rhs, inner), (e.lhs, inner)]
-
-
 @dataclass
 class _Site:
     aid: int
@@ -550,13 +523,13 @@ class _Lowerer:
                         f"variable {v.name} of access {site.access} is not "
                         "bound by the loop nest")
                 own = posmap[v]
-                kind = site.fmt.levels[lvl].kind
-                if kind is LevelKind.COMPRESSED and own > resolved:
+                kind = site.fmt.levels[lvl]
+                if kind is COMPRESSED and own > resolved:
                     drivers[own].append(LevelIter(site.aid, site.access.tensor, lvl))
                     resolved = own
                 else:
                     at = max(own, resolved)
-                    cls = Locate if kind is LevelKind.COMPRESSED else DenseStep
+                    cls = Locate if kind is COMPRESSED else DenseStep
                     probes[at].append(cls(site.aid, site.access.tensor, lvl, v))
                     resolved = at
         loops: list[LoopNode] = []
@@ -620,24 +593,17 @@ def _lower_plain(stmt: Statement, formats: dict[str, Format]) -> Plan:
         return Plan(stmt, assign.lhs, result_fmt, [chain[0] for chain in chains],
                     low.operands(), low.sites, [])
 
-    if isinstance(assign.rhs, Add):
-        raise LoweringError(
-            "additive union into a sparse result needs a workspace")
-    _check_term(assign.rhs, formats)
-    order = reconstruct_input_order(stmt)
-    reductions = [v for v in order if v not in assign.lhs.vars]
-    r = order.index(reductions[0]) if reductions else len(order)
+    # NONE for a sparse result: one term with no sparse union, its result
+    # coordinates in storage order, every reduction loop inside them
+    cls = decision.classification
+    order = cls.loop_order
     chain, innermost, amap = low.build_pass(order, assign.rhs)
-    level_vars = access_map(assign.lhs.vars, result_fmt)
-    if r == len(order):
-        innermost.body.append(AppendCompute(level_vars, assign.rhs, amap))
+    if not cls.reduction_vars:
+        innermost.body.append(Append(cls.output_order, assign.rhs, amap))
     else:
-        if r == 0:
-            raise LoweringError("reduction loops enclose the result variables; "
-                                "a workspace is required")
         innermost.body.append(AccumReg(assign.rhs, amap))
-        host = chain[r - 1]
-        host.body = [SetReg(), *host.body, AppendRow(level_vars)]
+        host = chain[order.index(cls.reduction_vars[0]) - 1]
+        host.body = [SetReg(), *host.body, Append(cls.output_order)]
     return Plan(stmt, assign.lhs, result_fmt, [chain[0]], low.operands(),
                 low.sites, [])
 
@@ -650,7 +616,9 @@ def _producer_passes(low: _Lowerer, producer: Statement, i_vars: tuple[IndexVar,
     order = [*prefix, *reconstruct_input_order(producer)]
     chains: list = []
     for term in add_terms(p_assign.rhs):
-        _check_term(term, low.formats)
+        if (operand := sparse_union_operand(term, low.formats)) is not None:
+            raise LoweringError(f"sparse operand {operand} appears inside an addition under "
+                                "a product; distribute the product or precompute the sum")
         term_vars = set(v for a in expr_accesses(term) for v in a.vars)
         pass_order = [v for v in order if v in prefix or v in term_vars or v in i_vars]
         chain, innermost, amap = low.build_pass(pass_order, term)
@@ -716,7 +684,7 @@ def _lower_workspace(root: Statement, prefix: tuple[IndexVar, ...], where: Where
         tail: DrainWs | MaterializeWs = DrainWs(meta, ())
     else:
         meta.ws_format = Format(
-            tuple(LevelFormat(LevelKind.COMPRESSED) for _ in i_vars),
+            (COMPRESSED,) * len(i_vars),
             tuple(inv),
             name=f"ws-{descriptor.policy.label.lower()}",
         )
@@ -1163,9 +1131,11 @@ class _Execution:
         """Size each index variable from the tensors at the plan's sites, then
         from those of the nested consumer plans, in preorder. A nested plan
         can be the only binding site for a result dimension; its workspace
-        operand is not a tensor yet and binds nothing."""
+        operand is not a tensor yet and binds nothing. A workspace's fixed
+        extents must then equal the bound ones."""
         self.extents: dict[IndexVar, int] = {}
         pending = [self.plan]
+        metas: list[WsMeta] = []
         while pending:
             plan = pending.pop()
             for name, acc in plan.sites.values():
@@ -1185,8 +1155,15 @@ class _Execution:
                     for m, v in enumerate(meta.consumer_vars):
                         if meta.i_vars[m] in self.extents:
                             self.extents.setdefault(v, self.extents[meta.i_vars[m]])
+            metas += plan.workspaces
             pending.extend(meta.subplan for meta in reversed(plan.workspaces)
                            if meta.subplan is not None)
+        for meta in metas:
+            for d, v in zip(meta.descriptor.dims, meta.i_vars):
+                if not isinstance(d, str) and d != self.extents.get(v, d):
+                    raise LoweringError(f"workspace {meta.name} fixes the extent of "
+                                        f"{v.name} at {d}, but the tensors bind it to "
+                                        f"{self.extents[v]}")
 
     def locate(self, rows: _Rows, aid: int, tensor: str, level: int,
                crd: np.ndarray, keep: _Keep) -> _Rows:

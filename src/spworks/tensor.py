@@ -46,16 +46,8 @@ class LevelKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class LevelFormat:
-    kind: LevelKind
-
-    def __str__(self) -> str:
-        return str(self.kind)
-
-
-DENSE = LevelFormat(LevelKind.DENSE)
-COMPRESSED = LevelFormat(LevelKind.COMPRESSED)
+DENSE = LevelKind.DENSE
+COMPRESSED = LevelKind.COMPRESSED
 
 
 @dataclass(frozen=True)
@@ -67,7 +59,7 @@ class Format:
     coordinate list).
     """
 
-    levels: tuple[LevelFormat, ...]
+    levels: tuple[LevelKind, ...]
     mode_ordering: tuple[int, ...]
     coo: bool = False
     name: str | None = field(default=None, compare=False)
@@ -84,14 +76,14 @@ class Format:
         return len(self.levels)
 
     def all_dense(self) -> bool:
-        return not self.coo and all(lf.kind is LevelKind.DENSE for lf in self.levels)
+        return not self.coo and all(kind is DENSE for kind in self.levels)
 
     def __str__(self) -> str:
         if self.name:
             return self.name
         if self.coo:
             return f"COO({self.order})"
-        kinds = ",".join(str(lf) for lf in self.levels)
+        kinds = ",".join(map(str, self.levels))
         return f"Format([{kinds}], order={self.mode_ordering})"
 
 
@@ -443,10 +435,10 @@ def _compress(fmt: Format, dims: tuple[int, ...], prefix: list[np.ndarray],
     size = n if counts is None else len(counts)
     last = fmt.order - 1
     levels: list[DenseLevel | CompressedLevel] = []
-    for l, (lf, c, extent) in enumerate(zip(fmt.levels, [*prefix, *tail], extents)):
+    for l, (kind, c, extent) in enumerate(zip(fmt.levels, [*prefix, *tail], extents)):
         if l == len(prefix) and counts is not None:
             # from segments to entries
-            if lf.kind is LevelKind.COMPRESSED and l == last:
+            if kind is COMPRESSED and l == last:
                 # each entry is a child of its own, so a parent's children
                 # start where its first segment's entries do
                 ends = np.zeros(size + 1, np.int64)
@@ -459,7 +451,7 @@ def _compress(fmt: Format, dims: tuple[int, ...], prefix: list[np.ndarray],
                 parent = np.repeat(parent, counts)
                 owned = True
             size = n
-        if lf.kind is LevelKind.DENSE:
+        if kind is DENSE:
             if parent is None:
                 parent = c
             else:

@@ -11,16 +11,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spworks as sw
 import spworks.ism as ism
 import spworks.lowering as lowering
-from spworks.ir import build_nest, expr_accesses, format_expr, nest_assign, var
+from spworks.analysis import sparse_union_operand
+from spworks.ir import (build_nest, default_loop_order, expr_accesses, format_expr,
+                        nest_assign, var)
 from spworks.lowering import (
     AccumReg,
     AllocWs,
-    AppendCompute,
-    AppendRow,
+    Append,
     DenseRange,
     DrainWs,
     InsertWs,
@@ -67,7 +70,8 @@ def _three_term_arrays(rng: np.random.Generator, density: float) -> dict[str, np
 
 
 # plain plans the corpus never builds: a value register (SetReg, AccumReg,
-# AppendRow), a binary-search probe (Locate), and one dense pass per term
+# an Append without an expression), a binary-search probe (Locate), and one
+# dense pass per term
 REGISTER = Kernel("register", "a(i) = B(i, k) * c(k)", None,
                   {"a": sw.sparse_vector(), "B": sw.dcsr(), "c": sw.dense_vector()},
                   sw.InsertionAction.NONE, _register_arrays)
@@ -147,14 +151,14 @@ def test_sparse_append_plan_keeps_a_value_register():
     outer, inner = _loops(plan)
     assert isinstance(outer.body[0], SetReg)
     assert isinstance(inner.body[0], AccumReg)
-    assert isinstance(outer.body[-1], AppendRow)
+    assert isinstance(outer.body[-1], Append) and outer.body[-1].expr is None
 
 
 def test_fully_concordant_sparse_result_appends_computed_values():
     plan = _lower("A(i, j) = B(i, j) * C(i, j)",
                   {"A": sw.csr(), "B": sw.csr(), "C": sw.dense(2)})
     loops = _loops(plan)
-    assert isinstance(loops[-1].body[-1], AppendCompute)
+    assert isinstance(loops[-1].body[-1], Append) and loops[-1].body[-1].expr is not None
 
 
 def test_add_lowers_to_one_pass_per_term():
@@ -662,6 +666,76 @@ def test_a_hoisted_workspace_hands_over_one_block_per_host_batch(name, monkeypat
     assert rows < out.tensor.nnz
 
 
+def _real_valued(kernel: Kernel, seed: int) -> dict[str, np.ndarray]:
+    """The kernel's operands on real values: a sparse operand keeps its
+    pattern, with its first row (and its fourth, if any) emptied."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for name, a in kernel.make_arrays(rng, 0.1).items():
+        values = rng.random(a.shape)
+        if not kernel.formats[name].all_dense():
+            values[a == 0] = 0.0
+            values[[0, 3] if len(a) > 3 else [0]] = 0.0
+        out[name] = values
+    return out
+
+
+def _per_row_runs(kernel: Kernel, arrays: dict[str, np.ndarray], engine: sw.IsmEngine,
+                  rows: int) -> tuple[list[int], list[np.ndarray], list[np.ndarray]]:
+    """The hoisted workspace's model: one engine run per prefix row i, from
+    reset() to result(), inserting one pair at a time in loop order with
+    the product formed left to right; returns each row's entry count, and
+    its coordinates and values."""
+    counts, crds, vals = [], [], []
+    for i in range(rows):
+        engine.reset()
+        if kernel.name == "mttkrp":
+            x, b, c = arrays["X"], arrays["B"], arrays["C"]
+            for k, l in zip(*np.nonzero(x[i])):
+                for j in range(b.shape[1]):
+                    engine.insert_key(j, float(x[i, k, l]) * float(b[k, j]) * float(c[l, j]))
+        else:
+            b, c = arrays["B"], arrays["C"]
+            for k in np.flatnonzero(b[i]):
+                for j in np.flatnonzero(c[k]):
+                    engine.insert_key(int(j), float(b[i, k]) * float(c[k, j]))
+        (crd,), val = engine.result()
+        counts.append(len(val))
+        crds.append(crd.copy())
+        vals.append(val.copy())
+    return counts, crds, vals
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 7, 4096])
+@pytest.mark.parametrize("policy", list(sw.Policy), ids=lambda p: p.label)
+@pytest.mark.parametrize("name", ["spgemm-rowwise-hoist", "mttkrp"])
+def test_a_hoisted_sparse_workspace_runs_the_engine_once_per_prefix_row(name, policy,
+                                                                         capacity,
+                                                                         monkeypatch):
+    # rows span leaf chunks and host batches; values are real, so any change
+    # to the order in which a row's pairs are summed shows in the bytes
+    monkeypatch.setattr(lowering, "_CHUNK", 5)
+    monkeypatch.setattr(lowering, "_OUTER_CHUNK", 3)
+    kernel = KERNELS_BY_NAME[name]
+    _, plan, decision = prepare(kernel, policy, capacity)
+    assert decision.action is sw.InsertionAction.HOIST
+    arrays = _real_valued(kernel, seed=capacity)
+    tensors = {n: sw.from_dense(a, kernel.formats[n]) for n, a in arrays.items()}
+    out = sw.execute(plan, tensors)
+    sparse_nnz = sum(t.nnz for t in tensors.values() if not t.format.all_dense())
+    hash_l = sw.hash_default_l(sparse_nnz) if policy is sw.Policy.HASH else None
+    engine = sw.IsmEngine([out.tensor.dims[1]], policy, capacity, hash_l=hash_l)
+    rows = out.tensor.dims[0]
+    counts, crds, vals = _per_row_runs(kernel, arrays, engine, rows)
+    assert 0 in counts
+    assert isinstance(out.tensor.levels[0], DenseLevel)
+    pos, crd = out.tensor.levels[1].pos, out.tensor.levels[1].crd
+    assert np.array_equal(pos, np.concatenate(([0], np.cumsum(counts))))
+    assert np.array_equal(crd, np.concatenate(crds))
+    assert out.tensor.vals.tobytes() == np.concatenate(vals).tobytes()
+    assert out.counters == engine.counters
+
+
 def test_a_block_takes_over_its_first_arrays_and_copies_the_rest():
     # an empty block takes over the arrays of its first extend and hands
     # them back as they are; more entries are copied into buffers of its
@@ -764,10 +838,11 @@ class DictWorkspace(lowering.Workspace):
         return counts, [c.astype(CRD_DTYPE) for c in coords], vals
 
 
-def _with_kind(stmt: sw.Statement, kind: str) -> sw.Statement:
+def _with_descriptor(stmt: sw.Statement, **changes) -> sw.Statement:
+    """The statement with its workspace descriptor's fields changed."""
     if isinstance(stmt, sw.Where):
-        return replace(stmt, descriptor=replace(stmt.descriptor, kind=kind))
-    return replace(stmt, body=_with_kind(stmt.body, kind))
+        return replace(stmt, descriptor=replace(stmt.descriptor, **changes))
+    return replace(stmt, body=_with_descriptor(stmt.body, **changes))
 
 
 @pytest.mark.parametrize("name", ["spgemm-rowwise-hoist", "spgemm-outer"])
@@ -777,7 +852,7 @@ def test_a_registered_workspace_kind_runs_without_lowering_edits(name, small_cor
     kernel = KERNELS_BY_NAME[name]
     stmt = kernel.statement()
     rewritten, _ = sw.insert_sparse_workspace(stmt, kernel.formats, **kernel.insert_kw)
-    plan = sw.lower(_with_kind(rewritten, "dict"), kernel.formats)
+    plan = sw.lower(_with_descriptor(rewritten, kind="dict"), kernel.formats)
     assert [meta.impl for meta in plan.workspaces] == [DictWorkspace]
     text = sw.print_plan(plan)
     assert "workspace W: " in text and "sorted items W -> A" in text
@@ -1177,6 +1252,45 @@ def test_sparse_operand_under_an_addition_inside_a_product():
                {"A": sw.dense(2), "B": sw.dense(2), "C": sw.csr(), "D": sw.dense(2)})
 
 
+def test_a_producer_term_with_a_sparse_union_names_the_operand():
+    # a sparse result sends the statement through a conversion workspace,
+    # whose producer runs the term as one pass
+    stmt = sw.statement_from_text("A(i, j) = B(i, j) * (D(i, j) + C(i, j))")
+    formats = {"A": sw.csr(), "B": sw.dense(2), "C": sw.csr(), "D": sw.dense(2)}
+    rewritten, decision = sw.insert_sparse_workspace(stmt, formats)
+    assert decision.action is sw.InsertionAction.CONVERSION
+    with pytest.raises(LoweringError, match=r"sparse operand C\(i,j\) appears inside an "
+                                            r"addition under a product; distribute the product"):
+        sw.lower(rewritten, formats)
+
+
+def test_a_fixed_workspace_extent_must_equal_the_bound_one():
+    kernel = KERNELS_BY_NAME["spgemm-rowwise-hoist"]
+    inst = kernel.instance(1)
+    rewritten, _ = sw.insert_sparse_workspace(kernel.statement(), kernel.formats,
+                                              **kernel.insert_kw)
+    n = inst.tensors["C"].dims[1]
+    fixed = sw.lower(_with_descriptor(rewritten, dims=(n,)), kernel.formats)
+    assert f"dims={{{n}}}" in sw.print_plan(fixed)
+    got, want = sw.execute(fixed, inst.tensors), sw.execute(prepare(kernel)[1], inst.tensors)
+    assert sw.tensors_equal(got.tensor, want.tensor) and got.counters == want.counters
+    wrong = sw.lower(_with_descriptor(rewritten, dims=(5,)), kernel.formats)
+    assert "dims={5}" in sw.print_plan(wrong)
+    with pytest.raises(LoweringError, match=f"workspace W fixes the extent of j at 5, "
+                                            f"but the tensors bind it to {n}"):
+        sw.execute(wrong, inst.tensors)
+
+
+def test_a_nested_workspace_extent_must_equal_the_bound_one():
+    plan = _materializing_plan()
+    (inner,) = plan.workspaces[0].subplan.workspaces
+    inner.descriptor = replace(inner.descriptor, dims=(3,))
+    _, _, tensors = _matmul_operands(3)
+    with pytest.raises(LoweringError, match="workspace W' fixes the extent of j at 3, "
+                                            "but the tensors bind it to 7"):
+        sw.execute(plan, tensors)
+
+
 def test_execute_validates_bindings():
     kernel = KERNELS_BY_NAME["elementwise"]
     _, plan, _ = prepare(kernel)
@@ -1283,6 +1397,63 @@ def test_reduction_outermost_takes_a_full_workspace():
         assert np.array_equal(out.tensor.to_dense(), sw.dense_oracle(stmt, {"B": b}))
 
 
+# -- what a sparse result without a workspace can be ------------------------------------
+
+# two- and three-operand statements; a lower-case operand is a vector
+_DRAWN = [
+    "A(i,j) = B(i,j) * C(i,j)",
+    "A(i,j) = B(i,k) * C(k,j)",
+    "A(i,j) = B(i,j) + C(i,j)",
+    "a(i) = B(i,k) * c(k)",
+    "A(i,j) = B(i,k) * C(k,j) * D(i,j)",
+    "A(i,j) = B(i,j) * (C(i,j) + D(i,j))",
+    "A(i,j) = B(i,j) * C(i,j) + D(i,j)",
+    "A(i,j) = B(i,k) * C(i,k) * D(k,j)",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_a_sparse_result_needs_no_workspace_only_where_lowering_can_append(data):
+    # plan_insertion's NONE verdict for a sparse result implies what lowering
+    # relies on without checking: one term, no sparse operand under an
+    # addition, and every reduction loop inside the result loops
+    text = data.draw(st.sampled_from(_DRAWN))
+    lhs, rhs = sw.parse_einsum(text)
+    order = data.draw(st.permutations(default_loop_order(lhs, rhs)))
+    stmt = sw.statement_from_text(text, order)
+    formats = {lhs.tensor: data.draw(st.sampled_from(
+        [sw.csr(), sw.dcsr()] if len(lhs.vars) == 2 else [sw.sparse_vector()]))}
+    for acc in expr_accesses(rhs):
+        formats[acc.tensor] = data.draw(st.sampled_from(
+            [sw.dense(2), sw.csr(), sw.dcsr()] if len(acc.vars) == 2
+            else [sw.dense_vector(), sw.sparse_vector()]))
+    decision = sw.plan_insertion(stmt, formats)
+    if decision.action is not sw.InsertionAction.NONE:
+        return
+    cls = decision.classification
+    assert not isinstance(rhs, sw.Add)
+    assert sparse_union_operand(rhs, formats) is None
+    at = {v: n for n, v in enumerate(cls.loop_order)}
+    assert all(at[r] > at[v] for r in cls.reduction_vars for v in lhs.vars)
+    try:
+        plan = sw.lower(stmt, formats)
+    except LoweringError as exc:  # the one refusal left, of a plan it cannot build
+        assert "more than two compressed operands" in str(exc)
+        return
+    appends = [n for loop in _loops(plan) for n in loop.body if isinstance(n, Append)]
+    assert len(appends) == 1
+    assert appends[0].expr == (None if cls.reduction_vars else rhs)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    extents = {v: int(rng.integers(1, 6)) for v in at}
+    arrays = {a.tensor: sparse_array(rng, tuple(extents[v] for v in a.vars), 0.5)
+              for a in expr_accesses(rhs)}
+    tensors = {n: sw.from_dense(a, formats[n]) for n, a in arrays.items()}
+    out = sw.execute(plan, tensors).tensor
+    assert out.format == formats[lhs.tensor]
+    assert np.array_equal(out.to_dense(), sw.dense_oracle(stmt, arrays))
+
+
 # -- sums over reduction variables -------------------------------------------------------
 
 _SUM_EXTENTS = {"i": 7, "j": 6, "k": 5}
@@ -1324,7 +1495,7 @@ def _run_sum(text: str, result_fmt: sw.Format, kind: str | None, seed: int,
     rewritten, decision = sw.insert_sparse_workspace(stmt, formats)
     assert (decision.action is sw.InsertionAction.NONE) == (kind is None)
     if kind is not None:
-        rewritten = _with_kind(rewritten, kind)
+        rewritten = _with_descriptor(rewritten, kind=kind)
     plan = sw.lower(rewritten, formats)
     tensors = {name: sw.from_dense(a, formats[name]) for name, a in arrays.items()}
     out = sw.execute(plan, tensors).tensor

@@ -71,3 +71,38 @@ def test_modules_use_every_name_they_import():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused
+
+
+def _top_level_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Every name the node reads: bare, as an attribute, or imported."""
+    refs = _names_used(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            refs.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            refs.add(sub.name)
+    return refs
+
+
+def test_modules_reference_every_private_definition():
+    # a private module-level function, class or constant that no other
+    # statement in the package reads is dead; its own body does not count
+    statements = [(path.name, node)
+                  for path in sorted(Path(sw.__file__).parent.glob("*.py"))
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    refs = [_references(node) for _, node in statements]
+    dead = [f"{module}:{node.lineno} {name}"
+            for at, (module, node) in enumerate(statements)
+            for name in _top_level_names(node)
+            if name.startswith("_") and not name.startswith("__")
+            and not any(name in r for other, r in enumerate(refs) if other != at)]
+    assert not dead
