@@ -108,7 +108,6 @@ from .tensor import (
     format_from_name,
     from_dense,
     from_unsorted,
-    iterate_level,
     reformat,
     sparse_vector,
     tensors_equal,

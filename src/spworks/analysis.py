@@ -320,7 +320,9 @@ def plan_insertion(
             cls,
         )
 
-    single_term = not isinstance(assign.rhs, Add)
+    # a hoisted or dense workspace takes one pass; a sum, or a product that
+    # lowering distributes over a sparse operand's sum, takes several
+    single_term = not isinstance(assign.rhs, Add) and not forced
     if cls.ordering >= 1 and not derived and single_term:
         reductions = list(cls.reduction_vars)
         first = loop_order.index(reductions[0])

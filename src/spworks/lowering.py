@@ -1,8 +1,9 @@
 """Lowering scheduled statements to imperative loop plans, and executing them.
 
-A plan is a tree of loop nodes. Each loop is driven either by a dense range,
-by one compressed tensor level, or by the two-pointer intersection of two
-compressed levels; further operands resolve inside the loop through probes
+A plan is a tree of loop nodes. Each loop is driven either by a dense range
+or by one compressed tensor level it walks; the other compressed levels that
+drive it are located in the walked one's coordinates, which intersects any
+number of them. Further operands resolve inside the loop through probes
 (positional arithmetic for dense levels, binary search for compressed ones).
 A workspace statement adds an allocation, an insert at the innermost loop
 and a drain after the loops; their plan lines and their execution come from
@@ -157,32 +158,6 @@ class LevelIter:
 
 
 @dataclass
-class Intersect:
-    first: LevelIter
-    second: LevelIter
-
-    def __str__(self) -> str:
-        return f"{self.first} & {self.second}"
-
-    def needs(self, live: set, var: IndexVar, keep: dict) -> set:
-        b = self.second.aid
-        keep[id(self)] = _Keep.of(live, {_pos(b)})
-        return self.first.needs(live | {_pos(b), _crd(var)}, var, keep)
-
-    def expand(self, ex: _Execution, rows: _Rows, var: IndexVar, chunk: int):
-        # walking the first level and searching the second yields the common
-        # coordinates in the order of a two-pointer merge
-        b = self.second
-        keep = ex.keep[id(self)]
-
-        def located(child: _Rows) -> _Rows:
-            return ex.locate(child, b.aid, b.tensor, b.level, child.crd[var], keep)
-
-        # map keeps no walked batch while the located one runs
-        return map(located, self.first.expand(ex, rows, var, chunk))
-
-
-@dataclass
 class DenseStep:
     aid: int
     tensor: str
@@ -205,13 +180,22 @@ class DenseStep:
 
 @dataclass
 class Locate:
+    """Search a compressed level for the loop variable's coordinate. A
+    locate that ``drives`` its loop is one of the levels it intersects: the
+    loop walks its first level and locates every other one, ahead of its
+    other probes, and names them all in its header."""
+
     aid: int
     tensor: str
     level: int
     var: IndexVar
+    drives: bool = False
+
+    def __str__(self) -> str:
+        return f"{self.tensor}.level({self.level})"
 
     def lines(self, plan: Plan) -> list[str]:
-        return [f"locate {self.var.name} in {self.tensor}.level({self.level})"]
+        return [] if self.drives else [f"locate {self.var.name} in {self}"]
 
     def needs(self, live: set, keep: dict) -> set:
         keep[id(self)] = _Keep.of(live, {_pos(self.aid)})
@@ -225,12 +209,13 @@ class Locate:
 @dataclass
 class LoopNode:
     var: IndexVar
-    driver: DenseRange | LevelIter | Intersect
+    driver: DenseRange | LevelIter
     probes: list = field(default_factory=list)
     body: list = field(default_factory=list)
 
     def lines(self, plan: Plan) -> list[str]:
-        out = [f"forall {self.var.name} in {self.driver}:"]
+        levels = [self.driver, *(p for p in self.probes if isinstance(p, Locate) and p.drives)]
+        out = [f"forall {self.var.name} in {' & '.join(map(str, levels))}:"]
         for node in [*self.probes, *self.body]:
             out += ["  " + line for line in node.lines(plan)]
         return out
@@ -513,7 +498,7 @@ class _Lowerer:
             amap[acc] = site.aid
             sites.append(site)
         posmap = {v: i for i, v in enumerate(order)}
-        drivers: dict[int, list[LevelIter]] = {i: [] for i in range(len(order))}
+        drivers: dict[int, list[tuple]] = {i: [] for i in range(len(order))}
         probes: dict[int, list] = {i: [] for i in range(len(order))}
         for site in sites:
             resolved = -1
@@ -525,7 +510,7 @@ class _Lowerer:
                 own = posmap[v]
                 kind = site.fmt.levels[lvl]
                 if kind is COMPRESSED and own > resolved:
-                    drivers[own].append(LevelIter(site.aid, site.access.tensor, lvl))
+                    drivers[own].append((site.aid, site.access.tensor, lvl))
                     resolved = own
                 else:
                     at = max(own, resolved)
@@ -534,19 +519,12 @@ class _Lowerer:
                     resolved = at
         loops: list[LoopNode] = []
         for i, v in enumerate(order):
+            # walk the first compressed level and locate the others: the
+            # common coordinates, in the order of a merge
             cands = drivers[i]
-            if len(cands) > 2:
-                names = ", ".join(c.tensor for c in cands)
-                raise LoweringError(
-                    f"more than two compressed operands ({names}) co-iterate "
-                    f"variable {v.name}; at most two can be intersected")
-            if not cands:
-                driver: object = DenseRange(v)
-            elif len(cands) == 1:
-                driver = cands[0]
-            else:
-                driver = Intersect(cands[0], cands[1])
-            ordered_probes = sorted(probes[i], key=lambda p: (p.aid, p.level))
+            driver = LevelIter(*cands[0]) if cands else DenseRange(v)
+            ordered_probes = [*(Locate(*c, v, drives=True) for c in cands[1:]),
+                              *sorted(probes[i], key=lambda p: (p.aid, p.level))]
             loops.append(LoopNode(v, driver, ordered_probes, []))
         for outer, inner in zip(loops, loops[1:]):
             outer.body.append(inner)
@@ -611,20 +589,32 @@ def _lower_plain(stmt: Statement, formats: dict[str, Format]) -> Plan:
 def _producer_passes(low: _Lowerer, producer: Statement, i_vars: tuple[IndexVar, ...],
                      payload_for: "callable", prefix: tuple[IndexVar, ...] = ()) -> list:
     """One loop chain per additive term, led by the prefix loops and ending
-    in its payload node."""
+    in its payload node. A product over a sum that holds a sparse operand
+    is distributed first, and each of its terms loops over the variables of
+    the product it came from."""
     p_assign = nest_assign(producer)
     order = [*prefix, *reconstruct_input_order(producer)]
     chains: list = []
     for term in add_terms(p_assign.rhs):
-        if (operand := sparse_union_operand(term, low.formats)) is not None:
-            raise LoweringError(f"sparse operand {operand} appears inside an addition under "
-                                "a product; distribute the product or precompute the sum")
         term_vars = set(v for a in expr_accesses(term) for v in a.vars)
         pass_order = [v for v in order if v in prefix or v in term_vars or v in i_vars]
-        chain, innermost, amap = low.build_pass(pass_order, term)
-        innermost.body.append(payload_for(term, amap))
-        chains.append(chain)
+        for piece in _distribute(term, low.formats):
+            chain, innermost, amap = low.build_pass(pass_order, piece)
+            innermost.body.append(payload_for(piece, amap))
+            chains.append(chain)
     return chains
+
+
+def _distribute(term: Expr, formats: dict[str, Format]) -> list[Expr]:
+    """The terms whose sum the term is, none with a sparse operand under an
+    addition: ``B*(C+D)`` gives ``B*C`` and ``B*D``. A sum of dense
+    operands stays in its term."""
+    if sparse_union_operand(term, formats) is None:
+        return [term]
+    if isinstance(term, Add):
+        return [*_distribute(term.lhs, formats), *_distribute(term.rhs, formats)]
+    return [Mul(lhs, rhs) for lhs in _distribute(term.lhs, formats)
+            for rhs in _distribute(term.rhs, formats)]
 
 
 def _lower_workspace(root: Statement, prefix: tuple[IndexVar, ...], where: Where,
@@ -649,8 +639,6 @@ def _lower_workspace(root: Statement, prefix: tuple[IndexVar, ...], where: Where
             raise LoweringError(
                 "a workspace nested under loops must be consumed by a direct copy "
                 "into the result")
-        if isinstance(p_assign.rhs, Add):
-            raise LoweringError("a hoisted workspace covers a single product term")
 
     inv = _inverse(descriptor.ow_order)
     slot_vars = tuple(i_vars[m] for m in inv)
@@ -662,6 +650,8 @@ def _lower_workspace(root: Statement, prefix: tuple[IndexVar, ...], where: Where
                               lambda term, amap: InsertWs(meta, term, amap), prefix)
 
     if prefix:
+        if len(chains) > 1:
+            raise LoweringError("a hoisted workspace covers a single product term")
         # the last prefix loop hosts the workspace
         (chain,) = chains
         chain[len(prefix) - 1].body = [AllocWs(meta), chain[len(prefix)],

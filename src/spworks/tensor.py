@@ -18,7 +18,7 @@ import enum
 import numbers
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -239,28 +239,6 @@ class Tensor:
         by_mode = self.mode_coordinates()
         np.add.at(out, tuple(c.astype(np.int64) for c in by_mode), self.vals)
         return out
-
-
-def iterate_level(tensor: Tensor, level: int, parent_position: int) -> Iterator[tuple[int, int]]:
-    """Yield (coordinate, child position) pairs of one storage level.
-
-    Dense levels enumerate every coordinate; compressed levels walk the crd
-    segment owned by the parent position.
-    """
-    if tensor.format.coo:
-        raise TensorError("COO storage has no per-level iterators; use components()")
-    lvl = tensor.levels[level]  # type: ignore[index]
-    if isinstance(lvl, DenseLevel):
-        if not 0 <= parent_position:
-            raise TensorError(f"parent position {parent_position} out of range")
-        base = parent_position * lvl.extent
-        for c in range(lvl.extent):
-            yield c, base + c
-    else:
-        if parent_position + 1 >= len(lvl.pos):
-            raise TensorError(f"parent position {parent_position} out of range")
-        for p in range(int(lvl.pos[parent_position]), int(lvl.pos[parent_position + 1])):
-            yield int(lvl.crd[p]), p
 
 
 def _as_arrays(components: Iterable[Component], order: int) -> tuple[list[np.ndarray], np.ndarray]:

@@ -272,6 +272,22 @@ def test_additions_do_not_hoist():
     assert d.action is sw.InsertionAction.FULL
 
 
+@pytest.mark.parametrize("enable_dense", [True, False])
+def test_a_product_over_a_sparse_sum_does_not_hoist(enable_dense):
+    # lowering distributes the product into two terms, which cannot share
+    # one scatter array either
+    stmt = sw.statement_from_text("forall i, k, j: A(i, j) += B(i, k) * (C(k, j) + D(k, j))")
+    formats = {"A": sw.csr(), "B": sw.csr(), "C": sw.csr(), "D": sw.csr()}
+    d = sw.plan_insertion(stmt, formats, enable_dense=enable_dense)
+    assert d.action is sw.InsertionAction.FULL
+    assert d.reason == ("concordant but scattered across a reduction (order 1); "
+                        "accumulate first, assemble once")
+    assert d.i_vars == (var("i"), var("j"))
+    report = sw.classification_report(stmt, formats, d)
+    assert "insertion:    reordering-workspace" in report
+    assert f"reason:       {d.reason}" in report
+
+
 def test_derived_loop_vars_block_hoisting():
     stmt = sw.apply_schedule(
         sw.statement_from_text("forall i, k, j: " + MATMUL),

@@ -27,8 +27,8 @@ from spworks.lowering import (
     DenseRange,
     DrainWs,
     InsertWs,
-    Intersect,
     LevelIter,
+    Locate,
     LoopNode,
     LoweringError,
     MaterializeWs,
@@ -96,6 +96,10 @@ def _lower(expr: str, formats: dict[str, sw.Format], schedule: str | None = None
     return sw.lower(rewritten, formats)
 
 
+def _plan_lines(plan: sw.Plan) -> list[str]:
+    return [line.strip() for line in sw.print_plan(plan).splitlines()]
+
+
 def _loops(plan: sw.Plan) -> list[LoopNode]:
     chain = []
     frontier = list(plan.body)
@@ -125,18 +129,44 @@ def test_dense_dimensions_use_range_loops():
     assert isinstance(loops[1].body[0], ScatterDense)
 
 
+def _walks_and_locates(loop: LoopNode, walked: str, located: list[str]) -> None:
+    """The loop walks one level and locates the others that drive it, ahead
+    of its other probes."""
+    assert isinstance(loop.driver, LevelIter) and loop.driver.tensor == walked
+    co = loop.probes[:len(located)]
+    assert all(isinstance(p, Locate) and p.drives and p.var == loop.var for p in co)
+    assert [p.tensor for p in co] == located
+    assert not any(getattr(p, "drives", False) for p in loop.probes[len(located):])
+
+
 def test_two_compressed_operands_intersect():
     plan = _lower("A(i, j) = B(i, j) * C(i, j)",
                   {"A": sw.dense(2), "B": sw.dcsr(), "C": sw.dcsr()})
-    loops = _loops(plan)
-    assert isinstance(loops[0].driver, Intersect)
-    assert isinstance(loops[1].driver, Intersect)
+    for level, loop in enumerate(_loops(plan)):
+        _walks_and_locates(loop, "B", ["C"])
+        assert loop.driver.level == loop.probes[0].level == level
+    # a co-driving locate prints in the loop header, not on a line of its own
+    assert "forall j in B.level(1) & C.level(1):" in _plan_lines(plan)
+    assert not any(line.startswith("locate") for line in _plan_lines(plan))
 
 
-def test_three_compressed_operands_are_rejected():
-    with pytest.raises(LoweringError, match="more than two compressed operands"):
-        _lower("A(i, j) = B(i, j) * C(i, j) * D(i, j)",
-               {"A": sw.dense(2), "B": sw.dcsr(), "C": sw.dcsr(), "D": sw.dcsr()})
+@pytest.mark.parametrize("names", ["BCD", "BCDE"])
+def test_any_number_of_compressed_operands_intersect(names):
+    text = "A(i, j) = " + " * ".join(f"{n}(i, j)" for n in names)
+    formats = {"A": sw.dense(2), **{n: sw.dcsr() for n in names}}
+    plan = _lower(text, formats)
+    for loop in _loops(plan):
+        _walks_and_locates(loop, names[0], list(names[1:]))
+    lines = _plan_lines(plan)
+    assert f"forall i in {' & '.join(f'{n}.level(0)' for n in names)}:" in lines
+    assert f"forall j in {' & '.join(f'{n}.level(1)' for n in names)}:" in lines
+    rng = np.random.default_rng(11)
+    stmt = sw.statement_from_text(text)
+    for _ in range(5):
+        # dense enough that some coordinates are common to every operand
+        arrays = {n: sparse_array(rng, (6, 7), 0.8) for n in names}
+        out = sw.execute(plan, {n: sw.from_dense(a, sw.dcsr()) for n, a in arrays.items()})
+        assert np.array_equal(out.tensor.to_dense(), sw.dense_oracle(stmt, arrays))
 
 
 def test_secondary_compressed_access_probes_by_search():
@@ -462,7 +492,7 @@ def test_host_batches_the_intersection_empties_store_nothing(enable_dense, monke
     assert decision.action is (sw.InsertionAction.DENSE if enable_dense
                                else sw.InsertionAction.HOIST)
     plan = sw.lower(rewritten, formats)
-    assert isinstance(_loops(plan)[0].driver, Intersect)
+    _walks_and_locates(_loops(plan)[0], "d", ["B"])
     batches: list[int] = []
     alloc = AllocWs.run
 
@@ -1246,22 +1276,64 @@ def test_repeated_access_variables_are_rejected():
         _lower("a(i) = B(i, i)", {"a": sw.dense_vector(), "B": sw.csr()})
 
 
-def test_sparse_operand_under_an_addition_inside_a_product():
-    with pytest.raises(LoweringError, match="distribute the product"):
-        _lower("A(i, j) = B(i, j) * (C(i, j) + D(i, j))",
-               {"A": sw.dense(2), "B": sw.dense(2), "C": sw.csr(), "D": sw.dense(2)})
+def _producer_terms(plan: sw.Plan) -> list[str]:
+    """The expression of each producer pass, in plan order."""
+    return [format_expr(n.expr) for loop in _loops(plan) for n in loop.body
+            if isinstance(n, (InsertWs, ScatterDense))]
 
 
-def test_a_producer_term_with_a_sparse_union_names_the_operand():
-    # a sparse result sends the statement through a conversion workspace,
-    # whose producer runs the term as one pass
+def test_a_product_distributes_over_a_sum_that_holds_a_sparse_operand():
+    # each term of the distributed product runs as a pass of its own
+    stmt = sw.statement_from_text("A(i, j) = B(i, j) * (C(i, j) + D(i, j))")
+    formats = {"A": sw.dense(2), "B": sw.dense(2), "C": sw.csr(), "D": sw.dense(2)}
+    plan = sw.lower(stmt, formats)
+    assert _producer_terms(plan) == ["B(i,j) * C(i,j)", "B(i,j) * D(i,j)"]
+    assert len(plan.body) == 2
+    rng = np.random.default_rng(8)
+    arrays = {"B": dense_array(rng, (5, 6)), "C": sparse_array(rng, (5, 6), 0.4),
+              "D": dense_array(rng, (5, 6))}
+    out = sw.execute(plan, {n: sw.from_dense(a, formats[n]) for n, a in arrays.items()})
+    assert np.array_equal(out.tensor.to_dense(), sw.dense_oracle(stmt, arrays))
+
+
+def test_a_conversion_workspace_takes_one_pass_per_distributed_term():
+    # a sparse result sends the statement through a conversion workspace;
+    # its producer distributes the product and inserts each term in turn
     stmt = sw.statement_from_text("A(i, j) = B(i, j) * (D(i, j) + C(i, j))")
     formats = {"A": sw.csr(), "B": sw.dense(2), "C": sw.csr(), "D": sw.dense(2)}
     rewritten, decision = sw.insert_sparse_workspace(stmt, formats)
     assert decision.action is sw.InsertionAction.CONVERSION
-    with pytest.raises(LoweringError, match=r"sparse operand C\(i,j\) appears inside an "
-                                            r"addition under a product; distribute the product"):
-        sw.lower(rewritten, formats)
+    plan = sw.lower(rewritten, formats)
+    assert _producer_terms(plan) == ["B(i,j) * D(i,j)", "B(i,j) * C(i,j)"]
+    assert [type(n) for n in plan.body] == [AllocWs, LoopNode, LoopNode, DrainWs]
+    rng = np.random.default_rng(9)
+    arrays = {"B": dense_array(rng, (5, 6)), "C": sparse_array(rng, (5, 6), 0.4),
+              "D": sparse_array(rng, (5, 6), 0.4)}
+    out = sw.execute(plan, {n: sw.from_dense(a, formats[n]) for n, a in arrays.items()})
+    assert out.tensor.format == sw.csr()
+    assert np.array_equal(out.tensor.to_dense(), sw.dense_oracle(stmt, arrays))
+
+
+def test_distributed_terms_loop_over_the_variables_of_their_product():
+    # D(i,j) * C(i,j) lacks k, and the product adds it once per value of k
+    stmt = sw.statement_from_text("A(i, j) = D(i, j) * (B(i, k) + C(i, j))")
+    formats = {"A": sw.dense(2), "B": sw.csr(), "C": sw.csr(), "D": sw.dense(2)}
+    plan = sw.lower(stmt, formats)
+    assert _producer_terms(plan) == ["D(i,j) * B(i,k)", "D(i,j) * C(i,j)"]
+    assert [[l.var.name for l in _loops(replace(plan, body=[root]))]
+            for root in plan.body] == [["i", "j", "k"]] * 2
+    rng = np.random.default_rng(10)
+    arrays = {"B": sparse_array(rng, (5, 4), 0.5), "C": sparse_array(rng, (5, 6), 0.5),
+              "D": dense_array(rng, (5, 6))}
+    out = sw.execute(plan, {n: sw.from_dense(a, formats[n]) for n, a in arrays.items()})
+    assert np.array_equal(out.tensor.to_dense(), sw.dense_oracle(stmt, arrays))
+
+
+def test_a_product_over_a_sum_of_dense_operands_stays_one_pass():
+    plan = _lower("a(i) = B(i, j) * (c(j) + d(j))",
+                  {"a": sw.dense_vector(), "B": sw.csr(), "c": sw.dense_vector(),
+                   "d": sw.dense_vector()})
+    assert _producer_terms(plan) == ["B(i,j) * (c(j) + d(j))"]
 
 
 def test_a_fixed_workspace_extent_must_equal_the_bound_one():
@@ -1409,7 +1481,38 @@ _DRAWN = [
     "A(i,j) = B(i,j) * (C(i,j) + D(i,j))",
     "A(i,j) = B(i,j) * C(i,j) + D(i,j)",
     "A(i,j) = B(i,k) * C(i,k) * D(k,j)",
+    "A(i,j) = B(i,j) * C(i,j) * D(i,j)",
+    "A(i,j) = B(i,k) * (C(k,j) + D(k,j))",
+    "a(i) = B(i,j) * (c(j) + d(j))",
 ]
+
+
+def _draw_statement(data, results: tuple[list, list], operands: tuple[list, list]):
+    """A drawn statement of _DRAWN under a drawn loop order, with a drawn
+    format for the result and for each operand: a matrix's from the first
+    list of the pair, a vector's from the second."""
+    text = data.draw(st.sampled_from(_DRAWN))
+    lhs, rhs = sw.parse_einsum(text)
+    order = data.draw(st.permutations(default_loop_order(lhs, rhs)))
+    formats = {}
+    for acc, choices in [(lhs, results), *((a, operands) for a in expr_accesses(rhs))]:
+        formats[acc.tensor] = data.draw(st.sampled_from(choices[len(acc.vars) == 1]))
+    return sw.statement_from_text(text, order), formats
+
+
+def _run_drawn(stmt: sw.Statement, formats: dict[str, sw.Format], plan: sw.Plan,
+               seed: int) -> None:
+    """Execute the plan on small-integer operands of drawn extents and
+    require the dense oracle's result."""
+    assign = nest_assign(stmt)
+    rng = np.random.default_rng(seed)
+    extents = {v: int(rng.integers(1, 6)) for v in default_loop_order(assign.lhs, assign.rhs)}
+    arrays = {a.tensor: sparse_array(rng, tuple(extents[v] for v in a.vars), 0.5)
+              for a in expr_accesses(assign.rhs)}
+    tensors = {n: sw.from_dense(a, formats[n]) for n, a in arrays.items()}
+    out = sw.execute(plan, tensors).tensor
+    assert out.format == formats[assign.lhs.tensor]
+    assert np.array_equal(out.to_dense(), sw.dense_oracle(stmt, arrays))
 
 
 @settings(max_examples=400, deadline=None)
@@ -1418,40 +1521,69 @@ def test_a_sparse_result_needs_no_workspace_only_where_lowering_can_append(data)
     # plan_insertion's NONE verdict for a sparse result implies what lowering
     # relies on without checking: one term, no sparse operand under an
     # addition, and every reduction loop inside the result loops
-    text = data.draw(st.sampled_from(_DRAWN))
-    lhs, rhs = sw.parse_einsum(text)
-    order = data.draw(st.permutations(default_loop_order(lhs, rhs)))
-    stmt = sw.statement_from_text(text, order)
-    formats = {lhs.tensor: data.draw(st.sampled_from(
-        [sw.csr(), sw.dcsr()] if len(lhs.vars) == 2 else [sw.sparse_vector()]))}
-    for acc in expr_accesses(rhs):
-        formats[acc.tensor] = data.draw(st.sampled_from(
-            [sw.dense(2), sw.csr(), sw.dcsr()] if len(acc.vars) == 2
-            else [sw.dense_vector(), sw.sparse_vector()]))
+    stmt, formats = _draw_statement(
+        data, ([sw.csr(), sw.dcsr()], [sw.sparse_vector()]),
+        ([sw.dense(2), sw.csr(), sw.dcsr()], [sw.dense_vector(), sw.sparse_vector()]))
+    assign = nest_assign(stmt)
     decision = sw.plan_insertion(stmt, formats)
     if decision.action is not sw.InsertionAction.NONE:
         return
     cls = decision.classification
-    assert not isinstance(rhs, sw.Add)
-    assert sparse_union_operand(rhs, formats) is None
+    assert not isinstance(assign.rhs, sw.Add)
+    assert sparse_union_operand(assign.rhs, formats) is None
     at = {v: n for n, v in enumerate(cls.loop_order)}
-    assert all(at[r] > at[v] for r in cls.reduction_vars for v in lhs.vars)
-    try:
-        plan = sw.lower(stmt, formats)
-    except LoweringError as exc:  # the one refusal left, of a plan it cannot build
-        assert "more than two compressed operands" in str(exc)
-        return
+    assert all(at[r] > at[v] for r in cls.reduction_vars for v in assign.lhs.vars)
+    plan = sw.lower(stmt, formats)
     appends = [n for loop in _loops(plan) for n in loop.body if isinstance(n, Append)]
     assert len(appends) == 1
-    assert appends[0].expr == (None if cls.reduction_vars else rhs)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    extents = {v: int(rng.integers(1, 6)) for v in at}
-    arrays = {a.tensor: sparse_array(rng, tuple(extents[v] for v in a.vars), 0.5)
-              for a in expr_accesses(rhs)}
-    tensors = {n: sw.from_dense(a, formats[n]) for n, a in arrays.items()}
-    out = sw.execute(plan, tensors).tensor
-    assert out.format == formats[lhs.tensor]
-    assert np.array_equal(out.to_dense(), sw.dense_oracle(stmt, arrays))
+    assert appends[0].expr == (None if cls.reduction_vars else assign.rhs)
+    _run_drawn(stmt, formats, plan, data.draw(st.integers(0, 2**32 - 1)))
+
+
+_ANY_FORMAT = ([sw.dense(2), sw.csr(), sw.dcsr(), sw.csc()],
+               [sw.dense_vector(), sw.sparse_vector()])
+
+
+@pytest.mark.parametrize("enable_dense", [True, False])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_planned_statement_lowers_and_equals_the_oracle(enable_dense, data):
+    # whatever plan_insertion decides, lowering builds the plan and the plan
+    # computes the statement: CSC operands and results included
+    stmt, formats = _draw_statement(data, _ANY_FORMAT, _ANY_FORMAT)
+    rewritten, _ = sw.insert_sparse_workspace(stmt, formats, enable_dense=enable_dense)
+    plan = sw.lower(rewritten, formats)
+    _run_drawn(stmt, formats, plan, data.draw(st.integers(0, 2**32 - 1)))
+
+
+# a drawn statement for every verdict, each an intersection of three levels or
+# a product over a sparse sum: (verdict, enable_dense, text, result, operands)
+_VERDICTS = [
+    ("NONE", True, "forall i, j: A(i,j) = B(i,j) * C(i,j) * D(i,j)",
+     sw.dense(2), [sw.dcsr()] * 3),
+    ("CONVERSION", True, "forall i, j: A(i,j) = B(i,j) * (C(i,j) + D(i,j))",
+     sw.csr(), [sw.csr()] * 3),
+    ("FULL", False, "forall i, j: A(i,j) = B(i,j) * C(i,j) * D(i,j)",
+     sw.csc(), [sw.dcsr()] * 3),
+    ("FULL", True, "forall i, k, j: A(i,j) = B(i,k) * (C(k,j) + D(k,j))",
+     sw.csr(), [sw.csr()] * 3),
+    ("DENSE", True, "forall i, k, j: A(i,j) = B(i,k) * C(i,k) * D(k,j)",
+     sw.csr(), [sw.csr(), sw.csr(), sw.dcsr()]),
+    ("HOIST", False, "forall i, k, j: A(i,j) = B(i,k) * C(i,k) * D(k,j)",
+     sw.csr(), [sw.csr(), sw.csr(), sw.dcsr()]),
+]
+
+
+@pytest.mark.parametrize("verdict, enable_dense, text, result, operands", _VERDICTS,
+                         ids=[f"{v}-{e}" for v, e, *_ in _VERDICTS])
+def test_each_verdict_lowers_what_it_plans(verdict, enable_dense, text, result, operands):
+    stmt = sw.statement_from_text(text)
+    formats = {"A": result, **dict(zip("BCD", operands))}
+    rewritten, decision = sw.insert_sparse_workspace(stmt, formats, enable_dense=enable_dense)
+    assert decision.action.name == verdict
+    plan = sw.lower(rewritten, formats)
+    for seed in range(5):
+        _run_drawn(stmt, formats, plan, seed)
 
 
 # -- sums over reduction variables -------------------------------------------------------

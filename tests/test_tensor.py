@@ -720,22 +720,6 @@ def test_level_vs_mode_coordinates_csc():
     assert by_mode[1].tolist() == [0, 0, 1]
 
 
-def test_iterate_level_walks_csr_rows():
-    arr = np.array([[0.0, 5.0, 0.0], [0.0, 0.0, 0.0], [7.0, 0.0, 8.0]])
-    t = sw.from_dense(arr, sw.csr())
-    rows = dict(sw.iterate_level(t, 0, 0))
-    assert rows == {0: 0, 1: 1, 2: 2}
-    assert list(sw.iterate_level(t, 1, 1)) == []
-    seen = {c: t.vals[p] for c, p in sw.iterate_level(t, 1, 2)}
-    assert seen == {0: 7.0, 2: 8.0}
-
-
-def test_iterate_level_rejects_coo():
-    t = sw.from_dense(np.eye(2), sw.coo(2))
-    with pytest.raises(sw.TensorError, match="components"):
-        list(sw.iterate_level(t, 0, 0))
-
-
 def test_components_report_mode_order_coordinates():
     arr = np.array([[0.0, 4.0], [6.0, 0.0]])
     t = sw.from_dense(arr, sw.csc())
