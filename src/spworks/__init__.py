@@ -96,7 +96,6 @@ from .tensor import (
     Tensor,
     TensorError,
     access_map,
-    compress_coo,
     coo,
     csc,
     csf,

@@ -301,20 +301,6 @@ def _checked_dims(fmt: Format, dims: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
-def compress_coo(
-    components: Iterable[Component],
-    fmt: Format,
-    dims: Sequence[int],
-) -> Tensor:
-    """Pack components, sorted by the target's access order, into a tensor.
-
-    Components must be unique and sorted lexicographically by their
-    level-order (access-order) coordinates. Explicit zeros are stored.
-    """
-    by_mode, vals = _as_arrays(components, fmt.order)
-    return compress_arrays(by_mode, vals, fmt, dims)
-
-
 def compress_arrays(
     mode_coords: Sequence[np.ndarray],
     vals: np.ndarray,

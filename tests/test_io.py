@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import spworks as sw
+import spworks.io
 from spworks import Component, IoError
+from spworks.tensor import from_arrays
 
 
 def write_lines(path, lines):
@@ -373,15 +375,30 @@ def test_synthetic_matrix_fill_capped_at_rows():
 
 
 @pytest.mark.parametrize("args, message", [
-    ((0, 5, 0.5, 2), "dims must be positive"),
-    ((5, 0, 0.5, 2), "dims must be positive"),
-    ((5, 5, 0.0, 2), r"density 0.0 outside \(0, 1\]"),
-    ((5, 5, 1.5, 2), "outside"),
-    ((5, 5, 0.5, 0), "nnz_per_col must be positive"),
+    ((0, 5, 0.5, 2, 1), "dims must be positive"),
+    ((5, 0, 0.5, 2, 1), "dims must be positive"),
+    ((5, 5, 0.0, 2, 1), r"density 0.0 outside \(0, 1\]"),
+    ((5, 5, 1.5, 2, 1), "outside"),
+    ((5, 5, 0.5, 0, 1), "nnz_per_col must be positive"),
+    # every count and the seed must be an integer, checked before any draw
+    ((4000.0, 5, 0.5, 2, 1), r"rows 4000\.0 is not an integer"),
+    ((True, 5, 0.5, 2, 1), "rows True is not an integer"),
+    (("5", 5, 0.5, 2, 1), "rows '5' is not an integer"),
+    ((5, 5.0, 0.5, 2, 1), r"cols 5\.0 is not an integer"),
+    ((5, 5, 0.5, 2.5, 1), r"nnz_per_col 2\.5 is not an integer"),
+    ((5, 5, 0.5, np.float64(2.0), 1), "nnz_per_col .* is not an integer"),
+    ((5, 5, 0.5, 2, 1.5), r"seed 1\.5 is not an integer"),
+    ((5, 5, 0.5, 2, False), "seed False is not an integer"),
 ])
 def test_synthetic_matrix_validation(args, message):
     with pytest.raises(IoError, match=message):
-        sw.synthetic_matrix(*args, seed=1)
+        sw.synthetic_matrix(*args)
+
+
+def test_synthetic_matrix_accepts_numpy_integers():
+    t = sw.synthetic_matrix(np.int64(40), np.uint32(30), 0.5, np.int16(3), seed=np.uint64(1))
+    assert t.dims == (40, 30) and all(type(d) is int for d in t.dims)
+    assert sw.tensors_equal(t, sw.synthetic_matrix(40, 30, 0.5, 3, seed=1))
 
 
 def test_synthetic_inputs_reject_a_negative_seed():
@@ -405,6 +422,9 @@ def test_synthetic_pair_structure():
 @pytest.mark.parametrize("args, digest", [
     ((40, 30, 0.5, 3, 1), "30db6ba8438133628bffc60dfcf93596bfee96e379d687ab0dbac9aff5b08389"),
     ((25, 60, 0.2, 4, 7), "04e9a5a0c2c19f555f2f111046a886df2cc36a72cf587930e34722a62924da47"),
+    ((4000, 4000, 0.5, 8, 1), "66e0aa093e8db1900bfb1ad07b98d08fae8c14fbb3274f5fd46ab54fb71c8f95"),
+    ((3 * 2**30, 50, 0.5, 6, 4),
+     "7680d536ed6d37ec72fba050f3ef1d6d11bd5c677101d1d20e690eba6753904b"),
 ])
 def test_synthetic_pair_golden_bytes(args, digest):
     h = hashlib.sha256()
@@ -413,6 +433,83 @@ def test_synthetic_pair_golden_bytes(args, digest):
             h.update(c.tobytes())
         h.update(t.vals.tobytes())
     assert h.hexdigest() == digest
+
+
+def _per_column_matrix(rows, cols, density, nnz_per_col, seed):
+    # the model synthetic_matrix replays: per column, numpy draws the rows
+    # with one choice call and the values with one integers call
+    fill = min(nnz_per_col, rows)
+    rng = np.random.Generator(np.random.Philox(seed))
+    ncols = min(cols, max(1, round(density * cols)))
+    chosen = np.sort(rng.choice(cols, size=ncols, replace=False))
+    draws = [(rng.choice(rows, size=fill, replace=False), rng.integers(1, 10, size=fill))
+             for _ in chosen]
+    row_crds, vals = (np.concatenate(d) for d in zip(*draws))
+    return from_arrays([row_crds, np.repeat(chosen, fill)], vals, sw.coo(2), (rows, cols))
+
+
+def storage_bytes(tensor):
+    return [c.tobytes() for c in tensor.mode_coordinates()] + [tensor.vals.tobytes()]
+
+
+@pytest.mark.parametrize("shape", [
+    (40, 30, 0.5, 3, 1),
+    (25, 60, 0.2, 4, 7),
+    (4000, 4000, 0.5, 8, 1),
+    (7, 9, 1.0, 7, 3),  # fill == rows
+    (1, 5, 1.0, 1, 0),
+    (4, 6, 1.0, 99, 5),  # nnz_per_col > rows
+    # numpy's choice runs Floyd's algorithm at rows <= 10 000 or
+    # fill <= rows // 50, and a partial Fisher-Yates shuffle otherwise
+    (10_000, 20, 0.5, 200, 2),
+    (10_000, 20, 0.5, 201, 2),
+    (10_001, 20, 0.5, 200, 2),
+    (10_001, 20, 0.5, 201, 2),
+    (500, 300, 0.5, 64, 6),  # the widest columns the replay draws
+    (500, 300, 0.5, 65, 6),
+    # about a quarter of the bounded draws are rejected and drawn again
+    (3 * 2**30, 40, 0.5, 6, 4),
+    (2**32, 40, 0.5, 6, 5),  # the top bound is a whole 32-bit draw
+    (100, 3000, 1.0, 64, 8),  # three blocks
+], ids=str)
+def test_synthetic_matrix_equals_the_per_column_model(shape):
+    assert storage_bytes(sw.synthetic_matrix(*shape)) == storage_bytes(_per_column_matrix(*shape))
+
+
+def test_block_shape_spans_three_blocks():
+    assert 2 * spworks.io._BLOCK_DRAWS < 3000 * (3 * 64 - 1) <= 3 * spworks.io._BLOCK_DRAWS
+
+
+def test_synthetic_matrix_equals_the_per_column_model_on_drawn_shapes(monkeypatch):
+    rng = np.random.default_rng(23)
+    for _ in range(240):
+        rows = int(rng.choice([1, 2, 3, 5, 17, 100, 999, 10_000, 10_001, 2**31 + 7,
+                               3 * 2**30, 2**32]))
+        shape = (rows, int(rng.integers(1, 200)), float(rng.uniform(0.01, 1.0)),
+                 int(rng.integers(1, 70)), int(rng.integers(0, 1000)))
+        # small blocks as well, so that block edges fall between any columns
+        monkeypatch.setattr(spworks.io, "_BLOCK_DRAWS", int(rng.choice([1 << 10, 1 << 18])))
+        assert storage_bytes(sw.synthetic_matrix(*shape)) == \
+            storage_bytes(_per_column_matrix(*shape)), shape
+
+
+class _CountingGenerator(np.random.Generator):
+    def choice(self, *args, **kwargs):
+        self.choices = getattr(self, "choices", 0) + 1
+        return super().choice(*args, **kwargs)
+
+
+@pytest.mark.parametrize("fill, choices", [(64, 1), (65, 1 + 150)])
+def test_only_columns_wider_than_the_replay_draw_one_call_each(monkeypatch, fill, choices):
+    made = []
+
+    def generator(seed):
+        made.append(_CountingGenerator(np.random.Philox(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(spworks.io, "_generator", generator)
+    sw.synthetic_matrix(500, 300, 0.5, fill, seed=6)
+    assert made[0].choices == choices
 
 
 def test_synthetic_pair_product_never_empty():

@@ -16,7 +16,7 @@ PUBLIC_NAMES = """
     IsmEngine IsmError LevelKind LoweringError Mul ParseError Plan Policy Pos
     Reorder SYNTHETIC_RNG Split Statement Tensor TensorError VarKind Where
     WorkspaceDescriptor access_map apply_schedule ceil_log2 classification_report
-    classify compare_orders compress_coo coo csc csf csr dcsc dcsr dense
+    classify compare_orders coo csc csf csr dcsc dcsr dense
     dense_oracle dense_vector estimate_memory execute format_from_name from_dense
     from_einsum from_unsorted fuse hash_default_l insert_sparse_workspace
     lower nest_assign nest_vars oracle_inputs ordering_measures

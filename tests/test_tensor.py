@@ -88,9 +88,9 @@ def test_csf_requires_order_three():
 # -- compression goldens --------------------------------------------------------------
 
 
-def test_compress_coo_csr_golden():
-    comps = [Component((0, 0), 1.0), Component((0, 2), 2.0), Component((2, 1), 3.0)]
-    t = sw.compress_coo(comps, sw.csr(), (3, 3))
+def test_compress_arrays_csr_golden():
+    t = compress_arrays([np.array([0, 0, 2]), np.array([0, 2, 1])],
+                        np.array([1.0, 2.0, 3.0]), sw.csr(), (3, 3))
     dense_lvl, comp_lvl = t.levels
     assert isinstance(dense_lvl, DenseLevel) and dense_lvl.extent == 3
     assert isinstance(comp_lvl, CompressedLevel)
@@ -100,23 +100,13 @@ def test_compress_coo_csr_golden():
     assert t.nnz == 3
 
 
-def test_compress_coo_csc_expects_column_major_order():
-    # same matrix, but components must arrive sorted by (j, i)
-    comps = [Component((0, 0), 1.0), Component((2, 1), 3.0), Component((0, 2), 2.0)]
-    t = sw.compress_coo(comps, sw.csc(), (3, 3))
+def test_compress_arrays_csc_expects_column_major_order():
+    # same matrix, but entries must arrive sorted by (j, i)
+    t = compress_arrays([np.array([0, 2, 0]), np.array([0, 1, 2])],
+                        np.array([1.0, 3.0, 2.0]), sw.csc(), (3, 3))
     assert t.to_dense()[0, 2] == 2.0
     lvl = t.levels[1]
     assert lvl.crd.tolist() == [0, 2, 0]  # row coordinates per column
-
-
-def test_compress_coo_rejects_misordered_and_duplicate_input():
-    fmt = sw.csr()
-    with pytest.raises(sw.TensorError, match="not sorted"):
-        sw.compress_coo([Component((1, 0), 1.0), Component((0, 0), 1.0)], fmt, (2, 2))
-    with pytest.raises(sw.TensorError, match="duplicate"):
-        sw.compress_coo([Component((0, 0), 1.0), Component((0, 0), 2.0)], fmt, (2, 2))
-    with pytest.raises(sw.TensorError, match="out of bounds"):
-        sw.compress_coo([Component((5, 0), 1.0)], fmt, (2, 2))
 
 
 def test_order_check_finds_a_fault_at_every_pair(monkeypatch):
@@ -462,10 +452,10 @@ def test_orders_and_dims_must_match_the_format():
 def test_extents_must_be_integers_of_at_least_zero(fmt):
     for dims in ((-1, 3), (2.9, 3.7), (2, "3")):
         with pytest.raises(sw.TensorError, match="not integers of at least 0"):
-            sw.compress_coo([], fmt, dims)
+            from_arrays([[], []], [], fmt, dims)
         with pytest.raises(sw.TensorError, match="not integers of at least 0"):
             sw.from_unsorted([Component((0, 0), 1.0)], fmt, dims)
-    assert sw.compress_coo([], fmt, (0, 3)).dims == (0, 3)
+    assert from_arrays([[], []], [], fmt, (0, 3)).dims == (0, 3)
     t = from_arrays([[1], [2]], [1.0], fmt, (np.int64(2), np.uint32(3)))
     assert t.dims == (2, 3) and all(type(d) is int for d in t.dims)
 
@@ -519,7 +509,7 @@ def test_public_constructors_share_no_memory_with_their_inputs():
             t = from_arrays(coords, vals, fmt, arr.shape, sum_duplicates=sum_duplicates)
             assert not _shares_memory(t, [*coords, vals]), name
         src = sw.from_dense(arr, fmt)
-        assert not _shares_memory(sw.compress_coo(src.components(), fmt, arr.shape),
+        assert not _shares_memory(sw.from_unsorted(src.components(), fmt, arr.shape),
                                   _storage(src)), name
         for dst in FORMATS2:
             u = sw.reformat(src, sw.format_from_name(dst, 2))
@@ -755,7 +745,7 @@ def test_tensors_equal_structural():
 
 def test_explicit_zeros_are_stored_distinctly():
     comps = [Component((0, 0), 0.0)]
-    t = sw.compress_coo(comps, sw.csr(), (1, 1))
-    u = sw.compress_coo([], sw.csr(), (1, 1))
+    t = sw.from_unsorted(comps, sw.csr(), (1, 1))
+    u = sw.from_unsorted([], sw.csr(), (1, 1))
     assert t.nnz == 1 and u.nnz == 0
     assert not sw.tensors_equal(t, u)
