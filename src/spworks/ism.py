@@ -7,6 +7,9 @@ deduplicated result in coordinate order, ready to compress into any sorted
 output format. The all array is a log: a merge appends the drained run, and
 the log is merged once, when the result is read or when it has outgrown the
 last merged size, with the sums and counters of one two-way merge per drain.
+The merge runs a key range at a time, from the highest keys down, and cuts
+each run back as it goes, so the log is freed as the result is written; the
+engine then hands the result over, 32-bit keys decoded in place.
 
 Coordinates are linearized row-major into unsigned keys, which makes key
 order identical to lexicographic coordinate order: 32-bit keys where the key
@@ -21,6 +24,7 @@ import enum
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -38,6 +42,9 @@ _LOG_RUNS = 64
 _RUN_ENTRIES = 18
 # sorted log positions one compaction step gathers and adds at once
 _CHUNK = 2**12
+# about the fewest logged entries a compaction merges at once, unless fewer
+# are logged; a compaction takes at most about 16 key ranges
+_RANGE = 2**13
 
 
 class IsmError(RuntimeError):
@@ -212,9 +219,11 @@ class AccArray:
         order = np.argsort(both, kind="stable")
         ordered = both[order]
         same = ordered[1:] == ordered[:-1]
+        del ordered
         # the previous arrival of the same key, -1 at its first
         prev = np.full(total, -1)
         prev[order[1:][same]] = order[:-1][same]
+        del same
         # an arrival takes a slot if its key has not arrived yet in its run,
         # and adds into the slot of the key's first arrival in the run if it has
         if total <= self.capacity:
@@ -222,14 +231,21 @@ class AccArray:
             new = prev < 0
         else:
             starts = self._run_starts(prev)
-            new = prev < np.asarray(starts)[np.searchsorted(starts, np.arange(total), "right") - 1]
+            new = prev < np.repeat(starts, np.diff([*starts, total]))
+        del prev
         fresh = np.flatnonzero(new)
-        repeat = np.flatnonzero(~new)
-        # in key order, an arrival's latest new predecessor is its key's first
-        # arrival in its run
-        first = np.empty(total, np.int64)
-        first[order] = order[np.maximum.accumulate(np.where(new[order], np.arange(total), 0))]
-        slot = (np.cumsum(new) - 1)[first]
+        # in key order, where an arrival's key last arrived new: its first
+        # arrival in the run, whose slot among the fresh keys a repeat adds
+        # into. Key order keeps each slot's repeats in arrival order
+        repeat = ~new[order]
+        del new
+        latest = np.arange(total)
+        latest[repeat] = 0
+        np.maximum.accumulate(latest, out=latest)
+        into = np.searchsorted(fresh, order[latest[repeat]])
+        del latest
+        repeats = both_vals[order[repeat]]
+        del order, repeat
         # a key's chain rank counts the earlier keys of its bucket in its run;
         # a key that finds the array full is ranked after the whole run it ends
         stops = np.asarray(starts[1:], np.int64)
@@ -238,20 +254,32 @@ class AccArray:
         chains = self._bucket(both[np.concatenate((fresh, stops))])
         by_chain = np.lexsort((chains, runs_of))
         lead = np.ones(len(by_chain), bool)
-        lead[1:] = ((chains[by_chain[1:]] != chains[by_chain[:-1]])
-                    | (runs_of[by_chain[1:]] != runs_of[by_chain[:-1]]))
-        k = np.arange(len(by_chain))
-        rank = np.empty(len(by_chain), np.int64)
-        rank[by_chain] = k - np.maximum.accumulate(np.where(lead, k, 0))
+        chains = chains[by_chain]
+        np.not_equal(chains[1:], chains[:-1], out=lead[1:])
+        del chains
+        runs_of = runs_of[by_chain]
+        lead[1:] |= runs_of[1:] != runs_of[:-1]
+        del runs_of
+        # the rank in chain order, then scattered back to the order of the
+        # fresh keys and the stops
+        rank = np.arange(len(by_chain))
+        start = np.where(lead, rank, 0)
+        del lead
+        np.maximum.accumulate(start, out=start)
+        np.subtract(rank, start, out=start)
+        rank[by_chain] = start
+        del by_chain, start
         # a new key scans its whole chain, a repeat its chain up to its key,
         # a key that finds the array full the whole chain there (the live
         # contents were charged when they went in)
         c = self.counters
-        c.insert_comparisons += (int(rank[n:].sum()) + int(rank[slot[repeat]].sum())
-                                 + len(repeat))
-        c.insert_dedups += len(repeat)
+        c.insert_comparisons += (int(rank[n:].sum()) + int(rank[into].sum())
+                                 + len(into))
+        c.insert_dedups += len(into)
+        del rank
         sums = both_vals[fresh]
-        np.add.at(sums, slot[repeat], both_vals[repeat])
+        del both_vals
+        np.add.at(sums, into, repeats)
         # where each run starts among the kept keys; a lone run at the first
         cuts = np.searchsorted(fresh, starts) if len(starts) > 1 else (0,)
         return both[fresh], sums, cuts
@@ -323,6 +351,12 @@ class AllArray:
     as the last compaction left, so the log stays within about the distinct
     keys plus _LOG_RUNS runs.
 
+    A compaction merges a key range at a time and cuts each logged array
+    back in place as its entries are merged, which frees the log while the
+    result grows. An array something else still refers to is left as it
+    is: a run whose caller kept it, and keys or values read before a later
+    merge. The compacted keys and values own their buffers.
+
     The merge counters are charged at compaction, from the distinct keys
     after each run: a run costs its length plus the distinct keys before it
     in comparisons, and each key it repeats is a dedup.
@@ -333,22 +367,30 @@ class AllArray:
         self.merges = 0
         self._keys = np.empty(0, KEY_DTYPE)
         self._vals = np.empty(0, VAL_DTYPE)
-        self._runs: list[tuple[np.ndarray, np.ndarray]] = []
+        self._runs: list[list[np.ndarray]] = []  # [keys, values] per run
         self._logged = 0
 
     def merge(self, new_keys: np.ndarray, new_vals: np.ndarray) -> None:
-        """Log a sorted-unique run, taking over its arrays; its values add
-        after those of every earlier run."""
+        """Log a sorted-unique run; its values add after those of every
+        earlier run. The compaction frees the run's arrays as it merges
+        them, unless the caller still refers to them."""
         self.counters.merges += 1
         self.merges += 1
-        self._runs.append((new_keys, new_vals))
+        self._runs.append([new_keys, new_vals])
         self._logged += len(new_keys)
         runs = len(self._runs)
         if runs >= _LOG_RUNS and self._logged + _RUN_ENTRIES * runs >= len(self._keys):
             self._compact()
 
     def _compact(self) -> None:
-        """Merge the log into the last compacted array and charge its merges."""
+        """Merge the log into the last compacted array and charge its merges.
+
+        The runs are merged a key range at a time, from the highest keys
+        down; a range is a suffix of every run. Its arrivals are sorted
+        stably, in run order, each key's first arrival starts its sum and
+        the later ones add to it in that order. The output grows in place,
+        highest keys first, and each run is cut back in place by the suffix
+        it gave up, unless something else refers to it."""
         runs, self._runs, self._logged = self._runs, [], 0
         base = len(self._keys)
         if not base and len(runs) == 1:
@@ -359,50 +401,62 @@ class AllArray:
         lengths = np.array([len(k) for k, _ in runs], np.int64)
         if base:
             # the last compacted array is the first run: its values came first
-            runs.insert(0, (self._keys, self._vals))
+            runs.insert(0, [self._keys, self._vals])
         self._keys = self._vals = None
-        ends = np.cumsum([len(k) for k, _ in runs])
-        total = int(ends[-1])
-        # one copy of the log at a time: the values, then the keys
-        vals = np.concatenate([v for _, v in runs])
-        runs = [k for k, _ in runs]
-        keys = np.concatenate(runs)
-        del runs
-        order = np.argsort(keys, kind="stable")
-        keys.sort()
-        first = np.empty(total, bool)
-        first[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        # both results are written in place, a chunk of sorted positions at a
-        # time; a chunk writes only at or before its own positions, after it
-        # has read them. First the distinct keys, to the front of the keys
-        done = 0
-        for a in range(0, total, _CHUNK):
-            distinct = keys[a:a + _CHUNK][first[a:a + _CHUNK]]
-            keys[done:done + len(distinct)] = distinct
-            done += len(distinct)
-        # nothing else refers to the buffer, so it shrinks in place
-        keys.resize(done, refcheck=False)
-        self._keys = keys
-        # then the merged values, into the buffer of the sort order, and the
-        # distinct keys each run brought
-        out = order.view(VAL_DTYPE)
-        new = np.zeros(len(ends), np.int64)
-        done = 0
-        for a in range(0, total, _CHUNK):
-            f = first[a:a + _CHUNK]
-            at = order[a:a + _CHUNK]
-            v = vals[at]
-            new += np.bincount(np.searchsorted(ends, at[f], "right"), minlength=len(ends))
-            group = np.cumsum(f)
-            group += done - 1
-            out[group[f]] = v[f]
-            repeat = ~f
-            np.add.at(out, group[repeat], v[repeat])
-            done = int(group[-1]) + 1
-        del vals, first, f, at, out
-        order.resize(done, refcheck=False)
-        self._vals = order.view(VAL_DTYPE)
+        out_keys = np.empty(0, np.result_type(*{k.dtype for k, _ in runs}))
+        out_vals = np.empty(0, np.result_type(*{v.dtype for _, v in runs}))
+        new = np.zeros(len(runs), np.int64)
+        for lows in _ranges(runs, base + int(lengths.sum())):
+            # the range's arrivals, run after run; then each run gives them
+            # up, the last range the whole run
+            sizes = np.array([len(k) - a for (k, _), a in zip(runs, lows)])
+            span = np.concatenate([k[a:] for (k, _), a in zip(runs, lows)])
+            span_vals = np.concatenate([v[a:] for (_, v), a in zip(runs, lows)])
+            if not any(lows):
+                runs.clear()
+            for run, a in zip(runs, lows):
+                if a < len(run[0]):
+                    _cut(run, a)
+            n = len(span)
+            if not n:
+                continue
+            order = np.argsort(span, kind="stable")
+            span.sort()
+            first = np.empty(n, bool)
+            first[0] = True
+            np.not_equal(span[1:], span[:-1], out=first[1:])
+            # the distinct keys each run brought: its first arrivals
+            brought = np.empty(n, bool)
+            brought[order] = first
+            gave = sizes > 0
+            new[gave] += np.add.reduceat(brought, (np.cumsum(sizes) - sizes)[gave],
+                                         dtype=np.int64)
+            del brought
+            done = len(out_keys)
+            distinct = span[first]
+            del span
+            # nothing else refers to the output while it grows, highest keys first
+            top = done + len(distinct) - 1
+            out_keys.resize(top + 1, refcheck=False)
+            out_vals.resize(top + 1, refcheck=False)
+            out_keys[done:] = distinct[::-1]
+            del distinct
+            # the sums, a chunk of sorted positions at a time
+            group = -1
+            for a in range(0, n, _CHUNK):
+                f = first[a:a + _CHUNK]
+                v = span_vals[order[a:a + _CHUNK]]
+                where = np.cumsum(f)
+                where += group
+                group = int(where[-1])
+                np.subtract(top, where, out=where)
+                out_vals[where[f]] = v[f]
+                repeat = ~f
+                np.add.at(out_vals, where[repeat], v[repeat])
+            del order, first, span_vals
+        _reverse(out_keys)
+        _reverse(out_vals)
+        self._keys, self._vals = out_keys, out_vals
         # each logged run met the distinct keys of the base and of the runs
         # before it, and repeated those it did not bring
         new = new[-len(lengths):]
@@ -426,6 +480,53 @@ class AllArray:
     @property
     def size(self) -> int:
         return len(self.keys)
+
+
+def _ranges(runs: list[list[np.ndarray]], total: int):
+    """For each key range a compaction merges, highest first, where each
+    run's sorted keys start it: ranges of about max(_RANGE, total // 16) of
+    the runs' ``total`` entries, cut at keys sampled from every run. The
+    last range starts at 0 in every run."""
+    size = max(_RANGE, total // 16)
+    if total > size:
+        # at most size // 4 entries between two sampled keys of all runs
+        step = max(1, size // (4 * len(runs)))
+        sample = np.concatenate([k[step - 1::step] for k, _ in runs])
+        sample.sort()
+        bounds = sample[::-1][size // step - 1::size // step]
+        cuts = [np.searchsorted(k, bounds).tolist() for k, _ in runs]
+        for j in range(len(bounds)):
+            lows = [c[j] for c in cuts]
+            if not any(lows):
+                break
+            yield lows
+    yield [0] * len(runs)
+
+
+def _cut(run: list[np.ndarray], n: int) -> None:
+    """Cut each array of ``run`` to its first ``n`` entries: in place, which
+    frees the rest, where nothing else refers to it, else as a view."""
+    for i in range(len(run)):
+        a = run[i]
+        run[i] = None
+        try:
+            # refcheck: nothing but the name ``a`` may refer to the array
+            a.resize(n, refcheck=True)
+        except ValueError:
+            a = a[:n]
+        run[i] = a
+
+
+def _reverse(a: np.ndarray) -> None:
+    """Reverse ``a`` in place, a chunk from each end at a time."""
+    i, j = 0, len(a)
+    while j - i > 1:
+        c = min(_CHUNK, (j - i) // 2)
+        low = a[i:i + c].copy()
+        a[i:i + c] = a[j - c:j][::-1]
+        a[j - c:j] = low[::-1]
+        i += c
+        j -= c
 
 
 class IsmEngine:
@@ -468,10 +569,11 @@ class IsmEngine:
         if self.all.merges:
             # a run left without result() still owes its merge counters
             self._note_peak()
+            self.all = AllArray(self.counters)
         self.acc = AccArray(self.capacity, self.policy, self.strides[0], self.hash_l,
                             self.counters, self.key_dtype)
-        self.all = AllArray(self.counters)
         self._finalized = False
+        self._result: tuple[list[np.ndarray], np.ndarray] | None = None
 
     # -- inserts -------------------------------------------------------------
 
@@ -522,6 +624,8 @@ class IsmEngine:
             last = cuts[-1]
             self.acc.load(*(kept, sums) if last == 0 else
                           (kept[last:].copy(), sums[last:].copy()))
+            # the next block's plan is made without this one
+            del kept, sums
             done += block
 
     def _flush(self) -> None:
@@ -553,19 +657,33 @@ class IsmEngine:
         """Finalize and decode keys back into per-slot coordinate arrays of
         CRD_DTYPE, the tensor's coordinate width, in key order.
 
-        The values are the all array's own, not a copy: reset() replaces
-        the all array, so they stay the caller's once the next run starts.
-        Inserting again without reset() would add into them."""
-        self.finalize()
-        keys = self.all.keys
-        coords = []
-        for slot, (s, e) in enumerate(zip(self.strides, self.extents)):
-            crd = np.empty(len(keys), CRD_DTYPE)
-            # slot 0's quotient is already below its extent and the last
-            # slot's stride is 1; only a middle slot needs a quotient array
-            if slot == 0:
-                np.floor_divide(keys, s, out=crd, casting="unsafe")
-            else:
-                np.remainder(keys if s == 1 else keys // s, e, out=crd, casting="unsafe")
-            coords.append(crd)
-        return coords, self.all.vals
+        The all array hands its arrays over and is emptied: the values are
+        its own, not a copy, and 32-bit keys that nothing else refers to
+        become the last slot's coordinates in place. Until reset(), a second
+        call returns the same arrays; the next run starts with reset()."""
+        if self._result is None:
+            self.finalize()
+            keys, vals = self.all.keys, self.all.vals
+            self.all = AllArray(self.counters)
+            last = len(self.extents) - 1
+            coords = []
+            for slot, (s, e) in enumerate(zip(self.strides, self.extents)):
+                # the last slot's stride is 1: its coordinates are the keys'
+                # remainders, written over them when nothing but the name
+                # ``keys`` refers to their buffer
+                if (slot == last and keys.dtype == CRD_DTYPE and keys.flags.owndata
+                        and sys.getrefcount(keys) == 2):
+                    if slot:
+                        np.remainder(keys, e, out=keys)
+                    coords.append(keys)
+                    break
+                crd = np.empty(len(keys), CRD_DTYPE)
+                # slot 0's quotient is already below its extent; only a
+                # middle slot needs a quotient array
+                if slot == 0:
+                    np.floor_divide(keys, s, out=crd, casting="unsafe")
+                else:
+                    np.remainder(keys if s == 1 else keys // s, e, out=crd, casting="unsafe")
+                coords.append(crd)
+            self._result = coords, vals
+        return self._result

@@ -225,6 +225,61 @@ def test_all_array_charges_its_merges_when_read():
     assert single.keys is keys and single.vals is vals
 
 
+def _seeded_runs(seed: int, count: int, universe: int, size: int = 2000):
+    """Sorted-unique uint32 runs with real values, one at a time."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        keys = np.unique(rng.integers(0, universe, size).astype(np.uint32))
+        yield keys, rng.standard_normal(len(keys))
+
+
+def test_a_compaction_leaves_what_a_caller_holds_as_it_was():
+    # runs the caller merged and still holds, and keys and values it read
+    # before later merges, keep their contents through compactions of many
+    # key ranges, run at merge() and when the result is read
+    alla, reference = AllArray(Counters()), _TwoWayMerge(Counters())
+    held = []
+    for i, (keys, vals) in enumerate(_seeded_runs(3, 3 * ism._LOG_RUNS, 10**6)):
+        reference.merge(keys, vals.copy())
+        alla.merge(keys, vals)
+        if i % 10 == 0:
+            held.append((keys, vals))
+        if i % 50 == 49:
+            held.append((alla.keys, alla.vals))
+    del keys, vals
+    want = [(k.copy(), v.copy()) for k, v in held]
+    assert alla.size > 8 * ism._RANGE
+    assert np.array_equal(alla.keys, reference.keys)
+    assert alla.vals.tobytes() == reference.vals.tobytes()
+    assert alla.counters == reference.counters
+    for (keys, vals), (want_keys, want_vals) in zip(held, want):
+        assert np.array_equal(keys, want_keys) and vals.tobytes() == want_vals.tobytes()
+
+
+@pytest.mark.parametrize("universe", [10**7, 10**5])
+def test_a_compaction_frees_the_log_as_it_merges(universe):
+    # with nothing else holding the runs, each key range's arrivals leave
+    # the log as the merged range joins the output, so the compaction adds
+    # about one range's scratch to the log (1.9 bytes per logged entry
+    # measured with distinct keys, 1.4 with repeats), where copying the
+    # log took about 21
+    alla, reference = AllArray(Counters()), _TwoWayMerge(Counters())
+    logged = 0
+    # the log is traced from its first run, so that freeing it counts
+    with peak_above():
+        for keys, vals in _seeded_runs(universe, ism._LOG_RUNS - 1, universe, 4000):
+            reference.merge(keys, vals.copy())
+            alla.merge(keys, vals)
+            logged += len(keys)
+        del keys, vals
+        with peak_above() as span:
+            keys, vals = alla.keys, alla.vals
+    assert span.peak <= 2 * logged
+    assert np.array_equal(keys, reference.keys)
+    assert vals.tobytes() == reference.vals.tobytes()
+    assert alla.counters == reference.counters
+
+
 # -- engine --------------------------------------------------------------------------
 
 
@@ -296,8 +351,9 @@ def test_result_decodes_into_the_coordinate_dtype():
     coords, vals = eng.result()
     assert all(c.dtype == CRD_DTYPE for c in coords)
     assert list(zip(*(c.tolist() for c in coords))) == want
-    # the values are the all array's own; the next run gets a new one
-    assert vals is eng.all.vals
+    # the all array hands its values over and is emptied; a second call
+    # returns the same arrays, and the next run fills a new all array
+    assert eng.result()[1] is vals and eng.all.size == 0
     eng.reset()
     eng.insert_key(_key(eng.strides, want[0]), 2.0)
     eng.result()
@@ -380,6 +436,57 @@ def test_finalize_is_idempotent():
     again = eng.result()
     assert first[0][0].tolist() == again[0][0].tolist()
     assert eng.counters.drains == 1
+
+
+@pytest.mark.parametrize("extents", [(5000,), (70, 300), (7, 30, 40)], ids=str)
+@pytest.mark.parametrize("policy", list(Policy))
+def test_results_survive_reset_and_later_runs(policy, extents):
+    eng = IsmEngine(extents, policy, 64, hash_l=16)
+    assert eng.key_dtype == CRD_DTYPE
+    results = []
+    for seed in range(3):
+        keys, vals = _real_stream(seed, 3000, eng.key_count)
+        eng.reset()
+        eng.insert_batch(keys, vals)
+        coords, out = eng.result()
+        # a second call hands over the same arrays
+        again, again_vals = eng.result()
+        assert again_vals is out and all(a is b for a, b in zip(again, coords))
+        assert all(np.array_equal(c, w) for c, w in
+                   zip(coords, np.unravel_index(np.unique(keys), extents)))
+        results.append((coords, out, [c.copy() for c in coords], out.copy()))
+    eng.reset()
+    for coords, out, want_coords, want_vals in results:
+        assert all(np.array_equal(c, w) for c, w in zip(coords, want_coords))
+        assert out.tobytes() == want_vals.tobytes()
+
+
+def test_keys_read_before_result_keep_their_contents():
+    eng = IsmEngine((70, 300), Policy.HASH, 64, hash_l=16)
+    keys, vals = _real_stream(1, 3000, eng.key_count)
+    eng.insert_batch(keys, vals)
+    eng.finalize()
+    held = eng.all.keys
+    want = held.copy()
+    coords, _ = eng.result()
+    assert np.array_equal(held, want)
+    assert np.array_equal(coords[1], want % 300)
+
+
+def test_result_decodes_the_last_slot_into_the_keys():
+    # 32-bit keys become the last slot's coordinates, so result() allocates
+    # only the first slot's column
+    eng = IsmEngine((70, 300), Policy.COORD, 4096)
+    keys, vals = _real_stream(2, 3000, eng.key_count)
+    with peak_above():
+        eng.insert_batch(keys, vals)
+        eng.finalize()
+        n = eng.all.size
+        with peak_above() as span:
+            coords, _ = eng.result()
+    assert span.peak <= 4 * n + 2048
+    assert all(np.array_equal(c, w) for c, w in
+               zip(coords, np.unravel_index(np.unique(keys), (70, 300))))
 
 
 def test_peak_bytes_counts_both_arrays():
@@ -563,14 +670,16 @@ def _insert_batch_scratch(policy: Policy, capacity: int, n: int, universe: int) 
 @pytest.mark.parametrize("policy", list(Policy))
 def test_insert_batch_scratch_is_one_block(policy, capacity, universe):
     # a batch is planned max(capacity, _BLOCK) pairs at a time, after the
-    # contents, so from two blocks on, four times the batch holds about the
+    # contents, and each block's plan is released before the next one is
+    # made, so from two blocks on, four times the batch holds about the
     # same scratch; at capacity 1 each pair of a block may end a run of its
-    # own, which is sliced from the plan only as it drains
+    # own, which is sliced from the plan only as it drains (128.3 B per pair
+    # of a block measured there, 82.6 at the larger capacities)
     block = max(capacity, ism._BLOCK)
     short, long = (_insert_batch_scratch(policy, capacity, k * block, universe)
                    for k in (2, 8))
     assert long <= 1.15 * short
-    assert long <= 256 * block
+    assert long <= 130 * block
 
 
 def test_insert_batch_keeps_the_sign_of_a_lone_negative_zero():
@@ -621,8 +730,10 @@ def test_narrow_and_wide_keys_agree(policy, capacity):
         for part in np.array_split(np.arange(len(keys)), 5):
             eng.insert_batch(keys[part], vals[part])
         eng.insert_key(int(keys[0]), 1.5)
-        coords, out = eng.result()
+        # read before result(), which hands the all array's keys over
+        eng.finalize()
         assert eng.all.keys.dtype == eng.key_dtype
+        coords, out = eng.result()
         got.append((coords, out.tobytes(), eng.counters))
     (want_coords, want_vals, want_counters), (got_coords, got_vals, got_counters) = got
     assert all(np.array_equal(w, g) for w, g in zip(want_coords, got_coords))
@@ -775,6 +886,15 @@ def test_log_matches_a_two_way_merge_per_drain(policy, capacity, wide_keys):
     _check_against_reference(policy, capacity, streams, _extents((8, 512), wide_keys))
 
 
+@pytest.mark.parametrize("policy", list(Policy))
+def test_log_matches_a_two_way_merge_over_many_key_ranges(policy):
+    # mostly distinct keys: each compaction merges several key ranges of
+    # runs the engine alone refers to, and cuts them back in place
+    streams = [_real_stream(seed, n, universe=10**6)
+               for seed, n in [(21, 150_000), (22, 20_000)]]
+    _check_against_reference(policy, 1024, streams, (1000, 1000))
+
+
 def test_log_stays_bounded_under_heavy_dedup():
     # coord at capacity 1 drains at every insert: 10^5 one-entry runs over
     # 64 keys, which the log compacts every _LOG_RUNS runs
@@ -809,12 +929,13 @@ def _compaction_scratch(universe: int, key_dtype) -> float:
 
 @pytest.mark.parametrize("universe", [10**7, 10**5, 1000])
 def test_compaction_scratch_per_entry(universe):
-    # the concatenated keys and values, the sort order and a mask, about 25
-    # bytes per entry, then about 16 bytes per distinct key left behind
-    assert _compaction_scratch(universe, np.uint64) <= 27
+    # the log stays alive here, so the compaction adds its output, 16 bytes
+    # per distinct key, and one key range's scratch: 18.1 bytes per logged
+    # entry measured when nearly every key is distinct, 7.0 with 1000 keys
+    assert _compaction_scratch(universe, np.uint64) <= 18.5
 
 
 @pytest.mark.parametrize("universe", [10**7, 10**5, 1000])
 def test_compaction_scratch_per_entry_with_32_bit_keys(universe):
-    # four bytes fewer per entry, in the concatenated keys
-    assert _compaction_scratch(universe, np.uint32) <= 23
+    # four bytes fewer per distinct key: 13.8 measured
+    assert _compaction_scratch(universe, np.uint32) <= 14.5

@@ -1204,12 +1204,11 @@ _SPANS = [(ism.AccArray, "fill"), (ism.AllArray, "_compact"), (lowering, "compre
 def test_the_peak_of_a_mid_size_outer_product(policy):
     # bounds in bytes, from measurement. Under bucket and hash, planning a
     # block of inserts after the contents (two blocks at most) sets the
-    # peak; coord's plan is little more than the two blocks, and its peak is
-    # the compaction's (25.5 B per entry measured; 28.2 outside the spans
-    # while the producer loops carried 64-bit positions). The compaction's
-    # scratch is the sort order and a mask over the log; compression takes
-    # the compacted sums over and holds only its order check's blocks (0.73
-    # B per entry measured)
+    # peak, at 40.6 B per planned pair; coord's plan is little more than the
+    # two blocks, and its peak is set outside the three spans, while an
+    # insert evaluates its values. The compaction frees the log as it
+    # merges it, so it adds to it only one key range's scratch; compression
+    # takes the compacted sums over and holds only its order check's blocks
     kernel = KERNELS_BY_NAME["spgemm-outer"]
     b, c = sw.synthetic_pair(2000, 2000, 0.5, 8, seed=1)
     tensors = {"B": sw.reformat(b, kernel.formats["B"]),
@@ -1220,13 +1219,29 @@ def test_the_peak_of_a_mid_size_outer_product(policy):
     fill, compact, compress = probe.spans.values()
     planned = 2 * ism._BLOCK
     if policy is sw.Policy.COORD:
-        assert fill.peak - fill.entry <= 10.5 * planned
-        assert probe.peak == compact.peak <= 29 * nnz
+        assert fill.peak - fill.entry <= 10 * planned
+        assert probe.peak > max(fill.peak, compact.peak, compress.peak)
     else:
-        assert fill.peak - fill.entry <= 104 * planned
-        assert probe.peak == fill.peak <= 36 * nnz
-    assert compact.calls == 1 and compact.peak - compact.entry <= 12.5 * nnz
-    assert compress.calls == 1 and compress.peak - compress.entry <= 3.1 * nnz
+        assert fill.peak - fill.entry <= 42 * planned
+        assert probe.peak == fill.peak
+    assert probe.peak <= 24 * nnz
+    assert compact.calls == 1 and compact.peak - compact.entry <= 5 * nnz
+    assert compress.calls == 1 and compress.peak - compress.entry <= 0.8 * nnz
+
+
+def test_a_sparse_workspace_peaks_near_its_result():
+    # the outer product of scatter-full's operands: 128 000 inserts into
+    # 115 499 entries, whose CSR result takes 1.42 MB; the execution peaks
+    # at 1.50 times that (2.0 while the compaction held a copy of the log)
+    kernel = KERNELS_BY_NAME["spgemm-outer"]
+    b, c = sw.synthetic_pair(4000, 4000, 0.5, 8, seed=1)
+    tensors = {"B": sw.reformat(b, kernel.formats["B"]),
+               "C": sw.reformat(c, kernel.formats["C"])}
+    _, plan, _ = prepare(kernel, sw.Policy.HASH, 4096)
+    with peak_above() as span:
+        out = sw.execute(plan, tensors).tensor
+    stored = out.vals.nbytes + sum(lv.pos.nbytes + lv.crd.nbytes for lv in out.levels[1:])
+    assert span.peak <= 1.55 * stored
 
 
 @pytest.mark.parametrize("result", [sw.csr(), sw.dense(2)], ids=str)
