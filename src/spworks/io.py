@@ -323,8 +323,10 @@ def synthetic_pair(
     two operands stay distinct.
     """
     b = synthetic_matrix(rows, cols, density, nnz_per_col, seed)
-    rows_b, cols_b = (c.astype(np.int64) for c in b.mode_coordinates())
-    c = from_arrays([cols_b, (rows_b + 1) % rows], b.vals, coo(2), (cols, rows))
+    rows_b, cols_b = b.mode_coordinates()
+    # the shift stays in B's 32-bit coordinates: only row rows - 1 wraps
+    c = from_arrays([cols_b, np.where(rows_b == rows - 1, 0, rows_b + 1)], b.vals, coo(2),
+                    (cols, rows))
     return b, c
 
 

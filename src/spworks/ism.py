@@ -346,10 +346,11 @@ class AllArray:
     array: a stable sort by key puts each key's arrivals in drain order,
     the first arrival is the key's start value and later ones add to it in
     that order, so every sum is bit for bit the ``old + new`` of a two-way
-    merge per drain. merge() also compacts once the log holds _LOG_RUNS
-    runs and at least as many entries, counting each run's object headers,
-    as the last compaction left, so the log stays within about the distinct
-    keys plus _LOG_RUNS runs.
+    merge per drain. Once a run would make the log hold _LOG_RUNS runs and
+    at least as many entries, counting each run's object headers, as the
+    last compaction left, merge() compacts the runs before it and logs it
+    alone, so the log stays within about the distinct keys plus _LOG_RUNS
+    runs.
 
     A compaction merges a key range at a time and cuts each logged array
     back in place as its entries are merged, which frees the log while the
@@ -373,14 +374,20 @@ class AllArray:
     def merge(self, new_keys: np.ndarray, new_vals: np.ndarray) -> None:
         """Log a sorted-unique run; its values add after those of every
         earlier run. The compaction frees the run's arrays as it merges
-        them, unless the caller still refers to them."""
+        them, unless the caller still refers to them.
+
+        When the run makes the log due, the runs logged before it are
+        compacted and it starts the next log: while this call lasts, its
+        caller, and on older Pythons the call itself, still refer to the
+        run, but no longer to any run logged before it."""
         self.counters.merges += 1
         self.merges += 1
+        runs = len(self._runs) + 1
+        if (runs >= _LOG_RUNS
+                and self._logged + len(new_keys) + _RUN_ENTRIES * runs >= len(self._keys)):
+            self._compact()
         self._runs.append([new_keys, new_vals])
         self._logged += len(new_keys)
-        runs = len(self._runs)
-        if runs >= _LOG_RUNS and self._logged + _RUN_ENTRIES * runs >= len(self._keys):
-            self._compact()
 
     def _compact(self) -> None:
         """Merge the log into the last compacted array and charge its merges.

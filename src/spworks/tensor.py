@@ -9,7 +9,8 @@ one coordinate array per level plus the value array.
 
 Values are float64. Coordinates are 32-bit unsigned, matching the 4-byte
 accounting used by the memory estimator, so no extent may exceed 2^32.
-Every constructor builds coordinate arrays and ends in ``compress_arrays``.
+Every constructor builds coordinate arrays and ends in the level loop of
+``compress_arrays``.
 """
 
 from __future__ import annotations
@@ -320,7 +321,10 @@ def compress_arrays(
     that keeps using such an array passes a copy."""
     dims = _checked_dims(fmt, dims)
     mode_coords, vals = _checked_arrays(mode_coords, vals, fmt.order)
-    return _compress(fmt, dims, [mode_coords[m] for m in fmt.mode_ordering], None, [], vals)
+    by_level = [mode_coords[m] for m in fmt.mode_ordering]
+    _check_bounds(by_level, fmt, dims)
+    _check_order(by_level, None, [], len(vals))
+    return _compress(fmt, dims, by_level, None, [], vals)
 
 
 def compress_segments(
@@ -358,27 +362,31 @@ def compress_segments(
         segments, against = counts.shape, "segment counts"
     prefix = _checked_coords(prefix, segments, "level", against)
     tail = _checked_coords(tail, vals.shape, "level", "values", len(prefix))
-    return _compress(fmt, dims, prefix, counts, tail, vals)
-
-
-def _compress(fmt: Format, dims: tuple[int, ...], prefix: list[np.ndarray],
-              counts: np.ndarray | None, tail: list[np.ndarray], vals: np.ndarray) -> Tensor:
-    """The level loop of both constructors, on checked arrays: the prefix
-    levels once per segment (per entry where ``counts`` is None), then the
-    tail levels once per entry."""
-    extents = [dims[m] for m in fmt.mode_ordering]
     if counts is not None and not counts.all():
         has = counts > 0
         prefix = [c[has] for c in prefix]
         counts = counts[has]
-    n = len(vals)
-    for l, (c, e) in enumerate(zip([*prefix, *tail], extents)):
-        if len(c) and (c.min() < 0 or c.max() >= e):
-            raise TensorError(
-                f"coordinate out of bounds at level {l}: extent {e}"
-            )
-    _check_order(prefix, counts, tail, n)
+    _check_bounds([*prefix, *tail], fmt, dims)
+    _check_order(prefix, counts, tail, len(vals))
+    return _compress(fmt, dims, prefix, counts, tail, vals)
 
+
+def _check_bounds(by_level: Sequence[np.ndarray], fmt: Format, dims: tuple[int, ...]) -> None:
+    """Raise unless every coordinate lies inside its level's extent. It runs
+    on coordinates as given, before any is narrowed (which would wrap it)."""
+    for l, (c, m) in enumerate(zip(by_level, fmt.mode_ordering)):
+        if len(c) and (c.min() < 0 or c.max() >= dims[m]):
+            raise TensorError(f"coordinate out of bounds at level {l}: extent {dims[m]}")
+
+
+def _compress(fmt: Format, dims: tuple[int, ...], prefix: list[np.ndarray],
+              counts: np.ndarray | None, tail: list[np.ndarray], vals: np.ndarray) -> Tensor:
+    """The level loop of every constructor, on arrays known to be in
+    bounds, unique and in order, with no empty segment: the prefix levels
+    once per segment (per entry where ``counts`` is None), then the tail
+    levels once per entry."""
+    extents = [dims[m] for m in fmt.mode_ordering]
+    n = len(vals)
     if fmt.coo:
         if counts is not None:
             prefix = [np.repeat(c, counts) for c in prefix]
@@ -571,9 +579,12 @@ def from_arrays(
     sum_duplicates: bool = False,
 ) -> Tensor:
     """Stably sort per-mode coordinates by the target's access order,
-    optionally sum duplicates in input order, then compress. Coordinates
-    that already ascend in that order, ties allowed, are not sorted. The
-    tensor shares no memory with the caller's arrays."""
+    optionally sum duplicates in input order, then compress. The sort takes
+    linear time: one radix pass per 16-bit digit of each level's
+    coordinates (``_level_order``). One pass over adjacent entries finds
+    both whether they already ascend, ties allowed, and so need no sort, and
+    the duplicates among them. The tensor shares no memory with the
+    caller's arrays."""
     return _from_arrays(mode_coords, vals, fmt, dims, sum_duplicates, handed_over=False)
 
 
@@ -582,25 +593,53 @@ def _from_arrays(mode_coords: Sequence[Sequence[int]], vals: Sequence[float], fm
     """``from_arrays``; the tensor may keep coordinate arrays that are
     ``handed_over``, which no caller uses again."""
     by_mode, vals = _checked_arrays(mode_coords, vals, fmt.order)
+    dims = _checked_dims(fmt, dims)
     by_level = [by_mode[m] for m in fmt.mode_ordering]
-    if _adjacent_pairs(by_level, len(vals))[1]:
-        order = np.lexsort(by_level[::-1])
-        by_mode = [c[order] for c in by_mode]
-        vals = vals[order].astype(VAL_DTYPE, copy=False)
-    else:
-        if not handed_over:
-            # compress_arrays would take over the caller's arrays
-            by_mode = [c.copy() if c.dtype == CRD_DTYPE else c for c in by_mode]
-        vals = vals.astype(VAL_DTYPE)
-    if sum_duplicates and len(vals):
-        changed = np.zeros(len(vals), dtype=bool)
+    _check_bounds(by_level, fmt, dims)
+    n = len(vals)
+    tied, descending = _adjacent_pairs(by_level, n)
+    if descending:
+        order = _level_order(by_level, [dims[m] for m in fmt.mode_ordering])
+        by_level = [c[order] for c in by_level]
+        vals = vals[order]
+        del order
+        # once sorted, duplicates are adjacent
+        tied = sum_duplicates or _adjacent_pairs(by_level, n)[0]
+    if tied:
+        if not sum_duplicates:
+            raise TensorError("duplicate coordinates in component list")
+        changed = np.zeros(n, dtype=bool)
         changed[0] = True
-        for c in by_mode:
+        for c in by_level:
             changed[1:] |= c[1:] != c[:-1]
         starts = np.flatnonzero(changed)
-        vals = np.add.reduceat(vals, starts)
-        by_mode = [c[starts] for c in by_mode]
-    return compress_arrays(by_mode, vals, fmt, dims)
+        vals = np.add.reduceat(vals.astype(VAL_DTYPE, copy=False), starts)
+        by_level = [c[starts] for c in by_level]
+    elif not descending:
+        if not handed_over:
+            # the tensor would take over the caller's arrays
+            by_level = [c.copy() if c.dtype == CRD_DTYPE else c for c in by_level]
+        vals = vals.astype(VAL_DTYPE)
+    return _compress(fmt, dims, by_level, None, [], vals)
+
+
+def _level_order(by_level: Sequence[np.ndarray], extents: Sequence[int]) -> np.ndarray:
+    """The permutation that sorts entries stably by their level-order
+    coordinates, each inside its level's extent: ``np.lexsort`` of the
+    coordinates split into 16-bit digits, each narrowed to uint8 when its
+    values fit. numpy sorts uint8 and uint16 keys by radix, so this is one
+    linear pass per digit, least significant first, each reordering one
+    index array in place. The permutation is lexsort's on the coordinates
+    themselves."""
+    digits = []
+    for c, e in zip(by_level, extents):
+        top = e - 1
+        for shift in range(max(top.bit_length() - 1, 0) // 16 * 16, -1, -16):
+            # wraps to the digit's 16 bits
+            dtype = np.uint8 if top >> shift < 2**8 else np.uint16
+            digits.append(np.right_shift(c, shift, out=np.empty(len(c), dtype),
+                                         casting="unsafe"))
+    return np.lexsort(digits[::-1])
 
 
 def from_unsorted(
@@ -644,7 +683,10 @@ def from_dense(array: np.ndarray, fmt: Format | None = None) -> Tensor:
 
 
 def reformat(tensor: Tensor, fmt: Format) -> Tensor:
-    """Re-store the same entries under another format of equal order."""
+    """Re-store the same entries under another format of equal order. The
+    walk up the levels gives them in the source's access order, so they are
+    sorted, in linear time as ``from_arrays`` sorts, only when the target's
+    order differs."""
     if fmt.order != tensor.order:
         raise TensorError(
             f"cannot reformat an order-{tensor.order} tensor as order-{fmt.order}"

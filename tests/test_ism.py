@@ -895,6 +895,24 @@ def test_log_matches_a_two_way_merge_over_many_key_ranges(policy):
     _check_against_reference(policy, 1024, streams, (1000, 1000))
 
 
+def test_an_engine_run_is_cut_in_place(monkeypatch):
+    # a drained run is referred to by nothing but the log by the time a
+    # compaction merges it, at merge() or when the result is read, so every
+    # logged array is cut back in place, none left as a view
+    cuts = []
+    cut = ism._cut
+
+    def counted(run, n):
+        cut(run, n)
+        cuts.extend(a.flags.owndata for a in run)
+
+    monkeypatch.setattr(ism, "_cut", counted)
+    eng = IsmEngine((1000, 1000), Policy.HASH, 1024, hash_l=64)
+    eng.insert_batch(*_real_stream(21, 150_000, 10**6))
+    eng.result()
+    assert len(cuts) > 3000 and all(cuts)
+
+
 def test_log_stays_bounded_under_heavy_dedup():
     # coord at capacity 1 drains at every insert: 10^5 one-entry runs over
     # 64 keys, which the log compacts every _LOG_RUNS runs

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import spworks as sw
@@ -106,3 +107,16 @@ def test_modules_reference_every_private_definition():
             if name.startswith("_") and not name.startswith("__")
             and not any(name in r for other, r in enumerate(refs) if other != at)]
     assert not dead
+
+
+def test_every_traced_internal_resolves():
+    # the benchmark's traced runs wrap each (owner, attr) of its INTERNAL
+    # list, read as owner.__dict__[attr]; a change that moves or drops one
+    # makes every traced run fail before its first pass
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in tracing.INTERNAL
+               if attr not in vars(owner)]
+    assert tracing.INTERNAL and not missing

@@ -221,11 +221,15 @@ def test_level_coordinates_scratch_per_entry(fmt, shape):
 @pytest.mark.parametrize("src, dst, shape, bound", [
     (sw.csr(), sw.dcsr(), (2000, 2000), 13.5), (sw.csr(), sw.csr(), (2000, 2000), 4.5),
     (sw.csr(), sw.coo(2), (2000, 2000), 0.5), (sw.csf(3), sw.csf(3), (100, 100, 100), 17),
+    (sw.csr(), sw.csc(), (2000, 2000), 20.65), (sw.csr(), sw.csc(), (10**6, 100), 20.57),
 ], ids=lambda x: str(x) if isinstance(x, (sw.Format, float, int)) else "x".join(map(str, x)))
 def test_reformat_scratch_per_entry(src, dst, shape, bound):
     # bounds in bytes per entry beyond the tensor it returns, from
     # measurement (12.96, 4.15, 0.09, 16.66; each 4 B per level more while
-    # reformat copied the coordinates the walk up the levels built for it)
+    # reformat copied the coordinates the walk up the levels built for it).
+    # CSR to CSC sorts: its bounds are what it held while it sorted with
+    # np.lexsort on the coordinates themselves, 20.15 and 20.07, plus 0.5,
+    # so that the radix passes hold no more (19.95 and 20.02 measured)
     n = 200_000
     rng = np.random.default_rng(0)
     flat = np.sort(rng.choice(math.prod(shape), n, replace=False))
@@ -233,7 +237,7 @@ def test_reformat_scratch_per_entry(src, dst, shape, bound):
     with peak_above() as span:
         u = sw.reformat(t, dst)
     assert (span.peak - sum(a.nbytes for a in _storage(u))) / n <= bound
-    assert np.array_equal(u.mode_coordinates()[-1], t.mode_coordinates()[-1])
+    assert sw.tensors_equal(sw.reformat(u, src), t)
 
 
 def test_reformat_keeps_the_coordinates_it_builds(monkeypatch):
@@ -281,17 +285,23 @@ def test_from_arrays_sorts_only_what_is_not_sorted(monkeypatch):
     # coordinates that already ascend in the target's access order, ties
     # included, build without a sort the tensor the sort builds from them
     # shuffled; reformat from COO to CSR and from CSR to DCSR is sort-free.
+    # Both the sort and np.lexsort, which it calls, are switched off.
     # Integer values keep the sums of duplicates exact in any order
     rng = np.random.default_rng(8)
     n, shape = 400, (20, 30)
     mode = [rng.integers(0, e, n) for e in shape]
     vals = rng.integers(1, 10, n).astype(float)
+
+    def no_sort(m):
+        m.setattr(tensor, "_level_order", None)
+        m.setattr(np, "lexsort", None)
+
     for name in FORMATS2:
         fmt = sw.format_from_name(name, 2)
         order = np.lexsort([mode[m] for m in reversed(fmt.mode_ordering)])
         want = from_arrays(mode, vals, fmt, shape, sum_duplicates=True)
         with monkeypatch.context() as m:
-            m.setattr(np, "lexsort", None)
+            no_sort(m)
             got = from_arrays([c[order] for c in mode], vals[order], fmt, shape,
                               sum_duplicates=True)
             assert sw.tensors_equal(got, want), name
@@ -299,10 +309,126 @@ def test_from_arrays_sorts_only_what_is_not_sorted(monkeypatch):
                 from_arrays([c[order] for c in mode], vals[order], fmt, shape)
     coo = from_arrays(mode, vals, sw.coo(2), shape, sum_duplicates=True)
     with monkeypatch.context() as m:
-        m.setattr(np, "lexsort", None)
+        no_sort(m)
         dcsr = sw.reformat(sw.reformat(coo, sw.csr()), sw.dcsr())
     assert sw.tensors_equal(dcsr, sw.reformat(coo, sw.dcsr()))
     assert np.array_equal(dcsr.to_dense(), coo.to_dense())
+
+
+def test_from_arrays_checks_the_order_once(monkeypatch):
+    # the pass over adjacent entries that finds the input sorted also finds
+    # its duplicates, so compression does not repeat it; once sorted, the
+    # entries are checked for duplicates unless they are summed
+    calls = []
+    pairs = tensor._adjacent_pairs
+    monkeypatch.setattr(tensor, "_adjacent_pairs",
+                        lambda *args: calls.append(1) or pairs(*args))
+    rows, cols = np.array([0, 0, 1, 2]), np.array([1, 3, 0, 2])
+    for mode, summed, passes in [([rows, cols], False, 1), ([cols, rows], False, 2),
+                                 ([cols, rows], True, 1)]:
+        calls.clear()
+        from_arrays(mode, np.ones(4), sw.csr(), (4, 4), sum_duplicates=summed)
+        assert len(calls) == passes
+
+
+# extents at the edges of the radix digits: one value, uint8, uint16, and
+# two 16-bit digits up to the coordinate limit
+_EDGE_EXTENTS = [1, 2, 255, 256, 257, 65535, 65536, 65537, 2**24 + 1, 2**32 - 1, 2**32]
+
+
+def _edge_coordinate(extent: int):
+    edges = {0, 1, 255, 256, 65535, 65536, 2**24, extent // 2, extent - 2, extent - 1}
+    return st.one_of(st.sampled_from(sorted(v for v in edges if 0 <= v < extent)),
+                     st.integers(0, extent - 1))
+
+
+@st.composite
+def _entries(draw, extents):
+    """Level-order coordinate columns of up to 40 entries, drawn with
+    repeats from up to 12 distinct ones, in CRD_DTYPE or int64."""
+    pool = draw(st.lists(st.tuples(*map(_edge_coordinate, extents)), max_size=12))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=40)) if pool else []
+    dtype = draw(st.sampled_from([CRD_DTYPE, np.int64]))
+    return [np.array([pool[i][l] for i in picks], dtype=dtype) for l in range(len(extents))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_EDGE_EXTENTS), min_size=1, max_size=3).flatmap(
+    lambda extents: st.tuples(st.just(extents), _entries(extents))))
+def test_level_order_is_lexsort(case):
+    extents, columns = case
+    want = np.lexsort(columns[::-1]) if len(columns[0]) else np.zeros(0, np.intp)
+    assert np.array_equal(tensor._level_order(columns, extents), want)
+
+
+def _formats_of_order(order: int) -> list[sw.Format]:
+    names = ["csr", "csc", "dcsr", "dcsc", "csf", "coo", "dense", "sv", "dv"]
+    return [sw.format_from_name(n, order) for n in names
+            if not isinstance(_outcome(lambda: sw.format_from_name(n, order)), str)]
+
+
+@st.composite
+def _conversion(draw):
+    """A format of order 1 to 3, dims at the radix edges (dense levels
+    held to about 2^16 cells), and entries with repeats and real values."""
+    order = draw(st.integers(1, 3))
+    fmt = draw(st.sampled_from(_formats_of_order(order)))
+    dense_levels = sum(k is DENSE for k in fmt.levels)
+    cap = int(65537 ** (1 / dense_levels)) + 1 if dense_levels else 2**32
+    extents = [min(draw(st.sampled_from(_EDGE_EXTENTS)), cap if kind is DENSE else 2**32)
+               for kind in fmt.levels]
+    levels = draw(_entries(extents))
+    vals = draw(st.lists(st.floats(width=64), min_size=len(levels[0]),
+                         max_size=len(levels[0])))
+    dims = [0] * order
+    for m, e in zip(fmt.mode_ordering, extents):
+        dims[m] = e
+    mode = [levels[fmt.mode_ordering.index(m)] for m in range(order)]
+    return fmt, tuple(dims), mode, np.array(vals, dtype=np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_conversion())
+def test_from_arrays_matches_a_lexsort_model(case):
+    # a stable lexsort of the level-order coordinates, then a sum of each
+    # run of duplicates in input order: the same tensor, bit for bit; and
+    # without summing, the same tensor or the same duplicate error
+    fmt, dims, mode, vals = case
+    levels = [mode[m] for m in fmt.mode_ordering]
+    order = np.lexsort(levels[::-1]) if len(vals) else np.zeros(0, np.intp)
+    levels, vals_sorted = [c[order] for c in levels], vals[order]
+    # an entry starts a run unless it equals the one before at every level
+    same = np.ones(max(len(vals) - 1, 0), bool)
+    for c in levels:
+        same &= c[1:] == c[:-1]
+    starts = np.flatnonzero(np.concatenate([[True], ~same])[:len(vals)])
+    sums = np.add.reduceat(vals_sorted, starts) if len(vals) else vals_sorted
+    by_mode = [levels[fmt.mode_ordering.index(m)][starts] for m in range(fmt.order)]
+    want = compress_arrays(by_mode, sums, fmt, dims)
+    got = from_arrays(mode, vals, fmt, dims, sum_duplicates=True)
+    assert sw.tensors_equal(got, want) and got.vals.tobytes() == want.vals.tobytes()
+    unique = len(starts) == len(vals)
+    got = _outcome(lambda: from_arrays(mode, vals, fmt, dims))
+    if unique:
+        assert sw.tensors_equal(got, want) and got.vals.tobytes() == want.vals.tobytes()
+    else:
+        assert got == "duplicate coordinates in component list"
+
+
+@pytest.mark.parametrize("extent", [1, 256, 65536, 2**32])
+@pytest.mark.parametrize("bad", ["negative", "extent", "wraps-16", "wraps-32"])
+def test_from_arrays_checks_bounds_before_narrowing(extent, bad):
+    # a coordinate that narrowing to a 16-bit digit or to CRD_DTYPE would
+    # wrap into range is out of bounds, sorted or not, with or without sums
+    value = {"negative": -1, "extent": extent, "wraps-16": extent + 2**16,
+             "wraps-32": extent + 2**32}[bad]
+    rows = np.array([1, 0, value % 7, 2], dtype=np.int64) % 3
+    for cols in ([0, 0, value, 0], [value, 0, 0, 0]):
+        for summed in (False, True):
+            with pytest.raises(sw.TensorError,
+                               match=f"^coordinate out of bounds at level 1: extent {extent}$"):
+                from_arrays([rows, np.array(cols, dtype=np.int64)], np.ones(4),
+                            sw.dcsr(), (3, extent), sum_duplicates=summed)
 
 
 # -- round trips -----------------------------------------------------------------------
