@@ -247,10 +247,15 @@ class AccArray:
         repeats = both_vals[order[repeat]]
         del order, repeat
         # a key's chain rank counts the earlier keys of its bucket in its run;
-        # a key that finds the array full is ranked after the whole run it ends
+        # a key that finds the array full is ranked after the whole run it
+        # ends. Ranks and runs are 32-bit for a plan of a block or more
+        # (below 2^31 pairs); a smaller one keeps intp, whose numpy calls
+        # dispatch faster, and lexsort's order is intp, which a gather takes
+        # without converting it
+        index = np.int32 if _BLOCK <= total < 2**31 else np.intp
         stops = np.asarray(starts[1:], np.int64)
         runs_of = np.concatenate((np.searchsorted(stops, fresh, "right"),
-                                  np.arange(len(stops))))
+                                  np.arange(len(stops))), dtype=index)
         chains = self._bucket(both[np.concatenate((fresh, stops))])
         by_chain = np.lexsort((chains, runs_of))
         lead = np.ones(len(by_chain), bool)
@@ -262,7 +267,7 @@ class AccArray:
         del runs_of
         # the rank in chain order, then scattered back to the order of the
         # fresh keys and the stops
-        rank = np.arange(len(by_chain))
+        rank = np.arange(len(by_chain), dtype=index)
         start = np.where(lead, rank, 0)
         del lead
         np.maximum.accumulate(start, out=start)

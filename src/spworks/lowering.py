@@ -83,7 +83,10 @@ class LoweringError(ValueError):
 # more level of an access on a batch and return the rows that remain. Each
 # node's ``needs`` maps the columns a batch must carry after it to those it
 # must carry before it; a driver or a locate also records, under its id in
-# ``keep``, what the batches it builds carry.
+# ``keep``, what the batches it builds carry, and a statement what the nodes
+# after it read: it releases each operand's positions at their last read,
+# and an insert its slot coordinates once its keys are built, unless they
+# are read after it.
 
 
 @dataclass
@@ -277,10 +280,11 @@ class AccumReg:
         return [f"val += {format_expr(self.expr)}"]
 
     def needs(self, live: set, keep: dict) -> set:
+        keep[id(self)] = _Keep.of(live, set())
         return live | _operands(self.expr, self.amap) | {_OWNER}
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
-        np.add.at(ex.reg, rows.owner, _evaluate(ex, rows, self.expr, self.amap))
+        np.add.at(ex.reg, rows.owner, _evaluate(ex, rows, self))
 
 
 @dataclass
@@ -298,11 +302,12 @@ class Append:
         return [f"append ({coords}){value} -> {plan.result.tensor}"]
 
     def needs(self, live: set, keep: dict) -> set:
+        keep[id(self)] = _Keep.of(live, set())
         live = live | {_crd(v) for v in self.level_vars}
         return live if self.expr is None else live | _operands(self.expr, self.amap)
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
-        vals = ex.reg if self.expr is None else _evaluate(ex, rows, self.expr, self.amap)
+        vals = ex.reg if self.expr is None else _evaluate(ex, rows, self)
         ex.collector.extend([rows.crd[v] for v in self.level_vars], None, [], vals)
 
 
@@ -317,6 +322,7 @@ class ScatterDense:
         return [f"{plan.result.tensor}[{coords}] += {format_expr(self.expr)}"]
 
     def needs(self, live: set, keep: dict) -> set:
+        keep[id(self)] = _Keep.of(live, set())
         return live | {_crd(v) for v in self.mode_vars} | _operands(self.expr, self.amap)
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
@@ -325,7 +331,7 @@ class ScatterDense:
         for v, e in zip(self.mode_vars, ex.dense_out.shape):
             at *= e
             at += rows.crd[v]
-        np.add.at(ex.dense_out.reshape(-1), at, _evaluate(ex, rows, self.expr, self.amap))
+        np.add.at(ex.dense_out.reshape(-1), at, _evaluate(ex, rows, self))
 
 
 @dataclass
@@ -341,8 +347,6 @@ class InsertWs:
         return self.meta.impl.insert_lines(self.meta, self.expr)
 
     def needs(self, live: set, keep: dict) -> set:
-        # what the nodes after this one read: the rest is dropped before
-        # the workspace takes the pairs
         keep[id(self)] = _Keep.of(live, set())
         return (live | {_crd(v) for v in self.meta.slot_vars}
                 | _operands(self.expr, self.amap) | {_OWNER})
@@ -354,10 +358,8 @@ class InsertWs:
         for v in rest:
             keys *= ex.extents[v]
             keys += rows.crd[v]
-        vals = _evaluate(ex, rows, self.expr, self.amap)
-        owner = rows.owner
         rows.drop(ex.keep[id(self)])
-        ws.insert(owner, keys, vals)
+        ws.insert(rows.owner, keys, _evaluate(ex, rows, self))
 
 
 @dataclass
@@ -754,12 +756,19 @@ class _Rows:
                      self.owner[rows] if keep.owner else None)
 
     def drop(self, keep: _Keep) -> None:
-        """Release every column ``keep`` does not gather."""
-        for columns, kept in ((self.crd, keep.crd), (self.pos, keep.pos)):
-            for c in [c for c in columns if c not in kept]:
-                del columns[c]
-        if not keep.owner:
-            self.owner = None
+        """Release every coordinate column ``keep`` does not gather."""
+        for v in [v for v in self.crd if v not in keep.crd]:
+            del self.crd[v]
+
+    def read(self, aid: int, reads: dict) -> np.ndarray:
+        """An access's positions. ``reads`` counts the reads left of each
+        column to release: the batch lets go of it at the last one."""
+        pos = self.pos[aid]
+        if aid in reads:
+            reads[aid] -= 1
+            if not reads[aid]:
+                del self.pos[aid]
+        return pos
 
 
 # the columns of a batch: a variable's coordinates, an access's positions,
@@ -814,27 +823,47 @@ class _Keep:
                    _OWNER in gather, frozenset(live & own))
 
 
-def _values(ex: _Execution, rows: _Rows, expr: Expr, amap: dict):
+# operand values a binary node gathers at a time into the array it owns
+_SLICE = 1 << 11
+
+
+def _values(ex: _Execution, rows: _Rows, expr: Expr, amap: dict, reads: dict):
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, Access):
         # a gather copies: the array is the expression's own
-        return ex.tensors[expr.tensor].vals[rows.pos[amap[expr]]]
+        return ex.tensors[expr.tensor].vals[rows.read(amap[expr], reads)]
     if isinstance(expr, (Add, Mul)):
         add = isinstance(expr, Add)
-        lhs = _values(ex, rows, expr.lhs, amap)
-        rhs = _values(ex, rows, expr.rhs, amap)
-        if isinstance(lhs, np.ndarray) and lhs.dtype == VAL_DTYPE:
-            # an array the expression allocated takes the result in place
-            return np.add(lhs, rhs, out=lhs) if add else np.multiply(lhs, rhs, out=lhs)
-        return lhs + rhs if add else lhs * rhs
+        op = np.add if add else np.multiply
+        lhs = _values(ex, rows, expr.lhs, amap, reads)
+        if not (isinstance(lhs, np.ndarray) and lhs.dtype == VAL_DTYPE):
+            rhs = _values(ex, rows, expr.rhs, amap, reads)
+            return lhs + rhs if add else lhs * rhs
+        # an array the expression allocated takes the result in place; an
+        # operand joins it a slice at a time, never as a whole column, and
+        # ``take`` gathers a slice faster than indexing with narrow positions
+        if isinstance(expr.rhs, Access):
+            vals = ex.tensors[expr.rhs.tensor].vals
+            pos = rows.read(amap[expr.rhs], reads)
+            for lo in range(0, len(lhs), _SLICE):
+                part = lhs[lo:lo + _SLICE]
+                op(part, vals.take(pos[lo:lo + _SLICE]), out=part)
+            return lhs
+        return op(lhs, _values(ex, rows, expr.rhs, amap, reads), out=lhs)
     raise LoweringError(f"unknown expression node {expr!r}")
 
 
-def _evaluate(ex: _Execution, rows: _Rows, expr: Expr, amap: dict) -> np.ndarray:
-    """The expression's value at every row, operand by operand in the order
-    the expression gives."""
-    vals = np.asarray(_values(ex, rows, expr, amap), dtype=np.float64)
+def _evaluate(ex: _Execution, rows: _Rows, node) -> np.ndarray:
+    """The value of a statement node's expression at every row, operand by
+    operand in the order the expression gives. Each position column that
+    the nodes after it do not read is released at its last read."""
+    keep, amap = ex.keep[id(node)], node.amap
+    reads: dict[int, int] = {}
+    for aid in (amap[a] for a in expr_accesses(node.expr)):
+        if aid not in keep.pos:
+            reads[aid] = reads.get(aid, 0) + 1
+    vals = np.asarray(_values(ex, rows, node.expr, amap, reads), dtype=np.float64)
     # a constant's one value serves every row as a read-only view
     return vals if vals.shape == (rows.n,) else np.broadcast_to(vals, (rows.n,))
 
@@ -874,7 +903,8 @@ class _Block:
     each), then the other levels' coordinates and the value once per entry.
     An empty block takes over the arrays of its first extend and never
     writes into or resizes them; more entries are copied once into buffers
-    of its own, which grow in place by a quarter."""
+    of its own, which grow in place by at least a sixteenth, so a column
+    holds at most a sixteenth of its entries in headroom."""
 
     def __init__(self, levels: int) -> None:
         self.levels = levels
@@ -895,13 +925,14 @@ class _Block:
         for i, src in enumerate(new):
             col, start = self.columns[i], self.sizes[i]
             end = self.sizes[i] = start + len(src)
+            size = max(end, len(col) + len(col) // 16)
             if not self.owned:
-                own = np.empty(max(end, start * 5 // 4), col.dtype)
+                own = np.empty(size, col.dtype)
                 own[:start] = col
                 col = self.columns[i] = own
             elif end > len(col):
                 # nothing else refers to a buffer while it is resized
-                col.resize(max(end, len(col) * 5 // 4), refcheck=False)
+                col.resize(size, refcheck=False)
             col[start:end] = src
         self.owned = True
 

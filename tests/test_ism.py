@@ -709,6 +709,28 @@ def test_insert_batch_spanning_several_blocks(policy, capacity, sort_once):
     assert want_vals.tobytes() == got_vals.tobytes()
 
 
+@pytest.mark.parametrize("policy", [Policy.BUCKET, Policy.HASH])
+def test_32_bit_chain_ranks_count_as_intp_ranks_do(policy, monkeypatch):
+    # one plan of 100 000 pairs, most of them new keys: a plan of a block
+    # or more ranks its keys in 32 bits, here past 2^16 of them, and must
+    # charge the counters that intp ranks, those of a plan below a block,
+    # charge for the same plan
+    keys, vals = _real_stream(7, 100_000, universe=4 * 50_000)
+
+    def run() -> tuple:
+        eng = IsmEngine((4, 50_000), policy, 200_000, hash_l=64)
+        eng.insert_batch(keys, vals)
+        (crd_i, crd_j), sums = eng.result()
+        return eng.counters, crd_i, crd_j, sums.tobytes()
+
+    narrow = run()
+    monkeypatch.setattr(ism, "_BLOCK", 10**6)
+    wide = run()
+    assert narrow[0] == wide[0] and narrow[0].inserts - narrow[0].insert_dedups > 2**16
+    assert all(np.array_equal(a, b) for a, b in zip(narrow[1:3], wide[1:3]))
+    assert narrow[3] == wide[3]
+
+
 # -- key width ----------------------------------------------------------------------
 
 

@@ -415,6 +415,17 @@ def test_from_arrays_matches_a_lexsort_model(case):
         assert got == "duplicate coordinates in component list"
 
 
+def test_a_sum_of_duplicates_that_overflows_gives_infinity_and_warns():
+    # the baseline of the numeric contract: two finite duplicates whose sum
+    # passes the float64 range sum to -inf in IEEE arithmetic, and numpy's
+    # overflow warning passes through; nothing refuses it
+    with pytest.warns(RuntimeWarning, match="overflow encountered in reduceat"):
+        t = from_arrays([[1, 1]], [-1.09e306, -1.79e308], sw.sparse_vector(), (3,),
+                        sum_duplicates=True)
+    assert t.nnz == 1 and t.vals[0] == -np.inf
+    assert [c.crds for c in t.components()] == [(1,)]
+
+
 @pytest.mark.parametrize("extent", [1, 256, 65536, 2**32])
 @pytest.mark.parametrize("bad", ["negative", "extent", "wraps-16", "wraps-32"])
 def test_from_arrays_checks_bounds_before_narrowing(extent, bad):
