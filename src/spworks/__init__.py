@@ -106,7 +106,6 @@ from .tensor import (
     dense_vector,
     format_from_name,
     from_dense,
-    from_unsorted,
     reformat,
     sparse_vector,
     tensors_equal,

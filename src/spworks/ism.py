@@ -11,6 +11,14 @@ The merge runs a key range at a time, from the highest keys down, and cuts
 each run back as it goes, so the log is freed as the result is written; the
 engine then hands the result over, 32-bit keys decoded in place.
 
+A batch of inserts is planned a block at a time, with the drains and the
+counters of one insert per pair, from two sorts of packed unsigned
+integers: (key, arrival) finds each key's first arrival in its run and the
+slot its repeats add into, and (chain, place) ranks each kept key in its
+bucket's chain. No index array of the platform's width spans a plan;
+a coord drain sorts (key, arrival) the same way, in its values' buffer,
+and sums equal keys over the sorted arrays in place.
+
 Coordinates are linearized row-major into unsigned keys, which makes key
 order identical to lexicographic coordinate order: 32-bit keys where the key
 space fits, 64-bit ones otherwise. Counters track the
@@ -42,6 +50,9 @@ _LOG_RUNS = 64
 _RUN_ENTRIES = 18
 # sorted log positions one compaction step gathers and adds at once
 _CHUNK = 2**12
+# sorted pairs a plan or a drain reads at a time: bounds the scratch of
+# each pass over them
+_PASS = 2**10
 # about the fewest logged entries a compaction merges at once, unless fewer
 # are logged; a compaction takes at most about 16 key ranges
 _RANGE = 2**13
@@ -204,106 +215,170 @@ class AccArray:
         """Plan the inserts of a batch after the current contents, charging
         the counters of one ``insert`` per pair. Each new key that finds the
         array full ends a full run: the contents as they are at that moment.
-        Returns the plan as arrays: the keys each run keeps and their sums,
-        run after run in arrival order, and where each run starts among
-        them. Every run but the last ends where the next starts, and the
-        caller drains them in order; the last, the rest, runs to the end
-        and the caller loads it."""
-        n = self.size
-        # copies of the contents and the batch, which the plan indexes
-        both = np.concatenate((self.keys, keys))
-        both_vals = np.concatenate((self.vals, vals))
-        if self.policy is Policy.COORD:
-            return self._fill_coord(both, both_vals)
-        total = len(both)
-        order = np.argsort(both, kind="stable")
-        ordered = both[order]
-        same = ordered[1:] == ordered[:-1]
-        del ordered
-        # the previous arrival of the same key, -1 at its first
-        prev = np.full(total, -1)
-        prev[order[1:][same]] = order[:-1][same]
-        del same
-        # an arrival takes a slot if its key has not arrived yet in its run,
-        # and adds into the slot of the key's first arrival in the run if it has
-        if total <= self.capacity:
-            starts = [0]
-            new = prev < 0
-        else:
-            starts = self._run_starts(prev)
-            new = prev < np.repeat(starts, np.diff([*starts, total]))
-        del prev
-        fresh = np.flatnonzero(new)
-        # in key order, where an arrival's key last arrived new: its first
-        # arrival in the run, whose slot among the fresh keys a repeat adds
-        # into. Key order keeps each slot's repeats in arrival order
-        repeat = ~new[order]
-        del new
-        latest = np.arange(total)
-        latest[repeat] = 0
-        np.maximum.accumulate(latest, out=latest)
-        into = np.searchsorted(fresh, order[latest[repeat]])
-        del latest
-        repeats = both_vals[order[repeat]]
-        del order, repeat
-        # a key's chain rank counts the earlier keys of its bucket in its run;
-        # a key that finds the array full is ranked after the whole run it
-        # ends. Ranks and runs are 32-bit for a plan of a block or more
-        # (below 2^31 pairs); a smaller one keeps intp, whose numpy calls
-        # dispatch faster, and lexsort's order is intp, which a gather takes
-        # without converting it
-        index = np.int32 if _BLOCK <= total < 2**31 else np.intp
-        stops = np.asarray(starts[1:], np.int64)
-        runs_of = np.concatenate((np.searchsorted(stops, fresh, "right"),
-                                  np.arange(len(stops))), dtype=index)
-        chains = self._bucket(both[np.concatenate((fresh, stops))])
-        by_chain = np.lexsort((chains, runs_of))
-        lead = np.ones(len(by_chain), bool)
-        chains = chains[by_chain]
-        np.not_equal(chains[1:], chains[:-1], out=lead[1:])
-        del chains
-        runs_of = runs_of[by_chain]
-        lead[1:] |= runs_of[1:] != runs_of[:-1]
-        del runs_of
-        # the rank in chain order, then scattered back to the order of the
-        # fresh keys and the stops
-        rank = np.arange(len(by_chain), dtype=index)
-        start = np.where(lead, rank, 0)
-        del lead
-        np.maximum.accumulate(start, out=start)
-        np.subtract(rank, start, out=start)
-        rank[by_chain] = start
-        del by_chain, start
-        # a new key scans its whole chain, a repeat its chain up to its key,
-        # a key that finds the array full the whole chain there (the live
-        # contents were charged when they went in)
-        c = self.counters
-        c.insert_comparisons += (int(rank[n:].sum()) + int(rank[into].sum())
-                                 + len(into))
-        c.insert_dedups += len(into)
-        del rank
-        sums = both_vals[fresh]
-        del both_vals
-        np.add.at(sums, into, repeats)
-        # where each run starts among the kept keys; a lone run at the first
-        cuts = np.searchsorted(fresh, starts) if len(starts) > 1 else (0,)
-        return both[fresh], sums, cuts
+        Returns the plan: the keys each run keeps and their sums, run after
+        run in arrival order, and where each run starts among them. Every
+        run but the last ends where the next starts, and the caller drains
+        them in order; the last, the rest, runs to the end and the caller
+        loads it.
 
-    def _run_starts(self, prev: np.ndarray) -> list[int]:
-        """Where each run starts: at the new key past the capacity, counting
-        the keys that arrived since the run's own start. Each run is searched
-        in a window that doubles, so a run costs about its own length."""
+        Arrivals are numbered from the contents' first; the contents hold
+        distinct keys, so each of them is new. The plan sorts one uint64
+        per pair, its key above its arrival, in place, which puts each
+        key's arrivals together in arrival order; beside it, it holds masks
+        and 32-bit arrays over the pairs, and it reads the sorted array
+        _PASS pairs at a time."""
+        n = self.size
+        if self.policy is Policy.COORD:
+            return self._fill_coord(np.concatenate((self.keys, keys)),
+                                    np.concatenate((self.vals, vals)))
+        total = n + len(keys)
+        index = np.int32 if total < 2**31 else np.int64
+        bits = _bits(total)
+        low = (1 << bits) - 1
+        order = np.concatenate((self.keys, keys), dtype=np.uint64)
+        _tagged(order, bits, 8 * keys.itemsize).sort()
+        # where each key's arrivals start in key order
+        lead = np.empty(total, bool)
+        lead[:1] = True
+        for lo in range(1, total, _PASS):
+            hi = min(lo + _PASS, total)
+            np.greater(np.bitwise_xor(order[lo:hi], order[lo - 1:hi - 1]), low,
+                       out=lead[lo:hi])
+        if total > self.capacity:
+            # the previous arrival of the same key, -1 at its first
+            prev = np.full(total, -1, index)
+            for lo in range(0, total, _PASS):
+                arrival = order[max(lo - 1, 0):lo + _PASS] & low
+                same = ~lead[max(lo - 1, 0):lo + _PASS][1:]
+                prev[arrival[1:][same]] = arrival[:-1][same]
+            new = self._new(prev)
+            del prev
+        else:
+            # one run: an arrival is new where its key first arrives
+            new = np.empty(total, bool)
+            for lo in range(0, total, _PASS):
+                new[order[lo:lo + _PASS] & low] = lead[lo:lo + _PASS]
+        # in key order each repeat adds into the latest new arrival before
+        # it, its key's first in its run, and the sums add in that order
+        into, repeats, last = [], [], 0
+        for lo in range(0, total, _PASS):
+            arrival = order[lo:lo + _PASS] & low
+            fresh = lead[lo:lo + _PASS] if total <= self.capacity else new[arrival]
+            if np.count_nonzero(fresh) == len(fresh):
+                last = lo + len(arrival) - 1
+                continue
+            at = np.where(fresh, np.arange(lo, lo + len(arrival)), last)
+            np.maximum.accumulate(at, out=at)
+            last = at[-1]
+            repeat = ~fresh
+            into.append(order[at[repeat]] & low)
+            repeats.append(vals[arrival[repeat] - n])
+        del lead, order
+        into = np.concatenate(into) if into else np.empty(0, index)
+        if len(into):
+            # each repeat's slot: its key's place among the kept keys
+            place = new.cumsum(dtype=index)
+            into = place[into]
+            del place
+            into -= 1
+        slots = int(np.count_nonzero(new))
+        kept = np.empty(slots, self.key_dtype)
+        kept[:n] = self.keys
+        _masked_into(kept[n:], new[n:], keys)
+        self._charge(kept, into)
+        sums = np.empty(slots, VAL_DTYPE)
+        sums[:n] = self.vals
+        _masked_into(sums[n:], new[n:], vals)
+        del new
+        if repeats:
+            np.add.at(sums, into, np.concatenate(repeats))
+        # each full run keeps exactly a capacity of keys
+        return kept, sums, range(0, max(slots, 1), self.capacity)
+
+    def _new(self, prev: np.ndarray) -> np.ndarray:
+        """Which arrivals are new in their run. A run starts at the new key
+        past the capacity, counting the keys new since its own start; the
+        arrivals are read in windows that double from the capacity up to
+        _PASS, so a run costs about its own length."""
         cap, total = self.capacity, len(prev)
-        starts = [0]
-        while True:
-            s, look = starts[-1], cap + 1
-            fresh = np.flatnonzero(prev[s:s + look] < s)
-            while len(fresh) <= cap and s + look < total:
-                look *= 2
-                fresh = np.flatnonzero(prev[s:s + look] < s)
-            if len(fresh) <= cap:
-                return starts
-            starts.append(s + int(fresh[cap]))
+        new = np.empty(total, bool)
+        start = lo = seen = 0
+        look = min(cap + 1, _PASS)
+        while lo < total:
+            window = new[lo:lo + look]
+            np.less(prev[lo:lo + look], start, out=window)
+            found = int(np.count_nonzero(window))
+            if seen + found > cap:
+                # the next run starts here; its own arrivals are read again
+                start = lo + int(np.flatnonzero(window)[cap - seen])
+                lo, seen, look = start, 0, min(cap + 1, _PASS)
+            else:
+                lo, seen, look = lo + look, seen + found, min(2 * look, _PASS)
+        return new
+
+    def _charge(self, kept: np.ndarray, into: np.ndarray) -> None:
+        """Charge the insert counters of a plan. A key's chain rank counts
+        the earlier kept keys of its bucket in its run: a new key scans its
+        whole chain, a repeat its chain up to its key (``into`` holds the
+        place of each repeat's key), and a key that finds the array full
+        the whole chain there. The live contents, the first ``size`` kept
+        keys, were charged when they went in. Each run keeps a capacity of
+        keys, so a key's run is its place over the capacity, and one sort
+        of (chain, place), packed, puts each chain of each run together in
+        arrival order."""
+        c = self.counters
+        c.insert_comparisons += len(into)
+        c.insert_dedups += len(into)
+        if self.policy is Policy.BUCKET and self.lead_stride == 1:
+            return  # a bucket per key: no key scans past another
+        n, cap, total = self.size, self.capacity, len(kept)
+        bits = _bits(total)
+        low = (1 << bits) - 1
+        top = int(kept.max(initial=0))  # bounds every chain
+        if self.policy is Policy.BUCKET:
+            top //= self.lead_stride
+        else:
+            top = min(top, self.hash_l - 1)
+        tags = np.empty(total, np.uint32 if top >> (32 - bits) == 0 else np.uint64)
+        for lo in range(0, total, _PASS):
+            tags[lo:lo + _PASS] = self._bucket(kept[lo:lo + _PASS])
+        _tagged(tags, bits, top.bit_length())
+        # the first key of each run after the first, which found the run
+        # before it full
+        stops = tags[cap::cap].copy()
+        tags.sort()
+        rank = np.zeros(total, np.int32 if total < 2**31 else np.int64)  # by place
+        start = 0
+        for lo in range(0, total, _PASS):
+            # after the first, a window starts at the previous one's last key
+            skip = 1 if lo else 0
+            part = tags[lo - skip:lo + _PASS]
+            chain = part >> bits
+            lead = np.empty(len(part), bool)
+            lead[0] = not lo
+            np.not_equal(chain[1:], chain[:-1], out=lead[1:])
+            if len(stops):
+                run = (part & low) // cap
+                lead[1:] |= run[1:] != run[:-1]
+            if np.count_nonzero(lead) == len(lead) - skip:
+                # each key here leads its chain: all ranks 0
+                start = lo - skip + len(part) - 1
+                continue
+            at = np.arange(lo - skip, lo - skip + len(part))
+            first = np.where(lead, at, start)
+            np.maximum.accumulate(first, out=first)
+            start = first[-1]
+            at -= first
+            rank[part[skip:] & low] = at[skip:]
+        charged = int(rank[n:].sum()) + int(rank[into].sum())
+        if len(stops):
+            # the key before a stop in this order ends the stop's chain in
+            # the run before it, if that run holds the chain at all
+            before = tags[np.searchsorted(tags, stops) - 1]
+            ends = ((before >> bits) == (stops >> bits)) & (
+                (before & low) // cap == (stops & low) // cap - 1)
+            charged += int(rank[before[ends] & low].sum()) + int(np.count_nonzero(ends))
+        c.insert_comparisons += charged
 
     def _fill_coord(self, keys: np.ndarray, vals: np.ndarray) -> tuple:
         """Coord appends blindly: runs are slices of exactly the capacity, and
@@ -318,26 +393,53 @@ class AccArray:
         if n <= 1:
             # nothing to compare under any policy
             return self.keys.copy(), self.vals.copy()
-        order = np.argsort(self.keys, kind="stable")
-        ks, vs = self.keys[order], self.vals[order]
-        if self.policy is Policy.BUCKET:
-            # each chain is sorted on its own
-            lead = ks // self.lead_stride
-            bounds = np.flatnonzero(np.concatenate(([True], lead[1:] != lead[:-1], [True])))
-            sizes = bounds[1:] - bounds[:-1]
-            c.sort_comparisons += int((sizes * np.frexp(sizes - 1.0)[1]).sum())
+        if self.policy is not Policy.COORD:
+            # distinct keys: any sort orders them as a stable one does
+            order = np.argsort(self.keys)
+            ks, vs = self.keys[order], self.vals[order]
+            if self.policy is Policy.HASH:
+                c.sort_comparisons += n * ceil_log2(n)
+                return ks, vs
+            # each chain is sorted on its own; a bucket per key costs nothing
+            for lo, hi in _groups(ks, self.lead_stride) if self.lead_stride > 1 else ():
+                lead = ks[lo:hi] // self.lead_stride
+                sizes = np.diff(np.flatnonzero(np.concatenate(
+                    ([True], lead[1:] != lead[:-1], [True]))))
+                c.sort_comparisons += int((sizes * np.frexp(sizes - 1.0)[1]).sum())
             return ks, vs
-        c.sort_comparisons += n * ceil_log2(n)
-        if self.policy is Policy.HASH:
-            return ks, vs
-        # coord: one adjacent-dedup sweep over the sorted run
-        c.sort_comparisons += n - 1
-        starts_mask = np.empty(n, bool)
-        starts_mask[0] = True
-        np.not_equal(ks[1:], ks[:-1], out=starts_mask[1:])
-        starts = np.flatnonzero(starts_mask)
-        c.drain_dedups += n - len(starts)
-        return ks[starts], np.add.reduceat(vs, starts)
+        # coord sorts (key, arrival) pairs in the values' buffer, each span
+        # read before its values are written over it, and sums each key's
+        # values in arrival order, over the sorted arrays a span of whole
+        # keys at a time
+        c.sort_comparisons += n * ceil_log2(n) + n - 1
+        vs = np.empty(n, VAL_DTYPE)
+        order = vs.view(np.uint64)
+        order[:] = self.keys
+        bits = _bits(n)
+        _tagged(order, bits, 8 * self.keys.itemsize).sort()
+        ks = np.empty(n, self.keys.dtype)
+        for lo in range(0, n, _PASS):
+            arrival = order[lo:lo + _PASS] & ((1 << bits) - 1)
+            np.take(self.keys, arrival, out=ks[lo:lo + _PASS])
+            np.take(self.vals, arrival, out=vs[lo:lo + _PASS])
+        del order
+        kept = 0
+        for lo, hi in _groups(ks, 1):
+            keys = ks[lo:hi]
+            first = np.empty(len(keys), bool)
+            first[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            at = np.flatnonzero(first)
+            sums = np.add.reduceat(vs[lo:hi], at)
+            ks[kept:kept + len(at)] = keys[at]
+            vs[kept:kept + len(at)] = sums
+            kept += len(at)
+        del keys
+        c.drain_dedups += n - kept
+        # nothing else refers to either array
+        ks.resize(kept, refcheck=False)
+        vs.resize(kept, refcheck=False)
+        return ks, vs
 
     def clear(self) -> None:
         self.load(np.empty(0, self.key_dtype), np.empty(0, VAL_DTYPE))
@@ -401,8 +503,9 @@ class AllArray:
         down; a range is a suffix of every run. Its arrivals are sorted
         stably, in run order, each key's first arrival starts its sum and
         the later ones add to it in that order. The output grows in place,
-        highest keys first, and each run is cut back in place by the suffix
-        it gave up, unless something else refers to it."""
+        highest keys first, by at least a sixteenth, and is cut to its
+        entries at the end; each run is cut back in place by the suffix it
+        gave up, unless something else refers to it."""
         runs, self._runs, self._logged = self._runs, [], 0
         base = len(self._keys)
         if not base and len(runs) == 1:
@@ -418,6 +521,7 @@ class AllArray:
         out_keys = np.empty(0, np.result_type(*{k.dtype for k, _ in runs}))
         out_vals = np.empty(0, np.result_type(*{v.dtype for _, v in runs}))
         new = np.zeros(len(runs), np.int64)
+        done = 0  # output entries written
         for lows in _ranges(runs, base + int(lengths.sum())):
             # the range's arrivals, run after run; then each run gives them
             # up, the last range the whole run
@@ -444,14 +548,17 @@ class AllArray:
             new[gave] += np.add.reduceat(brought, (np.cumsum(sizes) - sizes)[gave],
                                          dtype=np.int64)
             del brought
-            done = len(out_keys)
             distinct = span[first]
             del span
-            # nothing else refers to the output while it grows, highest keys first
+            # nothing else refers to the output while it grows in place,
+            # highest keys first, by at least a sixteenth
             top = done + len(distinct) - 1
-            out_keys.resize(top + 1, refcheck=False)
-            out_vals.resize(top + 1, refcheck=False)
-            out_keys[done:] = distinct[::-1]
+            if top >= len(out_keys):
+                size = max(top + 1, len(out_keys) + len(out_keys) // 16)
+                out_keys.resize(size, refcheck=False)
+                out_vals.resize(size, refcheck=False)
+            out_keys[done:top + 1] = distinct[::-1]
+            done = top + 1
             del distinct
             # the sums, a chunk of sorted positions at a time
             group = -1
@@ -466,6 +573,8 @@ class AllArray:
                 repeat = ~f
                 np.add.at(out_vals, where[repeat], v[repeat])
             del order, first, span_vals
+        out_keys.resize(done, refcheck=False)
+        out_vals.resize(done, refcheck=False)
         _reverse(out_keys)
         _reverse(out_vals)
         self._keys, self._vals = out_keys, out_vals
@@ -492,6 +601,49 @@ class AllArray:
     @property
     def size(self) -> int:
         return len(self.keys)
+
+
+def _bits(n: int) -> int:
+    """The bits an index below ``n`` takes, at least one."""
+    return max(1, (n - 1).bit_length())
+
+
+def _tagged(values: np.ndarray, bits: int, width: int) -> np.ndarray:
+    """An unsigned array of the caller's, of values of at most ``width``
+    bits, made ``value << bits | index`` in place, so that sorting it sorts
+    by value and then by index. Values too wide to shift become their rank
+    among the distinct ones, which orders and compares them as they do."""
+    room = 8 * values.itemsize - bits
+    if width > room and len(values) and int(values.max()) >> room:
+        values[:] = np.unique(values, return_inverse=True)[1].reshape(-1)
+    values <<= bits
+    for lo in range(0, len(values), _PASS):
+        values[lo:lo + _PASS] |= np.arange(lo, min(lo + _PASS, len(values)),
+                                           dtype=values.dtype)
+    return values
+
+
+def _groups(keys: np.ndarray, width: int):
+    """Spans ``(lo, hi)`` of sorted ``keys``, _PASS keys each and on to
+    where the last one's group of keys that share ``key // width`` ends."""
+    lo, n = 0, len(keys)
+    while lo < n:
+        hi = min(lo + _PASS, n)
+        if hi < n:
+            last = min(int(keys[hi - 1]) // width * width + width - 1, int(keys[-1]))
+            hi += int(np.searchsorted(keys[hi:], keys.dtype.type(last), "right"))
+        yield lo, hi
+        lo = hi
+
+
+def _masked_into(out: np.ndarray, mask: np.ndarray, src: np.ndarray) -> None:
+    """Write the entries of ``src`` that ``mask`` selects over ``out``, in
+    order, _PASS at a time."""
+    at = 0
+    for lo in range(0, len(src), _PASS):
+        part = src[lo:lo + _PASS][mask[lo:lo + _PASS]]
+        out[at:at + len(part)] = part
+        at += len(part)
 
 
 def _ranges(runs: list[list[np.ndarray]], total: int):

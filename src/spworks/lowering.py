@@ -348,8 +348,9 @@ class InsertWs:
 
     def needs(self, live: set, keep: dict) -> set:
         keep[id(self)] = _Keep.of(live, set())
-        return (live | {_crd(v) for v in self.meta.slot_vars}
-                | _operands(self.expr, self.amap) | {_OWNER})
+        live = live | {_crd(v) for v in self.meta.slot_vars} | _operands(self.expr, self.amap)
+        # a workspace that no loop hosts has one host row, 0
+        return live | {_OWNER} if self.meta.hosted else live
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
         ws = ex.workspaces[self.meta.name]
@@ -359,7 +360,8 @@ class InsertWs:
             keys *= ex.extents[v]
             keys += rows.crd[v]
         rows.drop(ex.keep[id(self)])
-        ws.insert(rows.owner, keys, _evaluate(ex, rows, self))
+        owner = rows.owner if self.meta.hosted else np.broadcast_to(_ROW0, (rows.n,))
+        ws.insert(owner, keys, _evaluate(ex, rows, self))
 
 
 @dataclass
@@ -442,6 +444,8 @@ class WsMeta:
     ws_format: Format | None = None
     subplan: "Plan | None" = None
     consumer_vars: tuple[IndexVar, ...] = ()
+    # whether a prefix loop hosts the workspace, one host row per iteration
+    hosted: bool = False
 
 
 @dataclass
@@ -646,7 +650,8 @@ def _lower_workspace(root: Statement, prefix: tuple[IndexVar, ...], where: Where
     slot_vars = tuple(i_vars[m] for m in inv)
     ws_accesses = [a for a in expr_accesses(c_assign.rhs) if a.tensor == ws]
     renames = ws_accesses[0].vars if ws_accesses else ()
-    meta = WsMeta(ws, descriptor, impl, i_vars, slot_vars, consumer_vars=renames)
+    meta = WsMeta(ws, descriptor, impl, i_vars, slot_vars, consumer_vars=renames,
+                  hosted=bool(prefix))
     low = _Lowerer(formats)
     chains = _producer_passes(low, where.producer, i_vars,
                               lambda term, amap: InsertWs(meta, term, amap), prefix)
@@ -784,6 +789,9 @@ def _pos(aid: int) -> tuple:
 _OWNER = ("owner", None)
 # a host batch has at most _OUTER_CHUNK rows
 _OWNER_DTYPE = np.dtype(np.uint32)
+# the host row of every pair a workspace that no loop hosts inserts,
+# broadcast to a batch's length without a byte per pair
+_ROW0 = np.zeros(1, _OWNER_DTYPE)
 
 
 def _batches(batch, total: int, chunk: int):
@@ -878,15 +886,16 @@ class Workspace:
     ``start(n)`` with the batch's ``n >= 1`` host rows (one at top level),
     ``insert(owner, keys, vals)`` with row-major keys over the slot extents,
     in the workspace's ``key_dtype``, and each pair's host row (uint32),
-    rows in order, and ``finish()``, which returns the batch as one block
-    ``(counts, coordinates, values)``: each host row's entry count (int64),
-    then every entry's slot coordinates (CRD_DTYPE) and value, row after
-    row and sorted within a row. The caller owns all of these arrays.
-    ``counters`` join the execution's when it ends. The plan announces the
-    workspace at its head if ``announced_at_head``, else at the allocation;
-    the class methods refuse placements at lowering and give the plan lines
-    at an insert and at a drain into the tensor ``into`` (None materializes
-    the workspace)."""
+    rows in order; a workspace that no loop hosts gets row 0 for every
+    pair, as a read-only view of one value. Then ``finish()`` returns the
+    batch as one block ``(counts, coordinates, values)``: each host row's
+    entry count (int64), then every entry's slot coordinates (CRD_DTYPE)
+    and value, row after row and sorted within a row. The caller owns all
+    of these arrays. ``counters`` join the execution's when it ends. The
+    plan announces the workspace at its head if ``announced_at_head``,
+    else at the allocation; the class methods refuse placements at
+    lowering and give the plan lines at an insert and at a drain into the
+    tensor ``into`` (None materializes the workspace)."""
 
     counters: Counters
     key_dtype = np.dtype(np.uint64)
@@ -1005,6 +1014,10 @@ class IsmWorkspace(Workspace):
         self.block.extend([], None, coords, vals)
 
     def insert(self, owner: np.ndarray, keys: np.ndarray, vals: np.ndarray) -> None:
+        if len(self.counts) == 1:
+            # one host row: every pair is row 0's
+            self.engine.insert_batch(keys, vals)
+            return
         starts = np.empty(len(owner), dtype=bool)
         starts[:1] = True
         np.not_equal(owner[1:], owner[:-1], out=starts[1:])

@@ -242,13 +242,6 @@ class Tensor:
         return out
 
 
-def _as_arrays(components: Iterable[Component], order: int) -> tuple[list[np.ndarray], np.ndarray]:
-    comps = list(components)
-    vals = np.array([c.val for c in comps], dtype=VAL_DTYPE)
-    by_mode = [np.array([c.crds[m] for c in comps]) for m in range(order)]
-    return by_mode, vals
-
-
 def _checked_arrays(
     mode_coords: Sequence[np.ndarray],
     vals: np.ndarray,
@@ -640,18 +633,6 @@ def _level_order(by_level: Sequence[np.ndarray], extents: Sequence[int]) -> np.n
             digits.append(np.right_shift(c, shift, out=np.empty(len(c), dtype),
                                          casting="unsafe"))
     return np.lexsort(digits[::-1])
-
-
-def from_unsorted(
-    components: Iterable[Component],
-    fmt: Format,
-    dims: Sequence[int],
-    *,
-    sum_duplicates: bool = False,
-) -> Tensor:
-    """Sort (and optionally reduce) arbitrary components, then compress."""
-    by_mode, vals = _as_arrays(components, fmt.order)
-    return from_arrays(by_mode, vals, fmt, dims, sum_duplicates=sum_duplicates)
 
 
 def from_dense(array: np.ndarray, fmt: Format | None = None) -> Tensor:

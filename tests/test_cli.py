@@ -8,6 +8,7 @@ import pytest
 
 import spworks as sw
 from spworks.cli import main
+from spworks.tensor import from_arrays
 
 MATMUL = "A(i,j) = B(i,k) * C(k,j)"
 ROWWISE = ["--expr", MATMUL, "--schedule", "reorder(i,k,j)"]
@@ -261,7 +262,7 @@ def test_result_variable_missing_from_the_expression_exits_two(capsys):
 
 
 def test_input_order_mismatch_exits_two(tmp_path, capsys):
-    t = sw.from_unsorted([sw.Component((0, 0, 0), 1.0)], sw.coo(3), (2, 2, 2))
+    t = from_arrays([[0], [0], [0]], [1.0], sw.coo(3), (2, 2, 2))
     path = tmp_path / "cube.tns"
     sw.write_frostt(path, t)
     code, _, err = run_main(

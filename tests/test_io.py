@@ -11,7 +11,7 @@ import pytest
 
 import spworks as sw
 import spworks.io
-from spworks import Component, IoError
+from spworks import IoError
 from spworks.tensor import from_arrays
 
 
@@ -191,8 +191,7 @@ def test_matrix_market_entry_count_mismatch(tmp_path):
 
 
 def test_write_matrix_market_layout(tmp_path):
-    t = sw.from_unsorted(
-        [Component((0, 1), 1 / 3), Component((2, 0), 5.0)], sw.coo(2), (3, 2))
+    t = from_arrays([[0, 2], [1, 0]], [1 / 3, 5.0], sw.coo(2), (3, 2))
     path = tmp_path / "out.mtx"
     sw.write_matrix_market(path, t)
     lines = path.read_text(encoding="ascii").splitlines()
@@ -219,7 +218,7 @@ def test_write_matrix_market_round_trips_from_compressed(tmp_path):
 
 
 def test_write_matrix_market_rejects_non_matrix(tmp_path):
-    t = sw.from_unsorted([Component((0, 0, 0), 1.0)], sw.coo(3), (2, 2, 2))
+    t = from_arrays([[0], [0], [0]], [1.0], sw.coo(3), (2, 2, 2))
     with pytest.raises(IoError, match="needs a matrix, got order 3"):
         sw.write_matrix_market(tmp_path / "bad.mtx", t)
 
@@ -310,9 +309,7 @@ def test_frostt_entry_errors(tmp_path, lines, message):
 
 
 def test_frostt_round_trip_exact_floats(tmp_path):
-    t = sw.from_unsorted(
-        [Component((0, 1, 2), math.pi), Component((3, 0, 1), -0.1)],
-        sw.coo(3), (4, 2, 3))
+    t = from_arrays([[0, 3], [1, 0], [2, 1]], [math.pi, -0.1], sw.coo(3), (4, 2, 3))
     path = tmp_path / "rt.tns"
     sw.write_frostt(path, t)
     back = sw.read_frostt(path, dims=(4, 2, 3))

@@ -673,13 +673,13 @@ def test_insert_batch_scratch_is_one_block(policy, capacity, universe):
     # contents, and each block's plan is released before the next one is
     # made, so from two blocks on, four times the batch holds about the
     # same scratch; at capacity 1 each pair of a block may end a run of its
-    # own, which is sliced from the plan only as it drains (128.3 B per pair
-    # of a block measured there, 82.6 at the larger capacities)
+    # own, which is sliced from the plan only as it drains (45.8 B per pair
+    # of a block measured there, 37.8 at the larger capacities)
     block = max(capacity, ism._BLOCK)
     short, long = (_insert_batch_scratch(policy, capacity, k * block, universe)
                    for k in (2, 8))
     assert long <= 1.15 * short
-    assert long <= 130 * block
+    assert long <= 50 * block
 
 
 def test_insert_batch_keeps_the_sign_of_a_lone_negative_zero():
@@ -709,26 +709,135 @@ def test_insert_batch_spanning_several_blocks(policy, capacity, sort_once):
     assert want_vals.tobytes() == got_vals.tobytes()
 
 
+def _lexsort_fill(acc: AccArray, keys: np.ndarray, vals: np.ndarray) -> tuple:
+    """AccArray.fill as it was planned with a stable argsort of the keys and
+    a lexsort of (run, chain), each index array intp: the model a plan must
+    equal, kept keys, sums, cuts and counters, byte for byte."""
+    n = acc.size
+    both = np.concatenate((acc.keys, keys))
+    both_vals = np.concatenate((acc.vals, vals))
+    if acc.policy is Policy.COORD:
+        return both, both_vals, range(0, max(len(both), 1), acc.capacity)
+    total = len(both)
+    order = np.argsort(both, kind="stable")
+    ordered = both[order]
+    same = ordered[1:] == ordered[:-1]
+    prev = np.full(total, -1)
+    prev[order[1:][same]] = order[:-1][same]
+    starts = [0]
+    while total > acc.capacity:
+        # the new key past the capacity, counting those new since the start
+        s = starts[-1]
+        fresh = np.flatnonzero(prev[s:] < s)
+        if len(fresh) <= acc.capacity:
+            break
+        starts.append(s + int(fresh[acc.capacity]))
+    new = prev < np.repeat(starts, np.diff([*starts, total]))
+    fresh = np.flatnonzero(new)
+    repeat = ~new[order]
+    latest = np.arange(total)
+    latest[repeat] = 0
+    np.maximum.accumulate(latest, out=latest)
+    into = np.searchsorted(fresh, order[latest[repeat]])
+    repeats = both_vals[order[repeat]]
+    stops = np.asarray(starts[1:], np.int64)
+    runs_of = np.concatenate((np.searchsorted(stops, fresh, "right"), np.arange(len(stops))))
+    chains = acc._bucket(both[np.concatenate((fresh, stops))])
+    by_chain = np.lexsort((chains, runs_of))
+    lead = np.ones(len(by_chain), bool)
+    chains, runs_of = chains[by_chain], runs_of[by_chain]
+    lead[1:] = (chains[1:] != chains[:-1]) | (runs_of[1:] != runs_of[:-1])
+    rank = np.arange(len(by_chain))
+    start = np.where(lead, rank, 0)
+    np.maximum.accumulate(start, out=start)
+    rank[by_chain] = rank - start
+    c = acc.counters
+    c.insert_comparisons += int(rank[n:].sum()) + int(rank[into].sum()) + len(into)
+    c.insert_dedups += len(into)
+    sums = both_vals[fresh]
+    np.add.at(sums, into, repeats)
+    return both[fresh], sums, np.searchsorted(fresh, starts)
+
+
+@st.composite
+def _plans(draw):
+    """An accumulate array with contents and a batch to plan after them:
+    every policy, capacities 1, 3, 64 and 4096, 32- and 64-bit keys (the
+    widest past what packs beside an arrival), repeats from heavy to none,
+    and values with -0.0 among them."""
+    policy = draw(st.sampled_from(list(Policy)))
+    capacity = draw(st.sampled_from([1, 3, 64, 4096]))
+    dtype = draw(st.sampled_from([np.uint32, np.uint64]))
+    top = draw(st.sampled_from([2, 64, 5000, 2**20, 2**32 - 1]
+                               + ([2**40, 2**64 - 1] if dtype is np.uint64 else [])))
+    # 64-bit keys that differ in their top bits only, which a key shifted
+    # past its arrival's bits would lose
+    spread = 60 if dtype is np.uint64 and top <= 15 and draw(st.booleans()) else 0
+    lead_stride = draw(st.sampled_from([1, 3, 1000, 2**31]))
+    hash_l = draw(st.sampled_from([1, 7, 64, 2**20]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    # the contents: distinct keys that fit, in arrival order
+    n = draw(st.integers(0, min(capacity, top + 1)))
+    contents = rng.choice(top + 1, n, replace=False) if top < 2**62 else np.unique(
+        rng.integers(0, top, n, dtype=np.uint64, endpoint=True))
+    m = draw(st.sampled_from([1, 2, 7, 100, 3000, 9000]))
+    keys = rng.integers(0, top, m, dtype=np.uint64, endpoint=True)
+    if n and draw(st.booleans()):
+        # the batch repeats keys of the contents too
+        again = rng.random(m) < 0.5
+        keys[again] = rng.choice(contents, int(again.sum()))
+    vals = [rng.standard_normal(k) for k in (len(contents), m)]
+    for v in vals:
+        v[rng.random(len(v)) < 0.1] = -0.0
+        v[rng.random(len(v)) < 0.05] = 0.0
+    acc = AccArray(capacity, policy, lead_stride, hash_l, Counters(), np.dtype(dtype))
+    acc.load(contents.astype(dtype) << dtype(spread), vals[0])
+    return acc, keys.astype(dtype) << dtype(spread), vals[1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_plans())
+def test_a_plan_equals_the_lexsort_model(plan):
+    acc, keys, vals = plan
+    model = copy.deepcopy(acc)
+    want_keys, want_sums, want_cuts = _lexsort_fill(model, keys, vals)
+    got_keys, got_sums, got_cuts = acc.fill(keys, vals)
+    assert got_keys.dtype == want_keys.dtype and got_keys.tobytes() == want_keys.tobytes()
+    assert got_sums.tobytes() == want_sums.tobytes()
+    assert list(got_cuts) == list(want_cuts)
+    assert acc.counters == model.counters
+
+
+@pytest.mark.parametrize("capacity", [2 * ism._PASS, 4 * ism._PASS])
+def test_a_chain_across_passes_keeps_its_ranks(capacity):
+    # every key of the first pass over the sorted chains leads its chain,
+    # and the next pass opens by continuing the last one's
+    p = ism._PASS
+    keys = np.concatenate((2 * np.arange(p), [2 * p - 1], 2 * np.arange(p + 1, 2 * p),
+                           [2 * p - 1, 0])).astype(np.uint32)
+    vals = np.arange(len(keys), dtype=np.float64)
+    accs = [AccArray(capacity, Policy.BUCKET, 2, None, Counters(), np.dtype(np.uint32))
+            for _ in range(2)]
+    got, want = accs[0].fill(keys, vals), _lexsort_fill(accs[1], keys, vals)
+    assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
+    assert list(got[2]) == list(want[2])
+    assert accs[0].counters == accs[1].counters
+
+
 @pytest.mark.parametrize("policy", [Policy.BUCKET, Policy.HASH])
-def test_32_bit_chain_ranks_count_as_intp_ranks_do(policy, monkeypatch):
-    # one plan of 100 000 pairs, most of them new keys: a plan of a block
-    # or more ranks its keys in 32 bits, here past 2^16 of them, and must
-    # charge the counters that intp ranks, those of a plan below a block,
-    # charge for the same plan
+def test_a_plan_past_2_16_new_keys_matches_the_model(policy):
+    # one plan of 100 000 pairs, most of them new keys, over 2^16 of them:
+    # places, ranks and arrivals that a 16-bit field would wrap
     keys, vals = _real_stream(7, 100_000, universe=4 * 50_000)
-
-    def run() -> tuple:
-        eng = IsmEngine((4, 50_000), policy, 200_000, hash_l=64)
-        eng.insert_batch(keys, vals)
-        (crd_i, crd_j), sums = eng.result()
-        return eng.counters, crd_i, crd_j, sums.tobytes()
-
-    narrow = run()
-    monkeypatch.setattr(ism, "_BLOCK", 10**6)
-    wide = run()
-    assert narrow[0] == wide[0] and narrow[0].inserts - narrow[0].insert_dedups > 2**16
-    assert all(np.array_equal(a, b) for a, b in zip(narrow[1:3], wide[1:3]))
-    assert narrow[3] == wide[3]
+    accs = [AccArray(200_000, policy, 50_000, 64, Counters(), np.dtype(np.uint32))
+            for _ in range(2)]
+    got = accs[0].fill(keys.astype(np.uint32), vals)
+    want = _lexsort_fill(accs[1], keys.astype(np.uint32), vals)
+    assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
+    assert list(got[2]) == list(want[2]) == [0]
+    assert accs[0].counters == accs[1].counters
+    assert accs[0].counters.insert_comparisons > 0 and len(got[0]) > 2**16
 
 
 # -- key width ----------------------------------------------------------------------
@@ -761,6 +870,32 @@ def test_narrow_and_wide_keys_agree(policy, capacity):
     assert all(np.array_equal(w, g) for w, g in zip(want_coords, got_coords))
     assert want_vals == got_vals
     assert want_counters == got_counters
+
+
+@pytest.mark.parametrize("capacity", [1, 5, 4096])
+@pytest.mark.parametrize("policy", list(Policy))
+def test_keys_too_wide_to_pack_with_an_arrival_sort_as_keys(policy, capacity):
+    # keys that differ only in their top bits: one shifted past the bits of
+    # an arrival would lose them, so a plan and a drain sort their ranks
+    rng = np.random.default_rng(capacity)
+    eng = IsmEngine((2**32 - 1, 2**32), policy, capacity, hash_l=2**40)
+    rows = np.array([2**32 - 2, 2**31, 7], np.uint64)
+    keys = (rows[rng.integers(0, 3, 3000)] << np.uint64(32)
+            | rng.integers(0, 4, 3000).astype(np.uint64))
+    vals = rng.standard_normal(len(keys))
+    scalar = IsmEngine((2**32 - 1, 2**32), policy, capacity, hash_l=2**40)
+    for k, v in zip(keys.tolist(), vals.tolist()):
+        scalar.insert_key(k, v)
+    eng.insert_batch(keys, vals)
+    (rows_got, cols_got), got = eng.result()
+    (rows_want, cols_want), want = scalar.result()
+    assert eng.counters == scalar.counters
+    assert np.array_equal(rows_got, rows_want) and np.array_equal(cols_got, cols_want)
+    assert got.tobytes() == want.tobytes()
+    sums: dict[int, float] = {}
+    for k, v in zip(keys.tolist(), vals.tolist()):
+        sums[k] = sums.get(k, 0.0) + v
+    assert (rows_got.astype(np.uint64) << np.uint64(32) | cols_got).tolist() == sorted(sums)
 
 
 @pytest.mark.parametrize("extents, narrow", [

@@ -897,6 +897,60 @@ def test_a_registered_workspace_kind_runs_without_lowering_edits(name, small_cor
                                                   inst.tensors).counters.inserts
 
 
+def _carries_host_rows(kernel) -> bool:
+    """Whether any batch of the kernel's plan carries host rows: the root
+    batch, or one that a driver or a locate builds."""
+    _, plan, _ = prepare(kernel)
+    ex = lowering._Execution(plan, kernel.instance(0).tensors)
+    return lowering._OWNER in ex._root or any(k.owner for k in ex.keep.values())
+
+
+@pytest.mark.parametrize("name", ["spgemm-outer", "spmv"])
+def test_a_workspace_no_loop_hosts_carries_no_host_rows(name):
+    # a FULL workspace and a conversion workspace have the one host row
+    kernel = KERNELS_BY_NAME[name]
+    _, plan, _ = prepare(kernel)
+    assert [meta.hosted for meta in plan.workspaces] == [False]
+    assert not _carries_host_rows(kernel)
+
+
+@pytest.mark.parametrize("kernel", [KERNELS_BY_NAME["spgemm-rowwise-hoist"],
+                                    KERNELS_BY_NAME["spgemm-rowwise"], REGISTER],
+                         ids=lambda k: k.name)
+def test_hosted_statements_carry_host_rows(kernel):
+    # a hoisted sparse workspace, a dense one and the value register are
+    # addressed by host row
+    assert _carries_host_rows(kernel)
+
+
+class _OwnerLog(DictWorkspace):
+    """DictWorkspace noting the dtype and the length of each host-row array."""
+
+    seen: list = []
+
+    def insert(self, owner, keys, vals):
+        self.seen.append((owner.dtype, len(owner) == len(keys), owner.tolist()))
+        super().insert(owner, keys, vals)
+
+
+@pytest.mark.parametrize("name, hosted", [("spgemm-outer", False),
+                                          ("spgemm-rowwise-hoist", True)])
+def test_a_registered_kind_gets_a_host_row_per_pair(name, hosted, monkeypatch):
+    monkeypatch.setitem(lowering.WORKSPACE_KINDS, "dict", _OwnerLog)
+    monkeypatch.setattr(_OwnerLog, "seen", [])
+    kernel = KERNELS_BY_NAME[name]
+    stmt = kernel.statement()
+    rewritten, _ = sw.insert_sparse_workspace(stmt, kernel.formats, **kernel.insert_kw)
+    plan = sw.lower(_with_descriptor(rewritten, kind="dict"), kernel.formats)
+    inst = kernel.instance(1)
+    out = sw.execute(plan, inst.tensors)
+    assert np.array_equal(out.tensor.to_dense(), sw.dense_oracle(stmt, inst.arrays))
+    assert _OwnerLog.seen
+    assert all(dtype == np.uint32 and full for dtype, full, _ in _OwnerLog.seen)
+    rows = {r for _, _, owner in _OwnerLog.seen for r in owner}
+    assert (rows == {0}) is not hosted
+
+
 def test_execute_leaves_no_cyclic_garbage():
     runs = []
     for name in ("spgemm-inner",          # plain, dense result
@@ -1206,12 +1260,12 @@ _SPANS = [(ism.AccArray, "fill"), (ism.AllArray, "_compact"), (lowering, "compre
 def test_the_peak_of_a_mid_size_outer_product(policy):
     # bounds in bytes, from measurement. Under bucket and hash, planning a
     # block of inserts after the contents (two blocks at most) sets the
-    # peak, at 37.2 B per planned pair with 32-bit chain ranks; coord's plan
-    # is little more than the two blocks, and its peak is set outside the
-    # three spans, while a full array's run is sorted as it drains. The
-    # compaction frees the log as it merges it, so it adds to it only one
-    # key range's scratch; compression takes the compacted sums over and
-    # holds only its order check's blocks
+    # peak, at 16.5 B per planned pair with one packed sort array at a
+    # time; coord's plan is little more than the two blocks, and its peak
+    # is set outside the three spans, while a full array's run is sorted
+    # as it drains. The compaction frees the log as it merges it, so it
+    # adds to it only one key range's scratch; compression takes the
+    # compacted sums over and holds only its order check's blocks
     kernel = KERNELS_BY_NAME["spgemm-outer"]
     b, c = sw.synthetic_pair(2000, 2000, 0.5, 8, seed=1)
     tensors = {"B": sw.reformat(b, kernel.formats["B"]),
@@ -1225,9 +1279,9 @@ def test_the_peak_of_a_mid_size_outer_product(policy):
         assert fill.peak - fill.entry <= 10 * planned
         assert probe.peak > max(fill.peak, compact.peak, compress.peak)
     else:
-        assert fill.peak - fill.entry <= 38 * planned
+        assert fill.peak - fill.entry <= 17.5 * planned
         assert probe.peak == fill.peak
-    assert probe.peak <= 23.5 * nnz
+    assert probe.peak <= 20.5 * nnz
     assert compact.calls == 1 and compact.peak - compact.entry <= 5 * nnz
     assert compress.calls == 1 and compress.peak - compress.entry <= 0.8 * nnz
 
@@ -1235,8 +1289,9 @@ def test_the_peak_of_a_mid_size_outer_product(policy):
 def test_a_sparse_workspace_peaks_near_its_result():
     # the outer product of scatter-full's operands: 128 000 inserts into
     # 115 499 entries, whose CSR result takes 1.42 MB; the execution peaks
-    # at 1.48 times that, planning a block of inserts (2.0 while the
-    # compaction held a copy of the log)
+    # at 1.38 times that, compressing the result (1.48 while a block of
+    # inserts was planned with intp sort orders, 2.0 while the compaction
+    # held a copy of the log)
     kernel = KERNELS_BY_NAME["spgemm-outer"]
     b, c = sw.synthetic_pair(4000, 4000, 0.5, 8, seed=1)
     tensors = {"B": sw.reformat(b, kernel.formats["B"]),
@@ -1245,7 +1300,7 @@ def test_a_sparse_workspace_peaks_near_its_result():
     with peak_above() as span:
         out = sw.execute(plan, tensors).tensor
     stored = out.vals.nbytes + sum(lv.pos.nbytes + lv.crd.nbytes for lv in out.levels[1:])
-    assert span.peak <= 1.52 * stored
+    assert span.peak <= 1.40 * stored
 
 
 def test_a_hoisted_row_wise_execution_peaks_near_its_result():

@@ -19,7 +19,7 @@ PUBLIC_NAMES = """
     WorkspaceDescriptor access_map apply_schedule ceil_log2 classification_report
     classify compare_orders coo csc csf csr dcsc dcsr dense
     dense_oracle dense_vector estimate_memory execute format_from_name from_dense
-    from_einsum from_unsorted fuse hash_default_l insert_sparse_workspace
+    from_einsum fuse hash_default_l insert_sparse_workspace
     lower nest_assign nest_vars oracle_inputs ordering_measures
     parse_einsum plan_insertion pos precompute print_plan read_frostt
     read_matrix_market reconstruct_input_order reformat reorder sparse_vector split
