@@ -167,12 +167,7 @@ class AccArray:
         self.capacity = capacity
         self.policy = policy
         self.lead_stride = lead_stride
-        if policy is Policy.HASH:
-            if hash_l is None or hash_l < 1:
-                raise IsmError("hash policy requires a positive bucket count")
-            self.hash_l = hash_l
-        else:
-            self.hash_l = 0
+        self.hash_l = hash_l if policy is Policy.HASH else 0
         self.counters = counters
         self.key_dtype = key_dtype
         self.clear()
@@ -472,7 +467,6 @@ class AllArray:
 
     def __init__(self, counters: Counters) -> None:
         self.counters = counters
-        self.merges = 0
         self._keys = np.empty(0, KEY_DTYPE)
         self._vals = np.empty(0, VAL_DTYPE)
         self._runs: list[list[np.ndarray]] = []  # [keys, values] per run
@@ -488,7 +482,6 @@ class AllArray:
         caller, and on older Pythons the call itself, still refer to the
         run, but no longer to any run logged before it."""
         self.counters.merges += 1
-        self.merges += 1
         runs = len(self._runs) + 1
         if (runs >= _LOG_RUNS
                 and self._logged + len(new_keys) + _RUN_ENTRIES * runs >= len(self._keys)):
@@ -695,49 +688,35 @@ def _reverse(a: np.ndarray) -> None:
 
 class IsmEngine:
     """Drives insert, drain-on-full, merge and final compression for one
-    workspace.
-
-    An executor builds one engine per workspace per execution and calls
-    reset() at the start of every run of that workspace (each prefix row of
-    a hoisted workspace); counters accumulate across runs.
-    """
+    workspace. A run inserts pairs and ends at result(), which hands its
+    entries over and leaves the engine empty for the next run; counters
+    accumulate across runs. An executor builds one engine per workspace
+    per execution and runs it once per host row that inserts into it."""
 
     def __init__(self, extents: Sequence[int], policy: Policy, capacity: int, *,
                  hash_l: int | None = None) -> None:
-        self.extents = tuple(int(e) for e in extents)
-        if not self.extents:
+        if not len(extents):
             raise IsmError("a workspace needs at least one dimension")
-        if any(e > MAX_EXTENT for e in self.extents):
-            raise IsmError(f"workspace extents {self.extents} exceed the coordinate "
-                           f"limit of 2^32 per slot")
+        if not all(isinstance(e, numbers.Integral) and 0 <= e <= MAX_EXTENT for e in extents):
+            raise IsmError(f"workspace extents {extents} are not integers from 0 to the "
+                           f"coordinate limit of 2^32 per slot")
+        if (policy is Policy.HASH or hash_l is not None) and (
+                not isinstance(hash_l, numbers.Integral) or hash_l < 1):
+            raise IsmError(f"hash bucket count {hash_l!r} is not an integer >= 1")
+        self.extents = tuple(int(e) for e in extents)
         self.key_count = math.prod(self.extents)
         if self.key_count >= 2 ** 64:
             raise IsmError("workspace key space exceeds 64-bit linearization")
-        if policy is Policy.HASH and hash_l is None:
-            raise IsmError("hash policy needs hash_l resolved before execution")
         self.strides = row_major_strides(self.extents)
         # 32-bit keys where every key, and every stride, extent and bucket
         # count that keys are divided by, fits them
         narrow = max(self.key_count, *self.strides, *self.extents, hash_l or 0) < 2**32
         self.key_dtype = np.dtype(np.uint32 if narrow else KEY_DTYPE)
-        self.policy = policy
         self.capacity = capacity
-        self.hash_l = hash_l
         self.counters = Counters()
+        self.acc = AccArray(capacity, policy, self.strides[0], hash_l, self.counters,
+                            self.key_dtype)
         self.all = AllArray(self.counters)
-        self.reset()
-
-    def reset(self) -> None:
-        """Start the next run: an empty accumulate array and an empty all
-        array. Counters keep accumulating."""
-        if self.all.merges:
-            # a run left without result() still owes its merge counters
-            self._note_peak()
-            self.all = AllArray(self.counters)
-        self.acc = AccArray(self.capacity, self.policy, self.strides[0], self.hash_l,
-                            self.counters, self.key_dtype)
-        self._finalized = False
-        self._result: tuple[list[np.ndarray], np.ndarray] | None = None
 
     # -- inserts -------------------------------------------------------------
 
@@ -749,6 +728,9 @@ class IsmEngine:
             raise IsmError(f"key {key!r} is not an integer") from None
         if not 0 <= key < self.key_count:
             raise IsmError(f"key {key} is outside the workspace's {self.key_count} keys")
+        val = _real(val)
+        if val.ndim:
+            raise IsmError(f"values of shape {val.shape} are not one number")
         self.counters.inserts += 1
         try:
             self.acc.insert(key, val)
@@ -760,7 +742,7 @@ class IsmEngine:
         """Insert pairs in order, with the same drains, results and counters
         as one insert_key call per pair."""
         keys = np.asarray(keys)
-        vals = np.asarray(vals, VAL_DTYPE)
+        vals = _real(vals)
         if keys.ndim != 1 or vals.shape != keys.shape:
             raise IsmError(f"keys of shape {keys.shape} and values of shape "
                            f"{vals.shape} are not two 1-D arrays of one length")
@@ -799,55 +781,52 @@ class IsmEngine:
         self.all.merge(keys, vals)
         self.acc.clear()
 
-    def _note_peak(self) -> None:
-        """The all array only grows within a run, so its peak is the size
-        it ends with, read once the log is compacted."""
-        live = (self.all.size + self.capacity) * _ELEMENT_BYTES
-        if live > self.counters.peak_bytes:
-            self.counters.peak_bytes = live
-
     # -- finalization --------------------------------------------------------
 
     def finalize(self) -> None:
-        """Drain whatever is left into the all array."""
-        if self._finalized:
-            return
+        """Drain whatever is left into the all array and note the peak: the
+        size the all array ends the run with, once its log is compacted."""
         if self.acc.size:
             self._flush()
-        self._note_peak()
-        self._finalized = True
+        live = (self.all.size + self.capacity) * _ELEMENT_BYTES
+        self.counters.peak_bytes = max(self.counters.peak_bytes, live)
 
     def result(self) -> tuple[list[np.ndarray], np.ndarray]:
-        """Finalize and decode keys back into per-slot coordinate arrays of
-        CRD_DTYPE, the tensor's coordinate width, in key order.
+        """End the run: finalize and decode keys back into per-slot
+        coordinate arrays of CRD_DTYPE, the tensor's coordinate width, in
+        key order. The all array hands its arrays over and starts again
+        empty: the values are its own, not a copy, and 32-bit keys that
+        nothing else refers to become the last slot's coordinates in place.
+        A result() with nothing inserted since the last is an empty run."""
+        self.finalize()
+        keys, vals = self.all.keys, self.all.vals
+        self.all = AllArray(self.counters)
+        last = len(self.extents) - 1
+        coords = []
+        for slot, (s, e) in enumerate(zip(self.strides, self.extents)):
+            # the last slot's stride is 1: its coordinates are the keys'
+            # remainders, written over them when nothing but the name
+            # ``keys`` refers to their buffer
+            if (slot == last and keys.dtype == CRD_DTYPE and keys.flags.owndata
+                    and sys.getrefcount(keys) == 2):
+                if slot:
+                    np.remainder(keys, e, out=keys)
+                coords.append(keys)
+                break
+            crd = np.empty(len(keys), CRD_DTYPE)
+            # slot 0's quotient is already below its extent; only a
+            # middle slot needs a quotient array
+            if slot == 0:
+                np.floor_divide(keys, s, out=crd, casting="unsafe")
+            else:
+                np.remainder(keys if s == 1 else keys // s, e, out=crd, casting="unsafe")
+            coords.append(crd)
+        return coords, vals
 
-        The all array hands its arrays over and is emptied: the values are
-        its own, not a copy, and 32-bit keys that nothing else refers to
-        become the last slot's coordinates in place. Until reset(), a second
-        call returns the same arrays; the next run starts with reset()."""
-        if self._result is None:
-            self.finalize()
-            keys, vals = self.all.keys, self.all.vals
-            self.all = AllArray(self.counters)
-            last = len(self.extents) - 1
-            coords = []
-            for slot, (s, e) in enumerate(zip(self.strides, self.extents)):
-                # the last slot's stride is 1: its coordinates are the keys'
-                # remainders, written over them when nothing but the name
-                # ``keys`` refers to their buffer
-                if (slot == last and keys.dtype == CRD_DTYPE and keys.flags.owndata
-                        and sys.getrefcount(keys) == 2):
-                    if slot:
-                        np.remainder(keys, e, out=keys)
-                    coords.append(keys)
-                    break
-                crd = np.empty(len(keys), CRD_DTYPE)
-                # slot 0's quotient is already below its extent; only a
-                # middle slot needs a quotient array
-                if slot == 0:
-                    np.floor_divide(keys, s, out=crd, casting="unsafe")
-                else:
-                    np.remainder(keys if s == 1 else keys // s, e, out=crd, casting="unsafe")
-                coords.append(crd)
-            self._result = coords, vals
-        return self._result
+
+def _real(vals) -> np.ndarray:
+    """Values of a bool, integer or float dtype as VAL_DTYPE, else IsmError."""
+    vals = np.asarray(vals)
+    if vals.dtype.kind not in "biuf":
+        raise IsmError(f"values of dtype {vals.dtype} are not real numbers")
+    return vals.astype(VAL_DTYPE, copy=False)

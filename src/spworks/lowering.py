@@ -887,15 +887,16 @@ class Workspace:
     ``insert(owner, keys, vals)`` with row-major keys over the slot extents,
     in the workspace's ``key_dtype``, and each pair's host row (uint32),
     rows in order; a workspace that no loop hosts gets row 0 for every
-    pair, as a read-only view of one value. Then ``finish()`` returns the
-    batch as one block ``(counts, coordinates, values)``: each host row's
-    entry count (int64), then every entry's slot coordinates (CRD_DTYPE)
-    and value, row after row and sorted within a row. The caller owns all
-    of these arrays. ``counters`` join the execution's when it ends. The
-    plan announces the workspace at its head if ``announced_at_head``,
-    else at the allocation; the class methods refuse placements at
-    lowering and give the plan lines at an insert and at a drain into the
-    tensor ``into`` (None materializes the workspace)."""
+    pair, as a read-only view of one value. Then ``finish()`` ends the
+    batch and returns it as one block ``(counts, coordinates, values)``:
+    each host row's entry count (int64), 0 for a row no pair names, then
+    every entry's slot coordinates (CRD_DTYPE) and value, row after row and
+    sorted within a row. The caller owns all of these arrays. ``counters``
+    join the execution's when it ends. The plan announces the workspace at
+    its head if ``announced_at_head``, else at the allocation; the class
+    methods refuse placements at lowering and give the plan lines at an
+    insert and at a drain into the tensor ``into`` (None materializes the
+    workspace)."""
 
     counters: Counters
     key_dtype = np.dtype(np.uint64)
@@ -964,17 +965,17 @@ _DRAIN_LINES = ["sort Acc", "merge Acc -> All"]
 
 
 class IsmWorkspace(Workspace):
-    """A sparse workspace: one IsmEngine per execution, run once per host row
-    in row order, from reset() to result(), also for a row that inserts
-    nothing. A row's result joins the batch's block as the row ends."""
+    """A sparse workspace: one IsmEngine per execution. A host row's pairs
+    form a run, ended when a later row's pairs arrive or at finish(), which
+    always ends one; its result joins the batch's block. A row without
+    pairs keeps its count of 0 and runs no engine."""
 
     def __init__(self, ex: _Execution, meta: WsMeta) -> None:
         d = meta.descriptor
         hash_l = d.hash_l
         if d.policy is Policy.HASH and hash_l is None:  # sized from the operands
-            hash_l = hash_default_l(max(1, sum(
-                t.nnz for name, t in ex.tensors.items()
-                if name in ex.plan.operands and not t.format.all_dense())))
+            hash_l = hash_default_l(sum(t.nnz for name, t in ex.tensors.items()
+                                        if name in ex.plan.operands and not t.format.all_dense()))
         self.engine = IsmEngine([ex.extents[v] for v in meta.slot_vars], d.policy,
                                 d.capacity, hash_l=hash_l)
         self.counters = self.engine.counters
@@ -998,24 +999,20 @@ class IsmWorkspace(Workspace):
         return [*_DRAIN_LINES, f"compress All -> {into}"]
 
     def start(self, n: int) -> None:
-        self.row = 0
         self.counts = np.zeros(n, dtype=np.int64)
         self.block = _Block(len(self.engine.extents))
-        self.engine.reset()
+        # the host row whose pairs the engine's run holds; with one host
+        # row, every pair is row 0's
+        self.row = 0 if n == 1 else None
 
-    def _advance(self, row: int) -> None:
-        while self.row < row:
-            self._keep(*self.engine.result())
-            self.row += 1
-            self.engine.reset()
-
-    def _keep(self, coords: list[np.ndarray], vals: np.ndarray) -> None:
-        self.counts[self.row] = len(vals)
-        self.block.extend([], None, coords, vals)
+    def _end_run(self) -> None:
+        coords, vals = self.engine.result()
+        if self.row is not None:
+            self.counts[self.row] = len(vals)
+            self.block.extend([], None, coords, vals)
 
     def insert(self, owner: np.ndarray, keys: np.ndarray, vals: np.ndarray) -> None:
         if len(self.counts) == 1:
-            # one host row: every pair is row 0's
             self.engine.insert_batch(keys, vals)
             return
         starts = np.empty(len(owner), dtype=bool)
@@ -1023,12 +1020,14 @@ class IsmWorkspace(Workspace):
         np.not_equal(owner[1:], owner[:-1], out=starts[1:])
         starts = np.flatnonzero(starts).tolist()
         for lo, hi in zip(starts, [*starts[1:], len(owner)]):
-            self._advance(int(owner[lo]))
+            row = int(owner[lo])
+            if self.row not in (None, row):
+                self._end_run()
+            self.row = row
             self.engine.insert_batch(keys[lo:hi], vals[lo:hi])
 
     def finish(self) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-        self._advance(len(self.counts) - 1)
-        self._keep(*self.engine.result())
+        self._end_run()
         _, _, coords, vals = self.block.take()
         return self.counts, coords, vals
 
@@ -1234,8 +1233,9 @@ class _Execution:
                      np.zeros(1, dtype=_OWNER_DTYPE) if _OWNER in self._root else None)
         for node in self.plan.body:
             node.run(self, root)
-        # fold each workspace's counters and drop the workspaces: an engine's
-        # all array would keep its keys live through compression
+        # fold each workspace's counters and drop the workspaces: finish()
+        # left every engine empty, but a workspace's last block would keep
+        # the entries it handed over live through compression
         while self.workspaces:
             self.counters.merge(self.workspaces.popitem()[1].counters)
         if self.override is not None:

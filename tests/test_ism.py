@@ -163,8 +163,8 @@ def test_hash_chains_by_key_modulus():
 
 
 def test_hash_policy_requires_bucket_count():
-    with pytest.raises(IsmError, match="positive bucket count"):
-        _acc(Policy.HASH, hash_l=None)
+    with pytest.raises(IsmError, match="None is not an integer >= 1"):
+        IsmEngine((8,), Policy.HASH, 4)
 
 
 def test_capacity_must_be_positive():
@@ -351,12 +351,11 @@ def test_result_decodes_into_the_coordinate_dtype():
     coords, vals = eng.result()
     assert all(c.dtype == CRD_DTYPE for c in coords)
     assert list(zip(*(c.tolist() for c in coords))) == want
-    # the all array hands its values over and is emptied; a second call
-    # returns the same arrays, and the next run fills a new all array
-    assert eng.result()[1] is vals and eng.all.size == 0
-    eng.reset()
+    # the all array hands its values over and is emptied; the next run
+    # fills it again, and leaves the arrays handed over as they are
+    assert eng.all.size == 0
     eng.insert_key(_key(eng.strides, want[0]), 2.0)
-    eng.result()
+    assert eng.result()[1].tolist() == [2.0]
     assert vals.tolist() == [1.0, 1.0]
 
 
@@ -367,8 +366,70 @@ def test_engine_validates_configuration():
         IsmEngine((2, 2**32 + 1), Policy.COORD, 4)
     with pytest.raises(IsmError, match="64-bit"):
         IsmEngine((2**32, 2**32), Policy.COORD, 4)
-    with pytest.raises(IsmError, match="hash_l resolved"):
-        IsmEngine((8,), Policy.HASH, 4)
+
+
+@pytest.mark.parametrize("extents", [(-2, -3), (4, -1), (2.5,), (3, 2.0), ("4",), (None,),
+                                     (2**32 + 1,)], ids=str)
+def test_engine_refuses_extents_that_are_not_integers_in_range(extents):
+    # a negative pair once gave a positive key count, and 2.5 was cut to 2
+    with pytest.raises(IsmError, match="not integers from 0"):
+        IsmEngine(extents, Policy.COORD, 4)
+
+
+def test_engine_takes_extents_at_the_ends_of_the_range():
+    assert IsmEngine((0, 5), Policy.COORD, 4).key_count == 0
+    eng = IsmEngine((np.int64(2**32), True), Policy.BUCKET, 4)
+    assert eng.extents == (2**32, 1) and eng.key_count == 2**32
+    with pytest.raises(IsmError, match="outside"):
+        IsmEngine((0,), Policy.COORD, 4).insert_key(0, 1.0)
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("hash_l", [2.5, 0, -4, "8", 8.0], ids=repr)
+def test_engine_refuses_a_bucket_count_that_is_not_a_positive_integer(policy, hash_l):
+    # 2.5 once constructed and failed at the first insert_batch
+    with pytest.raises(IsmError, match="not an integer >= 1"):
+        IsmEngine((100,), policy, 4, hash_l=hash_l)
+
+
+@pytest.mark.parametrize("vals", [
+    np.array([1.0, 2j]), [1.0, None], ["x", "y"], np.array([1, 2], object),
+    np.array(["1", "2"]),
+], ids=["complex", "none", "str", "object", "numeric-str"])
+def test_insert_batch_refuses_values_that_are_not_real(vals):
+    eng = IsmEngine((8,), Policy.HASH, 4, hash_l=4)
+    with pytest.raises(IsmError, match="not real numbers"):
+        eng.insert_batch(np.array([1, 2]), vals)
+    assert eng.counters.inserts == 0 and eng.acc.size == 0
+
+
+@pytest.mark.parametrize("val", [1 + 2j, np.complex64(1), None, "x", [1.0], np.ones(1)],
+                         ids=repr)
+def test_insert_key_refuses_a_value_that_is_not_a_real_number(val):
+    eng = IsmEngine((8,), Policy.COORD, 4)
+    eng.insert_key(1, 1.0)
+    with pytest.raises(IsmError, match="not real numbers|not one number"):
+        eng.insert_key(2, val)
+    assert eng.counters.inserts == 1
+    coords, vals = eng.result()
+    assert coords[0].tolist() == [1] and vals.dtype == np.float64
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_both_insert_paths_take_real_values_of_any_real_dtype_as_float64(policy):
+    # bool, integer and float values, as scalars and as arrays
+    given = [True, np.int8(-3), 2**40, np.uint64(7), np.float32(0.5), 2.25]
+    scalar = IsmEngine((8,), policy, 2, hash_l=4)
+    for key, val in enumerate(given):
+        scalar.insert_key(key, val)
+    batched = IsmEngine((8,), policy, 2, hash_l=4)
+    for key, val in enumerate(given):
+        batched.insert_batch(np.array([key]), np.array([val]))
+    want = [float(v) for v in given]
+    for eng in (scalar, batched):
+        coords, vals = eng.result()
+        assert vals.dtype == np.float64 and vals.tolist() == want
+        assert coords[0].tolist() == list(range(len(given)))
 
 
 @pytest.mark.parametrize("key", [8, 100, -1])
@@ -429,33 +490,51 @@ def test_insert_key_rejects_a_non_integer_key(key):
     assert eng.counters.inserts == 0
 
 
-def test_finalize_is_idempotent():
-    eng = IsmEngine((8,), Policy.COORD, 4)
-    eng.insert_key(2, 1.0)
-    first = eng.result()
-    again = eng.result()
-    assert first[0][0].tolist() == again[0][0].tolist()
-    assert eng.counters.drains == 1
+@pytest.mark.parametrize("policy", list(Policy))
+def test_inserts_after_finalize_reach_the_result(policy):
+    eng = IsmEngine((8,), policy, 4, hash_l=4)
+    eng.insert_key(1, 1.0)
+    eng.finalize()
+    eng.insert_key(2, 5.0)
+    eng.insert_batch(np.array([1, 3]), np.array([2.0, 4.0]))
+    eng.finalize()
+    eng.insert_key(3, 0.5)
+    coords, vals = eng.result()
+    assert coords[0].tolist() == [1, 2, 3] and vals.tolist() == [3.0, 5.0, 4.5]
+    assert eng.counters.inserts == 5
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_each_result_ends_a_run_of_its_own(policy):
+    eng = IsmEngine((4, 8), policy, 2, hash_l=4)
+    eng.insert_batch(np.array([3, 9, 3, 30]), np.array([1.0, 2.0, 3.0, 4.0]))
+    (rows, cols), vals = eng.result()
+    assert (rows.tolist(), cols.tolist(), vals.tolist()) == ([0, 1, 3], [3, 1, 6],
+                                                             [4.0, 2.0, 4.0])
+    # a result with nothing inserted since is an empty run
+    (rows, cols), vals = eng.result()
+    assert rows.size == cols.size == vals.size == 0
+    assert rows.dtype == cols.dtype == CRD_DTYPE and vals.dtype == np.float64
+    eng.insert_key(9, 0.25)
+    (rows, cols), vals = eng.result()
+    assert (rows.tolist(), cols.tolist(), vals.tolist()) == ([1], [1], [0.25])
+    assert eng.acc.size == 0 and eng.all.size == 0
 
 
 @pytest.mark.parametrize("extents", [(5000,), (70, 300), (7, 30, 40)], ids=str)
 @pytest.mark.parametrize("policy", list(Policy))
-def test_results_survive_reset_and_later_runs(policy, extents):
+def test_results_survive_later_runs(policy, extents):
     eng = IsmEngine(extents, policy, 64, hash_l=16)
     assert eng.key_dtype == CRD_DTYPE
     results = []
     for seed in range(3):
         keys, vals = _real_stream(seed, 3000, eng.key_count)
-        eng.reset()
         eng.insert_batch(keys, vals)
         coords, out = eng.result()
-        # a second call hands over the same arrays
-        again, again_vals = eng.result()
-        assert again_vals is out and all(a is b for a, b in zip(again, coords))
         assert all(np.array_equal(c, w) for c, w in
                    zip(coords, np.unravel_index(np.unique(keys), extents)))
         results.append((coords, out, [c.copy() for c in coords], out.copy()))
-    eng.reset()
+    eng.result()
     for coords, out, want_coords, want_vals in results:
         assert all(np.array_equal(c, w) for c, w in zip(coords, want_coords))
         assert out.tobytes() == want_vals.tobytes()
@@ -574,14 +653,13 @@ def test_pipelined_mode_is_bit_identical(policy):
 
 @pytest.mark.parametrize("wide_keys", [False, True])
 @pytest.mark.parametrize("policy", list(Policy))
-def test_reset_engine_matches_a_fresh_one(policy, wide_keys):
+def test_an_engine_after_result_matches_a_fresh_one(policy, wide_keys):
     # the first run's all array holds more keys than the second run's
     first = _stream(seed=3, n=200, universe=64)
     second = _stream(seed=4, n=100, universe=16)
     reused = _engine(policy, 2, wide_keys)
     _feed(reused, first)
     before = copy.copy(reused.counters)
-    reused.reset()
     assert reused.acc.size == 0 and reused.all.size == 0
     got = _feed(reused, second)
     fresh = _engine(policy, 2, wide_keys)
@@ -633,7 +711,6 @@ def test_insert_batch_matches_insert_key(policy, capacity, sort_once, wide_keys,
         scalar = engine()
         want = []
         for keys, vals in streams:
-            scalar.reset()
             for k, v in zip(scalars(keys), vals.tolist()):
                 scalar.insert_key(k, v)
             want.append(scalar.result())
@@ -641,7 +718,6 @@ def test_insert_batch_matches_insert_key(policy, capacity, sort_once, wide_keys,
         batched = engine()
         got = []
         for keys, vals in streams:
-            batched.reset()
             cuts = np.sort(rng.choice(np.arange(1, len(keys)), 12, replace=False))
             for part, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, len(keys)])):
                 if part % 4 == 3:  # every fourth piece goes in one pair at a time
@@ -947,7 +1023,6 @@ class _TwoWayMerge:
 
     def __init__(self, counters: Counters) -> None:
         self.counters = counters
-        self.merges = 0
         self.keys = np.empty(0, np.uint64)
         self.vals = np.empty(0, np.float64)
 
@@ -959,7 +1034,6 @@ class _TwoWayMerge:
         # equal keys add their values, the existing value first
         c = self.counters
         old_keys, old_vals = self.keys, self.vals
-        self.merges += 1
         c.merges += 1
         c.merge_comparisons += len(new_keys) + len(old_keys)
         if not old_keys.size:
@@ -980,13 +1054,19 @@ class _ReferenceEngine(IsmEngine):
     """An engine whose all array merges at every drain and whose peak is
     noted after every drain."""
 
-    def reset(self) -> None:
-        super().reset()
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.all = _TwoWayMerge(self.counters)  # type: ignore[assignment]
 
     def _flush(self) -> None:
         super()._flush()
-        self._note_peak()
+        live = (self.all.size + self.capacity) * ism._ELEMENT_BYTES
+        self.counters.peak_bytes = max(self.counters.peak_bytes, live)
+
+    def result(self) -> tuple[list[np.ndarray], np.ndarray]:
+        out = super().result()
+        self.all = _TwoWayMerge(self.counters)  # type: ignore[assignment]
+        return out
 
 
 def _log_bound_checked(eng: IsmEngine, bounds: list) -> None:
@@ -1006,23 +1086,20 @@ def _log_bound_checked(eng: IsmEngine, bounds: list) -> None:
 def _check_against_reference(policy: Policy, capacity: int, streams: list,
                              extents: tuple[int, ...]) -> None:
     """Run the streams through a reference engine and an engine with the
-    log, each run from a reset, the second run left without result(); the
-    results, every counter, peak_bytes included, and the log's bound hold."""
+    log, a run each, every run ended by result(); the results, every
+    counter, peak_bytes included, and the log's bound hold."""
     engines = [cls(extents, policy, capacity, hash_l=64)
                for cls in (_ReferenceEngine, IsmEngine)]
     results = []
     bounds: list[float] = []
     for eng in engines:
         out = []
-        for run, (keys, vals) in enumerate(streams):
-            eng.reset()
-            if isinstance(eng.all, AllArray):
+        for keys, vals in streams:
+            if isinstance(eng.all, AllArray):  # each run logs into a new one
                 _log_bound_checked(eng, bounds)
             eng.insert_batch(keys, vals)
-            if run != 1:
-                coords, got = eng.result()
-                out.append(([c.copy() for c in coords], got.tobytes()))
-        eng.reset()
+            coords, got = eng.result()
+            out.append(([c.copy() for c in coords], got.tobytes()))
         results.append(out)
     reference, log = engines
     assert log.counters == reference.counters

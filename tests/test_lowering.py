@@ -712,13 +712,12 @@ def _real_valued(kernel: Kernel, seed: int) -> dict[str, np.ndarray]:
 
 def _per_row_runs(kernel: Kernel, arrays: dict[str, np.ndarray], engine: sw.IsmEngine,
                   rows: int) -> tuple[list[int], list[np.ndarray], list[np.ndarray]]:
-    """The hoisted workspace's model: one engine run per prefix row i, from
-    reset() to result(), inserting one pair at a time in loop order with
-    the product formed left to right; returns each row's entry count, and
-    its coordinates and values."""
+    """The hoisted workspace's model: one engine run per prefix row i, ended
+    by result(), inserting one pair at a time in loop order with the product
+    formed left to right; returns each row's entry count, and its
+    coordinates and values."""
     counts, crds, vals = [], [], []
     for i in range(rows):
-        engine.reset()
         if kernel.name == "mttkrp":
             x, b, c = arrays["X"], arrays["B"], arrays["C"]
             for k, l in zip(*np.nonzero(x[i])):
@@ -763,6 +762,51 @@ def test_a_hoisted_sparse_workspace_runs_the_engine_once_per_prefix_row(name, po
     assert np.array_equal(pos, np.concatenate(([0], np.cumsum(counts))))
     assert np.array_equal(crd, np.concatenate(crds))
     assert out.tensor.vals.tobytes() == np.concatenate(vals).tobytes()
+    assert out.counters == engine.counters
+
+
+@pytest.mark.parametrize("policy", list(sw.Policy), ids=lambda p: p.label)
+@pytest.mark.parametrize("name", ["spgemm-rowwise-hoist", "mttkrp"])
+def test_a_hoisted_workspace_runs_the_engine_only_for_rows_that_insert(name, policy,
+                                                                        monkeypatch):
+    # a row without pairs runs no engine; finish() ends exactly one run per
+    # host batch, empty only if no row of the batch inserts, which notes
+    # the capacity floor of peak_bytes
+    monkeypatch.setattr(lowering, "_CHUNK", 5)
+    monkeypatch.setattr(lowering, "_OUTER_CHUNK", 3)
+    runs: list[tuple[int, bool]] = []  # (entries, ended by finish())
+    finishing = [False]
+    result, finish = sw.IsmEngine.result, lowering.IsmWorkspace.finish
+
+    def counted_result(engine):
+        coords, vals = result(engine)
+        runs.append((len(vals), finishing[0]))
+        return coords, vals
+
+    def counted_finish(ws):
+        finishing[0] = True
+        try:
+            return finish(ws)
+        finally:
+            finishing[0] = False
+
+    monkeypatch.setattr(sw.IsmEngine, "result", counted_result)
+    monkeypatch.setattr(lowering.IsmWorkspace, "finish", counted_finish)
+    kernel = KERNELS_BY_NAME[name]
+    _, plan, _ = prepare(kernel, policy, 2)
+    arrays = _real_valued(kernel, seed=5)
+    tensors = {n: sw.from_dense(a, kernel.formats[n]) for n, a in arrays.items()}
+    out = sw.execute(plan, tensors)
+    inserting = int(np.count_nonzero(np.diff(out.tensor.levels[1].pos)))
+    assert 0 < inserting < out.tensor.dims[0]
+    assert all(n for n, at_finish in runs if not at_finish)
+    assert sum(1 for n, _ in runs if n) == inserting
+    batches = sum(1 for _, at_finish in runs if at_finish)
+    assert 1 < batches < len(runs)
+    sparse_nnz = sum(t.nnz for t in tensors.values() if not t.format.all_dense())
+    hash_l = sw.hash_default_l(sparse_nnz) if policy is sw.Policy.HASH else None
+    engine = sw.IsmEngine([out.tensor.dims[1]], policy, 2, hash_l=hash_l)
+    _per_row_runs(kernel, arrays, engine, out.tensor.dims[0])
     assert out.counters == engine.counters
 
 
