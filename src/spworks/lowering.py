@@ -53,7 +53,7 @@ from .ir import (
     nest_core,
     nest_vars,
 )
-from .ism import Counters, IsmEngine, Policy, hash_default_l
+from .ism import Counters, IsmEngine, Policy, _bits, _tagged, hash_default_l
 from .tensor import (
     COMPRESSED,
     CRD_DTYPE,
@@ -831,7 +831,8 @@ class _Keep:
                    _OWNER in gather, frozenset(live & own))
 
 
-# operand values a binary node gathers at a time into the array it owns
+# operand values an expression gathers at a time into an array it owns,
+# and the fewest pairs a dense workspace sums at a time
 _SLICE = 1 << 11
 
 
@@ -839,8 +840,14 @@ def _values(ex: _Execution, rows: _Rows, expr: Expr, amap: dict, reads: dict):
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, Access):
-        # a gather copies: the array is the expression's own
-        return ex.tensors[expr.tensor].vals[rows.read(amap[expr], reads)]
+        # a gather into an array the expression owns, a slice at a time:
+        # ``take`` gathers faster than indexing with narrow positions
+        vals = ex.tensors[expr.tensor].vals
+        pos = rows.read(amap[expr], reads)
+        out = np.empty(len(pos), vals.dtype)
+        for lo in range(0, len(pos), _SLICE):
+            vals.take(pos[lo:lo + _SLICE], out=out[lo:lo + _SLICE])
+        return out
     if isinstance(expr, (Add, Mul)):
         add = isinstance(expr, Add)
         op = np.add if add else np.multiply
@@ -849,8 +856,7 @@ def _values(ex: _Execution, rows: _Rows, expr: Expr, amap: dict, reads: dict):
             rhs = _values(ex, rows, expr.rhs, amap, reads)
             return lhs + rhs if add else lhs * rhs
         # an array the expression allocated takes the result in place; an
-        # operand joins it a slice at a time, never as a whole column, and
-        # ``take`` gathers a slice faster than indexing with narrow positions
+        # operand joins it a slice at a time, never as a whole column
         if isinstance(expr.rhs, Access):
             vals = ex.tensors[expr.rhs.tensor].vals
             pos = rows.read(amap[expr.rhs], reads)
@@ -1037,8 +1043,8 @@ class DenseWorkspace(Workspace):
     Each (row, coordinate) keeps a running sum that starts at 0.0 and adds
     values in arrival order, as ``W[c] += v`` would; once a later row
     arrives, a row's sums are final and move to the batch's block. It keeps
-    only the sorted union of the cells it touched, never an array over the
-    extent."""
+    only the cells it touched, never an array over the extent: the open
+    row's, and those of one slice of pairs while it sums them."""
 
     announced_at_head = True
     # a key is the one coordinate
@@ -1068,39 +1074,62 @@ class DenseWorkspace(Workspace):
     def start(self, n: int) -> None:
         self.counts = np.zeros(n, dtype=np.int64)
         self.block = _Block(1)
-        # the open cells, keyed (row, coordinate) in the host rows' int64
-        self.keys = np.empty(0, dtype=np.int64)
-        self.sums = np.empty(0, dtype=np.float64)
+        # the open row, the last one a slice named, and its cells in order
+        self.row = 0
+        self.crd = np.empty(0, CRD_DTYPE)
+        self.sums = np.empty(0, VAL_DTYPE)
 
     def insert(self, owner: np.ndarray, keys: np.ndarray, vals: np.ndarray) -> None:
         self.counters.inserts += len(keys)
-        if not len(keys):
-            return
-        # host rows widen before they scale: a key can pass 2^32
-        keys = np.multiply(owner, self.extent, dtype=np.int64) + keys
-        union = np.sort(np.concatenate((self.keys, keys)))
-        union = union[np.concatenate(([True], union[1:] != union[:-1]))]
-        sums = np.zeros(len(union), dtype=np.float64)
-        sums[np.searchsorted(union, self.keys)] = self.sums
-        np.add.at(sums, np.searchsorted(union, keys), vals)
-        del keys
-        final = int(np.searchsorted(union, int(owner[-1]) * self.extent))
-        # the last row's cells stay open, in arrays of their own
-        self.keys, self.sums = union[final:].copy(), sums[final:].copy()
-        self._close(union[:final], sums[:final])
+        lo = 0
+        while lo < len(keys):
+            # a slice carries the open row's cells, so it takes as many new
+            # pairs at least: a long row costs each pair a bounded share
+            hi = lo + max(_SLICE, len(self.crd))
+            self._sum(owner[lo:hi], keys[lo:hi], vals[lo:hi])
+            lo = hi
 
-    def _close(self, keys: np.ndarray, sums: np.ndarray) -> None:
-        """Move final cells, in order, to the block."""
-        rows = np.searchsorted(keys, np.arange(len(self.counts) + 1) * self.extent)
-        self.counts += np.diff(rows)
-        crd = np.remainder(keys, self.extent, out=np.empty(len(keys), CRD_DTYPE),
-                           casting="unsafe")
-        self.block.extend([], None, [crd], sums)
+    def _sum(self, owner: np.ndarray, keys: np.ndarray, vals: np.ndarray) -> None:
+        """Sum a slice of pairs after the open row's cells, which come first
+        with their sums as values; every row before the slice's last is then
+        final and moves to the block. One in-place sort of packed (cell,
+        arrival) integers puts each cell's values together in arrival order,
+        and bincount adds them in that order from 0.0, as ``W[c] += v``
+        does: a carried sum is never -0.0, so 0.0 + s is s."""
+        carried = len(self.crd)
+        rows = np.concatenate((np.full(carried, self.row, owner.dtype), owner))
+        crd = np.concatenate((self.crd, keys))
+        vals = np.concatenate((self.sums, vals))
+        first, last = int(rows[0]), int(rows[-1])
+        n, extent = len(rows), self.extent
+        bits, width = _bits(n), ((last - first + 1) * extent - 1).bit_length()
+        # cells numbered from the slice's first row, each row extent cells
+        tags = np.subtract(rows, first, dtype=np.uint32 if width + bits <= 32 else np.uint64)
+        tags *= extent
+        tags += crd
+        _tagged(tags, bits, width).sort()
+        low = (1 << bits) - 1
+        lead = np.empty(n, bool)
+        lead[0] = True
+        np.greater(tags[1:] ^ tags[:-1], low, out=lead[1:])
+        order = np.bitwise_and(tags, low, out=tags)  # arrivals in cell order
+        cell = np.cumsum(lead)
+        cell -= 1
+        sums = np.bincount(cell, vals.take(order))
+        del cell
+        order = order.compress(lead)
+        crd, rows = crd.take(order), rows.take(order)
+        # the last row's cells stay open, in arrays of their own
+        final = int(np.searchsorted(rows, last))
+        self.counts[first:last] = np.bincount(rows[:final] - first, minlength=last - first)
+        self.block.extend([], None, [crd[:final]], sums[:final])
+        self.row, self.crd, self.sums = last, crd[final:].copy(), sums[final:].copy()
 
     def finish(self) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
         """Every cell a value was added to, in order, a sum that cancels to
         0.0 included, as a sparse workspace keeps it."""
-        self._close(self.keys, self.sums)
+        self.counts[self.row] = len(self.crd)
+        self.block.extend([], None, [self.crd], self.sums)
         _, _, crd, vals = self.block.take()
         return self.counts, crd, vals
 

@@ -8,6 +8,7 @@ import json
 import threading
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -480,6 +481,111 @@ def test_dense_and_sparse_workspaces_store_the_same_entries():
         assert all(sw.tensors_equal(dense, t) for t in sparse), index
         if index == 0:
             assert dense.nnz == 1 and dense.vals.tolist() == [0.0]
+
+
+def _dense_workspace(extent: int, rows: int, batches: list) -> tuple:
+    """The block a dense workspace over ``extent`` cells hands over for a
+    host batch of ``rows`` rows, given its leaf batches of (row, key,
+    value) columns."""
+    j = var("j")
+    ws = lowering.DenseWorkspace(SimpleNamespace(extents={j: extent}),
+                                 SimpleNamespace(slot_vars=(j,)))
+    ws.start(rows)
+    for owner, keys, vals in batches:
+        ws.insert(owner.astype(np.uint32), keys.astype(CRD_DTYPE), vals)
+    return ws.finish()
+
+
+def _add_at_model(rows: int, owner: np.ndarray, keys: np.ndarray, vals: np.ndarray) -> tuple:
+    """``W[row, key] += value`` in arrival order, each cell from 0.0 as
+    np.add.at adds: the cells per row, then the cells' keys and sums in
+    (row, key) order."""
+    cells, at = np.unique(owner.astype(np.int64) << 32 | keys, return_inverse=True)
+    sums = np.zeros(len(cells))
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.add.at(sums, at, vals)
+    return np.bincount(cells >> 32, minlength=rows), (cells & 0xFFFFFFFF).astype(CRD_DTYPE), sums
+
+
+def _check_dense_workspace(extent: int, rows: int, owner, keys, vals, cuts) -> None:
+    """The workspace, fed the pairs as leaf batches cut at ``cuts``, against
+    the model, bit for bit."""
+    owner, keys, vals = np.asarray(owner), np.asarray(keys), np.asarray(vals, np.float64)
+    bounds = [0, *cuts, len(vals)]
+    batches = [(owner[lo:hi], keys[lo:hi], vals[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    counts, (crd,), sums = _dense_workspace(extent, rows, batches)
+    want_counts, want_crd, want_sums = _add_at_model(rows, owner, keys, vals)
+    assert counts.dtype == np.int64 and np.array_equal(counts, want_counts)
+    assert crd.dtype == CRD_DTYPE and np.array_equal(crd, want_crd)
+    assert sums.dtype == np.float64 and sums.tobytes() == want_sums.tobytes()
+
+
+def _real_values(rng: np.random.Generator, n: int) -> np.ndarray:
+    # magnitudes far apart, so a sum in another order rounds differently
+    return rng.standard_normal(n) * 10.0 ** rng.integers(-20, 21, n)
+
+
+def test_a_dense_workspace_sums_a_row_wider_than_a_slice_in_arrival_order():
+    # one host row whose distinct cells outnumber a slice's pairs, so every
+    # later slice grows to carry them, in one leaf batch and in uneven ones
+    rng = np.random.default_rng(11)
+    n, extent = 5 * lowering._SLICE, 4 * lowering._SLICE
+    keys = rng.integers(0, extent, n)
+    assert len(np.unique(keys)) > 2 * lowering._SLICE
+    for cuts in ([], [1, 3000, 3001, 9000]):
+        _check_dense_workspace(extent, 1, np.zeros(n, np.int64), keys, _real_values(rng, n), cuts)
+
+
+def test_a_dense_workspace_carries_an_open_row_across_leaf_batches():
+    # rows of 1 to 3 000 pairs; leaf batches end inside rows, at row ends
+    # and one pair apart, and row 40 spans three batches
+    rng = np.random.default_rng(12)
+    sizes = rng.integers(1, 3000, 40)
+    sizes[20] = 2900
+    owner = np.repeat(np.arange(0, 80, 2), sizes)  # every other row empty
+    n, extent = len(owner), 700
+    keys = rng.integers(0, extent, n)
+    ends = np.cumsum(sizes)
+    cuts = sorted({int(ends[3]), int(ends[3]) + 1, int(ends[10]) - 1, int(ends[20]) - 2500,
+                   int(ends[20]) - 1200, *rng.integers(1, n, 6).tolist()})
+    _check_dense_workspace(extent, 80, owner, keys, _real_values(rng, n), cuts)
+
+
+def test_a_dense_workspace_keeps_sums_that_cancel_to_zero():
+    # x - x and -0.0 alone sum to 0.0 from 0.0 and stay entries; infinities
+    # of both signs meet in NaN, and NaN stays NaN
+    rng = np.random.default_rng(13)
+    rows, cells = 6, 600
+    # each cell of a row takes x and -x, in either order, among the others
+    keys = np.repeat(np.arange(cells), 2)
+    vals = np.repeat(_real_values(rng, cells), 2) * np.tile([1.0, -1.0], cells)
+    shuffles = [rng.permutation(2 * cells) for _ in range(rows)]
+    keys = np.concatenate([keys[p] for p in shuffles])
+    vals = np.concatenate([vals[p] for p in shuffles])
+    owner = np.repeat(np.arange(rows), 2 * cells)
+    _check_dense_workspace(cells, rows, owner, keys, vals, [len(vals) // 3])
+    special = np.array([-0.0, np.inf, -np.inf, np.nan, 1.0, np.inf, 2.5, -2.5])
+    _check_dense_workspace(8, 2, [0, 0, 0, 0, 1, 1, 1, 1], [0, 1, 1, 2, 3, 3, 4, 4], special, [5])
+
+
+@pytest.mark.parametrize("extent", [1, 2**16, 2**32 - 1])
+def test_a_dense_workspace_sums_in_arrival_order_at_any_extent(extent, monkeypatch):
+    # rows 0 and 2^21 in one slice: at the widest extent their cells take
+    # more than 64 bits beside an arrival, and the packing ranks them
+    packed = []
+
+    def tagged(values, bits, width):
+        packed.append(bits + width)
+        return ism._tagged(values, bits, width)
+
+    monkeypatch.setattr(lowering, "_tagged", tagged)
+    rng = np.random.default_rng(14)
+    n, far = lowering._SLICE + 500, 2**21
+    owner = np.repeat([0, 5, far], [700, 900, n - 1600])
+    keys = rng.integers(0, extent, n, dtype=np.int64)
+    keys[[0, 800, -1]] = extent - 1
+    _check_dense_workspace(extent, far + 1, owner, keys, _real_values(rng, n), [n - 100])
+    assert (max(packed) > 64) == (extent == 2**32 - 1)
 
 
 @pytest.mark.parametrize("enable_dense", [False, True])
@@ -1225,25 +1331,26 @@ def test_sparse_workspace_inserts_are_within_40_bytes_per_chunk_iteration(name):
     assert scratch <= 40 * lowering._CHUNK
 
 
-@pytest.mark.parametrize("name, bound", [("spgemm-rowwise-hoist", 20), ("spgemm-rowwise", 14.5),
+@pytest.mark.parametrize("name, bound", [("spgemm-rowwise-hoist", 20), ("spgemm-rowwise", 14),
                                          ("mttkrp", 40), ("spmv", 34)])
 def test_scratch_beyond_the_result_on_scaled_operands(name, bound):
-    # bounds in bytes per leaf chunk iteration, from measurement (19.0 for
-    # the sparse workspace, 13.8 for the dense one, 39.0 for mttkrp's three
-    # gathered operands, 32.7 for spmv's top-level workspace; 21.0, 15.8,
-    # 54.9 and 40.5 with 64-bit positions): a leaf chunk's columns, each
-    # released at its last read, and the workspace's pairs; an operand joins
-    # a product a slice at a time; the dense workspace keeps the open row's
-    # cells in arrays of their own, not in views of its last merge
+    # bounds in bytes per leaf chunk iteration, from measurement (17.4 for
+    # the sparse workspace, 13.3 for the dense one, 36.9 for mttkrp's three
+    # gathered operands, 28.6 for spmv's top-level workspace; 19.5, 15.3,
+    # 54.9 and 36.4 with 64-bit positions): a leaf chunk's columns, each
+    # released at its last read, and the workspace's pairs; an operand is
+    # gathered and joins a product a slice at a time; the dense workspace
+    # sums a slice of pairs at a time and keeps the open row's cells in
+    # arrays of their own
     _, plan, _ = prepare(KERNELS_BY_NAME[name])
     scratch, _ = _execute_scratch(plan, _scaled_operands(name, 4))
     assert scratch <= bound * lowering._CHUNK
 
 
-@pytest.mark.parametrize("name, bound", [("spgemm-rowwise-hoist", 9.5), ("spgemm-rowwise", 15.5)])
+@pytest.mark.parametrize("name, bound", [("spgemm-rowwise-hoist", 9.5), ("spgemm-rowwise", 10.5)])
 def test_scratch_beyond_a_large_result_per_entry(name, bound):
-    # bounds in bytes per result entry, from measurement (8.9 sparse, 14.8
-    # dense; 12.6 and 16.1 with 64-bit positions): the growing block, with
+    # bounds in bytes per result entry, from measurement (8.8 sparse, 9.8
+    # dense; 12.6 and 12.2 with 64-bit positions): the growing block, with
     # at most a sixteenth of headroom, and a leaf chunk; no entry carries
     # its host row's coordinates
     kernel = KERNELS_BY_NAME[name]
@@ -1259,7 +1366,7 @@ def test_ttm_scratch_beyond_the_result_per_entry():
     # the benchmark's append-dense operands for ttm at seed 1 (the arrays
     # drawn before them are drawn and dropped): five host batches of a dense
     # workspace whose blocks the collector appends into one buffer, with no
-    # join at the end (6.59 B per entry measured, 8.26 with a join)
+    # join at the end (2.91 B per entry measured, 4.20 with 64-bit positions)
     rng = np.random.default_rng([1, 2])
     for shape, density in [((600, 600), 0.01)] * 2 + [((1500, 1500), 0.005)] * 2:
         sparse_array(rng, shape, density)
@@ -1270,7 +1377,7 @@ def test_ttm_scratch_beyond_the_result_per_entry():
     tensors = {t: sw.from_dense(a, kernel.formats[t]) for t, a in arrays.items()}
     _, plan, _ = prepare(kernel)
     scratch, out = _execute_scratch(plan, tensors)
-    assert out.nnz == 139_520 and scratch <= 7 * out.nnz
+    assert out.nnz == 139_520 and scratch <= 3.5 * out.nnz
 
 
 class _Nest:

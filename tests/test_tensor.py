@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spworks as sw
@@ -387,14 +387,15 @@ def _conversion(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_conversion())
+@example((sw.csf(3), (1, 2, 2), [np.zeros(2, CRD_DTYPE)] * 3, np.array([np.inf, -np.inf])))
 def test_from_arrays_matches_a_lexsort_model(case):
     # a stable lexsort of the level-order coordinates, then a sum of each
     # run of duplicates in input order: the same tensor, bit for bit; and
     # without summing, the same tensor or the same duplicate error
     fmt, dims, mode, vals = case
-    # a sum of duplicates may overflow to infinity in both, which
-    # test_a_sum_of_duplicates_that_overflows_gives_infinity_and_warns pins
-    with np.errstate(over="ignore"):
+    # a sum of duplicates may overflow to infinity, or meet infinities of
+    # both signs in NaN, in both; the two tests after this one pin that
+    with np.errstate(over="ignore", invalid="ignore"):
         _check_against_a_lexsort_model(fmt, dims, mode, vals)
 
 
@@ -428,6 +429,16 @@ def test_a_sum_of_duplicates_that_overflows_gives_infinity_and_warns():
         t = from_arrays([[1, 1]], [-1.09e306, -1.79e308], sw.sparse_vector(), (3,),
                         sum_duplicates=True)
     assert t.nnz == 1 and t.vals[0] == -np.inf
+    assert [c.crds for c in t.components()] == [(1,)]
+
+
+def test_a_sum_of_duplicates_of_opposite_infinities_gives_nan_and_warns():
+    # inf + -inf is NaN in IEEE arithmetic, and numpy's invalid-value
+    # warning passes through; the entry stays, as any sum of duplicates does
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in reduceat"):
+        t = from_arrays([[1, 1]], [np.inf, -np.inf], sw.sparse_vector(), (3,),
+                        sum_duplicates=True)
+    assert t.nnz == 1 and np.isnan(t.vals[0])
     assert [c.crds for c in t.components()] == [(1,)]
 
 
