@@ -70,7 +70,6 @@ from .ir import (
 )
 from .ism import (
     AccArray,
-    AccFullError,
     AllArray,
     Counters,
     IsmEngine,

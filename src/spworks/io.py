@@ -30,6 +30,57 @@ def _fail(path: str | Path, lineno: int, message: str) -> IoError:
     return IoError(f"{path}:{lineno}: {message}")
 
 
+def _read_entries(path: Path, fh, lineno: int, comments: str, order: int | None,
+                  pattern: bool, accept) -> tuple[np.ndarray, list[float], int, int]:
+    """Parse the entry lines of ``fh`` after line ``lineno``, skipping blank
+    lines and those that start with a character of ``comments``. An entry
+    is ``order`` integer coordinates, as many as the first entry's fields
+    less one where ``order`` is None, then a real value, which a
+    ``pattern`` entry leaves out and stores as 1.0. ``accept(lineno,
+    coords)`` checks an entry's 1-based coordinates and returns those it
+    stores, one or more tuples, each with the entry's value. Returns the
+    stored coordinates, 0-based, as an int64 array of one row per entry,
+    their values, the count of entry lines and the last line number."""
+    crds: list[int] = []  # row-major: one row of ``order`` coordinates per entry
+    vals: list[float] = []
+    seen = 0
+    for lineno, line in enumerate(fh, start=lineno + 1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in comments:
+            continue
+        words = stripped.split()
+        if order is None:
+            order = len(words) - 1
+            if order < 1:
+                raise _fail(path, lineno, "entry needs coordinates and a value")
+        want = order if pattern else order + 1
+        if len(words) != want:
+            raise _fail(path, lineno, f"entry needs {want} fields, got {len(words)}")
+        try:
+            entry = tuple(int(w) for w in words[:order])
+            val = 1.0 if pattern else float(words[order])
+        except ValueError:
+            raise _fail(path, lineno, f"bad entry {stripped!r}") from None
+        for stored in accept(lineno, entry):
+            crds.extend(stored)
+            vals.append(val)
+        seen += 1
+    if order is None:
+        raise _fail(path, 1, "file holds no entries")
+    try:
+        entries = np.array(crds, dtype=np.int64).reshape(-1, order) - 1
+    except OverflowError:
+        raise IoError(f"{path}: a coordinate exceeds the 2^32 extent limit") from None
+    return entries, vals, seen, lineno
+
+
+def _stored(entries: np.ndarray, vals: list[float], shape: tuple[int, ...],
+            fmt: Format | None) -> Tensor:
+    """The entries as a COO tensor, duplicates summed, in ``fmt`` if given."""
+    out = from_arrays(entries.T, vals, coo(len(shape)), shape, sum_duplicates=True)
+    return out if fmt is None else reformat(out, fmt)
+
+
 # MatrixMarket coordinate files
 
 
@@ -79,38 +130,17 @@ def read_matrix_market(path: str | Path, fmt: Format | None = None) -> Tensor:
         if nrows <= 0 or ncols <= 0 or nnz < 0:
             raise _fail(path, lineno, "size fields must be positive")
 
-        want = 2 if pattern else 3
-        crds: list[int] = []  # row, column of each entry, one after the other
-        vals: list[float] = []
-        seen = 0
-        for line in fh:
-            lineno += 1
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            words = stripped.split()
-            if len(words) != want:
-                raise _fail(path, lineno, f"entry needs {want} fields, got {len(words)}")
-            try:
-                i = int(words[0])
-                j = int(words[1])
-                v = 1.0 if pattern else float(words[2])
-            except ValueError:
-                raise _fail(path, lineno, f"bad entry {stripped!r}") from None
+        def accept(lineno: int, entry: tuple[int, ...]):
+            i, j = entry
             if not (1 <= i <= nrows and 1 <= j <= ncols):
                 raise _fail(path, lineno, f"coordinate ({i}, {j}) out of range")
-            crds += (i - 1, j - 1)
-            vals.append(v)
-            if symmetric and i != j:
-                crds += (j - 1, i - 1)
-                vals.append(v)
-            seen += 1
-        if seen != nnz:
-            raise _fail(path, lineno, f"expected {nnz} entries, found {seen}")
+            return (entry, (j, i)) if symmetric and i != j else (entry,)
 
-    entries = np.array(crds, dtype=np.int64).reshape(-1, 2)
-    out = from_arrays(entries.T, vals, coo(2), (nrows, ncols), sum_duplicates=True)
-    return out if fmt is None else reformat(out, fmt)
+        entries, vals, seen, lineno = _read_entries(path, fh, lineno, "%", 2, pattern,
+                                                    accept)
+    if seen != nnz:
+        raise _fail(path, lineno, f"expected {nnz} entries, found {seen}")
+    return _stored(entries, vals, (nrows, ncols), fmt)
 
 
 def write_matrix_market(path: str | Path, tensor: Tensor) -> None:
@@ -138,39 +168,15 @@ def read_frostt(
     given, each extent is one past the largest coordinate seen on that mode.
     """
     path = Path(path)
-    order: int | None = None
-    crds: list[int] = []  # row-major: one row of ``order`` coordinates per entry
-    vals: list[float] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped[0] in "#%":
-                continue
-            words = stripped.split()
-            if order is None:
-                order = len(words) - 1
-                if order < 1:
-                    raise _fail(path, lineno, "entry needs coordinates and a value")
-            if len(words) != order + 1:
-                raise _fail(
-                    path, lineno, f"entry needs {order + 1} fields, got {len(words)}"
-                )
-            try:
-                entry = tuple(int(w) for w in words[:-1])
-                val = float(words[-1])
-            except ValueError:
-                raise _fail(path, lineno, f"bad entry {stripped!r}") from None
-            if any(c < 1 for c in entry):
-                raise _fail(path, lineno, f"coordinate {entry} is not 1-based")
-            crds.extend(entry)
-            vals.append(val)
-    if order is None:
-        raise _fail(path, 1, "file holds no entries")
 
-    try:
-        entries = np.array(crds, dtype=np.int64).reshape(-1, order) - 1
-    except OverflowError:
-        raise IoError(f"{path}: a coordinate exceeds the 2^32 extent limit") from None
+    def accept(lineno: int, entry: tuple[int, ...]):
+        if any(c < 1 for c in entry):
+            raise _fail(path, lineno, f"coordinate {entry} is not 1-based")
+        return (entry,)
+
+    with open(path, "r", encoding="ascii") as fh:
+        entries, vals, _, _ = _read_entries(path, fh, 0, "#%", None, False, accept)
+    order = entries.shape[1]
     if dims is None:
         shape = tuple(int(x) + 1 for x in entries.max(axis=0))
     else:
@@ -181,9 +187,7 @@ def read_frostt(
         if bad.any():
             entry = tuple(entries[bad.argmax()].tolist())
             raise IoError(f"{path}: entry {entry} exceeds dims {shape}")
-
-    out = from_arrays(entries.T, vals, coo(order), shape, sum_duplicates=True)
-    return out if fmt is None else reformat(out, fmt)
+    return _stored(entries, vals, shape, fmt)
 
 
 def write_frostt(path: str | Path, tensor: Tensor) -> None:

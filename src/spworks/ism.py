@@ -12,10 +12,10 @@ each run back as it goes, so the log is freed as the result is written; the
 engine then hands the result over, 32-bit keys decoded in place.
 
 A batch of inserts is planned a block at a time, with the drains and the
-counters of one insert per pair, from two sorts of packed unsigned
-integers: (key, arrival) finds each key's first arrival in its run and the
-slot its repeats add into, and (chain, place) ranks each kept key in its
-bucket's chain. No index array of the platform's width spans a plan;
+counters of one chain-scan insert per pair, from two sorts of packed
+unsigned integers: (key, arrival) finds each key's first arrival in its run
+and the slot its repeats add into, and (chain, place) ranks each kept key
+in its bucket's chain. No index array of the platform's width spans a plan;
 a coord drain sorts (key, arrival) the same way, in its values' buffer,
 and sums equal keys over the sorted arrays in place.
 
@@ -60,10 +60,6 @@ _RANGE = 2**13
 
 class IsmError(RuntimeError):
     pass
-
-
-class AccFullError(IsmError):
-    """Raised by AccArray.insert when the array is at capacity."""
 
 
 class Policy(enum.Enum):
@@ -152,11 +148,14 @@ class Counters:
 
 
 class AccArray:
-    """Bounded unsorted accumulate array with a policy-specific insert path.
+    """Bounded unsorted accumulate array, filled a planned batch at a time.
 
     Keys (in ``key_dtype``) and values are numpy arrays in arrival order.
     Under BUCKET and HASH a key's chain is every key in the array with the
-    same bucket, in arrival order, and inserts deduplicate along it.
+    same bucket, in arrival order; a pair scans its chain up to its key and
+    adds into that slot, or scans the whole chain and takes a new slot, and
+    a new key that finds the array full ends the run there. COORD appends
+    every pair and ends a run at the pair past the capacity.
     """
 
     def __init__(self, capacity: int, policy: Policy, lead_stride: int,
@@ -176,31 +175,10 @@ class AccArray:
     def size(self) -> int:
         return len(self.keys)
 
-    @property
-    def full(self) -> bool:
-        return len(self.keys) == self.capacity
-
     def _bucket(self, keys):
         if self.policy is Policy.BUCKET:
             return keys // self.lead_stride
         return keys % self.hash_l
-
-    def insert(self, key: int, val: float) -> None:
-        """Add one pair. Bucket and hash chains deduplicate in place; a full
-        array rejects the insert before touching anything."""
-        if self.policy is not Policy.COORD:
-            chain = np.flatnonzero(self._bucket(self.keys) == self._bucket(key))
-            hit = np.flatnonzero(self.keys[chain] == key)
-            if hit.size:
-                self.counters.insert_comparisons += int(hit[0]) + 1
-                self.counters.insert_dedups += 1
-                self.vals[chain[hit[0]]] += val
-                return
-            self.counters.insert_comparisons += len(chain)
-        if self.full:
-            raise AccFullError
-        self.load(np.append(self.keys, np.array([key], self.key_dtype)),
-                  np.append(self.vals, val))
 
     def load(self, keys: np.ndarray, vals: np.ndarray) -> None:
         """Take over arrays the caller owns as the contents, in arrival order."""
@@ -208,7 +186,7 @@ class AccArray:
 
     def fill(self, keys: np.ndarray, vals: np.ndarray) -> tuple:
         """Plan the inserts of a batch after the current contents, charging
-        the counters of one ``insert`` per pair. Each new key that finds the
+        the counters of one chain scan per pair. Each new key that finds the
         array full ends a full run: the contents as they are at that moment.
         Returns the plan: the keys each run keeps and their sums, run after
         run in arrival order, and where each run starts among them. Every
@@ -721,7 +699,8 @@ class IsmEngine:
     # -- inserts -------------------------------------------------------------
 
     def insert_key(self, key: int, val: float) -> None:
-        """Insert one pair under its row-major key."""
+        """Insert one pair under its row-major key: a checked one-pair
+        insert_batch."""
         try:
             key = operator.index(key)
         except TypeError:
@@ -731,16 +710,11 @@ class IsmEngine:
         val = _real(val)
         if val.ndim:
             raise IsmError(f"values of shape {val.shape} are not one number")
-        self.counters.inserts += 1
-        try:
-            self.acc.insert(key, val)
-        except AccFullError:
-            self._flush()
-            self.acc.insert(key, val)
+        self.insert_batch(np.array([key], self.key_dtype), val.reshape(1))
 
     def insert_batch(self, keys: np.ndarray, vals: np.ndarray) -> None:
-        """Insert pairs in order, with the same drains, results and counters
-        as one insert_key call per pair."""
+        """Insert pairs in order, with the drains, results and counters of
+        inserting them one at a time by the chain scan (see AccArray)."""
         keys = np.asarray(keys)
         vals = _real(vals)
         if keys.ndim != 1 or vals.shape != keys.shape:

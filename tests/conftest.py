@@ -15,6 +15,7 @@ import time
 import tracemalloc
 import zlib
 from dataclasses import dataclass, field
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
 
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 
 import spworks as sw
+from spworks import ism
 
 DENSITIES = (0.01, 0.1, 0.5)
 
@@ -286,10 +288,95 @@ def peak_spans(targets):
             tracemalloc.stop()
 
 
+class TwoWayMerge:
+    """The all array as a two-way merge per drain, which rebuilds the array
+    each time: the reference the log reproduces."""
+
+    def __init__(self, counters: sw.Counters) -> None:
+        self.counters = counters
+        self.keys = np.empty(0, np.uint64)
+        self.vals = np.empty(0, np.float64)
+
+    @property
+    def size(self) -> int:
+        return len(self.keys)
+
+    def merge(self, new_keys: np.ndarray, new_vals: np.ndarray) -> None:
+        # equal keys add their values, the existing value first
+        c = self.counters
+        old_keys, old_vals = self.keys, self.vals
+        c.merges += 1
+        c.merge_comparisons += len(new_keys) + len(old_keys)
+        if not old_keys.size:
+            self.keys, self.vals = new_keys.copy(), new_vals.copy()
+            return
+        pos = np.searchsorted(old_keys, new_keys)
+        match = np.zeros(len(new_keys), dtype=bool)
+        in_range = pos < old_keys.size
+        match[in_range] = old_keys[pos[in_range]] == new_keys[in_range]
+        c.merge_dedups += int(match.sum())
+        old_vals[pos[match]] += new_vals[match]
+        fresh = ~match
+        self.keys = np.insert(old_keys, pos[fresh], new_keys[fresh])
+        self.vals = np.insert(old_vals, pos[fresh], new_vals[fresh])
+
+
+class ReferenceEngine(sw.IsmEngine):
+    """The engine's model: insert_key inserts one pair by the chain scan,
+    the all array merges at every drain and the peak is noted after every
+    drain. insert_batch is the engine's own plan."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.all = TwoWayMerge(self.counters)  # type: ignore[assignment]
+
+    def insert_key(self, key: int, val: float) -> None:
+        """Under BUCKET and HASH the key scans its chain, the keys of its
+        bucket in arrival order: up to itself, and adds into its slot, or
+        all of it, and is new. A new key that finds the array full drains
+        it and goes into the empty array, where its chain is empty."""
+        acc, c = self.acc, self.counters
+        key = int(key)
+        c.inserts += 1
+        if acc.policy is not sw.Policy.COORD:
+            chain = np.flatnonzero(acc._bucket(acc.keys) == acc._bucket(key))
+            hit = np.flatnonzero(acc.keys[chain] == key)
+            if hit.size:
+                c.insert_comparisons += int(hit[0]) + 1
+                c.insert_dedups += 1
+                acc.vals[chain[hit[0]]] += val
+                return
+            c.insert_comparisons += len(chain)
+        if acc.size == acc.capacity:
+            self._flush()
+        acc.load(np.append(acc.keys, np.array([key], acc.key_dtype)),
+                 np.append(acc.vals, val))
+
+    def _flush(self) -> None:
+        super()._flush()
+        live = (self.all.size + self.capacity) * ism._ELEMENT_BYTES
+        self.counters.peak_bytes = max(self.counters.peak_bytes, live)
+
+    def result(self) -> tuple[list[np.ndarray], np.ndarray]:
+        out = super().result()
+        self.all = TwoWayMerge(self.counters)  # type: ignore[assignment]
+        return out
+
+
 @pytest.fixture(scope="session")
 def small_corpus() -> list[Instance]:
     """A handful of instances per kernel for unit-level execution tests."""
     return [k.instance(i) for k in KERNELS for i in range(6)]
+
+
+def pytest_collection_modifyitems(config, items):
+    """Raise numpy's runtime warnings (overflow, invalid values) as errors
+    in the tests of this directory, as CI's ``-W error::RuntimeWarning``
+    does."""
+    here = Path(__file__).parent
+    for item in items:
+        if item.path.is_relative_to(here):
+            item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
 
 
 @pytest.fixture(autouse=True)

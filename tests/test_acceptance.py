@@ -227,13 +227,12 @@ def test_criterion_7_operation_count_trend():
                       "stay within 2x of capacity N"):
         n = 10**5
         rng = np.random.default_rng(7)
-        keys = rng.integers(0, 64 * 64, n).tolist()
-        vals = rng.random(n).tolist()
+        keys = rng.integers(0, 64 * 64, n)
+        vals = rng.random(n)
 
         def comparisons(capacity: int) -> int:
             engine = sw.IsmEngine((64, 64), sw.Policy.COORD, capacity)
-            for key, val in zip(keys, vals):
-                engine.insert_key(key, val)
+            engine.insert_batch(keys, vals)
             engine.finalize()
             return engine.counters.comparisons
 

@@ -98,6 +98,16 @@ def test_run_file_inputs(tmp_path, capsys):
     assert "verify: OK" in out
 
 
+def test_run_an_input_coordinate_past_int64_exits_two(tmp_path, capsys):
+    # a malformed input file is a user error: exit 2, where 1 is a verify mismatch
+    path = tmp_path / "b.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    f"{2**64} 4 1\n{2**63 + 5} 1 2.0\n", encoding="ascii")
+    code, _, err = run_main(["run", *ROWWISE, f"B={path}", f"C={path}"], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "2^32 extent limit" in err
+
+
 def test_run_frostt_input(tmp_path, capsys):
     t = sw.synthetic_matrix(8, 8, 0.5, 2, seed=2)
     path = tmp_path / "b.tns"

@@ -187,6 +187,17 @@ def test_matrix_market_entry_count_mismatch(tmp_path):
         sw.read_matrix_market(path)
 
 
+def test_matrix_market_coordinate_past_int64_is_an_io_error(tmp_path):
+    # past 2^63: too large for the int64 array the entries are read into
+    path = write_lines(tmp_path / "m.mtx", [
+        "%%MatrixMarket matrix coordinate real general",
+        f"{2**64} 4 1",
+        f"{2**63 + 5} 1 2.0",
+    ])
+    with pytest.raises(IoError, match=r"coordinate exceeds the 2\^32 extent limit"):
+        sw.read_matrix_market(path)
+
+
 # MatrixMarket writing
 
 

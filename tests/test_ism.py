@@ -14,7 +14,6 @@ import spworks as sw
 from spworks import ism
 from spworks.ism import (
     AccArray,
-    AccFullError,
     AllArray,
     Counters,
     IsmEngine,
@@ -26,7 +25,7 @@ from spworks.ism import (
 )
 from spworks.tensor import CRD_DTYPE
 
-from conftest import KERNELS_BY_NAME, peak_above, prepare
+from conftest import KERNELS_BY_NAME, ReferenceEngine, TwoWayMerge, peak_above, prepare
 
 
 # -- small helpers -------------------------------------------------------------------
@@ -94,10 +93,18 @@ def _acc(policy: Policy, capacity: int = 8, lead_stride: int = 4,
     return AccArray(capacity, policy, lead_stride, hash_l, Counters())
 
 
+def _plan(acc: AccArray, keys: list[int], vals: list[float]) -> tuple:
+    """Plan a batch after the contents and load the plan's last run, as
+    insert_batch does; returns the plan."""
+    kept, sums, cuts = acc.fill(np.array(keys, acc.key_dtype), np.array(vals))
+    acc.load(kept[cuts[-1]:], sums[cuts[-1]:])
+    return kept, sums, cuts
+
+
 def test_coord_appends_blindly_and_sorts_at_drain():
     acc = _acc(Policy.COORD, capacity=4)
-    for key, val in [(5, 1.0), (3, 2.0), (5, 4.0), (1, 8.0)]:
-        acc.insert(key, val)
+    kept, _, cuts = _plan(acc, [5, 3, 5, 1], [1.0, 2.0, 4.0, 8.0])
+    assert kept.tolist() == [5, 3, 5, 1] and list(cuts) == [0]
     c = acc.counters
     assert c.insert_comparisons == 0 and c.insert_dedups == 0
     keys, vals = acc.drain()
@@ -108,25 +115,24 @@ def test_coord_appends_blindly_and_sorts_at_drain():
     assert c.drain_dedups == 1
 
 
-def test_coord_rejects_insert_at_capacity():
+def test_coord_ends_a_run_at_the_pair_past_capacity():
     acc = _acc(Policy.COORD, capacity=2)
-    acc.insert(1, 1.0)
-    acc.insert(1, 1.0)  # duplicates occupy separate slots under coord
-    with pytest.raises(AccFullError):
-        acc.insert(2, 1.0)
-    assert acc.full and acc.size == 2
+    # duplicates occupy separate slots under coord
+    kept, _, cuts = _plan(acc, [1, 1, 2], [1.0, 1.0, 1.0])
+    assert kept.tolist() == [1, 1, 2] and list(cuts) == [0, 2]
+    assert acc.keys.tolist() == [2]
 
 
 def test_bucket_chains_by_lead_coordinate():
     acc = _acc(Policy.BUCKET, lead_stride=4)
-    acc.insert(5, 1.0)   # bucket 1
-    acc.insert(3, 1.0)   # bucket 0
-    acc.insert(5, 2.0)   # dedup after scanning one chain entry
-    acc.insert(6, 1.0)   # bucket 1, scans past key 5
+    # 5 and 6 in bucket 1, 3 in bucket 0: the repeat of 5 dedups after
+    # scanning one chain entry, and 6 scans past 5
+    kept, sums, cuts = _plan(acc, [5, 3, 5, 6], [1.0, 1.0, 2.0, 1.0])
     c = acc.counters
     assert c.insert_dedups == 1
     assert c.insert_comparisons == 2
-    assert acc.size == 3
+    assert kept.tolist() == [5, 3, 6] and sums.tolist() == [3.0, 1.0, 1.0]
+    assert list(cuts) == [0] and acc.size == 3
     keys, vals = acc.drain()
     assert keys.tolist() == [3, 5, 6]
     assert vals.tolist() == [1.0, 3.0, 1.0]
@@ -135,25 +141,27 @@ def test_bucket_chains_by_lead_coordinate():
     assert c.drain_dedups == 0
 
 
-def test_bucket_insert_rejects_only_new_keys_at_capacity():
+def test_bucket_ends_a_run_only_at_a_new_key_past_capacity():
     acc = _acc(Policy.BUCKET, capacity=2, lead_stride=4)
-    acc.insert(1, 1.0)
-    acc.insert(2, 1.0)
-    acc.insert(1, 5.0)  # dedup into the existing slot still works when full
-    assert acc.size == 2
-    with pytest.raises(AccFullError):
-        acc.insert(3, 1.0)
+    # the repeat of 1 still adds into the full array; only 3 ends the run
+    kept, sums, cuts = _plan(acc, [1, 2, 1, 3], [1.0, 1.0, 5.0, 1.0])
+    assert kept.tolist() == [1, 2, 3] and sums.tolist() == [6.0, 1.0, 1.0]
+    assert list(cuts) == [0, 2] and acc.keys.tolist() == [3]
+    # one chain: 2 scans 1, the repeat of 1 finds it first, and 3 scans
+    # the full run's whole chain, then the empty one
+    c = acc.counters
+    assert c.insert_comparisons == 1 + 1 + 2 and c.insert_dedups == 1
 
 
 def test_hash_chains_by_key_modulus():
     acc = _acc(Policy.HASH, hash_l=2)
-    acc.insert(5, 1.0)   # chain 1
-    acc.insert(3, 1.0)   # chain 1, scan 1 miss
-    acc.insert(5, 2.0)   # chain 1, dedup on the first scanned entry
-    acc.insert(4, 1.0)   # chain 0
+    # 5 and 3 in chain 1, 4 in chain 0: 3 scans 5 and misses, and the
+    # repeat of 5 dedups on the first scanned entry
+    kept, sums, _ = _plan(acc, [5, 3, 5, 4], [1.0, 1.0, 2.0, 1.0])
     c = acc.counters
     assert c.insert_comparisons == 2
     assert c.insert_dedups == 1
+    assert kept.tolist() == [5, 3, 4] and sums.tolist() == [3.0, 1.0, 1.0]
     keys, vals = acc.drain()
     assert keys.tolist() == [3, 4, 5]
     assert vals.tolist() == [1.0, 1.0, 3.0]
@@ -180,12 +188,12 @@ def test_capacity_must_be_an_integer(capacity):
 
 def test_drain_keeps_contents_until_clear():
     acc = _acc(Policy.COORD, capacity=4)
-    acc.insert(2, 1.0)
+    _plan(acc, [2], [1.0])
     keys, _ = acc.drain()
     assert keys.tolist() == [2]
     assert acc.size == 1
     acc.clear()
-    assert acc.size == 0 and not acc.full
+    assert acc.size == 0
 
 
 def test_empty_drain_is_free():
@@ -237,7 +245,7 @@ def test_a_compaction_leaves_what_a_caller_holds_as_it_was():
     # runs the caller merged and still holds, and keys and values it read
     # before later merges, keep their contents through compactions of many
     # key ranges, run at merge() and when the result is read
-    alla, reference = AllArray(Counters()), _TwoWayMerge(Counters())
+    alla, reference = AllArray(Counters()), TwoWayMerge(Counters())
     held = []
     for i, (keys, vals) in enumerate(_seeded_runs(3, 3 * ism._LOG_RUNS, 10**6)):
         reference.merge(keys, vals.copy())
@@ -263,7 +271,7 @@ def test_a_compaction_frees_the_log_as_it_merges(universe):
     # about one range's scratch to the log (1.9 bytes per logged entry
     # measured with distinct keys, 1.4 with repeats), where copying the
     # log took about 21
-    alla, reference = AllArray(Counters()), _TwoWayMerge(Counters())
+    alla, reference = AllArray(Counters()), TwoWayMerge(Counters())
     logged = 0
     # the log is traced from its first run, so that freeing it counts
     with peak_above():
@@ -697,9 +705,9 @@ def test_insert_batch_matches_insert_key(policy, capacity, sort_once, wide_keys,
     # signed: int64 key arrays, and numpy integer scalars for one-pair inserts
     scalars = list if signed_keys else np.ndarray.tolist
 
-    def engine() -> IsmEngine:
+    def engine(cls=IsmEngine) -> IsmEngine:
         # two dimensions, so that bucket chains hold several keys
-        eng = IsmEngine(_extents((8, 16), wide_keys), policy, capacity, hash_l=8)
+        eng = cls(_extents((8, 16), wide_keys), policy, capacity, hash_l=8)
         assert eng.key_dtype == (np.uint64 if wide_keys else np.uint32)
         return eng
 
@@ -708,7 +716,7 @@ def test_insert_batch_matches_insert_key(policy, capacity, sort_once, wide_keys,
                    for run in range(2)]
         if signed_keys:
             streams = [(keys.astype(np.int64), vals) for keys, vals in streams]
-        scalar = engine()
+        scalar = engine(ReferenceEngine)
         want = []
         for keys, vals in streams:
             for k, v in zip(scalars(keys), vals.tolist()):
@@ -775,7 +783,8 @@ def test_insert_batch_spanning_several_blocks(policy, capacity, sort_once):
     keys, vals = _real_stream(5, 10_000, universe=8 * 16)
     if sort_once:
         capacity *= len(keys)
-    scalar, batched = (IsmEngine((8, 16), policy, capacity, hash_l=8) for _ in range(2))
+    scalar, batched = (cls((8, 16), policy, capacity, hash_l=8)
+                       for cls in (ReferenceEngine, IsmEngine))
     for k, v in zip(keys.tolist(), vals.tolist()):
         scalar.insert_key(k, v)
     batched.insert_batch(keys, vals)
@@ -959,7 +968,7 @@ def test_keys_too_wide_to_pack_with_an_arrival_sort_as_keys(policy, capacity):
     keys = (rows[rng.integers(0, 3, 3000)] << np.uint64(32)
             | rng.integers(0, 4, 3000).astype(np.uint64))
     vals = rng.standard_normal(len(keys))
-    scalar = IsmEngine((2**32 - 1, 2**32), policy, capacity, hash_l=2**40)
+    scalar = ReferenceEngine((2**32 - 1, 2**32), policy, capacity, hash_l=2**40)
     for k, v in zip(keys.tolist(), vals.tolist()):
         scalar.insert_key(k, v)
     eng.insert_batch(keys, vals)
@@ -1017,58 +1026,6 @@ def test_keys_outside_a_narrow_workspace_never_wrap(keys):
 # -- the log against a two-way merge per drain -----------------------------------
 
 
-class _TwoWayMerge:
-    """The all array as a two-way merge per drain, which rebuilds the array
-    each time: the reference the log reproduces."""
-
-    def __init__(self, counters: Counters) -> None:
-        self.counters = counters
-        self.keys = np.empty(0, np.uint64)
-        self.vals = np.empty(0, np.float64)
-
-    @property
-    def size(self) -> int:
-        return len(self.keys)
-
-    def merge(self, new_keys: np.ndarray, new_vals: np.ndarray) -> None:
-        # equal keys add their values, the existing value first
-        c = self.counters
-        old_keys, old_vals = self.keys, self.vals
-        c.merges += 1
-        c.merge_comparisons += len(new_keys) + len(old_keys)
-        if not old_keys.size:
-            self.keys, self.vals = new_keys.copy(), new_vals.copy()
-            return
-        pos = np.searchsorted(old_keys, new_keys)
-        match = np.zeros(len(new_keys), dtype=bool)
-        in_range = pos < old_keys.size
-        match[in_range] = old_keys[pos[in_range]] == new_keys[in_range]
-        c.merge_dedups += int(match.sum())
-        old_vals[pos[match]] += new_vals[match]
-        fresh = ~match
-        self.keys = np.insert(old_keys, pos[fresh], new_keys[fresh])
-        self.vals = np.insert(old_vals, pos[fresh], new_vals[fresh])
-
-
-class _ReferenceEngine(IsmEngine):
-    """An engine whose all array merges at every drain and whose peak is
-    noted after every drain."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.all = _TwoWayMerge(self.counters)  # type: ignore[assignment]
-
-    def _flush(self) -> None:
-        super()._flush()
-        live = (self.all.size + self.capacity) * ism._ELEMENT_BYTES
-        self.counters.peak_bytes = max(self.counters.peak_bytes, live)
-
-    def result(self) -> tuple[list[np.ndarray], np.ndarray]:
-        out = super().result()
-        self.all = _TwoWayMerge(self.counters)  # type: ignore[assignment]
-        return out
-
-
 def _log_bound_checked(eng: IsmEngine, bounds: list) -> None:
     """Record, after each merge, how far the log's entries and run headers
     exceed the last compacted size, in units of capacity plus headers."""
@@ -1089,7 +1046,7 @@ def _check_against_reference(policy: Policy, capacity: int, streams: list,
     log, a run each, every run ended by result(); the results, every
     counter, peak_bytes included, and the log's bound hold."""
     engines = [cls(extents, policy, capacity, hash_l=64)
-               for cls in (_ReferenceEngine, IsmEngine)]
+               for cls in (ReferenceEngine, IsmEngine)]
     results = []
     bounds: list[float] = []
     for eng in engines:
@@ -1163,7 +1120,7 @@ def _compaction_scratch(universe: int, key_dtype) -> float:
     for _ in range(ism._LOG_RUNS - 1):
         keys = np.unique(rng.integers(0, universe, 4000).astype(key_dtype))
         runs.append((keys, rng.standard_normal(len(keys))))
-    alla, reference = AllArray(Counters()), _TwoWayMerge(Counters())
+    alla, reference = AllArray(Counters()), TwoWayMerge(Counters())
     for keys, vals in runs:
         alla.merge(keys, vals)
         reference.merge(keys, vals.copy())

@@ -42,6 +42,7 @@ from conftest import (
     KERNELS,
     KERNELS_BY_NAME,
     Kernel,
+    ReferenceEngine,
     _dim,
     dense_array,
     peak_above,
@@ -816,12 +817,12 @@ def _real_valued(kernel: Kernel, seed: int) -> dict[str, np.ndarray]:
     return out
 
 
-def _per_row_runs(kernel: Kernel, arrays: dict[str, np.ndarray], engine: sw.IsmEngine,
+def _per_row_runs(kernel: Kernel, arrays: dict[str, np.ndarray], engine: ReferenceEngine,
                   rows: int) -> tuple[list[int], list[np.ndarray], list[np.ndarray]]:
-    """The hoisted workspace's model: one engine run per prefix row i, ended
-    by result(), inserting one pair at a time in loop order with the product
-    formed left to right; returns each row's entry count, and its
-    coordinates and values."""
+    """The hoisted workspace's model: one reference engine run per prefix
+    row i, ended by result(), inserting one pair at a time by the chain scan
+    in loop order, with the product formed left to right; returns each
+    row's entry count, and its coordinates and values."""
     counts, crds, vals = [], [], []
     for i in range(rows):
         if kernel.name == "mttkrp":
@@ -859,7 +860,7 @@ def test_a_hoisted_sparse_workspace_runs_the_engine_once_per_prefix_row(name, po
     out = sw.execute(plan, tensors)
     sparse_nnz = sum(t.nnz for t in tensors.values() if not t.format.all_dense())
     hash_l = sw.hash_default_l(sparse_nnz) if policy is sw.Policy.HASH else None
-    engine = sw.IsmEngine([out.tensor.dims[1]], policy, capacity, hash_l=hash_l)
+    engine = ReferenceEngine([out.tensor.dims[1]], policy, capacity, hash_l=hash_l)
     rows = out.tensor.dims[0]
     counts, crds, vals = _per_row_runs(kernel, arrays, engine, rows)
     assert 0 in counts
@@ -911,7 +912,7 @@ def test_a_hoisted_workspace_runs_the_engine_only_for_rows_that_insert(name, pol
     assert 1 < batches < len(runs)
     sparse_nnz = sum(t.nnz for t in tensors.values() if not t.format.all_dense())
     hash_l = sw.hash_default_l(sparse_nnz) if policy is sw.Policy.HASH else None
-    engine = sw.IsmEngine([out.tensor.dims[1]], policy, 2, hash_l=hash_l)
+    engine = ReferenceEngine([out.tensor.dims[1]], policy, 2, hash_l=hash_l)
     _per_row_runs(kernel, arrays, engine, out.tensor.dims[0])
     assert out.counters == engine.counters
 

@@ -11,7 +11,7 @@ import spworks as sw
 
 # the package's exported names; adding or dropping one changes the public API
 PUBLIC_NAMES = """
-    AccArray AccFullError Access Add AllArray AnalysisError Assign CSV_FIELDS
+    AccArray Access Add AllArray AnalysisError Assign CSV_FIELDS
     Classification Component Const Counters ExecutionOptions ExecutionResult Expr
     Forall Format Fuse IndexVar InsertionAction InsertionDecision IoError IrError
     IsmEngine IsmError LevelKind LoweringError Mul ParseError Plan Policy Pos
