@@ -15,9 +15,9 @@ A batch of inserts is planned a block at a time, with the drains and the
 counters of one chain-scan insert per pair, from two sorts of packed
 unsigned integers: (key, arrival) finds each key's first arrival in its run
 and the slot its repeats add into, and (chain, place) ranks each kept key
-in its bucket's chain. No index array of the platform's width spans a plan;
-a coord drain sorts (key, arrival) the same way, in its values' buffer,
-and sums equal keys over the sorted arrays in place.
+in its bucket's chain. No index array of the platform's width spans a plan.
+A coord drain and a compaction sort (key, arrival) the same way, and every
+sum adds a key's values in arrival order (``tensor._sum_groups``).
 
 Coordinates are linearized row-major into unsigned keys, which makes key
 order identical to lexicographic coordinate order: 32-bit keys where the key
@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import CRD_DTYPE, MAX_EXTENT, VAL_DTYPE
+from .tensor import CRD_DTYPE, MAX_EXTENT, VAL_DTYPE, _sum_groups
 
 KEY_DTYPE = np.uint64  # the widest key; an engine narrows it where it can
 _ELEMENT_BYTES = 16  # modelled per element: a uint64 key and a float64 value
@@ -48,10 +48,8 @@ _BLOCK = 4096
 _LOG_RUNS = 64
 # the object headers of one logged run (two arrays and a tuple), in entries
 _RUN_ENTRIES = 18
-# sorted log positions one compaction step gathers and adds at once
-_CHUNK = 2**12
-# sorted pairs a plan or a drain reads at a time: bounds the scratch of
-# each pass over them
+# sorted pairs a plan, a drain or a compaction reads at a time: bounds the
+# scratch of each pass over them
 _PASS = 2**10
 # about the fewest logged entries a compaction merges at once, unless fewer
 # are logged; a compaction takes at most about 16 key ranges
@@ -202,26 +200,19 @@ class AccArray:
         _PASS pairs at a time."""
         n = self.size
         if self.policy is Policy.COORD:
-            return self._fill_coord(np.concatenate((self.keys, keys)),
-                                    np.concatenate((self.vals, vals)))
+            # coord appends blindly: runs are slices of exactly the capacity,
+            # and a full array drains only when one more pair arrives
+            keys, vals = np.concatenate((self.keys, keys)), np.concatenate((self.vals, vals))
+            return keys, vals, range(0, max(len(keys), 1), self.capacity)
         total = n + len(keys)
         index = np.int32 if total < 2**31 else np.int64
-        bits = _bits(total)
-        low = (1 << bits) - 1
-        order = np.concatenate((self.keys, keys), dtype=np.uint64)
-        _tagged(order, bits, 8 * keys.itemsize).sort()
-        # where each key's arrivals start in key order
-        lead = np.empty(total, bool)
-        lead[:1] = True
-        for lo in range(1, total, _PASS):
-            hi = min(lo + _PASS, total)
-            np.greater(np.bitwise_xor(order[lo:hi], order[lo - 1:hi - 1]), low,
-                       out=lead[lo:hi])
+        order, lead, low = _sort_arrivals(np.concatenate((self.keys, keys), dtype=np.uint64),
+                                          8 * keys.itemsize)
         if total > self.capacity:
             # the previous arrival of the same key, -1 at its first
             prev = np.full(total, -1, index)
             for lo in range(0, total, _PASS):
-                arrival = order[max(lo - 1, 0):lo + _PASS] & low
+                arrival = np.bitwise_and(order[max(lo - 1, 0):lo + _PASS], low, dtype=np.intp)
                 same = ~lead[max(lo - 1, 0):lo + _PASS][1:]
                 prev[arrival[1:][same]] = arrival[:-1][same]
             new = self._new(prev)
@@ -230,12 +221,12 @@ class AccArray:
             # one run: an arrival is new where its key first arrives
             new = np.empty(total, bool)
             for lo in range(0, total, _PASS):
-                new[order[lo:lo + _PASS] & low] = lead[lo:lo + _PASS]
+                new[np.bitwise_and(order[lo:lo + _PASS], low, dtype=np.intp)] = lead[lo:lo + _PASS]
         # in key order each repeat adds into the latest new arrival before
         # it, its key's first in its run, and the sums add in that order
         into, repeats, last = [], [], 0
         for lo in range(0, total, _PASS):
-            arrival = order[lo:lo + _PASS] & low
+            arrival = np.bitwise_and(order[lo:lo + _PASS], low, dtype=np.intp)
             fresh = lead[lo:lo + _PASS] if total <= self.capacity else new[arrival]
             if np.count_nonzero(fresh) == len(fresh):
                 last = lo + len(arrival) - 1
@@ -244,7 +235,7 @@ class AccArray:
             np.maximum.accumulate(at, out=at)
             last = at[-1]
             repeat = ~fresh
-            into.append(order[at[repeat]] & low)
+            into.append(np.bitwise_and(order[at[repeat]], low, dtype=np.intp))
             repeats.append(vals[arrival[repeat] - n])
         del lead, order
         into = np.concatenate(into) if into else np.empty(0, index)
@@ -264,7 +255,7 @@ class AccArray:
         _masked_into(sums[n:], new[n:], vals)
         del new
         if repeats:
-            np.add.at(sums, into, np.concatenate(repeats))
+            _sum_groups(sums, into, np.concatenate(repeats))
         # each full run keeps exactly a capacity of keys
         return kept, sums, range(0, max(slots, 1), self.capacity)
 
@@ -297,70 +288,57 @@ class AccArray:
         the whole chain there. The live contents, the first ``size`` kept
         keys, were charged when they went in. Each run keeps a capacity of
         keys, so a key's run is its place over the capacity, and one sort
-        of (chain, place), packed, puts each chain of each run together in
-        arrival order."""
+        of (chain, place) puts each chain of each run together in arrival
+        order."""
         c = self.counters
         c.insert_comparisons += len(into)
         c.insert_dedups += len(into)
         if self.policy is Policy.BUCKET and self.lead_stride == 1:
             return  # a bucket per key: no key scans past another
         n, cap, total = self.size, self.capacity, len(kept)
-        bits = _bits(total)
-        low = (1 << bits) - 1
         top = int(kept.max(initial=0))  # bounds every chain
         if self.policy is Policy.BUCKET:
             top //= self.lead_stride
         else:
             top = min(top, self.hash_l - 1)
-        tags = np.empty(total, np.uint32 if top >> (32 - bits) == 0 else np.uint64)
+        # the dtype _sort_arrivals packs them in, so that it sorts them in place
+        tags = np.empty(total, np.uint32 if top.bit_length() + _bits(total) <= 32 else np.uint64)
         for lo in range(0, total, _PASS):
             tags[lo:lo + _PASS] = self._bucket(kept[lo:lo + _PASS])
-        _tagged(tags, bits, top.bit_length())
-        # the first key of each run after the first, which found the run
-        # before it full
-        stops = tags[cap::cap].copy()
-        tags.sort()
+        # the first key of each run after the first found the run before it
+        # full and scanned its chain there: each key of that run in it
+        stops = tags[cap::cap]
+        charged = int(np.count_nonzero(tags[:len(stops) * cap].reshape(-1, cap)
+                                       == stops[:, None]))
+        tags, lead, low = _sort_arrivals(tags, top.bit_length())
         rank = np.zeros(total, np.int32 if total < 2**31 else np.int64)  # by place
         start = 0
         for lo in range(0, total, _PASS):
-            # after the first, a window starts at the previous one's last key
+            # after the first, a window starts at the previous one's last
+            # key; it overwrites marks that no later window reads
             skip = 1 if lo else 0
             part = tags[lo - skip:lo + _PASS]
-            chain = part >> bits
-            lead = np.empty(len(part), bool)
-            lead[0] = not lo
-            np.not_equal(chain[1:], chain[:-1], out=lead[1:])
-            if len(stops):
+            head = lead[lo - skip:lo + _PASS]
+            head[0] = not lo
+            if total > cap:
                 run = (part & low) // cap
-                lead[1:] |= run[1:] != run[:-1]
-            if np.count_nonzero(lead) == len(lead) - skip:
+                head[1:] |= run[1:] != run[:-1]
+            if np.count_nonzero(head) == len(head) - skip:
                 # each key here leads its chain: all ranks 0
                 start = lo - skip + len(part) - 1
                 continue
             at = np.arange(lo - skip, lo - skip + len(part))
-            first = np.where(lead, at, start)
+            first = np.where(head, at, start)
             np.maximum.accumulate(first, out=first)
             start = first[-1]
             at -= first
-            rank[part[skip:] & low] = at[skip:]
-        charged = int(rank[n:].sum()) + int(rank[into].sum())
-        if len(stops):
-            # the key before a stop in this order ends the stop's chain in
-            # the run before it, if that run holds the chain at all
-            before = tags[np.searchsorted(tags, stops) - 1]
-            ends = ((before >> bits) == (stops >> bits)) & (
-                (before & low) // cap == (stops & low) // cap - 1)
-            charged += int(rank[before[ends] & low].sum()) + int(np.count_nonzero(ends))
-        c.insert_comparisons += charged
-
-    def _fill_coord(self, keys: np.ndarray, vals: np.ndarray) -> tuple:
-        """Coord appends blindly: runs are slices of exactly the capacity, and
-        a full array drains only when one more pair arrives."""
-        return keys, vals, range(0, max(len(keys), 1), self.capacity)
+            rank[np.bitwise_and(part[skip:], low, dtype=np.intp)] = at[skip:]
+        c.insert_comparisons += charged + int(rank[n:].sum()) + int(rank[into].sum())
 
     def drain(self) -> tuple[np.ndarray, np.ndarray]:
         """Sort the contents by key and return them; the array keeps its
-        contents until clear() is called."""
+        contents until clear() is called. Under COORD, the contents' values
+        of one key add in arrival order, from the first."""
         n = self.size
         c = self.counters
         if n <= 1:
@@ -380,37 +358,29 @@ class AccArray:
                     ([True], lead[1:] != lead[:-1], [True]))))
                 c.sort_comparisons += int((sizes * np.frexp(sizes - 1.0)[1]).sum())
             return ks, vs
-        # coord sorts (key, arrival) pairs in the values' buffer, each span
-        # read before its values are written over it, and sums each key's
-        # values in arrival order, over the sorted arrays a span of whole
-        # keys at a time
+        # coord sorts (key, arrival) in the values' buffer (uint64: keys
+        # take 32 bits or more) and sums into it a span at a time: a key's
+        # sum lands no later than its first pair, which is already read
         c.sort_comparisons += n * ceil_log2(n) + n - 1
         vs = np.empty(n, VAL_DTYPE)
-        order = vs.view(np.uint64)
-        order[:] = self.keys
-        bits = _bits(n)
-        _tagged(order, bits, 8 * self.keys.itemsize).sort()
-        ks = np.empty(n, self.keys.dtype)
+        vs.view(np.uint64)[:] = self.keys
+        order, lead, low = _sort_arrivals(vs.view(np.uint64), 8 * self.keys.itemsize)
+        kept = int(np.count_nonzero(lead))
+        ks = np.empty(kept, self.keys.dtype)
+        group = -1  # the last key's place
         for lo in range(0, n, _PASS):
-            arrival = order[lo:lo + _PASS] & ((1 << bits) - 1)
-            np.take(self.keys, arrival, out=ks[lo:lo + _PASS])
-            np.take(self.vals, arrival, out=vs[lo:lo + _PASS])
-        del order
-        kept = 0
-        for lo, hi in _groups(ks, 1):
-            keys = ks[lo:hi]
-            first = np.empty(len(keys), bool)
-            first[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=first[1:])
-            at = np.flatnonzero(first)
-            sums = np.add.reduceat(vs[lo:hi], at)
-            ks[kept:kept + len(at)] = keys[at]
-            vs[kept:kept + len(at)] = sums
-            kept += len(at)
-        del keys
+            arrival = np.bitwise_and(order[lo:lo + _PASS], low, dtype=np.intp)
+            first = lead[lo:lo + _PASS]
+            at = np.cumsum(first)
+            at += group
+            # the keys that start in the span take the next places
+            fresh = slice(group + 1, int(at[-1]) + 1)
+            group = fresh.stop - 1
+            ks[fresh] = self.keys.take(arrival[first])
+            _sum_groups(vs, at, self.vals.take(arrival), fresh)
+        del order, lead
         c.drain_dedups += n - kept
-        # nothing else refers to either array
-        ks.resize(kept, refcheck=False)
+        # nothing else refers to the values
         vs.resize(kept, refcheck=False)
         return ks, vs
 
@@ -423,7 +393,7 @@ class AllArray:
 
     merge() appends each drained run, sorted and unique, to a log. Reading
     keys, vals or size compacts the log into one sorted-unique
-    array: a stable sort by key puts each key's arrivals in drain order,
+    array: a sort of (key, arrival) puts each key's arrivals in drain order,
     the first arrival is the key's start value and later ones add to it in
     that order, so every sum is bit for bit the ``old + new`` of a two-way
     merge per drain. Once a run would make the log hold _LOG_RUNS runs and
@@ -471,9 +441,9 @@ class AllArray:
         """Merge the log into the last compacted array and charge its merges.
 
         The runs are merged a key range at a time, from the highest keys
-        down; a range is a suffix of every run. Its arrivals are sorted
-        stably, in run order, each key's first arrival starts its sum and
-        the later ones add to it in that order. The output grows in place,
+        down; a range is a suffix of every run. Its arrivals, run after
+        run, are sorted by (key, arrival), and each key's sum adds them in
+        that order from the first. The output grows in place,
         highest keys first, by at least a sixteenth, and is cut to its
         entries at the end; each run is cut back in place by the suffix it
         gave up, unless something else refers to it."""
@@ -494,9 +464,9 @@ class AllArray:
         new = np.zeros(len(runs), np.int64)
         done = 0  # output entries written
         for lows in _ranges(runs, base + int(lengths.sum())):
-            # the range's arrivals, run after run; then each run gives them
-            # up, the last range the whole run
-            sizes = np.array([len(k) - a for (k, _), a in zip(runs, lows)])
+            # the range's arrivals, run after run, and each run's first
+            # place; then each run gives them up, the last range all of it
+            starts = np.cumsum([0] + [len(k) - a for (k, _), a in zip(runs, lows)]).tolist()
             span = np.concatenate([k[a:] for (k, _), a in zip(runs, lows)])
             span_vals = np.concatenate([v[a:] for (_, v), a in zip(runs, lows)])
             if not any(lows):
@@ -505,45 +475,33 @@ class AllArray:
                 if a < len(run[0]):
                     _cut(run, a)
             n = len(span)
-            if not n:
-                continue
-            order = np.argsort(span, kind="stable")
-            span.sort()
-            first = np.empty(n, bool)
-            first[0] = True
-            np.not_equal(span[1:], span[:-1], out=first[1:])
-            # the distinct keys each run brought: its first arrivals
-            brought = np.empty(n, bool)
-            brought[order] = first
-            gave = sizes > 0
-            new[gave] += np.add.reduceat(brought, (np.cumsum(sizes) - sizes)[gave],
-                                         dtype=np.int64)
-            del brought
-            distinct = span[first]
-            del span
+            order, lead, low = _sort_arrivals(span.astype(np.uint64), 8 * span.itemsize)
             # nothing else refers to the output while it grows in place,
             # highest keys first, by at least a sixteenth
-            top = done + len(distinct) - 1
+            top = done + int(np.count_nonzero(lead)) - 1
             if top >= len(out_keys):
                 size = max(top + 1, len(out_keys) + len(out_keys) // 16)
                 out_keys.resize(size, refcheck=False)
                 out_vals.resize(size, refcheck=False)
-            out_keys[done:top + 1] = distinct[::-1]
             done = top + 1
-            del distinct
-            # the sums, a chunk of sorted positions at a time
+            # the keys and their sums, a chunk of sorted pairs at a time,
+            # the keys that start in a chunk at the next places down
+            brought = np.zeros(n, bool)  # the arrivals that bring a key
             group = -1
-            for a in range(0, n, _CHUNK):
-                f = first[a:a + _CHUNK]
-                v = span_vals[order[a:a + _CHUNK]]
+            for a in range(0, n, _PASS):
+                f = lead[a:a + _PASS]
+                arrival = np.bitwise_and(order[a:a + _PASS], low, dtype=np.intp)
                 where = np.cumsum(f)
                 where += group
+                fresh = slice(top - int(where[-1]), top - group)
                 group = int(where[-1])
                 np.subtract(top, where, out=where)
-                out_vals[where[f]] = v[f]
-                repeat = ~f
-                np.add.at(out_vals, where[repeat], v[repeat])
-            del order, first, span_vals
+                firsts = arrival[f]
+                out_keys[fresh] = span.take(firsts)[::-1]
+                brought[firsts] = True
+                _sum_groups(out_vals, where, span_vals.take(arrival), fresh)
+            new += [np.count_nonzero(brought[a:b]) for a, b in zip(starts, starts[1:])]
+            del order, lead, span, span_vals, brought
         out_keys.resize(done, refcheck=False)
         out_vals.resize(done, refcheck=False)
         _reverse(out_keys)
@@ -579,19 +537,29 @@ def _bits(n: int) -> int:
     return max(1, (n - 1).bit_length())
 
 
-def _tagged(values: np.ndarray, bits: int, width: int) -> np.ndarray:
-    """An unsigned array of the caller's, of values of at most ``width``
-    bits, made ``value << bits | index`` in place, so that sorting it sorts
-    by value and then by index. Values too wide to shift become their rank
-    among the distinct ones, which orders and compares them as they do."""
-    room = 8 * values.itemsize - bits
-    if width > room and len(values) and int(values.max()) >> room:
-        values[:] = np.unique(values, return_inverse=True)[1].reshape(-1)
-    values <<= bits
-    for lo in range(0, len(values), _PASS):
-        values[lo:lo + _PASS] |= np.arange(lo, min(lo + _PASS, len(values)),
-                                           dtype=values.dtype)
-    return values
+def _sort_arrivals(keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The caller's unsigned ``keys`` of at most ``width`` bits, in arrival
+    order, packed as ``key << bits | arrival`` in the narrower of uint32 and
+    uint64 that holds them, in place if ``keys`` has it, and sorted: each
+    key's arrivals together, in arrival order. Keys too wide to pack become
+    their ranks, which order and compare as they do. Returns the words,
+    where each key's arrivals start, and ``low``, the arrival bits."""
+    n = len(keys)
+    bits = _bits(n)
+    low = (1 << bits) - 1
+    words = keys.astype(np.uint32 if width + bits <= 32 else np.uint64, copy=False)
+    room = 8 * words.itemsize - bits
+    if width > room and n and int(words.max()) >> room:
+        words[:] = np.unique(words, return_inverse=True)[1].reshape(-1)
+    words <<= bits
+    for lo in range(0, n, _PASS):
+        words[lo:lo + _PASS] |= np.arange(lo, min(lo + _PASS, n), dtype=words.dtype)
+    words.sort()
+    lead = np.ones(n, bool)
+    for lo in range(1, n, _PASS):
+        hi = min(lo + _PASS, n)
+        np.greater(np.bitwise_xor(words[lo:hi], words[lo - 1:hi - 1]), low, out=lead[lo:hi])
+    return words, lead, low
 
 
 def _groups(keys: np.ndarray, width: int):
@@ -656,7 +624,7 @@ def _reverse(a: np.ndarray) -> None:
     """Reverse ``a`` in place, a chunk from each end at a time."""
     i, j = 0, len(a)
     while j - i > 1:
-        c = min(_CHUNK, (j - i) // 2)
+        c = min(_PASS, (j - i) // 2)
         low = a[i:i + c].copy()
         a[i:i + c] = a[j - c:j][::-1]
         a[j - c:j] = low[::-1]

@@ -53,7 +53,7 @@ from .ir import (
     nest_core,
     nest_vars,
 )
-from .ism import Counters, IsmEngine, Policy, _bits, _tagged, hash_default_l
+from .ism import Counters, IsmEngine, Policy, _sort_arrivals, hash_default_l
 from .tensor import (
     COMPRESSED,
     CRD_DTYPE,
@@ -63,6 +63,7 @@ from .tensor import (
     Format,
     Tensor,
     VAL_DTYPE,
+    _sum_groups,
     access_map,
     compress_arrays,
     compress_segments,
@@ -154,7 +155,7 @@ class LevelIter:
             if _pos(self.aid) in keep.sets:
                 child.pos[self.aid] = at.astype(ex.pos_dtype, copy=False)
             if _crd(var) in keep.sets:
-                child.crd[var] = level.crd[at]
+                child.crd[var] = _take(level.crd, at)
             return child
 
         return _batches(batch, total, chunk)
@@ -284,7 +285,7 @@ class AccumReg:
         return live | _operands(self.expr, self.amap) | {_OWNER}
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
-        np.add.at(ex.reg, rows.owner, _evaluate(ex, rows, self))
+        _sum_groups(ex.reg, rows.owner, _evaluate(ex, rows, self))
 
 
 @dataclass
@@ -331,7 +332,7 @@ class ScatterDense:
         for v, e in zip(self.mode_vars, ex.dense_out.shape):
             at *= e
             at += rows.crd[v]
-        np.add.at(ex.dense_out.reshape(-1), at, _evaluate(ex, rows, self))
+        _sum_groups(ex.dense_out.reshape(-1), at, _evaluate(ex, rows, self))
 
 
 @dataclass
@@ -831,23 +832,25 @@ class _Keep:
                    _OWNER in gather, frozenset(live & own))
 
 
-# operand values an expression gathers at a time into an array it owns,
-# and the fewest pairs a dense workspace sums at a time
+# entries a gather takes at a time, and the fewest pairs a dense
+# workspace sums at a time
 _SLICE = 1 << 11
+
+
+def _take(src: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """``src[at]`` in an array of its own, gathered by ``take``, which is
+    faster than indexing with narrow positions, _SLICE entries at a time."""
+    out = np.empty(len(at), src.dtype)
+    for lo in range(0, len(at), _SLICE):
+        src.take(at[lo:lo + _SLICE], out=out[lo:lo + _SLICE])
+    return out
 
 
 def _values(ex: _Execution, rows: _Rows, expr: Expr, amap: dict, reads: dict):
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, Access):
-        # a gather into an array the expression owns, a slice at a time:
-        # ``take`` gathers faster than indexing with narrow positions
-        vals = ex.tensors[expr.tensor].vals
-        pos = rows.read(amap[expr], reads)
-        out = np.empty(len(pos), vals.dtype)
-        for lo in range(0, len(pos), _SLICE):
-            vals.take(pos[lo:lo + _SLICE], out=out[lo:lo + _SLICE])
-        return out
+        return _take(ex.tensors[expr.tensor].vals, rows.read(amap[expr], reads))
     if isinstance(expr, (Add, Mul)):
         add = isinstance(expr, Add)
         op = np.add if add else np.multiply
@@ -862,7 +865,7 @@ def _values(ex: _Execution, rows: _Rows, expr: Expr, amap: dict, reads: dict):
             pos = rows.read(amap[expr.rhs], reads)
             for lo in range(0, len(lhs), _SLICE):
                 part = lhs[lo:lo + _SLICE]
-                op(part, vals.take(pos[lo:lo + _SLICE]), out=part)
+                op(part, _take(vals, pos[lo:lo + _SLICE]), out=part)
             return lhs
         return op(lhs, _values(ex, rows, expr.rhs, amap, reads), out=lhs)
     raise LoweringError(f"unknown expression node {expr!r}")
@@ -1092,30 +1095,26 @@ class DenseWorkspace(Workspace):
     def _sum(self, owner: np.ndarray, keys: np.ndarray, vals: np.ndarray) -> None:
         """Sum a slice of pairs after the open row's cells, which come first
         with their sums as values; every row before the slice's last is then
-        final and moves to the block. One in-place sort of packed (cell,
-        arrival) integers puts each cell's values together in arrival order,
-        and bincount adds them in that order from 0.0, as ``W[c] += v``
-        does: a carried sum is never -0.0, so 0.0 + s is s."""
-        carried = len(self.crd)
-        rows = np.concatenate((np.full(carried, self.row, owner.dtype), owner))
+        final and moves to the block. One sort of (cell, arrival) puts each
+        cell's values together in arrival order for ``_sum_groups``; adding
+        0.0 then turns only a sum of -0.0 alone into 0.0, as ``W[c] += v``
+        from 0.0 gives, so a carried sum is never -0.0."""
+        rows = np.concatenate((np.full(len(self.crd), self.row, owner.dtype), owner))
         crd = np.concatenate((self.crd, keys))
         vals = np.concatenate((self.sums, vals))
         first, last = int(rows[0]), int(rows[-1])
-        n, extent = len(rows), self.extent
-        bits, width = _bits(n), ((last - first + 1) * extent - 1).bit_length()
         # cells numbered from the slice's first row, each row extent cells
-        tags = np.subtract(rows, first, dtype=np.uint32 if width + bits <= 32 else np.uint64)
-        tags *= extent
-        tags += crd
-        _tagged(tags, bits, width).sort()
-        low = (1 << bits) - 1
-        lead = np.empty(n, bool)
-        lead[0] = True
-        np.greater(tags[1:] ^ tags[:-1], low, out=lead[1:])
-        order = np.bitwise_and(tags, low, out=tags)  # arrivals in cell order
-        cell = np.cumsum(lead)
-        cell -= 1
-        sums = np.bincount(cell, vals.take(order))
+        cells = np.subtract(rows, first, dtype=np.uint64)
+        cells *= self.extent
+        cells += crd
+        order, lead, low = _sort_arrivals(
+            cells, ((last - first + 1) * self.extent - 1).bit_length())
+        del cells
+        order &= low  # arrivals in cell order
+        cell = np.cumsum(lead) - 1
+        sums = np.empty(int(cell[-1]) + 1, VAL_DTYPE)
+        _sum_groups(sums, cell, vals.take(order), slice(None))
+        sums += 0.0
         del cell
         order = order.compress(lead)
         crd, rows = crd.take(order), rows.take(order)

@@ -238,7 +238,7 @@ class Tensor:
         if len(self.vals) == 0:
             return out
         by_mode = self.mode_coordinates()
-        np.add.at(out, tuple(c.astype(np.int64) for c in by_mode), self.vals)
+        _sum_groups(out, tuple(c.astype(np.int64) for c in by_mode), self.vals)
         return out
 
 
@@ -563,6 +563,17 @@ def _segment_pos(parent: np.ndarray | None, parent_count: int, n: int) -> np.nda
     return pos
 
 
+def _sum_groups(out: np.ndarray, group, vals: np.ndarray, fresh=None) -> None:
+    """spworks' one summation: ``vals`` added in order into ``out`` at
+    ``group``, with numpy's overflow and invalid-value warnings. The sums
+    ``fresh`` indexes in ``out`` start here, from -0.0, the exact identity
+    of IEEE addition: each is its first value, then each later one added in
+    turn, bit for bit. The others add to what ``out`` holds."""
+    if fresh is not None:
+        out[fresh] = -0.0
+    np.add.at(out, group, vals)
+
+
 def from_arrays(
     mode_coords: Sequence[Sequence[int]],
     vals: Sequence[float],
@@ -572,7 +583,8 @@ def from_arrays(
     sum_duplicates: bool = False,
 ) -> Tensor:
     """Stably sort per-mode coordinates by the target's access order,
-    optionally sum duplicates in input order, then compress. The sort takes
+    optionally sum duplicates in input order (``_sum_groups``), then
+    compress. The sort takes
     linear time: one radix pass per 16-bit digit of each level's
     coordinates (``_level_order``). One pass over adjacent entries finds
     both whether they already ascend, ties allowed, and so need no sort, and
@@ -605,9 +617,10 @@ def _from_arrays(mode_coords: Sequence[Sequence[int]], vals: Sequence[float], fm
         changed[0] = True
         for c in by_level:
             changed[1:] |= c[1:] != c[:-1]
-        starts = np.flatnonzero(changed)
-        vals = np.add.reduceat(vals.astype(VAL_DTYPE, copy=False), starts)
-        by_level = [c[starts] for c in by_level]
+        group = np.cumsum(changed) - 1
+        sums = np.empty(int(group[-1]) + 1, VAL_DTYPE)
+        _sum_groups(sums, group, vals.astype(VAL_DTYPE, copy=False), slice(None))
+        by_level, vals = [c[changed] for c in by_level], sums
     elif not descending:
         if not handed_over:
             # the tensor would take over the caller's arrays

@@ -198,6 +198,15 @@ KERNELS: tuple[Kernel, ...] = (
 KERNELS_BY_NAME = {k.name: k for k in KERNELS}
 
 
+def in_order(values: list) -> float:
+    """The sum every accumulator gives: the first value, then each later one
+    added in turn."""
+    total = values[0]
+    for v in values[1:]:
+        total = total + v
+    return total
+
+
 def prepare(kernel: Kernel, policy: sw.Policy = sw.Policy.BUCKET,
             capacity: int = 4096) -> tuple[sw.Statement, sw.Plan, "sw.InsertionDecision"]:
     """Parse, schedule, insert, and lower one kernel configuration."""

@@ -45,6 +45,7 @@ from conftest import (
     ReferenceEngine,
     _dim,
     dense_array,
+    in_order,
     peak_above,
     peak_spans,
     prepare,
@@ -566,7 +567,9 @@ def test_a_dense_workspace_keeps_sums_that_cancel_to_zero():
     owner = np.repeat(np.arange(rows), 2 * cells)
     _check_dense_workspace(cells, rows, owner, keys, vals, [len(vals) // 3])
     special = np.array([-0.0, np.inf, -np.inf, np.nan, 1.0, np.inf, 2.5, -2.5])
-    _check_dense_workspace(8, 2, [0, 0, 0, 0, 1, 1, 1, 1], [0, 1, 1, 2, 3, 3, 4, 4], special, [5])
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in add"):
+        _check_dense_workspace(8, 2, [0, 0, 0, 0, 1, 1, 1, 1], [0, 1, 1, 2, 3, 3, 4, 4],
+                               special, [5])
 
 
 @pytest.mark.parametrize("extent", [1, 2**16, 2**32 - 1])
@@ -575,11 +578,11 @@ def test_a_dense_workspace_sums_in_arrival_order_at_any_extent(extent, monkeypat
     # more than 64 bits beside an arrival, and the packing ranks them
     packed = []
 
-    def tagged(values, bits, width):
-        packed.append(bits + width)
-        return ism._tagged(values, bits, width)
+    def sort_arrivals(keys, width):
+        packed.append(ism._bits(len(keys)) + width)
+        return ism._sort_arrivals(keys, width)
 
-    monkeypatch.setattr(lowering, "_tagged", tagged)
+    monkeypatch.setattr(lowering, "_sort_arrivals", sort_arrivals)
     rng = np.random.default_rng(14)
     n, far = lowering._SLICE + 500, 2**21
     owner = np.repeat([0, 5, far], [700, 900, n - 1600])
@@ -587,6 +590,74 @@ def test_a_dense_workspace_sums_in_arrival_order_at_any_extent(extent, monkeypat
     keys[[0, 800, -1]] = extent - 1
     _check_dense_workspace(extent, far + 1, owner, keys, _real_values(rng, n), [n - 100])
     assert (max(packed) > 64) == (extent == 2**32 - 1)
+
+
+def _engine_model(policy: sw.Policy, capacity: int, keys: list, vals: list) -> list:
+    """An engine's sums in key order: a key's values in each run added in
+    arrival order, then the runs' sums in run order. A run ends at the pair
+    past the capacity under COORD, and at a new key that finds the capacity
+    of keys under BUCKET and HASH."""
+    runs, run, held = [], {}, 0
+    for k, v in zip(keys, vals):
+        if (held == capacity if policy is sw.Policy.COORD
+                else k not in run and len(run) == capacity):
+            runs.append(run)
+            run, held = {}, 0
+        run.setdefault(k, []).append(v)
+        held += 1
+    sums: dict = {}
+    for run in [*runs, run]:
+        for k, vs in run.items():
+            sums.setdefault(k, []).append(in_order(vs))
+    return [in_order(sums[k]) for k in sorted(sums)]
+
+
+def _warns_of_overflow_and_invalid(record) -> bool:
+    return {"overflow encountered in add", "invalid value encountered in add"} <= {
+        str(w.message) for w in record}
+
+
+def test_every_accumulator_sums_in_arrival_order():
+    # each key takes three to six values: -0.0 and 0.0 in mixes, infinities
+    # that meet in NaN, NaN, values that overflow in any grouping, and reals
+    # of far apart magnitudes, so that any other order of addition shows
+    rng = np.random.default_rng(31)
+    lists = [[-0.0, -0.0, -0.0], [0.0, -0.0, -0.0], [-0.0, 0.0, -0.0, -0.0],
+             [np.inf, -np.inf, 1.0], [np.nan, 2.0, -np.inf, 3.0], [1e308, 1e308, 1e308],
+             [-1e308, -1.5e308, 3.0, -1.0]]
+    lists += [_real_values(rng, int(n)).tolist() for n in rng.integers(3, 7, 25)]
+    cells = rng.choice(32, len(lists), replace=False)
+    pairs = [(int(cells[j]), v) for j, vs in enumerate(lists) for v in vs]
+    keys, vals = map(list, zip(*(pairs[i] for i in rng.permutation(len(pairs)))))
+    for policy in sw.Policy:
+        for capacity in (1, 2, 7, 4096):
+            engine = sw.IsmEngine((4, 8), policy, capacity, hash_l=3)
+            with pytest.warns(RuntimeWarning) as record:
+                engine.insert_batch(np.array(keys), np.array(vals))
+                _, got = engine.result()
+            want = np.array(_engine_model(policy, capacity, keys, vals))
+            assert got.tobytes() == want.tobytes(), (policy, capacity)
+            assert _warns_of_overflow_and_invalid(record), (policy, capacity)
+    # duplicates summed in input order, after a stable sort
+    with pytest.warns(RuntimeWarning) as record:
+        t = from_arrays([keys], vals, sw.sparse_vector(), (32,), sum_duplicates=True)
+    want = [in_order([v for k, v in zip(keys, vals) if k == c]) for c in sorted(cells)]
+    assert t.vals.tobytes() == np.array(want).tobytes()
+    assert _warns_of_overflow_and_invalid(record)
+    # a dense workspace: A(i, j) += B(i, k) * C(k, j) with B's values 1.0,
+    # so that cell j of row i takes C's values down column j in k order,
+    # each added from 0.0 as W[j] += v adds; row 1 takes every other k
+    kernel = KERNELS_BY_NAME["spgemm-rowwise"]
+    assert kernel.action is sw.InsertionAction.DENSE
+    ks = [k for vs in lists for k in range(len(vs))]
+    js = [j for j, vs in enumerate(lists) for _ in vs]
+    c = from_arrays([ks, js], [v for vs in lists for v in vs], sw.csr(), (6, len(lists)))
+    b = sw.from_dense(np.array([[1.0] * 6, [1.0, 0.0] * 3]), sw.csr())
+    with pytest.warns(RuntimeWarning) as record:
+        a = sw.execute(prepare(kernel)[1], {"B": b, "C": c}).tensor
+    want = [in_order([0.0, *vs[::step]]) for step in (1, 2) for vs in lists]
+    assert a.vals.tobytes() == np.array(want).tobytes()
+    assert _warns_of_overflow_and_invalid(record)
 
 
 @pytest.mark.parametrize("enable_dense", [False, True])

@@ -23,7 +23,7 @@ from spworks.tensor import (
     from_arrays,
 )
 
-from conftest import peak_above, peak_spans
+from conftest import in_order, peak_above, peak_spans
 
 
 def _random_dense(rng: np.random.Generator, shape, density=0.4) -> np.ndarray:
@@ -408,7 +408,10 @@ def _check_against_a_lexsort_model(fmt, dims, mode, vals) -> None:
     for c in levels:
         same &= c[1:] == c[:-1]
     starts = np.flatnonzero(np.concatenate([[True], ~same])[:len(vals)])
-    sums = np.add.reduceat(vals_sorted, starts) if len(vals) else vals_sorted
+    # each run's first value, then each later one added in input order
+    bounds = [*starts.tolist(), len(vals)]
+    sums = np.array([in_order(vals_sorted[a:b].tolist()) for a, b in zip(bounds, bounds[1:])],
+                    np.float64)
     by_mode = [levels[fmt.mode_ordering.index(m)][starts] for m in range(fmt.order)]
     want = compress_arrays(by_mode, sums, fmt, dims)
     got = from_arrays(mode, vals, fmt, dims, sum_duplicates=True)
@@ -425,7 +428,7 @@ def test_a_sum_of_duplicates_that_overflows_gives_infinity_and_warns():
     # the baseline of the numeric contract: two finite duplicates whose sum
     # passes the float64 range sum to -inf in IEEE arithmetic, and numpy's
     # overflow warning passes through; nothing refuses it
-    with pytest.warns(RuntimeWarning, match="overflow encountered in reduceat"):
+    with pytest.warns(RuntimeWarning, match="overflow encountered in add"):
         t = from_arrays([[1, 1]], [-1.09e306, -1.79e308], sw.sparse_vector(), (3,),
                         sum_duplicates=True)
     assert t.nnz == 1 and t.vals[0] == -np.inf
@@ -435,7 +438,7 @@ def test_a_sum_of_duplicates_that_overflows_gives_infinity_and_warns():
 def test_a_sum_of_duplicates_of_opposite_infinities_gives_nan_and_warns():
     # inf + -inf is NaN in IEEE arithmetic, and numpy's invalid-value
     # warning passes through; the entry stays, as any sum of duplicates does
-    with pytest.warns(RuntimeWarning, match="invalid value encountered in reduceat"):
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in add"):
         t = from_arrays([[1, 1]], [np.inf, -np.inf], sw.sparse_vector(), (3,),
                         sum_duplicates=True)
     assert t.nnz == 1 and np.isnan(t.vals[0])
