@@ -13,11 +13,15 @@ engine then hands the result over, 32-bit keys decoded in place.
 
 A batch of inserts is planned a block at a time, with the drains and the
 counters of one chain-scan insert per pair, from two sorts of packed
-unsigned integers: (key, arrival) finds each key's first arrival in its run
-and the slot its repeats add into, and (chain, place) ranks each kept key
-in its bucket's chain. No index array of the platform's width spans a plan.
-A coord drain and a compaction sort (key, arrival) the same way, and every
-sum adds a key's values in arrival order (``tensor._sum_groups``).
+unsigned integers: (host row, key, arrival) finds each key's first arrival
+in its run and the slot its repeats add into, and (chain, place) ranks each
+kept key in its bucket's chain. A batch may carry each pair's host row:
+each row's pairs then form runs of their own, and a row whose pairs end in
+the batch is handed back whole. The runs a block completes drain in one
+more sort of (output, key, arrival). No index array of the platform's width
+spans a plan. A coord drain and a compaction sort (key, arrival) the same
+way, and every sum adds a key's values in arrival order
+(``tensor._sum_groups``).
 
 Coordinates are linearized row-major into unsigned keys, which makes key
 order identical to lexicographic coordinate order: 32-bit keys where the key
@@ -48,9 +52,12 @@ _BLOCK = 4096
 _LOG_RUNS = 64
 # the object headers of one logged run (two arrays and a tuple), in entries
 _RUN_ENTRIES = 18
-# sorted pairs a plan, a drain or a compaction reads at a time: bounds the
-# scratch of each pass over them
+# sorted pairs a plan or a drain reads at a time: bounds the scratch of each
+# pass over them
 _PASS = 2**10
+# sorted pairs a compaction reads at a time: it keeps no copy of the keys
+# beside the sorted words, which pays for the wider reads
+_MERGE_PASS = 2 * _PASS
 # about the fewest logged entries a compaction merges at once, unless fewer
 # are logged; a compaction takes at most about 16 key ranges
 _RANGE = 2**13
@@ -182,52 +189,97 @@ class AccArray:
         """Take over arrays the caller owns as the contents, in arrival order."""
         self.keys, self.vals = keys, vals
 
-    def fill(self, keys: np.ndarray, vals: np.ndarray) -> tuple:
+    def fill(self, keys: np.ndarray, vals: np.ndarray, rows: np.ndarray | None = None) -> tuple:
         """Plan the inserts of a batch after the current contents, charging
-        the counters of one chain scan per pair. Each new key that finds the
-        array full ends a full run: the contents as they are at that moment.
-        Returns the plan: the keys each run keeps and their sums, run after
-        run in arrival order, and where each run starts among them. Every
-        run but the last ends where the next starts, and the caller drains
-        them in order; the last, the rest, runs to the end and the caller
+        the counters of one chain scan per pair, and the sort of each run
+        the plan completes. ``rows``, if given, holds each pair's host row,
+        nondecreasing, and the contents are the first row's: a row's pairs
+        form runs of their own, counted from the row's first pair. Each new
+        key that finds the array full ends a full run: the contents as they
+        are at that moment. Returns the plan: the keys each run keeps and
+        their sums, run after run in arrival order, where each run starts
+        among them, and each run's segment, the place of its row among the
+        batch's rows. Every run but the last is complete, and the caller
+        drains them; the last, the rest, runs to the end and the caller
         loads it.
 
         Arrivals are numbered from the contents' first; the contents hold
-        distinct keys, so each of them is new. The plan sorts one uint64
-        per pair, its key above its arrival, in place, which puts each
-        key's arrivals together in arrival order; beside it, it holds masks
-        and 32-bit arrays over the pairs, and it reads the sorted array
-        _PASS pairs at a time."""
-        n = self.size
-        if self.policy is Policy.COORD:
-            # coord appends blindly: runs are slices of exactly the capacity,
-            # and a full array drains only when one more pair arrives
-            keys, vals = np.concatenate((self.keys, keys)), np.concatenate((self.vals, vals))
-            return keys, vals, range(0, max(len(keys), 1), self.capacity)
+        distinct keys, so each of them is new. The plan sorts one uint32 or
+        uint64 per pair, the narrower that holds its segment above its key
+        above its arrival, in place, which puts each key's arrivals in a row
+        together in arrival order; beside it, it holds masks and 32-bit
+        arrays over the pairs, and it reads the sorted array _PASS pairs at
+        a time. Only a row with more distinct keys than the capacity needs
+        its runs cut; with a run per row, the rows before the last come
+        back in key order."""
+        n, cap = self.size, self.capacity
         total = n + len(keys)
         index = np.int32 if total < 2**31 else np.int64
-        order, lead, low = _sort_arrivals(np.concatenate((self.keys, keys), dtype=np.uint64),
-                                          8 * keys.itemsize)
-        if total > self.capacity:
-            # the previous arrival of the same key, -1 at its first
+        # each segment's first arrival; the contents start the first
+        bounds = np.zeros(1, index)
+        if rows is not None and len(rows) and rows[0] != rows[-1]:
+            bounds = np.append(bounds, n + 1 + np.flatnonzero(rows[1:] != rows[:-1])).astype(index)
+        if self.policy is Policy.COORD:
+            # coord appends blindly: runs are slices of exactly the capacity
+            # of a row's pairs, and a full array drains only when one more
+            # pair of its row arrives
+            keys, vals = np.concatenate((self.keys, keys)), np.concatenate((self.vals, vals))
+            if len(bounds) == 1:
+                cuts = np.arange(0, max(total, 1), cap, dtype=index)
+                return keys, vals, cuts, np.broadcast_to(index(0), cuts.shape)
+            per = -(-np.diff(bounds, append=total) // cap)
+            segs = np.repeat(np.arange(len(bounds), dtype=index), per)
+            cuts = np.arange(len(segs), dtype=index)
+            cuts -= np.repeat(np.cumsum(per, dtype=index) - per, per)
+            cuts *= cap
+            cuts += bounds[segs]
+            return keys, vals, cuts, segs
+        # the keys' own bits, so that the packed words are as narrow as can be
+        width = int(max(keys.max(initial=0), self.keys.max(initial=0))).bit_length()
+        room = 32 - _bits(total) - (_bits(len(bounds)) if len(bounds) > 1 else 0)
+        words = np.concatenate((self.keys, keys),
+                               dtype=np.uint32 if width <= room else np.uint64)
+        order, lead, low = _sort_arrivals(words, _pack_segments(words, bounds, width))
+        del words
+        # the segments with more distinct keys than the capacity; a
+        # segment's arrivals lie at the same places in key order
+        if len(bounds) > 1:
+            over = np.flatnonzero(np.add.reduceat(lead, bounds, dtype=np.intp) > cap).tolist()
+        else:
+            over = [0] if np.count_nonzero(lead) > cap else []
+        # the arrivals that start a run at the capacity: a run holds a
+        # capacity of keys before one
+        stops = np.empty(total // cap if len(over) else 0, index)
+        if len(over):
+            # the previous arrival of the same key in the row, -1 at its first
             prev = np.full(total, -1, index)
             for lo in range(0, total, _PASS):
                 arrival = np.bitwise_and(order[max(lo - 1, 0):lo + _PASS], low, dtype=np.intp)
                 same = ~lead[max(lo - 1, 0):lo + _PASS][1:]
                 prev[arrival[1:][same]] = arrival[:-1][same]
-            new = self._new(prev)
+            new = prev < 0
+            ends = np.append(bounds[1:], total)
+            found = 0
+            for s in over:
+                found = self._new(prev, new, int(bounds[s]), int(ends[s]), stops, found)
             del prev
+            stops = stops[:found]
         else:
-            # one run: an arrival is new where its key first arrives
+            # a run per row: an arrival is new where its key first arrives
             new = np.empty(total, bool)
             for lo in range(0, total, _PASS):
                 new[np.bitwise_and(order[lo:lo + _PASS], low, dtype=np.intp)] = lead[lo:lo + _PASS]
         # in key order each repeat adds into the latest new arrival before
-        # it, its key's first in its run, and the sums add in that order
-        into, repeats, last = [], [], 0
+        # it, its key's first in its run, and the sums add in that order;
+        # with a run per row, the first arrivals in key order are the
+        # complete runs drained, row after row
+        into, repeats, firsts, last = [], [], [], 0
+        drained = len(bounds) > 1 and not len(over)
         for lo in range(0, total, _PASS):
             arrival = np.bitwise_and(order[lo:lo + _PASS], low, dtype=np.intp)
-            fresh = lead[lo:lo + _PASS] if total <= self.capacity else new[arrival]
+            fresh = new[arrival] if len(over) else lead[lo:lo + _PASS]
+            if drained:
+                firsts.append(arrival[fresh].astype(index))
             if np.count_nonzero(fresh) == len(fresh):
                 last = lo + len(arrival) - 1
                 continue
@@ -238,63 +290,94 @@ class AccArray:
             into.append(np.bitwise_and(order[at[repeat]], low, dtype=np.intp))
             repeats.append(vals[arrival[repeat] - n])
         del lead, order
+        arrival = at = None  # the last window's, freed before the plan is built
         into = np.concatenate(into) if into else np.empty(0, index)
-        if len(into):
-            # each repeat's slot: its key's place among the kept keys
+        # the arrivals that start a run: a row's first, and each stop
+        starts = bounds
+        if len(stops):
+            starts = np.concatenate((bounds, stops))
+            starts.sort()
+        cuts = np.zeros(1, index)
+        if len(into) or len(starts) > 1:
+            # a key's slot: its place among the kept keys
             place = new.cumsum(dtype=index)
+            place -= 1
             into = place[into]
+            cuts = place[starts]
+            stops = place[stops]
+            if drained:
+                # the rows before the last, in key order
+                firsts = place[np.concatenate(firsts)[:int(cuts[-1])]]
             del place
-            into -= 1
         slots = int(np.count_nonzero(new))
         kept = np.empty(slots, self.key_dtype)
         kept[:n] = self.keys
         _masked_into(kept[n:], new[n:], keys)
-        self._charge(kept, into)
+        self._charge(kept, into, cuts, stops)
         sums = np.empty(slots, VAL_DTYPE)
         sums[:n] = self.vals
         _masked_into(sums[n:], new[n:], vals)
-        del new
         if repeats:
             _sum_groups(sums, into, np.concatenate(repeats))
-        # each full run keeps exactly a capacity of keys
-        return kept, sums, range(0, max(slots, 1), self.capacity)
+        del into, repeats
+        if len(bounds) == 1:
+            return kept, sums, cuts, np.broadcast_to(index(0), cuts.shape)
+        # a row's keys stay in its own places: the rows before the last go
+        # into key order a window of whole rows at a time
+        lo, done = 0, len(firsts) if drained else 0
+        while lo < done:
+            hi = int(cuts[np.searchsorted(cuts, lo + _PASS)]) if lo + _PASS < done else done
+            kept[lo:hi], sums[lo:hi] = kept[firsts[lo:hi]], sums[firsts[lo:hi]]
+            lo = hi
+        del new, firsts
+        segs = np.searchsorted(bounds, starts, "right").astype(index)
+        segs -= 1
+        return kept, sums, cuts, segs
 
-    def _new(self, prev: np.ndarray) -> np.ndarray:
-        """Which arrivals are new in their run. A run starts at the new key
-        past the capacity, counting the keys new since its own start; the
-        arrivals are read in windows that double from the capacity up to
-        _PASS, so a run costs about its own length."""
-        cap, total = self.capacity, len(prev)
-        new = np.empty(total, bool)
-        start = lo = seen = 0
+    def _new(self, prev: np.ndarray, new: np.ndarray, lo: int, end: int,
+             stops: np.ndarray, found: int) -> int:
+        """Mark which arrivals of one row, ``lo`` up to ``end``, are new in
+        their run, and write into ``stops``, from its ``found`` first,
+        each arrival that starts a run at the capacity: the new key past it,
+        counting the keys new since the run's start; returns how many
+        ``stops`` then holds. The arrivals are read in windows that double
+        from the capacity up to _PASS, so a run costs about its own
+        length."""
+        cap, start, seen = self.capacity, lo, 0
         look = min(cap + 1, _PASS)
-        while lo < total:
-            window = new[lo:lo + look]
-            np.less(prev[lo:lo + look], start, out=window)
-            found = int(np.count_nonzero(window))
-            if seen + found > cap:
+        while lo < end:
+            window = new[lo:min(lo + look, end)]
+            np.less(prev[lo:lo + len(window)], start, out=window)
+            fresh = int(np.count_nonzero(window))
+            if seen + fresh > cap:
                 # the next run starts here; its own arrivals are read again
                 start = lo + int(np.flatnonzero(window)[cap - seen])
+                stops[found] = start
+                found += 1
                 lo, seen, look = start, 0, min(cap + 1, _PASS)
             else:
-                lo, seen, look = lo + look, seen + found, min(2 * look, _PASS)
-        return new
+                lo, seen, look = lo + len(window), seen + fresh, min(2 * look, _PASS)
+        return found
 
-    def _charge(self, kept: np.ndarray, into: np.ndarray) -> None:
-        """Charge the insert counters of a plan. A key's chain rank counts
-        the earlier kept keys of its bucket in its run: a new key scans its
-        whole chain, a repeat its chain up to its key (``into`` holds the
-        place of each repeat's key), and a key that finds the array full
-        the whole chain there. The live contents, the first ``size`` kept
-        keys, were charged when they went in. Each run keeps a capacity of
-        keys, so a key's run is its place over the capacity, and one sort
-        of (chain, place) puts each chain of each run together in arrival
-        order."""
+    def _charge(self, kept: np.ndarray, into: np.ndarray, cuts: np.ndarray,
+                stops: np.ndarray) -> None:
+        """Charge the insert counters of a plan, and the sort counters of
+        each run it completes, every run but the last (``cuts`` holds where
+        each run starts). A key's chain rank counts the earlier kept keys of
+        its bucket in its run: a new key scans its whole chain, a repeat its
+        chain up to its key (``into`` holds the place of each repeat's key),
+        and a key that finds the array full (one of the ``stops``) the whole
+        chain there. The live contents, the first ``size`` kept keys, were
+        charged when they went in. One sort of (chain, place) puts each
+        chain of each run together in arrival order."""
         c = self.counters
         c.insert_comparisons += len(into)
         c.insert_dedups += len(into)
+        if self.policy is Policy.HASH:
+            # a hash run sorts all its keys at its drain
+            c.sort_comparisons += _sort_cost(np.diff(cuts))
         if self.policy is Policy.BUCKET and self.lead_stride == 1:
-            return  # a bucket per key: no key scans past another
+            return  # a bucket per key: no key scans past another, or sorts
         n, cap, total = self.size, self.capacity, len(kept)
         top = int(kept.max(initial=0))  # bounds every chain
         if self.policy is Policy.BUCKET:
@@ -305,35 +388,47 @@ class AccArray:
         tags = np.empty(total, np.uint32 if top.bit_length() + _bits(total) <= 32 else np.uint64)
         for lo in range(0, total, _PASS):
             tags[lo:lo + _PASS] = self._bucket(kept[lo:lo + _PASS])
-        # the first key of each run after the first found the run before it
-        # full and scanned its chain there: each key of that run in it
-        stops = tags[cap::cap]
-        charged = int(np.count_nonzero(tags[:len(stops) * cap].reshape(-1, cap)
-                                       == stops[:, None]))
+        # runs of a capacity each, as without host rows, start at its
+        # multiples; a stop scanned its chain in the full run just before it
+        aligned = int(cuts[-1]) == (len(cuts) - 1) * cap
+        charged = 0
+        if len(stops):
+            full = (tags[:int(cuts[-1])].reshape(-1, cap)[stops // cap - 1] if aligned else
+                    np.lib.stride_tricks.sliding_window_view(tags, cap)[stops - cap])
+            charged = int(np.count_nonzero(full == tags[stops][:, None]))
+            del full
         tags, lead, low = _sort_arrivals(tags, top.bit_length())
+        edges = cuts.astype(tags.dtype)  # searched in the words' own dtype
         rank = np.zeros(total, np.int32 if total < 2**31 else np.int64)  # by place
         start = 0
         for lo in range(0, total, _PASS):
             # after the first, a window starts at the previous one's last
-            # key; it overwrites marks that no later window reads
+            # key, whose mark it sets aside while it reads the window
             skip = 1 if lo else 0
             part = tags[lo - skip:lo + _PASS]
             head = lead[lo - skip:lo + _PASS]
-            head[0] = not lo
-            if total > cap:
-                run = (part & low) // cap
+            mark, head[0] = head[0], not lo
+            if len(cuts) > 1:
+                run = (part & low) // cap if aligned else np.searchsorted(edges, part & low, "right")
                 head[1:] |= run[1:] != run[:-1]
             if np.count_nonzero(head) == len(head) - skip:
                 # each key here leads its chain: all ranks 0
                 start = lo - skip + len(part) - 1
-                continue
-            at = np.arange(lo - skip, lo - skip + len(part))
-            first = np.where(head, at, start)
-            np.maximum.accumulate(first, out=first)
-            start = first[-1]
-            at -= first
-            rank[np.bitwise_and(part[skip:], low, dtype=np.intp)] = at[skip:]
+            else:
+                at = np.arange(lo - skip, lo - skip + len(part))
+                first = np.where(head, at, start)
+                np.maximum.accumulate(first, out=first)
+                start = first[-1]
+                at -= first
+                rank[np.bitwise_and(part[skip:], low, dtype=np.intp)] = at[skip:]
+            head[0] = mark
         c.insert_comparisons += charged + int(rank[n:].sum()) + int(rank[into].sum())
+        if self.policy is Policy.BUCKET:
+            # a bucket run sorts each chain on its own at its drain: the
+            # chains that start before the last run
+            heads = np.flatnonzero(lead)
+            done = (tags[heads] & low) < edges[-1]
+            c.sort_comparisons += _sort_cost(np.diff(heads, append=total)[done])
 
     def drain(self) -> tuple[np.ndarray, np.ndarray]:
         """Sort the contents by key and return them; the array keeps its
@@ -467,15 +562,24 @@ class AllArray:
             # the range's arrivals, run after run, and each run's first
             # place; then each run gives them up, the last range all of it
             starts = np.cumsum([0] + [len(k) - a for (k, _), a in zip(runs, lows)]).tolist()
-            span = np.concatenate([k[a:] for (k, _), a in zip(runs, lows)])
+            n = starts[-1]
+            # the runs are sorted: their last keys bound the range's; keys
+            # too wide to pack beside an arrival are ranked by the sort, and
+            # only then kept aside to be read back
+            width = max((int(k[-1]) for (k, _), a in zip(runs, lows) if a < len(k)),
+                        default=0).bit_length()
+            words = np.concatenate([k[a:] for (k, _), a in zip(runs, lows)],
+                                   dtype=np.uint32 if width + _bits(n) <= 32 else np.uint64)
+            span = words.copy() if width + _bits(n) > 64 else None
             span_vals = np.concatenate([v[a:] for (_, v), a in zip(runs, lows)])
             if not any(lows):
                 runs.clear()
             for run, a in zip(runs, lows):
                 if a < len(run[0]):
                     _cut(run, a)
-            n = len(span)
-            order, lead, low = _sort_arrivals(span.astype(np.uint64), 8 * span.itemsize)
+            order, lead, low = _sort_arrivals(words, width)
+            del words
+            shift = order.dtype.type(low.bit_length())
             # nothing else refers to the output while it grows in place,
             # highest keys first, by at least a sixteenth
             top = done + int(np.count_nonzero(lead)) - 1
@@ -488,16 +592,17 @@ class AllArray:
             # the keys that start in a chunk at the next places down
             brought = np.zeros(n, bool)  # the arrivals that bring a key
             group = -1
-            for a in range(0, n, _PASS):
-                f = lead[a:a + _PASS]
-                arrival = np.bitwise_and(order[a:a + _PASS], low, dtype=np.intp)
+            for a in range(0, n, _MERGE_PASS):
+                f = lead[a:a + _MERGE_PASS]
+                arrival = np.bitwise_and(order[a:a + _MERGE_PASS], low, dtype=np.intp)
                 where = np.cumsum(f)
                 where += group
                 fresh = slice(top - int(where[-1]), top - group)
                 group = int(where[-1])
                 np.subtract(top, where, out=where)
                 firsts = arrival[f]
-                out_keys[fresh] = span.take(firsts)[::-1]
+                out_keys[fresh] = (order[a:a + _MERGE_PASS][f] >> shift if span is None
+                                   else span.take(firsts))[::-1]
                 brought[firsts] = True
                 _sum_groups(out_vals, where, span_vals.take(arrival), fresh)
             new += [np.count_nonzero(brought[a:b]) for a, b in zip(starts, starts[1:])]
@@ -514,6 +619,11 @@ class AllArray:
         c = self.counters
         c.merge_comparisons += int(lengths.sum() + before.sum())
         c.merge_dedups += int((lengths - new).sum())
+
+    @property
+    def held(self) -> bool:
+        """Whether the array holds entries, logged or compacted."""
+        return bool(self._runs) or bool(len(self._keys))
 
     @property
     def keys(self) -> np.ndarray:
@@ -535,6 +645,45 @@ class AllArray:
 def _bits(n: int) -> int:
     """The bits an index below ``n`` takes, at least one."""
     return max(1, (n - 1).bit_length())
+
+
+def _sort_cost(sizes: np.ndarray) -> int:
+    """Comparisons of sorting groups of the given sizes, n*ceil(log2 n) each."""
+    return int((sizes * np.frexp(sizes - 1.0)[1]).sum())
+
+
+def _pack_segments(words: np.ndarray, starts: np.ndarray, width: int) -> int:
+    """Put each entry's segment above its key, in place: ``words`` holds
+    unsigned keys of at most ``width`` bits, and segment ``s`` its entries
+    from ``starts[s]`` up to the next segment's. Keys too wide to leave the
+    segments room become their ranks, which order as they do. Returns the
+    width of the packed words."""
+    if len(starts) == 1:
+        return width
+    room = 8 * words.itemsize - _bits(len(starts))
+    if width > room:
+        width = int(words.max()).bit_length()
+        if width > room:
+            words[:] = np.unique(words, return_inverse=True)[1].reshape(-1)
+            width = _bits(len(words))
+    shift = words.dtype.type(width)
+    if len(starts) * 64 <= len(words):
+        seg = np.arange(len(starts), dtype=words.dtype)
+        seg <<= shift
+        words |= np.repeat(seg, np.diff(starts, append=len(words)))
+    else:
+        # short segments: each entry's counted _PASS entries at a time,
+        # without an array of its width over all of them
+        mark = np.zeros(len(words), bool)
+        mark[starts[1:]] = True
+        seg = 0
+        for lo in range(0, len(words), _PASS):
+            part = np.cumsum(mark[lo:lo + _PASS], dtype=words.dtype)
+            part += words.dtype.type(seg)
+            seg = int(part[-1])
+            part <<= shift
+            words[lo:lo + _PASS] |= part
+    return width + _bits(len(starts))
 
 
 def _sort_arrivals(keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -636,8 +785,10 @@ class IsmEngine:
     """Drives insert, drain-on-full, merge and final compression for one
     workspace. A run inserts pairs and ends at result(), which hands its
     entries over and leaves the engine empty for the next run; counters
-    accumulate across runs. An executor builds one engine per workspace
-    per execution and runs it once per host row that inserts into it."""
+    accumulate across runs. Given each pair's host row, one call runs many
+    rows: a row's pairs form a run, which ends where a later row's start.
+    An executor builds one engine per workspace per execution and calls it
+    once per leaf batch."""
 
     def __init__(self, extents: Sequence[int], policy: Policy, capacity: int, *,
                  hash_l: int | None = None) -> None:
@@ -663,6 +814,8 @@ class IsmEngine:
         self.acc = AccArray(capacity, policy, self.strides[0], hash_l, self.counters,
                             self.key_dtype)
         self.all = AllArray(self.counters)
+        # the host row of the open run, if a call gave one
+        self.row = None
 
     # -- inserts -------------------------------------------------------------
 
@@ -680,14 +833,30 @@ class IsmEngine:
             raise IsmError(f"values of shape {val.shape} are not one number")
         self.insert_batch(np.array([key], self.key_dtype), val.reshape(1))
 
-    def insert_batch(self, keys: np.ndarray, vals: np.ndarray) -> None:
+    def insert_batch(self, keys: np.ndarray, vals: np.ndarray,
+                     rows: np.ndarray | None = None) -> list[tuple]:
         """Insert pairs in order, with the drains, results and counters of
-        inserting them one at a time by the chain scan (see AccArray)."""
+        inserting them one at a time by the chain scan (see AccArray), and
+        of ending a run at each change of ``rows``, each pair's host row,
+        nondecreasing, if given. The open run continues if the first pair's
+        row is its own. Returns what the call ended, as pieces ``(rows,
+        counts, coordinates, values)``: rows, each one's entry count, and
+        their entries as result() gives them, row after row."""
         keys = np.asarray(keys)
         vals = _real(vals)
         if keys.ndim != 1 or vals.shape != keys.shape:
             raise IsmError(f"keys of shape {keys.shape} and values of shape "
                            f"{vals.shape} are not two 1-D arrays of one length")
+        if rows is not None:
+            rows = np.asarray(rows)
+            if rows.shape != keys.shape:
+                raise IsmError(f"host rows of shape {rows.shape} do not match keys of "
+                               f"shape {keys.shape}")
+            if rows.size and (not np.issubdtype(rows.dtype, np.integer)
+                              or np.any(rows[1:] < rows[:-1])
+                              or self.row is not None and rows[0] < self.row):
+                raise IsmError("host rows are not integers in nondecreasing order, "
+                               "from the open run's row on")
         if keys.size:
             if not np.issubdtype(keys.dtype, np.integer):
                 raise IsmError(f"keys of dtype {keys.dtype} are not integers")
@@ -698,23 +867,189 @@ class IsmEngine:
                 raise IsmError(f"key {low if low < 0 else high} is outside the "
                                f"workspace's {self.key_count} keys")
         self.counters.inserts += len(keys)
-        done = 0
+        ended: list[tuple] = []
         block = max(self.capacity, _BLOCK)
-        while done < len(keys):
-            kept, sums, cuts = self.acc.fill(
-                keys[done:done + block].astype(self.key_dtype, copy=False),
-                vals[done:done + block])
-            # a full run is sliced from the plan only as it drains
-            for a, b in zip(cuts, cuts[1:]):
-                self.acc.load(kept[a:b], sums[a:b])
-                self._flush()
-            # the rest stays loaded: a copy, unless it is the whole plan
-            last = cuts[-1]
-            self.acc.load(*(kept, sums) if last == 0 else
-                          (kept[last:].copy(), sums[last:].copy()))
+        for lo in range(0, len(keys), block):
+            part = labels = None
+            if rows is not None:
+                part = rows[lo:lo + block]
+                if self.row is not None and part[0] != self.row:
+                    ended.append(self._end(self.row))
+                labels = part[np.append(0, 1 + np.flatnonzero(part[1:] != part[:-1]))
+                              if part[0] != part[-1] else [0]]
+            plan = list(self.acc.fill(
+                keys[lo:lo + block].astype(self.key_dtype, copy=False), vals[lo:lo + block],
+                part))
+            self.acc.clear()
             # the next block's plan is made without this one
-            del kept, sums
-            done += block
+            ended += self._settle(plan, labels)
+            if labels is not None:
+                self.row = labels[-1]
+        return ended
+
+    def _settle(self, plan: list, labels) -> list[tuple]:
+        """Drain the complete runs of a plan, ``[kept, sums, cuts, segs]``,
+        which this empties, and load its last run. The complete runs, every
+        run but the last, drain in one sort of (output, key, arrival): an
+        output is a run of the open row, which the all array logs, or all
+        the runs of a row that ends here, whose sums add run by run, as the
+        all array adds them, with the merge counters of one two-way merge
+        per run and its all array's peak. The open row is the plan's last,
+        and its first, if the all array holds runs of it from before the
+        plan; the first then ends here, unless it is the last. Returns the
+        pieces of the rows that end."""
+        kept, sums, cuts, segs = plan
+        plan.clear()
+        done, last = int(cuts[-1]), int(segs[-1])
+        runs = len(cuts) - 1
+        if not runs:
+            # the last run stays loaded: the whole plan
+            self.acc.load(kept, sums)
+            return []
+        c, index = self.counters, cuts.dtype
+        sizes = np.diff(cuts)
+        c.drains += runs
+        coord = self.acc.policy is Policy.COORD
+        if coord:
+            c.sort_comparisons += _sort_cost(sizes) + done - runs
+        carried = multi = False
+        runs_kept = 0  # the run sums of the rows that end
+        if last:
+            seg = segs[:-1]
+            logged = seg == last
+            carried = self.all.held
+            if carried:
+                logged |= seg == 0
+            # where each output starts among the runs
+            first = np.ones(runs, bool)
+            first[1:] = logged[1:] | logged[:-1] | (seg[1:] != seg[:-1])
+            starts = cuts[:-1][first]
+            multi = len(starts) < runs
+            if multi:
+                out = np.cumsum(first, dtype=index) - 1  # each run's output
+                ends = np.flatnonzero(np.append(first[1:], True))  # each output's last run
+            merged = ~logged[first]  # each output's: whether it is a row's
+            rows = seg[first]  # each output's segment
+            del seg, first
+            runs_kept = int(sizes[~logged].sum())
+            c.merges += int(np.count_nonzero(~logged))
+            del logged
+        else:
+            # the open row's alone: each run an output the all array logs
+            starts = cuts[:-1]
+            merged = rows = np.zeros(0, bool)
+        del sizes
+        split = spread = 0
+        if not coord and len(cuts) == last + 1:
+            # a run per row: the plan drained its complete runs itself
+            ks, buf, counts = kept[:done], sums[:done], np.diff(cuts)
+        else:
+            # the keys of each output in order in the sums' buffer, each key's
+            # arrivals in arrival order; a sum lands no later than its first
+            # arrival, which is already read
+            buf = np.empty(done, VAL_DTYPE)
+            words = buf.view(np.uint64)
+            words[:] = kept[:done]
+            order, lead, low = _sort_arrivals(words, _pack_segments(words, starts,
+                                                                    8 * kept.itemsize))
+            counts = (np.add.reduceat(lead, starts, dtype=index) if len(starts) > 1
+                      else np.full(1, np.count_nonzero(lead), index))
+            ks = np.empty(int(counts.sum()), kept.dtype)
+            # under coord a run holds a key more than once: a row's sums add a
+            # run at a time first, then the runs' sums
+            split = coord and multi
+            tops = np.empty(done, bool) if split else None
+            if split:
+                runs_kept = 0
+            # a two-way merge per run charges, for each key, each run after the
+            # one that brings it
+            spread = 0
+            g = k = -1  # the last sum's and the last key's places
+            prior = -1  # the run of the last arrival read
+            for lo in range(0, done, _PASS):
+                arrival = np.bitwise_and(order[lo:lo + _PASS], low, dtype=np.intp)
+                top = lead[lo:lo + _PASS]
+                group = top
+                if multi:
+                    run = np.searchsorted(cuts, arrival, "right") - 1
+                    brings = run[top]
+                    mine = merged[out[brings]]
+                    spread += int((ends[out[brings[mine]]] - brings[mine]).sum())
+                    if split:
+                        group = top.copy()
+                        group[1:] |= run[1:] != run[:-1]
+                        group[0] |= run[0] != prior
+                        prior = run[-1]
+                        runs_kept += int(np.count_nonzero(merged[out[run[group]]]))
+                new = int(np.count_nonzero(top))
+                ks[k + 1:k + 1 + new] = kept.take(arrival[top])
+                k += new
+                if new == len(arrival) and not split:
+                    # each arrival brings its key: its sum as it is
+                    buf[g + 1:g + 1 + new] = sums.take(arrival)
+                    g += new
+                    continue
+                at = np.cumsum(group)
+                at += g
+                fresh = slice(g + 1, int(at[-1]) + 1)
+                g = fresh.stop - 1
+                if split:
+                    tops[fresh] = top[group]
+                _sum_groups(buf, at, sums.take(arrival), fresh)
+            del order, lead, words
+            if coord:
+                c.drain_dedups += done - (g + 1)
+            if split:
+                # the runs' sums in run order, each read before it is added over
+                total, g = g + 1, -1
+                for lo in range(0, total, _PASS):
+                    part = buf[lo:min(lo + _PASS, total)].copy()
+                    at = np.cumsum(tops[lo:lo + len(part)])
+                    at += g
+                    fresh = slice(g + 1, int(at[-1]) + 1)
+                    g = fresh.stop - 1
+                    _sum_groups(buf, at, part, fresh)
+                del tops
+            # nothing else refers to the sums
+            buf.resize(len(ks), refcheck=False)
+        entries = int(counts[merged].sum()) if len(merged) else 0
+        if coord and not split:
+            runs_kept = entries
+        c.merge_comparisons += runs_kept + spread
+        c.merge_dedups += runs_kept - entries
+        at = np.zeros(len(counts) + 1, index)
+        np.cumsum(counts, out=at[1:])
+        pieces: list[tuple] = []
+
+        def log(o: int) -> None:
+            whole = len(counts) == 1 and buf.base is None
+            self.all.merge(*(ks, buf) if whole else
+                           (ks[at[o]:at[o + 1]].copy(), buf[at[o]:at[o + 1]].copy()))
+
+        o = 0
+        if carried:
+            while o < len(rows) and rows[o] == 0:
+                log(o)
+                o += 1
+            pieces.append(self._end(labels[0]))
+        d = o
+        while d < len(merged) and merged[d]:
+            d += 1
+        if d > o:
+            part = counts[o:d]
+            c.peak_bytes = max(c.peak_bytes, (int(part.max()) + self.capacity) * _ELEMENT_BYTES)
+            pieces.append((labels[rows[o:d]], part.astype(np.int64),
+                           self._coords([ks[at[o]:at[d]]]), buf[at[o]:at[d]]))
+        for o in range(d, len(starts)):
+            log(o)
+        # the last run stays loaded, a copy made once the others are out
+        self.acc.load(kept[done:].copy(), sums[done:].copy())
+        return pieces
+
+    def _end(self, row) -> tuple:
+        """End the open run as the given host row's piece."""
+        coords, vals = self.result()
+        return np.array([row]), np.array([len(vals)], np.int64), coords, vals
 
     def _flush(self) -> None:
         """Drain the accumulate array into the all array."""
@@ -741,16 +1076,25 @@ class IsmEngine:
         nothing else refers to become the last slot's coordinates in place.
         A result() with nothing inserted since the last is an empty run."""
         self.finalize()
-        keys, vals = self.all.keys, self.all.vals
+        vals = self.all.vals
+        box = [self.all.keys]
         self.all = AllArray(self.counters)
+        self.row = None
+        return self._coords(box), vals
+
+    def _coords(self, box: list) -> list[np.ndarray]:
+        """The keys ``box`` holds, which it lets go of, decoded into per-slot
+        coordinates: the last slot's in place, where nothing else refers to
+        the keys' buffer, and a lone slot's are the keys themselves."""
+        keys = box.pop()
         last = len(self.extents) - 1
         coords = []
         for slot, (s, e) in enumerate(zip(self.strides, self.extents)):
             # the last slot's stride is 1: its coordinates are the keys'
             # remainders, written over them when nothing but the name
             # ``keys`` refers to their buffer
-            if (slot == last and keys.dtype == CRD_DTYPE and keys.flags.owndata
-                    and sys.getrefcount(keys) == 2):
+            if slot == last and keys.dtype == CRD_DTYPE and (
+                    not slot or keys.flags.owndata and sys.getrefcount(keys) == 2):
                 if slot:
                     np.remainder(keys, e, out=keys)
                 coords.append(keys)
@@ -763,7 +1107,7 @@ class IsmEngine:
             else:
                 np.remainder(keys if s == 1 else keys // s, e, out=crd, casting="unsafe")
             coords.append(crd)
-        return coords, vals
+        return coords
 
 
 def _real(vals) -> np.ndarray:

@@ -53,7 +53,7 @@ from .ir import (
     nest_core,
     nest_vars,
 )
-from .ism import Counters, IsmEngine, Policy, _sort_arrivals, hash_default_l
+from .ism import _BLOCK, Counters, IsmEngine, Policy, _sort_arrivals, hash_default_l
 from .tensor import (
     COMPRESSED,
     CRD_DTYPE,
@@ -245,8 +245,12 @@ class LoopNode:
 
     def run(self, ex: _Execution, rows: _Rows) -> None:
         hosts = self.hosts
-        # a loop's batch stays live while the loops nested in it run
+        # a loop's batch stays live while the loops nested in it run; a
+        # hosted workspace takes a leaf batch in one call, and sums or plans
+        # at most an engine block of pairs at once
         chunk = _OUTER_CHUNK if self.nests else _CHUNK
+        if any(isinstance(n, InsertWs) and n.meta.hosted for n in self.body):
+            chunk = min(chunk, _BLOCK)
         for child in self.driver.expand(ex, rows, self.var, chunk):
             for probe in self.probes:
                 child = probe.run(ex, child)
@@ -893,10 +897,12 @@ class Workspace:
     descriptor's kind to one. An execution builds ``impl(ex, meta)`` at the
     workspace's first allocation. For each host batch it then calls
     ``start(n)`` with the batch's ``n >= 1`` host rows (one at top level),
-    ``insert(owner, keys, vals)`` with row-major keys over the slot extents,
-    in the workspace's ``key_dtype``, and each pair's host row (uint32),
-    rows in order; a workspace that no loop hosts gets row 0 for every
-    pair, as a read-only view of one value. Then ``finish()`` ends the
+    ``insert(owner, keys, vals)`` once per leaf batch, with row-major keys
+    over the slot extents, in the workspace's ``key_dtype``, and each
+    pair's host row (uint32), rows in order; a hosted workspace's leaf
+    batch holds at most an engine block (``ism._BLOCK``) of pairs, and a
+    workspace that no loop hosts gets row 0 for every pair, as a read-only
+    view of one value. Then ``finish()`` ends the
     batch and returns it as one block ``(counts, coordinates, values)``:
     each host row's entry count (int64), 0 for a row no pair names, then
     every entry's slot coordinates (CRD_DTYPE) and value, row after row and
@@ -974,10 +980,12 @@ _DRAIN_LINES = ["sort Acc", "merge Acc -> All"]
 
 
 class IsmWorkspace(Workspace):
-    """A sparse workspace: one IsmEngine per execution. A host row's pairs
-    form a run, ended when a later row's pairs arrive or at finish(), which
-    always ends one; its result joins the batch's block. A row without
-    pairs keeps its count of 0 and runs no engine."""
+    """A sparse workspace: one IsmEngine per execution, called once per leaf
+    batch with each pair's host row. A host row's pairs form an engine run,
+    which ends where a later row's pairs start or at finish(), which always
+    ends one; the rows each call ends join the batch's block with their
+    entry counts. A row without pairs keeps its count of 0. A workspace
+    that no loop hosts is the one-row case: every pair is row 0's."""
 
     def __init__(self, ex: _Execution, meta: WsMeta) -> None:
         d = meta.descriptor
@@ -1010,33 +1018,18 @@ class IsmWorkspace(Workspace):
     def start(self, n: int) -> None:
         self.counts = np.zeros(n, dtype=np.int64)
         self.block = _Block(len(self.engine.extents))
-        # the host row whose pairs the engine's run holds; with one host
-        # row, every pair is row 0's
-        self.row = 0 if n == 1 else None
-
-    def _end_run(self) -> None:
-        coords, vals = self.engine.result()
-        if self.row is not None:
-            self.counts[self.row] = len(vals)
-            self.block.extend([], None, coords, vals)
 
     def insert(self, owner: np.ndarray, keys: np.ndarray, vals: np.ndarray) -> None:
-        if len(self.counts) == 1:
-            self.engine.insert_batch(keys, vals)
-            return
-        starts = np.empty(len(owner), dtype=bool)
-        starts[:1] = True
-        np.not_equal(owner[1:], owner[:-1], out=starts[1:])
-        starts = np.flatnonzero(starts).tolist()
-        for lo, hi in zip(starts, [*starts[1:], len(owner)]):
-            row = int(owner[lo])
-            if self.row not in (None, row):
-                self._end_run()
-            self.row = row
-            self.engine.insert_batch(keys[lo:hi], vals[lo:hi])
+        for rows, counts, coords, entries in self.engine.insert_batch(keys, vals, owner):
+            self.counts[rows] = counts
+            self.block.extend([], None, coords, entries)
 
     def finish(self) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-        self._end_run()
+        row = self.engine.row
+        coords, vals = self.engine.result()
+        if row is not None:
+            self.counts[row] = len(vals)
+            self.block.extend([], None, coords, vals)
         _, _, coords, vals = self.block.take()
         return self.counts, coords, vals
 

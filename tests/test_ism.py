@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ def _acc(policy: Policy, capacity: int = 8, lead_stride: int = 4,
 def _plan(acc: AccArray, keys: list[int], vals: list[float]) -> tuple:
     """Plan a batch after the contents and load the plan's last run, as
     insert_batch does; returns the plan."""
-    kept, sums, cuts = acc.fill(np.array(keys, acc.key_dtype), np.array(vals))
+    kept, sums, cuts, _ = acc.fill(np.array(keys, acc.key_dtype), np.array(vals))
     acc.load(kept[cuts[-1]:], sums[cuts[-1]:])
     return kept, sums, cuts
 
@@ -268,9 +269,9 @@ def test_a_compaction_leaves_what_a_caller_holds_as_it_was():
 def test_a_compaction_frees_the_log_as_it_merges(universe):
     # with nothing else holding the runs, each key range's arrivals leave
     # the log as the merged range joins the output, so the compaction adds
-    # about one range's scratch to the log (1.9 bytes per logged entry
-    # measured with distinct keys, 1.4 with repeats), where copying the
-    # log took about 21
+    # about one range's scratch to the log (1.7 bytes per logged entry
+    # measured with distinct keys, 1.0 with repeats, reading the sorted
+    # range 2 048 pairs at a time), where copying the log took about 21
     alla, reference = AllArray(Counters()), TwoWayMerge(Counters())
     logged = 0
     # the log is traced from its first run, so that freeing it counts
@@ -471,6 +472,18 @@ def test_insert_batch_rejects_mismatched_arrays(policy, keys, vals):
     with pytest.raises(IsmError, match="1-D arrays of one length"):
         eng.insert_batch(keys, vals)
     assert eng.counters.inserts == 0 and eng.acc.size == 0
+
+
+@pytest.mark.parametrize("rows, open_row", [
+    ([0, 1], None), ([0.0, 1.0, 1.0], None), ([1, 0, 2], None), ([1, 1, 2], 2),
+], ids=["shape", "floats", "decreasing", "before-the-open-row"])
+def test_insert_batch_refuses_host_rows_out_of_order(rows, open_row):
+    eng = IsmEngine((8,), Policy.BUCKET, 4)
+    if open_row is not None:
+        eng.insert_batch(np.array([5]), np.array([1.0]), np.array([open_row]))
+    with pytest.raises(IsmError, match="host rows"):
+        eng.insert_batch(np.array([1, 2, 3]), np.ones(3), np.array(rows))
+    assert eng.counters.inserts == (open_row is not None)
 
 
 def test_insert_batch_accepts_an_empty_batch():
@@ -757,8 +770,8 @@ def test_insert_batch_scratch_is_one_block(policy, capacity, universe):
     # contents, and each block's plan is released before the next one is
     # made, so from two blocks on, four times the batch holds about the
     # same scratch; at capacity 1 each pair of a block may end a run of its
-    # own, which is sliced from the plan only as it drains (45.8 B per pair
-    # of a block measured there, 37.8 at the larger capacities)
+    # own, and the plan's complete runs drain in one sort beside it (46.8 B
+    # per pair of a block measured there, 35.7 at the larger capacities)
     block = max(capacity, ism._BLOCK)
     short, long = (_insert_batch_scratch(policy, capacity, k * block, universe)
                    for k in (2, 8))
@@ -792,6 +805,62 @@ def test_insert_batch_spanning_several_blocks(policy, capacity, sort_once):
     assert batched.counters == scalar.counters
     assert all(np.array_equal(w, g) for w, g in zip(want_coords, got_coords))
     assert want_vals.tobytes() == got_vals.tobytes()
+
+
+@st.composite
+def _rowed_batches(draw):
+    """A policy, a capacity, an engine block, key width, each host row's
+    pair count (0 for a row without pairs), a key universe, a seed and the
+    calls the pairs are cut into."""
+    return (draw(st.sampled_from(list(Policy))), draw(st.sampled_from([1, 2, 3, 8, 64])),
+            draw(st.sampled_from([4, 8, ism._BLOCK])), draw(st.booleans()),
+            draw(st.lists(st.integers(0, 40), min_size=1, max_size=8)),
+            draw(st.sampled_from([3, 10, 40])), draw(st.integers(0, 2**16)),
+            draw(st.integers(0, 6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rowed_batches())
+def test_rows_in_one_call_match_a_run_per_row(case):
+    # insert_batch with each pair's host row, over calls cut anywhere and
+    # blocks of a few pairs, against one reference run per row that has
+    # pairs, ended by result(): every row's entries byte for byte, where
+    # the call that ends it or the last result() hands them over, and the
+    # counters of all the runs
+    policy, capacity, block, wide, sizes, universe, seed, cuts = case
+    rng = np.random.default_rng(seed)
+    rows = np.repeat(np.arange(len(sizes), dtype=np.uint32), sizes)
+    keys, vals = _real_stream(seed, len(rows), universe)
+    extents = _extents((4, 16), wide)
+    reference = ReferenceEngine(extents, policy, capacity, hash_l=8)
+    want = {}
+    for row in np.unique(rows).tolist():
+        for k, v in zip(keys[rows == row].tolist(), vals[rows == row].tolist()):
+            reference.insert_key(k, v)
+        want[row] = reference.result()
+    reference.result()
+    eng = IsmEngine(extents, policy, capacity, hash_l=8)
+    got = {}
+    bounds = sorted({0, len(rows), *rng.integers(0, len(rows) + 1, cuts).tolist()})
+    with mock.patch.object(ism, "_BLOCK", block):
+        for lo, hi in zip(bounds, bounds[1:]):
+            for ended, counts, coords, got_vals in eng.insert_batch(keys[lo:hi], vals[lo:hi],
+                                                                    rows[lo:hi]):
+                at = np.concatenate(([0], np.cumsum(counts)))
+                assert at[-1] == len(got_vals)
+                for row, a, b in zip(ended.tolist(), at, at[1:]):
+                    assert row not in got
+                    got[row] = [c[a:b] for c in coords], got_vals[a:b]
+    open_row = eng.row
+    last = eng.result()
+    if open_row is not None:
+        got[int(open_row)] = last
+    assert got.keys() == want.keys()
+    for row, ((want_coords, want_vals), (got_coords, got_vals)) in (
+            (row, (want[row], got[row])) for row in want):
+        assert all(np.array_equal(w, g) for w, g in zip(want_coords, got_coords)), row
+        assert want_vals.tobytes() == got_vals.tobytes(), row
+    assert eng.counters == reference.counters
 
 
 def _lexsort_fill(acc: AccArray, keys: np.ndarray, vals: np.ndarray) -> tuple:
@@ -839,9 +908,19 @@ def _lexsort_fill(acc: AccArray, keys: np.ndarray, vals: np.ndarray) -> tuple:
     c = acc.counters
     c.insert_comparisons += int(rank[n:].sum()) + int(rank[into].sum()) + len(into)
     c.insert_dedups += len(into)
+    # each run the plan completes, every one but the last, is sorted as it
+    # drains: under hash all of it, under bucket each chain on its own
+    cuts = np.searchsorted(fresh, starts)
+    for lo, hi in zip(cuts, cuts[1:]):
+        run = both[fresh[lo:hi]]
+        if acc.policy is Policy.BUCKET:
+            sizes = np.unique(run // acc.lead_stride, return_counts=True)[1].tolist()
+        else:
+            sizes = [len(run)]
+        c.sort_comparisons += sum(s * ceil_log2(s) for s in sizes)
     sums = both_vals[fresh]
     np.add.at(sums, into, repeats)
-    return both[fresh], sums, np.searchsorted(fresh, starts)
+    return both[fresh], sums, cuts
 
 
 @st.composite
@@ -887,7 +966,8 @@ def test_a_plan_equals_the_lexsort_model(plan):
     acc, keys, vals = plan
     model = copy.deepcopy(acc)
     want_keys, want_sums, want_cuts = _lexsort_fill(model, keys, vals)
-    got_keys, got_sums, got_cuts = acc.fill(keys, vals)
+    got_keys, got_sums, got_cuts, got_rows = acc.fill(keys, vals)
+    assert not got_rows.any()
     assert got_keys.dtype == want_keys.dtype and got_keys.tobytes() == want_keys.tobytes()
     assert got_sums.tobytes() == want_sums.tobytes()
     assert list(got_cuts) == list(want_cuts)
@@ -1139,12 +1219,12 @@ def _compaction_scratch(universe: int, key_dtype) -> float:
 @pytest.mark.parametrize("universe", [10**7, 10**5, 1000])
 def test_compaction_scratch_per_entry(universe):
     # the log stays alive here, so the compaction adds its output, 16 bytes
-    # per distinct key, and one key range's scratch: 18.1 bytes per logged
-    # entry measured when nearly every key is distinct, 7.0 with 1000 keys
-    assert _compaction_scratch(universe, np.uint64) <= 18.5
+    # per distinct key, and one key range's scratch: 17.7 bytes per logged
+    # entry measured when nearly every key is distinct, 4.2 with 1000 keys
+    assert _compaction_scratch(universe, np.uint64) <= 18.0
 
 
 @pytest.mark.parametrize("universe", [10**7, 10**5, 1000])
 def test_compaction_scratch_per_entry_with_32_bit_keys(universe):
-    # four bytes fewer per distinct key: 13.8 measured
-    assert _compaction_scratch(universe, np.uint32) <= 14.5
+    # four bytes fewer per distinct key: 13.6 measured
+    assert _compaction_scratch(universe, np.uint32) <= 14.0

@@ -411,16 +411,16 @@ def test_every_kernel_matches_the_dense_oracle(small_corpus):
 
 
 def test_execution_modes_agree(small_corpus, monkeypatch):
-    # the size of every engine run's result, in run order
-    runs: list[int] = []
-    result = sw.IsmEngine.result
+    # each host batch's entry counts, one per host row, as finish() ends it
+    counts: list[np.ndarray] = []
+    finish = lowering.IsmWorkspace.finish
 
-    def counting_result(engine):
-        coords, vals = result(engine)
-        runs.append(len(vals))
-        return coords, vals
+    def counting_finish(ws):
+        out = finish(ws)
+        counts.append(out[0].copy())
+        return out
 
-    monkeypatch.setattr(sw.IsmEngine, "result", counting_result)
+    monkeypatch.setattr(lowering.IsmWorkspace, "finish", counting_finish)
     chosen = [inst for inst in small_corpus
               if inst.kernel.name in ("spgemm-outer", "mttkrp") and inst.index < 2]
     assert chosen
@@ -428,13 +428,13 @@ def test_execution_modes_agree(small_corpus, monkeypatch):
         _, plan, _ = prepare(inst.kernel, capacity=64)
         base = sw.execute(plan, inst.tensors)
         # capacity N, the sort-once extreme: every engine run that inserts
-        # anything drains once, at its end
+        # anything, a host row's, drains once, at its end
         _, sort_once, _ = prepare(inst.kernel, capacity=base.counters.inserts)
-        runs.clear()
+        counts.clear()
         once = sw.execute(sort_once, inst.tensors)
         assert sw.tensors_equal(base.tensor, once.tensor)
         assert once.counters.inserts == base.counters.inserts
-        assert once.counters.drains == sum(1 for n in runs if n) > 0
+        assert once.counters.drains == sum(np.count_nonzero(c) for c in counts) > 0
 
 
 @pytest.mark.parametrize("kernel", [REGISTER, LOCATE, THREE_TERMS, PRODUCTS],
@@ -947,45 +947,98 @@ def test_a_hoisted_sparse_workspace_runs_the_engine_once_per_prefix_row(name, po
 @pytest.mark.parametrize("name", ["spgemm-rowwise-hoist", "mttkrp"])
 def test_a_hoisted_workspace_runs_the_engine_only_for_rows_that_insert(name, policy,
                                                                         monkeypatch):
-    # a row without pairs runs no engine; finish() ends exactly one run per
-    # host batch, empty only if no row of the batch inserts, which notes
-    # the capacity floor of peak_bytes
+    # host batches of three rows and leaf batches of five iterations, each
+    # one engine call with its pairs' host rows: a row that some call names
+    # gets its entry count, and every other row of the batch a count of 0.
+    # The counters equal one reference run per row's, a row without pairs
+    # noting the capacity floor of peak_bytes as an empty run; under
+    # spgemm-rowwise-hoist the first host batch has no pairs at all
     monkeypatch.setattr(lowering, "_CHUNK", 5)
     monkeypatch.setattr(lowering, "_OUTER_CHUNK", 3)
-    runs: list[tuple[int, bool]] = []  # (entries, ended by finish())
-    finishing = [False]
-    result, finish = sw.IsmEngine.result, lowering.IsmWorkspace.finish
+    batches: list[list] = []  # [rows the calls named, counts] per host batch
+    start, insert = lowering.IsmWorkspace.start, sw.IsmEngine.insert_batch
+    finish = lowering.IsmWorkspace.finish
 
-    def counted_result(engine):
-        coords, vals = result(engine)
-        runs.append((len(vals), finishing[0]))
-        return coords, vals
+    def tracked_start(ws, n):
+        batches.append([set(), None])
+        start(ws, n)
 
-    def counted_finish(ws):
-        finishing[0] = True
-        try:
-            return finish(ws)
-        finally:
-            finishing[0] = False
+    def tracked_insert(engine, keys, vals, rows=None):
+        assert len(rows) <= 5 and np.all(np.diff(rows.astype(np.int64)) >= 0)
+        batches[-1][0].update(rows.tolist())
+        return insert(engine, keys, vals, rows)
 
-    monkeypatch.setattr(sw.IsmEngine, "result", counted_result)
-    monkeypatch.setattr(lowering.IsmWorkspace, "finish", counted_finish)
+    def tracked_finish(ws):
+        out = finish(ws)
+        batches[-1][1] = out[0].copy()
+        return out
+
+    monkeypatch.setattr(lowering.IsmWorkspace, "start", tracked_start)
+    monkeypatch.setattr(sw.IsmEngine, "insert_batch", tracked_insert)
+    monkeypatch.setattr(lowering.IsmWorkspace, "finish", tracked_finish)
     kernel = KERNELS_BY_NAME[name]
     _, plan, _ = prepare(kernel, policy, 2)
-    arrays = _real_valued(kernel, seed=5)
-    tensors = {n: sw.from_dense(a, kernel.formats[n]) for n, a in arrays.items()}
+    # mttkrp's X stores no empty row, so only B's rows make batches of none
+    for case in ("first-batch-empty", "all-empty") if name != "mttkrp" else ("some-empty",):
+        arrays = _real_valued(kernel, seed=5)
+        if case != "some-empty":
+            arrays["B"][:3 if case == "first-batch-empty" else None] = 0.0
+        tensors = {n: sw.from_dense(a, kernel.formats[n]) for n, a in arrays.items()}
+        batches.clear()
+        out = sw.execute(plan, tensors)
+        sparse_nnz = sum(t.nnz for t in tensors.values() if not t.format.all_dense())
+        hash_l = sw.hash_default_l(sparse_nnz) if policy is sw.Policy.HASH else None
+        engine = ReferenceEngine([out.tensor.dims[1]], policy, 2, hash_l=hash_l)
+        _per_row_runs(kernel, arrays, engine, out.tensor.dims[0])
+        assert out.counters == engine.counters
+        assert len(batches) > 1
+        for named, counts in batches:
+            assert set(np.flatnonzero(counts).tolist()) == named
+        if case == "all-empty":
+            # each host batch ends an empty run, which notes the floor
+            assert not any(named for named, _ in batches)
+            assert out.counters.peak_bytes == 2 * ism._ELEMENT_BYTES
+        else:
+            inserting = int(np.count_nonzero(np.diff(out.tensor.levels[1].pos)))
+            assert 0 < inserting < out.tensor.dims[0]
+            if case == "first-batch-empty":
+                assert not batches[0][0] and 0 in batches[1][1]
+
+
+@pytest.mark.parametrize("name", ["spgemm-rowwise-hoist", "spgemm-rowwise", "mttkrp"])
+def test_a_hosted_workspace_takes_at_most_an_engine_block_per_call(name, monkeypatch):
+    # a leaf loop that inserts into a hosted workspace expands at most an
+    # engine block of iterations, so every engine call and every dense
+    # workspace insert takes at most ism._BLOCK pairs, one leaf batch. On
+    # the benchmark's hoisted-rows operands (1 500 rows, 83 479 pairs) the
+    # hoisted product makes 22 engine calls, not one per row; mttkrp's
+    # scaled operands expand a full leaf chunk under every l batch
+    sizes: list[int] = []
+    insert, dense = sw.IsmEngine.insert_batch, lowering.DenseWorkspace.insert
+
+    def sized_insert(engine, keys, vals, *rows):
+        sizes.append(len(keys))
+        return insert(engine, keys, vals, *rows)
+
+    def sized_dense(ws, owner, keys, vals):
+        sizes.append(len(keys))
+        return dense(ws, owner, keys, vals)
+
+    monkeypatch.setattr(sw.IsmEngine, "insert_batch", sized_insert)
+    monkeypatch.setattr(lowering.DenseWorkspace, "insert", sized_dense)
+    kernel = KERNELS_BY_NAME[name]
+    if name == "mttkrp":
+        tensors = _scaled_operands(name, 1)
+    else:
+        rng = np.random.default_rng([1, 1])
+        arrays = {t: sparse_array(rng, (1500, 1500), 0.005) for t in ("B", "C")}
+        tensors = {t: sw.from_dense(a, kernel.formats[t]) for t, a in arrays.items()}
+    _, plan, _ = prepare(kernel)
     out = sw.execute(plan, tensors)
-    inserting = int(np.count_nonzero(np.diff(out.tensor.levels[1].pos)))
-    assert 0 < inserting < out.tensor.dims[0]
-    assert all(n for n, at_finish in runs if not at_finish)
-    assert sum(1 for n, _ in runs if n) == inserting
-    batches = sum(1 for _, at_finish in runs if at_finish)
-    assert 1 < batches < len(runs)
-    sparse_nnz = sum(t.nnz for t in tensors.values() if not t.format.all_dense())
-    hash_l = sw.hash_default_l(sparse_nnz) if policy is sw.Policy.HASH else None
-    engine = ReferenceEngine([out.tensor.dims[1]], policy, 2, hash_l=hash_l)
-    _per_row_runs(kernel, arrays, engine, out.tensor.dims[0])
-    assert out.counters == engine.counters
+    assert sum(sizes) == out.counters.inserts > 2 * ism._BLOCK
+    assert max(sizes) == ism._BLOCK
+    if name == "spgemm-rowwise-hoist":
+        assert -(-out.counters.inserts // ism._BLOCK) <= len(sizes) <= 25
 
 
 def test_a_block_takes_over_its_first_arrays_and_copies_the_rest():
@@ -1403,28 +1456,31 @@ def test_sparse_workspace_inserts_are_within_40_bytes_per_chunk_iteration(name):
     assert scratch <= 40 * lowering._CHUNK
 
 
-@pytest.mark.parametrize("name, bound", [("spgemm-rowwise-hoist", 20), ("spgemm-rowwise", 14),
-                                         ("mttkrp", 40), ("spmv", 34)])
+@pytest.mark.parametrize("name, bound", [("spgemm-rowwise-hoist", 16.5), ("spgemm-rowwise", 14),
+                                         ("mttkrp", 20), ("spmv", 34)])
 def test_scratch_beyond_the_result_on_scaled_operands(name, bound):
-    # bounds in bytes per leaf chunk iteration, from measurement (17.4 for
-    # the sparse workspace, 13.3 for the dense one, 36.9 for mttkrp's three
-    # gathered operands, 28.6 for spmv's top-level workspace; 19.5, 15.3,
-    # 54.9 and 36.4 with 64-bit positions): a leaf chunk's columns, each
+    # bounds in bytes per leaf chunk iteration, from measurement (15.6 for
+    # the sparse workspace, 13.3 for the dense one, 18.9 for mttkrp's three
+    # gathered operands, 26.0 for spmv's top-level workspace; 17.6, 15.3,
+    # 23.0 and 36.5 with 64-bit positions): a leaf chunk's columns, each
     # released at its last read, and the workspace's pairs; an operand is
     # gathered and joins a product a slice at a time; the dense workspace
     # sums a slice of pairs at a time and keeps the open row's cells in
-    # arrays of their own
+    # arrays of their own. A hosted workspace's leaf batch is at most an
+    # engine block of iterations (the row-wise products' is that already
+    # here: each batch of k gives two iterations of j)
     _, plan, _ = prepare(KERNELS_BY_NAME[name])
     scratch, _ = _execute_scratch(plan, _scaled_operands(name, 4))
     assert scratch <= bound * lowering._CHUNK
 
 
-@pytest.mark.parametrize("name, bound", [("spgemm-rowwise-hoist", 9.5), ("spgemm-rowwise", 10.5)])
+@pytest.mark.parametrize("name, bound", [("spgemm-rowwise-hoist", 5.0), ("spgemm-rowwise", 5.8)])
 def test_scratch_beyond_a_large_result_per_entry(name, bound):
-    # bounds in bytes per result entry, from measurement (8.8 sparse, 9.8
-    # dense; 12.6 and 12.2 with 64-bit positions): the growing block, with
-    # at most a sixteenth of headroom, and a leaf chunk; no entry carries
-    # its host row's coordinates
+    # bounds in bytes per result entry, from measurement (4.76 sparse, 5.50
+    # dense; 6.02 and 6.76 with 64-bit positions): the growing block, with
+    # at most a sixteenth of headroom, and a leaf batch of at most an
+    # engine block of iterations; no entry carries its host row's
+    # coordinates
     kernel = KERNELS_BY_NAME[name]
     b, c = sw.synthetic_pair(1500, 1500, 0.5, 8, seed=1)
     tensors = {"B": sw.reformat(b, kernel.formats["B"]),
@@ -1483,10 +1539,10 @@ _SPANS = [(ism.AccArray, "fill"), (ism.AllArray, "_compact"), (lowering, "compre
 def test_the_peak_of_a_mid_size_outer_product(policy):
     # bounds in bytes, from measurement. Under bucket and hash, planning a
     # block of inserts after the contents (two blocks at most) sets the
-    # peak, at 16.5 B per planned pair with one packed sort array at a
+    # peak, at 16.1 B per planned pair with one packed sort array at a
     # time; coord's plan is little more than the two blocks, and its peak
-    # is set outside the three spans, while a full array's run is sorted
-    # as it drains. The compaction frees the log as it merges it, so it
+    # is set outside the three spans, while the plan's complete runs drain
+    # in one sort. The compaction frees the log as it merges it, so it
     # adds to it only one key range's scratch; compression takes the
     # compacted sums over and holds only its order check's blocks
     kernel = KERNELS_BY_NAME["spgemm-outer"]
@@ -1528,11 +1584,12 @@ def test_a_sparse_workspace_peaks_near_its_result():
 
 def test_a_hoisted_row_wise_execution_peaks_near_its_result():
     # the benchmark's hoisted-rows operands: 1 500 engine runs into 81 864
-    # entries, whose CSR result takes 0.99 MB; the execution peaks at 1.34
+    # entries, whose CSR result takes 0.99 MB; the execution peaks at 1.24
     # times that: the workspace's block, with at most a sixteenth of
-    # headroom, and one leaf batch's host rows, keys and values (1.53 with
-    # every column and whole gathered operands kept to the insert's end and
-    # a quarter of headroom)
+    # headroom, one leaf batch of at most an engine block of iterations and
+    # its plan (1.34 with leaf batches of a whole chunk and an engine call
+    # per row, 1.53 with every column and whole gathered operands kept to
+    # the insert's end and a quarter of headroom)
     kernel = KERNELS_BY_NAME["spgemm-rowwise-hoist"]
     rng = np.random.default_rng([1, 1])
     arrays = {t: sparse_array(rng, (1500, 1500), 0.005) for t in ("B", "C")}
@@ -1541,7 +1598,7 @@ def test_a_hoisted_row_wise_execution_peaks_near_its_result():
     with peak_above() as span:
         out = sw.execute(plan, tensors).tensor
     stored = out.vals.nbytes + sum(lv.pos.nbytes + lv.crd.nbytes for lv in out.levels[1:])
-    assert out.nnz == 81_864 and span.peak <= 1.38 * stored
+    assert out.nnz == 81_864 and span.peak <= 1.27 * stored
 
 
 def test_a_block_grows_with_at_most_a_sixteenth_of_headroom():
