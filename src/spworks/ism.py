@@ -18,9 +18,9 @@ in its run and the slot its repeats add into, and (chain, place) ranks each
 kept key in its bucket's chain. A batch may carry each pair's host row:
 each row's pairs then form runs of their own, and a row whose pairs end in
 the batch is handed back whole. The runs a block completes drain in one
-more sort of (output, key, arrival). No index array of the platform's width
-spans a plan. A coord drain and a compaction sort (key, arrival) the same
-way, and every sum adds a key's values in arrival order
+more sort of (output, key, arrival), and so does the run a result ends. No
+index array of the platform's width spans a plan. A compaction sorts (key,
+arrival) the same way, and every sum adds a key's values in arrival order
 (``tensor._sum_groups``).
 
 Coordinates are linearized row-major into unsigned keys, which makes key
@@ -210,8 +210,7 @@ class AccArray:
         together in arrival order; beside it, it holds masks and 32-bit
         arrays over the pairs, and it reads the sorted array _PASS pairs at
         a time. Only a row with more distinct keys than the capacity needs
-        its runs cut; with a run per row, the rows before the last come
-        back in key order."""
+        its runs cut."""
         n, cap = self.size, self.capacity
         total = n + len(keys)
         index = np.int32 if total < 2**31 else np.int64
@@ -222,17 +221,15 @@ class AccArray:
         if self.policy is Policy.COORD:
             # coord appends blindly: runs are slices of exactly the capacity
             # of a row's pairs, and a full array drains only when one more
-            # pair of its row arrives
-            keys, vals = np.concatenate((self.keys, keys)), np.concatenate((self.vals, vals))
-            if len(bounds) == 1:
-                cuts = np.arange(0, max(total, 1), cap, dtype=index)
-                return keys, vals, cuts, np.broadcast_to(index(0), cuts.shape)
+            # pair of its row arrives; the cuts' scratch is freed before the
+            # pairs are copied
             per = -(-np.diff(bounds, append=total) // cap)
             segs = np.repeat(np.arange(len(bounds), dtype=index), per)
             cuts = np.arange(len(segs), dtype=index)
-            cuts -= np.repeat(np.cumsum(per, dtype=index) - per, per)
             cuts *= cap
-            cuts += bounds[segs]
+            cuts += np.repeat(bounds - (np.cumsum(per, dtype=index) - per) * cap, per)
+            del per
+            keys, vals = np.concatenate((self.keys, keys)), np.concatenate((self.vals, vals))
             return keys, vals, cuts, segs
         # the keys' own bits, so that the packed words are as narrow as can be
         width = int(max(keys.max(initial=0), self.keys.max(initial=0))).bit_length()
@@ -243,10 +240,7 @@ class AccArray:
         del words
         # the segments with more distinct keys than the capacity; a
         # segment's arrivals lie at the same places in key order
-        if len(bounds) > 1:
-            over = np.flatnonzero(np.add.reduceat(lead, bounds, dtype=np.intp) > cap).tolist()
-        else:
-            over = [0] if np.count_nonzero(lead) > cap else []
+        over = np.flatnonzero(np.add.reduceat(lead, bounds, dtype=np.intp) > cap).tolist()
         # the arrivals that start a run at the capacity: a run holds a
         # capacity of keys before one
         stops = np.empty(total // cap if len(over) else 0, index)
@@ -270,16 +264,11 @@ class AccArray:
             for lo in range(0, total, _PASS):
                 new[np.bitwise_and(order[lo:lo + _PASS], low, dtype=np.intp)] = lead[lo:lo + _PASS]
         # in key order each repeat adds into the latest new arrival before
-        # it, its key's first in its run, and the sums add in that order;
-        # with a run per row, the first arrivals in key order are the
-        # complete runs drained, row after row
-        into, repeats, firsts, last = [], [], [], 0
-        drained = len(bounds) > 1 and not len(over)
+        # it, its key's first in its run, and the sums add in that order
+        into, repeats, last = [], [], 0
         for lo in range(0, total, _PASS):
             arrival = np.bitwise_and(order[lo:lo + _PASS], low, dtype=np.intp)
             fresh = new[arrival] if len(over) else lead[lo:lo + _PASS]
-            if drained:
-                firsts.append(arrival[fresh].astype(index))
             if np.count_nonzero(fresh) == len(fresh):
                 last = lo + len(arrival) - 1
                 continue
@@ -305,9 +294,6 @@ class AccArray:
             into = place[into]
             cuts = place[starts]
             stops = place[stops]
-            if drained:
-                # the rows before the last, in key order
-                firsts = place[np.concatenate(firsts)[:int(cuts[-1])]]
             del place
         slots = int(np.count_nonzero(new))
         kept = np.empty(slots, self.key_dtype)
@@ -319,17 +305,7 @@ class AccArray:
         _masked_into(sums[n:], new[n:], vals)
         if repeats:
             _sum_groups(sums, into, np.concatenate(repeats))
-        del into, repeats
-        if len(bounds) == 1:
-            return kept, sums, cuts, np.broadcast_to(index(0), cuts.shape)
-        # a row's keys stay in its own places: the rows before the last go
-        # into key order a window of whole rows at a time
-        lo, done = 0, len(firsts) if drained else 0
-        while lo < done:
-            hi = int(cuts[np.searchsorted(cuts, lo + _PASS)]) if lo + _PASS < done else done
-            kept[lo:hi], sums[lo:hi] = kept[firsts[lo:hi]], sums[firsts[lo:hi]]
-            lo = hi
-        del new, firsts
+        del into, repeats, new
         segs = np.searchsorted(bounds, starts, "right").astype(index)
         segs -= 1
         return kept, sums, cuts, segs
@@ -388,13 +364,10 @@ class AccArray:
         tags = np.empty(total, np.uint32 if top.bit_length() + _bits(total) <= 32 else np.uint64)
         for lo in range(0, total, _PASS):
             tags[lo:lo + _PASS] = self._bucket(kept[lo:lo + _PASS])
-        # runs of a capacity each, as without host rows, start at its
-        # multiples; a stop scanned its chain in the full run just before it
-        aligned = int(cuts[-1]) == (len(cuts) - 1) * cap
+        # a stop scanned its chain in the full run just before it
         charged = 0
         if len(stops):
-            full = (tags[:int(cuts[-1])].reshape(-1, cap)[stops // cap - 1] if aligned else
-                    np.lib.stride_tricks.sliding_window_view(tags, cap)[stops - cap])
+            full = np.lib.stride_tricks.sliding_window_view(tags, cap)[stops - cap]
             charged = int(np.count_nonzero(full == tags[stops][:, None]))
             del full
         tags, lead, low = _sort_arrivals(tags, top.bit_length())
@@ -409,7 +382,7 @@ class AccArray:
             head = lead[lo - skip:lo + _PASS]
             mark, head[0] = head[0], not lo
             if len(cuts) > 1:
-                run = (part & low) // cap if aligned else np.searchsorted(edges, part & low, "right")
+                run = np.searchsorted(edges, part & low, "right")
                 head[1:] |= run[1:] != run[:-1]
             if np.count_nonzero(head) == len(head) - skip:
                 # each key here leads its chain: all ranks 0
@@ -430,54 +403,18 @@ class AccArray:
             done = (tags[heads] & low) < edges[-1]
             c.sort_comparisons += _sort_cost(np.diff(heads, append=total)[done])
 
-    def drain(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sort the contents by key and return them; the array keeps its
-        contents until clear() is called. Under COORD, the contents' values
-        of one key add in arrival order, from the first."""
-        n = self.size
-        c = self.counters
-        if n <= 1:
-            # nothing to compare under any policy
-            return self.keys.copy(), self.vals.copy()
+    def drain(self) -> list:
+        """Hand the contents over as a plan of one complete run, the form
+        fill() returns, and charge the sort counters of that run as fill()
+        charges those of the runs it completes (coord's are charged where a
+        plan's runs drain); the array is left empty."""
+        keys, vals = self.keys, self.vals
+        index = np.int32 if len(keys) < 2**31 else np.int64
+        cuts = np.array([0, len(keys)], index)
         if self.policy is not Policy.COORD:
-            # distinct keys: any sort orders them as a stable one does
-            order = np.argsort(self.keys)
-            ks, vs = self.keys[order], self.vals[order]
-            if self.policy is Policy.HASH:
-                c.sort_comparisons += n * ceil_log2(n)
-                return ks, vs
-            # each chain is sorted on its own; a bucket per key costs nothing
-            for lo, hi in _groups(ks, self.lead_stride) if self.lead_stride > 1 else ():
-                lead = ks[lo:hi] // self.lead_stride
-                sizes = np.diff(np.flatnonzero(np.concatenate(
-                    ([True], lead[1:] != lead[:-1], [True]))))
-                c.sort_comparisons += int((sizes * np.frexp(sizes - 1.0)[1]).sum())
-            return ks, vs
-        # coord sorts (key, arrival) in the values' buffer (uint64: keys
-        # take 32 bits or more) and sums into it a span at a time: a key's
-        # sum lands no later than its first pair, which is already read
-        c.sort_comparisons += n * ceil_log2(n) + n - 1
-        vs = np.empty(n, VAL_DTYPE)
-        vs.view(np.uint64)[:] = self.keys
-        order, lead, low = _sort_arrivals(vs.view(np.uint64), 8 * self.keys.itemsize)
-        kept = int(np.count_nonzero(lead))
-        ks = np.empty(kept, self.keys.dtype)
-        group = -1  # the last key's place
-        for lo in range(0, n, _PASS):
-            arrival = np.bitwise_and(order[lo:lo + _PASS], low, dtype=np.intp)
-            first = lead[lo:lo + _PASS]
-            at = np.cumsum(first)
-            at += group
-            # the keys that start in the span take the next places
-            fresh = slice(group + 1, int(at[-1]) + 1)
-            group = fresh.stop - 1
-            ks[fresh] = self.keys.take(arrival[first])
-            _sum_groups(vs, at, self.vals.take(arrival), fresh)
-        del order, lead
-        c.drain_dedups += n - kept
-        # nothing else refers to the values
-        vs.resize(kept, refcheck=False)
-        return ks, vs
+            self._charge(keys, cuts[:0], cuts, cuts[:0])
+        self.clear()
+        return [keys, vals, cuts, np.zeros(2, index)]
 
     def clear(self) -> None:
         self.load(np.empty(0, self.key_dtype), np.empty(0, VAL_DTYPE))
@@ -666,23 +603,18 @@ def _pack_segments(words: np.ndarray, starts: np.ndarray, width: int) -> int:
         if width > room:
             words[:] = np.unique(words, return_inverse=True)[1].reshape(-1)
             width = _bits(len(words))
+    # each entry's segment counted _PASS entries at a time, without an
+    # array of its width over all of them
     shift = words.dtype.type(width)
-    if len(starts) * 64 <= len(words):
-        seg = np.arange(len(starts), dtype=words.dtype)
-        seg <<= shift
-        words |= np.repeat(seg, np.diff(starts, append=len(words)))
-    else:
-        # short segments: each entry's counted _PASS entries at a time,
-        # without an array of its width over all of them
-        mark = np.zeros(len(words), bool)
-        mark[starts[1:]] = True
-        seg = 0
-        for lo in range(0, len(words), _PASS):
-            part = np.cumsum(mark[lo:lo + _PASS], dtype=words.dtype)
-            part += words.dtype.type(seg)
-            seg = int(part[-1])
-            part <<= shift
-            words[lo:lo + _PASS] |= part
+    mark = np.zeros(len(words), bool)
+    mark[starts[1:]] = True
+    seg = 0
+    for lo in range(0, len(words), _PASS):
+        part = np.cumsum(mark[lo:lo + _PASS], dtype=words.dtype)
+        part += words.dtype.type(seg)
+        seg = int(part[-1])
+        part <<= shift
+        words[lo:lo + _PASS] |= part
     return width + _bits(len(starts))
 
 
@@ -709,19 +641,6 @@ def _sort_arrivals(keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray
         hi = min(lo + _PASS, n)
         np.greater(np.bitwise_xor(words[lo:hi], words[lo - 1:hi - 1]), low, out=lead[lo:hi])
     return words, lead, low
-
-
-def _groups(keys: np.ndarray, width: int):
-    """Spans ``(lo, hi)`` of sorted ``keys``, _PASS keys each and on to
-    where the last one's group of keys that share ``key // width`` ends."""
-    lo, n = 0, len(keys)
-    while lo < n:
-        hi = min(lo + _PASS, n)
-        if hi < n:
-            last = min(int(keys[hi - 1]) // width * width + width - 1, int(keys[-1]))
-            hi += int(np.searchsorted(keys[hi:], keys.dtype.type(last), "right"))
-        yield lo, hi
-        lo = hi
 
 
 def _masked_into(out: np.ndarray, mask: np.ndarray, src: np.ndarray) -> None:
@@ -930,88 +849,83 @@ class IsmEngine:
                 ends = np.flatnonzero(np.append(first[1:], True))  # each output's last run
             merged = ~logged[first]  # each output's: whether it is a row's
             rows = seg[first]  # each output's segment
-            del seg, first
+            del seg, segs, first
             runs_kept = int(sizes[~logged].sum())
             c.merges += int(np.count_nonzero(~logged))
             del logged
         else:
             # the open row's alone: each run an output the all array logs
+            del segs
             starts = cuts[:-1]
             merged = rows = np.zeros(0, bool)
         del sizes
-        split = spread = 0
-        if not coord and len(cuts) == last + 1:
-            # a run per row: the plan drained its complete runs itself
-            ks, buf, counts = kept[:done], sums[:done], np.diff(cuts)
-        else:
-            # the keys of each output in order in the sums' buffer, each key's
-            # arrivals in arrival order; a sum lands no later than its first
-            # arrival, which is already read
-            buf = np.empty(done, VAL_DTYPE)
-            words = buf.view(np.uint64)
-            words[:] = kept[:done]
-            order, lead, low = _sort_arrivals(words, _pack_segments(words, starts,
-                                                                    8 * kept.itemsize))
-            counts = (np.add.reduceat(lead, starts, dtype=index) if len(starts) > 1
-                      else np.full(1, np.count_nonzero(lead), index))
-            ks = np.empty(int(counts.sum()), kept.dtype)
-            # under coord a run holds a key more than once: a row's sums add a
-            # run at a time first, then the runs' sums
-            split = coord and multi
-            tops = np.empty(done, bool) if split else None
+        # the keys of each output in order in the sums' buffer, each key's
+        # arrivals in arrival order; a sum lands no later than its first
+        # arrival, which is already read
+        buf = np.empty(done, VAL_DTYPE)
+        words = buf.view(np.uint64)
+        words[:] = kept[:done]
+        order, lead, low = _sort_arrivals(words, _pack_segments(words, starts,
+                                                                8 * kept.itemsize))
+        counts = np.add.reduceat(lead, starts, dtype=index)
+        ks = np.empty(int(counts.sum()), kept.dtype)
+        # under coord a run holds a key more than once: a row's sums add a
+        # run at a time first, then the runs' sums
+        split = coord and multi
+        tops = np.empty(done, bool) if split else None
+        if split:
+            runs_kept = 0
+        # a two-way merge per run charges, for each key, each run after the
+        # one that brings it
+        spread = 0
+        g = k = -1  # the last sum's and the last key's places
+        prior = -1  # the run of the last arrival read
+        for lo in range(0, done, _PASS):
+            arrival = np.bitwise_and(order[lo:lo + _PASS], low, dtype=np.intp)
+            top = lead[lo:lo + _PASS]
+            group = top
+            if multi:
+                run = np.searchsorted(cuts, arrival, "right") - 1
+                brings = run[top]
+                mine = merged[out[brings]]
+                spread += int((ends[out[brings[mine]]] - brings[mine]).sum())
+                if split:
+                    group = top.copy()
+                    group[1:] |= run[1:] != run[:-1]
+                    group[0] |= run[0] != prior
+                    prior = run[-1]
+                    runs_kept += int(np.count_nonzero(merged[out[run[group]]]))
+            new = int(np.count_nonzero(top))
+            ks[k + 1:k + 1 + new] = kept.take(arrival[top])
+            k += new
+            if new == len(arrival) and not split:
+                # each arrival brings its key: its sum as it is
+                buf[g + 1:g + 1 + new] = sums.take(arrival)
+                g += new
+                continue
+            at = np.cumsum(group)
+            at += g
+            fresh = slice(g + 1, int(at[-1]) + 1)
+            g = fresh.stop - 1
             if split:
-                runs_kept = 0
-            # a two-way merge per run charges, for each key, each run after the
-            # one that brings it
-            spread = 0
-            g = k = -1  # the last sum's and the last key's places
-            prior = -1  # the run of the last arrival read
-            for lo in range(0, done, _PASS):
-                arrival = np.bitwise_and(order[lo:lo + _PASS], low, dtype=np.intp)
-                top = lead[lo:lo + _PASS]
-                group = top
-                if multi:
-                    run = np.searchsorted(cuts, arrival, "right") - 1
-                    brings = run[top]
-                    mine = merged[out[brings]]
-                    spread += int((ends[out[brings[mine]]] - brings[mine]).sum())
-                    if split:
-                        group = top.copy()
-                        group[1:] |= run[1:] != run[:-1]
-                        group[0] |= run[0] != prior
-                        prior = run[-1]
-                        runs_kept += int(np.count_nonzero(merged[out[run[group]]]))
-                new = int(np.count_nonzero(top))
-                ks[k + 1:k + 1 + new] = kept.take(arrival[top])
-                k += new
-                if new == len(arrival) and not split:
-                    # each arrival brings its key: its sum as it is
-                    buf[g + 1:g + 1 + new] = sums.take(arrival)
-                    g += new
-                    continue
-                at = np.cumsum(group)
+                tops[fresh] = top[group]
+            _sum_groups(buf, at, sums.take(arrival), fresh)
+        del order, lead, words
+        if coord:
+            c.drain_dedups += done - (g + 1)
+        if split:
+            # the runs' sums in run order, each read before it is added over
+            total, g = g + 1, -1
+            for lo in range(0, total, _PASS):
+                part = buf[lo:min(lo + _PASS, total)].copy()
+                at = np.cumsum(tops[lo:lo + len(part)])
                 at += g
                 fresh = slice(g + 1, int(at[-1]) + 1)
                 g = fresh.stop - 1
-                if split:
-                    tops[fresh] = top[group]
-                _sum_groups(buf, at, sums.take(arrival), fresh)
-            del order, lead, words
-            if coord:
-                c.drain_dedups += done - (g + 1)
-            if split:
-                # the runs' sums in run order, each read before it is added over
-                total, g = g + 1, -1
-                for lo in range(0, total, _PASS):
-                    part = buf[lo:min(lo + _PASS, total)].copy()
-                    at = np.cumsum(tops[lo:lo + len(part)])
-                    at += g
-                    fresh = slice(g + 1, int(at[-1]) + 1)
-                    g = fresh.stop - 1
-                    _sum_groups(buf, at, part, fresh)
-                del tops
-            # nothing else refers to the sums
-            buf.resize(len(ks), refcheck=False)
+                _sum_groups(buf, at, part, fresh)
+            del tops
+        # nothing else refers to the sums
+        buf.resize(len(ks), refcheck=False)
         entries = int(counts[merged].sum()) if len(merged) else 0
         if coord and not split:
             runs_kept = entries
@@ -1051,20 +965,14 @@ class IsmEngine:
         coords, vals = self.result()
         return np.array([row]), np.array([len(vals)], np.int64), coords, vals
 
-    def _flush(self) -> None:
-        """Drain the accumulate array into the all array."""
-        self.counters.drains += 1
-        keys, vals = self.acc.drain()
-        self.all.merge(keys, vals)
-        self.acc.clear()
-
     # -- finalization --------------------------------------------------------
 
     def finalize(self) -> None:
         """Drain whatever is left into the all array and note the peak: the
         size the all array ends the run with, once its log is compacted."""
         if self.acc.size:
-            self._flush()
+            # the last run is the one run of a plan, drained as a plan's are
+            self._settle(self.acc.drain(), None)
         live = (self.all.size + self.capacity) * _ELEMENT_BYTES
         self.counters.peak_bytes = max(self.counters.peak_bytes, live)
 

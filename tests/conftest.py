@@ -362,7 +362,9 @@ class ReferenceEngine(sw.IsmEngine):
                  np.append(acc.vals, val))
 
     def _flush(self) -> None:
-        super()._flush()
+        """Drain the accumulate array into the all array, as finalize()
+        does, and note the peak."""
+        self._settle(self.acc.drain(), None)
         live = (self.all.size + self.capacity) * ism._ELEMENT_BYTES
         self.counters.peak_bytes = max(self.counters.peak_bytes, live)
 

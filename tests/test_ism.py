@@ -102,13 +102,22 @@ def _plan(acc: AccArray, keys: list[int], vals: list[float]) -> tuple:
     return kept, sums, cuts
 
 
+def _drain(acc: AccArray) -> tuple[np.ndarray, np.ndarray]:
+    """Drain the contents as an engine's finalize() does, into an all array
+    of their own; returns its keys and values."""
+    eng = IsmEngine((1,), Policy.COORD, 1)
+    eng.acc, eng.counters, eng.all = acc, acc.counters, AllArray(acc.counters)
+    eng._settle(acc.drain(), None)
+    return eng.all.keys, eng.all.vals
+
+
 def test_coord_appends_blindly_and_sorts_at_drain():
     acc = _acc(Policy.COORD, capacity=4)
     kept, _, cuts = _plan(acc, [5, 3, 5, 1], [1.0, 2.0, 4.0, 8.0])
     assert kept.tolist() == [5, 3, 5, 1] and list(cuts) == [0]
     c = acc.counters
     assert c.insert_comparisons == 0 and c.insert_dedups == 0
-    keys, vals = acc.drain()
+    keys, vals = _drain(acc)
     assert keys.tolist() == [1, 3, 5]
     assert vals.tolist() == [8.0, 2.0, 5.0]
     # one full sort of four entries plus the adjacent-dedup sweep
@@ -134,7 +143,7 @@ def test_bucket_chains_by_lead_coordinate():
     assert c.insert_comparisons == 2
     assert kept.tolist() == [5, 3, 6] and sums.tolist() == [3.0, 1.0, 1.0]
     assert list(cuts) == [0] and acc.size == 3
-    keys, vals = acc.drain()
+    keys, vals = _drain(acc)
     assert keys.tolist() == [3, 5, 6]
     assert vals.tolist() == [1.0, 3.0, 1.0]
     # only the two-entry chain pays a sort: 2 * ceil_log2(2)
@@ -163,7 +172,7 @@ def test_hash_chains_by_key_modulus():
     assert c.insert_comparisons == 2
     assert c.insert_dedups == 1
     assert kept.tolist() == [5, 3, 4] and sums.tolist() == [3.0, 1.0, 1.0]
-    keys, vals = acc.drain()
+    keys, vals = _drain(acc)
     assert keys.tolist() == [3, 4, 5]
     assert vals.tolist() == [1.0, 1.0, 3.0]
     # hash pays one full comparison sort over all three live entries
@@ -187,20 +196,19 @@ def test_capacity_must_be_an_integer(capacity):
         _acc(Policy.COORD, capacity=capacity)
 
 
-def test_drain_keeps_contents_until_clear():
+def test_drain_hands_the_contents_over_as_one_run():
     acc = _acc(Policy.COORD, capacity=4)
-    _plan(acc, [2], [1.0])
-    keys, _ = acc.drain()
-    assert keys.tolist() == [2]
-    assert acc.size == 1
-    acc.clear()
+    _plan(acc, [2, 1], [1.0, 2.0])
+    keys, vals, cuts, segs = acc.drain()
+    assert keys.tolist() == [2, 1] and vals.tolist() == [1.0, 2.0]
+    assert list(cuts) == [0, 2] and list(segs) == [0, 0]
     assert acc.size == 0
 
 
 def test_empty_drain_is_free():
     acc = _acc(Policy.BUCKET)
-    keys, vals = acc.drain()
-    assert keys.size == 0 and vals.size == 0
+    keys, vals, cuts, _ = acc.drain()
+    assert keys.size == 0 and vals.size == 0 and list(cuts) == [0, 0]
     assert acc.counters.comparisons == 0
 
 
