@@ -364,12 +364,19 @@ class AccArray:
         tags = np.empty(total, np.uint32 if top.bit_length() + _bits(total) <= 32 else np.uint64)
         for lo in range(0, total, _PASS):
             tags[lo:lo + _PASS] = self._bucket(kept[lo:lo + _PASS])
-        # a stop scanned its chain in the full run just before it
-        charged = 0
-        if len(stops):
-            full = np.lib.stride_tricks.sliding_window_view(tags, cap)[stops - cap]
-            charged = int(np.count_nonzero(full == tags[stops][:, None]))
-            del full
+        # without host rows every run but the last holds a capacity of keys,
+        # so a place's run is its quotient by the capacity, a division where
+        # a search over the cuts would cost a FULL workspace about 5% of its
+        # execution under bucket and hash
+        aligned = int(cuts[-1]) == (len(cuts) - 1) * cap
+        # a stop scanned its chain in the full run just before it, the
+        # capacity of places before its own; read about _PASS places at a time
+        charged, step = 0, max(1, _PASS // cap)
+        for lo in range(0, len(stops), step):
+            at = stops[lo:lo + step]
+            full = tags[np.add.outer(at - cap, np.arange(cap, dtype=at.dtype))]
+            charged += int(np.count_nonzero(full == tags[at][:, None]))
+        at = full = None
         tags, lead, low = _sort_arrivals(tags, top.bit_length())
         edges = cuts.astype(tags.dtype)  # searched in the words' own dtype
         rank = np.zeros(total, np.int32 if total < 2**31 else np.int64)  # by place
@@ -382,7 +389,7 @@ class AccArray:
             head = lead[lo - skip:lo + _PASS]
             mark, head[0] = head[0], not lo
             if len(cuts) > 1:
-                run = np.searchsorted(edges, part & low, "right")
+                run = (part & low) // cap if aligned else np.searchsorted(edges, part & low, "right")
                 head[1:] |= run[1:] != run[:-1]
             if np.count_nonzero(head) == len(head) - skip:
                 # each key here leads its chain: all ranks 0

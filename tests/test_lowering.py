@@ -1539,7 +1539,7 @@ _SPANS = [(ism.AccArray, "fill"), (ism.AllArray, "_compact"), (lowering, "compre
 def test_the_peak_of_a_mid_size_outer_product(policy):
     # bounds in bytes, from measurement. Under bucket and hash, planning a
     # block of inserts after the contents (two blocks at most) sets the
-    # peak, at 16.1 B per planned pair with one packed sort array at a
+    # peak, at 15.3 B per planned pair with one packed sort array at a
     # time; coord's plan is little more than the two blocks, and its peak
     # is set outside the three spans, while the plan's complete runs drain
     # in one sort. The compaction frees the log as it merges it, so it
