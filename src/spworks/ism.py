@@ -18,8 +18,9 @@ in its run and the slot its repeats add into, and (chain, place) ranks each
 kept key in its bucket's chain. A batch may carry each pair's host row:
 each row's pairs then form runs of their own, and a row whose pairs end in
 the batch is handed back whole. The runs a block completes drain in one
-more sort of (output, key, arrival), and so does the run a result ends. No
-index array of the platform's width spans a plan. A compaction sorts (key,
+more sort of (run, key, arrival), and so does the run a result ends; a row
+of one run goes back as it is, and the all array merges every other run.
+No index array of the platform's width spans a plan. A compaction sorts (key,
 arrival) the same way, and every sum adds a key's values in arrival order
 (``tensor._sum_groups``).
 
@@ -712,9 +713,10 @@ class IsmEngine:
     workspace. A run inserts pairs and ends at result(), which hands its
     entries over and leaves the engine empty for the next run; counters
     accumulate across runs. Given each pair's host row, one call runs many
-    rows: a row's pairs form a run, which ends where a later row's start.
-    An executor builds one engine per workspace per execution and calls it
-    once per leaf batch."""
+    rows: a row's pairs form runs of their own, and the row ends where a
+    later row's start, handed back as it is when it is one run and through
+    result() otherwise. An executor builds one engine per workspace per
+    execution and calls it once per leaf batch."""
 
     def __init__(self, extents: Sequence[int], policy: Policy, capacity: int, *,
                  hash_l: int | None = None) -> None:
@@ -816,153 +818,91 @@ class IsmEngine:
     def _settle(self, plan: list, labels) -> list[tuple]:
         """Drain the complete runs of a plan, ``[kept, sums, cuts, segs]``,
         which this empties, and load its last run. The complete runs, every
-        run but the last, drain in one sort of (output, key, arrival): an
-        output is a run of the open row, which the all array logs, or all
-        the runs of a row that ends here, whose sums add run by run, as the
-        all array adds them, with the merge counters of one two-way merge
-        per run and its all array's peak. The open row is the plan's last,
-        and its first, if the all array holds runs of it from before the
-        plan; the first then ends here, unless it is the last. Returns the
-        pieces of the rows that end."""
+        run but the last, drain in one sort of (run, key, arrival). A run
+        that is all of a row ending here goes back as it is, with the merge
+        counters and peak of a run merged into an empty all array; the all
+        array logs every other run, and a row's last logged run ends the
+        row through result(). The plan's last row stays open, and its first
+        may have runs logged from before the plan. Returns the pieces of the
+        rows that end."""
         kept, sums, cuts, segs = plan
         plan.clear()
-        done, last = int(cuts[-1]), int(segs[-1])
-        runs = len(cuts) - 1
+        done, runs = int(cuts[-1]), len(cuts) - 1
         if not runs:
             # the last run stays loaded: the whole plan
             self.acc.load(kept, sums)
             return []
         c, index = self.counters, cuts.dtype
-        sizes = np.diff(cuts)
         c.drains += runs
         coord = self.acc.policy is Policy.COORD
         if coord:
-            c.sort_comparisons += _sort_cost(sizes) + done - runs
-        carried = multi = False
-        runs_kept = 0  # the run sums of the rows that end
-        if last:
-            seg = segs[:-1]
-            logged = seg == last
-            carried = self.all.held
-            if carried:
-                logged |= seg == 0
-            # where each output starts among the runs
-            first = np.ones(runs, bool)
-            first[1:] = logged[1:] | logged[:-1] | (seg[1:] != seg[:-1])
-            starts = cuts[:-1][first]
-            multi = len(starts) < runs
-            if multi:
-                out = np.cumsum(first, dtype=index) - 1  # each run's output
-                ends = np.flatnonzero(np.append(first[1:], True))  # each output's last run
-            merged = ~logged[first]  # each output's: whether it is a row's
-            rows = seg[first]  # each output's segment
-            del seg, segs, first
-            runs_kept = int(sizes[~logged].sum())
-            c.merges += int(np.count_nonzero(~logged))
-            del logged
-        else:
-            # the open row's alone: each run an output the all array logs
-            del segs
-            starts = cuts[:-1]
-            merged = rows = np.zeros(0, bool)
-        del sizes
-        # the keys of each output in order in the sums' buffer, each key's
-        # arrivals in arrival order; a sum lands no later than its first
-        # arrival, which is already read
+            c.sort_comparisons += _sort_cost(np.diff(cuts)) + done - runs
+        # the runs that end a row, and those that are all of one, unless
+        # the all array holds runs of the first row from before the plan
+        ends = segs[1:] != segs[:-1]
+        del segs
+        alone = ends.copy()
+        alone[1:] &= ends[:-1]
+        if alone[0] and self.all.held:
+            alone[0] = False
+        # each run's keys in order in the sums' buffer, each key's arrivals
+        # in arrival order; a sum lands no later than its first arrival,
+        # which is already read
         buf = np.empty(done, VAL_DTYPE)
         words = buf.view(np.uint64)
         words[:] = kept[:done]
-        order, lead, low = _sort_arrivals(words, _pack_segments(words, starts,
+        order, lead, low = _sort_arrivals(words, _pack_segments(words, cuts[:-1],
                                                                 8 * kept.itemsize))
-        counts = np.add.reduceat(lead, starts, dtype=index)
-        ks = np.empty(int(counts.sum()), kept.dtype)
-        # under coord a run holds a key more than once: a row's sums add a
-        # run at a time first, then the runs' sums
-        split = coord and multi
-        tops = np.empty(done, bool) if split else None
-        if split:
-            runs_kept = 0
-        # a two-way merge per run charges, for each key, each run after the
-        # one that brings it
-        spread = 0
-        g = k = -1  # the last sum's and the last key's places
-        prior = -1  # the run of the last arrival read
+        at = np.zeros(runs + 1, index)  # where each run's keys start
+        np.add.reduceat(lead, cuts[:-1], dtype=index, out=at[1:])
+        np.cumsum(at, out=at)
+        ks = np.empty(int(at[-1]), kept.dtype)
+        g = -1  # the last key's place
         for lo in range(0, done, _PASS):
             arrival = np.bitwise_and(order[lo:lo + _PASS], low, dtype=np.intp)
             top = lead[lo:lo + _PASS]
-            group = top
-            if multi:
-                run = np.searchsorted(cuts, arrival, "right") - 1
-                brings = run[top]
-                mine = merged[out[brings]]
-                spread += int((ends[out[brings[mine]]] - brings[mine]).sum())
-                if split:
-                    group = top.copy()
-                    group[1:] |= run[1:] != run[:-1]
-                    group[0] |= run[0] != prior
-                    prior = run[-1]
-                    runs_kept += int(np.count_nonzero(merged[out[run[group]]]))
             new = int(np.count_nonzero(top))
-            ks[k + 1:k + 1 + new] = kept.take(arrival[top])
-            k += new
-            if new == len(arrival) and not split:
+            ks[g + 1:g + 1 + new] = kept.take(arrival[top])
+            if new == len(arrival):
                 # each arrival brings its key: its sum as it is
                 buf[g + 1:g + 1 + new] = sums.take(arrival)
                 g += new
                 continue
-            at = np.cumsum(group)
-            at += g
-            fresh = slice(g + 1, int(at[-1]) + 1)
-            g = fresh.stop - 1
-            if split:
-                tops[fresh] = top[group]
-            _sum_groups(buf, at, sums.take(arrival), fresh)
+            group = np.cumsum(top)
+            group += g
+            fresh = slice(g + 1, g + 1 + new)
+            g += new
+            _sum_groups(buf, group, sums.take(arrival), fresh)
         del order, lead, words
+        arrival = group = None  # the last window's, freed before the runs go out
         if coord:
-            c.drain_dedups += done - (g + 1)
-        if split:
-            # the runs' sums in run order, each read before it is added over
-            total, g = g + 1, -1
-            for lo in range(0, total, _PASS):
-                part = buf[lo:min(lo + _PASS, total)].copy()
-                at = np.cumsum(tops[lo:lo + len(part)])
-                at += g
-                fresh = slice(g + 1, int(at[-1]) + 1)
-                g = fresh.stop - 1
-                _sum_groups(buf, at, part, fresh)
-            del tops
+            c.drain_dedups += done - len(ks)
         # nothing else refers to the sums
         buf.resize(len(ks), refcheck=False)
-        entries = int(counts[merged].sum()) if len(merged) else 0
-        if coord and not split:
-            runs_kept = entries
-        c.merge_comparisons += runs_kept + spread
-        c.merge_dedups += runs_kept - entries
-        at = np.zeros(len(counts) + 1, index)
-        np.cumsum(counts, out=at[1:])
-        pieces: list[tuple] = []
 
         def log(o: int) -> None:
-            whole = len(counts) == 1 and buf.base is None
-            self.all.merge(*(ks, buf) if whole else
+            self.all.merge(*(ks, buf) if runs == 1 else
                            (ks[at[o]:at[o + 1]].copy(), buf[at[o]:at[o + 1]].copy()))
 
-        o = 0
-        if carried:
-            while o < len(rows) and rows[o] == 0:
-                log(o)
-                o += 1
-            pieces.append(self._end(labels[0]))
-        d = o
-        while d < len(merged) and merged[d]:
-            d += 1
-        if d > o:
-            part = counts[o:d]
-            c.peak_bytes = max(c.peak_bytes, (int(part.max()) + self.capacity) * _ELEMENT_BYTES)
-            pieces.append((labels[rows[o:d]], part.astype(np.int64),
-                           self._coords([ks[at[o]:at[d]]]), buf[at[o]:at[d]]))
-        for o in range(d, len(starts)):
-            log(o)
+        pieces: list[tuple] = []
+        row = 0  # the next row that ends, by its segment
+        edges = [0, *(np.flatnonzero(alone[1:] != alone[:-1]) + 1).tolist(), runs]
+        for a, b in zip(edges, edges[1:]):
+            if not alone[a]:
+                for o in range(a, b):
+                    log(o)
+                    if ends[o]:
+                        pieces.append(self._end(labels[row]))
+                        row += 1
+                continue
+            # rows of one run each, as a merge into an empty all array
+            counts = np.diff(at[a:b + 1]).astype(np.int64)
+            c.merges += b - a
+            c.merge_comparisons += int(at[b] - at[a])
+            c.peak_bytes = max(c.peak_bytes, (int(counts.max()) + self.capacity) * _ELEMENT_BYTES)
+            pieces.append((labels[row:row + b - a], counts, self._coords([ks[at[a]:at[b]]]),
+                           buf[at[a]:at[b]]))
+            row += b - a
         # the last run stays loaded, a copy made once the others are out
         self.acc.load(kept[done:].copy(), sums[done:].copy())
         return pieces

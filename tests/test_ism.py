@@ -778,7 +778,7 @@ def test_insert_batch_scratch_is_one_block(policy, capacity, universe):
     # contents, and each block's plan is released before the next one is
     # made, so from two blocks on, four times the batch holds about the
     # same scratch; at capacity 1 each pair of a block may end a run of its
-    # own, and the plan's complete runs drain in one sort beside it (47.2 B
+    # own, and the plan's complete runs drain in one sort beside it (47.4 B
     # per pair of a block measured there, 34.6 at the larger capacities)
     block = max(capacity, ism._BLOCK)
     short, long = (_insert_batch_scratch(policy, capacity, k * block, universe)

@@ -1005,6 +1005,60 @@ def test_a_hoisted_workspace_runs_the_engine_only_for_rows_that_insert(name, pol
                 assert not batches[0][0] and 0 in batches[1][1]
 
 
+@pytest.mark.parametrize("name", ["spgemm-rowwise-hoist", "mttkrp"])
+def test_a_hoisted_row_of_one_run_goes_back_without_the_all_array(name, monkeypatch):
+    # on operands shaped like the benchmark's hoisted-rows traffic, every row
+    # holds fewer keys than a capacity of 4096, so each row that ends inside
+    # an engine call goes back from that call's plan as it is, and the all
+    # array only logs the row a call leaves open, drained by finalize(). At
+    # capacity 2 the calls' own plans log runs, and the tensor is the same
+    callers: list[tuple[str, ...]] = []  # the engine calls under each merge
+    inside: list[str] = []
+
+    def spy(attr):
+        fn = getattr(sw.IsmEngine, attr)
+
+        def wrapped(*args, **kwargs):
+            inside.append(attr)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(sw.IsmEngine, attr, wrapped)
+
+    spy("insert_batch")
+    spy("finalize")
+    merge = ism.AllArray.merge
+
+    def logged(all_array, keys, vals):
+        callers.append(tuple(inside))
+        return merge(all_array, keys, vals)
+
+    monkeypatch.setattr(ism.AllArray, "merge", logged)
+    kernel = KERNELS_BY_NAME[name]
+    rng = np.random.default_rng([1, 1])
+    if name == "mttkrp":
+        arrays = {"X": sparse_array(rng, (100, 100, 100), 0.005),
+                  "B": dense_array(rng, (100, 16)), "C": dense_array(rng, (100, 16))}
+    else:
+        arrays = {t: sparse_array(rng, (1500, 1500), 0.005) for t in ("B", "C")}
+    tensors = {t: sw.from_dense(a, kernel.formats[t]) for t, a in arrays.items()}
+    out = {}
+    for capacity in (4096, 2):
+        callers.clear()
+        out[capacity] = sw.execute(prepare(kernel, sw.Policy.BUCKET, capacity)[1], tensors)
+        assert callers and inside == []
+        if capacity == 4096:
+            assert all(c[-1] == "finalize" for c in callers)
+        else:
+            assert sum(c == ("insert_batch",) for c in callers) > len(callers) // 2
+    want, got = (out[c].tensor for c in (4096, 2))
+    assert all(np.array_equal(w, g) for w, g in zip(want.mode_coordinates(),
+                                                   got.mode_coordinates()))
+    assert want.vals.tobytes() == got.vals.tobytes()
+    assert out[4096].counters.merges < out[2].counters.merges
+
+
 @pytest.mark.parametrize("name", ["spgemm-rowwise-hoist", "spgemm-rowwise", "mttkrp"])
 def test_a_hosted_workspace_takes_at_most_an_engine_block_per_call(name, monkeypatch):
     # a leaf loop that inserts into a hosted workspace expands at most an
