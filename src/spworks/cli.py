@@ -355,7 +355,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
     elapsed = time.perf_counter_ns() - start
 
     out = result.tensor
-    print(f"result {plan.result.tensor}: dims {out.dims}, nnz {out.nnz}")
+    print(f"result {nest_assign(stmt).lhs.tensor}: dims {out.dims}, nnz {out.nnz}")
     print(f"insertion: {decision.action.value}")
     print(f"time_ns: {elapsed}")
     for key, value in result.counters.as_dict().items():

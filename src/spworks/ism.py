@@ -237,7 +237,7 @@ class AccArray:
         room = 32 - _bits(total) - (_bits(len(bounds)) if len(bounds) > 1 else 0)
         words = np.concatenate((self.keys, keys),
                                dtype=np.uint32 if width <= room else np.uint64)
-        order, lead, low = _sort_arrivals(words, _pack_segments(words, bounds, width))
+        order, lead, low = _sort_arrivals(words, width, bounds)
         del words
         # the segments with more distinct keys than the capacity; a
         # segment's arrivals lie at the same places in key order
@@ -597,49 +597,45 @@ def _sort_cost(sizes: np.ndarray) -> int:
     return int((sizes * np.frexp(sizes - 1.0)[1]).sum())
 
 
-def _pack_segments(words: np.ndarray, starts: np.ndarray, width: int) -> int:
-    """Put each entry's segment above its key, in place: ``words`` holds
-    unsigned keys of at most ``width`` bits, and segment ``s`` its entries
-    from ``starts[s]`` up to the next segment's. Keys too wide to leave the
-    segments room become their ranks, which order as they do. Returns the
-    width of the packed words."""
-    if len(starts) == 1:
-        return width
-    room = 8 * words.itemsize - _bits(len(starts))
-    if width > room:
-        width = int(words.max()).bit_length()
-        if width > room:
-            words[:] = np.unique(words, return_inverse=True)[1].reshape(-1)
-            width = _bits(len(words))
-    # each entry's segment counted _PASS entries at a time, without an
-    # array of its width over all of them
-    shift = words.dtype.type(width)
-    mark = np.zeros(len(words), bool)
-    mark[starts[1:]] = True
-    seg = 0
-    for lo in range(0, len(words), _PASS):
-        part = np.cumsum(mark[lo:lo + _PASS], dtype=words.dtype)
-        part += words.dtype.type(seg)
-        seg = int(part[-1])
-        part <<= shift
-        words[lo:lo + _PASS] |= part
-    return width + _bits(len(starts))
-
-
-def _sort_arrivals(keys: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _sort_arrivals(keys: np.ndarray, width: int, starts: np.ndarray | None = None,
+                   ) -> tuple[np.ndarray, np.ndarray, int]:
     """The caller's unsigned ``keys`` of at most ``width`` bits, in arrival
-    order, packed as ``key << bits | arrival`` in the narrower of uint32 and
-    uint64 that holds them, in place if ``keys`` has it, and sorted: each
-    key's arrivals together, in arrival order. Keys too wide to pack become
-    their ranks, which order and compare as they do. Returns the words,
-    where each key's arrivals start, and ``low``, the arrival bits."""
+    order, packed as ``segment << ... | key << bits | arrival`` in the
+    narrower of uint32 and uint64 that holds them, in place if ``keys`` has
+    it, and sorted: each segment's keys in order, and each key's arrivals
+    in a segment together, in arrival order. Segment ``s`` holds the keys
+    from ``starts[s]`` up to the next segment's; without ``starts`` all are
+    one. Where a (segment, key) is too wide to pack, it becomes its rank,
+    which orders and compares as it does. Returns the words, where each
+    (segment, key)'s arrivals start, and ``low``, the arrival bits."""
     n = len(keys)
     bits = _bits(n)
     low = (1 << bits) - 1
-    words = keys.astype(np.uint32 if width + bits <= 32 else np.uint64, copy=False)
-    room = 8 * words.itemsize - bits
-    if width > room and n and int(words.max()) >> room:
-        words[:] = np.unique(words, return_inverse=True)[1].reshape(-1)
+    segs = _bits(len(starts)) if starts is not None and len(starts) > 1 else 0
+    words = keys.astype(np.uint32 if width + segs + bits <= 32 else np.uint64, copy=False)
+    room = 8 * words.itemsize - segs - bits
+    if width > room and n:
+        width = int(words.max()).bit_length()
+        if width > room:  # each (segment, key) becomes its rank
+            words[:] = np.unique(words, return_inverse=True)[1].reshape(-1)
+            if segs:  # segment * n + key rank, below 2^64, ranked again
+                words += np.repeat(np.arange(0, len(starts) * n, n, dtype=words.dtype),
+                                   np.diff(starts, append=n))
+                words[:] = np.unique(words, return_inverse=True)[1].reshape(-1)
+            width, segs = bits, 0
+    if segs:
+        # each entry's segment counted _PASS entries at a time, without an
+        # array of its width over all of them
+        shift = words.dtype.type(width)
+        mark = np.zeros(n, bool)
+        mark[starts[1:]] = True
+        seg = 0
+        for lo in range(0, n, _PASS):
+            part = np.cumsum(mark[lo:lo + _PASS], dtype=words.dtype)
+            part += words.dtype.type(seg)
+            seg = int(part[-1])
+            part <<= shift
+            words[lo:lo + _PASS] |= part
     words <<= bits
     for lo in range(0, n, _PASS):
         words[lo:lo + _PASS] |= np.arange(lo, min(lo + _PASS, n), dtype=words.dtype)
@@ -851,8 +847,7 @@ class IsmEngine:
         buf = np.empty(done, VAL_DTYPE)
         words = buf.view(np.uint64)
         words[:] = kept[:done]
-        order, lead, low = _sort_arrivals(words, _pack_segments(words, cuts[:-1],
-                                                                8 * kept.itemsize))
+        order, lead, low = _sort_arrivals(words, 8 * kept.itemsize, cuts[:-1])
         at = np.zeros(runs + 1, index)  # where each run's keys start
         np.add.reduceat(lead, cuts[:-1], dtype=index, out=at[1:])
         np.cumsum(at, out=at)

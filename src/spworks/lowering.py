@@ -413,8 +413,8 @@ class DrainWs:
 
 @dataclass
 class MaterializeWs:
-    """Drain the workspace into a tensor in its workspace format and run the
-    consumer's plan over it."""
+    """Drain the workspace into a tensor in its workspace format, the plan's
+    result; execute() then runs the consumer's plan over it."""
 
     meta: WsMeta
 
@@ -429,14 +429,9 @@ class MaterializeWs:
     def run(self, ex: _Execution, rows: _Rows) -> None:
         meta = self.meta
         _, slot_coords, wvals = ex.workspaces[meta.name].finish()
-        mode_coords: list[np.ndarray] = [None] * len(meta.i_vars)  # type: ignore[list-item]
-        for s, m in enumerate(_inverse(meta.descriptor.ow_order)):
-            mode_coords[m] = slot_coords[s]
         dims = tuple(ex.extents[v] for v in meta.i_vars)
-        ws_tensor = compress_arrays(mode_coords, wvals, meta.ws_format, dims)
-        sub = execute(meta.subplan, {**ex.tensors, meta.name: ws_tensor})
-        ex.counters.merge(sub.counters)
-        ex.override = sub.tensor
+        ex.override = compress_arrays([slot_coords[s] for s in meta.descriptor.ow_order],
+                                      wvals, meta.ws_format, dims)
 
 
 @dataclass
@@ -681,10 +676,10 @@ def _lower_workspace(root: Statement, prefix: tuple[IndexVar, ...], where: Where
         and tuple(consumer_vars) == consumer_slots
         and access_map(c_assign.lhs.vars, result_fmt) == consumer_slots
     )
-    operands = low.operands()
-    if straight:
-        tail: DrainWs | MaterializeWs = DrainWs(meta, ())
-    else:
+    result, tail = c_assign.lhs, DrainWs(meta, ())
+    if not straight:
+        # the plan ends at the workspace's tensor, which the consumer's plan
+        # reads
         meta.ws_format = Format(
             (COMPRESSED,) * len(i_vars),
             tuple(inv),
@@ -698,13 +693,10 @@ def _lower_workspace(root: Statement, prefix: tuple[IndexVar, ...], where: Where
             where.consumer, sub_formats, descriptor.policy, descriptor.capacity,
             ws_name=inner_name, hash_l=descriptor.hash_l)
         meta.subplan = lower(rewritten, sub_formats)
-        for name, fmt in meta.subplan.operands.items():
-            if name != ws:
-                operands.setdefault(name, fmt)
-        tail = MaterializeWs(meta)
-    return Plan(root, c_assign.lhs, result_fmt,
+        result, result_fmt, tail = Access(ws, i_vars), meta.ws_format, MaterializeWs(meta)
+    return Plan(root, result, result_fmt,
                 [AllocWs(meta), *(chain[0] for chain in chains), tail],
-                operands, low.sites, [meta])
+                low.operands(), low.sites, [meta])
 
 
 # -- plan printing -----------------------------------------------------------------
@@ -1182,37 +1174,20 @@ class _Execution:
                     f"cannot size result dimension {v.name}; no operand binds it")
 
     def _bind_extents(self) -> None:
-        """Size each index variable from the tensors at the plan's sites, then
-        from those of the nested consumer plans, in preorder. A nested plan
-        can be the only binding site for a result dimension; its workspace
-        operand is not a tensor yet and binds nothing. A workspace's fixed
-        extents must then equal the bound ones."""
+        """Size each index variable from the tensors at the plan's sites. A
+        workspace's consumer-side renamings range over the producer's
+        dimensions, and its fixed extents must equal the bound ones."""
         self.extents: dict[IndexVar, int] = {}
-        pending = [self.plan]
-        metas: list[WsMeta] = []
-        while pending:
-            plan = pending.pop()
-            for name, acc in plan.sites.values():
-                t = self.tensors.get(name)
-                if t is None:
-                    continue
-                for m, v in enumerate(acc.vars):
-                    e = t.dims[m]
-                    prev = self.extents.setdefault(v, e)
-                    if prev != e:
-                        raise LoweringError(
-                            f"dimension mismatch for {v.name}: {prev} vs {e} "
-                            f"(from {name})")
-            if plan is self.plan:
-                # consumer-side renamings range over the producer's dimensions
-                for meta in plan.workspaces:
-                    for m, v in enumerate(meta.consumer_vars):
-                        if meta.i_vars[m] in self.extents:
-                            self.extents.setdefault(v, self.extents[meta.i_vars[m]])
-            metas += plan.workspaces
-            pending.extend(meta.subplan for meta in reversed(plan.workspaces)
-                           if meta.subplan is not None)
-        for meta in metas:
+        for name, acc in self.plan.sites.values():
+            for v, e in zip(acc.vars, self.tensors[name].dims):
+                prev = self.extents.setdefault(v, e)
+                if prev != e:
+                    raise LoweringError(
+                        f"dimension mismatch for {v.name}: {prev} vs {e} (from {name})")
+        for meta in self.plan.workspaces:
+            for m, v in enumerate(meta.consumer_vars):
+                if meta.i_vars[m] in self.extents:
+                    self.extents.setdefault(v, self.extents[meta.i_vars[m]])
             for d, v in zip(meta.descriptor.dims, meta.i_vars):
                 if not isinstance(d, str) and d != self.extents.get(v, d):
                     raise LoweringError(f"workspace {meta.name} fixes the extent of "
@@ -1279,6 +1254,14 @@ class _Execution:
 def execute(plan: Plan, tensors: dict[str, Tensor],
             options: ExecutionOptions | None = None) -> ExecutionResult:
     """Bind tensors to a plan and run it, returning the result tensor and the
-    aggregated runtime counters. ``options`` is accepted and ignored (see
+    aggregated runtime counters. A plan that materializes a workspace ends
+    at the workspace's tensor; its consumer's plan then runs over it and
+    gives the result. ``options`` is accepted and ignored (see
     ExecutionOptions)."""
-    return _Execution(plan, tensors).run()
+    out = _Execution(plan, tensors).run()
+    for meta in plan.workspaces:
+        if meta.subplan is not None:
+            sub = execute(meta.subplan, {**tensors, meta.name: out.tensor})
+            sub.counters.merge(out.counters)
+            out = sub
+    return out

@@ -259,15 +259,16 @@ def test_conversion_consumer_is_a_straight_copy():
     assert any(isinstance(n, DrainWs) for n in plan.body)
 
 
-def _materializing_plan() -> sw.Plan:
-    """B(i,k) precomputed into a workspace that a row-wise product consumes."""
+def _materializing_plan(result: sw.Format | None = None) -> sw.Plan:
+    """B(i,k) precomputed into a workspace that a row-wise product consumes,
+    into A in ``result`` (CSR by default)."""
     stmt = sw.statement_from_text("forall i, k, j: " + MATMUL)
     rhs_b = sw.Access("B", (var("i"), var("k")))
     desc = sw.WorkspaceDescriptor(order=2, dims=("I", "K"), policy=sw.Policy.COORD,
                                   capacity=64, ow_order=(0, 1))
     rewritten = sw.precompute(stmt, rhs_b, ("i", "k"), None, desc,
                               consumer_order=("i", "k", "j"))
-    return sw.lower(rewritten, {"A": sw.csr(), "B": sw.csr(), "C": sw.csr()})
+    return sw.lower(rewritten, {"A": result or sw.csr(), "B": sw.csr(), "C": sw.csr()})
 
 
 def _matmul_operands(seed: int) -> tuple[np.ndarray, np.ndarray, dict[str, sw.Tensor]]:
@@ -292,6 +293,22 @@ def test_arithmetic_consumer_materializes_and_replans():
     b, c, tensors = _matmul_operands(3)
     out = sw.execute(plan, tensors)
     assert np.array_equal(out.tensor.to_dense(), b @ c)
+
+
+def test_a_materializing_execution_allocates_only_the_consumers_result():
+    # the producer's plan ends at the workspace's tensor and the consumer's
+    # plan runs after it, so only the consumer allocates the dense result:
+    # the execution peaks at 1.22 times its values (2.23 while the
+    # producer's execution also bound the consumer's operands and allocated
+    # a result it never filled)
+    rng = np.random.default_rng(34)
+    b, c = sparse_array(rng, (600, 40), 0.05), sparse_array(rng, (40, 600), 0.05)
+    tensors = {"B": sw.from_dense(b, sw.csr()), "C": sw.from_dense(c, sw.csr())}
+    plan = _materializing_plan(sw.dense(2))
+    with peak_above() as span:
+        out = sw.execute(plan, tensors).tensor
+    assert span.peak <= 1.5 * out.vals.nbytes
+    assert np.array_equal(out.to_dense(), b @ c)
 
 
 def test_renamed_consumer_still_executes():
